@@ -135,7 +135,8 @@ def eisenstein_g3_base(prec):
             qn = qn * (-qabs)
             e4 += 240 * sigma3[n] * qn
             e6 -= 504 * sigma5[n] * qn
-        assert abs(e4) < mp.mpf(2) ** (-(prec + 16)), "E4 must vanish on Z[w]"
+        if abs(e4) >= mp.mpf(2) ** (-(prec + 16)):
+            raise AssertionError("E4 must vanish on Z[w]")
         zeta6 = mp.pi**6 / 945
         g3 = 140 * 2 * zeta6 * e6
     _g3_cache[prec] = g3

@@ -132,6 +132,7 @@ class RunReport:
     cube_sum: dict
     checks: dict
     timings_ms: dict
+    attempts: list  # failed attempts before the win: site, bits, error, message
 
     def to_dict(self):
         return {
@@ -148,6 +149,7 @@ class RunReport:
             "cube_sum": self.cube_sum,
             "checks": self.checks,
             "timings_ms": self.timings_ms,
+            "attempts": self.attempts,
         }
 
     @staticmethod
@@ -174,6 +176,7 @@ def build_report(result, beta=None):
         cube_sum={"u": str(result.cube.u), "v": str(result.cube.v)},
         checks=checks,
         timings_ms=result.timings_ms,
+        attempts=result.attempts,
     )
 
 
@@ -243,7 +246,7 @@ def cmd_solve(args):
             form_factory=factory,
         )
         result.timings_ms["total_ms"] = 1000 * (time.perf_counter() - t0)
-        if not result.cube.verify():  # defensive; to_cube_sum asserts already
+        if not result.cube.verify():  # defensive; to_cube_sum checks already
             raise AssertionError("cube identity failed")
         beta = measure_beta(args.p, i, min(args.bits, 160))
         reports.append(build_report(result, beta=beta))

@@ -188,7 +188,8 @@ def isogeny_to_432(P, p, i):
     x, y = P.x, P.y
     X = 4 * (x**3 + QOmega(n2)) / (x * x)
     Y = 8 * y * (x**3 - 2 * QOmega(n2)) / (x**3)
-    assert Y * Y == X**3 - 432 * QOmega(n2)
+    if Y * Y != X**3 - 432 * QOmega(n2):
+        raise AssertionError(f"isogeny image ({X}, {Y}) is off Y^2 = X^3 - 432 p^(2i)")
     return X, Y
 
 
@@ -213,7 +214,8 @@ def to_cube_sum(X, Y, p, i):
     if not (u.is_rational() and v.is_rational()):
         raise DegenerateImage(f"image ({u}, {v}) is not rational")
     out = CubeSum(u=u.a, v=v.a, target=p**i)
-    assert out.verify()
+    if not out.verify():
+        raise AssertionError(f"cube identity failed: ({out.u})^3 + ({out.v})^3 != {p}^{i}")
     return out
 
 

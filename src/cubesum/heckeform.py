@@ -228,10 +228,12 @@ def qexp_coefficients_direct(p, i, M, conjugate=False):
                             if ell != p:  # psi at (pibar) is pibar itself
                                 sym = sym * prime_symbol(g)
                             m //= ell
-            assert rest.is_unit()
+            if not rest.is_unit():
+                raise AssertionError(f"a_{n}: cofactor {rest} is not a unit")
             coeffs[n] = coeffs[n] + sym.conj() * x
     if M >= 1:
-        assert coeffs[1] == ONE
+        if coeffs[1] != ONE:
+            raise AssertionError(f"a_1 = {coeffs[1]}, not 1")
     if conjugate:
         coeffs = [c.conj() for c in coeffs]
     return coeffs

@@ -6,14 +6,20 @@ map through wp on the matching lattice, recognize the algebraic coordinates
 scaling by a cube root; the torsion side has x = 0), twist both to points of
 E(p^i) over K, take the difference, and descend to Q by the trace or the
 sqrt(-3) endomorphism.  Every recognized object is certified by exact
-arithmetic before it is used; numerical failures raise and the driver
-retries at higher precision.
+arithmetic before it is used.
+
+solve_pipeline escalates precision on one site at a time, in ranked order: a
+numerical failure (RecognitionFailed, EvalResidualTooLarge) retries the same
+site at twice the bits, and a site failure (DescentFailed, including a site
+whose twisted difference is the identity, or TermsCapExceeded) moves on to
+the next site at the starting bits.  Every failed attempt is kept in
+PipelineResult.attempts.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
@@ -209,6 +215,7 @@ class PipelineResult:
     cube: object
     checks: dict
     timings_ms: dict
+    attempts: list = field(default_factory=list)  # the failed attempts before this one
 
 
 def _attempt_site(cand, split, p, i, prec, max_terms, forms_cache, form_factory):
@@ -218,11 +225,13 @@ def _attempt_site(cand, split, p, i, prec, max_terms, forms_cache, form_factory)
     M = terms_needed(float(site.im_coeff) * 3**0.5, prec)
     if max_terms is not None and M > max_terms:
         raise TermsCapExceeded(f"site {site.label()} needs {M} > {max_terms} terms")
-    key = (prec,)
-    if key not in forms_cache or forms_cache[key][0].terms < M:
+    # coefficients do not depend on precision: one pair serves every
+    # attempt that needs no more terms than it holds
+    if "f" not in forms_cache or forms_cache["f"].terms < M:
+        forms_cache.clear()  # free the shorter pair before building the longer one
         f = form_factory(p, i, M)
-        forms_cache[key] = (f, f.conjugate_form())
-    f, fc = forms_cache[key]
+        forms_cache.update(f=f, fc=f.conjugate_form())
+    f, fc = forms_cache["f"], forms_cache["fc"]
     timings["coefficients_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -249,7 +258,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, forms_cache, form_factory)
     t0 = time.perf_counter()
     PK = twist_and_combine(rec_f, rec_fc, split, i)
     if PK.is_infinity:
-        raise RecognitionFailed("twisted difference is the identity; site unusable")
+        raise DescentFailed("twisted difference is the identity; site unusable")
     PQ, branch = descend(PK, p, i)
     cert = curves.nontorsion_certificate(PQ, p, i)
     if not cert.nontorsion:
@@ -295,13 +304,24 @@ def _attempt_site(cand, split, p, i, prec, max_terms, forms_cache, form_factory)
     )
 
 
+RUNGS = 5  # precisions tried per site: bits, 2 bits, ..., 16 bits
+
+# Failures more precision cannot fix: the site is given up at once.
+SITE_FAILURES = (DescentFailed, TermsCapExceeded)
+PRECISION_FAILURES = (RecognitionFailed, EvalResidualTooLarge)
+
+
 def solve_pipeline(p, i, bits=192, max_terms=2_000_000, eval_mode="auto", form_factory=None):
     """End-to-end: u^3 + v^3 = p^i with exact verification.
 
-    Candidate sites are tried in ranked order; recognition failures double
-    the working precision (up to 4 retries) per the denominator-bound
-    schedule.  eval_mode restricts the sites ("tau", "wtau", or "auto");
-    form_factory lets the caller supply cached coefficients.
+    Candidate sites are tried in ranked order.  On each site the precision
+    starts at `bits` and doubles after every precision failure, for at most
+    RUNGS attempts; a site failure (descent, torsion, identity difference or
+    the terms cap) moves on to the next site at once.  The failed attempts
+    come back in the result's `attempts` (site, bits, error, message) and,
+    when every site is used up, in the PrecisionExhausted message.
+    eval_mode restricts the sites ("tau", "wtau", or "auto"); form_factory
+    lets the caller supply cached coefficients.
     """
     split = split_prime(p)
     cands = candidate_points(p, i)
@@ -311,19 +331,28 @@ def solve_pipeline(p, i, bits=192, max_terms=2_000_000, eval_mode="auto", form_f
         raise ValueError(f"no candidate sites for eval mode {eval_mode}")
     if form_factory is None:
         form_factory = build_form
-    errors = []
-    prec = bits
-    for _ in range(5):
-        forms_cache = {}
-        for cand in cands:
+    attempts = []
+    forms_cache = {}
+    for cand in cands:
+        prec = bits
+        for _ in range(RUNGS):
             try:
-                return _attempt_site(cand, split, p, i, prec, max_terms, forms_cache, form_factory)
-            except (
-                RecognitionFailed,
-                EvalResidualTooLarge,
-                DescentFailed,
-                TermsCapExceeded,
-            ) as e:
-                errors.append(f"{cand.site.label()}@{prec}b: {e}")
-        prec *= 2
-    raise PrecisionExhausted("; ".join(errors[-8:]))
+                result = _attempt_site(
+                    cand, split, p, i, prec, max_terms, forms_cache, form_factory
+                )
+            except SITE_FAILURES + PRECISION_FAILURES as e:
+                attempts.append({
+                    "site": cand.site.label(),
+                    "bits": prec,
+                    "error": type(e).__name__,
+                    "message": str(e),
+                })
+                if isinstance(e, SITE_FAILURES):
+                    break
+                prec *= 2
+            else:
+                result.attempts = attempts
+                return result
+    raise PrecisionExhausted("; ".join(
+        f"{a['site']}@{a['bits']}b: {a['error']}: {a['message']}" for a in attempts
+    ))

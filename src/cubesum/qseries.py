@@ -259,7 +259,8 @@ def cube_root_series(S):
     while correct < n:
         T = T * (2 + body * (T**3).invert()) * Fraction(1, 3)
         correct *= 2
-    assert T**3 == body
+    if T**3 != body:
+        raise AssertionError("Newton cube root does not cube back to the series")
     return LaurentSeries(S.lead // 3, T.coeffs)
 
 

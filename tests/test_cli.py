@@ -35,8 +35,9 @@ def test_solve_json_schema(tmp_path, capsys):
     rep = json.loads(out)
     assert set(rep) == {
         "p", "i", "pi", "r", "t", "site", "bits", "terms",
-        "point_K", "point_Q", "cube_sum", "checks", "timings_ms",
+        "point_K", "point_Q", "cube_sum", "checks", "timings_ms", "attempts",
     }
+    assert rep["attempts"] == []  # 13 wins on its first attempt
     assert rep["p"] == 13 and rep["i"] == 1
     assert rep["pi"] == "4+3*w"
     assert set(rep["cube_sum"]) == {"u", "v"}
@@ -78,6 +79,42 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert code == EXIT_PRECISION
     assert "precision exhausted" in err
+
+
+def test_solve_json_reports_failed_attempts(tmp_path, capsys):
+    code, out, _ = run_cli(
+        ["solve", "79", "--power", "2", "--json", "--cache-dir", str(tmp_path)], capsys
+    )
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert (rep["site"], rep["bits"]) == ("wtau(r=56)", 384)
+    assert len(rep["attempts"]) == 1
+    att = rep["attempts"][0]
+    assert (att["site"], att["bits"], att["error"]) == ("wtau(r=56)", 192, "RecognitionFailed")
+    assert "exact curve equation" in att["message"]
+
+
+def test_precision_exhausted_lists_every_attempt(tmp_path, capsys, monkeypatch):
+    import cubesum.parametrize as par
+
+    # the terms cap is a site failure: one attempt per site
+    code, _, err = run_cli(
+        ["solve", "7", "--max-terms", "40", "--cache-dir", str(tmp_path)], capsys
+    )
+    assert code == EXIT_PRECISION
+    entries = err.split("; ")
+    assert len(entries) == 4
+    assert all("@192b: TermsCapExceeded: " in e for e in entries)
+
+    # precision failures everywhere: all 20 (site, bits) attempts are named
+    def fail(cand, split, p, i, prec, *rest):
+        raise par.RecognitionFailed(f"stub at {prec}")
+
+    monkeypatch.setattr(par, "_attempt_site", fail)
+    code, _, err = run_cli(["solve", "7", "--cache-dir", str(tmp_path)], capsys)
+    assert code == EXIT_PRECISION
+    for bits in (192, 384, 768, 1536, 3072):
+        assert err.count(f"@{bits}b: RecognitionFailed: stub at {bits}") == 4
 
 
 def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -227,3 +231,34 @@ def test_nontorsion_fixtures():
     # a torsion point is killed by the bound
     certT = nontorsion_certificate(T, 7, 1)
     assert not certT.nontorsion
+
+
+def test_exact_checks_survive_python_O():
+    # under -O every assert is stripped; the isogeny and cube identities
+    # must still reject an off-curve point
+    import cubesum
+
+    code = textwrap.dedent("""
+        import sys
+        from cubesum.curves import CurvePoint, isogeny_to_432, to_cube_sum
+        from cubesum.eisenstein import QOmega
+        assert False, "asserts are live"
+        print("optimize", sys.flags.optimize)
+        for check in (
+            lambda: isogeny_to_432(CurvePoint(QOmega(49), QOmega(1), QOmega(1)), 7, 1),
+            lambda: to_cube_sum(QOmega(1), QOmega(1), 7, 1),
+        ):
+            try:
+                check()
+                print("returned")
+            except AssertionError:
+                print("raised")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cubesum.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONOPTIMIZE", None)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["optimize", "1", "raised", "raised"]

@@ -7,7 +7,12 @@ from cubesum.cmpoint import CMPoint, EvalSite, classify_root
 from cubesum.curves import CurvePoint, endo_omega, mul
 from cubesum.eisenstein import QOmega, split_prime
 from cubesum.heckeform import build_form, conductor_and_level
+from cubesum import parametrize
+from cubesum.analytic import TermsCapExceeded
+from cubesum.cmpoint import candidate_points
+from cubesum.curves import DescentFailed
 from cubesum.parametrize import (
+    EvalResidualTooLarge,
     PrecisionExhausted,
     RecognitionFailed,
     descend,
@@ -235,3 +240,117 @@ def test_predicted_form_matches_reality():
         tor_fc = r.rec_fc.at_infinity or not r.rec_fc.x_scaled
         assert tor_f != tor_fc  # exactly one torsion side at each site
         assert r.predicted_form == ("fc" if tor_f else "f")
+
+
+# ------------------------------------------------------- escalation schedule
+
+SITES = [c.site.label() for c in candidate_points(7, 1)]  # ranked: wtau, wtau, tau, tau
+RUNG_BITS = [192, 384, 768, 1536, 3072]
+
+
+def stub_attempts(monkeypatch, outcome):
+    """Replace _attempt_site by a recorder of (site label, bits) calls.
+
+    outcome(label, bits) gives the exception the attempt raises, or None for
+    a win; a win returns a bare object standing in for the result.
+    """
+    calls = []
+
+    def fake(cand, split, p, i, prec, max_terms, forms_cache, form_factory):
+        label = cand.site.label()
+        calls.append((label, prec))
+        exc = outcome(label, prec)
+        if exc is not None:
+            raise exc
+        return type("Won", (), {"label": label, "bits": prec})()
+
+    monkeypatch.setattr(parametrize, "_attempt_site", fake)
+    return calls
+
+
+def test_schedule_precision_failure_escalates_first_site(monkeypatch):
+    def outcome(label, bits):
+        if label == SITES[0] and bits >= 384:
+            return None
+        return RecognitionFailed("x not recognized")
+
+    calls = stub_attempts(monkeypatch, outcome)
+    r = solve_pipeline(7, 1)
+    assert calls == [(SITES[0], 192), (SITES[0], 384)]
+    assert (r.label, r.bits) == (SITES[0], 384)
+    assert r.attempts == [
+        {"site": SITES[0], "bits": 192, "error": "RecognitionFailed", "message": "x not recognized"}
+    ]
+
+
+@pytest.mark.parametrize("site_failure", [DescentFailed, TermsCapExceeded])
+def test_schedule_site_failure_moves_to_next_site(monkeypatch, site_failure):
+    def outcome(label, bits):
+        if label == SITES[0]:
+            return site_failure("dead site")
+        if label == SITES[1] and bits >= 384:
+            return None
+        return EvalResidualTooLarge("residual too large")
+
+    calls = stub_attempts(monkeypatch, outcome)
+    r = solve_pipeline(7, 1)
+    assert calls == [(SITES[0], 192), (SITES[1], 192), (SITES[1], 384)]
+    assert [a["error"] for a in r.attempts] == [site_failure.__name__, "EvalResidualTooLarge"]
+
+
+def test_schedule_exhausted_site_hands_over(monkeypatch):
+    def outcome(label, bits):
+        return None if label == SITES[1] else RecognitionFailed("no")
+
+    calls = stub_attempts(monkeypatch, outcome)
+    r = solve_pipeline(7, 1)
+    assert calls == [(SITES[0], b) for b in RUNG_BITS] + [(SITES[1], 192)]
+    assert len(r.attempts) == len(RUNG_BITS)
+
+
+def test_schedule_total_exhaustion(monkeypatch):
+    calls = stub_attempts(monkeypatch, lambda label, bits: RecognitionFailed("no"))
+    with pytest.raises(PrecisionExhausted) as info:
+        solve_pipeline(7, 1)
+    # every site at every rung, site by site: the same 20 pairs the
+    # rung-by-rung sweep tried, and each one named in the message
+    assert calls == [(s, b) for s in SITES for b in RUNG_BITS]
+    entries = str(info.value).split("; ")
+    assert entries == [f"{s}@{b}b: RecognitionFailed: no" for s, b in calls]
+
+
+def test_schedule_eval_mode_filters_before_escalating(monkeypatch):
+    calls = stub_attempts(monkeypatch, lambda label, bits: DescentFailed("no"))
+    with pytest.raises(PrecisionExhausted):
+        solve_pipeline(7, 1, eval_mode="tau")
+    assert calls == [(SITES[2], 192), (SITES[3], 192)]
+
+
+def test_identity_difference_is_a_site_failure(monkeypatch):
+    # a site whose twisted difference is the identity is given up at its
+    # first rung, not retried at higher precision
+    def identity(rp_f, rp_fc, split, i):
+        return CurvePoint.infinity(q(Fraction(split.p) ** (2 * i)))
+
+    calls = []
+    real = parametrize._attempt_site
+
+    def spy(cand, split, p, i, prec, *rest):
+        calls.append((cand.site.label(), prec))
+        return real(cand, split, p, i, prec, *rest)
+
+    monkeypatch.setattr(parametrize, "twist_and_combine", identity)
+    monkeypatch.setattr(parametrize, "_attempt_site", spy)
+    with pytest.raises(PrecisionExhausted) as info:
+        solve_pipeline(7, 1, eval_mode="wtau")
+    assert calls == [(SITES[0], 192), (SITES[1], 192)]
+    assert str(info.value).count("DescentFailed: twisted difference is the identity") == 2
+
+
+def test_pipeline_79_squared_wins_after_one_retry():
+    r = solve_pipeline(79, 2)
+    assert (r.site.label(), r.bits) == ("wtau(r=56)", 384)
+    assert [(a["site"], a["bits"], a["error"]) for a in r.attempts] == [
+        ("wtau(r=56)", 192, "RecognitionFailed")
+    ]
+    assert r.cube.verify()
