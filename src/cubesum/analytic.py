@@ -10,6 +10,8 @@ Omega because the units of Z[w] are exactly the sixth roots of unity.
 Numerical conventions: every public function takes a target precision in
 bits and works internally with 32 guard bits; "lies in L" always means the
 lattice coordinates round to integers with residual below 2^(-prec/2).
+The q-sums of the newform run in fixed-point Python integers, one pass for
+f and its conjugate f^c (_q_sums).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .eisenstein import EisensteinInt, QOmega
 from .heckeform import build_form, conductor_and_level, split_prime
@@ -300,88 +303,107 @@ def _site_to_tau(site):
     return mp.mpc(site)
 
 
-def _sum_form(form, q, M, divide_by_n):
-    s3h = mp.sqrt(3) / 2
-    total = mp.mpc(0)
-    q3 = q**3
-    qn = q  # q^n for n = 1, 4, 7, ...
+KERNEL_GUARD_BITS = 8
+
+
+def _q_sums(form, site, prec, max_terms, divide_by_n):
+    """(S, S^c) with S = sum c_n q^n over n <= M for the form and its
+    conjugate, where c_n = a_n/n (divide_by_n) or a_n, and M =
+    terms_needed(Im tau, prec).
+
+    One fixed-point pass: q^n (n = 1 mod 3) is stepped as a pair of integers
+    scaled by 2^W, and with a_n = alpha_n + beta_n w it accumulates A = sum
+    alpha_n/n q^n and B = sum beta_n/n q^n, so S = A + B w and S^c = A + B
+    conj(w).  Every product and quotient rounds down by less than one unit
+    of 2^-W.  As |q^3| < 1, the error of the stepped q^n stays within a few
+    units over 1 - |q^3| (about M/prec), and the terms weight it by
+    sum |a_n|/n; the total stays below 2^KERNEL_GUARD_BITS * M units, so
+    W = prec + GUARD_BITS + M.bit_length() + KERNEL_GUARD_BITS keeps it
+    below 2^-(prec + GUARD_BITS), the precision the sums are returned at.
+    """
+    with mp.workprec(prec + GUARD_BITS):
+        tau = _site_to_tau(site)
+        M = terms_needed(tau.imag, prec)
+        if max_terms is not None and M > max_terms:
+            raise TermsCapExceeded(f"site needs {M} terms, cap is {max_terms}")
+        if M > form.terms:
+            raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
+    W = prec + GUARD_BITS + M.bit_length() + KERNEL_GUARD_BITS
+    with mp.workprec(W):
+        q = mp.exp(2j * mp.pi * _site_to_tau(site))
+        q3 = q**3
+        qr, qi = to_fixed(q.real._mpf_, W), to_fixed(q.imag._mpf_, W)
+        cr, ci = to_fixed(q3.real._mpf_, W), to_fixed(q3.imag._mpf_, W)
     coeffs = form.coeffs
+    ar = ai = br = bi = 0
     for n in range(1, M + 1, 3):
         c = coeffs[n]
-        if c.a or c.b:
-            v = mp.mpc(mp.mpf(c.a) - mp.mpf(c.b) / 2, s3h * c.b)
-            if divide_by_n:
-                v = v / n
-            total += v * qn
-        qn *= q3
-    return total
+        a, b = c.a, c.b
+        if a or b:
+            d = n if divide_by_n else 1
+            ar += a * qr // d
+            ai += a * qi // d
+            br += b * qr // d
+            bi += b * qi // d
+        qr, qi = (qr * cr - qi * ci) >> W, (qr * ci + qi * cr) >> W
+    with mp.workprec(prec + GUARD_BITS):
+        A = mp.mpc(mp.ldexp(ar, -W), mp.ldexp(ai, -W))
+        B = mp.mpc(mp.ldexp(br, -W), mp.ldexp(bi, -W))
+        w = omega_mpc()
+        return A + B * w, A + B * w.conjugate()
 
 
 def eval_z(form, site, prec=192, max_terms=None):
-    """z(tau) = sum a_n/n q^n at the site, the Abel-Jacobi image of tau.
+    """(z, z^c): z(tau) = sum a_n/n q^n at the site, the Abel-Jacobi image of
+    tau, for the form and for its conjugate, from one pass over the terms.
 
     The form must carry at least terms_needed(Im tau, prec) coefficients;
     max_terms, when given, turns an over-budget requirement into
     TermsCapExceeded instead of a ValueError.
     """
-    with mp.workprec(prec + GUARD_BITS):
-        tau = _site_to_tau(site)
-        M = terms_needed(tau.imag, prec)
-        if max_terms is not None and M > max_terms:
-            raise TermsCapExceeded(f"site needs {M} terms, cap is {max_terms}")
-        if M > form.terms:
-            raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
-        q = mp.e ** (2j * mp.pi * tau)
-        return _sum_form(form, q, M, divide_by_n=True)
+    return _q_sums(form, site, prec, max_terms, divide_by_n=True)
 
 
 def eval_f(form, site, prec=192, max_terms=None):
-    """f(tau) itself (used for Fricke constants, not for points)."""
-    with mp.workprec(prec + GUARD_BITS):
-        tau = _site_to_tau(site)
-        M = terms_needed(tau.imag, prec)
-        if max_terms is not None and M > max_terms:
-            raise TermsCapExceeded(f"site needs {M} terms, cap is {max_terms}")
-        if M > form.terms:
-            raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
-        q = mp.e ** (2j * mp.pi * tau)
-        return _sum_form(form, q, M, divide_by_n=False)
+    """(f(tau), f^c(tau)) from one pass (used for Fricke constants, not for
+    points)."""
+    return _q_sums(form, site, prec, max_terms, divide_by_n=False)
 
 
-def _forms_for_im(p, i, im, prec):
-    M = terms_needed(im, prec)
-    f = build_form(p, i, M)
-    return f, f.conjugate_form()
-
-
-def fricke_constant(p, i, prec=192, at=None, forms=None):
+def fricke_constant(p, i, prec=192, at=None, form=None):
     """C with f(-1/(N tau)) = C N tau^2 f^c(tau), measured numerically.
 
     Contracts: |C| = 1 and C^6 = pi^(2i)/pibar^(2i) (up to the sixth root of
     unity that stays unpinned); both are asserted by the acceptance suite
-    rather than here.  Default site is the involution's fixed point i/sqrt(N).
+    rather than here.  Default site is the involution's fixed point i/sqrt(N),
+    where f and f^c come from one pass.  `form` may hold more coefficients
+    than needed (a solve's own form); one is built when it is missing or
+    too short.
     """
     _, N = conductor_and_level(p, i)
     with mp.workprec(prec + GUARD_BITS):
         tau = mp.mpc(0, 1) / mp.sqrt(N) if at is None else mp.mpc(at)
         wtau = -1 / (N * tau)
-        im = min(tau.imag, wtau.imag)
-        if forms is None:
-            forms = _forms_for_im(p, i, im, prec)
-        f, fc = forms
-        num = eval_f(f, wtau, prec)
-        den = N * tau**2 * eval_f(fc, tau, prec)
-        return num / den
+        M = terms_needed(min(tau.imag, wtau.imag), prec)
+        if form is None or form.terms < M:
+            form = build_form(p, i, M, conjugate=form is not None and form.conjugate)
+        if at is None:
+            num, fc_tau = eval_f(form, tau, prec)
+        else:
+            num = eval_f(form, wtau, prec)[0]
+            fc_tau = eval_f(form, tau, prec)[1]
+        return num / (N * tau**2 * fc_tau)
 
 
-def measure_beta(p, i, prec=160):
+def measure_beta(p, i, prec=160, form=None):
     """(k, residual): the sixth root of unity beta = C (pibar/pi)^(i/3).
 
     The exact sixth root is not pinned a priori; it is measured against the
-    principal branch of the cube root and reported per (p, i).
+    principal branch of the cube root and reported per (p, i).  `form` is
+    handed to fricke_constant (a solve passes the form it won with).
     """
     split = split_prime(p)
-    C = fricke_constant(p, i, prec)
+    C = fricke_constant(p, i, prec, form=form)
     with mp.workprec(prec + GUARD_BITS):
         third = mp.mpf(i) / 3
         beta = C * (split.pibar.to_mpc(mp) / split.pi.to_mpc(mp)) ** third
@@ -402,12 +424,10 @@ def l_value_and_cusp_zero(p, i, prec=192, conjugate=False):
     split = split_prime(p)
     with mp.workprec(prec + GUARD_BITS):
         tau0 = mp.mpc(0, 1) / mp.sqrt(N)
-        forms = _forms_for_im(p, i, tau0.imag, prec)
-        if conjugate:
-            forms = (forms[1], forms[0])
-        f, fc = forms
-        C = fricke_constant(p, i, prec, forms=(f, fc))
-        z0 = eval_z(f, tau0, prec) - C * eval_z(fc, tau0, prec)
+        f = build_form(p, i, terms_needed(tau0.imag, prec), conjugate=conjugate)
+        C = fricke_constant(p, i, prec, form=f)
+        z_f, z_fc = eval_z(f, tau0, prec)
+        z0 = z_f - C * z_fc
 
         D = (split.pi if conjugate else split.pibar) ** (2 * i)
         L = lattice_of_curve(D, prec)

@@ -248,7 +248,7 @@ def cmd_solve(args):
         result.timings_ms["total_ms"] = 1000 * (time.perf_counter() - t0)
         if not result.cube.verify():  # defensive; to_cube_sum checks already
             raise AssertionError("cube identity failed")
-        beta = measure_beta(args.p, i, min(args.bits, 160))
+        beta = measure_beta(args.p, i, min(args.bits, 160), form=result.form)
         reports.append(build_report(result, beta=beta))
     if args.json:
         payload = [r.to_dict() for r in reports]

@@ -63,7 +63,8 @@ def solve_r(p):
         while r % 3 != 2:
             r += p
         r %= 3 * p
-        assert (r * r - r + 1) % (3 * p) == 0
+        if (r * r - r + 1) % (3 * p):
+            raise AssertionError(f"r = {r} is not a root of r^2 - r + 1 mod {3 * p}")
         roots.append(r)
     return tuple(sorted(roots))
 
@@ -126,7 +127,8 @@ def _min_t_representative(r, p):
     best = None
     for rr in (r - 3 * p, r, r + 3 * p):
         t, rem = divmod(rr * rr - rr + 1, 3 * p)
-        assert rem == 0
+        if rem:
+            raise AssertionError(f"3*{p} does not divide r^2 - r + 1 at r = {rr}")
         if best is None or t < best[0]:
             best = (t, rr)
     return best[1], best[0]
@@ -140,7 +142,8 @@ def candidate_points(p, i):
     cands = []
     for r0 in solve_r(p):
         r, t = _min_t_representative(r0, p)
-        assert t % 3 == 1
+        if t % 3 != 1:
+            raise AssertionError(f"t = {t} is not 1 mod 3 for r = {r}")
         k_pi, k_pibar = classify_root(r, split)
         pt = CMPoint(p=p, r=r, t=t, class_pi=k_pi, class_pibar=k_pibar)
         # -r = w^2 puts the non-torsion point on f at tau_r and on f^c at

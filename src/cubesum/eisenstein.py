@@ -468,7 +468,8 @@ def residue_map_omega(pi):
     if not is_prime_int(p):
         raise NotPrime(f"{pi} does not have prime norm")
     w = (-pi.a * pow(pi.b, -1, p)) % p
-    assert (w * w + w + 1) % p == 0
+    if (w * w + w + 1) % p:
+        raise AssertionError(f"{w} is not a cube root of unity mod {p}")
     return w
 
 
@@ -639,7 +640,8 @@ def count_points_formula(D, piq):
         raise DividesSixD(f"({piq}) divides 6*{D}")
     s = sextic_residue_symbol(D, piq)
     tr = s.conj() * piq + s * piq.conj()
-    assert tr.b == 0
+    if tr.b:
+        raise AssertionError(f"trace {tr} of the Frobenius is not rational")
     return piq.norm() + 1 + tr.a
 
 

@@ -32,7 +32,13 @@ def q(a, b=0):
 
 
 def _eq(got, want, what):
-    assert got == want, f"{what}: got {got}, want {want}"
+    if got != want:
+        raise AssertionError(f"{what}: got {got}, want {want}")
+
+
+def _check(ok, what):
+    if not ok:
+        raise AssertionError(what)
 
 
 def check_splits():
@@ -62,9 +68,9 @@ def check_gauss_sums():
         s = split_prime(p)
         tau = gauss_sum(p, s.pi, prec=160)
         with mp.workprec(200):
-            assert abs(abs(tau) ** 2 - p) < mp.mpf(2) ** -100, f"|tau|^2 != {p}"
+            _check(abs(abs(tau) ** 2 - p) < mp.mpf(2) ** -100, f"|tau|^2 != {p}")
             j = jacobi_sum_split(p, s.pi).to_mpc(mp)
-            assert abs(tau**3 - p * j) < mp.mpf(2) ** -100, f"tau^3 != p J for {p}"
+            _check(abs(tau**3 - p * j) < mp.mpf(2) ** -100, f"tau^3 != p J for {p}")
 
 
 def check_point_counts_quick():
@@ -97,9 +103,9 @@ def check_point_counts_quick():
 def check_cm_roots():
     from .cmpoint import solve_r
 
-    assert 5 in solve_r(7), "r = 5 missing for p = 7"
-    assert 23 in solve_r(13), "r = 23 missing for p = 13"
-    assert 26 in solve_r(31), "r = 26 missing for p = 31"
+    _check(5 in solve_r(7), "r = 5 missing for p = 7")
+    _check(23 in solve_r(13), "r = 23 missing for p = 13")
+    _check(26 in solve_r(31), "r = 26 missing for p = 31")
 
 
 def check_ap_values():
@@ -153,8 +159,8 @@ def check_yseries_31():
 def check_fseries_identities():
     from .qseries import f_plus_minus_series
 
-    assert f_plus_minus_series(7, 1, "-", 22).is_one(), "F_-(q) != 1 for p = 7"
-    assert f_plus_minus_series(13, 1, "+", 22).is_one(), "F_+(q) != 1 for p = 13"
+    _check(f_plus_minus_series(7, 1, "-", 22).is_one(), "F_-(q) != 1 for p = 7")
+    _check(f_plus_minus_series(13, 1, "+", 22).is_one(), "F_+(q) != 1 for p = 13")
 
 
 def check_fseries_31():
@@ -170,7 +176,7 @@ def check_cusp_landmarks():
 
     for p in (7, 13, 31):
         z0, ok = l_value_and_cusp_zero(p, 1, 192)
-        assert ok, f"cusp landmark failed for {p}"
+        _check(ok, f"cusp landmark failed for {p}")
 
 
 def check_fricke():
@@ -180,9 +186,9 @@ def check_fricke():
         C = fricke_constant(p, 1, 160)
         s = split_prime(p)
         with mp.workprec(200):
-            assert abs(abs(C) - 1) < mp.mpf(2) ** -80, f"|C| != 1 for {p}"
+            _check(abs(abs(C) - 1) < mp.mpf(2) ** -80, f"|C| != 1 for {p}")
             target = (s.pi.to_mpc(mp) / s.pibar.to_mpc(mp)) ** 2
-            assert abs(C**6 - target) < mp.mpf(2) ** -80, f"C^6 off for {p}"
+            _check(abs(C**6 - target) < mp.mpf(2) ** -80, f"C^6 off for {p}")
 
 
 def _unit_orbit(P):
@@ -208,12 +214,12 @@ def _check_solve(p, i=1):
     from .parametrize import solve_pipeline
 
     r = solve_pipeline(p, i)
-    assert r.cube.verify(), f"cube identity failed for {p}^{i}"
-    assert r.certificate.nontorsion, f"certificate failed for {p}^{i}"
+    _check(r.cube.verify(), f"cube identity failed for {p}^{i}")
+    _check(r.certificate.nontorsion, f"certificate failed for {p}^{i}")
     if i == 1 and p in _KPOINTS:
         (xa, xb), (ya, yb) = _KPOINTS[p]
         want = CurvePoint.make(q(p * p), q(xa, xb), q(ya, yb))
-        assert r.point_K in _unit_orbit(want), f"K-point for {p} outside the reference orbit"
+        _check(r.point_K in _unit_orbit(want), f"K-point for {p} outside the reference orbit")
     return r
 
 

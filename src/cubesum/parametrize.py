@@ -1,12 +1,12 @@
 """The orchestrated pipeline from CM sites to certified cube sums.
 
-Stages: evaluate both forms' Abel-Jacobi images at a ranked candidate site,
-map through wp on the matching lattice, recognize the algebraic coordinates
-(the non-torsion side lives over K(pi^(1/3)), so x is recognized after
-scaling by a cube root; the torsion side has x = 0), twist both to points of
-E(p^i) over K, take the difference, and descend to Q by the trace or the
-sqrt(-3) endomorphism.  Every recognized object is certified by exact
-arithmetic before it is used.
+Stages: sum the Abel-Jacobi images of f and f^c at a ranked candidate site
+(one pass gives both), map each through wp on its curve's lattice,
+recognize the algebraic coordinates (the non-torsion side lives over
+K(pi^(1/3)), so x is recognized after scaling by a cube root; the torsion
+side has x = 0), twist both to points of E(p^i) over K, take the
+difference, and descend to Q by the trace or the sqrt(-3) endomorphism.
+Every recognized object is certified by exact arithmetic before it is used.
 
 solve_pipeline escalates precision on one site at a time, in ranked order: a
 numerical failure (RecognitionFailed, EvalResidualTooLarge) retries the same
@@ -64,17 +64,15 @@ class RecognizedPoint:
     residual_bits: int  # -log2 of the worst re-embedding residual
 
 
-def evaluate_cm(form, site, prec=192, max_terms=None, lattice=None):
-    """("infinity", None) or ("point", (x, y)) for the form at the site.
+def evaluate_cm(z, D, prec=192):
+    """("infinity", None) or ("point", (x, y)) for a summed Abel-Jacobi image.
 
-    x = wp(z), y = wp'(z)/2 on the lattice of the form's own curve; the curve
-    residual must clear 2^-(prec-40) or the evaluation is rejected.
+    z comes from eval_z at a CM site; x = wp(z), y = wp'(z)/2 on the lattice
+    of the curve y^2 = x^3 + D/4 that the form belongs to; the curve residual
+    must clear 2^-(prec-40) or the evaluation is rejected.
     """
-    D = (form.pi if form.conjugate else form.pibar) ** (2 * form.i)
-    if lattice is None:
-        lattice = lattice_of_curve(D, prec)
+    lattice = lattice_of_curve(D, prec)
     with mp.workprec(prec + GUARD_BITS):
-        z = eval_z(form, site, prec, max_terms=max_terms)
         if lattice.contains(z):
             return "infinity", None
         try:
@@ -85,7 +83,7 @@ def evaluate_cm(form, site, prec=192, max_terms=None, lattice=None):
         res = abs(y * y - x**3 - D.to_mpc(mp) / 4)
         scale = max(1, abs(x) ** 3)
         if res > mp.mpf(2) ** (-(prec - 40)) * scale:
-            raise EvalResidualTooLarge(f"curve residual 2^{mp.log(res, 2)} at {site}")
+            raise EvalResidualTooLarge(f"curve residual 2^{mp.log(res, 2)}")
         return "point", (x, y)
 
 
@@ -215,6 +213,7 @@ class PipelineResult:
     cube: object
     checks: dict
     timings_ms: dict
+    form: object  # the HeckeForm summed, at least `terms` coefficients long
     attempts: list = field(default_factory=list)  # the failed attempts before this one
 
 
@@ -225,20 +224,20 @@ def _attempt_site(cand, split, p, i, prec, max_terms, forms_cache, form_factory)
     M = terms_needed(float(site.im_coeff) * 3**0.5, prec)
     if max_terms is not None and M > max_terms:
         raise TermsCapExceeded(f"site {site.label()} needs {M} > {max_terms} terms")
-    # coefficients do not depend on precision: one pair serves every
+    # coefficients do not depend on precision: one form serves every
     # attempt that needs no more terms than it holds
     if "f" not in forms_cache or forms_cache["f"].terms < M:
-        forms_cache.clear()  # free the shorter pair before building the longer one
-        f = form_factory(p, i, M)
-        forms_cache.update(f=f, fc=f.conjugate_form())
-    f, fc = forms_cache["f"], forms_cache["fc"]
+        forms_cache.clear()  # free the shorter form before building the longer one
+        forms_cache["f"] = form_factory(p, i, M)
+    f = forms_cache["f"]
     timings["coefficients_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    Lf = lattice_of_curve(split.pibar ** (2 * i), prec)
-    Lfc = lattice_of_curve(split.pi ** (2 * i), prec)
-    kind_f, raw_f = evaluate_cm(f, site, prec, max_terms=max_terms, lattice=Lf)
-    kind_fc, raw_fc = evaluate_cm(fc, site, prec, max_terms=max_terms, lattice=Lfc)
+    # f lives on y^2 = x^3 + pibar^(2i)/4 and f^c on the conjugate curve
+    D_f, D_fc = split.pibar ** (2 * i), split.pi ** (2 * i)
+    z_f, z_fc = eval_z(f, site, prec, max_terms=max_terms)
+    kind_f, raw_f = evaluate_cm(z_f, D_f, prec)
+    kind_fc, raw_fc = evaluate_cm(z_fc, D_fc, prec)
     timings["evaluate_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -301,6 +300,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, forms_cache, form_factory)
         cube=cube,
         checks=checks,
         timings_ms=timings,
+        form=f,
     )
 
 

@@ -9,10 +9,12 @@ from cubesum.analytic import (
     GUARD_BITS,
     PoleAtLatticePoint,
     TermsCapExceeded,
+    eval_f,
     eval_z,
     fricke_constant,
     l_value_and_cusp_zero,
     lattice_of_curve,
+    measure_beta,
     omega_mpc,
     terms_needed,
     wp_eval,
@@ -186,20 +188,60 @@ def test_reduce_gives_minimal_norm():
 # ------------------------------------------------------------- eval_z / f
 
 
+def _sum_form_oracle(form, q, M, divide_by_n):
+    """The plain mpmath q-sum of one form, term by term at the working
+    precision: the reference for the fixed-point kernel."""
+    s3h = mp.sqrt(3) / 2
+    total = mp.mpc(0)
+    q3 = q**3
+    qn = q  # q^n for n = 1, 4, 7, ...
+    coeffs = form.coeffs
+    for n in range(1, M + 1, 3):
+        c = coeffs[n]
+        if c.a or c.b:
+            v = mp.mpc(mp.mpf(c.a) - mp.mpf(c.b) / 2, s3h * c.b)
+            if divide_by_n:
+                v = v / n
+            total += v * qn
+        qn *= q3
+    return total
+
+
+@pytest.mark.parametrize("prec", [192, 384, 768])
+@pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
+def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, evaluate, divide_by_n):
+    # the height of 31's wtau sites, with a real part off the axis
+    p, i = 31, 1
+    _, N = conductor_and_level(p, i)
+    with mp.workprec(prec + GUARD_BITS):
+        tau = mp.mpc(mp.mpf(3) / 7, mp.mpf(3) / (2 * N) * mp.sqrt(3))
+        M = terms_needed(tau.imag, prec)
+        f = build_form(p, i, M)
+        got_f, got_fc = evaluate(f, tau, prec)
+        q = mp.e ** (2j * mp.pi * tau)
+        want_f = _sum_form_oracle(f, q, M, divide_by_n)
+        want_fc = _sum_form_oracle(f.conjugate_form(), q, M, divide_by_n)
+        assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
+        assert abs(got_fc - want_fc) < mp.mpf(2) ** (-prec)
+        assert abs(got_f - got_fc) > 1e-3  # f and f^c are distinct sums
+
+
 def test_eval_z_period_and_third_shift():
     prec = 96
     f = build_form(7, 1, terms_needed(0.05, prec))
     with mp.workprec(prec + GUARD_BITS):
         tau = mp.mpc(0.31, 0.05)
-        z1 = eval_z(f, tau, prec)
-        z2 = eval_z(f, tau + 1, prec)
+        z1 = eval_z(f, tau, prec)[0]
+        z2 = eval_z(f, tau + 1, prec)[0]
         assert abs(z1 - z2) < mp.mpf(2) ** -80
         # a_n supported on n = 1 mod 3 makes tau -> tau + 1/3 act by w
-        z3 = eval_z(f, tau + mp.mpf(1) / 3, prec)
+        z3 = eval_z(f, tau + mp.mpf(1) / 3, prec)[0]
         assert abs(z3 - omega_mpc() * z1) < mp.mpf(2) ** -80
 
 
 def test_eval_z_tail_bound_soundness():
+    # the kernel's M = terms_needed(Im tau, prec) terms sum to within 2^-prec
+    # of twice as many terms
     prec = 96
     M = terms_needed(0.04, prec)
     f1 = build_form(13, 1, M)
@@ -207,11 +249,11 @@ def test_eval_z_tail_bound_soundness():
     with mp.workprec(prec + GUARD_BITS):
         tau = mp.mpc(0.1, 0.04)
         q = mp.e ** (2j * mp.pi * tau)
-        from cubesum.analytic import _sum_form
-
-        a = _sum_form(f1, q, M, divide_by_n=True)
-        b = _sum_form(f2, q, 2 * M, divide_by_n=True)
+        a, ac = eval_z(f1, tau, prec)
+        b = _sum_form_oracle(f2, q, 2 * M, divide_by_n=True)
+        bc = _sum_form_oracle(f2.conjugate_form(), q, 2 * M, divide_by_n=True)
         assert abs(a - b) < mp.mpf(2) ** (-prec)
+        assert abs(ac - bc) < mp.mpf(2) ** (-prec)
 
 
 def test_eval_z_cap():
@@ -255,8 +297,8 @@ def test_eval_z_gamma_periods_land_in_lattice():
             tau = mp.mpc(mp.mpf(-d) / c, mp.mpf(1) / c)
             gtau = (a * tau + b) / (c * tau + d)
             assert gtau.imag > mp.mpf(1) / N * 0.9
-            z1 = eval_z(f, tau, prec)
-            z2 = eval_z(f, gtau, prec)
+            z1 = eval_z(f, tau, prec)[0]
+            z2 = eval_z(f, gtau, prec)[0]
             assert L.contains(z2 - z1, tol_bits=prec // 2), f"gamma #{k}: period off lattice"
 
 
@@ -280,8 +322,8 @@ def test_eval_z_gamma1_period_consistency():
             # site on the |c tau + d| = 1 circle so both heights equal 1/N
             tau = mp.mpc(mp.mpf(-d) / c, mp.mpf(1) / c)
             gtau = (a * tau + b) / (c * tau + d)
-            z1 = eval_z(f, tau, prec)
-            z2 = eval_z(f, gtau, prec)
+            z1 = eval_z(f, tau, prec)[0]
+            z2 = eval_z(f, gtau, prec)[0]
             assert L.contains(z2 - z1, tol_bits=prec // 2)
 
 
@@ -299,8 +341,8 @@ def test_eval_z_nebentypus_action():
             xi = nebentypus(p, i, d).to_mpc(mp)
             tau = mp.mpc(mp.mpf(-d) / c, mp.mpf(1) / c)
             gtau = (a * tau + b) / (c * tau + d)
-            z1 = eval_z(f, tau, prec)
-            z2 = eval_z(f, gtau, prec)
+            z1 = eval_z(f, tau, prec)[0]
+            z2 = eval_z(f, gtau, prec)[0]
             assert L.contains(z2 - xi * z1, tol_bits=prec // 2)
 
 
@@ -338,3 +380,10 @@ def test_l_value_and_cusp_zero():
 
 def test_terms_needed_monotone():
     assert terms_needed(0.01, 192) > terms_needed(0.02, 192) > terms_needed(0.02, 96)
+
+
+def test_measure_beta_rebuilds_a_too_short_form():
+    # a form shorter than the Fricke site needs is replaced, not summed short
+    want = measure_beta(7, 1, 160)
+    got = measure_beta(7, 1, 160, form=build_form(7, 1, 20))
+    assert got[0] == want[0] and got[1] == want[1]

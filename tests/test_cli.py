@@ -247,3 +247,49 @@ def test_verify_detects_tampering(capsys, monkeypatch):
     assert code == EXIT_FIXTURE_FAIL
     assert "FAIL" in out
     assert "yseries_p7" in out
+
+
+def test_solve_below_160_bits_reports_fricke_beta(tmp_path, capsys):
+    # measure_beta runs at min(bits, 160) on the form the solve won with
+    code, out, _ = run_cli(
+        ["solve", "7", "--bits", "96", "--json", "--cache-dir", str(tmp_path)], capsys
+    )
+    assert code == EXIT_OK
+    beta = json.loads(out)["checks"]["fricke_beta"]
+    assert beta["sixth_root_power"] in range(6)
+    assert int(beta["residual"].removeprefix("2^")) < -48
+
+
+def _run_python_O(args):
+    import subprocess
+    import sys
+
+    import cubesum
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cubesum.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONOPTIMIZE", None)
+    return subprocess.run(
+        [sys.executable, "-O", *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_verify_under_python_O_detects_a_tampered_reference():
+    out = _run_python_O(["-c", (
+        "import sys\n"
+        "from cubesum import cli, fixtures\n"
+        "assert False, 'asserts are live'\n"
+        "fixtures._Y7[0] += 1\n"
+        "sys.exit(cli.main(['verify', '--quick']))\n"
+    )])
+    assert out.returncode == EXIT_FIXTURE_FAIL, out.stderr
+    assert "FAIL" in out.stdout and "yseries_p7" in out.stdout
+    assert "1 fixture(s) failed" in out.stdout
+
+
+def test_solve_under_python_O(tmp_path):
+    out = _run_python_O(
+        ["-m", "cubesum.cli", "solve", "7", "--json", "--cache-dir", str(tmp_path)]
+    )
+    assert out.returncode == EXIT_OK, out.stderr
+    assert json.loads(out.stdout)["checks"]["cube_identity"]["ok"] is True

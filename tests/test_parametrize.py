@@ -21,7 +21,7 @@ from cubesum.parametrize import (
     solve_pipeline,
     twist_point,
 )
-from cubesum.analytic import terms_needed
+from cubesum.analytic import eval_z, terms_needed
 
 
 def q(a, b=0):
@@ -52,16 +52,16 @@ def prepare(p, i, r, kind, prec=192):
     split = split_prime(p)
     site = site_for(p, i, r, kind)
     M = terms_needed(float(site.im_coeff) * 3**0.5, prec)
-    f = build_form(p, i, M)
-    return split, site, f, f.conjugate_form()
+    z_f, z_fc = eval_z(build_form(p, i, M), site, prec)
+    return split, site, z_f, z_fc
 
 
 def test_evaluate_cm_p7_tau_fixture():
     # phi at tau_5 is the non-torsion side with y = (-9w-4)/2; phi^c there is
     # the torsion point (0, -pi/2)
     prec = 192
-    split, site, f, fc = prepare(7, 1, 5, "tau", prec)
-    kind, raw = evaluate_cm(f, site, prec)
+    split, site, z_f, z_fc = prepare(7, 1, 5, "tau", prec)
+    kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
     rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
     assert rec.y == q(-2, Fraction(-9, 2))
@@ -69,7 +69,7 @@ def test_evaluate_cm_p7_tau_fixture():
     orbit = {q(-1, 4) * q(0, 1) ** k for k in range(3)}
     assert rec.x_scaled in orbit
 
-    kind_c, raw_c = evaluate_cm(fc, site, prec)
+    kind_c, raw_c = evaluate_cm(z_fc, split.pi ** 2, prec)
     assert kind_c == "point"
     rec_c = recognize(raw_c, split, 1, 1 << 64, prec, form="fc")
     assert rec_c.x_scaled == q(0)
@@ -79,8 +79,8 @@ def test_evaluate_cm_p7_tau_fixture():
 def test_evaluate_cm_p13_tau23_torsion_fixture():
     # at the reference site r = 23 (t = 13), phi^c lands on (0, pi/2)
     prec = 192
-    split, site, f, fc = prepare(13, 1, 23, "tau", prec)
-    kind_c, raw_c = evaluate_cm(fc, site, prec)
+    split, site, z_f, z_fc = prepare(13, 1, 23, "tau", prec)
+    kind_c, raw_c = evaluate_cm(z_fc, split.pi ** 2, prec)
     assert kind_c == "point"
     rec_c = recognize(raw_c, split, 1, 1 << 64, prec, form="fc")
     assert rec_c.x_scaled == q(0)
@@ -89,8 +89,8 @@ def test_evaluate_cm_p13_tau23_torsion_fixture():
 
 def test_recognize_p13_nontorsion_fixture():
     prec = 192
-    split, site, f, fc = prepare(13, 1, 23, "tau", prec)
-    kind, raw = evaluate_cm(f, site, prec)
+    split, site, z_f, z_fc = prepare(13, 1, 23, "tau", prec)
+    kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
     rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
     assert rec.y in (q(Fraction(7, 2), Fraction(9, 2)), -q(Fraction(7, 2), Fraction(9, 2)))
@@ -100,8 +100,8 @@ def test_recognize_p13_nontorsion_fixture():
 
 def test_recognize_p31_fixture():
     prec = 224
-    split, site, f, fc = prepare(31, 1, 26, "tau", prec)
-    kind, raw = evaluate_cm(f, site, prec)
+    split, site, z_f, z_fc = prepare(31, 1, 26, "tau", prec)
+    kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
     rec = recognize(raw, split, 1, 1 << 80, prec, form="f")
     want_y = q(Fraction(-2531, 686), Fraction(-549, 343))
@@ -113,8 +113,8 @@ def test_recognize_p31_fixture():
 
 def test_recognized_point_reembedding():
     prec = 192
-    split, site, f, fc = prepare(7, 1, 5, "tau", prec)
-    kind, raw = evaluate_cm(f, site, prec)
+    split, site, z_f, z_fc = prepare(7, 1, 5, "tau", prec)
+    kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
     assert rec.residual_bits >= prec // 2
     with mp.workprec(prec):
@@ -143,8 +143,8 @@ def test_twist_point_exactness_certifies():
     # corrupting a recognized coordinate must be caught by the exact check
     split = split_prime(7)
     prec = 192
-    _, site, f, fc = prepare(7, 1, 5, "tau", prec)
-    kind, raw = evaluate_cm(f, site, prec)
+    _, site, z_f, z_fc = prepare(7, 1, 5, "tau", prec)
+    kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
     import dataclasses
 
