@@ -386,7 +386,7 @@ def fricke_constant(p, i, prec=192, at=None, form=None):
         wtau = -1 / (N * tau)
         M = terms_needed(min(tau.imag, wtau.imag), prec)
         if form is None or form.terms < M:
-            form = build_form(p, i, M, conjugate=form is not None and form.conjugate)
+            form = build_form(p, i, M)
         if at is None:
             num, fc_tau = eval_f(form, tau, prec)
         else:
@@ -419,14 +419,17 @@ def l_value_and_cusp_zero(p, i, prec=192, conjugate=False):
     z0 = z_f(i/sqrt(N)) - C z_fc(i/sqrt(N)).  Checks that z0 is a primitive
     sqrt(-3)-division point of the period lattice and that its wp-image has
     x = 0 (so y = +-pibar^i/2); raises TorsionCheckFailed otherwise.
+    conjugate=True does the same for f^c from f's pairs, swapped.
     """
     _, N = conductor_and_level(p, i)
     split = split_prime(p)
     with mp.workprec(prec + GUARD_BITS):
         tau0 = mp.mpc(0, 1) / mp.sqrt(N)
-        f = build_form(p, i, terms_needed(tau0.imag, prec), conjugate=conjugate)
+        f = build_form(p, i, terms_needed(tau0.imag, prec))
         C = fricke_constant(p, i, prec, form=f)
         z_f, z_fc = eval_z(f, tau0, prec)
+        if conjugate:  # at tau0 = -1/(N tau0), f^c's constant is 1/C
+            C, z_f, z_fc = 1 / C, z_fc, z_f
         z0 = z_f - C * z_fc
 
         D = (split.pi if conjugate else split.pibar) ** (2 * i)

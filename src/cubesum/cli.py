@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .eisenstein import EisensteinInt, QOmega, is_prime_int
 from .heckeform import build_form, conductor_and_level, qexp_coefficients
@@ -93,13 +93,12 @@ def read_cache(cache_dir, p, i, M):
 
 
 def cached_form_factory(cache_dir):
-    def factory(p, i, M, conjugate=False):
+    def factory(p, i, M):
         coeffs = read_cache(cache_dir, p, i, M)
         if coeffs is None:
             coeffs = qexp_coefficients(p, i, M)
             write_cache(cache_dir, p, i, coeffs)
-        form = build_form(p, i, M, coeffs=coeffs)
-        return form.conjugate_form() if conjugate else form
+        return build_form(p, i, M, coeffs=coeffs)
     return factory
 
 
@@ -135,26 +134,7 @@ class RunReport:
     attempts: list  # failed attempts before the win: site, bits, error, message
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "i": self.i,
-            "pi": self.pi,
-            "r": self.r,
-            "t": self.t,
-            "site": self.site,
-            "bits": self.bits,
-            "terms": self.terms,
-            "point_K": self.point_K,
-            "point_Q": self.point_Q,
-            "cube_sum": self.cube_sum,
-            "checks": self.checks,
-            "timings_ms": self.timings_ms,
-            "attempts": self.attempts,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return RunReport(**d)
+        return asdict(self)
 
 
 def build_report(result, beta=None):

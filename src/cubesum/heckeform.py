@@ -2,9 +2,11 @@
 
 The Hecke character sends a prime ideal (g), g = 1 mod 3 coprime to 3*pi, to
 conj((pi^i/g)_3) * g; summing over integral ideals prime to the conductor
-gives a_n supported on n = 1 mod 3, with a_p = pibar.  Coefficients are
-produced multiplicatively from prime ideal data; a direct generator
-enumeration over the norm ball is kept as an independent oracle.
+gives a_n supported on n = 1 mod 3, with a_p = pibar.  Coefficients come
+from one multiplicative sieve: the character's trace at split primes, and
+the Hecke recursion at prime powers.  twist_check runs the same sieve for
+the rational twist's character; a direct generator enumeration over the
+norm ball is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 from .eisenstein import (
     ONE,
+    BadNormalization,
     EisensteinInt,
-    Fq2,
     NotPrime,
     ZERO,
     cubic_residue_symbol,
@@ -31,10 +33,6 @@ class BadPrimeClass(ValueError):
 
 
 class RamifiedIdeal(ValueError):
-    pass
-
-
-class BadNormalization(ValueError):
     pass
 
 
@@ -71,7 +69,7 @@ def hecke_psi(gen, p, i):
     return sym.conj() * gen
 
 
-# ----------------------------------------------------------- prime tables
+# ------------------------------------------------------------------ sieve
 
 
 def _smallest_prime_factors(limit):
@@ -96,89 +94,53 @@ def _cubic_symbol_split(value_mod_l, ell, w):
     raise ArithmeticError("cube character value out of range")
 
 
-def _split_prime_psi(split, i, ell):
-    """(psi(lam), psi(lambar)) for a split good prime ell."""
+def _psi_trace(c, ell):
+    """psi(lam) + psi(lambar) at a split prime ell coprime to 3c, where
+    psi((g)) = conj((c/g)_3) * g for the generators g = 1 mod 3 above ell."""
     s_ell = split_prime(ell)
-    values = []
+    total = ZERO
     for g in (s_ell.pi, s_ell.pibar):
         w = residue_map_omega(g)
-        v = (split.pi.a + split.pi.b * w) % ell
-        k = _cubic_symbol_split(pow(v, i, ell), ell, w)
-        values.append(unit_power(-k) * g)
-    return values
+        k = _cubic_symbol_split((c.a + c.b * w) % ell, ell, w)
+        total = total + unit_power(-k) * g
+    return total
 
 
-def _inert_prime_psi(split, i, ell):
-    """psi((ell)) for an inert good prime ell; the 1 mod 3 generator is -ell."""
-    F = Fq2(ell)
-    k = F.cubic_char_exponent(F.pow(F.embed(split.pi), i))
-    return unit_power(-k) * EisensteinInt(-ell, 0)
+def _hecke_sieve(p, M, c, a_p, xi):
+    """a_0..a_M (a_0 unused) of the weight-2 form of the Hecke character
+    psi((g)) = conj((c/g)_3) * g on primes (g) coprime to 3p.
 
-
-def _prime_power_coeffs(split, i, ell, emax, sqrt_d=None):
-    """[a_{ell^e}] for e = 0..emax.
-
-    sqrt_d = None builds the form's own character.  Otherwise build the Hecke
-    character of y^2 = x^3 + sqrt_d^2/4 for a rational sqrt_d: the sextic
-    symbol of a square is the cubic symbol of its root, so psi(q) =
-    conj((sqrt_d/q)_3) * gen(q).  Bad primes are 3 and p in both cases.
+    For n = m * ell^e with ell its smallest prime: a_n = a_m * a_{ell^e} when
+    m > 1; a_ell is psi's trace at a split ell, a_p at p, and 0 at 3 and at
+    an inert ell (no ideal has norm ell); higher powers follow the Hecke
+    recursion a_{ell^e} = a_ell a_{ell^(e-1)} - xi(ell) ell a_{ell^(e-2)}.
     """
-    out = [ONE]
-    if ell == 3:
-        return out + [ZERO] * emax
-    if ell == split.p:
-        if sqrt_d is None:
-            # only (pibar^e) stays coprime to the conductor; psi there is pibar
-            return out + [split.pibar**e for e in range(1, emax + 1)]
-        return out + [ZERO] * emax
-    if ell % 3 == 2:
-        if sqrt_d is None:
-            u = _inert_prime_psi(split, i, ell)
+    spf = _smallest_prime_factors(M)
+    coeffs = [ZERO] * (M + 1)
+    if M >= 1:
+        coeffs[1] = ONE
+    for n in range(2, M + 1):
+        ell = spf[n]
+        m, q = n, 1
+        while m % ell == 0:
+            m //= ell
+            q *= ell
+        if m > 1:
+            coeffs[n] = coeffs[m] * coeffs[q]
+        elif n == p:
+            coeffs[n] = a_p
+        elif n == ell:
+            coeffs[n] = _psi_trace(c, ell) if ell % 3 == 1 else ZERO
         else:
-            F = Fq2(ell)
-            k = F.cubic_char_exponent(F.embed(EisensteinInt(sqrt_d % ell, 0)))
-            u = unit_power(-k) * EisensteinInt(-ell, 0)
-        for e in range(1, emax + 1):
-            out.append(ZERO if e % 2 else u ** (e // 2))
-        return out
-    if sqrt_d is None:
-        u, v = _split_prime_psi(split, i, ell)
-    else:
-        s_ell = split_prime(ell)
-        uv = []
-        for g in (s_ell.pi, s_ell.pibar):
-            w = residue_map_omega(g)
-            k = _cubic_symbol_split(sqrt_d % ell, ell, w)
-            uv.append(unit_power(-k) * g)
-        u, v = uv
-    for e in range(1, emax + 1):
-        acc = ZERO
-        for j in range(e + 1):
-            acc = acc + u**j * v ** (e - j)
-        out.append(acc)
-    return out
+            prev = n // ell
+            coeffs[n] = coeffs[ell] * coeffs[prev] - xi(ell) * ell * coeffs[prev // ell]
+    return coeffs
 
 
 def qexp_coefficients(p, i, M, conjugate=False):
     """a_1..a_M of the newform (index 0 of the returned list is unused)."""
     split = split_prime(p)
-    spf = _smallest_prime_factors(M) if M >= 2 else []
-    coeffs = [ZERO] * (M + 1)
-    if M >= 1:
-        coeffs[1] = ONE
-    tables = {}
-    for n in range(2, M + 1):
-        ell = spf[n]
-        m, e = n, 0
-        while m % ell == 0:
-            m //= ell
-            e += 1
-        if ell not in tables:
-            emax = 1
-            while ell ** (emax + 1) <= M:
-                emax += 1
-            tables[ell] = _prime_power_coeffs(split, i, ell, emax)
-        coeffs[n] = coeffs[m] * tables[ell][e]
+    coeffs = _hecke_sieve(p, M, split.pi**i, split.pibar, lambda ell: nebentypus(p, i, ell))
     if conjugate:
         coeffs = [c.conj() for c in coeffs]
     return coeffs
@@ -247,7 +209,6 @@ class HeckeForm:
     pibar: EisensteinInt
     N: int
     e3: int
-    conjugate: bool
     coeffs: tuple
 
     @property
@@ -257,25 +218,13 @@ class HeckeForm:
     def a(self, n):
         return self.coeffs[n]
 
-    def conjugate_form(self):
-        return HeckeForm(
-            p=self.p,
-            i=self.i,
-            pi=self.pi,
-            pibar=self.pibar,
-            N=self.N,
-            e3=self.e3,
-            conjugate=not self.conjugate,
-            coeffs=tuple(c.conj() for c in self.coeffs),
-        )
 
-
-def build_form(p, i, M, conjugate=False, coeffs=None):
+def build_form(p, i, M, coeffs=None):
     """HeckeForm with coefficients a_1..a_M (computed unless supplied)."""
     e3, N = conductor_and_level(p, i)
     split = split_prime(p)
     if coeffs is None:
-        coeffs = qexp_coefficients(p, i, M, conjugate=conjugate)
+        coeffs = qexp_coefficients(p, i, M)
     return HeckeForm(
         p=p,
         i=i,
@@ -283,7 +232,6 @@ def build_form(p, i, M, conjugate=False, coeffs=None):
         pibar=split.pibar,
         N=N,
         e3=e3,
-        conjugate=conjugate,
         coeffs=tuple(coeffs),
     )
 
@@ -304,6 +252,15 @@ def nebentypus(p, i, d):
     return unit_power(-k)
 
 
+def _twist_coefficients(p, i, M):
+    """b_0..b_M of the rational curve y^2 = x^3 + p^(6-2i)/4.  The sextic
+    symbol of the square p^(6-2i) is the cubic symbol of its root, so psi
+    has c = p^(3-i); 3 and p are bad, and the nebentypus is trivial."""
+    return _hecke_sieve(
+        p, M, EisensteinInt(p ** (3 - i), 0), ZERO, lambda ell: ZERO if 3 * p % ell == 0 else ONE
+    )
+
+
 @dataclass(frozen=True)
 class TwistReport:
     p: int
@@ -319,25 +276,7 @@ def twist_check(p, i, M):
     chi is the cubic residue character mod p."""
     split = split_prime(p)
     a = qexp_coefficients(p, i, M)
-    sqrt_d = p ** (3 - i)  # the twisted curve is y^2 = x^3 + p^(6-2i)/4
-
-    spf = _smallest_prime_factors(M) if M >= 2 else []
-    b = [ZERO] * (M + 1)
-    if M >= 1:
-        b[1] = ONE
-    tables = {}
-    for n in range(2, M + 1):
-        ell = spf[n]
-        m, e = n, 0
-        while m % ell == 0:
-            m //= ell
-            e += 1
-        if ell not in tables:
-            emax = 1
-            while ell ** (emax + 1) <= M:
-                emax += 1
-            tables[ell] = _prime_power_coeffs(split, i, ell, emax, sqrt_d=sqrt_d)
-        b[n] = b[m] * tables[ell][e]
+    b = _twist_coefficients(p, i, M)
 
     w = residue_map_omega(split.pi)
     checked = 0

@@ -50,7 +50,7 @@ def test_solve_json_schema(tmp_path, capsys):
 
 def test_report_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(["solve", "7", "--json", "--cache-dir", str(tmp_path)], capsys)
-    rep = RunReport.from_dict(json.loads(out))
+    rep = RunReport(**json.loads(out))
     assert json.loads(out) == rep.to_dict()
 
 
@@ -174,8 +174,6 @@ def test_cached_factory_used(tmp_path):
     assert os.path.exists(cli.cache_path(str(tmp_path), 7, 1))
     f2 = factory(7, 1, 60)
     assert f1.coeffs == f2.coeffs
-    fc = factory(7, 1, 60, conjugate=True)
-    assert fc.conjugate and fc.coeffs == tuple(c.conj() for c in f1.coeffs)
 
 
 def test_corrupt_cache_reads_as_miss(tmp_path):

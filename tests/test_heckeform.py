@@ -100,8 +100,9 @@ def test_vanishing_off_1_mod_3():
 
 
 def test_sieve_matches_direct_enumeration():
-    for p, i in ((7, 1), (13, 1), (7, 2), (31, 1)):
-        assert qexp_coefficients(p, i, 150) == qexp_coefficients_direct(p, i, 150)
+    # M = 700 reaches ell^3 and ell^4 (7^3, 5^4, 2^8), p^2 (49, 169) and p^3 (343)
+    for p, i in ((7, 1), (13, 1), (7, 2), (31, 1), (13, 2), (31, 2)):
+        assert qexp_coefficients(p, i, 700) == qexp_coefficients_direct(p, i, 700)
 
 
 def test_conjugate_form_is_coefficientwise_conjugate():
@@ -188,14 +189,14 @@ def test_twist_check_fixtures():
 
 def test_twisted_form_vanishes_at_p():
     # b_p = 0 on the rational-curve side (p is a bad prime there)
-    from cubesum.heckeform import _prime_power_coeffs
+    from cubesum.heckeform import _twist_coefficients
 
     s = split_prime(7)
-    table = _prime_power_coeffs(s, 1, 7, 2, sqrt_d=49)
-    assert table[1] == ZERO and table[2] == ZERO
+    b = _twist_coefficients(7, 1, 49)
+    assert b[7] == ZERO and b[49] == ZERO
     # while the CM form itself has a_p = pibar^e
-    table_f = _prime_power_coeffs(s, 1, 7, 2)
-    assert table_f[1] == s.pibar and table_f[2] == s.pibar * s.pibar
+    a = qexp_coefficients(7, 1, 49)
+    assert a[7] == s.pibar and a[49] == s.pibar * s.pibar
 
 
 def test_twist_check_zero_cases():
@@ -208,7 +209,4 @@ def test_twist_check_zero_cases():
 
 def test_build_form():
     f = build_form(7, 1, 50)
-    assert f.N == 189 and f.terms == 50 and not f.conjugate
-    fc = f.conjugate_form()
-    assert fc.conjugate
-    assert fc.a(4) == f.a(4).conj()
+    assert f.N == 189 and f.terms == 50
