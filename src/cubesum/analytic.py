@@ -376,17 +376,18 @@ def fricke_constant(p, i, prec=192, at=None, form=None):
     Contracts: |C| = 1 and C^6 = pi^(2i)/pibar^(2i) (up to the sixth root of
     unity that stays unpinned); both are asserted by the acceptance suite
     rather than here.  Default site is the involution's fixed point i/sqrt(N),
-    where f and f^c come from one pass.  `form` may hold more coefficients
-    than needed (a solve's own form); one is built when it is missing or
-    too short.
+    where f and f^c come from one pass.  `form` (a solve's own store, say)
+    is extended in place to the terms the site needs; one is built when it
+    is missing.
     """
     _, N = conductor_and_level(p, i)
     with mp.workprec(prec + GUARD_BITS):
         tau = mp.mpc(0, 1) / mp.sqrt(N) if at is None else mp.mpc(at)
         wtau = -1 / (N * tau)
         M = terms_needed(min(tau.imag, wtau.imag), prec)
-        if form is None or form.terms < M:
+        if form is None:
             form = build_form(p, i, M)
+        form.extend(M)
         if at is None:
             num, fc_tau = eval_f(form, tau, prec)
         else:
@@ -400,7 +401,7 @@ def measure_beta(p, i, prec=160, form=None):
 
     The exact sixth root is not pinned a priori; it is measured against the
     principal branch of the cube root and reported per (p, i).  `form` is
-    handed to fricke_constant (a solve passes the form it won with).
+    handed to fricke_constant (a solve passes its coefficient store).
     """
     split = split_prime(p)
     C = fricke_constant(p, i, prec, form=form)

@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .eisenstein import EisensteinInt, QOmega, is_prime_int
-from .heckeform import build_form, conductor_and_level, qexp_coefficients
+from .heckeform import build_form, conductor_and_level, qexp_coefficients, spot_check
 
 EXIT_OK = 0
 EXIT_FIXTURE_FAIL = 1
@@ -65,12 +65,10 @@ def write_cache(cache_dir, p, i, coeffs):
             os.unlink(tmp)
 
 
-def read_cache(cache_dir, p, i, M):
-    """Coefficients a_0..a_M from the cache, or None when absent, too short,
-    or unparsable (a corrupt cache reads as a miss and gets rewritten)."""
+def read_cache(cache_dir, p, i):
+    """The stored prefix a_0..a_M, or None when absent, unparsable or failing
+    spot_check (a corrupt or stale cache reads as a miss and gets rewritten)."""
     path = cache_path(cache_dir, p, i)
-    if not os.path.exists(path):
-        return None
     try:
         with open(path) as fh:
             header = fh.readline().split()
@@ -79,27 +77,20 @@ def read_cache(cache_dir, p, i, M):
             fields = dict(kv.split("=") for kv in header[1:])
             if int(fields["p"]) != p or int(fields["i"]) != i:
                 return None
-            if int(fields["M"]) < M:
+            M = int(fields["M"])
+            # a true file has under 8 terms per byte (a_l != 0 at each split l <= M)
+            if M > 8 * os.path.getsize(path):
                 return None
             coeffs = [EisensteinInt(0, 0)] * (M + 1)
             for line in fh:
                 n, a, b = line.split()
                 n = int(n)
-                if n <= M:
-                    coeffs[n] = EisensteinInt(int(a), int(b))
-    except (ValueError, OSError):
+                if not 1 <= n <= M:
+                    return None
+                coeffs[n] = EisensteinInt(int(a), int(b))
+    except (ValueError, KeyError, OSError):
         return None
-    return coeffs
-
-
-def cached_form_factory(cache_dir):
-    def factory(p, i, M):
-        coeffs = read_cache(cache_dir, p, i, M)
-        if coeffs is None:
-            coeffs = qexp_coefficients(p, i, M)
-            write_cache(cache_dir, p, i, coeffs)
-        return build_form(p, i, M, coeffs=coeffs)
-    return factory
+    return coeffs if spot_check(p, i, coeffs) else None
 
 
 # ------------------------------------------------------------------ report
@@ -213,22 +204,27 @@ def cmd_solve(args):
 
     check_solvable_prime(args.p)
     powers = {"1": (1,), "2": (2,), "both": (1, 2)}[args.power]
-    factory = cached_form_factory(args.cache_dir)
     reports = []
     for i in powers:
         t0 = time.perf_counter()
-        result = solve_pipeline(
-            args.p,
-            i,
-            bits=args.bits,
-            max_terms=args.max_terms,
-            eval_mode=args.eval,
-            form_factory=factory,
-        )
-        result.timings_ms["total_ms"] = 1000 * (time.perf_counter() - t0)
-        if not result.cube.verify():  # defensive; to_cube_sum checks already
-            raise AssertionError("cube identity failed")
-        beta = measure_beta(args.p, i, min(args.bits, 160), form=result.form)
+        form = build_form(args.p, i, 0, coeffs=read_cache(args.cache_dir, args.p, i))
+        loaded = form.terms
+        try:
+            result = solve_pipeline(
+                args.p,
+                i,
+                bits=args.bits,
+                max_terms=args.max_terms,
+                eval_mode=args.eval,
+                form=form,
+            )
+            result.timings_ms["total_ms"] = 1000 * (time.perf_counter() - t0)
+            if not result.cube.verify():  # defensive; to_cube_sum checks already
+                raise AssertionError("cube identity failed")
+            beta = measure_beta(args.p, i, min(args.bits, 160), form=form)
+        finally:  # also on exit 3, so the sieved terms are kept
+            if form.terms > loaded:
+                write_cache(args.cache_dir, args.p, i, form.coeffs)
         reports.append(build_report(result, beta=beta))
     if args.json:
         payload = [r.to_dict() for r in reports]

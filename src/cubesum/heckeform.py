@@ -106,7 +106,7 @@ def _psi_trace(c, ell):
     return total
 
 
-def _hecke_sieve(p, M, c, a_p, xi):
+def _hecke_sieve(p, M, c, a_p, xi, prefix=()):
     """a_0..a_M (a_0 unused) of the weight-2 form of the Hecke character
     psi((g)) = conj((c/g)_3) * g on primes (g) coprime to 3p.
 
@@ -114,12 +114,14 @@ def _hecke_sieve(p, M, c, a_p, xi):
     m > 1; a_ell is psi's trace at a split ell, a_p at p, and 0 at 3 and at
     an inert ell (no ideal has norm ell); higher powers follow the Hecke
     recursion a_{ell^e} = a_ell a_{ell^(e-1)} - xi(ell) ell a_{ell^(e-2)}.
+    Every a_n comes from a_m with m < n only, so the sieve resumes after a
+    known prefix a_0..a_k (k >= 1) and builds a_(k+1)..a_M alone.
     """
     spf = _smallest_prime_factors(M)
-    coeffs = [ZERO] * (M + 1)
-    if M >= 1:
-        coeffs[1] = ONE
-    for n in range(2, M + 1):
+    coeffs = ([ZERO, ONE] if len(prefix) < 2 else list(prefix))[: M + 1]
+    start = len(coeffs)
+    coeffs += [ZERO] * (M + 1 - start)
+    for n in range(start, M + 1):
         ell = spf[n]
         m, q = n, 1
         while m % ell == 0:
@@ -137,10 +139,13 @@ def _hecke_sieve(p, M, c, a_p, xi):
     return coeffs
 
 
-def qexp_coefficients(p, i, M, conjugate=False):
-    """a_1..a_M of the newform (index 0 of the returned list is unused)."""
+def qexp_coefficients(p, i, M, conjugate=False, prefix=()):
+    """a_1..a_M of the newform (index 0 of the returned list is unused); the
+    terms of `prefix`, the newform's own a_0..a_k, are taken as they are."""
     split = split_prime(p)
-    coeffs = _hecke_sieve(p, M, split.pi**i, split.pibar, lambda ell: nebentypus(p, i, ell))
+    coeffs = _hecke_sieve(
+        p, M, split.pi**i, split.pibar, lambda ell: nebentypus(p, i, ell), prefix
+    )
     if conjugate:
         coeffs = [c.conj() for c in coeffs]
     return coeffs
@@ -201,39 +206,45 @@ def qexp_coefficients_direct(p, i, M, conjugate=False):
     return coeffs
 
 
-@dataclass(frozen=True)
+@dataclass
 class HeckeForm:
+    """The newform's one coefficient store, a_0..a_terms (a_0 unused).  The
+    coefficients do not depend on precision, so a store is never rebuilt:
+    extend() resumes the sieve after the terms it holds."""
+
     p: int
     i: int
-    pi: EisensteinInt
-    pibar: EisensteinInt
     N: int
-    e3: int
-    coeffs: tuple
+    coeffs: list
 
     @property
     def terms(self):
         return len(self.coeffs) - 1
 
-    def a(self, n):
-        return self.coeffs[n]
+    def extend(self, M):
+        """Hold at least a_1..a_M; only the missing terms are sieved."""
+        if M > self.terms:
+            self.coeffs = qexp_coefficients(self.p, self.i, M, prefix=self.coeffs)
 
 
 def build_form(p, i, M, coeffs=None):
     """HeckeForm with coefficients a_1..a_M (computed unless supplied)."""
-    e3, N = conductor_and_level(p, i)
-    split = split_prime(p)
+    _, N = conductor_and_level(p, i)
     if coeffs is None:
         coeffs = qexp_coefficients(p, i, M)
-    return HeckeForm(
-        p=p,
-        i=i,
-        pi=split.pi,
-        pibar=split.pibar,
-        N=N,
-        e3=e3,
-        coeffs=tuple(coeffs),
-    )
+    return HeckeForm(p=p, i=i, N=N, coeffs=coeffs)
+
+
+def spot_check(p, i, coeffs):
+    """Whether a stored prefix a_0..a_M recomputes at a_1 = 1, a_p = pibar
+    and a_ell, ell < 100 split, as far as M reaches."""
+    split = split_prime(p)
+    want = {1: ONE, p: split.pibar}
+    for ell in range(7, 100, 6):
+        if ell != p and is_prime_int(ell):
+            want[ell] = _psi_trace(split.pi**i, ell)
+    M = len(coeffs) - 1
+    return M >= 1 and all(coeffs[n] == a for n, a in want.items() if n <= M)
 
 
 # ------------------------------------------------------------- nebentypus

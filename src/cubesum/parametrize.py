@@ -213,29 +213,23 @@ class PipelineResult:
     cube: object
     checks: dict
     timings_ms: dict
-    form: object  # the HeckeForm summed, at least `terms` coefficients long
     attempts: list = field(default_factory=list)  # the failed attempts before this one
 
 
-def _attempt_site(cand, split, p, i, prec, max_terms, forms_cache, form_factory):
+def _attempt_site(cand, split, p, i, prec, max_terms, form):
     timings = {}
     t0 = time.perf_counter()
     site = cand.site
     M = terms_needed(float(site.im_coeff) * 3**0.5, prec)
     if max_terms is not None and M > max_terms:
         raise TermsCapExceeded(f"site {site.label()} needs {M} > {max_terms} terms")
-    # coefficients do not depend on precision: one form serves every
-    # attempt that needs no more terms than it holds
-    if "f" not in forms_cache or forms_cache["f"].terms < M:
-        forms_cache.clear()  # free the shorter form before building the longer one
-        forms_cache["f"] = form_factory(p, i, M)
-    f = forms_cache["f"]
+    form.extend(M)  # the coefficients do not depend on prec
     timings["coefficients_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     # f lives on y^2 = x^3 + pibar^(2i)/4 and f^c on the conjugate curve
     D_f, D_fc = split.pibar ** (2 * i), split.pi ** (2 * i)
-    z_f, z_fc = eval_z(f, site, prec, max_terms=max_terms)
+    z_f, z_fc = eval_z(form, site, prec, max_terms=max_terms)
     kind_f, raw_f = evaluate_cm(z_f, D_f, prec)
     kind_fc, raw_fc = evaluate_cm(z_fc, D_fc, prec)
     timings["evaluate_ms"] = 1000 * (time.perf_counter() - t0)
@@ -300,7 +294,6 @@ def _attempt_site(cand, split, p, i, prec, max_terms, forms_cache, form_factory)
         cube=cube,
         checks=checks,
         timings_ms=timings,
-        form=f,
     )
 
 
@@ -311,7 +304,7 @@ SITE_FAILURES = (DescentFailed, TermsCapExceeded)
 PRECISION_FAILURES = (RecognitionFailed, EvalResidualTooLarge)
 
 
-def solve_pipeline(p, i, bits=192, max_terms=2_000_000, eval_mode="auto", form_factory=None):
+def solve_pipeline(p, i, bits=192, max_terms=2_000_000, eval_mode="auto", form=None):
     """End-to-end: u^3 + v^3 = p^i with exact verification.
 
     Candidate sites are tried in ranked order.  On each site the precision
@@ -320,8 +313,9 @@ def solve_pipeline(p, i, bits=192, max_terms=2_000_000, eval_mode="auto", form_f
     the terms cap) moves on to the next site at once.  The failed attempts
     come back in the result's `attempts` (site, bits, error, message) and,
     when every site is used up, in the PrecisionExhausted message.
-    eval_mode restricts the sites ("tau", "wtau", or "auto"); form_factory
-    lets the caller supply cached coefficients.
+    eval_mode restricts the sites ("tau", "wtau", or "auto").  Each attempt
+    extends `form`, the caller's HeckeForm store (a new one when None), to
+    the terms its site needs.
     """
     split = split_prime(p)
     cands = candidate_points(p, i)
@@ -329,17 +323,14 @@ def solve_pipeline(p, i, bits=192, max_terms=2_000_000, eval_mode="auto", form_f
         cands = [c for c in cands if c.site.kind == eval_mode]
     if not cands:
         raise ValueError(f"no candidate sites for eval mode {eval_mode}")
-    if form_factory is None:
-        form_factory = build_form
+    if form is None:
+        form = build_form(p, i, 0)
     attempts = []
-    forms_cache = {}
     for cand in cands:
         prec = bits
         for _ in range(RUNGS):
             try:
-                result = _attempt_site(
-                    cand, split, p, i, prec, max_terms, forms_cache, form_factory
-                )
+                result = _attempt_site(cand, split, p, i, prec, max_terms, form)
             except SITE_FAILURES + PRECISION_FAILURES as e:
                 attempts.append({
                     "site": cand.site.label(),

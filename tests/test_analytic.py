@@ -21,7 +21,7 @@ from cubesum.analytic import (
     wp_laurent_coefficients,
 )
 from cubesum.eisenstein import EisensteinInt, QOmega, split_prime
-from cubesum.heckeform import build_form, conductor_and_level, nebentypus
+from cubesum.heckeform import build_form, conductor_and_level, nebentypus, qexp_coefficients
 
 rng = random.Random(424242)
 
@@ -381,8 +381,10 @@ def test_terms_needed_monotone():
     assert terms_needed(0.01, 192) > terms_needed(0.02, 192) > terms_needed(0.02, 96)
 
 
-def test_measure_beta_rebuilds_a_too_short_form():
-    # a form shorter than the Fricke site needs is replaced, not summed short
+def test_measure_beta_extends_a_too_short_form():
+    # a form shorter than the Fricke site needs is extended in place, not summed short
     want = measure_beta(7, 1, 160)
-    got = measure_beta(7, 1, 160, form=build_form(7, 1, 20))
+    short = build_form(7, 1, 20)
+    got = measure_beta(7, 1, 160, form=short)
     assert got[0] == want[0] and got[1] == want[1]
+    assert short.terms > 20 and short.coeffs == qexp_coefficients(7, 1, short.terms)

@@ -1,18 +1,19 @@
 import json
 import os
 
-from cubesum import cli
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cubesum import cli, heckeform
 from cubesum.cli import (
     EXIT_BAD_INPUT,
     EXIT_FIXTURE_FAIL,
     EXIT_OK,
     EXIT_PRECISION,
     RunReport,
-    cached_form_factory,
     read_cache,
     write_cache,
 )
-from cubesum.eisenstein import EisensteinInt
+from cubesum.eisenstein import ONE, EisensteinInt
 from cubesum.heckeform import qexp_coefficients
 
 
@@ -139,11 +140,8 @@ def test_sylvester_message_distinct(tmp_path, capsys):
 def test_cache_roundtrip(tmp_path):
     coeffs = qexp_coefficients(7, 1, 200)
     write_cache(str(tmp_path), 7, 1, coeffs)
-    back = read_cache(str(tmp_path), 7, 1, 200)
-    assert back == coeffs
-    assert read_cache(str(tmp_path), 7, 1, 150) == coeffs[:151]
-    assert read_cache(str(tmp_path), 7, 1, 500) is None  # too short
-    assert read_cache(str(tmp_path), 13, 1, 10) is None
+    assert read_cache(str(tmp_path), 7, 1) == coeffs  # the whole stored prefix
+    assert read_cache(str(tmp_path), 13, 1) is None
 
 
 def test_cache_format_stable(tmp_path):
@@ -168,25 +166,162 @@ def test_cold_and_warm_cache_reports_identical(tmp_path, capsys):
     assert cold == warm
 
 
-def test_cached_factory_used(tmp_path):
-    factory = cached_form_factory(str(tmp_path))
-    f1 = factory(7, 1, 60)
-    assert os.path.exists(cli.cache_path(str(tmp_path), 7, 1))
-    f2 = factory(7, 1, 60)
-    assert f1.coeffs == f2.coeffs
+def spy_cache_writes_and_sieve(monkeypatch):
+    """Record the terms of every cache write and the range (first, last) of
+    n that every sieve call builds."""
+    writes, spans = [], []
+    real_write, real_sieve = cli.write_cache, heckeform._hecke_sieve
+
+    def write(cache_dir, p, i, coeffs):
+        writes.append(len(coeffs) - 1)
+        return real_write(cache_dir, p, i, coeffs)
+
+    def sieve(p, M, c, a_p, xi, prefix=()):
+        spans.append((max(len(prefix), 2), M))  # a_0 and a_1 are never sieved
+        return real_sieve(p, M, c, a_p, xi, prefix)
+
+    monkeypatch.setattr(cli, "write_cache", write)
+    monkeypatch.setattr(heckeform, "_hecke_sieve", sieve)
+    return writes, spans
 
 
-def test_corrupt_cache_reads_as_miss(tmp_path):
+def test_warm_solve_sieves_nothing_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    args = ["solve", "7", "--json", "--cache-dir", str(tmp_path)]
+    code, out_cold, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    stored = read_cache(str(tmp_path), 7, 1)
+    assert len(stored) - 1 == json.loads(out_cold)["terms"]
+    writes, spans = spy_cache_writes_and_sieve(monkeypatch)
+    code, _, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    assert writes == [] and spans == []
+    assert read_cache(str(tmp_path), 7, 1) == stored
+
+
+def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
+    tmp_path, capsys, monkeypatch
+):
+    # 61^2 fails at 192 bits (4548 terms) and wins at 384 bits (9096 terms):
+    # the second attempt sieves only the terms the first did not hold
+    writes, spans = spy_cache_writes_and_sieve(monkeypatch)
+    code, out, _ = run_cli(
+        ["solve", "61", "--power", "2", "--json", "--cache-dir", str(tmp_path)], capsys
+    )
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert (rep["bits"], rep["terms"]) == (384, 9096)
+    assert [a["bits"] for a in rep["attempts"]] == [192]
+    built = [n for first, last in spans for n in range(first, last + 1)]
+    assert sorted(built) == list(range(2, 9097))
+    assert writes == [9096]
+    assert read_cache(str(tmp_path), 61, 2) == qexp_coefficients(61, 2, 9096)
+
+
+def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):
+    import cubesum.parametrize as par
+
+    def fail(z, D, prec):
+        raise par.EvalResidualTooLarge("stub")
+
+    # exit 3 still writes, once, what the failed attempts sieved
+    monkeypatch.setattr(par, "evaluate_cm", fail)
+    writes, _ = spy_cache_writes_and_sieve(monkeypatch)
+    code, _, _ = run_cli(["solve", "7", "--eval", "wtau", "--cache-dir", str(tmp_path)], capsys)
+    assert code == EXIT_PRECISION
+    stored = read_cache(str(tmp_path), 7, 1)
+    assert writes == [len(stored) - 1] and len(stored) > 1
+    assert stored == qexp_coefficients(7, 1, len(stored) - 1)
+
+
+def test_corrupt_cache_reads_as_miss(tmp_path, capsys):
+    d = str(tmp_path)
     coeffs = qexp_coefficients(7, 1, 30)
-    write_cache(str(tmp_path), 7, 1, coeffs)
-    path = cli.cache_path(str(tmp_path), 7, 1)
-    with open(path, "a") as fh:
-        fh.write("not a coefficient line\n")
-    assert read_cache(str(tmp_path), 7, 1, 30) is None
-    factory = cached_form_factory(str(tmp_path))
-    f = factory(7, 1, 30)  # recomputes and rewrites
-    assert f.coeffs == tuple(coeffs)
-    assert read_cache(str(tmp_path), 7, 1, 30) == coeffs
+    path = cli.cache_path(d, 7, 1)
+
+    def corrupted(edit):
+        write_cache(d, 7, 1, coeffs)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(edit(text))
+        return read_cache(d, 7, 1)
+
+    assert corrupted(lambda t: t + "not a coefficient line\n") is None
+    assert corrupted(lambda t: t + "-1 9 9\n") is None  # would overwrite a_30
+    assert corrupted(lambda t: t + "0 1 0\n") is None
+    assert corrupted(lambda t: t + "31 1 0\n") is None  # beyond the header's M
+    assert corrupted(lambda t: t.replace("p=7 i=1", "x=7 y=1")) is None
+    for huge in (10**30, 2**62, 10**9):  # refused before any list is allocated
+        assert corrupted(lambda t: t.replace("M=30", f"M={huge}")) is None
+    code, _, _ = run_cli(["solve", "7", "--cache-dir", d], capsys)
+    assert code == EXIT_OK  # rebuilt and rewritten
+    stored = read_cache(d, 7, 1)
+    assert stored == qexp_coefficients(7, 1, len(stored) - 1)
+
+
+def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
+    d = str(tmp_path)
+    args = ["solve", "7", "--json", "--cache-dir", d]
+    code, out_cold, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    path = cli.cache_path(d, 7, 1)
+    with open(path) as fh:
+        good = fh.read()
+    fresh = read_cache(d, 7, 1)
+    for n in (1, 7, 13, 97):  # a_1, a_p and two split primes
+        stale = list(fresh)
+        stale[n] = -stale[n]
+        write_cache(d, 7, 1, stale)
+        assert read_cache(d, 7, 1) is None, n
+    stale = list(fresh)
+    stale[13] = -stale[13]
+    write_cache(d, 7, 1, stale)
+    code, out_warm, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    cold, warm = json.loads(out_cold), json.loads(out_warm)
+    assert warm["cube_sum"] == cold["cube_sum"] and warm["attempts"] == []
+    with open(path) as fh:
+        assert fh.read() == good
+
+
+_LINES_7 = [f"{n} {c.a} {c.b}" for n, c in enumerate(qexp_coefficients(7, 1, 30)) if n and c]
+_HEADER = st.one_of(
+    st.just("SYLV1 p=7 i=1 N=189 M=30"),
+    st.lists(
+        st.tuples(
+            st.sampled_from("piNMx"),
+            st.sampled_from(["7", "1", "30", "0", "-1", "", "a", str(10**30), str(2**62)]),
+        ),
+        min_size=3,
+        max_size=5,
+    ).map(lambda kvs: " ".join(["SYLV1"] + [f"{k}={v}" for k, v in kvs])),
+    st.text(max_size=30),
+)
+_LINE = st.one_of(
+    st.sampled_from(_LINES_7),
+    st.tuples(st.integers(-2, 40), st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda t: "%d %d %d" % t
+    ),
+    st.text(max_size=12),
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    header=_HEADER,
+    whole=st.booleans(),
+    extra=st.lists(_LINE, max_size=8),
+    tail=st.one_of(st.just(b""), st.binary(max_size=6)),
+)
+def test_read_cache_fuzz_never_raises(tmp_path, header, whole, extra, tail):
+    body = (_LINES_7 if whole else []) + extra
+    text = "\n".join([header] + body) + "\n"
+    with open(cli.cache_path(str(tmp_path), 7, 1), "wb") as fh:
+        fh.write(text.encode("utf-8", "surrogatepass") + tail)
+    got = read_cache(str(tmp_path), 7, 1)
+    assert got is None or (len(got) >= 2 and got[1] == ONE)
 
 
 def test_cache_env_var_override(tmp_path, monkeypatch):

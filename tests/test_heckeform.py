@@ -210,3 +210,18 @@ def test_twist_check_zero_cases():
 def test_build_form():
     f = build_form(7, 1, 50)
     assert f.N == 189 and f.terms == 50
+
+
+@pytest.mark.parametrize(
+    "p, i, M0",
+    [(p, i, M0) for p, i in [(7, 1), (13, 2), (31, 2)] for M0 in (p - 1, p * p - 1, 7**3 - 1)],
+)
+def test_extension_matches_a_fresh_sieve(p, i, M0):
+    # resume just below a_p, a_(p^2) and a_(7^3), where the sieve switches
+    # from products to a_p and to the Hecke recursion
+    f = build_form(p, i, M0)
+    f.extend(M0 - 5)  # never shrinks
+    assert f.terms == M0
+    f.extend(1100)
+    assert f.terms == 1100
+    assert f.coeffs == qexp_coefficients(p, i, 1100)

@@ -256,7 +256,7 @@ def stub_attempts(monkeypatch, outcome):
     """
     calls = []
 
-    def fake(cand, split, p, i, prec, max_terms, forms_cache, form_factory):
+    def fake(cand, split, p, i, prec, max_terms, form):
         label = cand.site.label()
         calls.append((label, prec))
         exc = outcome(label, prec)
