@@ -334,11 +334,10 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
         q3 = q**3
         qr, qi = to_fixed(q.real._mpf_, W), to_fixed(q.imag._mpf_, W)
         cr, ci = to_fixed(q3.real._mpf_, W), to_fixed(q3.imag._mpf_, W)
-    coeffs = form.coeffs
+    alpha, beta = form.alpha, form.beta
     ar = ai = br = bi = 0
     for n in range(1, M + 1, 3):
-        c = coeffs[n]
-        a, b = c.a, c.b
+        a, b = alpha[n], beta[n]
         if a or b:
             d = n if divide_by_n else 1
             ar += a * qr // d

@@ -16,7 +16,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 
-from .eisenstein import EisensteinInt, QOmega, is_prime_int
+from .eisenstein import QOmega, is_prime_int
 from .heckeform import build_form, conductor_and_level, qexp_coefficients, spot_check
 
 EXIT_OK = 0
@@ -43,17 +43,18 @@ def cache_path(cache_dir, p, i):
     return os.path.join(cache_dir, f"qexp_p{p}_i{i}.txt")
 
 
+def coefficient_lines(coeffs):
+    """One line 'n a b' per nonzero a_n = a + b*w, n >= 1, of an (alpha, beta) pair."""
+    return [f"{n} {a} {b}" for n, a, b in zip(range(len(coeffs[0])), *coeffs) if (a or b) and n]
+
+
 def write_cache(cache_dir, p, i, coeffs):
-    """Bit-exact text format: header 'SYLV1 p=<p> i=<i> N=<N> M=<M>', then one
-    line 'n a b' per nonzero a_n = a + b*w; atomic via rename."""
+    """Bit-exact text format: header 'SYLV1 p=<p> i=<i> N=<N> M=<M>', then the
+    coefficient_lines of the (alpha, beta) pair; atomic via rename."""
     os.makedirs(cache_dir, exist_ok=True)
     _, N = conductor_and_level(p, i)
-    M = len(coeffs) - 1
-    lines = [f"{CACHE_MAGIC} p={p} i={i} N={N} M={M}"]
-    for n in range(1, M + 1):
-        c = coeffs[n]
-        if c.a or c.b:
-            lines.append(f"{n} {c.a} {c.b}")
+    M = len(coeffs[0]) - 1
+    lines = [f"{CACHE_MAGIC} p={p} i={i} N={N} M={M}"] + coefficient_lines(coeffs)
     data = "\n".join(lines) + "\n"
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".qexp_tmp")
     try:
@@ -66,8 +67,9 @@ def write_cache(cache_dir, p, i, coeffs):
 
 
 def read_cache(cache_dir, p, i):
-    """The stored prefix a_0..a_M, or None when absent, unparsable or failing
-    spot_check (a corrupt or stale cache reads as a miss and gets rewritten)."""
+    """The stored prefix a_0..a_M as an (alpha, beta) pair, or None when
+    absent, unparsable or failing spot_check (a corrupt or stale cache reads
+    as a miss and gets rewritten)."""
     path = cache_path(cache_dir, p, i)
     try:
         with open(path) as fh:
@@ -81,16 +83,16 @@ def read_cache(cache_dir, p, i):
             # a true file has under 8 terms per byte (a_l != 0 at each split l <= M)
             if M > 8 * os.path.getsize(path):
                 return None
-            coeffs = [EisensteinInt(0, 0)] * (M + 1)
+            alpha, beta = [0] * (M + 1), [0] * (M + 1)
             for line in fh:
                 n, a, b = line.split()
                 n = int(n)
                 if not 1 <= n <= M:
                     return None
-                coeffs[n] = EisensteinInt(int(a), int(b))
+                alpha[n], beta[n] = int(a), int(b)
     except (ValueError, KeyError, OSError):
         return None
-    return coeffs if spot_check(p, i, coeffs) else None
+    return (alpha, beta) if spot_check(p, i, (alpha, beta)) else None
 
 
 # ------------------------------------------------------------------ report
@@ -222,9 +224,9 @@ def cmd_solve(args):
             if not result.cube.verify():  # defensive; to_cube_sum checks already
                 raise AssertionError("cube identity failed")
             beta = measure_beta(args.p, i, min(args.bits, 160), form=form)
-        finally:  # also on exit 3, so the sieved terms are kept
+        finally:  # also on exit 3, so the computed terms are kept
             if form.terms > loaded:
-                write_cache(args.cache_dir, args.p, i, form.coeffs)
+                write_cache(args.cache_dir, args.p, i, (form.alpha, form.beta))
         reports.append(build_report(result, beta=beta))
     if args.json:
         payload = [r.to_dict() for r in reports]
@@ -249,10 +251,8 @@ def series_lines(s, lo, hi):
 
 def cmd_qexp(args):
     coeffs = qexp_coefficients(args.p, args.power_int, args.terms, conjugate=args.conjugate)
-    for n in range(1, args.terms + 1):
-        c = coeffs[n]
-        if c.a or c.b:
-            print(f"{n} {c.a} {c.b}")
+    for line in coefficient_lines(coeffs):
+        print(line)
     return EXIT_OK
 
 
@@ -356,6 +356,10 @@ def main(argv=None):
     if hasattr(args, "power") and args.power in ("1", "2"):
         args.power_int = int(args.power)
     try:
+        for flag in ("terms", "max_terms", "bits"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise BadInput(f"--{flag.replace('_', '-')} must be positive, not {value}")
         return args.func(args)
     except BadInput as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,16 +1,21 @@
 """Coefficients of the weight-2 CM newform attached to y^2 = x^3 + pibar^(2i)/4.
 
-The Hecke character sends a prime ideal (g), g = 1 mod 3 coprime to 3*pi, to
-conj((pi^i/g)_3) * g; summing over integral ideals prime to the conductor
-gives a_n supported on n = 1 mod 3, with a_p = pibar.  Coefficients come
-from one multiplicative sieve: the character's trace at split primes, and
-the Hecke recursion at prime powers.  twist_check runs the same sieve for
-the rational twist's character; a direct generator enumeration over the
-norm ball is kept as an independent oracle.
+The Hecke character sends an ideal (g), g = 1 mod 3 coprime to 3*pi, to
+psi((g)) = conj((pi^i/g)_3) * g, and a_n sums psi over the ideals of norm n
+prime to the conductor: a_n is supported on n = 1 mod 3, with a_p = pibar.
+By cubic reciprocity (pi/g)_3 = (g/pi)_3 depends only on g mod pi in F_p, so
+the coefficients come from one walk over the lattice points g = a + b*w,
+a = 1 and b = 0 mod 3, with one table lookup each; they are kept as two int
+lists with a_n = alpha_n + beta_n * w (Rodriguez-Villegas--Zagier, CMS Conf.
+Proc. 15, 1995; Ireland--Rosen, ch. 9).  twist_check walks the same points
+for the rational twist's character; a generator enumeration that factors
+each point and takes the generic Euler-criterion symbol is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .eisenstein import (
@@ -69,86 +74,92 @@ def hecke_psi(gen, p, i):
     return sym.conj() * gen
 
 
-# ------------------------------------------------------------------ sieve
-
-
-def _smallest_prime_factors(limit):
-    spf = list(range(limit + 1))
-    for q in range(2, int(limit**0.5) + 1):
-        if spf[q] == q:
-            for m in range(q * q, limit + 1, q):
-                if spf[m] == m:
-                    spf[m] = q
-    return spf
+# ------------------------------------------------------------- lattice walk
 
 
 def _cubic_symbol_split(value_mod_l, ell, w):
-    """Exponent k with (value/g)_3 = w^k, computed in F_ell (w = omega mod g)."""
-    c = pow(value_mod_l, (ell - 1) // 3, ell)
-    if c == 1:
-        return 0
-    if c == w:
-        return 1
-    if c == w * w % ell:
-        return 2
-    raise ArithmeticError("cube character value out of range")
+    """Exponent k with (value/g)_3 = w^k, computed in F_ell (w = omega mod g);
+    ValueError when g divides value."""
+    return (1, w, w * w % ell).index(pow(value_mod_l, (ell - 1) // 3, ell))
 
 
-def _psi_trace(c, ell):
-    """psi(lam) + psi(lambar) at a split prime ell coprime to 3c, where
-    psi((g)) = conj((c/g)_3) * g for the generators g = 1 mod 3 above ell."""
-    s_ell = split_prime(ell)
-    total = ZERO
-    for g in (s_ell.pi, s_ell.pibar):
-        w = residue_map_omega(g)
-        k = _cubic_symbol_split((c.a + c.b * w) % ell, ell, w)
-        total = total + unit_power(-k) * g
-    return total
+def _psi_exponents(p, g, e):
+    """t[x] = e * k mod 3 for x in F_p^*, where (x/g)_3 = w^k and g is pi or
+    pibar; t[0] = None (g divides the point)."""
+    w = residue_map_omega(g)
+    return w, [None] + [e * _cubic_symbol_split(x, p, w) % 3 for x in range(1, p)]
 
 
-def _hecke_sieve(p, M, c, a_p, xi, prefix=()):
-    """a_0..a_M (a_0 unused) of the weight-2 form of the Hecke character
-    psi((g)) = conj((c/g)_3) * g on primes (g) coprime to 3p.
-
-    For n = m * ell^e with ell its smallest prime: a_n = a_m * a_{ell^e} when
-    m > 1; a_ell is psi's trace at a split ell, a_p at p, and 0 at 3 and at
-    an inert ell (no ideal has norm ell); higher powers follow the Hecke
-    recursion a_{ell^e} = a_ell a_{ell^(e-1)} - xi(ell) ell a_{ell^(e-2)}.
-    Every a_n comes from a_m with m < n only, so the sieve resumes after a
-    known prefix a_0..a_k (k >= 1) and builds a_(k+1)..a_M alone.
-    """
-    spf = _smallest_prime_factors(M)
-    coeffs = ([ZERO, ONE] if len(prefix) < 2 else list(prefix))[: M + 1]
-    start = len(coeffs)
-    coeffs += [ZERO] * (M + 1 - start)
-    for n in range(start, M + 1):
-        ell = spf[n]
-        m, q = n, 1
-        while m % ell == 0:
-            m //= ell
-            q *= ell
-        if m > 1:
-            coeffs[n] = coeffs[m] * coeffs[q]
-        elif n == p:
-            coeffs[n] = a_p
-        elif n == ell:
-            coeffs[n] = _psi_trace(c, ell) if ell % 3 == 1 else ZERO
-        else:
-            prev = n // ell
-            coeffs[n] = coeffs[ell] * coeffs[prev] - xi(ell) * ell * coeffs[prev // ell]
-    return coeffs
+# w^t * (a + b w) = (r0 a + r1 b) + (r2 a + r3 b) w for (r0, r1, r2, r3) = _ROTATE[t]
+_ROTATE = ((1, 0, 0, 1), (0, -1, 1, -1), (-1, 1, -1, 0))
 
 
-def qexp_coefficients(p, i, M, conjugate=False, prefix=()):
-    """a_1..a_M of the newform (index 0 of the returned list is unused); the
-    terms of `prefix`, the newform's own a_0..a_k, are taken as they are."""
-    split = split_prime(p)
-    coeffs = _hecke_sieve(
-        p, M, split.pi**i, split.pibar, lambda ell: nebentypus(p, i, ell), prefix
-    )
-    if conjugate:
-        coeffs = [c.conj() for c in coeffs]
-    return coeffs
+def _primary_rows(M0, M):
+    """(b, start, stop): the points g = a + b w with a = 1 and b = 0 mod 3 and
+    M0 < N(g) <= M are a in range(start, stop, 3), one or two spans per b.
+    N(g) = a^2 - ab + b^2 <= M exactly when |2a - b| <= isqrt(4M - 3b^2)."""
+    B = math.isqrt(4 * M // 3)
+    for b in range(-(B // 3) * 3, B + 1, 3):
+        r = math.isqrt(4 * M - 3 * b * b)
+        spans = [((b - r + 1) // 2, (b + r) // 2)]
+        if 4 * M0 >= 3 * b * b:
+            r0 = math.isqrt(4 * M0 - 3 * b * b)
+            spans = [(spans[0][0], (b - r0 + 1) // 2 - 1), ((b + r0) // 2 + 1, spans[0][1])]
+        for lo, hi in spans:
+            lo += (1 - lo) % 3
+            if lo <= hi:
+                yield b, lo, hi + 1
+
+
+def _walk(p, alpha, beta, M, tables):
+    """Extend a_0..a_M0 (alpha, beta, in place) to a_0..a_M by adding
+    psi(g) = w^(t1[g mod pi] + t2[g mod pibar]) g to a_N(g) for every primary
+    g with M0 < N(g) <= M, where tables = ((w1, t1), (w2, t2)) hold the image
+    of w mod pi and mod pibar and the exponents of _psi_exponents; g is
+    skipped where an exponent is None."""
+    M0 = len(alpha) - 1
+    alpha += [0] * (M - M0)
+    beta += [0] * (M - M0)
+    (w1, t1), (w2, t2) = tables
+    for b, start, stop in _primary_rows(M0, M):
+        c1, c2, bb = b * w1, b * w2, b * b
+        for a in range(start, stop, 3):
+            e1, e2 = t1[(a + c1) % p], t2[(a + c2) % p]
+            if e1 is not None and e2 is not None:
+                n = a * (a - b) + bb
+                r0, r1, r2, r3 = _ROTATE[(e1 + e2) % 3]
+                alpha[n] += r0 * a + r1 * b
+                beta[n] += r2 * a + r3 * b
+
+
+def qexp_coefficients(p, i, M, conjugate=False, prefix=None):
+    """(alpha, beta), two int lists with a_n = alpha[n] + beta[n] w for
+    n <= M (index 0 unused).  `prefix`, the newform's own (alpha, beta) up to
+    some M0, is not changed; only the annulus M0 < N(g) <= M is walked."""
+    if prefix is None or len(prefix[0]) < 2:
+        prefix = ([0, 1], [0, 0])
+    alpha, beta = prefix[0][: M + 1], prefix[1][: M + 1]
+    M0 = len(alpha) - 1
+    if M > M0:
+        # psi(g) = w^(-i k) g with (g/pi)_3 = w^k on g prime to p ...
+        split = split_prime(p)
+        no_pibar = (residue_map_omega(split.pibar), [None] + [0] * (p - 1))
+        _walk(p, alpha, beta, M, (_psi_exponents(p, split.pi, -i), no_pibar))
+        # ... and a_(pm) = pibar a_m, as (pibar^v) is the one ideal of norm
+        # p^v prime to the conductor
+        x, y = split.pibar.a, split.pibar.b
+        for n in range(p * (M0 // p + 1), M + 1, p):
+            a, b = alpha[n // p], beta[n // p]
+            alpha[n], beta[n] = x * a - y * b, x * b + y * a - y * b
+    if conjugate:  # conj(a + b w) = (a - b) - b w
+        return [a - b for a, b in zip(alpha, beta)], [-b for b in beta]
+    return alpha, beta
+
+
+def as_eisenstein(coeffs):
+    """An (alpha, beta) pair as the list of a_n = alpha[n] + beta[n] w, for
+    dumps and checks at small M."""
+    return [EisensteinInt(a, b) for a, b in zip(*coeffs)]
 
 
 def qexp_coefficients_direct(p, i, M, conjugate=False):
@@ -166,7 +177,6 @@ def qexp_coefficients_direct(p, i, M, conjugate=False):
             sym_cache[g] = cubic_residue_symbol(split.pi, g) ** i
         return sym_cache[g]
 
-    spf = _smallest_prime_factors(M)
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
             x = EisensteinInt(a, b)
@@ -176,11 +186,9 @@ def qexp_coefficients_direct(p, i, M, conjugate=False):
             if n % p == 0 and not x % split.pi:
                 continue  # not coprime to the conductor
             # factor x by trial division over the primes dividing its norm
-            sym = ONE
-            rest = x
-            m = n
+            sym, rest, m = ONE, x, n
             while m > 1:
-                ell = spf[m]
+                ell = next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
                 if ell % 3 == 2:
                     g = EisensteinInt(-ell, 0)
                     while not rest % g:
@@ -198,9 +206,8 @@ def qexp_coefficients_direct(p, i, M, conjugate=False):
             if not rest.is_unit():
                 raise AssertionError(f"a_{n}: cofactor {rest} is not a unit")
             coeffs[n] = coeffs[n] + sym.conj() * x
-    if M >= 1:
-        if coeffs[1] != ONE:
-            raise AssertionError(f"a_1 = {coeffs[1]}, not 1")
+    if M >= 1 and coeffs[1] != ONE:
+        raise AssertionError(f"a_1 = {coeffs[1]}, not 1")
     if conjugate:
         coeffs = [c.conj() for c in coeffs]
     return coeffs
@@ -208,43 +215,42 @@ def qexp_coefficients_direct(p, i, M, conjugate=False):
 
 @dataclass
 class HeckeForm:
-    """The newform's one coefficient store, a_0..a_terms (a_0 unused).  The
-    coefficients do not depend on precision, so a store is never rebuilt:
-    extend() resumes the sieve after the terms it holds."""
+    """The newform's one coefficient store, a_n = alpha[n] + beta[n] w for
+    n <= terms (index 0 unused).  The coefficients do not depend on
+    precision, so a store is never rebuilt: extend() walks only the lattice
+    points of norm above the terms it holds."""
 
     p: int
     i: int
     N: int
-    coeffs: list
+    alpha: list
+    beta: list
 
     @property
     def terms(self):
-        return len(self.coeffs) - 1
+        return len(self.alpha) - 1
 
     def extend(self, M):
-        """Hold at least a_1..a_M; only the missing terms are sieved."""
+        """Hold at least a_1..a_M; only the missing terms are computed."""
         if M > self.terms:
-            self.coeffs = qexp_coefficients(self.p, self.i, M, prefix=self.coeffs)
+            self.alpha, self.beta = qexp_coefficients(
+                self.p, self.i, M, prefix=(self.alpha, self.beta)
+            )
 
 
 def build_form(p, i, M, coeffs=None):
-    """HeckeForm with coefficients a_1..a_M (computed unless supplied)."""
+    """HeckeForm with coefficients a_1..a_M, an (alpha, beta) pair computed
+    unless supplied."""
     _, N = conductor_and_level(p, i)
-    if coeffs is None:
-        coeffs = qexp_coefficients(p, i, M)
-    return HeckeForm(p=p, i=i, N=N, coeffs=coeffs)
+    alpha, beta = qexp_coefficients(p, i, M) if coeffs is None else coeffs
+    return HeckeForm(p=p, i=i, N=N, alpha=alpha, beta=beta)
 
 
 def spot_check(p, i, coeffs):
-    """Whether a stored prefix a_0..a_M recomputes at a_1 = 1, a_p = pibar
-    and a_ell, ell < 100 split, as far as M reaches."""
-    split = split_prime(p)
-    want = {1: ONE, p: split.pibar}
-    for ell in range(7, 100, 6):
-        if ell != p and is_prime_int(ell):
-            want[ell] = _psi_trace(split.pi**i, ell)
-    M = len(coeffs) - 1
-    return M >= 1 and all(coeffs[n] == a for n, a in want.items() if n <= M)
+    """Whether a stored prefix (alpha, beta) of a_0..a_M agrees with a fresh
+    walk at every n <= min(M, 100)."""
+    M = min(len(coeffs[0]) - 1, 100)
+    return M >= 1 and qexp_coefficients(p, i, M) == tuple(c[: M + 1] for c in coeffs)
 
 
 # ------------------------------------------------------------- nebentypus
@@ -264,12 +270,14 @@ def nebentypus(p, i, d):
 
 
 def _twist_coefficients(p, i, M):
-    """b_0..b_M of the rational curve y^2 = x^3 + p^(6-2i)/4.  The sextic
-    symbol of the square p^(6-2i) is the cubic symbol of its root, so psi
-    has c = p^(3-i); 3 and p are bad, and the nebentypus is trivial."""
-    return _hecke_sieve(
-        p, M, EisensteinInt(p ** (3 - i), 0), ZERO, lambda ell: ZERO if 3 * p % ell == 0 else ONE
-    )
+    """(alpha, beta) of b_0..b_M for the rational curve y^2 = x^3 + p^(6-2i)/4.
+    The sextic symbol of the square p^(6-2i) is the cubic symbol of its root,
+    so psi(g) = conj((p^(3-i)/g)_3) g on primary g with p not dividing N(g),
+    and (p/g)_3 = (g/pi)_3 (g/pibar)_3 by cubic reciprocity."""
+    split = split_prime(p)
+    alpha, beta = [0], [0]
+    _walk(p, alpha, beta, M, [_psi_exponents(p, g, i - 3) for g in (split.pi, split.pibar)])
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -284,24 +292,12 @@ class TwistReport:
 def twist_check(p, i, M):
     """Verify b_n = conj(chi)(n) * a_n for n <= M coprime to p, where b_n come
     from the Hecke character of the rational curve y^2 = x^3 + p^(6-2i)/4 and
-    chi is the cubic residue character mod p."""
-    split = split_prime(p)
-    a = qexp_coefficients(p, i, M)
-    b = _twist_coefficients(p, i, M)
-
-    w = residue_map_omega(split.pi)
-    checked = 0
+    conj(chi)(n) = conj((pi^i/n)_3) = nebentypus(p, i, n) by cubic
+    reciprocity (both sides vanish off n = 1 mod 3)."""
+    a = as_eisenstein(qexp_coefficients(p, i, M))
+    b = as_eisenstein(_twist_coefficients(p, i, M))
     for n in range(1, M + 1):
-        if n % p == 0:
-            continue
-        if n % 3 == 1:
-            # the twisting character is conj((pi^i/n)_3); with (n/pi)_3 = w^k
-            # via cubic reciprocity this is w^(-k)
-            k = _cubic_symbol_split(pow(n % p, i, p), p, w)
-            want = unit_power(-k) * a[n]
-        else:
-            want = ZERO
-        if b[n] != want:
+        want = nebentypus(p, i, n) * a[n]
+        if n % p and b[n] != want:
             raise MismatchAt(n, b[n], want)
-        checked += 1
-    return TwistReport(p=p, i=i, M=M, checked=checked)
+    return TwistReport(p=p, i=i, M=M, checked=M - M // p)

@@ -167,8 +167,8 @@ class LaurentSeries:
 
 def z_series(p, i, M, conjugate=False):
     """z(q) = sum_{n<=M} a_n/n q^n as an exact series (known mod q^(M+1))."""
-    a = qexp_coefficients(p, i, M, conjugate=conjugate)
-    coeffs = [QOmega(Fraction(a[n].a, n), Fraction(a[n].b, n)) for n in range(1, M + 1)]
+    alpha, beta = qexp_coefficients(p, i, M, conjugate=conjugate)
+    coeffs = [QOmega(Fraction(alpha[n], n), Fraction(beta[n], n)) for n in range(1, M + 1)]
     return LaurentSeries(1, coeffs)
 
 

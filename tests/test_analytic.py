@@ -21,7 +21,13 @@ from cubesum.analytic import (
     wp_laurent_coefficients,
 )
 from cubesum.eisenstein import EisensteinInt, QOmega, split_prime
-from cubesum.heckeform import build_form, conductor_and_level, nebentypus, qexp_coefficients
+from cubesum.heckeform import (
+    as_eisenstein,
+    build_form,
+    conductor_and_level,
+    nebentypus,
+    qexp_coefficients,
+)
 
 rng = random.Random(424242)
 
@@ -189,8 +195,9 @@ def test_reduce_gives_minimal_norm():
 
 
 def _sum_form_oracle(coeffs, q, M, divide_by_n):
-    """The plain mpmath q-sum of one coefficient sequence, term by term at
-    the working precision: the reference for the fixed-point kernel."""
+    """The plain mpmath q-sum of one coefficient sequence (EisensteinInts),
+    term by term at the working precision: the reference for the fixed-point
+    kernel."""
     s3h = mp.sqrt(3) / 2
     total = mp.mpc(0)
     q3 = q**3
@@ -218,8 +225,9 @@ def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, evaluate, divide_by_n):
         f = build_form(p, i, M)
         got_f, got_fc = evaluate(f, tau, prec)
         q = mp.e ** (2j * mp.pi * tau)
-        want_f = _sum_form_oracle(f.coeffs, q, M, divide_by_n)
-        want_fc = _sum_form_oracle([c.conj() for c in f.coeffs], q, M, divide_by_n)
+        a = as_eisenstein((f.alpha, f.beta))
+        want_f = _sum_form_oracle(a, q, M, divide_by_n)
+        want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
         assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
         assert abs(got_fc - want_fc) < mp.mpf(2) ** (-prec)
         assert abs(got_f - got_fc) > 1e-3  # f and f^c are distinct sums
@@ -249,8 +257,9 @@ def test_eval_z_tail_bound_soundness():
         tau = mp.mpc(0.1, 0.04)
         q = mp.e ** (2j * mp.pi * tau)
         a, ac = eval_z(f1, tau, prec)
-        b = _sum_form_oracle(f2.coeffs, q, 2 * M, divide_by_n=True)
-        bc = _sum_form_oracle([c.conj() for c in f2.coeffs], q, 2 * M, divide_by_n=True)
+        a2 = as_eisenstein((f2.alpha, f2.beta))
+        b = _sum_form_oracle(a2, q, 2 * M, divide_by_n=True)
+        bc = _sum_form_oracle([c.conj() for c in a2], q, 2 * M, divide_by_n=True)
         assert abs(a - b) < mp.mpf(2) ** (-prec)
         assert abs(ac - bc) < mp.mpf(2) ** (-prec)
 
@@ -387,4 +396,5 @@ def test_measure_beta_extends_a_too_short_form():
     short = build_form(7, 1, 20)
     got = measure_beta(7, 1, 160, form=short)
     assert got[0] == want[0] and got[1] == want[1]
-    assert short.terms > 20 and short.coeffs == qexp_coefficients(7, 1, short.terms)
+    assert short.terms > 20
+    assert (short.alpha, short.beta) == qexp_coefficients(7, 1, short.terms)

@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cubesum import cli, heckeform
@@ -13,7 +14,6 @@ from cubesum.cli import (
     read_cache,
     write_cache,
 )
-from cubesum.eisenstein import ONE, EisensteinInt
 from cubesum.heckeform import qexp_coefficients
 
 
@@ -80,6 +80,27 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert code == EXIT_PRECISION
     assert "precision exhausted" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["qexp", "7", "--terms", "-1"],
+        ["qexp", "7", "--terms", "0"],
+        ["yseries", "7", "--terms", "0"],
+        ["fseries", "7", "--terms", "-5"],
+        ["solve", "7", "--bits", "0"],
+        ["solve", "7", "--bits", "-192"],
+        ["solve", "7", "--max-terms", "0"],
+    ],
+)
+def test_non_positive_counts_exit_2_with_one_line(args, tmp_path, capsys):
+    if args[0] == "solve":
+        args = args + ["--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(args, capsys)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: --") and "must be positive" in err
 
 
 def test_solve_json_reports_failed_attempts(tmp_path, capsys):
@@ -166,22 +187,22 @@ def test_cold_and_warm_cache_reports_identical(tmp_path, capsys):
     assert cold == warm
 
 
-def spy_cache_writes_and_sieve(monkeypatch):
+def spy_cache_writes_and_walks(monkeypatch):
     """Record the terms of every cache write and the range (first, last) of
-    n that every sieve call builds."""
+    norms n that every walk of the newform's lattice points adds to."""
     writes, spans = [], []
-    real_write, real_sieve = cli.write_cache, heckeform._hecke_sieve
+    real_write, real_walk = cli.write_cache, heckeform._walk
 
     def write(cache_dir, p, i, coeffs):
-        writes.append(len(coeffs) - 1)
+        writes.append(len(coeffs[0]) - 1)
         return real_write(cache_dir, p, i, coeffs)
 
-    def sieve(p, M, c, a_p, xi, prefix=()):
-        spans.append((max(len(prefix), 2), M))  # a_0 and a_1 are never sieved
-        return real_sieve(p, M, c, a_p, xi, prefix)
+    def walk(p, alpha, beta, M, tables):
+        spans.append((len(alpha), M))  # the annulus len(alpha) - 1 < n <= M
+        return real_walk(p, alpha, beta, M, tables)
 
     monkeypatch.setattr(cli, "write_cache", write)
-    monkeypatch.setattr(heckeform, "_hecke_sieve", sieve)
+    monkeypatch.setattr(heckeform, "_walk", walk)
     return writes, spans
 
 
@@ -190,11 +211,11 @@ def test_warm_solve_sieves_nothing_and_writes_nothing(tmp_path, capsys, monkeypa
     code, out_cold, _ = run_cli(args, capsys)
     assert code == EXIT_OK
     stored = read_cache(str(tmp_path), 7, 1)
-    assert len(stored) - 1 == json.loads(out_cold)["terms"]
-    writes, spans = spy_cache_writes_and_sieve(monkeypatch)
+    assert len(stored[0]) - 1 == json.loads(out_cold)["terms"]
+    writes, spans = spy_cache_writes_and_walks(monkeypatch)
     code, _, _ = run_cli(args, capsys)
     assert code == EXIT_OK
-    assert writes == [] and spans == []
+    assert writes == [] and spans == [(2, 100)]  # only spot_check's fresh a_2..a_100
     assert read_cache(str(tmp_path), 7, 1) == stored
 
 
@@ -202,8 +223,9 @@ def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
     tmp_path, capsys, monkeypatch
 ):
     # 61^2 fails at 192 bits (4548 terms) and wins at 384 bits (9096 terms):
-    # the second attempt sieves only the terms the first did not hold
-    writes, spans = spy_cache_writes_and_sieve(monkeypatch)
+    # the second attempt walks only the annulus the first did not hold, so
+    # each norm n falls in exactly one walk (a_1 = 1 is never walked)
+    writes, spans = spy_cache_writes_and_walks(monkeypatch)
     code, out, _ = run_cli(
         ["solve", "61", "--power", "2", "--json", "--cache-dir", str(tmp_path)], capsys
     )
@@ -225,12 +247,12 @@ def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):
 
     # exit 3 still writes, once, what the failed attempts sieved
     monkeypatch.setattr(par, "evaluate_cm", fail)
-    writes, _ = spy_cache_writes_and_sieve(monkeypatch)
+    writes, _ = spy_cache_writes_and_walks(monkeypatch)
     code, _, _ = run_cli(["solve", "7", "--eval", "wtau", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_PRECISION
     stored = read_cache(str(tmp_path), 7, 1)
-    assert writes == [len(stored) - 1] and len(stored) > 1
-    assert stored == qexp_coefficients(7, 1, len(stored) - 1)
+    assert writes == [len(stored[0]) - 1] and len(stored[0]) > 1
+    assert stored == qexp_coefficients(7, 1, len(stored[0]) - 1)
 
 
 def test_corrupt_cache_reads_as_miss(tmp_path, capsys):
@@ -256,7 +278,7 @@ def test_corrupt_cache_reads_as_miss(tmp_path, capsys):
     code, _, _ = run_cli(["solve", "7", "--cache-dir", d], capsys)
     assert code == EXIT_OK  # rebuilt and rewritten
     stored = read_cache(d, 7, 1)
-    assert stored == qexp_coefficients(7, 1, len(stored) - 1)
+    assert stored == qexp_coefficients(7, 1, len(stored[0]) - 1)
 
 
 def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
@@ -268,14 +290,16 @@ def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
     with open(path) as fh:
         good = fh.read()
     fresh = read_cache(d, 7, 1)
+
+    def negated(n):  # the stored prefix with a_n replaced by -a_n
+        alpha, beta = list(fresh[0]), list(fresh[1])
+        alpha[n], beta[n] = -alpha[n], -beta[n]
+        return alpha, beta
+
     for n in (1, 7, 13, 97):  # a_1, a_p and two split primes
-        stale = list(fresh)
-        stale[n] = -stale[n]
-        write_cache(d, 7, 1, stale)
+        write_cache(d, 7, 1, negated(n))
         assert read_cache(d, 7, 1) is None, n
-    stale = list(fresh)
-    stale[13] = -stale[13]
-    write_cache(d, 7, 1, stale)
+    write_cache(d, 7, 1, negated(13))
     code, out_warm, _ = run_cli(args, capsys)
     assert code == EXIT_OK
     cold, warm = json.loads(out_cold), json.loads(out_warm)
@@ -284,7 +308,7 @@ def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
         assert fh.read() == good
 
 
-_LINES_7 = [f"{n} {c.a} {c.b}" for n, c in enumerate(qexp_coefficients(7, 1, 30)) if n and c]
+_LINES_7 = cli.coefficient_lines(qexp_coefficients(7, 1, 30))
 _HEADER = st.one_of(
     st.just("SYLV1 p=7 i=1 N=189 M=30"),
     st.lists(
@@ -321,7 +345,7 @@ def test_read_cache_fuzz_never_raises(tmp_path, header, whole, extra, tail):
     with open(cli.cache_path(str(tmp_path), 7, 1), "wb") as fh:
         fh.write(text.encode("utf-8", "surrogatepass") + tail)
     got = read_cache(str(tmp_path), 7, 1)
-    assert got is None or (len(got) >= 2 and got[1] == ONE)
+    assert got is None or (len(got[0]) >= 2 and (got[0][1], got[1][1]) == (1, 0))
 
 
 def test_cache_env_var_override(tmp_path, monkeypatch):
@@ -370,10 +394,10 @@ def test_verify_detects_tampering(capsys, monkeypatch):
     real = qs.qexp_coefficients
 
     def tampered(p, i, M, conjugate=False):
-        out = list(real(p, i, M, conjugate=conjugate))
-        if len(out) > 4:
-            out[4] = -out[4]
-        return out
+        alpha, beta = (list(c) for c in real(p, i, M, conjugate=conjugate))
+        if len(alpha) > 4:
+            alpha[4], beta[4] = -alpha[4], -beta[4]
+        return alpha, beta
 
     monkeypatch.setattr(qs, "qexp_coefficients", tampered)
     code, out, _ = run_cli(["verify", "--quick"], capsys)
@@ -393,7 +417,7 @@ def test_solve_below_160_bits_reports_fricke_beta(tmp_path, capsys):
     assert int(beta["residual"].removeprefix("2^")) < -48
 
 
-def _run_python_O(args):
+def _run_python(*args):
     import subprocess
     import sys
 
@@ -403,26 +427,41 @@ def _run_python_O(args):
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONOPTIMIZE", None)
     return subprocess.run(
-        [sys.executable, "-O", *args], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
 
 
+def test_solve_and_series_never_import_numpy(tmp_path):
+    # importing numpy adds about 11 MB to a process's peak RSS; solves and
+    # series dumps stay on plain Python integers
+    out = _run_python("-c", (
+        "import sys\n"
+        "from cubesum import cli\n"
+        f"code = cli.main(['solve', '103', '--json', '--cache-dir', {str(tmp_path)!r}])\n"
+        "code += cli.main(['yseries', '31', '--terms', '100'])\n"
+        "print('numpy loaded' if 'numpy' in sys.modules else 'no numpy', file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    ))
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stderr.strip() == "no numpy"
+
+
 def test_verify_under_python_O_detects_a_tampered_reference():
-    out = _run_python_O(["-c", (
+    out = _run_python("-O", "-c", (
         "import sys\n"
         "from cubesum import cli, fixtures\n"
         "assert False, 'asserts are live'\n"
         "fixtures._Y7[0] += 1\n"
         "sys.exit(cli.main(['verify', '--quick']))\n"
-    )])
+    ))
     assert out.returncode == EXIT_FIXTURE_FAIL, out.stderr
     assert "FAIL" in out.stdout and "yseries_p7" in out.stdout
     assert "1 fixture(s) failed" in out.stdout
 
 
 def test_solve_under_python_O(tmp_path):
-    out = _run_python_O(
-        ["-m", "cubesum.cli", "solve", "7", "--json", "--cache-dir", str(tmp_path)]
+    out = _run_python(
+        "-O", "-m", "cubesum.cli", "solve", "7", "--json", "--cache-dir", str(tmp_path)
     )
     assert out.returncode == EXIT_OK, out.stderr
     assert json.loads(out.stdout)["checks"]["cube_identity"]["ok"] is True

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -17,6 +18,7 @@ from cubesum.heckeform import (
     BadPrimeClass,
     BadNormalization,
     RamifiedIdeal,
+    as_eisenstein,
     build_form,
     conductor_and_level,
     hecke_psi,
@@ -78,13 +80,13 @@ def test_ap_is_pibar_and_symbol_truly_trivial():
         s = split_prime(p)
         for i in (1, 2):
             assert cubic_residue_symbol(s.pi**i, s.pibar) == ONE
-            a = qexp_coefficients(p, i, p)
+            a = as_eisenstein(qexp_coefficients(p, i, p))
             assert a[p] == s.pibar
 
 
 def test_first_coefficients_p7():
     # hand-derived: a_4 = psi((-2)) = -2w, a_7 = pibar, a_10 = 0, a_13 = 2
-    a = qexp_coefficients(7, 1, 13)
+    a = as_eisenstein(qexp_coefficients(7, 1, 13))
     assert a[1] == ONE
     assert a[4] == EisensteinInt(0, -2)
     assert a[7] == EisensteinInt(-2, -3)
@@ -93,21 +95,42 @@ def test_first_coefficients_p7():
 
 
 def test_vanishing_off_1_mod_3():
-    a = qexp_coefficients(7, 1, 200)
+    a = as_eisenstein(qexp_coefficients(7, 1, 200))
     for n in range(1, 201):
         if n % 3 != 1:
             assert a[n] == ZERO
 
 
-def test_sieve_matches_direct_enumeration():
-    # M = 700 reaches ell^3 and ell^4 (7^3, 5^4, 2^8), p^2 (49, 169) and p^3 (343)
-    for p, i in ((7, 1), (13, 1), (7, 2), (31, 1), (13, 2), (31, 2)):
-        assert qexp_coefficients(p, i, 700) == qexp_coefficients_direct(p, i, 700)
+def test_lattice_walk_matches_factoring_oracle():
+    # M = 700 reaches ell^3 and ell^4 (7^3, 5^4, 2^8), p^2 (49, 169) and p^3
+    # (343); M = 2401 = 7^4 reaches v_p(n) = 4, four steps of a_(pm) = pibar a_m
+    cases = [(p, i, 700) for p, i in ((7, 1), (13, 1), (7, 2), (31, 1), (13, 2), (31, 2))]
+    for p, i, M in cases + [(7, 1, 2401), (7, 2, 2401)]:
+        assert as_eisenstein(qexp_coefficients(p, i, M)) == qexp_coefficients_direct(p, i, M)
+
+
+# sha256 of the `cubesum qexp p --power i --terms M` dump, as the
+# multiplicative sieve with the Hecke recursion printed it
+QEXP_DIGESTS = {
+    (103, 1, 7800): "6f914315004bc8365ca3be47a0585cec9d30a57532dc113388ea04c39ba9799f",
+    (61, 2, 9096): "05e7ea352d22da8bd405079c7ff7512879f10f253b7479755066f46e50fdf808",
+    (409, 1, 102000): "3a07d1043892cc57cf59b57ad74bf735213093a83029f0f405af9fd652e5328f",
+    (997, 2, 20000): "3dbc37a972118d67554d43504ffbdf02aefa4cb9a6ce92857b287b0dc8704b71",
+}
+
+
+@pytest.mark.parametrize("p, i, M", sorted(QEXP_DIGESTS))
+def test_qexp_dump_reproduces_the_sieve_digest(p, i, M, capsys):
+    from cubesum.cli import main
+
+    assert main(["qexp", str(p), "--power", str(i), "--terms", str(M)]) == 0
+    dump = capsys.readouterr().out
+    assert hashlib.sha256(dump.encode()).hexdigest() == QEXP_DIGESTS[p, i, M]
 
 
 def test_conjugate_form_is_coefficientwise_conjugate():
-    a = qexp_coefficients(13, 1, 100)
-    ac = qexp_coefficients(13, 1, 100, conjugate=True)
+    a = as_eisenstein(qexp_coefficients(13, 1, 100))
+    ac = as_eisenstein(qexp_coefficients(13, 1, 100, conjugate=True))
     assert ac == [c.conj() for c in a]
     acd = qexp_coefficients_direct(13, 1, 100, conjugate=True)
     assert ac == acd
@@ -115,7 +138,7 @@ def test_conjugate_form_is_coefficientwise_conjugate():
 
 def test_multiplicativity_exhaustive():
     M = 400
-    a = qexp_coefficients(7, 1, M)
+    a = as_eisenstein(qexp_coefficients(7, 1, M))
     for m in range(2, M):
         for n in range(2, M // m + 1):
             if math.gcd(m, n) == 1:
@@ -124,7 +147,7 @@ def test_multiplicativity_exhaustive():
 
 def test_hecke_recursion_at_good_primes():
     for p, i in ((7, 1), (13, 1), (31, 1), (7, 2)):
-        a = qexp_coefficients(p, i, 2500)
+        a = as_eisenstein(qexp_coefficients(p, i, 2500))
         for ell in range(2, 50):
             if not is_prime_int(ell) or ell in (3, p):
                 continue
@@ -144,7 +167,7 @@ def test_hecke_recursion_against_direct_enumeration():
 
 
 def test_hecke_bound_at_split_primes():
-    a = qexp_coefficients(7, 1, 200)
+    a = as_eisenstein(qexp_coefficients(7, 1, 200))
     for ell in range(5, 200):
         if is_prime_int(ell) and ell % 3 == 1 and ell != 7:
             assert norm(a[ell]) <= 4 * ell
@@ -171,7 +194,7 @@ def test_nebentypus_multiplicative():
 def test_nebentypus_against_psi_route():
     # xi(ell) * ell = psi(lam) * psi(lambar) at good split primes
     for p, i in ((7, 1), (13, 1), (31, 2)):
-        a = qexp_coefficients(p, i, 2500)
+        a = as_eisenstein(qexp_coefficients(p, i, 2500))
         for ell in (7, 13, 19, 31, 37, 43):
             if ell == p:
                 continue
@@ -192,16 +215,16 @@ def test_twisted_form_vanishes_at_p():
     from cubesum.heckeform import _twist_coefficients
 
     s = split_prime(7)
-    b = _twist_coefficients(7, 1, 49)
+    b = as_eisenstein(_twist_coefficients(7, 1, 49))
     assert b[7] == ZERO and b[49] == ZERO
     # while the CM form itself has a_p = pibar^e
-    a = qexp_coefficients(7, 1, 49)
+    a = as_eisenstein(qexp_coefficients(7, 1, 49))
     assert a[7] == s.pibar and a[49] == s.pibar * s.pibar
 
 
 def test_twist_check_zero_cases():
     # n = 2 mod 3: both sides vanish; n = p: the twisted side has b_p = 0
-    a = qexp_coefficients(7, 1, 100)
+    a = as_eisenstein(qexp_coefficients(7, 1, 100))
     assert a[7] != ZERO  # a_p = pibar on the form side...
     rep = twist_check(7, 1, 100)  # ...but the comparison skips multiples of p
     assert rep.checked == sum(1 for n in range(1, 101) if n % 7 != 0)
@@ -217,11 +240,13 @@ def test_build_form():
     [(p, i, M0) for p, i in [(7, 1), (13, 2), (31, 2)] for M0 in (p - 1, p * p - 1, 7**3 - 1)],
 )
 def test_extension_matches_a_fresh_sieve(p, i, M0):
-    # resume just below a_p, a_(p^2) and a_(7^3), where the sieve switches
-    # from products to a_p and to the Hecke recursion
+    # resume just below a_p, a_(p^2) and a_(7^3): the annulus M0 < N <= 1100
+    # then starts with the pibar^v shifts of the walk
     f = build_form(p, i, M0)
+    held = (f.alpha, f.beta)
     f.extend(M0 - 5)  # never shrinks
     assert f.terms == M0
     f.extend(1100)
     assert f.terms == 1100
-    assert f.coeffs == qexp_coefficients(p, i, 1100)
+    assert (f.alpha, f.beta) == qexp_coefficients(p, i, 1100)
+    assert held == qexp_coefficients(p, i, M0)  # the prefix is not changed
