@@ -277,16 +277,16 @@ def cmd_fseries(args):
 # ----------------------------------------------------------------- verify
 
 
-def fixture_suite(quick=False):
+def fixture_suite():
     """Named checks pinned to the three worked reference primes."""
     from . import fixtures
 
-    return fixtures.suite(quick=quick)
+    return fixtures.suite()
 
 
 def cmd_verify(args):
     failures = 0
-    for name, fn in fixture_suite(quick=args.quick):
+    for name, fn in fixture_suite():
         t0 = time.perf_counter()
         try:
             fn()
@@ -345,7 +345,7 @@ def make_parser():
     sp.set_defaults(func=cmd_fseries)
 
     sp = sub.add_parser("verify", help="run the built-in worked-example fixture suite")
-    sp.add_argument("--quick", action="store_true", help="skip the slowest (p = 31) series")
+    sp.add_argument("--quick", action="store_true", help="accepted and ignored: the full suite is fast")
     sp.set_defaults(func=cmd_verify)
     return ap
 

@@ -239,8 +239,8 @@ def check_solve_49():
     _check_solve(7, 2)
 
 
-def suite(quick=False):
-    items = [
+def suite():
+    return [
         ("split_reference_primes", check_splits),
         ("levels_189_117_279", check_levels),
         ("jacobi_sum_cubic_q_lt_30", check_jacobi_cubic),
@@ -251,6 +251,8 @@ def suite(quick=False):
         ("cubic_twist_relation", check_twist_relation),
         ("yseries_p7", check_yseries_7),
         ("yseries_p13", check_yseries_13),
+        ("yseries_p31", check_yseries_31),
+        ("fseries_p31", check_fseries_31),
         ("fseries_p7_p13_identities", check_fseries_identities),
         ("cusp_landmarks", check_cusp_landmarks),
         ("fricke_constants", check_fricke),
@@ -259,7 +261,3 @@ def suite(quick=False):
         ("solve_p31", check_solve_31),
         ("solve_p7_power2", check_solve_49),
     ]
-    if not quick:
-        items.insert(10, ("yseries_p31", check_yseries_31))
-        items.insert(11, ("fseries_p31", check_fseries_31))
-    return items

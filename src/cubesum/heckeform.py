@@ -15,6 +15,7 @@ independent oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,11 +84,17 @@ def _cubic_symbol_split(value_mod_l, ell, w):
     return (1, w, w * w % ell).index(pow(value_mod_l, (ell - 1) // 3, ell))
 
 
-def _psi_exponents(p, g, e):
-    """t[x] = e * k mod 3 for x in F_p^*, where (x/g)_3 = w^k and g is pi or
-    pibar; t[0] = None (g divides the point)."""
-    w = residue_map_omega(g)
-    return w, [None] + [e * _cubic_symbol_split(x, p, w) % 3 for x in range(1, p)]
+@functools.lru_cache(maxsize=64)
+def _psi_exponents(p, e, conj):
+    """(w, t) for g = pi, or pibar when conj, of split_prime(p): w is the image
+    of w mod g, and t[x] = e * k mod 3 for x in F_p^*, where (x/g)_3 = w^k;
+    t[0] = None (g divides the point).  Memoized, as every walk over p needs
+    the same p-entry table; callers pass e mod 3."""
+    split = split_prime(p)
+    w = residue_map_omega(split.pibar if conj else split.pi)
+    if not e:
+        return w, (None,) + (0,) * (p - 1)
+    return w, (None,) + tuple(e * _cubic_symbol_split(x, p, w) % 3 for x in range(1, p))
 
 
 # w^t * (a + b w) = (r0 a + r1 b) + (r2 a + r3 b) w for (r0, r1, r2, r3) = _ROTATE[t]
@@ -142,12 +149,12 @@ def qexp_coefficients(p, i, M, conjugate=False, prefix=None):
     M0 = len(alpha) - 1
     if M > M0:
         # psi(g) = w^(-i k) g with (g/pi)_3 = w^k on g prime to p ...
-        split = split_prime(p)
-        no_pibar = (residue_map_omega(split.pibar), [None] + [0] * (p - 1))
-        _walk(p, alpha, beta, M, (_psi_exponents(p, split.pi, -i), no_pibar))
+        # (the pibar table with e = 0 only marks the points pibar divides)
+        _walk(p, alpha, beta, M, (_psi_exponents(p, -i % 3, False), _psi_exponents(p, 0, True)))
         # ... and a_(pm) = pibar a_m, as (pibar^v) is the one ideal of norm
         # p^v prime to the conductor
-        x, y = split.pibar.a, split.pibar.b
+        pibar = split_prime(p).pibar
+        x, y = pibar.a, pibar.b
         for n in range(p * (M0 // p + 1), M + 1, p):
             a, b = alpha[n // p], beta[n // p]
             alpha[n], beta[n] = x * a - y * b, x * b + y * a - y * b
@@ -263,10 +270,7 @@ def nebentypus(p, i, d):
     d = int(d)
     if d % 3 == 0 or d % p == 0:
         return ZERO
-    split = split_prime(p)
-    w = residue_map_omega(split.pi)
-    k = _cubic_symbol_split(pow(d % p, i, p), p, w)
-    return unit_power(-k)
+    return unit_power(_psi_exponents(p, -i % 3, False)[1][d % p])
 
 
 def _twist_coefficients(p, i, M):
@@ -274,9 +278,8 @@ def _twist_coefficients(p, i, M):
     The sextic symbol of the square p^(6-2i) is the cubic symbol of its root,
     so psi(g) = conj((p^(3-i)/g)_3) g on primary g with p not dividing N(g),
     and (p/g)_3 = (g/pi)_3 (g/pibar)_3 by cubic reciprocity."""
-    split = split_prime(p)
     alpha, beta = [0], [0]
-    _walk(p, alpha, beta, M, [_psi_exponents(p, g, i - 3) for g in (split.pi, split.pibar)])
+    _walk(p, alpha, beta, M, [_psi_exponents(p, (i - 3) % 3, conj) for conj in (False, True)])
     return alpha, beta
 
 

@@ -1,19 +1,30 @@
 """Formal Laurent q-series with exact Q(w) coefficients.
 
-The parametrizing series y(q) = wp'(z(q))/2 is computed by purely exact
-arithmetic: z(q) = sum a_n/n q^n has coefficients in Q(w), and with g3 = -D
-exact the Laurent coefficients of wp' are exact too, so the composition never
-touches floating point.  Integrality of the result (coefficients in Z[w]
-after the half-shift by the 3-torsion y-coordinate) is a property of the
-parametrization that is asserted, never assumed.
+The parametrizing series y(q) = wp'(z(q))/2, z(q) = sum a_n/n q^n, comes from
+the differential equation of wp rather than by composing its Laurent
+expansion with z(q).  With g2 = 0, wp'' = 6 wp^2, so for theta = q d/dq and
+f = theta z = sum a_n q^n the pair x = wp(z), y satisfies theta x = 2 f y and
+theta y = 3 f x^2.  In X = q^2 x and W = 2 q^3 y (X_0 = 1, W_0 = -2) the
+coefficient of q^k solves a 2x2 linear system with determinant (k-6)(k+1).
+At the resonance k = 6 the system is singular and X_6 is free; that is where
+g3 = -D enters: wp(z) = z^-2 + (g3/28) z^4 + O(z^10) gives
+X_6 = [q^6](q^2/z^2) + g3/28.
+
+F(q) with F^3 = num/den is one quotient recurrence and one cube-root
+recurrence (J.C.P. Miller's power recurrence, Knuth, TAOCP 2, 4.7).  Every
+step runs on two lists per series, c_n = alpha[n] + beta[n] w, of ints; a
+division that is not exact yields a Fraction, so no floating point is ever
+touched and a coefficient off Z[w] still reaches the integrality check.
+Integrality of y (coefficients in Z[w] after the half-shift by the
+3-torsion y-coordinate) is a property of the parametrization that is
+checked, never assumed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .analytic import wp_laurent_coefficients
-from .eisenstein import QOmega, split_prime, sqrt_m3_q
+from .eisenstein import QOmega, split_prime
 from .heckeform import qexp_coefficients
 
 
@@ -172,43 +183,128 @@ def z_series(p, i, M, conjugate=False):
     return LaurentSeries(1, coeffs)
 
 
-def y_series(p, i, M, conjugate=False):
-    """y(q) = wp'(z(q))/2, exact, with integrality checked coefficientwise.
+# ------------------------------------------------------ pair-list kernels
+#
+# A series is two lists (xa, xb) with x_k = xa[k] + xb[k] w, w^2 = -1 - w;
+# the entries are ints, or Fractions where a division was not exact.
 
-    The constant term sits in shift + Z[w] where shift is (pibar^i)/2 (or the
-    conjugate); every other coefficient must land in Z[w] and the leading
-    term is exactly -q^-3.
-    """
+
+def _exact_div(x, d):
+    """x / d: an int when d divides x, a Fraction otherwise."""
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
+
+
+def _narrow(x):
+    """A Fraction as an int when it is one."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _conv(xa, xb, ya, yb, k, lo=1):
+    """sum_{m=lo..k} x_m y_(k-m); zero x_m are skipped."""
+    sa = sb = 0
+    for m in range(lo, k + 1):
+        a, b = xa[m], xb[m]
+        if a or b:
+            c, d = ya[k - m], yb[k - m]
+            bd = b * d
+            sa += a * c - bd
+            sb += a * d + b * c - bd
+    return sa, sb
+
+
+def _mul(xa, xb, ya, yb):
+    """x * y to the shorter of the two truncation orders."""
+    prod = [_conv(xa, xb, ya, yb, k, 0) for k in range(min(len(xa), len(ya)))]
+    return [a for a, _ in prod], [b for _, b in prod]
+
+
+def _power(ra, rb, num, den):
+    """r^(num/den) for r_0 = 1, by J.C.P. Miller's recurrence
+    den k t_k = sum_{j=1..k} ((num + den) j - den k) r_j t_(k-j)."""
+    ta, tb = [1], [0]
+    for k in range(1, len(ra)):
+        sa = sb = 0
+        for j in range(1, k + 1):
+            a, b = ra[j], rb[j]
+            if a or b:
+                c = (num + den) * j - den * k
+                ua, ub = ta[k - j], tb[k - j]
+                bu = b * ub
+                sa += c * (a * ua - bu)
+                sb += c * (a * ub + b * ua - bu)
+        ta.append(_exact_div(sa, den * k))
+        tb.append(_exact_div(sb, den * k))
+    return ta, tb
+
+
+def _wp_ode(fa, fb, K, g3):
+    """W = 2 q^3 y mod q^(K+1), from F_m = a_(m+1) = fa[m] + fb[m] w
+    (m <= K, F_0 = 1) and g3 = (a, b).  Per k: A = sum F_m W_(k-m) and
+    B = P + sum F_m S_(k-m) over m >= 1, with S = X^2 and P = sum X_j X_(k-j)
+    over 0 < j < k, and then X_k and W_k solve
+    (k-2) X_k - W_k = A, -12 X_k + (k-3) W_k = 6B."""
+    Xa, Xb = [1] + [0] * K, [0] * (K + 1)
+    Sa, Sb = list(Xa), list(Xb)
+    Wa, Wb = [-2] + [0] * K, [0] * (K + 1)
+    for k in range(1, K + 1):
+        Aa, Ab = _conv(fa, fb, Wa, Wb, k)
+        Pa, Pb = _conv(Xa, Xb, Xa, Xb, k)  # X_k is still 0: the j = k term drops
+        Ba, Bb = _conv(fa, fb, Sa, Sb, k)
+        Ba += Pa
+        Bb += Pb
+        if k == 6:  # resonance: X_6 = [q^6](q^2/z^2) + g3/28, W_6 = 4 X_6 - A
+            za = [Fraction(fa[m], m + 1) for m in range(7)]
+            zb = [Fraction(fb[m], m + 1) for m in range(7)]
+            ta, tb = _power(za, zb, -2, 1)
+            Xa[6] = _exact_div(28 * ta[6] + g3[0], 28)
+            Xb[6] = _exact_div(28 * tb[6] + g3[1], 28)
+            Wa[6] = 4 * Xa[6] - Aa
+            Wb[6] = 4 * Xb[6] - Ab
+        else:
+            det = (k - 6) * (k + 1)
+            Xa[k] = _exact_div((k - 3) * Aa + 6 * Ba, det)
+            Xb[k] = _exact_div((k - 3) * Ab + 6 * Bb, det)
+            Wa[k] = _exact_div(12 * Aa + 6 * (k - 2) * Ba, det)
+            Wb[k] = _exact_div(12 * Ab + 6 * (k - 2) * Bb, det)
+        Sa[k] = 2 * Xa[k] + Pa
+        Sb[k] = 2 * Xb[k] + Pb
+    return Wa, Wb
+
+
+# ---------------------------------------------------------------- y and F
+
+
+def _y_pairs(p, i, M, conjugate=False):
+    """W = 2 q^3 y(q) mod q^(M+4) as a pair list, integrality checked: y has
+    leading term -q^-3, its constant term lies in base^i/2 + Z[w] (base =
+    pibar, or pi for the conjugate) and every other coefficient in Z[w]."""
     split = split_prime(p)
     base = split.pi if conjugate else split.pibar
-    D = (base**(2 * i)).to_q()
-    shift = base.to_q() ** i / 2
+    D = base ** (2 * i)
+    shift = base**i
+    K = M + 3
+    alpha, beta = qexp_coefficients(p, i, K + 1, conjugate=conjugate)
+    if (alpha[1], beta[1]) != (1, 0):  # z = a_1 q + ..., y = -a_1^-3 q^-3 + ...
+        a1 = QOmega(alpha[1], beta[1])
+        raise RecognitionFailed(-3, -(a1**-3) if a1 else a1)
+    wa, wb = _wp_ode(alpha[1:], beta[1:], K, (-D.a, -D.b))
+    for k in range(K + 1):
+        a, b = wa[k], wb[k]
+        if k == 3:
+            a, b = a - shift.a, b - shift.b
+        if a % 2 or b % 2:
+            raise RecognitionFailed(k - 3, QOmega(wa[k], wb[k]) * Fraction(1, 2))
+    return wa, wb
 
-    z = z_series(p, i, M + 6, conjugate=conjugate)
-    trunc = M + 1
-    inv_z3 = (z**3).invert()  # lead -3
 
-    kmax = max(0, (trunc + 2) // 6 + 1)
-    G = wp_laurent_coefficients(-D, kmax)
-    y = -inv_z3
-    if kmax:
-        z3 = z**3
-        z6 = z3 * z3
-        zp = z3  # z^(6k+3)
-        for k in range(kmax):
-            d_k = G[k] * Fraction((6 * k + 4) * (6 * k + 5), 2)
-            y = y + zp * d_k
-            zp = zp * z6
-
-    # clamp to the requested order and certify integrality
-    out = LaurentSeries(y.lead, y.coefficients(y.lead, trunc))
-    if out.coefficient(-3) != QOmega(-1):
-        raise RecognitionFailed(-3, out.coefficient(-3))
-    for n in range(out.lead, out.trunc):
-        c = out.coefficient(n) - (shift if n == 0 else _Q0)
-        if not c.is_integral():
-            raise RecognitionFailed(n, out.coefficient(n))
-    return out
+def y_series(p, i, M, conjugate=False):
+    """y(q) = wp'(z(q))/2 mod q^(M+1), exact, with integrality checked
+    coefficientwise: the leading term is exactly -q^-3, the constant term
+    sits in shift + Z[w] with shift = pibar^i/2 (or its conjugate) and every
+    other coefficient lands in Z[w]."""
+    wa, wb = _y_pairs(p, i, M, conjugate)
+    return LaurentSeries(-3, [QOmega(Fraction(a, 2), Fraction(b, 2)) for a, b in zip(wa, wb)])
 
 
 def cube_root_in_qomega(c):
@@ -244,43 +340,51 @@ def cube_root_in_qomega(c):
 
 
 def cube_root_series(S):
-    """T with T^3 = S to the truncation order, by Newton iteration
-    T <- T(2 + S T^-3)/3; the leading coefficient must have an exact cube
-    root in Q(w) and the leading exponent must be divisible by 3."""
+    """T with T^3 = S to the truncation order: T = r0 (S/S_0)^(1/3) by
+    Miller's recurrence, where r0^3 = S_0 must hold exactly in Q(w) and the
+    leading exponent must be divisible by 3.  T is cubed back and compared
+    with S exactly."""
     if S.lead % 3:
         raise CubeRootNotInField(f"leading exponent {S.lead} is not divisible by 3")
-    r0 = cube_root_in_qomega(S.coeffs[0])
+    s0 = S.coeffs[0]
+    r0 = cube_root_in_qomega(s0)
     if not r0:
         raise CubeRootNotInField("zero leading coefficient")
-    n = len(S.coeffs)
-    body = LaurentSeries(0, S.coeffs)  # strip q^lead
-    T = LaurentSeries(0, [r0] + [_Q0] * (n - 1))
-    correct = 1
-    while correct < n:
-        T = T * (2 + body * (T**3).invert()) * Fraction(1, 3)
-        correct *= 2
-    if T**3 != body:
-        raise AssertionError("Newton cube root does not cube back to the series")
-    return LaurentSeries(S.lead // 3, T.coeffs)
+    body = S.coeffs if s0 == _Q1 else [c / s0 for c in S.coeffs]
+    ra, rb = [_narrow(c.a) for c in body], [_narrow(c.b) for c in body]
+    ta, tb = _power(ra, rb, 1, 3)
+    if _mul(*_mul(ta, tb, ta, tb), ta, tb) != (ra, rb):
+        raise AssertionError("cube root does not cube back to the series")
+    T = [QOmega(a, b) for a, b in zip(ta, tb)]
+    return LaurentSeries(S.lead // 3, T if r0 == _Q1 else [r0 * t for t in T])
 
 
 def f_plus_minus_series(p, i, sign, M):
     """F(q) with F^3 = (y + s*pibar^i/2) / (y^c + s*pi^i/2), s = +-1.
 
-    Also asserts the congruence (numerator = denominator mod sqrt(-3))
+    Also checks the congruence (numerator = denominator mod sqrt(-3))
     that makes the cube root integral."""
     if sign not in (1, -1, "+", "-"):
         raise ValueError("sign must be +1 or -1")
     s = 1 if sign in (1, "+") else -1
-    split = split_prime(p)
-    y = y_series(p, i, M)
-    yc = y_series(p, i, M, conjugate=True)
-    num = y + split.pibar.to_q() ** i * Fraction(s, 2)
-    den = yc + split.pi.to_q() ** i * Fraction(s, 2)
-    sqrt3 = sqrt_m3_q()
-    for n in range(num.lead, min(num.trunc, den.trunc)):
-        d = num.coefficient(n) - den.coefficient(n)
-        if not (d / sqrt3).is_integral():
-            raise RecognitionFailed(n, d)
-    ratio = num * den.invert()
-    return cube_root_series(ratio)
+    wa, wb = _y_pairs(p, i, M)
+    # q^3 num and q^3 den = conj(q^3 num): y^c and pi^i are the conjugates
+    shift = split_prime(p).pibar ** i
+    wa[3] += s * shift.a
+    wb[3] += s * shift.b
+    na, nb = [a // 2 for a in wa], [b // 2 for b in wb]
+    del wa, wb
+    da, db = [a - b for a, b in zip(na, nb)], [-b for b in nb]
+    # sqrt(-3) = w (1 - w) and a + b w = a + b mod (1 - w)
+    for k in range(len(na)):
+        ea, eb = na[k] - da[k], nb[k] - db[k]
+        if (ea + eb) % 3:
+            raise RecognitionFailed(k - 3, QOmega(ea, eb))
+    # ratio = num/den: den_0 = -1, so r_k = sum_{j>=1} den_j r_(k-j) - num_k
+    ra, rb = [], []
+    for k in range(len(na)):
+        sa, sb = _conv(da, db, ra, rb, k)
+        ra.append(sa - na[k])
+        rb.append(sb - nb[k])
+    del na, nb, da, db
+    return cube_root_series(LaurentSeries(0, [QOmega(a, b) for a, b in zip(ra, rb)]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -381,10 +382,34 @@ def test_yseries_dump(capsys):
     assert lines[1] == "0 3/2 3/2"  # y(0) = 2 - pibar/2
 
 
+# sha256 of the series dumps the benchmark times, at 100 terms, as the
+# composition route (wp' composed with z(q), Newton cube roots) printed them
+_SERIES_DIGESTS = {
+    "yseries-31-1": "3db334aee2ecaaefb4adaeb0488c68e35edde5a1539ed49bffd4f683837d7c60",
+    "fseries+-31-1": "d7fc72ef1c42e619243b1e9d610483db1192834257504f9b1522d54e09f9b382",
+    "fseries--31-1": "3ab7399eb67a3978c08d0b9aabfc9f159ce80ac4c31c70672f2254d4fb05b274",
+    "yseries-97-2": "1742fd878ed27946d2435533ac7e44790302a26902b40dcc8664014fd9e035b9",
+    "fseries+-97-2": "ebc37bbb5958a04939fd265c89123665890b4ee86e564fa5bf470bb335cbe65d",
+    "fseries--97-2": "bd073757338fe90bf5257fea525b715fb2d8d54c91863753c99eafc5b72f8673",
+}
+
+
+@pytest.mark.parametrize("key", list(_SERIES_DIGESTS))
+def test_series_dump_reproduces_the_composition_digest(key, capsys):
+    kind, p, i = key.rsplit("-", 2)
+    args = [kind.rstrip("+-"), p, "--power", i, "--terms", "100"]
+    if kind != "yseries":
+        args += ["--sign", kind[-1]]
+    code, out, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == _SERIES_DIGESTS[key]
+
+
 def test_verify_quick(capsys):
+    # --quick is accepted and ignored: the p = 31 series run too
     code, out, _ = run_cli(["verify", "--quick"], capsys)
     assert code == EXIT_OK
-    assert "yseries_p31" not in out  # the slow series is skipped
+    assert "yseries_p31" in out and "fseries_p31" in out
     assert "all fixtures ok" in out
 
 

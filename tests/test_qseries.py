@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cubesum.eisenstein import QOmega, split_prime
+import cubesum.qseries as qs
+from cubesum.analytic import wp_laurent_coefficients
+from cubesum.eisenstein import QOmega, split_prime, sqrt_m3_q
 from cubesum.qseries import (
     CubeRootNotInField,
     LaurentSeries,
+    RecognitionFailed,
     cube_root_in_qomega,
     cube_root_series,
     f_plus_minus_series,
@@ -205,3 +208,129 @@ def test_z_series_matches_coefficients():
     z = z_series(7, 1, 20)
     for n in range(1, 21):
         assert z.coefficient(n) == a[n].to_q() / n
+
+
+# ------------------------------------------- composition route as an oracle
+
+
+def _y_series_oracle(p, i, M, conjugate=False):
+    """y = wp'(z(q))/2 = -z^-3 + sum_k d_k z^(6k+3), composed from the Laurent
+    coefficients G_k of wp (g2 = 0, g3 = -D), with the checks of y_series."""
+    split = split_prime(p)
+    base = split.pi if conjugate else split.pibar
+    D = (base ** (2 * i)).to_q()
+    shift = base.to_q() ** i / 2
+
+    z = z_series(p, i, M + 6, conjugate=conjugate)
+    trunc = M + 1
+    z3 = z**3
+    kmax = max(0, (trunc + 2) // 6 + 1)
+    G = wp_laurent_coefficients(-D, kmax)
+    y = -z3.invert()
+    z6 = z3 * z3
+    zp = z3  # z^(6k+3)
+    for k in range(kmax):
+        y = y + zp * (G[k] * Fraction((6 * k + 4) * (6 * k + 5), 2))
+        zp = zp * z6
+
+    out = LaurentSeries(y.lead, y.coefficients(y.lead, trunc))
+    if out.coefficient(-3) != q(-1):
+        raise RecognitionFailed(-3, out.coefficient(-3))
+    for n in range(out.lead, out.trunc):
+        c = out.coefficient(n) - (shift if n == 0 else q(0))
+        if not c.is_integral():
+            raise RecognitionFailed(n, out.coefficient(n))
+    return out
+
+
+def _ratio_oracle(p, i, sign, M, y=None, yc=None):
+    """(y + s pibar^i/2) / (y^c + s pi^i/2) by series inversion, after the
+    congruence check of f_plus_minus_series."""
+    split = split_prime(p)
+    s = 1 if sign == "+" else -1
+    y = _y_series_oracle(p, i, M) if y is None else y
+    yc = _y_series_oracle(p, i, M, conjugate=True) if yc is None else yc
+    num = y + split.pibar.to_q() ** i * Fraction(s, 2)
+    den = yc + split.pi.to_q() ** i * Fraction(s, 2)
+    for n in range(num.lead, min(num.trunc, den.trunc)):
+        d = num.coefficient(n) - den.coefficient(n)
+        if not (d / sqrt_m3_q()).is_integral():
+            raise RecognitionFailed(n, d)
+    return num * den.invert()
+
+
+def _same(s, t):
+    return (s.lead, s.trunc, s.coeffs) == (t.lead, t.trunc, t.coeffs)
+
+
+@pytest.mark.parametrize(
+    "p,i", [(7, 1), (7, 2), (13, 1), (13, 2), (31, 1), (31, 2), (43, 1), (61, 2), (97, 2)]
+)
+def test_ode_route_matches_the_composition_oracle(p, i):
+    # M = 1..12 crosses the resonance at k = M + 3 = 6
+    for M in list(range(1, 13)) + [25, 100]:
+        y = y_series(p, i, M)
+        yc = y_series(p, i, M, conjugate=True)
+        want_y = _y_series_oracle(p, i, M)
+        want_yc = _y_series_oracle(p, i, M, conjugate=True)
+        assert _same(y, want_y), (p, i, M)
+        assert _same(yc, want_yc), (p, i, M)
+        for sign in "+-":
+            F = f_plus_minus_series(p, i, sign, M)
+            ratio = _ratio_oracle(p, i, sign, M, want_y, want_yc)
+            # F_0 = 1 and F^3 = ratio determine F
+            assert F.coefficient(0) == q(1) and (F.lead, F.trunc) == (ratio.lead, ratio.trunc)
+            assert F**3 == ratio, (p, i, M, sign)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except (RecognitionFailed, CubeRootNotInField) as e:
+        return type(e), e.args, getattr(e, "n", None), getattr(e, "value", None)
+    return None
+
+
+@pytest.mark.parametrize(
+    "n,delta", [(4, None), (7, (1, 0)), (10, (0, 1)), (13, (2, -2)), (19, (3, 3))]
+)
+def test_tampered_coefficient_fails_like_the_oracle(monkeypatch, n, delta):
+    # a_n changed (negated when delta is None) before either route sees it
+    real = qs.qexp_coefficients
+
+    def tampered(p, i, M, conjugate=False):
+        alpha, beta = (list(c) for c in real(p, i, M, conjugate=conjugate))
+        if len(alpha) > n:
+            if delta is None:
+                alpha[n], beta[n] = -alpha[n], -beta[n]
+            else:
+                alpha[n] += delta[0]
+                beta[n] += delta[1]
+        return alpha, beta
+
+    monkeypatch.setattr(qs, "qexp_coefficients", tampered)
+    seen = set()
+    for p, i in ((7, 1), (31, 2)):
+        for M in (4, 12, 25):
+            for conj in (False, True):
+                got = _raised(lambda: y_series(p, i, M, conjugate=conj))
+                assert got == _raised(lambda: _y_series_oracle(p, i, M, conjugate=conj))
+                seen.add(got and got[0])
+            for sign in "+-":
+                got = _raised(lambda: f_plus_minus_series(p, i, sign, M))
+                assert got == _raised(lambda: _ratio_oracle(p, i, sign, M))
+    assert RecognitionFailed in seen
+
+
+def test_cube_root_is_cubed_back(monkeypatch):
+    # a root that is off in its last coefficient never leaves cube_root_series
+    real = qs._power
+
+    def off(ra, rb, num, den):
+        ta, tb = real(ra, rb, num, den)
+        ta[-1] += 1
+        return ta, tb
+
+    monkeypatch.setattr(qs, "_power", off)
+    with pytest.raises(AssertionError, match="cube back"):
+        cube_root_series(LaurentSeries(0, [q(1), q(3)] + [q(0)] * 5))
