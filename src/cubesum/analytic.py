@@ -1,11 +1,12 @@
 """Arbitrary-precision analytics for the parametrization.
 
-All lattices here are hexagonal: L = Omega * Z[w], so g2 = 0 and the whole
-Laurent expansion of wp is driven by g3 alone.  The lattice of y^2 = x^3 +
-D/4 (model y = wp'/2, x = wp) has g3 = -D; it is computed by scaling the
-reference lattice Z[w], whose g3 is evaluated once from the weight-6
-Eisenstein q-series at the hexagonal point.  Any sixth root can be taken for
-Omega because the units of Z[w] are exactly the sixth roots of unity.
+All lattices here are hexagonal: L = Omega * Z[w], so g2 = 0 and wp_L(z) =
+Omega^-2 wp_0(z/Omega), where wp_0 belongs to the base lattice Z[w].  The
+base lattice is computed once per precision: its g3, from the weight-6
+Eisenstein q-series at the hexagonal point, and its Laurent coefficients.
+The lattice of y^2 = x^3 + D/4 (model y = wp'/2, x = wp) has g3 = -D, so
+Omega^6 = g3(Z[w]) / (-D); any sixth root can be taken because the units of
+Z[w] are exactly the sixth roots of unity.
 
 Numerical conventions: every public function takes a target precision in
 bits and works internally with 32 guard bits; "lies in L" always means the
@@ -17,7 +18,7 @@ f and its conjugate f^c (_q_sums).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
@@ -110,17 +111,22 @@ def wp_laurent_coefficients(g3, count):
 # ----------------------------------------------------------- base lattice
 
 
-_g3_cache = {}
+SERIES_RADIUS = 0.35  # |z/Omega| up to which wp is summed; else halve first
+
+_base_cache = {}
 
 
-def eisenstein_g3_base(prec):
-    """g3 of the reference lattice Z[w], via E6 at the hexagonal point.
+def _base_lattice(prec):
+    """(g3, G) of the reference lattice Z[w], computed once per precision.
 
     g3 = 140 G_6 and G_6 = 2 zeta(6) E_6, with q = -e^(-pi sqrt(3)).  E_4
-    vanishes at this point, which is asserted as a self-check of the series.
+    vanishes at this point, which is checked as a self-test of the series.
+    G = [G_6, G_12, ...] has enough terms for the Laurent series of wp_0 to
+    reach 2^-(prec + 48) inside SERIES_RADIUS: G_6k tends to 6 (the six
+    units), so each term gains -6 log2(SERIES_RADIUS) bits.
     """
-    if prec in _g3_cache:
-        return _g3_cache[prec]
+    if prec in _base_cache:
+        return _base_cache[prec]
     with mp.workprec(prec + GUARD_BITS):
         qabs = mp.e ** (-mp.pi * mp.sqrt(3))
         nmax = int((prec + 48) * math.log(2) / (mp.pi * math.sqrt(3))) + 8
@@ -142,26 +148,17 @@ def eisenstein_g3_base(prec):
             raise AssertionError("E4 must vanish on Z[w]")
         zeta6 = mp.pi**6 / 945
         g3 = 140 * 2 * zeta6 * e6
-    _g3_cache[prec] = g3
-    return g3
+        kmax = int((prec + 48) / (-6 * math.log2(SERIES_RADIUS))) + 6
+        _base_cache[prec] = g3, wp_laurent_coefficients(g3, kmax)
+    return _base_cache[prec]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodLattice:
-    """L = Omega * Z[w] with g3 = -D for the curve y^2 = x^3 + D/4."""
+    """L = Omega * Z[w], the period lattice of y^2 = x^3 + D/4."""
 
     Omega: object
-    g3: object
-    D: object
     prec: int
-    _G: list = field(default_factory=list, repr=False)
-
-    def basis(self):
-        with mp.workprec(self.prec + GUARD_BITS):
-            return (self.Omega, self.Omega * omega_mpc())
-
-    def min_vector(self):
-        return abs(self.Omega)
 
     def coords(self, z):
         """Real (x, y) with z = (x + y*w) * Omega."""
@@ -200,74 +197,54 @@ class PeriodLattice:
         tol = mp.mpf(2) ** (-(tol_bits if tol_bits is not None else self.prec // 2))
         return self.residual(z) < tol
 
-    def laurent_G(self, count):
-        if count > len(self._G):
-            with mp.workprec(self.prec + GUARD_BITS):
-                self._G = wp_laurent_coefficients(mp.mpc(self.g3), count)
-        return self._G[:count]
-
 
 def lattice_of_curve(D, prec=192):
     """Period lattice of y^2 = x^3 + D/4, i.e. the hexagonal lattice with
     g3 = -D; Omega is any sixth root of g3(Z[w]) / (-D)."""
+    g3_base, _ = _base_lattice(prec)
     with mp.workprec(prec + GUARD_BITS):
         Dc = _to_mpc(D)
         if Dc == 0:
             raise ValueError("D must be nonzero")
-        g3_base = eisenstein_g3_base(prec)
         Omega = (g3_base / (-Dc)) ** (mp.mpf(1) / 6)
-        return PeriodLattice(Omega=Omega, g3=-Dc, D=D, prec=prec)
+        return PeriodLattice(Omega=Omega, prec=prec)
 
 
 # -------------------------------------------------------------- wp values
 
 
-SERIES_RADIUS = 0.35  # of the shortest lattice vector; else halve first
-
-
-def _wp_series(L, z, prec):
-    """(wp, wp') by the Laurent series; caller guarantees |z| is small."""
-    with mp.workprec(prec + GUARD_BITS):
-        ratio = abs(z) / L.min_vector()
-        bits_per_k = -6 * math.log2(max(float(ratio), 1e-12))
-        kmax = int((prec + 48) / max(bits_per_k, 1.0)) + 6
-        G = L.laurent_G(kmax)
-        z2 = z * z
-        z3 = z2 * z
-        z6 = z3 * z3
-        wp = 1 / z2
-        wpd = -2 / z3
-        zp4 = z2 * z2
-        zp3 = z3
-        for k in range(kmax):
-            wp += (6 * k + 5) * G[k] * zp4
-            wpd += (6 * k + 4) * (6 * k + 5) * G[k] * zp3
-            zp4 *= z6
-            zp3 *= z6
-        return wp, wpd
-
-
 def wp_eval(L, z, prec=None):
     """(wp(z), wp'(z)) for the lattice L, reducing z mod L first.
 
-    Uses the Laurent series inside SERIES_RADIUS of the shortest vector and
-    one duplication step otherwise (a reduced point is within 0.578 of the
-    shortest vector, so a single halving always reaches the series region).
+    With xi = z/Omega for the reduced z, wp_L(z) = Omega^-2 wp_0(xi) and
+    wp_L'(z) = Omega^-3 wp_0'(xi).  wp_0 is the Laurent series of Z[w] for
+    |xi| <= SERIES_RADIUS; otherwise xi is halved and the duplication formula
+    undoes it (a reduced xi has |xi| <= 1/sqrt(3), so once is enough).
     """
     prec = prec if prec is not None else L.prec
+    _, G = _base_lattice(prec)
     with mp.workprec(prec + GUARD_BITS):
         zr, _ = L.reduce(z)
-        scale = L.min_vector()
-        if abs(zr) < scale * mp.mpf(2) ** (-(prec // 2)):
+        xi = zr / L.Omega
+        if abs(xi) < mp.mpf(2) ** (-(prec // 2)):
             raise PoleAtLatticePoint(f"z = {z} lies on the lattice")
         halvings = 0
-        w = zr
-        while abs(w) > SERIES_RADIUS * scale:
-            w = w / 2
+        while abs(xi) > SERIES_RADIUS:
+            xi = xi / 2
             halvings += 1
             if halvings > 2:  # cannot happen for a reduced point
                 raise ArithmeticError("duplication descent failed to converge")
-        wp, wpd = _wp_series(L, w, prec)
+        # wp_0 = xi^-2 + sum (6k+5) G_k xi^(6k+4), by Horner in xi^6
+        xi2 = xi * xi
+        xi3 = xi2 * xi
+        t = xi3 * xi3
+        s = sd = 0
+        for k in reversed(range(len(G))):
+            c = (6 * k + 5) * G[k]
+            s = s * t + c
+            sd = sd * t + (6 * k + 4) * c
+        wp = 1 / xi2 + s * xi2 * xi2
+        wpd = -2 / xi3 + sd * xi3
         for _ in range(halvings):
             if wpd == 0:
                 raise PoleAtLatticePoint("duplication hit a 2-torsion point")
@@ -275,7 +252,8 @@ def wp_eval(L, z, prec=None):
             wp2 = lam * lam - 2 * wp
             wpd2 = 2 * lam * (wp - wp2) - wpd
             wp, wpd = wp2, wpd2
-        return wp, wpd
+        O2 = L.Omega * L.Omega
+        return wp / O2, wpd / (O2 * L.Omega)
 
 
 # --------------------------------------------------------- form evaluation

@@ -647,18 +647,10 @@ def count_points_formula(D, piq):
 
 def _count_prime_field(d, q):
     # affine solutions of (2y)^2 = 4x^3 + d over F_q plus infinity
-    if q == 2:
-        # char 2: (2y)^2 = 4x^3 + d degenerates to 0 = d
-        return 1 + (q * q if d % q == 0 else 0)
-    import numpy as np
-
-    # 4*q^3 < 2^63 for every q under the field cap
-    x = np.arange(q, dtype=np.int64)
-    vals = (4 * (x * x % q) * x + d) % q
-    sq = np.zeros(q, dtype=np.int64)
-    y = np.arange(q, dtype=np.int64)
-    np.add.at(sq, (4 * y * y) % q, 1)
-    return 1 + int(sq[vals].sum())
+    squares = [0] * q
+    for y in range(q):
+        squares[4 * y * y % q] += 1
+    return 1 + sum(squares[(4 * x * x * x + d) % q] for x in range(q))
 
 
 def count_points_bruteforce(D, field_size, omega_residue=None):

@@ -25,6 +25,7 @@ from .eisenstein import (
     EisensteinInt,
     NotPrime,
     ZERO,
+    cubic_char_table,
     cubic_residue_symbol,
     is_prime_element,
     is_prime_int,
@@ -78,12 +79,6 @@ def hecke_psi(gen, p, i):
 # ------------------------------------------------------------- lattice walk
 
 
-def _cubic_symbol_split(value_mod_l, ell, w):
-    """Exponent k with (value/g)_3 = w^k, computed in F_ell (w = omega mod g);
-    ValueError when g divides value."""
-    return (1, w, w * w % ell).index(pow(value_mod_l, (ell - 1) // 3, ell))
-
-
 @functools.lru_cache(maxsize=64)
 def _psi_exponents(p, e, conj):
     """(w, t) for g = pi, or pibar when conj, of split_prime(p): w is the image
@@ -91,10 +86,9 @@ def _psi_exponents(p, e, conj):
     t[0] = None (g divides the point).  Memoized, as every walk over p needs
     the same p-entry table; callers pass e mod 3."""
     split = split_prime(p)
-    w = residue_map_omega(split.pibar if conj else split.pi)
-    if not e:
-        return w, (None,) + (0,) * (p - 1)
-    return w, (None,) + tuple(e * _cubic_symbol_split(x, p, w) % 3 for x in range(1, p))
+    g = split.pibar if conj else split.pi
+    t = tuple(None if k is None else e * k % 3 for k in cubic_char_table(p, g))
+    return residue_map_omega(g), t
 
 
 # w^t * (a + b w) = (r0 a + r1 b) + (r2 a + r3 b) w for (r0, r1, r2, r3) = _ROTATE[t]

@@ -307,63 +307,26 @@ def y_series(p, i, M, conjugate=False):
     return LaurentSeries(-3, [QOmega(Fraction(a, 2), Fraction(b, 2)) for a, b in zip(wa, wb)])
 
 
-def cube_root_in_qomega(c):
-    """An exact cube root of c in Q(w), or CubeRootNotInField."""
-    if not c:
-        return _Q0
-    if c == _Q1:
-        return _Q1
-    if c == QOmega(-1):
-        return QOmega(-1)
-    # numeric candidate + exact verification
-    from mpmath import mp
-
-    from .analytic import recognize_qomega
-
-    with mp.workprec(256):
-        v = c.to_mpc(mp)
-        r = v ** (mp.mpf(1) / 3)
-        w = mp.mpc(mp.mpf(-1) / 2, mp.sqrt(3) / 2)
-        den = c.a.denominator * c.b.denominator
-        bound = max(10**9, den**2)
-        roots = []
-        for k in range(3):
-            guess = recognize_qomega(r * w**k, bound, 100)
-            if guess is not None and guess**3 == c:
-                roots.append(guess)
-    for guess in roots:  # prefer the rational root when there is one
-        if guess.is_rational():
-            return guess
-    if roots:
-        return roots[0]
-    raise CubeRootNotInField(f"{c} has no cube root in Q(w)")
-
-
 def cube_root_series(S):
-    """T with T^3 = S to the truncation order: T = r0 (S/S_0)^(1/3) by
-    Miller's recurrence, where r0^3 = S_0 must hold exactly in Q(w) and the
-    leading exponent must be divisible by 3.  T is cubed back and compared
-    with S exactly."""
+    """T with T^3 = S to the truncation order, for S = q^(3m) (1 + O(q)):
+    T = q^m (1 + O(q)) by Miller's recurrence, cubed back and compared with
+    S exactly.  Any other S raises CubeRootNotInField."""
     if S.lead % 3:
         raise CubeRootNotInField(f"leading exponent {S.lead} is not divisible by 3")
-    s0 = S.coeffs[0]
-    r0 = cube_root_in_qomega(s0)
-    if not r0:
-        raise CubeRootNotInField("zero leading coefficient")
-    body = S.coeffs if s0 == _Q1 else [c / s0 for c in S.coeffs]
-    ra, rb = [_narrow(c.a) for c in body], [_narrow(c.b) for c in body]
+    if S.coeffs[0] != _Q1:
+        raise CubeRootNotInField(f"leading coefficient {S.coeffs[0]} is not 1")
+    ra, rb = [_narrow(c.a) for c in S.coeffs], [_narrow(c.b) for c in S.coeffs]
     ta, tb = _power(ra, rb, 1, 3)
     if _mul(*_mul(ta, tb, ta, tb), ta, tb) != (ra, rb):
         raise AssertionError("cube root does not cube back to the series")
-    T = [QOmega(a, b) for a, b in zip(ta, tb)]
-    return LaurentSeries(S.lead // 3, T if r0 == _Q1 else [r0 * t for t in T])
+    return LaurentSeries(S.lead // 3, [QOmega(a, b) for a, b in zip(ta, tb)])
 
 
 def f_plus_minus_series(p, i, sign, M):
     """F(q) with F^3 = (y + s*pibar^i/2) / (y^c + s*pi^i/2), s = +-1.
 
-    Also checks the congruence (numerator = denominator mod sqrt(-3))
-    that makes the cube root integral."""
+    The denominator is the conjugate of the numerator, so their difference
+    b (1 + 2w) = b sqrt(-3) is divisible by sqrt(-3) with no check."""
     if sign not in (1, -1, "+", "-"):
         raise ValueError("sign must be +1 or -1")
     s = 1 if sign in (1, "+") else -1
@@ -375,12 +338,8 @@ def f_plus_minus_series(p, i, sign, M):
     na, nb = [a // 2 for a in wa], [b // 2 for b in wb]
     del wa, wb
     da, db = [a - b for a, b in zip(na, nb)], [-b for b in nb]
-    # sqrt(-3) = w (1 - w) and a + b w = a + b mod (1 - w)
-    for k in range(len(na)):
-        ea, eb = na[k] - da[k], nb[k] - db[k]
-        if (ea + eb) % 3:
-            raise RecognitionFailed(k - 3, QOmega(ea, eb))
     # ratio = num/den: den_0 = -1, so r_k = sum_{j>=1} den_j r_(k-j) - num_k
+    # and r_0 = -num_0 = 1, as cube_root_series requires
     ra, rb = [], []
     for k in range(len(na)):
         sa, sb = _conv(da, db, ra, rb, k)

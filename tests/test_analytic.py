@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+import cubesum.analytic as analytic
 from cubesum.analytic import (
     GUARD_BITS,
     PoleAtLatticePoint,
@@ -40,23 +41,27 @@ def wp_lattice_sum(L, z, prec):
     wp(z; Z+tau Z)/(2 pi i)^2 = 1/12 + u/(1-u)^2
         + sum_n q^n [ u/(1-q^n u)^2 + u^-1/(1-q^n u^-1)^2 - 2/(1-q^n)^2 ]
     with u = e^(2 pi i z), q = e^(2 pi i tau); here tau = w and the result is
-    scaled back by homogeneity wp_{cL}(cz) = c^-2 wp_L(z).
+    scaled back by homogeneity wp_{cL}(cz) = c^-2 wp_L(z).  Powers are
+    written as products: mpmath raises an mpc to an integer power through
+    log and exp, which dominates the time at thousands of bits.
     """
     with mp.workprec(prec + 64):
         zz = mp.mpc(z) / L.Omega
         tau = omega_mpc()
         q = mp.e ** (2j * mp.pi * tau)
         u = mp.e ** (2j * mp.pi * zz)
-        s = mp.mpf(1) / 12 + u / (1 - u) ** 2
-        sd = u * (1 + u) / (1 - u) ** 3
+        r = 1 / (1 - u)
+        s = mp.mpf(1) / 12 + u * r * r
+        sd = u * (1 + u) * r * r * r
         qn = mp.mpc(1)
         nmax = int((prec + 80) / (-mp.log(abs(q), 2))) + 4
         for n in range(1, nmax + 1):
             qn *= q
             a = qn * u
             b = qn / u
-            s += a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * qn / (1 - qn) ** 2
-            sd += a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3
+            ra, rb, rq = 1 / (1 - a), 1 / (1 - b), 1 / (1 - qn)
+            s += a * ra * ra + b * rb * rb - 2 * qn * rq * rq
+            sd += a * (1 + a) * ra * ra * ra - b * (1 + b) * rb * rb * rb
         twopii = 2j * mp.pi
         wp = twopii**2 * s / L.Omega**2
         wpd = twopii**3 * sd / L.Omega**3
@@ -136,16 +141,37 @@ def test_wp_satisfies_curve_equation():
             assert res < mp.mpf(2) ** (-(prec - 32)) * max(1, abs(wp) ** 3)
 
 
-def test_wp_matches_lattice_sum_oracle():
-    prec = 160
+@pytest.mark.parametrize("prec", [160, 768, 3072])
+def test_wp_matches_lattice_sum_oracle(prec):
+    # the series length is fixed per precision, so each rung is checked
     L = lattice_of_curve(EisensteinInt(5, 1), prec)
     with mp.workprec(prec + 64):
-        for frac in (0.1, 0.22, 0.4, 0.55):  # exercises series and halving
+        tol = mp.mpf(2) ** -(prec - 64)
+        for frac in (0.1, 0.22, 0.34, 0.4, 0.55):  # series to its radius, halving
             z = L.Omega * frac * mp.e ** (1j * mp.mpf(0.77))
             wp, wpd = wp_eval(L, z, prec)
             owp, owpd = wp_lattice_sum(L, z, prec)
-            assert abs(wp - owp) < mp.mpf(2) ** -96 * max(1, abs(owp))
-            assert abs(wpd - owpd) < mp.mpf(2) ** -96 * max(1, abs(owpd))
+            assert abs(wp - owp) < tol * max(1, abs(owp))
+            assert abs(wpd - owpd) < tol * max(1, abs(owpd))
+
+
+def test_laurent_coefficients_once_per_precision(monkeypatch):
+    # every lattice rescales the one base lattice Z[w]: its coefficients are
+    # computed once per precision, whatever the curve
+    calls = []
+
+    def counting(g3, count):
+        calls.append(count)
+        return wp_laurent_coefficients(g3, count)
+
+    monkeypatch.setattr(analytic, "_base_cache", {})
+    monkeypatch.setattr(analytic, "wp_laurent_coefficients", counting)
+    for prec, total in ((192, 1), (256, 2)):
+        for D in (EisensteinInt(5, 1), split_prime(7).pibar ** 2):
+            L = lattice_of_curve(D, prec)
+            with mp.workprec(prec + GUARD_BITS):
+                wp_eval(L, L.Omega * mp.mpc(0.3, 0.2), prec)
+        assert len(calls) == total
 
 
 def test_wp_parity_and_cm_rotation():
