@@ -9,10 +9,18 @@ Omega^6 = g3(Z[w]) / (-D); any sixth root can be taken because the units of
 Z[w] are exactly the sixth roots of unity.
 
 Numerical conventions: every public function takes a target precision in
-bits and works internally with 32 guard bits; "lies in L" always means the
-lattice coordinates round to integers with residual below 2^(-prec/2).
-The q-sums of the newform run in fixed-point Python integers, one pass for
-f and its conjugate f^c (_q_sums).
+bits and works internally with 32 guard bits; "lies in L" always means a
+residual below 2^(-prec/2): of the lattice coordinates from the nearest
+integers (PeriodLattice.contains), or of z/Omega reduced to the Voronoi cell
+of 0 (wp_eval, which raises PoleAtLatticePoint there).
+
+Both series are summed by one fixed-point idiom: Python integers scaled by
+2^W, products shifted back by W, so every operation truncates by less than
+one unit of 2^-W and the error bounds are counts of units.  The q-sums of
+the newform (_q_sums) give f and its conjugate f^c from one pass, by
+rectangular splitting in q^3 (Paterson-Stockmeyer); wp_0 is a Horner sum
+in xi^6 over the base lattice's coefficients, stored as integers.  mpmath
+is left with the set-up (q, xi^6), the duplication step and the rescaling.
 """
 
 from __future__ import annotations
@@ -93,7 +101,8 @@ def wp_laurent_coefficients(g3, count):
     sum c_m z^(2m-2), differentiating wp'^2 = 4 wp^3 - g3 gives the classical
     recurrence c_m = 3 sum_{h=2}^{m-2} c_h c_{m-h} / ((m-3)(2m+1)) with
     c_2 = 0, c_3 = g3/28; then G_{2m} = c_m / (2m-1).  With g2 = 0 only
-    m = 0 mod 3 survives, i.e. the weights 6, 12, 18, ...
+    m = 0 mod 3 survives, i.e. the weights 6, 12, 18, ...  The sum is
+    symmetric in h <-> m - h, so each product is formed once.
     """
     zero = g3 - g3
     mmax = 3 * count
@@ -102,8 +111,11 @@ def wp_laurent_coefficients(g3, count):
         c[3] = g3 / 28
     for m in range(6, mmax + 1, 3):
         s = zero
-        for h in range(3, m - 2, 3):
+        for h in range(3, (m + 1) // 2, 3):  # h < m - h
             s = s + c[h] * c[m - h]
+        s = s * 2
+        if m % 6 == 0:
+            s = s + c[m // 2] * c[m // 2]
         c[m] = (s * 3) / ((m - 3) * (2 * m + 1))
     return [c[3 * k + 3] / (6 * k + 5) for k in range(count)]
 
@@ -117,13 +129,15 @@ _base_cache = {}
 
 
 def _base_lattice(prec):
-    """(g3, G) of the reference lattice Z[w], computed once per precision.
+    """(g3, C) of the reference lattice Z[w], computed once per precision.
 
     g3 = 140 G_6 and G_6 = 2 zeta(6) E_6, with q = -e^(-pi sqrt(3)).  E_4
     vanishes at this point, which is checked as a self-test of the series.
-    G = [G_6, G_12, ...] has enough terms for the Laurent series of wp_0 to
-    reach 2^-(prec + 48) inside SERIES_RADIUS: G_6k tends to 6 (the six
-    units), so each term gains -6 log2(SERIES_RADIUS) bits.
+    C[k] = (6k+5) G_{6k+6} * 2^(prec + GUARD_BITS), rounded to an integer:
+    the coefficients of wp_0 - xi^-2 in xi^(6k+4), which are real because
+    Z[w] is closed under conjugation.  There are enough of them for the
+    series to reach 2^-(prec + 48) inside SERIES_RADIUS: G_6k tends to 6
+    (the six units), so each term gains -6 log2(SERIES_RADIUS) bits.
     """
     if prec in _base_cache:
         return _base_cache[prec]
@@ -149,7 +163,10 @@ def _base_lattice(prec):
         zeta6 = mp.pi**6 / 945
         g3 = 140 * 2 * zeta6 * e6
         kmax = int((prec + 48) / (-6 * math.log2(SERIES_RADIUS))) + 6
-        _base_cache[prec] = g3, wp_laurent_coefficients(g3, kmax)
+        G = wp_laurent_coefficients(g3, kmax)
+        W = prec + GUARD_BITS
+        C = [int(mp.nint(mp.ldexp((6 * k + 5) * g, W))) for k, g in enumerate(G)]
+        _base_cache[prec] = g3, C
     return _base_cache[prec]
 
 
@@ -172,21 +189,6 @@ class PeriodLattice:
         with mp.workprec(self.prec + GUARD_BITS):
             return self.Omega * (m + n * omega_mpc())
 
-    def reduce(self, z):
-        """Minimal-norm representative of z mod L (and the coords removed)."""
-        with mp.workprec(self.prec + GUARD_BITS):
-            x, y = self.coords(z)
-            m, n = int(mp.nint(x)), int(mp.nint(y))
-            r = mp.mpc(z) - self.from_coords(m, n)
-            # the rounding box is a parallelogram; fix up to the true Voronoi
-            # cell by checking the six unit directions
-            best, bm, bn = r, m, n
-            for dm, dn in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
-                cand = mp.mpc(z) - self.from_coords(m + dm, n + dn)
-                if abs(cand) < abs(best):
-                    best, bm, bn = cand, m + dm, n + dn
-            return best, (bm, bn)
-
     def residual(self, z):
         """Distance of the lattice coordinates of z from the nearest integers."""
         x, y = self.coords(z)
@@ -196,6 +198,32 @@ class PeriodLattice:
     def contains(self, z, tol_bits=None):
         tol = mp.mpf(2) ** (-(tol_bits if tol_bits is not None else self.prec // 2))
         return self.residual(z) < tol
+
+
+# the six units of Z[w] as (m, n) with unit = m + n w, and 0 itself
+_VORONOI_STEPS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+
+
+def reduce_xi(xi):
+    """(r, (m, n)) with xi = r + m + n w and r in the Voronoi cell of 0 in
+    Z[w], so |r| <= 1/sqrt(3).
+
+    The coordinates of xi are rounded once; the residual of that rounding
+    box (a parallelogram) is O(1), so the nearest of it and its six unit
+    translates is picked from floats, by the norm N(a + b w) = a^2 - ab + b^2.
+    A float tie sits on a cell edge, where either side is a representative.
+    """
+    s3 = mp.sqrt(3)
+    y = 2 * xi.imag / s3
+    x = xi.real + y / 2
+    m, n = int(mp.nint(x)), int(mp.nint(y))
+    fx, fy = float(x - m), float(y - n)
+    dm, dn = min(
+        _VORONOI_STEPS,
+        key=lambda d: (fx - d[0]) ** 2 - (fx - d[0]) * (fy - d[1]) + (fy - d[1]) ** 2,
+    )
+    m, n = m + dm, n + dn
+    return mp.mpc(xi.real - m + mp.mpf(n) / 2, xi.imag - n * s3 / 2), (m, n)
 
 
 def lattice_of_curve(D, prec=192):
@@ -214,44 +242,52 @@ def lattice_of_curve(D, prec=192):
 
 
 def wp_eval(L, z, prec=None):
-    """(wp(z), wp'(z)) for the lattice L, reducing z mod L first.
+    """(wp(z), wp'(z)) for the lattice L.
 
-    With xi = z/Omega for the reduced z, wp_L(z) = Omega^-2 wp_0(xi) and
-    wp_L'(z) = Omega^-3 wp_0'(xi).  wp_0 is the Laurent series of Z[w] for
-    |xi| <= SERIES_RADIUS; otherwise xi is halved and the duplication formula
-    undoes it (a reduced xi has |xi| <= 1/sqrt(3), so once is enough).
+    With xi = z/Omega, wp_L(z) = Omega^-2 wp_0(xi) and wp_L'(z) = Omega^-3
+    wp_0'(xi).  xi is reduced mod Z[w] (reduce_xi); a reduced xi below
+    2^-(prec/2) lies on the lattice and raises PoleAtLatticePoint.  A reduced
+    xi has |xi| <= 1/sqrt(3) < 2 SERIES_RADIUS, so it is halved at most once,
+    and the duplication formula undoes that.
+
+    wp_0 = xi^-2 + sum_k C_k xi^(6k+4) and wp_0' = -2 xi^-3 + sum_k (6k+4)
+    C_k xi^(6k+3), with C = _base_lattice's integers at W = prec + GUARD_BITS.
+    Both sums run by Horner in t = xi^6, held as an integer pair.  Each step
+    truncates by under 2 units of 2^-W, and |t| <= SERIES_RADIUS^6 < 2^-9
+    damps what came before, so the error is about 2 units plus t's own
+    rounding (under 2 units) weighted by the slopes of the sums in t, under
+    70 and 700: under 2^10 units, against sums of size 30 and 120.  The
+    duplication and the rescaling run in mpmath at prec + GUARD_BITS.
     """
     prec = prec if prec is not None else L.prec
-    _, G = _base_lattice(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        zr, _ = L.reduce(z)
-        xi = zr / L.Omega
+    _, C = _base_lattice(prec)
+    W = prec + GUARD_BITS
+    with mp.workprec(W):
+        xi, _ = reduce_xi(mp.mpc(z) / L.Omega)
         if abs(xi) < mp.mpf(2) ** (-(prec // 2)):
             raise PoleAtLatticePoint(f"z = {z} lies on the lattice")
-        halvings = 0
-        while abs(xi) > SERIES_RADIUS:
+        halve = abs(xi) > SERIES_RADIUS
+        if halve:
             xi = xi / 2
-            halvings += 1
-            if halvings > 2:  # cannot happen for a reduced point
-                raise ArithmeticError("duplication descent failed to converge")
-        # wp_0 = xi^-2 + sum (6k+5) G_k xi^(6k+4), by Horner in xi^6
         xi2 = xi * xi
         xi3 = xi2 * xi
         t = xi3 * xi3
-        s = sd = 0
-        for k in reversed(range(len(G))):
-            c = (6 * k + 5) * G[k]
-            s = s * t + c
-            sd = sd * t + (6 * k + 4) * c
+        tr, ti = to_fixed(t.real._mpf_, W), to_fixed(t.imag._mpf_, W)
+        sr = si = dr = di = 0
+        for k in reversed(range(len(C))):
+            c = C[k]
+            sr, si = ((sr * tr - si * ti) >> W) + c, (sr * ti + si * tr) >> W
+            dr, di = ((dr * tr - di * ti) >> W) + (6 * k + 4) * c, (dr * ti + di * tr) >> W
+        s = mp.mpc(mp.ldexp(sr, -W), mp.ldexp(si, -W))
+        sd = mp.mpc(mp.ldexp(dr, -W), mp.ldexp(di, -W))
         wp = 1 / xi2 + s * xi2 * xi2
         wpd = -2 / xi3 + sd * xi3
-        for _ in range(halvings):
+        if halve:
             if wpd == 0:
                 raise PoleAtLatticePoint("duplication hit a 2-torsion point")
             lam = 3 * wp * wp / wpd
             wp2 = lam * lam - 2 * wp
-            wpd2 = 2 * lam * (wp - wp2) - wpd
-            wp, wpd = wp2, wpd2
+            wp, wpd = wp2, 2 * lam * (wp - wp2) - wpd
         O2 = L.Omega * L.Omega
         return wp / O2, wpd / (O2 * L.Omega)
 
@@ -281,7 +317,7 @@ def _site_to_tau(site):
     return mp.mpc(site)
 
 
-KERNEL_GUARD_BITS = 8
+KERNEL_GUARD_BITS = 2
 
 
 def _q_sums(form, site, prec, max_terms, divide_by_n):
@@ -289,15 +325,36 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
     conjugate, where c_n = a_n/n (divide_by_n) or a_n, and M =
     terms_needed(Im tau, prec).
 
-    One fixed-point pass: q^n (n = 1 mod 3) is stepped as a pair of integers
-    scaled by 2^W, and with a_n = alpha_n + beta_n w it accumulates A = sum
-    alpha_n/n q^n and B = sum beta_n/n q^n, so S = A + B w and S^c = A + B
-    conj(w).  Every product and quotient rounds down by less than one unit
-    of 2^-W.  As |q^3| < 1, the error of the stepped q^n stays within a few
-    units over 1 - |q^3| (about M/prec), and the terms weight it by
-    sum |a_n|/n; the total stays below 2^KERNEL_GUARD_BITS * M units, so
-    W = prec + GUARD_BITS + M.bit_length() + KERNEL_GUARD_BITS keeps it
-    below 2^-(prec + GUARD_BITS), the precision the sums are returned at.
+    a_n vanishes off n = 1 mod 3, so S = q P(x) with x = q^3 and P(x) =
+    sum_k c_(3k+1) x^k over the K = ceil(M/3) steps k < K.  With a_n =
+    alpha_n + beta_n w, P splits as U + V w and the conjugate form's as
+    U + V conj(w), so one pass sums U and V, over alpha and beta.
+
+    Rectangular splitting (Paterson-Stockmeyer): with B = isqrt(K), the baby
+    steps x^j (j < B) are computed once, each block of B consecutive steps is
+    a sum of small-integer multiples of them (a zero a_n costs a truth test),
+    and Horner in the giant step x^B runs over the blocks from the top.  So
+    the W-bit products number about 4B + 8K/B instead of 4K; under
+    divide_by_n each nonzero term divides the baby step by n once per
+    component and multiplies the quotient by alpha_n and beta_n.
+
+    Error, in units of 2^-W (values scaled by 2^W; every product is shifted
+    and every quotient floored, each by under one unit per component):
+    - the baby steps and x^B are off by at most 3j units (|x| < 1, and x
+      itself is off by one unit per component);
+    - a term is off by at most (|alpha_n| + |beta_n|)(1 + 3j/n) <=
+      2 (|alpha_n| + |beta_n|) units under divide_by_n (n > 3j), and by
+      (|alpha_n| + |beta_n|)(1 + 3j) <= (|alpha_n| + |beta_n|) n without it;
+    - |alpha_n| + |beta_n| <= 2 |a_n| <= 2 sigma_0(n) sqrt(n) <= 2 sqrt(3) n
+      (sigma_0(n) <= sqrt(3n)), so over n <= M, n = 1 mod 3, the terms add
+      under 1.2 M^2 units, or 0.4 M^3 without divide_by_n;
+    - each Horner step adds 2 units plus |P| <= sqrt(3) K (sqrt(3) K M
+      without divide_by_n) times the 3B units of x^B; over the K/B steps
+      that is under 0.6 M^2 units (0.6 M^3).
+    So U and V are off by under 2 M^e units, e = 2 under divide_by_n and 3
+    without, and W = prec + GUARD_BITS + KERNEL_GUARD_BITS + e *
+    M.bit_length() keeps S and S^c within 2^-(prec + GUARD_BITS), the
+    precision they are returned at.  The last product by q runs in mpmath.
     """
     with mp.workprec(prec + GUARD_BITS):
         tau = _site_to_tau(site)
@@ -306,28 +363,37 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
             raise TermsCapExceeded(f"site needs {M} terms, cap is {max_terms}")
         if M > form.terms:
             raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
-    W = prec + GUARD_BITS + M.bit_length() + KERNEL_GUARD_BITS
+    W = prec + GUARD_BITS + KERNEL_GUARD_BITS + (2 if divide_by_n else 3) * M.bit_length()
     with mp.workprec(W):
         q = mp.exp(2j * mp.pi * _site_to_tau(site))
-        q3 = q**3
-        qr, qi = to_fixed(q.real._mpf_, W), to_fixed(q.imag._mpf_, W)
-        cr, ci = to_fixed(q3.real._mpf_, W), to_fixed(q3.imag._mpf_, W)
+        x = q**3
+        xr, xi = to_fixed(x.real._mpf_, W), to_fixed(x.imag._mpf_, W)
+    B = math.isqrt(len(range(1, M + 1, 3)))
+    baby = [(1 << W, 0)]
+    for _ in range(B):
+        pr, pi = baby[-1]
+        baby.append(((pr * xr - pi * xi) >> W, (pr * xi + pi * xr) >> W))
+    gr, gi = baby.pop()  # the giant step x^B
     alpha, beta = form.alpha, form.beta
-    ar = ai = br = bi = 0
-    for n in range(1, M + 1, 3):
-        a, b = alpha[n], beta[n]
-        if a or b:
-            d = n if divide_by_n else 1
-            ar += a * qr // d
-            ai += a * qi // d
-            br += b * qr // d
-            bi += b * qi // d
-        qr, qi = (qr * cr - qi * ci) >> W, (qr * ci + qi * cr) >> W
+    ur = ui = vr = vi = 0
+    for n0 in reversed(range(1, M + 1, 3 * B)):
+        n1 = min(n0 + 3 * B, M + 1)
+        sur = sui = svr = svi = 0
+        for n, a, b, (pr, pi) in zip(range(n0, n1, 3), alpha[n0:n1:3], beta[n0:n1:3], baby):
+            if a or b:
+                if divide_by_n:
+                    pr, pi = pr // n, pi // n
+                sur += a * pr
+                sui += a * pi
+                svr += b * pr
+                svi += b * pi
+        ur, ui = ((ur * gr - ui * gi) >> W) + sur, ((ur * gi + ui * gr) >> W) + sui
+        vr, vi = ((vr * gr - vi * gi) >> W) + svr, ((vr * gi + vi * gr) >> W) + svi
     with mp.workprec(prec + GUARD_BITS):
-        A = mp.mpc(mp.ldexp(ar, -W), mp.ldexp(ai, -W))
-        B = mp.mpc(mp.ldexp(br, -W), mp.ldexp(bi, -W))
+        U = mp.mpc(mp.ldexp(ur, -W), mp.ldexp(ui, -W)) * q
+        V = mp.mpc(mp.ldexp(vr, -W), mp.ldexp(vi, -W)) * q
         w = omega_mpc()
-        return A + B * w, A + B * w.conjugate()
+        return U + V * w, U + V * w.conjugate()
 
 
 def eval_z(form, site, prec=192, max_terms=None):

@@ -69,12 +69,11 @@ def evaluate_cm(z, D, prec=192):
 
     z comes from eval_z at a CM site; x = wp(z), y = wp'(z)/2 on the lattice
     of the curve y^2 = x^3 + D/4 that the form belongs to; the curve residual
-    must clear 2^-(prec-40) or the evaluation is rejected.
+    must clear 2^-(prec-40) or the evaluation is rejected.  A z on the
+    lattice (wp_eval's PoleAtLatticePoint) is the point at infinity.
     """
     lattice = lattice_of_curve(D, prec)
     with mp.workprec(prec + GUARD_BITS):
-        if lattice.contains(z):
-            return "infinity", None
         try:
             wp, wpd = wp_eval(lattice, z, prec)
         except PoleAtLatticePoint:
@@ -171,11 +170,14 @@ def twist_and_combine(rp_f, rp_fc, split, i):
 
 
 def descend(PK, p, i):
-    """A nontorsion rational point from an exact K-point of E(p^i).
+    """(point, branch, certificate): a rational point of E(p^i) from an exact
+    K-point, with the two-prime certificate that it is nontorsion.
 
     Branch 1 is the trace P + conj(P); branch 2 is [sqrt(-3)]P when that is
     rational.  Both branches are tried across the six unit twists
-    [w^k](+-P) before giving up.
+    [w^k](+-P) before giving up.  A rational candidate is certified once,
+    here, unless it is the identity or has x = 0 (the known 3-torsion
+    (0, +-p^i/2)).
     """
     variants = []
     for sgn in (1, -1):
@@ -183,13 +185,15 @@ def descend(PK, p, i):
         for k in range(3):
             variants.append((k, sgn, Q))
             Q = endo_omega(Q)
+    branches = (("trace", lambda P: add(P, P.conj())), ("sqrt-3", mul_sqrt_m3))
     for k, sgn, Q in variants:
-        trace = add(Q, Q.conj())
-        if trace.is_rational() and curves.is_nontorsion(trace, p, i):
-            return trace, f"trace(w^{k}{'+' if sgn > 0 else '-'})"
-        R = mul_sqrt_m3(Q)
-        if R.is_rational() and curves.is_nontorsion(R, p, i):
-            return R, f"sqrt-3(w^{k}{'+' if sgn > 0 else '-'})"
+        for name, branch in branches:
+            R = branch(Q)
+            if R.is_infinity or R.x == QOmega(0) or not R.is_rational():
+                continue
+            cert = curves.nontorsion_certificate(R, p, i)
+            if cert.nontorsion:
+                return R, f"{name}(w^{k}{'+' if sgn > 0 else '-'})", cert
     raise DescentFailed(f"no rational nontorsion point from {PK}")
 
 
@@ -252,8 +256,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     PK = twist_and_combine(rec_f, rec_fc, split, i)
     if PK.is_infinity:
         raise DescentFailed("twisted difference is the identity; site unusable")
-    PQ, branch = descend(PK, p, i)
-    cert = curves.nontorsion_certificate(PQ, p, i)
+    PQ, branch, cert = descend(PK, p, i)
     if not cert.nontorsion:
         raise DescentFailed("descended point is torsion")
     X, Y = curves.isogeny_to_432(PQ, p, i)

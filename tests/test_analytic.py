@@ -17,6 +17,7 @@ from cubesum.analytic import (
     lattice_of_curve,
     measure_beta,
     omega_mpc,
+    reduce_xi,
     terms_needed,
     wp_eval,
     wp_laurent_coefficients,
@@ -141,7 +142,7 @@ def test_wp_satisfies_curve_equation():
             assert res < mp.mpf(2) ** (-(prec - 32)) * max(1, abs(wp) ** 3)
 
 
-@pytest.mark.parametrize("prec", [160, 768, 3072])
+@pytest.mark.parametrize("prec", [160, 192, 384, 768, 3072])
 def test_wp_matches_lattice_sum_oracle(prec):
     # the series length is fixed per precision, so each rung is checked
     L = lattice_of_curve(EisensteinInt(5, 1), prec)
@@ -153,6 +154,33 @@ def test_wp_matches_lattice_sum_oracle(prec):
             owp, owpd = wp_lattice_sum(L, z, prec)
             assert abs(wp - owp) < tol * max(1, abs(owp))
             assert abs(wpd - owpd) < tol * max(1, abs(owpd))
+
+
+def test_reduction_near_voronoi_edges():
+    # points within 1e-12 of an edge (and of a vertex) of the Voronoi cell of
+    # 0, on random lattice translates: the representative is short and wp,
+    # evaluated through it, agrees with the lattice sum
+    prec = 192
+    L = lattice_of_curve(EisensteinInt(5, 1), prec)
+    with mp.workprec(prec + GUARD_BITS):
+        w = omega_mpc()
+        bound = 1 / mp.sqrt(3) + mp.mpf(2) ** -40
+        half_edge = 1 / (2 * mp.sqrt(3))
+        tol = mp.mpf(2) ** -(prec - 64)
+        for k in range(6):
+            unit = w ** (k // 2) * (1 if k % 2 == 0 else -1)
+            for along in (-half_edge, rng.uniform(-0.28, 0.28), half_edge):
+                for off in (-1e-12, 1e-12):
+                    edge = unit * (mp.mpf(1) / 2 + off + mp.mpc(0, along))
+                    m, n = rng.randint(-4, 4), rng.randint(-4, 4)
+                    xi = edge + m + n * w
+                    r, _ = reduce_xi(xi)
+                    assert abs(r) <= bound
+                    z = L.Omega * xi
+                    wp, wpd = wp_eval(L, z, prec)
+                    owp, owpd = wp_lattice_sum(L, z, prec)
+                    assert abs(wp - owp) < tol * max(1, abs(owp))
+                    assert abs(wpd - owpd) < tol * max(1, abs(owpd))
 
 
 def test_laurent_coefficients_once_per_precision(monkeypatch):
@@ -208,13 +236,15 @@ def test_reduce_gives_minimal_norm():
     prec = 96
     L = lattice_of_curve(EisensteinInt(2, 0), prec)
     with mp.workprec(prec + GUARD_BITS):
+        w = omega_mpc()
         for _ in range(50):
-            z = random_z(L, 0.0, 3.0)
-            zr, _ = L.reduce(z)
-            # no lattice translate of zr in the immediate neighborhood is shorter
+            xi = random_z(L, 0.0, 3.0) / L.Omega
+            r, (m, n) = reduce_xi(xi)
+            assert abs(xi - (r + m + n * w)) < mp.mpf(2) ** -80
+            # no lattice translate of r in the immediate neighborhood is shorter
             for dm in (-1, 0, 1):
                 for dn in (-1, 0, 1):
-                    assert abs(zr) <= abs(zr - L.from_coords(dm, dn)) + mp.mpf(2) ** -80
+                    assert abs(r) <= abs(r - (dm + dn * w)) + mp.mpf(2) ** -80
 
 
 # ------------------------------------------------------------- eval_z / f
@@ -239,7 +269,7 @@ def _sum_form_oracle(coeffs, q, M, divide_by_n):
     return total
 
 
-@pytest.mark.parametrize("prec", [192, 384, 768])
+@pytest.mark.parametrize("prec", [192, 384, 768, 3072])
 @pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
 def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, evaluate, divide_by_n):
     # the height of 31's wtau sites, with a real part off the axis
@@ -257,6 +287,47 @@ def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, evaluate, divide_by_n):
         assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
         assert abs(got_fc - want_fc) < mp.mpf(2) ** (-prec)
         assert abs(got_f - got_fc) > 1e-3  # f and f^c are distinct sums
+
+
+# M for step counts K = ceil(M/3) of 1, 2, 48 = 7^2 - 1, 49 = 7^2, 50 and
+# the prime 97: one block, a block of one, a short last block, full blocks
+# only, a last block of one term, and no square structure at all
+@pytest.mark.parametrize("M", [1, 6, 142, 147, 148, 289])
+@pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
+def test_kernel_block_edges(monkeypatch, M, evaluate, divide_by_n):
+    prec = 192
+    monkeypatch.setattr(analytic, "terms_needed", lambda im_tau, prec: M)
+    f = build_form(31, 1, M)
+    with mp.workprec(prec + GUARD_BITS):
+        tau = mp.mpc(mp.mpf(2) / 9, mp.mpf(1) / 40)
+        got_f, got_fc = evaluate(f, tau, prec)
+        q = mp.e ** (2j * mp.pi * tau)
+        a = as_eisenstein((f.alpha, f.beta))
+        want_f = _sum_form_oracle(a, q, M, divide_by_n)
+        want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
+        assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
+        assert abs(got_fc - want_fc) < mp.mpf(2) ** (-prec)
+
+
+@pytest.mark.parametrize("prec, im_tau", [(192, 0.0004), (768, 0.0016)])
+@pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
+def test_kernel_keeps_its_guard_bits(prec, im_tau, evaluate, divide_by_n):
+    # the sums come back at prec + GUARD_BITS: over about 55000 terms, and
+    # against an oracle 64 bits finer, they hold to that up to a few
+    # roundings of the final mpc sums
+    with mp.workprec(prec + GUARD_BITS):
+        tau = mp.mpc(mp.mpf(3) / 7, im_tau)
+        M = terms_needed(tau.imag, prec)
+        f = build_form(31, 1, M)
+        got_f, got_fc = evaluate(f, tau, prec)
+    with mp.workprec(prec + 64):
+        q = mp.e ** (2j * mp.pi * tau)
+        a = as_eisenstein((f.alpha, f.beta))
+        want_f = _sum_form_oracle(a, q, M, divide_by_n)
+        want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
+        tol = mp.mpf(2) ** -(prec + GUARD_BITS - 3)
+        assert abs(got_f - want_f) < tol * max(1, abs(want_f))
+        assert abs(got_fc - want_fc) < tol * max(1, abs(want_fc))
 
 
 def test_eval_z_period_and_third_shift():

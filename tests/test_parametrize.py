@@ -21,7 +21,7 @@ from cubesum.parametrize import (
     solve_pipeline,
     twist_point,
 )
-from cubesum.analytic import eval_z, terms_needed
+from cubesum.analytic import eval_z, lattice_of_curve, terms_needed
 
 
 def q(a, b=0):
@@ -85,6 +85,19 @@ def test_evaluate_cm_p13_tau23_torsion_fixture():
     rec_c = recognize(raw_c, split, 1, 1 << 64, prec, form="fc")
     assert rec_c.x_scaled == q(0)
     assert rec_c.y in (split.pi.to_q() / 2, -split.pi.to_q() / 2)
+
+
+def test_evaluate_cm_lattice_point_with_noise_is_infinity():
+    # z a lattice point up to noise far below 2^-(prec/2): wp_eval's pole
+    # test is the only check that maps it to the point at infinity
+    prec = 192
+    D = split_prime(7).pibar ** 2
+    L = lattice_of_curve(D, prec)
+    with mp.workprec(prec + 32):
+        noise = mp.mpf(2) ** -(prec - 8)
+        for m, n, angle in ((0, 0, 0.3), (2, -1, 1.9), (-3, 5, 4.4)):
+            z = L.from_coords(m, n) + noise * mp.expjpi(angle)
+            assert evaluate_cm(z, D, prec) == ("infinity", None)
 
 
 def test_recognize_p13_nontorsion_fixture():
@@ -157,10 +170,11 @@ def test_descend_trace_branch_directly():
     # conj acts by w -> -1-w on coordinates; a rational input returns [2]P
     P = CurvePoint.make(q(49), q(Fraction(-20, 9)), q(Fraction(-61, 54)))
     assert P.conj() == P
-    R, branch = descend(P, 7, 1)
+    R, branch, cert = descend(P, 7, 1)
     assert R.is_rational()
     assert branch.startswith("trace")
     assert R == mul(2, P)
+    assert cert.nontorsion
 
 
 def test_descend_output_invariants():
