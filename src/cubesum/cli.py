@@ -14,6 +14,8 @@ import os
 import sys
 import tempfile
 import time
+import zlib
+from array import array
 from dataclasses import asdict, dataclass
 
 from .eisenstein import QOmega, is_prime_int
@@ -26,7 +28,7 @@ EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
 
 CACHE_ENV = "CUBESUM_CACHE"
-CACHE_MAGIC = "SYLV1"
+CACHE_MAGIC = "SYLV2"
 
 
 # ------------------------------------------------------------------- cache
@@ -40,7 +42,7 @@ def default_cache_dir():
 
 
 def cache_path(cache_dir, p, i):
-    return os.path.join(cache_dir, f"qexp_p{p}_i{i}.txt")
+    return os.path.join(cache_dir, f"qexp_p{p}_i{i}.bin")
 
 
 def coefficient_lines(coeffs):
@@ -48,18 +50,35 @@ def coefficient_lines(coeffs):
     return [f"{n} {a} {b}" for n, a, b in zip(range(len(coeffs[0])), *coeffs) if (a or b) and n]
 
 
-def write_cache(cache_dir, p, i, coeffs):
-    """Bit-exact text format: header 'SYLV1 p=<p> i=<i> N=<N> M=<M>', then the
-    coefficient_lines of the (alpha, beta) pair; atomic via rename."""
-    os.makedirs(cache_dir, exist_ok=True)
+def _cache_header(p, i, M, crc):
     _, N = conductor_and_level(p, i)
-    M = len(coeffs[0]) - 1
-    lines = [f"{CACHE_MAGIC} p={p} i={i} N={N} M={M}"] + coefficient_lines(coeffs)
-    data = "\n".join(lines) + "\n"
+    return f"{CACHE_MAGIC} p={p} i={i} N={N} M={M} order={sys.byteorder} crc={crc:08x}\n"
+
+
+def write_cache(cache_dir, p, i, coeffs):
+    """Binary format: the ASCII header line 'SYLV2 p=<p> i=<i> N=<N> M=<M>
+    order=<byte order> crc=<crc32 of the body, hex>', then alpha[1::3] and
+    beta[1::3] as native int64 (K = (M + 2) // 3 entries each); atomic via
+    rename.  a_n is supported on n = 1 mod 3, so only those slots are
+    stored, and a nonzero entry anywhere else raises ValueError rather than
+    be dropped."""
+    alpha, beta = coeffs
+    M = len(alpha) - 1
+    for c in coeffs:
+        for r in (0, 2):
+            off = c[r::3]
+            if off.count(0) != len(off):  # count(0) outruns any() on mostly-zero lists
+                n = next(n for n in range(r, M + 1, 3) if c[n])
+                raise ValueError(f"a_{n} = {alpha[n]}+{beta[n]}*w is nonzero off n = 1 mod 3")
+    halves = array("q", alpha[1::3]), array("q", beta[1::3])
+    header = _cache_header(p, i, M, zlib.crc32(halves[1], zlib.crc32(halves[0])))
+    os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".qexp_tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            for half in halves:
+                half.tofile(fh)
         os.replace(tmp, cache_path(cache_dir, p, i))
     finally:
         if os.path.exists(tmp):
@@ -68,31 +87,33 @@ def write_cache(cache_dir, p, i, coeffs):
 
 def read_cache(cache_dir, p, i):
     """The stored prefix a_0..a_M as an (alpha, beta) pair, or None when
-    absent, unparsable or failing spot_check (a corrupt or stale cache reads
-    as a miss and gets rewritten)."""
+    absent, of another p, i or byte order, not exactly header + 16 K bytes
+    long, failing its crc, or failing spot_check (a corrupt or stale cache
+    reads as a miss and gets rewritten).  The length is checked before
+    anything is allocated."""
     path = cache_path(cache_dir, p, i)
     try:
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 5 or header[0] != CACHE_MAGIC:
+        with open(path, "rb") as fh:
+            line = fh.readline(256)
+            fields = dict(kv.split("=") for kv in line.decode("ascii").split()[1:])
+            M, want = int(fields["M"]), int(fields["crc"], 16)
+            K = (M + 2) // 3
+            if line != _cache_header(p, i, M, want).encode("ascii"):
                 return None
-            fields = dict(kv.split("=") for kv in header[1:])
-            if int(fields["p"]) != p or int(fields["i"]) != i:
+            if os.fstat(fh.fileno()).st_size != len(line) + 16 * K:
                 return None
-            M = int(fields["M"])
-            # a true file has under 8 terms per byte (a_l != 0 at each split l <= M)
-            if M > 8 * os.path.getsize(path):
-                return None
-            alpha, beta = [0] * (M + 1), [0] * (M + 1)
-            for line in fh:
-                n, a, b = line.split()
-                n = int(n)
-                if not 1 <= n <= M:
-                    return None
-                alpha[n], beta[n] = int(a), int(b)
-    except (ValueError, KeyError, OSError):
+            crc, coeffs = 0, []
+            for _ in range(2):
+                half = array("q")
+                half.fromfile(fh, K)
+                crc = zlib.crc32(half, crc)
+                lst = [0] * (M + 1)
+                lst[1::3] = half
+                coeffs.append(lst)
+    except (ValueError, KeyError, OSError, EOFError):
         return None
-    return (alpha, beta) if spot_check(p, i, (alpha, beta)) else None
+    coeffs = tuple(coeffs)
+    return coeffs if crc == want and spot_check(p, i, coeffs) else None
 
 
 # ------------------------------------------------------------------ report
@@ -226,7 +247,10 @@ def cmd_solve(args):
             beta = measure_beta(args.p, i, min(args.bits, 160), form=form)
         finally:  # also on exit 3, so the computed terms are kept
             if form.terms > loaded:
-                write_cache(args.cache_dir, args.p, i, (form.alpha, form.beta))
+                try:
+                    write_cache(args.cache_dir, args.p, i, (form.alpha, form.beta))
+                except OSError as e:  # the solve's own outcome stands
+                    print(f"warning: coefficient cache not written: {e}", file=sys.stderr)
         reports.append(build_report(result, beta=beta))
     if args.json:
         payload = [r.to_dict() for r in reports]

@@ -355,11 +355,6 @@ def _coerce_q(x):
     return None
 
 
-def sqrt_m3_q():
-    """sqrt(-3) = 1 + 2w as a QOmega."""
-    return QOmega(1, 2)
-
-
 ZERO = EisensteinInt(0, 0)
 ONE = EisensteinInt(1, 0)
 W = EisensteinInt(0, 1)

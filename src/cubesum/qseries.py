@@ -73,9 +73,6 @@ class LaurentSeries:
             raise IndexError(f"q^{n} is beyond the truncation order {self.trunc}")
         return self.coeffs[n - self.lead]
 
-    def coefficients(self, lo, hi):
-        return [self.coefficient(n) for n in range(lo, hi)]
-
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -114,73 +111,11 @@ class LaurentSeries:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QOmega)):
-            c = other if isinstance(other, QOmega) else QOmega(other)
-            return LaurentSeries(self.lead, [a * c for a in self.coeffs])
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        # truncation bookkeeping: self known mod q^T1, other mod q^T2
-        trunc = min(self.trunc + other.lead, other.trunc + self.lead)
-        lead = self.lead + other.lead
-        n_out = trunc - lead
-        out = [_Q0] * n_out
-        for i1, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            jmax = min(len(other.coeffs), n_out - i1)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b:
-                    out[i1 + j] = out[i1 + j] + a * b
-        return LaurentSeries(lead, out)
-
-    __rmul__ = __mul__
-
-    def invert(self):
-        """1/self; requires a nonzero leading coefficient."""
-        if not self.coeffs or not self.coeffs[0]:
-            raise ZeroDivisionError("cannot invert a series with zero leading term")
-        n = len(self.coeffs)
-        a0 = self.coeffs[0]
-        inv0 = _Q1 / a0
-        out = [inv0] + [_Q0] * (n - 1)
-        for k in range(1, n):
-            s = _Q0
-            for j in range(1, k + 1):
-                if j < len(self.coeffs) and self.coeffs[j]:
-                    s = s + self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * s
-        return LaurentSeries(-self.lead, out)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.invert() ** (-n)
-        if n == 0:
-            return LaurentSeries(0, [_Q1] + [_Q0] * (len(self.coeffs) - 1))
-        result = self._copy()
-        for _ in range(n - 1):
-            result = result * self
-        return result
-
-    def _copy(self):
-        return LaurentSeries(self.lead, list(self.coeffs))
-
-    def conjugate(self):
-        return LaurentSeries(self.lead, [c.conj() for c in self.coeffs])
-
     def is_one(self):
         return all(
             self.coefficient(n) == (_Q1 if n == 0 else _Q0)
             for n in range(self.lead, self.trunc)
         )
-
-
-def z_series(p, i, M, conjugate=False):
-    """z(q) = sum_{n<=M} a_n/n q^n as an exact series (known mod q^(M+1))."""
-    alpha, beta = qexp_coefficients(p, i, M, conjugate=conjugate)
-    coeffs = [QOmega(Fraction(alpha[n], n), Fraction(beta[n], n)) for n in range(1, M + 1)]
-    return LaurentSeries(1, coeffs)
 
 
 # ------------------------------------------------------ pair-list kernels

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import os
+import sys
+import tracemalloc
+import zlib
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -160,21 +164,47 @@ def test_sylvester_message_distinct(tmp_path, capsys):
 
 
 def test_cache_roundtrip(tmp_path):
-    coeffs = qexp_coefficients(7, 1, 200)
-    write_cache(str(tmp_path), 7, 1, coeffs)
-    assert read_cache(str(tmp_path), 7, 1) == coeffs  # the whole stored prefix
+    for M in (1, 2, 3, 4, 5, 200):  # every residue of M mod 3
+        coeffs = qexp_coefficients(7, 1, M)
+        write_cache(str(tmp_path), 7, 1, coeffs)
+        assert read_cache(str(tmp_path), 7, 1) == coeffs  # the whole stored prefix
     assert read_cache(str(tmp_path), 13, 1) is None
+
+
+def _body(path):
+    """(header line, alpha[1::3], beta[1::3]) of a cache file."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        halves = array("q", fh.read())
+    K = len(halves) // 2
+    return line, list(halves[:K]), list(halves[K:])
+
+
+# crc32 of the p = 7, M = 20 body, in each byte order
+_CRC_7_20 = {"little": "66822c67", "big": "a410c97a"}
 
 
 def test_cache_format_stable(tmp_path):
     coeffs = qexp_coefficients(7, 1, 20)
     write_cache(str(tmp_path), 7, 1, coeffs)
-    text = open(cli.cache_path(str(tmp_path), 7, 1)).read()
-    lines = text.splitlines()
-    assert lines[0] == "SYLV1 p=7 i=1 N=189 M=20"
-    assert lines[1] == "1 1 0"
-    assert lines[2] == "4 0 -2"
-    assert text.endswith("\n") and not text.endswith("\n\n")
+    path = cli.cache_path(str(tmp_path), 7, 1)
+    assert path.endswith("qexp_p7_i1.bin")
+    line, alpha, beta = _body(path)
+    crc = _CRC_7_20[sys.byteorder]
+    assert line == f"SYLV2 p=7 i=1 N=189 M=20 order={sys.byteorder} crc={crc}\n".encode()
+    # a_1, a_4, ..., a_19: K = 7 native int64 entries per half, nothing else
+    assert alpha == [1, 0, -2, 0, 2, -4, 7]
+    assert beta == [0, -2, -3, 0, 0, -4, 7]
+    assert os.path.getsize(path) == len(line) + 16 * 7
+
+
+def test_write_cache_refuses_a_coefficient_off_the_support(tmp_path):
+    for n, half in ((3, 0), (5, 1), (30, 1)):
+        coeffs = [list(c) for c in qexp_coefficients(7, 1, 30)]
+        coeffs[half][n] = 1
+        with pytest.raises(ValueError, match=f"a_{n} = .* off n = 1 mod 3"):
+            write_cache(str(tmp_path), 7, 1, coeffs)
+    assert os.listdir(tmp_path) == []
 
 
 def test_cold_and_warm_cache_reports_identical(tmp_path, capsys):
@@ -260,26 +290,109 @@ def test_corrupt_cache_reads_as_miss(tmp_path, capsys):
     d = str(tmp_path)
     coeffs = qexp_coefficients(7, 1, 30)
     path = cli.cache_path(d, 7, 1)
+    foreign = {"little": b"order=big", "big": b"order=little"}[sys.byteorder]
 
     def corrupted(edit):
         write_cache(d, 7, 1, coeffs)
-        with open(path) as fh:
-            text = fh.read()
-        with open(path, "w") as fh:
-            fh.write(edit(text))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(edit(raw))
         return read_cache(d, 7, 1)
 
-    assert corrupted(lambda t: t + "not a coefficient line\n") is None
-    assert corrupted(lambda t: t + "-1 9 9\n") is None  # would overwrite a_30
-    assert corrupted(lambda t: t + "0 1 0\n") is None
-    assert corrupted(lambda t: t + "31 1 0\n") is None  # beyond the header's M
-    assert corrupted(lambda t: t.replace("p=7 i=1", "x=7 y=1")) is None
+    assert corrupted(lambda r: r) == coeffs
+    assert corrupted(lambda r: r[:-1]) is None  # truncated body
+    assert corrupted(lambda r: r[:-8]) is None  # one entry short
+    assert corrupted(lambda r: r + b"\0") is None  # one extra byte
+    assert corrupted(lambda r: r.replace(b"SYLV2", b"SYLV1")) is None
+    assert corrupted(lambda r: r.replace(b"SYLV2", b"SYLV3")) is None
+    assert corrupted(lambda r: r.replace(f"order={sys.byteorder}".encode(), foreign)) is None
+    assert corrupted(lambda r: r.replace(b"p=7 i=1", b"x=7 y=1")) is None
+    assert corrupted(lambda r: r.replace(b"p=7", b"p=13")) is None
+    assert corrupted(lambda r: r.replace(b"i=1", b"i=2")) is None
+    assert corrupted(lambda r: r.replace(b"N=189", b"N=567")) is None
+    assert corrupted(lambda r: r.replace(b"crc=", b"crc=0")) is None
+    assert corrupted(lambda r: r.replace(b"\n", b" \n", 1)) is None
+    for M in (27, 31, 0, -1):  # another K = (M + 2) // 3 than the body holds
+        assert corrupted(lambda r: r.replace(b"M=30", b"M=%d" % M)) is None
     for huge in (10**30, 2**62, 10**9):  # refused before any list is allocated
-        assert corrupted(lambda t: t.replace("M=30", f"M={huge}")) is None
+        tracemalloc.start()
+        try:
+            assert corrupted(lambda r: r.replace(b"M=30", b"M=%d" % huge)) is None
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
     code, _, _ = run_cli(["solve", "7", "--cache-dir", d], capsys)
     assert code == EXIT_OK  # rebuilt and rewritten
     stored = read_cache(d, 7, 1)
     assert stored == qexp_coefficients(7, 1, len(stored[0]) - 1)
+
+
+def test_corruption_past_the_spot_check_reads_as_miss(tmp_path, capsys):
+    d = str(tmp_path)
+    args = ["solve", "7", "--json", "--cache-dir", d]
+    code, out_cold, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    path = cli.cache_path(d, 7, 1)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    line, alpha, beta = _body(path)
+    M = len(read_cache(d, 7, 1)[0]) - 1
+    K = (M + 2) // 3
+    # the first nonzero a_n past spot_check's n <= 100 (n = 1 + 3k, k >= 34),
+    # in each half
+    for k, half in ((next(k for k in range(34, K) if alpha[k]), 0),
+                    (next(k for k in range(34, K) if beta[k]), 1)):
+        pos = len(line) + 8 * (half * K + k)
+        with open(path, "wb") as fh:
+            fh.write(good[:pos] + bytes([good[pos] ^ 1]) + good[pos + 1:])
+        assert read_cache(d, 7, 1) is None, k
+    code, out_warm, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    assert json.loads(out_warm)["cube_sum"] == json.loads(out_cold)["cube_sum"]
+    with open(path, "rb") as fh:
+        assert fh.read() == good  # rewritten whole
+
+
+def test_stale_text_cache_is_ignored(tmp_path, capsys):
+    # the former text format lived at qexp_p<p>_i<i>.txt; it is never parsed
+    d = str(tmp_path)
+    old = os.path.join(d, "qexp_p7_i1.txt")
+    text = "SYLV1 p=7 i=1 N=189 M=30\n" + "\n".join(
+        cli.coefficient_lines(qexp_coefficients(7, 1, 30))
+    ) + "\n"
+    with open(old, "w") as fh:
+        fh.write(text)
+    assert read_cache(d, 7, 1) is None
+    code, _, _ = run_cli(["solve", "7", "--cache-dir", d], capsys)
+    assert code == EXIT_OK
+    assert read_cache(d, 7, 1) is not None
+    with open(old) as fh:
+        assert fh.read() == text
+    assert sorted(os.listdir(d)) == ["qexp_p7_i1.bin", "qexp_p7_i1.txt"]
+
+
+def test_unwritable_cache_dir_keeps_the_solve_outcome(tmp_path, capsys, monkeypatch):
+    import cubesum.parametrize as par
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    d = str(blocker / "sub")  # under a regular file: never a directory
+    code, out, err = run_cli(["solve", "103", "--json", "--cache-dir", d], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["checks"]["cube_identity"]["ok"] is True
+    assert err.count("\n") == 1 and err.startswith("warning: coefficient cache not written")
+
+    def fail(z, D, prec):
+        raise par.EvalResidualTooLarge("stub")
+
+    monkeypatch.setattr(par, "evaluate_cm", fail)
+    code, out, err = run_cli(["solve", "7", "--eval", "wtau", "--cache-dir", d], capsys)
+    assert code == EXIT_PRECISION
+    lines = err.splitlines()
+    assert len(lines) == 2 and out == ""
+    assert lines[0].startswith("warning: coefficient cache not written")
+    assert lines[1].startswith("error: precision exhausted")
 
 
 def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
@@ -288,7 +401,7 @@ def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
     code, out_cold, _ = run_cli(args, capsys)
     assert code == EXIT_OK
     path = cli.cache_path(d, 7, 1)
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         good = fh.read()
     fresh = read_cache(d, 7, 1)
 
@@ -305,48 +418,45 @@ def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
     assert code == EXIT_OK
     cold, warm = json.loads(out_cold), json.loads(out_warm)
     assert warm["cube_sum"] == cold["cube_sum"] and warm["attempts"] == []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         assert fh.read() == good
 
 
-_LINES_7 = cli.coefficient_lines(qexp_coefficients(7, 1, 30))
+_COEFFS_7 = qexp_coefficients(7, 1, 30)
+_BODY_7 = b"".join(array("q", c[1::3]).tobytes() for c in _COEFFS_7)
+_FIELD = st.tuples(
+    st.sampled_from(["p", "i", "N", "M", "order", "crc", "x"]),
+    st.sampled_from(["7", "1", "189", "30", "28", "0", "-1", "", "a", "little", "big",
+                     "ffffffff", str(10**30), str(2**62)]),
+).map("=".join)
 _HEADER = st.one_of(
-    st.just("SYLV1 p=7 i=1 N=189 M=30"),
-    st.lists(
-        st.tuples(
-            st.sampled_from("piNMx"),
-            st.sampled_from(["7", "1", "30", "0", "-1", "", "a", str(10**30), str(2**62)]),
-        ),
-        min_size=3,
-        max_size=5,
-    ).map(lambda kvs: " ".join(["SYLV1"] + [f"{k}={v}" for k, v in kvs])),
-    st.text(max_size=30),
+    st.just(f"SYLV2 p=7 i=1 N=189 M=30 order={sys.byteorder}"),
+    st.lists(_FIELD, min_size=4, max_size=7).map(lambda kvs: " ".join(["SYLV2"] + kvs)),
+    st.text(max_size=40),
 )
-_LINE = st.one_of(
-    st.sampled_from(_LINES_7),
-    st.tuples(st.integers(-2, 40), st.integers(-3, 3), st.integers(-3, 3)).map(
-        lambda t: "%d %d %d" % t
+_BODY = st.one_of(
+    st.just(_BODY_7),
+    st.binary(min_size=160, max_size=160),  # random entries, right length
+    st.binary(max_size=200),
+    st.tuples(st.integers(0, 159), st.integers(1, 255)).map(  # one byte flipped
+        lambda t: _BODY_7[: t[0]] + bytes([_BODY_7[t[0]] ^ t[1]]) + _BODY_7[t[0] + 1 :]
     ),
-    st.text(max_size=12),
 )
 
 
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(
-    header=_HEADER,
-    whole=st.booleans(),
-    extra=st.lists(_LINE, max_size=8),
-    tail=st.one_of(st.just(b""), st.binary(max_size=6)),
-)
-def test_read_cache_fuzz_never_raises(tmp_path, header, whole, extra, tail):
-    body = (_LINES_7 if whole else []) + extra
-    text = "\n".join([header] + body) + "\n"
+@given(header=_HEADER, body=_BODY, true_crc=st.booleans(), tail=st.binary(max_size=6))
+def test_read_cache_fuzz_never_raises(tmp_path, header, body, true_crc, tail):
+    # with true_crc the header's crc matches the body, so the read gets as
+    # far as spot_check
+    if true_crc:
+        header += f" crc={zlib.crc32(body):08x}"
     with open(cli.cache_path(str(tmp_path), 7, 1), "wb") as fh:
-        fh.write(text.encode("utf-8", "surrogatepass") + tail)
+        fh.write(header.encode("utf-8", "surrogatepass") + b"\n" + body + tail)
     got = read_cache(str(tmp_path), 7, 1)
-    assert got is None or (len(got[0]) >= 2 and (got[0][1], got[1][1]) == (1, 0))
+    assert got is None or got == qexp_coefficients(7, 1, len(got[0]) - 1)
 
 
 def test_cache_env_var_override(tmp_path, monkeypatch):
