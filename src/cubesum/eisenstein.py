@@ -377,6 +377,32 @@ def gcd_eis(x, y):
     return x
 
 
+def sqrt_eis(s):
+    """A square root of s in Z[w], or None when s is not a square there.
+
+    For T = u + v*w: N(T) = isqrt(N(s)), Tr(T)^2 = Tr(s) + 2 N(T), and
+    3 v^2 = 2 N(T) - Tr(s), the negated square of T - conj(T) = v sqrt(-3).
+    So t = Tr(T) = 2u - v and |v| are integer square roots, u = (t + v)/2,
+    and the sign of v is the one with T^2 == s exactly.  Which of +-T is
+    returned is unspecified.
+    """
+    nn = s.norm()
+    n = math.isqrt(nn)
+    if n * n != nn:
+        return None
+    # |Tr(s)| <= 2 sqrt(N(s)) = 2n, so both radicands are >= 0
+    tr = 2 * s.a - s.b
+    tt, (dd, rem) = tr + 2 * n, divmod(2 * n - tr, 3)
+    t, d = math.isqrt(tt), math.isqrt(dd)
+    if t * t != tt or rem or d * d != dd or (t + d) % 2:
+        return None
+    for v in (d, -d):
+        T = EisensteinInt((t + v) // 2, v)
+        if T * T == s:
+            return T
+    return None
+
+
 def eis_pow_mod(base, exp, mod):
     result = ONE % mod
     base = base % mod

@@ -9,7 +9,7 @@ a = 1 and b = 0 mod 3, with one table lookup each; they are kept as two int
 lists with a_n = alpha_n + beta_n * w (Rodriguez-Villegas--Zagier, CMS Conf.
 Proc. 15, 1995; Ireland--Rosen, ch. 9).  twist_check walks the same points
 for the rational twist's character; a generator enumeration that factors
-each point and takes the generic Euler-criterion symbol is kept as an
+each point and takes the generic Euler-criterion symbol is the tests'
 independent oracle.
 """
 
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from .eisenstein import (
-    ONE,
     BadNormalization,
     EisensteinInt,
     NotPrime,
@@ -161,57 +160,6 @@ def as_eisenstein(coeffs):
     """An (alpha, beta) pair as the list of a_n = alpha[n] + beta[n] w, for
     dumps and checks at small M."""
     return [EisensteinInt(a, b) for a, b in zip(*coeffs)]
-
-
-def qexp_coefficients_direct(p, i, M, conjugate=False):
-    """Oracle route: walk generators x = 1 mod 3 with norm <= M, coprime to
-    the conductor, and sum psi((x)) per norm.  psi((x)) is assembled from the
-    prime factorization of x by trial division, with symbols from the generic
-    Euler-criterion implementation."""
-    split = split_prime(p)
-    coeffs = [ZERO] * (M + 1)
-    bound = int((4 * M / 3) ** 0.5) + 2
-    sym_cache = {}
-
-    def prime_symbol(g):
-        if g not in sym_cache:
-            sym_cache[g] = cubic_residue_symbol(split.pi, g) ** i
-        return sym_cache[g]
-
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            x = EisensteinInt(a, b)
-            n = x.norm()
-            if n == 0 or n > M or x.residue_mod3() != (1, 0):
-                continue
-            if n % p == 0 and not x % split.pi:
-                continue  # not coprime to the conductor
-            # factor x by trial division over the primes dividing its norm
-            sym, rest, m = ONE, x, n
-            while m > 1:
-                ell = next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
-                if ell % 3 == 2:
-                    g = EisensteinInt(-ell, 0)
-                    while not rest % g:
-                        rest = rest.exact_div(g)
-                        sym = sym * prime_symbol(g)
-                        m //= ell * ell
-                else:
-                    s_ell = split_prime(ell)
-                    for g in (s_ell.pi, s_ell.pibar):
-                        while not rest % g:
-                            rest = rest.exact_div(g)
-                            if ell != p:  # psi at (pibar) is pibar itself
-                                sym = sym * prime_symbol(g)
-                            m //= ell
-            if not rest.is_unit():
-                raise AssertionError(f"a_{n}: cofactor {rest} is not a unit")
-            coeffs[n] = coeffs[n] + sym.conj() * x
-    if M >= 1 and coeffs[1] != ONE:
-        raise AssertionError(f"a_1 = {coeffs[1]}, not 1")
-    if conjugate:
-        coeffs = [c.conj() for c in coeffs]
-    return coeffs
 
 
 @dataclass

@@ -2,11 +2,14 @@
 
 Stages: sum the Abel-Jacobi images of f and f^c at a ranked candidate site
 (one pass gives both), map each through wp on its curve's lattice,
-recognize the algebraic coordinates (the non-torsion side lives over
-K(pi^(1/3)), so x is recognized after scaling by a cube root; the torsion
-side has x = 0), twist both to points of E(p^i) over K, take the
-difference, and descend to Q by the trace or the sqrt(-3) endomorphism.
-Every recognized object is certified by exact arithmetic before it is used.
+recognize x in K (the non-torsion side lives over K(pi^(1/3)), so x is
+recognized after scaling by a cube root; the torsion side has x = 0) and
+solve for y by an exact square root in Z[w], twist both to points of E(p^i)
+over K, take the difference, and descend to Q by the trace or the sqrt(-3)
+endomorphism.  Recognizing x alone needs about 2/3 of the bits y would.
+A recognized point must match the numeric y to 2^-(prec/2), and the
+descended point is certified by exact arithmetic (nontorsion certificate,
+isogeny and cube identities) before it is reported.
 
 solve_pipeline escalates precision on one site at a time, in ranked order: a
 numerical failure (RecognitionFailed, EvalResidualTooLarge) retries the same
@@ -18,6 +21,7 @@ PipelineResult.attempts.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +41,7 @@ from .analytic import (
 )
 from .cmpoint import candidate_points
 from .curves import CurvePoint, DescentFailed, add, endo_omega, mul_sqrt_m3
-from .eisenstein import QOmega, split_prime
+from .eisenstein import EisensteinInt, QOmega, split_prime, sqrt_eis
 from .heckeform import build_form
 
 
@@ -61,7 +65,8 @@ class RecognizedPoint:
     y: QOmega | None
     mult_tag: str | None  # "pi" or "pibar": which cube root made x algebraic
     twist_k: int
-    residual_bits: int  # -log2 of the worst re-embedding residual
+    residual_bits: int  # -log2 of x_scaled's re-embedding residual, capped at prec
+    den_bits: int  # floor(log2) of the lcm of x_scaled's denominators
 
 
 def evaluate_cm(z, D, prec=192):
@@ -86,58 +91,85 @@ def evaluate_cm(z, D, prec=192):
         return "point", (x, y)
 
 
-def _cube_root_scalings(split, i, prec):
-    """Principal cube roots of pi^(2i) and pibar^(2i) as mpc."""
-    with mp.workprec(prec + GUARD_BITS):
-        third = mp.mpf(1) / 3
-        return {
-            "pi": (split.pi.to_mpc(mp) ** (2 * i)) ** third,
-            "pibar": (split.pibar.to_mpc(mp) ** (2 * i)) ** third,
-        }
+def _exact_y(x, c):
+    """(T, e) with y = T/(2 e^2) on y^2 = x^3 + c/4, or None if y is not in K.
+
+    With x = (a + b w)/e, e the lcm of the denominators, T^2 = S =
+    4 e (a + b w)^3 + c e^4 in Z[w]; T is one of the two roots.
+    """
+    e = math.lcm(x.a.denominator, x.b.denominator)
+    num = EisensteinInt(x.a * e, x.b * e) ** 3
+    T = sqrt_eis(EisensteinInt(4 * e * num.a + c * e**4, 4 * e * num.b))
+    return None if T is None else (T, e)
 
 
 def recognize(raw, split, i, den_bound, prec=192, form="f"):
     """Exact coordinates for a raw complex point of the form's curve.
 
-    Tries, for each unit twist w^k and for the two cube-root scalings, to
-    recognize (x * root * w^k, y) in K; the recognized pair is certified
-    exactly downstream (twisted point on the curve), so a rare misrecognition
-    surfaces as RecognitionFailed there and triggers a precision retry.
+    Tries, for each of the two cube-root scalings and each unit twist w^k,
+    to recognize x_scaled = x * mult^(2i/3) * w^k in K with denominators at
+    most den_bound; y is not recognized but solved for: the twisted point
+    (x_scaled, mult^i y) lies on E(p^i), so mult^i y = T/(2e^2) with T an
+    exact square root in Z[w] (see _exact_y).  A candidate whose S has no
+    root is passed over; of the two roots the one nearer the numeric
+    mult^i y is kept, and it must agree with it to 2^-(prec/2).  x therefore
+    needs only its own denominator bits, about 2/3 of y's (x = a/d^2 and
+    y = b/d^3 on y^2 = x^3 + c).  No candidate left raises RecognitionFailed,
+    which triggers a precision retry.
     """
     x, y = raw
+    c = split.p ** (2 * i)
     with mp.workprec(prec + GUARD_BITS):
-        tol_bits = prec // 2
-        y_rec = recognize_qomega(y, den_bound, tol_bits)
-        if y_rec is None:
-            raise RecognitionFailed(f"y = {y} not recognized (bound {den_bound})")
-        roots = _cube_root_scalings(split, i, prec)
+        tol = mp.mpf(2) ** (-(prec // 2))
         w = analytic.omega_mpc()
-        order = ("pi", "pibar") if form == "f" else ("pibar", "pi")
-        best = None
-        for tag in order:
-            scaled = mp.mpc(x) * roots[tag]
+        mults = (("pi", split.pi), ("pibar", split.pibar))
+        rejected = 0  # recognized x with no root, or a root off the numeric y
+        for tag, mult in mults if form == "f" else mults[::-1]:
+            m = mult**i
+            m_c = m.to_mpc(mp)
+            y_twisted = m_c * y
+            # the principal cube root of mult^(2i)
+            scaled = mp.mpc(x) * (m_c * m_c) ** (mp.mpf(1) / 3)
             for k in range(3):
-                cand = recognize_qomega(scaled * w**k, den_bound, tol_bits)
-                if cand is not None:
-                    res = abs(cand.to_mpc(mp) - scaled * w**k)
-                    bits = prec if res == 0 else int(-mp.log(res, 2))
-                    best = RecognizedPoint(
-                        form=form,
-                        at_infinity=False,
-                        x_scaled=cand,
-                        y=y_rec,
-                        mult_tag=tag,
-                        twist_k=k,
-                        residual_bits=min(bits, prec),
-                    )
-                    return best
-        raise RecognitionFailed(f"x = {x} not recognized under either cube root")
+                cand = recognize_qomega(scaled * w**k, den_bound, prec // 2)
+                if cand is None:
+                    continue
+                root = _exact_y(cand, c)
+                if root is None:
+                    rejected += 1
+                    continue
+                T, e = root
+                yv = T.to_mpc(mp) / (2 * e * e)
+                if abs(yv + y_twisted) < abs(yv - y_twisted):
+                    T, yv = -T, -yv
+                if abs(yv - y_twisted) >= tol:
+                    rejected += 1
+                    continue
+                res = abs(cand.to_mpc(mp) - scaled * w**k)
+                bits = prec if res == 0 else int(-mp.log(res, 2))
+                # y = T / (2 e^2 m) = T conj(m) / (2 e^2 p^i)
+                U, den = T * m.conj(), 2 * e * e * split.p**i
+                return RecognizedPoint(
+                    form=form,
+                    at_infinity=False,
+                    x_scaled=cand,
+                    y=QOmega(Fraction(U.a, den), Fraction(U.b, den)),
+                    mult_tag=tag,
+                    twist_k=k,
+                    residual_bits=min(bits, prec),
+                    den_bits=e.bit_length() - 1,
+                )
+        raise RecognitionFailed(
+            f"x = {x} not recognized under either cube root with denominators"
+            f" <= 2^{den_bound.bit_length() - 1}"
+            + (f"; {rejected} candidate x had no exact y matching the numbers" if rejected else "")
+        )
 
 
 def recognized_infinity(form="f"):
     return RecognizedPoint(
         form=form, at_infinity=True, x_scaled=None, y=None, mult_tag=None, twist_k=0,
-        residual_bits=0,
+        residual_bits=0, den_bits=0,
     )
 
 
@@ -146,7 +178,11 @@ def twist_point(rp, split, i):
 
     For mult_tag "pi" the twist is (x, y) -> (pi^(2i/3) x, pi^i y), which
     lands the recognized x_scaled directly in the x-slot; "pibar" is the
-    conjugate map.  Exactness of the result on E(p^i) certifies recognition.
+    conjugate map.  recognize solves for y on E(p^i), so the exact curve
+    check passes by construction and stays as a guard on the data, not as a
+    test of recognition: a wrong x is caught in recognize when S has no
+    square root in Z[w], and otherwise by the numeric y agreement there,
+    then the descent, the nontorsion certificate and the cube identity.
     """
     D = QOmega(Fraction(split.p) ** (2 * i))
     if rp.at_infinity:
@@ -239,7 +275,9 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     timings["evaluate_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    den_bound = 1 << max(prec // 3, 40)
+    # continued fractions recover denominators up to about 2^(prec/2)
+    den_bound_bits = max(prec // 2 - 12, 40)
+    den_bound = 1 << den_bound_bits
     rec_f = (
         recognized_infinity("f")
         if kind_f == "infinity"
@@ -273,9 +311,10 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
             "bound": cert.bound,
         },
         "cube_identity": {"ok": cube.verify()},
-        "recognition_residual_bits": {
-            "f": rec_f.residual_bits,
-            "fc": rec_fc.residual_bits,
+        # bits of den_bound left over by x_scaled's denominator
+        "precision_margin_bits": {
+            rec.form: None if rec.at_infinity else den_bound_bits - rec.den_bits
+            for rec in (rec_f, rec_fc)
         },
     }
     return PipelineResult(

@@ -110,15 +110,16 @@ def test_non_positive_counts_exit_2_with_one_line(args, tmp_path, capsys):
 
 def test_solve_json_reports_failed_attempts(tmp_path, capsys):
     code, out, _ = run_cli(
-        ["solve", "79", "--power", "2", "--json", "--cache-dir", str(tmp_path)], capsys
+        ["solve", "103", "--power", "2", "--json", "--cache-dir", str(tmp_path)], capsys
     )
     assert code == EXIT_OK
     rep = json.loads(out)
-    assert (rep["site"], rep["bits"]) == ("wtau(r=56)", 384)
+    assert (rep["site"], rep["bits"]) == ("wtau(r=47)", 384)
     assert len(rep["attempts"]) == 1
     att = rep["attempts"][0]
-    assert (att["site"], att["bits"], att["error"]) == ("wtau(r=56)", 192, "RecognitionFailed")
-    assert "exact curve equation" in att["message"]
+    assert (att["site"], att["bits"], att["error"]) == ("wtau(r=47)", 192, "RecognitionFailed")
+    assert "not recognized" in att["message"] and "<= 2^84" in att["message"]
+    assert rep["checks"]["precision_margin_bits"] == {"f": 25, "fc": 180}
 
 
 def test_precision_exhausted_lists_every_attempt(tmp_path, capsys, monkeypatch):
@@ -253,21 +254,21 @@ def test_warm_solve_sieves_nothing_and_writes_nothing(tmp_path, capsys, monkeypa
 def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
     tmp_path, capsys, monkeypatch
 ):
-    # 61^2 fails at 192 bits (4548 terms) and wins at 384 bits (9096 terms):
-    # the second attempt walks only the annulus the first did not hold, so
+    # 103^2 fails at 192 bits and wins at 384 bits (46322 terms): the
+    # second attempt walks only the annulus the first did not hold, so
     # each norm n falls in exactly one walk (a_1 = 1 is never walked)
     writes, spans = spy_cache_writes_and_walks(monkeypatch)
     code, out, _ = run_cli(
-        ["solve", "61", "--power", "2", "--json", "--cache-dir", str(tmp_path)], capsys
+        ["solve", "103", "--power", "2", "--json", "--cache-dir", str(tmp_path)], capsys
     )
     assert code == EXIT_OK
     rep = json.loads(out)
-    assert (rep["bits"], rep["terms"]) == (384, 9096)
+    assert (rep["bits"], rep["terms"]) == (384, 46322)
     assert [a["bits"] for a in rep["attempts"]] == [192]
     built = [n for first, last in spans for n in range(first, last + 1)]
-    assert sorted(built) == list(range(2, 9097))
-    assert writes == [9096]
-    assert read_cache(str(tmp_path), 61, 2) == qexp_coefficients(61, 2, 9096)
+    assert sorted(built) == list(range(2, 46323))
+    assert writes == [46322]
+    assert read_cache(str(tmp_path), 103, 2) == qexp_coefficients(103, 2, 46322)
 
 
 def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):

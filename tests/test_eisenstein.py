@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cubesum.eisenstein import (
     BadModulus,
@@ -31,6 +32,7 @@ from cubesum.eisenstein import (
     residue_map_omega,
     sextic_residue_symbol,
     split_prime,
+    sqrt_eis,
 )
 
 rng = random.Random(20240901)
@@ -70,6 +72,28 @@ def test_divmod_is_euclidean():
         q, r = divmod(x, y)
         assert q * y + r == x
         assert norm(r) < norm(y)
+
+
+eis_ints = st.builds(
+    EisensteinInt, st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200)
+)
+
+
+@given(eis_ints)
+def test_sqrt_eis_recovers_a_root_and_rejects_non_squares(T):
+    assert sqrt_eis(T * T) in (T, -T)
+    if T:
+        # -1, 2 (inert) and sqrt(-3) (ramified) are not squares, and T^2 + 1
+        # = U^2 would need (U - T)(U + T) = 1, so T = 0
+        for s in (T * T + 1, -(T * T), 2 * T * T, SQRT_M3 * T * T):
+            assert sqrt_eis(s) is None, s
+
+
+def test_sqrt_eis_small_cases():
+    assert sqrt_eis(EisensteinInt(0)) == EisensteinInt(0)
+    assert sqrt_eis(W) in (W2, -W2)  # w = (w^2)^2
+    for s in (-W, EisensteinInt(2), SQRT_M3, EisensteinInt(3)):
+        assert sqrt_eis(s) is None
 
 
 def test_units_are_sixth_roots():

@@ -361,10 +361,68 @@ def test_identity_difference_is_a_site_failure(monkeypatch):
     assert str(info.value).count("DescentFailed: twisted difference is the identity") == 2
 
 
-def test_pipeline_79_squared_wins_after_one_retry():
-    r = solve_pipeline(79, 2)
-    assert (r.site.label(), r.bits) == ("wtau(r=56)", 384)
+def test_pipeline_103_squared_wins_after_one_retry():
+    # x_scaled of the nontorsion side has a 155-bit denominator: over the
+    # 2^84 bound at 192 bits, inside the 2^180 bound at 384
+    r = solve_pipeline(103, 2)
+    assert (r.site.label(), r.bits, r.terms) == ("wtau(r=47)", 384, 46322)
     assert [(a["site"], a["bits"], a["error"]) for a in r.attempts] == [
-        ("wtau(r=56)", 192, "RecognitionFailed")
+        ("wtau(r=47)", 192, "RecognitionFailed")
     ]
+    assert "not recognized" in r.attempts[0]["message"]
+    assert "2^84" in r.attempts[0]["message"]
+    assert r.checks["precision_margin_bits"] == {"f": 25, "fc": 180}
     assert r.cube.verify()
+
+
+def test_pipeline_79_squared_wins_at_192_bits():
+    # y would need about 1.5 times x's denominator bits; x alone fits 192
+    r = solve_pipeline(79, 2)
+    assert (r.site.label(), r.bits) == ("wtau(r=56)", 192)
+    assert r.attempts == []
+    assert r.cube.verify()
+
+
+# ------------------------------------------------------- exact y from x
+
+
+def nontorsion_fixture_raw(prec=192):
+    split, site, z_f, z_fc = prepare(7, 1, 5, "tau", prec)
+    kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
+    assert kind == "point"
+    return split, raw
+
+
+def test_recognize_takes_the_sign_of_y_from_the_numbers():
+    prec = 192
+    split, (x, y) = nontorsion_fixture_raw(prec)
+    rec = recognize((x, y), split, 1, 1 << 84, prec, form="f")
+    with mp.workprec(prec + 32):  # mpmath rounds even a negation
+        minus_y = -y
+    flipped = recognize((x, minus_y), split, 1, 1 << 84, prec, form="f")
+    assert rec.y == q(-2, Fraction(-9, 2))
+    assert flipped.y == -rec.y
+    assert flipped.x_scaled == rec.x_scaled and flipped.twist_k == rec.twist_k
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 1000), Fraction(-3, 7), Fraction(1, 2**40)])
+def test_recognize_rejects_a_perturbed_x(delta):
+    # x + delta, scaled by the irrational cube root, has no exact y: every
+    # candidate's S is a non-square in Z[w], so no point comes back
+    prec = 192
+    split, (x, y) = nontorsion_fixture_raw(prec)
+    with mp.workprec(prec + 32):
+        bad_x = x + mp.mpf(delta.numerator) / delta.denominator
+    with pytest.raises(RecognitionFailed, match="not recognized"):
+        recognize((bad_x, y), split, 1, 1 << 84, prec, form="f")
+
+
+def test_recognize_rejects_an_exact_y_off_the_numbers():
+    # the true x with a numeric y that is not its y: the exact root exists
+    # but disagrees with the numbers, so recognition fails
+    prec = 192
+    split, (x, y) = nontorsion_fixture_raw(prec)
+    with mp.workprec(prec + 32):
+        off = y + mp.mpf(2) ** -40
+    with pytest.raises(RecognitionFailed, match="no exact y"):
+        recognize((x, off), split, 1, 1 << 84, prec, form="f")
