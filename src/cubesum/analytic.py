@@ -419,9 +419,8 @@ def fricke_constant(p, i, prec=192, at=None, form=None):
     Contracts: |C| = 1 and C^6 = pi^(2i)/pibar^(2i) (up to the sixth root of
     unity that stays unpinned); both are asserted by the acceptance suite
     rather than here.  Default site is the involution's fixed point i/sqrt(N),
-    where f and f^c come from one pass.  `form` (a solve's own store, say)
-    is extended in place to the terms the site needs; one is built when it
-    is missing.
+    where f and f^c come from one pass.  `form` is extended in place to
+    the terms the site needs; one is built when it is missing.
     """
     _, N = conductor_and_level(p, i)
     with mp.workprec(prec + GUARD_BITS):
@@ -437,23 +436,6 @@ def fricke_constant(p, i, prec=192, at=None, form=None):
             num = eval_f(form, wtau, prec)[0]
             fc_tau = eval_f(form, tau, prec)[1]
         return num / (N * tau**2 * fc_tau)
-
-
-def measure_beta(p, i, prec=160, form=None):
-    """(k, residual): the sixth root of unity beta = C (pibar/pi)^(i/3).
-
-    The exact sixth root is not pinned a priori; it is measured against the
-    principal branch of the cube root and reported per (p, i).  `form` is
-    handed to fricke_constant (a solve passes its coefficient store).
-    """
-    split = split_prime(p)
-    C = fricke_constant(p, i, prec, form=form)
-    with mp.workprec(prec + GUARD_BITS):
-        third = mp.mpf(i) / 3
-        beta = C * (split.pibar.to_mpc(mp) / split.pi.to_mpc(mp)) ** third
-        best = min(range(6), key=lambda k: abs(beta - mp.e ** (mp.mpc(0, k) * mp.pi / 3)))
-        res = abs(beta - mp.e ** (mp.mpc(0, best) * mp.pi / 3))
-        return best, res
 
 
 def l_value_and_cusp_zero(p, i, prec=192, conjugate=False):

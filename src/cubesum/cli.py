@@ -151,11 +151,7 @@ class RunReport:
         return asdict(self)
 
 
-def build_report(result, beta=None):
-    checks = dict(result.checks)
-    if beta is not None:
-        k, res = beta
-        checks["fricke_beta"] = {"sixth_root_power": k, "residual": f"2^{res_log2(res)}"}
+def build_report(result):
     return RunReport(
         p=result.p,
         i=result.i,
@@ -168,19 +164,10 @@ def build_report(result, beta=None):
         point_K=point_str(result.point_K),
         point_Q=point_str(result.point_Q),
         cube_sum={"u": str(result.cube.u), "v": str(result.cube.v)},
-        checks=checks,
+        checks=result.checks,
         timings_ms=result.timings_ms,
         attempts=result.attempts,
     )
-
-
-def res_log2(res):
-    import math
-
-    r = float(res)
-    if r <= 0:
-        return "-inf"
-    return f"{math.log2(r):.0f}"
 
 
 def print_report(rep, as_json):
@@ -222,7 +209,6 @@ def check_solvable_prime(p):
 
 
 def cmd_solve(args):
-    from .analytic import measure_beta
     from .parametrize import solve_pipeline
 
     check_solvable_prime(args.p)
@@ -233,25 +219,17 @@ def cmd_solve(args):
         form = build_form(args.p, i, 0, coeffs=read_cache(args.cache_dir, args.p, i))
         loaded = form.terms
         try:
-            result = solve_pipeline(
-                args.p,
-                i,
-                bits=args.bits,
-                max_terms=args.max_terms,
-                eval_mode=args.eval,
-                form=form,
-            )
+            result = solve_pipeline(args.p, i, bits=args.bits, max_terms=args.max_terms, form=form)
             result.timings_ms["total_ms"] = 1000 * (time.perf_counter() - t0)
             if not result.cube.verify():  # defensive; to_cube_sum checks already
                 raise AssertionError("cube identity failed")
-            beta = measure_beta(args.p, i, min(args.bits, 160), form=form)
         finally:  # also on exit 3, so the computed terms are kept
             if form.terms > loaded:
                 try:
                     write_cache(args.cache_dir, args.p, i, (form.alpha, form.beta))
                 except OSError as e:  # the solve's own outcome stands
                     print(f"warning: coefficient cache not written: {e}", file=sys.stderr)
-        reports.append(build_report(result, beta=beta))
+        reports.append(build_report(result))
     if args.json:
         payload = [r.to_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True))
@@ -348,7 +326,6 @@ def make_parser():
     sp.add_argument("--power", default="1", choices=["1", "2", "both"])
     sp.add_argument("--bits", type=int, default=192, help="working precision (bits)")
     sp.add_argument("--max-terms", type=int, default=2_000_000, dest="max_terms")
-    sp.add_argument("--eval", default="auto", choices=["auto", "tau", "wtau"])
     sp.add_argument("--cache-dir", default=default_cache_dir(), dest="cache_dir")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_solve)

@@ -1,12 +1,11 @@
-"""Candidate CM evaluation points.
+"""The CM evaluation site.
 
-For r with r^2 - r + 1 = 0 mod 3p the two sites are tau_r = -1/(3w + 3r) and
-its Fricke image W(tau_r) = (3w + 3r)/N.  Writing t = (r^2 - r + 1)/(3p), the
-imaginary parts are sqrt(3)/2 / (9pt) and 3 sqrt(3)/2 / N; candidates are
-ranked by those heights since they control q-series convergence.  -r is a
-primitive cube root of unity in both residue fields above p, and which root
-it is decides (up to a residue-orientation convention the pipeline probes
-empirically) where the non-torsion point shows up.
+For r with r^2 - r + 1 = 0 mod 3p the CM point is tau_r = -1/(3w + 3r), and
+a solve evaluates at its Fricke image W(tau_r) = (3w + 3r)/N, whose
+imaginary part 3 sqrt(3)/2 / N is at least that of tau_r, sqrt(3)/2 / (9pt)
+with t = (r^2 - r + 1)/(3p): the q-series there converge fastest.  The
+other root of r^2 - r + 1 mod 3p is 1 - r, and 3w + 3(1 - r) = -conj(3w + 3r),
+so its site gives the complex conjugates of the same sums and nothing new.
 """
 
 from __future__ import annotations
@@ -14,12 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import EisensteinInt, is_prime_int, residue_map_omega, split_prime
+from .eisenstein import EisensteinInt, is_prime_int
 from .heckeform import conductor_and_level
-
-
-class NotCubeRoot(ArithmeticError):
-    pass
 
 
 def _sqrt_mod(a, p):
@@ -69,28 +64,11 @@ def solve_r(p):
     return tuple(sorted(roots))
 
 
-def classify_root(r, split):
-    """(k_pi, k_pibar) with -r = w^k in the residue field mod pi resp. pibar."""
-    p = split.p
-    out = []
-    for g in (split.pi, split.pibar):
-        w = residue_map_omega(g)
-        if (-r - w) % p == 0:
-            out.append(1)
-        elif (-r - w * w) % p == 0:
-            out.append(2)
-        else:
-            raise NotCubeRoot(f"-{r} is not a primitive cube root of unity mod {g}")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CMPoint:
     p: int
     r: int
     t: int
-    class_pi: int
-    class_pibar: int
 
     @property
     def denom(self):
@@ -100,69 +78,30 @@ class CMPoint:
 
 @dataclass(frozen=True)
 class EvalSite:
-    """One evaluation site: tau_r itself or its Fricke image."""
+    """W(tau_r) = (3w + 3r)/N, the Fricke image of the CM point tau_r."""
 
-    kind: str  # "tau" or "wtau"
     point: CMPoint
     N: int
-    im_coeff: Fraction  # Im(site) = im_coeff * sqrt(3)
+
+    @property
+    def im_coeff(self):
+        """Im(site) / sqrt(3), exact."""
+        return Fraction(3, 2 * self.N)
 
     def to_mpc(self, ctx):
-        z = self.point.denom.to_mpc(ctx)  # 3w + 3r
-        if self.kind == "tau":
-            return -1 / z
-        return z / self.N
+        return self.point.denom.to_mpc(ctx) / self.N
 
     def label(self):
-        return f"{self.kind}(r={self.point.r})"
+        return f"wtau(r={self.point.r})"
 
 
-@dataclass(frozen=True)
-class Candidate:
-    site: EvalSite
-    predicted_nontorsion: str  # "f" or "fc"
-
-
-def _min_t_representative(r, p):
-    best = None
-    for rr in (r - 3 * p, r, r + 3 * p):
-        t, rem = divmod(rr * rr - rr + 1, 3 * p)
-        if rem:
-            raise AssertionError(f"3*{p} does not divide r^2 - r + 1 at r = {rr}")
-        if best is None or t < best[0]:
-            best = (t, rr)
-    return best[1], best[0]
-
-
-def candidate_points(p, i):
-    """All four (root, site) combinations, ranked by descending Im of the
-    site (ties broken toward the Fricke image, whose series converge first)."""
-    split = split_prime(p)
+def eval_site(p, i):
+    """W(tau_r) for r = solve_r(p)[0], taken at the representative r mod 3p
+    (r - 3p, r or r + 3p) with the least t."""
+    r0 = solve_r(p)[0]
+    r = min((r0 - 3 * p, r0, r0 + 3 * p), key=lambda rr: rr * rr - rr + 1)
+    t = (r * r - r + 1) // (3 * p)
+    if t % 3 != 1:
+        raise AssertionError(f"t = {t} is not 1 mod 3 for r = {r}")
     _, N = conductor_and_level(p, i)
-    cands = []
-    for r0 in solve_r(p):
-        r, t = _min_t_representative(r0, p)
-        if t % 3 != 1:
-            raise AssertionError(f"t = {t} is not 1 mod 3 for r = {r}")
-        k_pi, k_pibar = classify_root(r, split)
-        pt = CMPoint(p=p, r=r, t=t, class_pi=k_pi, class_pibar=k_pibar)
-        # -r = w^2 puts the non-torsion point on f at tau_r and on f^c at
-        # W(tau_r); under this module's residue conventions the condition
-        # holds mod pibar for the reference examples (measured, and the
-        # pipeline probes both forms regardless)
-        pred_tau = "f" if k_pibar == 2 else "fc"
-        pred_wtau = "fc" if k_pibar == 2 else "f"
-        cands.append(
-            Candidate(
-                site=EvalSite("tau", pt, N, Fraction(1, 18 * p * t)),
-                predicted_nontorsion=pred_tau,
-            )
-        )
-        cands.append(
-            Candidate(
-                site=EvalSite("wtau", pt, N, Fraction(3, 2 * N)),
-                predicted_nontorsion=pred_wtau,
-            )
-        )
-    cands.sort(key=lambda c: (-c.site.im_coeff, c.site.kind != "wtau"))
-    return cands
+    return EvalSite(CMPoint(p=p, r=r, t=t), N)

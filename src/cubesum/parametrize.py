@@ -1,22 +1,21 @@
 """The orchestrated pipeline from CM sites to certified cube sums.
 
-Stages: sum the Abel-Jacobi images of f and f^c at a ranked candidate site
-(one pass gives both), map each through wp on its curve's lattice,
-recognize x in K (the non-torsion side lives over K(pi^(1/3)), so x is
-recognized after scaling by a cube root; the torsion side has x = 0) and
-solve for y by an exact square root in Z[w], twist both to points of E(p^i)
-over K, take the difference, and descend to Q by the trace or the sqrt(-3)
-endomorphism.  Recognizing x alone needs about 2/3 of the bits y would.
+Stages: sum the Abel-Jacobi images of f and f^c at the one site W(tau_r)
+(cmpoint.eval_site; one pass gives both), map each through wp on its
+curve's lattice, recognize x in K (the non-torsion side lives over
+K(pi^(1/3)), so x is recognized after scaling by a cube root; the torsion
+side has x = 0) and solve for y by an exact square root in Z[w], twist both
+to points of E(p^i) over K, take the difference, and descend to Q by the
+trace or the sqrt(-3) endomorphism.  Recognizing x alone needs about 2/3 of the bits y would.
 A recognized point must match the numeric y to 2^-(prec/2), and the
 descended point is certified by exact arithmetic (nontorsion certificate,
 isogeny and cube identities) before it is reported.
 
-solve_pipeline escalates precision on one site at a time, in ranked order: a
-numerical failure (RecognitionFailed, EvalResidualTooLarge) retries the same
-site at twice the bits, and a site failure (DescentFailed, including a site
-whose twisted difference is the identity, or TermsCapExceeded) moves on to
-the next site at the starting bits.  Every failed attempt is kept in
-PipelineResult.attempts.
+solve_pipeline escalates precision on that one site: a numerical failure
+(RecognitionFailed, EvalResidualTooLarge) retries at twice the bits, and a
+failure more bits cannot fix (DescentFailed, including a twisted difference
+that is the identity, or TermsCapExceeded) ends the solve at once.  Every
+failed attempt is kept in PipelineResult.attempts.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .analytic import (
     terms_needed,
     wp_eval,
 )
-from .cmpoint import candidate_points
+from .cmpoint import eval_site
 from .curves import CurvePoint, DescentFailed, add, endo_omega, mul_sqrt_m3
 from .eisenstein import EisensteinInt, QOmega, split_prime, sqrt_eis
 from .heckeform import build_form
@@ -65,7 +64,6 @@ class RecognizedPoint:
     y: QOmega | None
     mult_tag: str | None  # "pi" or "pibar": which cube root made x algebraic
     twist_k: int
-    residual_bits: int  # -log2 of x_scaled's re-embedding residual, capped at prec
     den_bits: int  # floor(log2) of the lcm of x_scaled's denominators
 
 
@@ -145,8 +143,6 @@ def recognize(raw, split, i, den_bound, prec=192, form="f"):
                 if abs(yv - y_twisted) >= tol:
                     rejected += 1
                     continue
-                res = abs(cand.to_mpc(mp) - scaled * w**k)
-                bits = prec if res == 0 else int(-mp.log(res, 2))
                 # y = T / (2 e^2 m) = T conj(m) / (2 e^2 p^i)
                 U, den = T * m.conj(), 2 * e * e * split.p**i
                 return RecognizedPoint(
@@ -156,7 +152,6 @@ def recognize(raw, split, i, den_bound, prec=192, form="f"):
                     y=QOmega(Fraction(U.a, den), Fraction(U.b, den)),
                     mult_tag=tag,
                     twist_k=k,
-                    residual_bits=min(bits, prec),
                     den_bits=e.bit_length() - 1,
                 )
         raise RecognitionFailed(
@@ -168,8 +163,7 @@ def recognize(raw, split, i, den_bound, prec=192, form="f"):
 
 def recognized_infinity(form="f"):
     return RecognizedPoint(
-        form=form, at_infinity=True, x_scaled=None, y=None, mult_tag=None, twist_k=0,
-        residual_bits=0, den_bits=0,
+        form=form, at_infinity=True, x_scaled=None, y=None, mult_tag=None, twist_k=0, den_bits=0
     )
 
 
@@ -239,7 +233,6 @@ class PipelineResult:
     i: int
     split: object
     site: object
-    predicted_form: str
     bits: int
     terms: int
     rec_f: RecognizedPoint
@@ -254,6 +247,12 @@ class PipelineResult:
     checks: dict
     timings_ms: dict
     attempts: list = field(default_factory=list)  # the failed attempts before this one
+
+
+# perfbench/tracer.py binds _attempt_site's `cand` argument and reads cand.site.
+@dataclass(frozen=True)
+class Candidate:
+    site: object  # cmpoint.EvalSite
 
 
 def _attempt_site(cand, split, p, i, prec, max_terms, form):
@@ -322,7 +321,6 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
         i=i,
         split=split,
         site=site,
-        predicted_form=cand.predicted_nontorsion,
         bits=prec,
         terms=M,
         rec_f=rec_f,
@@ -339,53 +337,48 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     )
 
 
-RUNGS = 5  # precisions tried per site: bits, 2 bits, ..., 16 bits
+RUNGS = 5  # precisions tried: bits, 2 bits, ..., 16 bits
 
-# Failures more precision cannot fix: the site is given up at once.
+# Failures more precision cannot fix: the site, and with it the solve, is
+# given up at once.
 SITE_FAILURES = (DescentFailed, TermsCapExceeded)
 PRECISION_FAILURES = (RecognitionFailed, EvalResidualTooLarge)
 
 
-def solve_pipeline(p, i, bits=192, max_terms=2_000_000, eval_mode="auto", form=None):
+def solve_pipeline(p, i, bits=192, max_terms=2_000_000, form=None):
     """End-to-end: u^3 + v^3 = p^i with exact verification.
 
-    Candidate sites are tried in ranked order.  On each site the precision
-    starts at `bits` and doubles after every precision failure, for at most
-    RUNGS attempts; a site failure (descent, torsion, identity difference or
-    the terms cap) moves on to the next site at once.  The failed attempts
-    come back in the result's `attempts` (site, bits, error, message) and,
-    when every site is used up, in the PrecisionExhausted message.
-    eval_mode restricts the sites ("tau", "wtau", or "auto").  Each attempt
-    extends `form`, the caller's HeckeForm store (a new one when None), to
-    the terms its site needs.
+    The precision starts at `bits` and doubles after every precision
+    failure, for at most RUNGS attempts at the one site; a descent failure
+    (no rational nontorsion point, or an identity difference) or the terms
+    cap ends the solve at once.  The failed attempts come back in the
+    result's `attempts` (site, bits, error, message) and, when the solve
+    fails, in the PrecisionExhausted message.  Each attempt extends `form`,
+    the caller's HeckeForm store (a new one when None), to the terms the
+    site needs.
     """
     split = split_prime(p)
-    cands = candidate_points(p, i)
-    if eval_mode in ("tau", "wtau"):
-        cands = [c for c in cands if c.site.kind == eval_mode]
-    if not cands:
-        raise ValueError(f"no candidate sites for eval mode {eval_mode}")
+    cand = Candidate(eval_site(p, i))
     if form is None:
         form = build_form(p, i, 0)
     attempts = []
-    for cand in cands:
-        prec = bits
-        for _ in range(RUNGS):
-            try:
-                result = _attempt_site(cand, split, p, i, prec, max_terms, form)
-            except SITE_FAILURES + PRECISION_FAILURES as e:
-                attempts.append({
-                    "site": cand.site.label(),
-                    "bits": prec,
-                    "error": type(e).__name__,
-                    "message": str(e),
-                })
-                if isinstance(e, SITE_FAILURES):
-                    break
-                prec *= 2
-            else:
-                result.attempts = attempts
-                return result
+    prec = bits
+    for _ in range(RUNGS):
+        try:
+            result = _attempt_site(cand, split, p, i, prec, max_terms, form)
+        except SITE_FAILURES + PRECISION_FAILURES as e:
+            attempts.append({
+                "site": cand.site.label(),
+                "bits": prec,
+                "error": type(e).__name__,
+                "message": str(e),
+            })
+            if isinstance(e, SITE_FAILURES):
+                break
+            prec *= 2
+        else:
+            result.attempts = attempts
+            return result
     raise PrecisionExhausted("; ".join(
         f"{a['site']}@{a['bits']}b: {a['error']}: {a['message']}" for a in attempts
     ))

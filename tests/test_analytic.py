@@ -15,7 +15,6 @@ from cubesum.analytic import (
     fricke_constant,
     l_value_and_cusp_zero,
     lattice_of_curve,
-    measure_beta,
     omega_mpc,
     reduce_xi,
     terms_needed,
@@ -487,11 +486,11 @@ def test_terms_needed_monotone():
     assert terms_needed(0.01, 192) > terms_needed(0.02, 192) > terms_needed(0.02, 96)
 
 
-def test_measure_beta_extends_a_too_short_form():
+def test_fricke_constant_extends_a_too_short_form():
     # a form shorter than the Fricke site needs is extended in place, not summed short
-    want = measure_beta(7, 1, 160)
+    want = fricke_constant(7, 1, 160)
     short = build_form(7, 1, 20)
-    got = measure_beta(7, 1, 160, form=short)
-    assert got[0] == want[0] and got[1] == want[1]
+    got = fricke_constant(7, 1, 160, form=short)
+    assert got == want
     assert short.terms > 20
     assert (short.alpha, short.beta) == qexp_coefficients(7, 1, short.terms)

@@ -125,24 +125,25 @@ def test_solve_json_reports_failed_attempts(tmp_path, capsys):
 def test_precision_exhausted_lists_every_attempt(tmp_path, capsys, monkeypatch):
     import cubesum.parametrize as par
 
-    # the terms cap is a site failure: one attempt per site
+    # the terms cap ends the solve after its one attempt
     code, _, err = run_cli(
         ["solve", "7", "--max-terms", "40", "--cache-dir", str(tmp_path)], capsys
     )
     assert code == EXIT_PRECISION
     entries = err.split("; ")
-    assert len(entries) == 4
-    assert all("@192b: TermsCapExceeded: " in e for e in entries)
+    assert len(entries) == 1
+    assert "wtau(r=5)@192b: TermsCapExceeded: " in entries[0]
 
-    # precision failures everywhere: all 20 (site, bits) attempts are named
+    # precision failures at every rung: all 5 attempts are named
     def fail(cand, split, p, i, prec, *rest):
         raise par.RecognitionFailed(f"stub at {prec}")
 
     monkeypatch.setattr(par, "_attempt_site", fail)
     code, _, err = run_cli(["solve", "7", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_PRECISION
+    assert err.count("b: RecognitionFailed: stub at ") == 5
     for bits in (192, 384, 768, 1536, 3072):
-        assert err.count(f"@{bits}b: RecognitionFailed: stub at {bits}") == 4
+        assert err.count(f"wtau(r=5)@{bits}b: RecognitionFailed: stub at {bits}") == 1
 
 
 def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -280,7 +281,7 @@ def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):
     # exit 3 still writes, once, what the failed attempts sieved
     monkeypatch.setattr(par, "evaluate_cm", fail)
     writes, _ = spy_cache_writes_and_walks(monkeypatch)
-    code, _, _ = run_cli(["solve", "7", "--eval", "wtau", "--cache-dir", str(tmp_path)], capsys)
+    code, _, _ = run_cli(["solve", "7", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_PRECISION
     stored = read_cache(str(tmp_path), 7, 1)
     assert writes == [len(stored[0]) - 1] and len(stored[0]) > 1
@@ -388,7 +389,7 @@ def test_unwritable_cache_dir_keeps_the_solve_outcome(tmp_path, capsys, monkeypa
         raise par.EvalResidualTooLarge("stub")
 
     monkeypatch.setattr(par, "evaluate_cm", fail)
-    code, out, err = run_cli(["solve", "7", "--eval", "wtau", "--cache-dir", d], capsys)
+    code, out, err = run_cli(["solve", "7", "--cache-dir", d], capsys)
     assert code == EXIT_PRECISION
     lines = err.splitlines()
     assert len(lines) == 2 and out == ""
@@ -542,15 +543,19 @@ def test_verify_detects_tampering(capsys, monkeypatch):
     assert "yseries_p7" in out
 
 
-def test_solve_below_160_bits_reports_fricke_beta(tmp_path, capsys):
-    # measure_beta runs at min(bits, 160) on the form the solve won with
+def test_solve_runs_no_fricke_pass(tmp_path, capsys, monkeypatch):
+    # the Fricke constant is checked by verify, not measured on every solve
+    import cubesum.analytic as an
+
+    def fail(*args, **kwargs):
+        raise AssertionError("fricke_constant called by solve")
+
+    monkeypatch.setattr(an, "fricke_constant", fail)
     code, out, _ = run_cli(
         ["solve", "7", "--bits", "96", "--json", "--cache-dir", str(tmp_path)], capsys
     )
     assert code == EXIT_OK
-    beta = json.loads(out)["checks"]["fricke_beta"]
-    assert beta["sixth_root_power"] in range(6)
-    assert int(beta["residual"].removeprefix("2^")) < -48
+    assert "fricke_beta" not in json.loads(out)["checks"]
 
 
 def _run_python(*args):

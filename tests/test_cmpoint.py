@@ -1,7 +1,16 @@
 from fractions import Fraction
 
-from cubesum.cmpoint import candidate_points, classify_root, solve_r
-from cubesum.eisenstein import split_prime
+from cubesum.cmpoint import eval_site, solve_r
+from cubesum.eisenstein import residue_map_omega, split_prime
+
+
+def residue_classes(r, split):
+    """(k_pi, k_pibar) with -r = w^k in the residue field mod pi resp. pibar."""
+    out = []
+    for g in (split.pi, split.pibar):
+        w = residue_map_omega(g)
+        out.append(next(k for k in (1, 2) if (-r - w**k) % split.p == 0))
+    return tuple(out)
 
 
 def test_solve_r_fixtures():
@@ -22,16 +31,17 @@ def test_solve_r_properties():
 def test_classify_root_fixtures():
     s7 = split_prime(7)
     # -5 = 2 = w mod (3w+1) and -5 = 2 = w^2 mod (-3w-2)
-    assert classify_root(5, s7) == (1, 2)
+    assert residue_classes(5, s7) == (1, 2)
     s13 = split_prime(13)
-    assert classify_root(23, s13)[0] == 1  # -23 = 3 = w mod (3w+4)
+    assert residue_classes(23, s13)[0] == 1  # -23 = 3 = w mod (3w+4)
 
 
 def test_classify_root_conjugate_swap_and_complement():
+    # -r is a primitive cube root of unity in both residue fields above p
     for p in (7, 13, 31, 37, 43, 61):
         s = split_prime(p)
         r1, r2 = solve_r(p)
-        c1, c2 = classify_root(r1, s), classify_root(r2, s)
+        c1, c2 = residue_classes(r1, s), residue_classes(r2, s)
         # classes swap between pi and pibar
         assert c1[0] != c1[1]
         assert c2[0] != c2[1]
@@ -40,58 +50,46 @@ def test_classify_root_conjugate_swap_and_complement():
         assert c1[1] != c2[1]
 
 
-def test_candidate_points_p7():
-    cands = candidate_points(7, 1)
-    assert len(cands) == 4
-    # both minimal-t representatives: r=5 (t=1) and r=-4 (t=1)
-    rs = {c.site.point.r for c in cands}
-    assert rs == {5, -4}
-    for c in cands:
-        assert c.site.point.t == 1
-    # N = 27p: tau and wtau then have equal height; wtau is ranked first
-    assert cands[0].site.kind == "wtau"
-    assert cands[1].site.kind == "wtau"
-    assert cands[0].site.im_coeff == Fraction(3, 2 * 189) == Fraction(1, 126)
+def test_eval_site_p7():
+    site = eval_site(7, 1)
+    # solve_r(7)[0] = 5 is its own minimal-t representative (t = 1)
+    assert (site.point.r, site.point.t) == (5, 1)
+    assert site.label() == "wtau(r=5)"
+    # N = 27p: W(tau_5) has the height of tau_5 itself, 1/(18pt)
+    assert site.im_coeff == Fraction(3, 2 * 189) == Fraction(1, 18 * 7)
 
 
-def test_candidate_points_p31_ranking():
-    cands = candidate_points(31, 1)
-    # wtau height 3/(2*279) = 0.00537...*sqrt(3); tau heights 1/(18*31*t)
-    assert cands[0].site.kind == "wtau"
-    ims = [c.site.im_coeff for c in cands]
-    assert ims == sorted(ims, reverse=True)
-    # the reference site r=26 (t=7) appears
-    assert any(c.site.point.r == 26 and c.site.point.t == 7 for c in cands)
+def test_eval_site_p31_is_the_reference_site():
+    site = eval_site(31, 1)
+    assert (site.point.r, site.point.t) == (26, 7)
+    assert site.im_coeff == Fraction(3, 2 * site.N)
 
 
 def test_candidate_invariants():
-    for p, i in ((7, 1), (13, 1), (31, 1), (7, 2)):
-        for c in candidate_points(p, i):
-            pt = c.site.point
-            assert (pt.r**2 - pt.r + 1) == 3 * p * pt.t
-            assert pt.t % 3 == 1
-            assert pt.r % 3 == 2
-            assert c.predicted_nontorsion in ("f", "fc")
+    for p, i in ((7, 1), (13, 1), (31, 1), (7, 2), (859, 2)):
+        pt = eval_site(p, i).point
+        assert (pt.r**2 - pt.r + 1) == 3 * p * pt.t
+        assert pt.t % 3 == 1
+        assert pt.r % 3 == 2
+        assert (pt.r - solve_r(p)[0]) % (3 * p) == 0
 
 
 def test_sites_embed_to_upper_half_plane():
     import mpmath
 
     with mpmath.mp.workprec(80):
-        for c in candidate_points(13, 1):
-            tau = c.site.to_mpc(mpmath.mp)
+        for p, i in ((13, 1), (13, 2)):
+            site = eval_site(p, i)
+            tau = site.to_mpc(mpmath.mp)
             assert tau.imag > 0
-            coeff = c.site.im_coeff
+            coeff = site.im_coeff
             want = mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.sqrt(3)
             assert abs(tau.imag - want) < mpmath.mpf(2) ** -60
 
 
 def test_wtau_higher_than_tau_when_t_large():
-    cands = candidate_points(31, 1)
-    by_r = {}
-    for c in cands:
-        by_r.setdefault(c.site.point.r, {})[c.site.kind] = c.site.im_coeff
-    for r, d in by_r.items():
-        t = next(c.site.point.t for c in cands if c.site.point.r == r)
-        if t > 1:
-            assert d["wtau"] > d["tau"]
+    # Im tau_r = sqrt(3) / (18pt): when t > 1 the Fricke image is higher
+    for p, i in ((13, 1), (31, 1), (31, 2)):
+        site = eval_site(p, i)
+        assert site.point.t > 1
+        assert site.im_coeff > Fraction(1, 18 * p * site.point.t)

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cubesum.cmpoint import CMPoint, EvalSite, classify_root
 from cubesum.curves import CurvePoint, endo_omega, mul
-from cubesum.eisenstein import QOmega, split_prime
-from cubesum.heckeform import build_form, conductor_and_level
+from cubesum.eisenstein import EisensteinInt, QOmega, is_prime_int, split_prime
+from cubesum.heckeform import build_form
 from cubesum import parametrize
-from cubesum.analytic import TermsCapExceeded
-from cubesum.cmpoint import candidate_points
+from cubesum.analytic import TermsCapExceeded, omega_mpc
+from cubesum.cmpoint import eval_site
 from cubesum.curves import DescentFailed
 from cubesum.parametrize import (
     EvalResidualTooLarge,
@@ -28,14 +27,10 @@ def q(a, b=0):
     return QOmega(Fraction(a), Fraction(b))
 
 
-def site_for(p, i, r, kind="tau"):
-    split = split_prime(p)
-    t = (r * r - r + 1) // (3 * p)
-    _, N = conductor_and_level(p, i)
-    k_pi, k_pibar = classify_root(r, split)
-    pt = CMPoint(p=p, r=r, t=t, class_pi=k_pi, class_pibar=k_pibar)
-    im = Fraction(1, 18 * p * t) if kind == "tau" else Fraction(3, 2 * N)
-    return EvalSite(kind, pt, N, im)
+def tau_r(r, prec):
+    """The CM point tau_r = -1/(3w + 3r), as a plain complex number."""
+    with mp.workprec(prec + 64):
+        return -1 / EisensteinInt(3 * r, 3).to_mpc(mp)
 
 
 def unit_orbit(P):
@@ -48,19 +43,19 @@ def unit_orbit(P):
     return out
 
 
-def prepare(p, i, r, kind, prec=192):
+def prepare(p, i, r, prec=192):
+    """(split, z_f, z_fc) at tau_r, the CM point the reference fixtures use."""
     split = split_prime(p)
-    site = site_for(p, i, r, kind)
-    M = terms_needed(float(site.im_coeff) * 3**0.5, prec)
-    z_f, z_fc = eval_z(build_form(p, i, M), site, prec)
-    return split, site, z_f, z_fc
+    tau = tau_r(r, prec)
+    z_f, z_fc = eval_z(build_form(p, i, terms_needed(tau.imag, prec)), tau, prec)
+    return split, z_f, z_fc
 
 
 def test_evaluate_cm_p7_tau_fixture():
     # phi at tau_5 is the non-torsion side with y = (-9w-4)/2; phi^c there is
     # the torsion point (0, -pi/2)
     prec = 192
-    split, site, z_f, z_fc = prepare(7, 1, 5, "tau", prec)
+    split, z_f, z_fc = prepare(7, 1, 5, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
     rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
@@ -79,7 +74,7 @@ def test_evaluate_cm_p7_tau_fixture():
 def test_evaluate_cm_p13_tau23_torsion_fixture():
     # at the reference site r = 23 (t = 13), phi^c lands on (0, pi/2)
     prec = 192
-    split, site, z_f, z_fc = prepare(13, 1, 23, "tau", prec)
+    split, z_f, z_fc = prepare(13, 1, 23, prec)
     kind_c, raw_c = evaluate_cm(z_fc, split.pi ** 2, prec)
     assert kind_c == "point"
     rec_c = recognize(raw_c, split, 1, 1 << 64, prec, form="fc")
@@ -102,7 +97,7 @@ def test_evaluate_cm_lattice_point_with_noise_is_infinity():
 
 def test_recognize_p13_nontorsion_fixture():
     prec = 192
-    split, site, z_f, z_fc = prepare(13, 1, 23, "tau", prec)
+    split, z_f, z_fc = prepare(13, 1, 23, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
     rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
@@ -113,7 +108,7 @@ def test_recognize_p13_nontorsion_fixture():
 
 def test_recognize_p31_fixture():
     prec = 224
-    split, site, z_f, z_fc = prepare(31, 1, 26, "tau", prec)
+    split, z_f, z_fc = prepare(31, 1, 26, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
     rec = recognize(raw, split, 1, 1 << 80, prec, form="f")
@@ -126,11 +121,14 @@ def test_recognize_p31_fixture():
 
 def test_recognized_point_reembedding():
     prec = 192
-    split, site, z_f, z_fc = prepare(7, 1, 5, "tau", prec)
+    split, z_f, z_fc = prepare(7, 1, 5, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
-    assert rec.residual_bits >= prec // 2
-    with mp.workprec(prec):
+    with mp.workprec(prec + 32):
+        # x_scaled re-embeds onto x * mult^(2/3) * w^k to within 2^-(prec/2)
+        m = (split.pi if rec.mult_tag == "pi" else split.pibar).to_mpc(mp)
+        scaled = raw[0] * (m * m) ** (mp.mpf(1) / 3) * omega_mpc() ** rec.twist_k
+        assert abs(rec.x_scaled.to_mpc(mp) - scaled) <= mp.mpf(2) ** (-(prec // 2))
         yv = rec.y.to_mpc(mp)
         assert abs(yv - raw[1]) < mp.mpf(2) ** (-(prec // 2))
 
@@ -156,7 +154,7 @@ def test_twist_point_exactness_certifies():
     # corrupting a recognized coordinate must be caught by the exact check
     split = split_prime(7)
     prec = 192
-    _, site, z_f, z_fc = prepare(7, 1, 5, "tau", prec)
+    _, z_f, z_fc = prepare(7, 1, 5, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
     import dataclasses
@@ -211,15 +209,6 @@ def test_pipeline_determinism():
     assert r1.bits == r2.bits and r1.terms == r2.terms
 
 
-def test_pipeline_eval_modes():
-    r_tau = solve_pipeline(7, 1, eval_mode="tau")
-    assert r_tau.site.kind == "tau"
-    assert r_tau.cube.verify()
-    r_w = solve_pipeline(7, 1, eval_mode="wtau")
-    assert r_w.site.kind == "wtau"
-    assert r_w.cube.verify()
-
-
 def test_pipeline_terms_cap():
     with pytest.raises(PrecisionExhausted):
         solve_pipeline(7, 1, max_terms=40)
@@ -246,19 +235,20 @@ def test_torsion_site_value_is_negative_cusp_image():
         assert site_sign == -cusp_sign
 
 
-def test_predicted_form_matches_reality():
-    # the annotation must agree with which side came out non-torsion
+def test_exactly_one_torsion_side():
+    # at W(tau_r) one of f, f^c gives a torsion point and the other the
+    # nontorsion one
     for p, i in ((7, 1), (13, 1), (31, 1), (7, 2)):
         r = solve_pipeline(p, i)
+        assert r.site == eval_site(p, i)
         tor_f = r.rec_f.at_infinity or not r.rec_f.x_scaled
         tor_fc = r.rec_fc.at_infinity or not r.rec_fc.x_scaled
-        assert tor_f != tor_fc  # exactly one torsion side at each site
-        assert r.predicted_form == ("fc" if tor_f else "f")
+        assert tor_f != tor_fc
 
 
 # ------------------------------------------------------- escalation schedule
 
-SITES = [c.site.label() for c in candidate_points(7, 1)]  # ranked: wtau, wtau, tau, tau
+SITE = eval_site(7, 1).label()  # wtau(r=5)
 RUNG_BITS = [192, 384, 768, 1536, 3072]
 
 
@@ -284,65 +274,46 @@ def stub_attempts(monkeypatch, outcome):
 
 def test_schedule_precision_failure_escalates_first_site(monkeypatch):
     def outcome(label, bits):
-        if label == SITES[0] and bits >= 384:
-            return None
-        return RecognitionFailed("x not recognized")
+        return None if bits >= 384 else RecognitionFailed("x not recognized")
 
     calls = stub_attempts(monkeypatch, outcome)
     r = solve_pipeline(7, 1)
-    assert calls == [(SITES[0], 192), (SITES[0], 384)]
-    assert (r.label, r.bits) == (SITES[0], 384)
+    assert calls == [(SITE, 192), (SITE, 384)]
+    assert (r.label, r.bits) == (SITE, 384)
     assert r.attempts == [
-        {"site": SITES[0], "bits": 192, "error": "RecognitionFailed", "message": "x not recognized"}
+        {"site": SITE, "bits": 192, "error": "RecognitionFailed", "message": "x not recognized"}
     ]
 
 
 @pytest.mark.parametrize("site_failure", [DescentFailed, TermsCapExceeded])
-def test_schedule_site_failure_moves_to_next_site(monkeypatch, site_failure):
+def test_schedule_site_failure_ends_the_solve(monkeypatch, site_failure):
+    # more bits cannot mend it: no further rung is tried after it
     def outcome(label, bits):
-        if label == SITES[0]:
-            return site_failure("dead site")
-        if label == SITES[1] and bits >= 384:
-            return None
-        return EvalResidualTooLarge("residual too large")
+        return EvalResidualTooLarge("residual too large") if bits == 192 else site_failure("no")
 
     calls = stub_attempts(monkeypatch, outcome)
-    r = solve_pipeline(7, 1)
-    assert calls == [(SITES[0], 192), (SITES[1], 192), (SITES[1], 384)]
-    assert [a["error"] for a in r.attempts] == [site_failure.__name__, "EvalResidualTooLarge"]
-
-
-def test_schedule_exhausted_site_hands_over(monkeypatch):
-    def outcome(label, bits):
-        return None if label == SITES[1] else RecognitionFailed("no")
-
-    calls = stub_attempts(monkeypatch, outcome)
-    r = solve_pipeline(7, 1)
-    assert calls == [(SITES[0], b) for b in RUNG_BITS] + [(SITES[1], 192)]
-    assert len(r.attempts) == len(RUNG_BITS)
+    with pytest.raises(PrecisionExhausted) as info:
+        solve_pipeline(7, 1)
+    assert calls == [(SITE, 192), (SITE, 384)]
+    assert str(info.value).split("; ") == [
+        f"{SITE}@192b: EvalResidualTooLarge: residual too large",
+        f"{SITE}@384b: {site_failure.__name__}: no",
+    ]
 
 
 def test_schedule_total_exhaustion(monkeypatch):
     calls = stub_attempts(monkeypatch, lambda label, bits: RecognitionFailed("no"))
     with pytest.raises(PrecisionExhausted) as info:
         solve_pipeline(7, 1)
-    # every site at every rung, site by site: the same 20 pairs the
-    # rung-by-rung sweep tried, and each one named in the message
-    assert calls == [(s, b) for s in SITES for b in RUNG_BITS]
+    # the one site at every rung, each attempt named in the message
+    assert calls == [(SITE, b) for b in RUNG_BITS]
     entries = str(info.value).split("; ")
     assert entries == [f"{s}@{b}b: RecognitionFailed: no" for s, b in calls]
 
 
-def test_schedule_eval_mode_filters_before_escalating(monkeypatch):
-    calls = stub_attempts(monkeypatch, lambda label, bits: DescentFailed("no"))
-    with pytest.raises(PrecisionExhausted):
-        solve_pipeline(7, 1, eval_mode="tau")
-    assert calls == [(SITES[2], 192), (SITES[3], 192)]
-
-
 def test_identity_difference_is_a_site_failure(monkeypatch):
-    # a site whose twisted difference is the identity is given up at its
-    # first rung, not retried at higher precision
+    # a twisted difference that is the identity ends the solve at its first
+    # rung; it is not retried at higher precision
     def identity(rp_f, rp_fc, split, i):
         return CurvePoint.infinity(q(Fraction(split.p) ** (2 * i)))
 
@@ -356,9 +327,9 @@ def test_identity_difference_is_a_site_failure(monkeypatch):
     monkeypatch.setattr(parametrize, "twist_and_combine", identity)
     monkeypatch.setattr(parametrize, "_attempt_site", spy)
     with pytest.raises(PrecisionExhausted) as info:
-        solve_pipeline(7, 1, eval_mode="wtau")
-    assert calls == [(SITES[0], 192), (SITES[1], 192)]
-    assert str(info.value).count("DescentFailed: twisted difference is the identity") == 2
+        solve_pipeline(7, 1)
+    assert calls == [(SITE, 192)]
+    assert str(info.value).count("DescentFailed: twisted difference is the identity") == 1
 
 
 def test_pipeline_103_squared_wins_after_one_retry():
@@ -387,7 +358,7 @@ def test_pipeline_79_squared_wins_at_192_bits():
 
 
 def nontorsion_fixture_raw(prec=192):
-    split, site, z_f, z_fc = prepare(7, 1, 5, "tau", prec)
+    split, z_f, z_fc = prepare(7, 1, 5, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
     return split, raw
@@ -426,3 +397,17 @@ def test_recognize_rejects_an_exact_y_off_the_numbers():
         off = y + mp.mpf(2) ** -40
     with pytest.raises(RecognitionFailed, match="no exact y"):
         recognize((x, off), split, 1, 1 << 84, prec, form="f")
+
+
+# ------------------------------------------------------------------ sweep
+
+
+def test_sweep_small_primes():
+    # every eligible p < 600 at power 1 and p < 150 at power 2 solves, and
+    # the cube identity holds when recomputed here in rationals
+    for i, bound in ((1, 600), (2, 150)):
+        for p in range(7, bound):
+            if p % 9 in (4, 7) and is_prime_int(p):
+                r = solve_pipeline(p, i)
+                u, v = Fraction(r.cube.u), Fraction(r.cube.v)
+                assert u**3 + v**3 == p**i, (p, i)
