@@ -9,6 +9,7 @@ failures, 2 bad input, 3 precision exhausted, 4 internal check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -326,7 +327,9 @@ def make_parser():
     sp.add_argument("--power", default="1", choices=["1", "2", "both"])
     sp.add_argument("--bits", type=int, default=192, help="working precision (bits)")
     sp.add_argument("--max-terms", type=int, default=2_000_000, dest="max_terms")
-    sp.add_argument("--cache-dir", default=default_cache_dir(), dest="cache_dir")
+    sp.add_argument(
+        "--cache-dir", dest="cache_dir", help=f"default: ${CACHE_ENV}, else ~/.cache/cubesum"
+    )
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_solve)
 
@@ -351,9 +354,17 @@ def make_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    # built once per process, on the first command; the defaults that read
+    # the environment are filled in by main, per command
+    return make_parser()
+
+
 def main(argv=None):
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.command == "solve" and args.cache_dir is None:
+        args.cache_dir = default_cache_dir()
     if hasattr(args, "power") and args.power in ("1", "2"):
         args.power_int = int(args.power)
     try:

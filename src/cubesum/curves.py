@@ -1,9 +1,10 @@
 """Exact elliptic-curve arithmetic on the models y^2 = x^3 + D/4.
 
 Points live over Q(w) (or Q, the b-components zero); all group law and
-descent arithmetic is exact rational — no floating point crosses into this
-module.  The CM action is [w](x, y) = (w x, y), and sqrt(-3) = 1 + 2w so
-[sqrt(-3)]P = P + [w][2]P.  Nontorsion is certified by reduction at two good
+descent arithmetic is exact rational, integer-normalised: each coordinate is
+a QOmega (A + B w)/d with d > 0 and gcd(A, B, d) = 1 — no floating point
+crosses into this module.  The CM action is [w](x, y) = (w x, y), and
+sqrt(-3) = 1 + 2w so [sqrt(-3)]P = P + [w][2]P.  Nontorsion is certified by reduction at two good
 primes: the torsion order divides gcd(#E(F_q1), #E(F_q2)), so [g]P != O is a
 proof.
 """
@@ -16,6 +17,7 @@ from fractions import Fraction
 from .eisenstein import (
     EisensteinInt,
     QOmega,
+    _coerce_q,
     count_points_formula,
     is_prime_int,
     normalize_primary,
@@ -48,11 +50,8 @@ class DescentFailed(RuntimeError):
 
 
 def _q(x):
-    if isinstance(x, QOmega):
-        return x
-    if isinstance(x, EisensteinInt):
-        return x.to_q()
-    return QOmega(Fraction(x))
+    q = _coerce_q(x)
+    return QOmega(x) if q is None else q
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,9 @@ def mul(n, P):
     while n:
         if n & 1:
             R = add(R, B)
-        B = add(B, B)
         n >>= 1
+        if n:  # no doubling past the top bit
+            B = add(B, B)
     return R
 
 
@@ -182,13 +182,14 @@ def isogeny_to_432(P, p, i):
     kernel {O, (0, +-p^i/2)} composed with the scaling (4, 8) (verified
     symbolically in the test suite).
     """
-    n2 = Fraction(p) ** (2 * i)
+    n2 = p ** (2 * i)
     if P.is_infinity or P.x == QOmega(0):
         raise KernelPoint("point lies in the isogeny kernel")
     x, y = P.x, P.y
-    X = 4 * (x**3 + QOmega(n2)) / (x * x)
-    Y = 8 * y * (x**3 - 2 * QOmega(n2)) / (x**3)
-    if Y * Y != X**3 - 432 * QOmega(n2):
+    x3 = x**3
+    X = 4 * (x3 + n2) / (x * x)
+    Y = 8 * y * (x3 - 2 * n2) / x3
+    if Y * Y != X**3 - 432 * n2:
         raise AssertionError(f"isogeny image ({X}, {Y}) is off Y^2 = X^3 - 432 p^(2i)")
     return X, Y
 
@@ -206,11 +207,11 @@ class CubeSum:
 def to_cube_sum(X, Y, p, i):
     """(u, v) with u^3 + v^3 = p^i from a point on Y^2 = X^3 - 432 p^(2i)."""
     X, Y = _q(X), _q(Y)
-    n = Fraction(p) ** i
+    n = p**i
     if not X:
         raise DegenerateImage("X = 0 has no cube-sum image")
-    u = (QOmega(36 * n) + Y) / (6 * X)
-    v = (QOmega(36 * n) - Y) / (6 * X)
+    u = (36 * n + Y) / (6 * X)
+    v = (36 * n - Y) / (6 * X)
     if not (u.is_rational() and v.is_rational()):
         raise DegenerateImage(f"image ({u}, {v}) is not rational")
     out = CubeSum(u=u.a, v=v.a, target=p**i)

@@ -157,12 +157,13 @@ class EisensteinInt:
             raise ValueError("negative power in Z[w]")
         result = ONE
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def conj(self):
         return EisensteinInt(self.a - self.b, -self.b)
@@ -208,7 +209,7 @@ class EisensteinInt:
         return tuple(u * self for u in UNITS)
 
     def to_q(self):
-        return QOmega(Fraction(self.a), Fraction(self.b))
+        return _raw(self.a, self.b, 1)
 
     def to_mpc(self, ctx):
         """Embed via w -> (-1 + i*sqrt(3))/2 using an mpmath context."""
@@ -225,45 +226,81 @@ def _coerce(x):
 
 
 class QOmega:
-    """Element a + b*w of Q(w) with rational a, b (the fraction field of Z[w])."""
+    """Element (A + B*w)/d of Q(w), the fraction field of Z[w], in integers.
 
-    __slots__ = ("a", "b")
+    The normal form d > 0, gcd(A, B, d) = 1 is unique, so == compares the
+    three fields; every operation is an integer formula followed by one
+    three-way gcd.  a = A/d and b = B/d are read as Fractions.
+    """
+
+    __slots__ = ("A", "B", "d")
 
     def __init__(self, a, b=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        if type(a) is int and type(b) is int:
+            _set_A(self, a)
+            _set_B(self, b)
+            _set_d(self, 1)
+            return
+        a, b = Fraction(a), Fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da * db // math.gcd(da, db)  # lcm; already coprime to the numerators
+        _set_A(self, a.numerator * (d // da))
+        _set_B(self, b.numerator * (d // db))
+        _set_d(self, d)
+
+    @staticmethod
+    def from_ints(A, B, d=1):
+        """(A + B*w)/d for integers A, B and d != 0."""
+        g = math.gcd(A, B, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            A, B, d = A // g, B // g, d // g
+        return _raw(A, B, d)
 
     def __setattr__(self, *_):
         raise AttributeError("QOmega is immutable")
+
+    @property
+    def a(self):
+        return Fraction(self.A, self.d)
+
+    @property
+    def b(self):
+        return Fraction(self.B, self.d)
 
     def __repr__(self):
         return f"QOmega({self.a!r}, {self.b!r})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        wpart = "w" if self.b == 1 else ("-w" if self.b == -1 else f"{self.b}*w")
-        if self.a == 0:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        wpart = "w" if b == 1 else ("-w" if b == -1 else f"{b}*w")
+        if a == 0:
             return wpart
-        return f"{self.a}+{wpart}" if not wpart.startswith("-") else f"{self.a}{wpart}"
+        return f"{a}+{wpart}" if not wpart.startswith("-") else f"{a}{wpart}"
 
     def __eq__(self, other):
         other = _coerce_q(other)
         if other is None:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self.A == other.A and self.B == other.B and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.A, self.B, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.A != 0 or self.B != 0
 
     def __add__(self, other):
         other = _coerce_q(other)
         if other is None:
             return NotImplemented
-        return QOmega(self.a + other.a, self.b + other.b)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _qo(self.A + other.A, self.B + other.B, d1)
+        return _qo(self.A * d2 + other.A * d1, self.B * d2 + other.B * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -271,7 +308,10 @@ class QOmega:
         other = _coerce_q(other)
         if other is None:
             return NotImplemented
-        return QOmega(self.a - other.a, self.b - other.b)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _qo(self.A - other.A, self.B - other.B, d1)
+        return _qo(self.A * d2 - other.A * d1, self.B * d2 - other.B * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = _coerce_q(other)
@@ -280,14 +320,15 @@ class QOmega:
         return other - self
 
     def __neg__(self):
-        return QOmega(-self.a, -self.b)
+        return _raw(-self.A, -self.B, self.d)
 
     def __mul__(self, other):
         other = _coerce_q(other)
         if other is None:
             return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return QOmega(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
+        a1, b1, a2, b2 = self.A, self.B, other.A, other.B
+        bb = b1 * b2
+        return _qo(a1 * a2 - bb, a1 * b2 + b1 * a2 - bb, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -295,11 +336,13 @@ class QOmega:
         other = _coerce_q(other)
         if other is None:
             return NotImplemented
-        n = other.norm()
+        # x / y = x conj(y) / N(y), N(y) = n / d2^2 with n > 0 unless y = 0
+        a1, b1, a2, b2 = self.A, self.B, other.A - other.B, -other.B
+        n = a2 * a2 - a2 * b2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(w)")
-        c = other.conj()
-        return QOmega((self * c).a / n, (self * c).b / n)
+        bb = b1 * b2
+        return _qo((a1 * a2 - bb) * other.d, (a1 * b2 + b1 * a2 - bb) * other.d, self.d * n)
 
     def __rtruediv__(self, other):
         other = _coerce_q(other)
@@ -309,49 +352,69 @@ class QOmega:
 
     def __pow__(self, n):
         if n < 0:
-            return QOmega(1) / self ** (-n)
-        result = QOmega(1)
+            return _Q_ONE / self ** (-n)
+        result = _Q_ONE
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def conj(self):
-        return QOmega(self.a - self.b, -self.b)
+        # gcd(A - B, -B, d) = gcd(A, B, d): still normal
+        return _raw(self.A - self.B, -self.B, self.d)
 
     def norm(self):
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        A, B = self.A, self.B
+        return Fraction(A * A - A * B + B * B, self.d * self.d)
 
     def is_integral(self):
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self.d == 1
 
     def is_rational(self):
-        return self.b == 0
+        return self.B == 0
 
     def to_eis(self):
-        if not self.is_integral():
+        if self.d != 1:
             raise ValueError(f"{self} is not in Z[w]")
-        return EisensteinInt(int(self.a), int(self.b))
+        return EisensteinInt(self.A, self.B)
 
     def to_mpc(self, ctx):
+        # (A + B w)/d = ((2A - B) + B sqrt(-3)) / (2d)
         s3 = ctx.sqrt(3)
-        re = ctx.mpf(self.a.numerator) / self.a.denominator - ctx.mpf(self.b.numerator) / (
-            2 * self.b.denominator
-        )
-        im = s3 * ctx.mpf(self.b.numerator) / (2 * self.b.denominator)
-        return ctx.mpc(re, im)
+        den = 2 * self.d
+        return ctx.mpc(ctx.mpf(2 * self.A - self.B) / den, s3 * ctx.mpf(self.B) / den)
+
+
+_new = object.__new__
+_set_A, _set_B, _set_d = QOmega.A.__set__, QOmega.B.__set__, QOmega.d.__set__
+_qo = QOmega.from_ints
+
+
+def _raw(A, B, d):
+    # (A + B w)/d already in normal form
+    z = _new(QOmega)
+    _set_A(z, A)
+    _set_B(z, B)
+    _set_d(z, d)
+    return z
+
+
+_Q_ONE = _raw(1, 0, 1)
 
 
 def _coerce_q(x):
     if isinstance(x, QOmega):
         return x
-    if isinstance(x, (int, Fraction)):
-        return QOmega(Fraction(x))
+    if isinstance(x, int):
+        return _raw(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _raw(x.numerator, 0, x.denominator)
     if isinstance(x, EisensteinInt):
-        return QOmega(Fraction(x.a), Fraction(x.b))
+        return _raw(x.a, x.b, 1)
     return None
 
 

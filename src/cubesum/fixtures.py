@@ -28,7 +28,7 @@ from .heckeform import as_eisenstein, conductor_and_level, qexp_coefficients, tw
 
 
 def q(a, b=0):
-    return QOmega(Fraction(a), Fraction(b))
+    return QOmega(a, b)
 
 
 def _eq(got, want, what):

@@ -20,10 +20,8 @@ failed attempt is kept in PipelineResult.attempts.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -92,11 +90,11 @@ def evaluate_cm(z, D, prec=192):
 def _exact_y(x, c):
     """(T, e) with y = T/(2 e^2) on y^2 = x^3 + c/4, or None if y is not in K.
 
-    With x = (a + b w)/e, e the lcm of the denominators, T^2 = S =
+    With x = (a + b w)/e in normal form (e = x.d), T^2 = S =
     4 e (a + b w)^3 + c e^4 in Z[w]; T is one of the two roots.
     """
-    e = math.lcm(x.a.denominator, x.b.denominator)
-    num = EisensteinInt(x.a * e, x.b * e) ** 3
+    e = x.d
+    num = EisensteinInt(x.A, x.B) ** 3
     T = sqrt_eis(EisensteinInt(4 * e * num.a + c * e**4, 4 * e * num.b))
     return None if T is None else (T, e)
 
@@ -149,7 +147,7 @@ def recognize(raw, split, i, den_bound, prec=192, form="f"):
                     form=form,
                     at_infinity=False,
                     x_scaled=cand,
-                    y=QOmega(Fraction(U.a, den), Fraction(U.b, den)),
+                    y=QOmega.from_ints(U.a, U.b, den),
                     mult_tag=tag,
                     twist_k=k,
                     den_bits=e.bit_length() - 1,
@@ -178,7 +176,7 @@ def twist_point(rp, split, i):
     square root in Z[w], and otherwise by the numeric y agreement there,
     then the descent, the nontorsion certificate and the cube identity.
     """
-    D = QOmega(Fraction(split.p) ** (2 * i))
+    D = QOmega(split.p ** (2 * i))
     if rp.at_infinity:
         return CurvePoint.infinity(D)
     mult = split.pi if rp.mult_tag == "pi" else split.pibar

@@ -130,11 +130,6 @@ def _exact_div(x, d):
     return Fraction(x, d) if r else q
 
 
-def _narrow(x):
-    """A Fraction as an int when it is one."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _conv(xa, xb, ya, yb, k, lo=1):
     """sum_{m=lo..k} x_m y_(k-m); zero x_m are skipped."""
     sa = sb = 0
@@ -239,7 +234,7 @@ def y_series(p, i, M, conjugate=False):
     sits in shift + Z[w] with shift = pibar^i/2 (or its conjugate) and every
     other coefficient lands in Z[w]."""
     wa, wb = _y_pairs(p, i, M, conjugate)
-    return LaurentSeries(-3, [QOmega(Fraction(a, 2), Fraction(b, 2)) for a, b in zip(wa, wb)])
+    return LaurentSeries(-3, [QOmega.from_ints(a, b, 2) for a, b in zip(wa, wb)])
 
 
 def cube_root_series(S):
@@ -250,7 +245,7 @@ def cube_root_series(S):
         raise CubeRootNotInField(f"leading exponent {S.lead} is not divisible by 3")
     if S.coeffs[0] != _Q1:
         raise CubeRootNotInField(f"leading coefficient {S.coeffs[0]} is not 1")
-    ra, rb = [_narrow(c.a) for c in S.coeffs], [_narrow(c.b) for c in S.coeffs]
+    ra, rb = [_exact_div(c.A, c.d) for c in S.coeffs], [_exact_div(c.B, c.d) for c in S.coeffs]
     ta, tb = _power(ra, rb, 1, 3)
     if _mul(*_mul(ta, tb, ta, tb), ta, tb) != (ra, rb):
         raise AssertionError("cube root does not cube back to the series")

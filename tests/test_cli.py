@@ -468,6 +468,16 @@ def test_cache_env_var_override(tmp_path, monkeypatch):
     assert "cubesum" in cli.default_cache_dir()
 
 
+def test_cache_env_var_is_read_per_command(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; CUBESUM_CACHE is read on each parse
+    for name in ("first", "second"):
+        monkeypatch.setenv("CUBESUM_CACHE", str(tmp_path / name))
+        assert run_cli(["solve", "7"], capsys)[0] == EXIT_OK
+    assert cli._parser() is cli._parser()
+    for name in ("first", "second"):
+        assert os.listdir(tmp_path / name) == ["qexp_p7_i1.bin"]
+
+
 def test_qexp_dump(capsys):
     code, out, _ = run_cli(["qexp", "7", "--terms", "15"], capsys)
     assert code == EXIT_OK

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubesum import curves
 from cubesum.curves import (
     CurvePoint,
     DegenerateImage,
@@ -262,3 +263,21 @@ def test_exact_checks_survive_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["optimize", "1", "raised", "raised"]
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_mul_stops_doubling_at_the_top_bit(monkeypatch, n):
+    P = CurvePoint.make(QOmega(49), QOmega(Fraction(-20, 9)), QOmega(Fraction(-61, 54)))
+    R = CurvePoint.infinity(P.D)
+    for _ in range(n):
+        R = curves.add(R, P)
+    real, doublings = curves.add, []
+
+    def counting(A, B):
+        if A is B:
+            doublings.append(A)
+        return real(A, B)
+
+    monkeypatch.setattr(curves, "add", counting)
+    assert curves.mul(n, P) == R
+    assert len(doublings) == max(n.bit_length() - 1, 0)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -457,3 +458,219 @@ def test_qomega_embedding_consistency():
         lhs = (x * y).to_mpc(mpmath.mp)
         rhs = x.to_mpc(mpmath.mp) * y.to_mpc(mpmath.mp)
         assert abs(lhs - rhs) < mpmath.mpf(2) ** -60
+
+
+# ------------------------------------------- QOmega against a Fraction pair
+
+
+class FractionQOmega:
+    """The reference Q(w): a + b*w as a pair of Fractions, operation by
+    operation the textbook formulas (QOmega keeps integers instead)."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+
+    def __setattr__(self, *_):
+        raise AttributeError("FractionQOmega is immutable")
+
+    def __repr__(self):
+        return f"QOmega({self.a!r}, {self.b!r})"
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        wpart = "w" if self.b == 1 else ("-w" if self.b == -1 else f"{self.b}*w")
+        if self.a == 0:
+            return wpart
+        return f"{self.a}+{wpart}" if not wpart.startswith("-") else f"{self.a}{wpart}"
+
+    def __eq__(self, other):
+        other = _coerce_ref(other)
+        if other is None:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __add__(self, other):
+        other = _coerce_ref(other)
+        if other is None:
+            return NotImplemented
+        return FractionQOmega(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce_ref(other)
+        if other is None:
+            return NotImplemented
+        return FractionQOmega(self.a - other.a, self.b - other.b)
+
+    def __rsub__(self, other):
+        other = _coerce_ref(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return FractionQOmega(-self.a, -self.b)
+
+    def __mul__(self, other):
+        other = _coerce_ref(other)
+        if other is None:
+            return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return FractionQOmega(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _coerce_ref(other)
+        if other is None:
+            return NotImplemented
+        n = other.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(w)")
+        c = self * other.conj()
+        return FractionQOmega(c.a / n, c.b / n)
+
+    def __rtruediv__(self, other):
+        other = _coerce_ref(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return FractionQOmega(1) / self ** (-n)
+        result = FractionQOmega(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def conj(self):
+        return FractionQOmega(self.a - self.b, -self.b)
+
+    def norm(self):
+        return self.a * self.a - self.a * self.b + self.b * self.b
+
+    def is_integral(self):
+        return self.a.denominator == 1 and self.b.denominator == 1
+
+    def is_rational(self):
+        return self.b == 0
+
+    def to_eis(self):
+        if not self.is_integral():
+            raise ValueError(f"{self} is not in Z[w]")
+        return EisensteinInt(int(self.a), int(self.b))
+
+
+def _coerce_ref(x):
+    if isinstance(x, FractionQOmega):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FractionQOmega(x)
+    if isinstance(x, EisensteinInt):
+        return FractionQOmega(x.a, x.b)
+    return None
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ZeroDivisionError, ValueError) as e:
+        return type(e)
+
+
+def _agrees(got, want):
+    """got (a QOmega, or a plain value) equals the reference value want, and
+    a QOmega is in normal form: d > 0 and gcd(A, B, d) = 1."""
+    if not isinstance(want, FractionQOmega):
+        return got == want and type(got) is type(want)
+    return (
+        isinstance(got, QOmega)
+        and all(type(f) is int for f in (got.A, got.B, got.d))
+        and got.d > 0
+        and math.gcd(got.A, got.B, got.d) == 1
+        and (got.a, got.b) == (want.a, want.b)
+        and (str(got), repr(got)) == (str(want), repr(want))
+    )
+
+
+rationals = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.fractions(max_denominator=2**40).filter(lambda f: abs(f.numerator) < 2**80),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]),
+)
+q_pairs = st.tuples(rationals, rationals)
+# the other operand of a mixed operation: Q(w), Z[w], Z or Q
+operands = st.one_of(
+    q_pairs.map(lambda ab: ("q", ab)),
+    st.builds(EisensteinInt, st.integers(-99, 99), st.integers(-99, 99)).map(lambda z: ("eis", z)),
+    rationals.map(lambda r: ("rat", r)),
+)
+
+
+def _pair(kind, value):
+    if kind == "q":
+        return QOmega(*value), FractionQOmega(*value)
+    return value, value
+
+
+@given(q_pairs)
+def test_qomega_unary_operations_match_the_fraction_reference(ab):
+    x, ref = QOmega(*ab), FractionQOmega(*ab)
+    assert _agrees(x, ref)
+    assert _agrees(-x, -ref)
+    assert _agrees(x.conj(), ref.conj())
+    assert _agrees(x.norm(), ref.norm())
+    for name in ("__bool__", "is_integral", "is_rational"):
+        assert _agrees(getattr(x, name)(), getattr(ref, name)())
+    assert _outcome(x.to_eis) == _outcome(ref.to_eis)
+    assert x == x.conj().conj() and hash(x) == hash(x.conj().conj())
+
+
+@given(q_pairs, operands)
+def test_qomega_binary_operations_match_the_fraction_reference(ab, other):
+    x, ref = QOmega(*ab), FractionQOmega(*ab)
+    y, yref = _pair(*other)
+    for op in (
+        lambda s, t: s + t,
+        lambda s, t: s - t,
+        lambda s, t: s * t,
+        lambda s, t: s / t,
+        lambda s, t: t + s,
+        lambda s, t: t - s,
+        lambda s, t: t * s,
+        lambda s, t: t / s,
+    ):
+        got, want = _outcome(op, x, y), _outcome(op, ref, yref)
+        assert want is got if isinstance(want, type) else _agrees(got, want)
+    assert (x == y) == (ref == yref) and (y == x) == (yref == ref)
+    if x == y and isinstance(y, QOmega):
+        assert hash(x) == hash(y)
+
+
+@given(q_pairs, st.integers(-5, 7))
+def test_qomega_powers_match_the_fraction_reference(ab, n):
+    x, ref = QOmega(*ab), FractionQOmega(*ab)
+    got, want = _outcome(pow, x, n), _outcome(pow, ref, n)
+    assert want is got if isinstance(want, type) else _agrees(got, want)
+
+
+def test_qomega_int_fast_path_and_accessors():
+    x = QOmega(6, -4)
+    assert (x.A, x.B, x.d) == (6, -4, 1) and (x.a, x.b) == (Fraction(6), Fraction(-4))
+    y = QOmega(Fraction(3, 4), Fraction(-5, 6))  # (9 - 10 w)/12
+    assert (y.A, y.B, y.d) == (9, -10, 12)
+    assert QOmega.from_ints(6, -4, -10) == QOmega(Fraction(-3, 5), Fraction(2, 5))
+    with pytest.raises(AttributeError):
+        x.A = 1
