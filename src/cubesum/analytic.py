@@ -326,9 +326,10 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
     terms_needed(Im tau, prec).
 
     a_n vanishes off n = 1 mod 3, so S = q P(x) with x = q^3 and P(x) =
-    sum_k c_(3k+1) x^k over the K = ceil(M/3) steps k < K.  With a_n =
-    alpha_n + beta_n w, P splits as U + V w and the conjugate form's as
-    U + V conj(w), so one pass sums U and V, over alpha and beta.
+    sum_k c_(3k+1) x^k over the K = ceil(M/3) steps k < K, the form's
+    compact slots.  With a_(3k+1) = alpha[k] + beta[k] w, P splits as U + V w
+    and the conjugate form's as U + V conj(w), so one pass sums U and V, over
+    contiguous slices of alpha and beta.
 
     Rectangular splitting (Paterson-Stockmeyer): with B = isqrt(K), the baby
     steps x^j (j < B) are computed once, each block of B consecutive steps is
@@ -368,18 +369,19 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
         q = mp.exp(2j * mp.pi * _site_to_tau(site))
         x = q**3
         xr, xi = to_fixed(x.real._mpf_, W), to_fixed(x.imag._mpf_, W)
-    B = math.isqrt(len(range(1, M + 1, 3)))
+    K = (M + 2) // 3
+    B = math.isqrt(K)
     baby = [(1 << W, 0)]
     for _ in range(B):
         pr, pi = baby[-1]
         baby.append(((pr * xr - pi * xi) >> W, (pr * xi + pi * xr) >> W))
     gr, gi = baby.pop()  # the giant step x^B
-    alpha, beta = form.alpha, form.beta
+    alpha, beta = form.alpha, form.beta  # slot k holds a_(3k+1)
     ur = ui = vr = vi = 0
-    for n0 in reversed(range(1, M + 1, 3 * B)):
-        n1 = min(n0 + 3 * B, M + 1)
+    for k0 in reversed(range(0, K, B)):
+        k1 = min(k0 + B, K)
         sur = sui = svr = svi = 0
-        for n, a, b, (pr, pi) in zip(range(n0, n1, 3), alpha[n0:n1:3], beta[n0:n1:3], baby):
+        for n, a, b, (pr, pi) in zip(range(3 * k0 + 1, M + 1, 3), alpha[k0:k1], beta[k0:k1], baby):
             if a or b:
                 if divide_by_n:
                     pr, pi = pr // n, pi // n

@@ -47,8 +47,9 @@ def cache_path(cache_dir, p, i):
 
 
 def coefficient_lines(coeffs):
-    """One line 'n a b' per nonzero a_n = a + b*w, n >= 1, of an (alpha, beta) pair."""
-    return [f"{n} {a} {b}" for n, a, b in zip(range(len(coeffs[0])), *coeffs) if (a or b) and n]
+    """One line 'n a b' per nonzero a_n = a + b*w of a compact (alpha, beta)
+    pair, whose slot k holds n = 3k + 1."""
+    return [f"{n} {a} {b}" for n, a, b in zip(range(1, 3 * len(coeffs[0]), 3), *coeffs) if a or b]
 
 
 def _cache_header(p, i, M, crc):
@@ -56,23 +57,14 @@ def _cache_header(p, i, M, crc):
     return f"{CACHE_MAGIC} p={p} i={i} N={N} M={M} order={sys.byteorder} crc={crc:08x}\n"
 
 
-def write_cache(cache_dir, p, i, coeffs):
+def write_cache(cache_dir, p, i, form):
     """Binary format: the ASCII header line 'SYLV2 p=<p> i=<i> N=<N> M=<M>
-    order=<byte order> crc=<crc32 of the body, hex>', then alpha[1::3] and
-    beta[1::3] as native int64 (K = (M + 2) // 3 entries each); atomic via
-    rename.  a_n is supported on n = 1 mod 3, so only those slots are
-    stored, and a nonzero entry anywhere else raises ValueError rather than
-    be dropped."""
-    alpha, beta = coeffs
-    M = len(alpha) - 1
-    for c in coeffs:
-        for r in (0, 2):
-            off = c[r::3]
-            if off.count(0) != len(off):  # count(0) outruns any() on mostly-zero lists
-                n = next(n for n in range(r, M + 1, 3) if c[n])
-                raise ValueError(f"a_{n} = {alpha[n]}+{beta[n]}*w is nonzero off n = 1 mod 3")
-    halves = array("q", alpha[1::3]), array("q", beta[1::3])
-    header = _cache_header(p, i, M, zlib.crc32(halves[1], zlib.crc32(halves[0])))
+    order=<byte order> crc=<crc32 of the body, hex>', then the HeckeForm's
+    alpha and beta, the K = (M + 2) // 3 slots n = 3k + 1 <= M of the
+    support, as native int64; atomic via rename.  The file is the store's
+    own layout, so the lists are written as they are."""
+    halves = array("q", form.alpha), array("q", form.beta)
+    header = _cache_header(p, i, form.terms, zlib.crc32(halves[1], zlib.crc32(halves[0])))
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".qexp_tmp")
     try:
@@ -87,11 +79,11 @@ def write_cache(cache_dir, p, i, coeffs):
 
 
 def read_cache(cache_dir, p, i):
-    """The stored prefix a_0..a_M as an (alpha, beta) pair, or None when
-    absent, of another p, i or byte order, not exactly header + 16 K bytes
-    long, failing its crc, or failing spot_check (a corrupt or stale cache
-    reads as a miss and gets rewritten).  The length is checked before
-    anything is allocated."""
+    """The stored HeckeForm of a_1..a_M, or None when the file is absent, of
+    another p, i or byte order, not exactly header + 16 K bytes long, failing
+    its crc, or failing spot_check (a corrupt or stale cache reads as a miss
+    and gets rewritten).  The length is checked before anything is
+    allocated."""
     path = cache_path(cache_dir, p, i)
     try:
         with open(path, "rb") as fh:
@@ -108,13 +100,12 @@ def read_cache(cache_dir, p, i):
                 half = array("q")
                 half.fromfile(fh, K)
                 crc = zlib.crc32(half, crc)
-                lst = [0] * (M + 1)
-                lst[1::3] = half
-                coeffs.append(lst)
+                coeffs.append(half.tolist())
     except (ValueError, KeyError, OSError, EOFError):
         return None
-    coeffs = tuple(coeffs)
-    return coeffs if crc == want and spot_check(p, i, coeffs) else None
+    if crc != want or not spot_check(p, i, coeffs):
+        return None
+    return build_form(p, i, M, coeffs)
 
 
 # ------------------------------------------------------------------ report
@@ -212,12 +203,11 @@ def check_solvable_prime(p):
 def cmd_solve(args):
     from .parametrize import solve_pipeline
 
-    check_solvable_prime(args.p)
     powers = {"1": (1,), "2": (2,), "both": (1, 2)}[args.power]
     reports = []
     for i in powers:
         t0 = time.perf_counter()
-        form = build_form(args.p, i, 0, coeffs=read_cache(args.cache_dir, args.p, i))
+        form = read_cache(args.cache_dir, args.p, i) or build_form(args.p, i, 0)
         loaded = form.terms
         try:
             result = solve_pipeline(args.p, i, bits=args.bits, max_terms=args.max_terms, form=form)
@@ -227,7 +217,7 @@ def cmd_solve(args):
         finally:  # also on exit 3, so the computed terms are kept
             if form.terms > loaded:
                 try:
-                    write_cache(args.cache_dir, args.p, i, (form.alpha, form.beta))
+                    write_cache(args.cache_dir, args.p, i, form)
                 except OSError as e:  # the solve's own outcome stands
                     print(f"warning: coefficient cache not written: {e}", file=sys.stderr)
         reports.append(build_report(result))
@@ -372,6 +362,8 @@ def main(argv=None):
             value = getattr(args, flag, 1)
             if value < 1:
                 raise BadInput(f"--{flag.replace('_', '-')} must be positive, not {value}")
+        if hasattr(args, "p"):  # every command but verify
+            check_solvable_prime(args.p)
         return args.func(args)
     except BadInput as e:
         print(f"error: {e}", file=sys.stderr)

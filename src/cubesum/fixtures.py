@@ -111,7 +111,7 @@ def check_cm_roots():
 def check_ap_values():
     for p in (7, 13, 31):
         s = split_prime(p)
-        a = as_eisenstein(qexp_coefficients(p, 1, p))
+        a = as_eisenstein(qexp_coefficients(p, 1, p), p)
         _eq(a[p], s.pibar, f"a_{p}")
         for n in range(1, p + 1):
             if n % 3 != 1:

@@ -108,8 +108,9 @@ def recognize(raw, split, i, den_bound, prec=192, form="f"):
     (x_scaled, mult^i y) lies on E(p^i), so mult^i y = T/(2e^2) with T an
     exact square root in Z[w] (see _exact_y).  A candidate whose S has no
     root is passed over; of the two roots the one nearer the numeric
-    mult^i y is kept, and it must agree with it to 2^-(prec/2).  x therefore
-    needs only its own denominator bits, about 2/3 of y's (x = a/d^2 and
+    mult^i y is kept, and it must agree with it to 2^-(prec/2).  After a
+    rejection the scaling's remaining twists count as rejected untested, as
+    x w^k has x's S and e.  x therefore needs only its own denominator bits, about 2/3 of y's (x = a/d^2 and
     y = b/d^3 on y^2 = x^3 + c).  No candidate left raises RecognitionFailed,
     which triggers a precision retry.
     """
@@ -126,20 +127,26 @@ def recognize(raw, split, i, den_bound, prec=192, form="f"):
             y_twisted = m_c * y
             # the principal cube root of mult^(2i)
             scaled = mp.mpc(x) * (m_c * m_c) ** (mp.mpf(1) / 3)
+            # x w^k is in K exactly when x is, with x's e, S and y_twisted:
+            # once the candidate for x is rejected under this tag, the later
+            # k only approximate its twists and count as rejected untested
+            refused = False
             for k in range(3):
                 cand = recognize_qomega(scaled * w**k, den_bound, prec // 2)
                 if cand is None:
                     continue
-                root = _exact_y(cand, c)
-                if root is None:
+                if refused:
                     rejected += 1
                     continue
-                T, e = root
-                yv = T.to_mpc(mp) / (2 * e * e)
-                if abs(yv + y_twisted) < abs(yv - y_twisted):
-                    T, yv = -T, -yv
-                if abs(yv - y_twisted) >= tol:
+                root = _exact_y(cand, c)
+                if root is not None:
+                    T, e = root
+                    yv = T.to_mpc(mp) / (2 * e * e)
+                    if abs(yv + y_twisted) < abs(yv - y_twisted):
+                        T, yv = -T, -yv
+                if root is None or abs(yv - y_twisted) >= tol:
                     rejected += 1
+                    refused = True
                     continue
                 # y = T / (2 e^2 m) = T conj(m) / (2 e^2 p^i)
                 U, den = T * m.conj(), 2 * e * e * split.p**i

@@ -11,10 +11,18 @@ g3 = -D enters: wp(z) = z^-2 + (g3/28) z^4 + O(z^10) gives
 X_6 = [q^6](q^2/z^2) + g3/28.
 
 F(q) with F^3 = num/den is one quotient recurrence and one cube-root
-recurrence (J.C.P. Miller's power recurrence, Knuth, TAOCP 2, 4.7).  Every
-step runs on two lists per series, c_n = alpha[n] + beta[n] w, of ints; a
-division that is not exact yields a Fraction, so no floating point is ever
-touched and a coefficient off Z[w] still reaches the integrality check.
+recurrence (J.C.P. Miller's power recurrence, Knuth, TAOCP 2, 4.7).
+
+All of it lives on q^3.  a_n vanishes off n = 1 mod 3, so z(wq) = w z(q).
+On the hexagonal lattice wp(wz) = w^-2 wp(z) and wp'(wz) = w^-3 wp'(z) =
+wp'(z), so q^2 x and q^3 y are unchanged by q -> wq: they are series in
+u = q^3, and so are the ratio and its cube root.  Every recurrence runs on
+u: the ODE at k = 3t (resonance at t = 2), the quotient, and Miller's
+recurrence, which is unchanged when the index is scaled.  The results are
+spread back to q once, at the end.  Every step runs on two lists per
+series, c_t = alpha[t] + beta[t] w, of ints; a division that is not exact
+yields a Fraction, so no floating point is ever touched and a coefficient
+off Z[w] still reaches the integrality check.
 Integrality of y (coefficients in Z[w] after the half-shift by the
 3-torsion y-coordinate) is a property of the parametrization that is
 checked, never assumed.
@@ -168,63 +176,75 @@ def _power(ra, rb, num, den):
     return ta, tb
 
 
-def _wp_ode(fa, fb, K, g3):
-    """W = 2 q^3 y mod q^(K+1), from F_m = a_(m+1) = fa[m] + fb[m] w
-    (m <= K, F_0 = 1) and g3 = (a, b).  Per k: A = sum F_m W_(k-m) and
-    B = P + sum F_m S_(k-m) over m >= 1, with S = X^2 and P = sum X_j X_(k-j)
-    over 0 < j < k, and then X_k and W_k solve
+def _wp_ode(fa, fb, T, g3):
+    """W = 2 q^3 y mod q^(3T+1) as the pair list of W_(3t), t <= T, from the
+    series in u = q^3 with coefficients F_(3s) = a_(3s+1) = fa[s] + fb[s] w
+    (s <= T, F_0 = 1) and g3 = (a, b).  Per t, with k = 3t: A = sum F_3s
+    W_(k-3s) and B = P + sum F_3s S_(k-3s) over s >= 1, with S = X^2 and
+    P = sum X_3j X_(k-3j) over 0 < j < t, and then X_k and W_k solve
     (k-2) X_k - W_k = A, -12 X_k + (k-3) W_k = 6B."""
-    Xa, Xb = [1] + [0] * K, [0] * (K + 1)
+    Xa, Xb = [1] + [0] * T, [0] * (T + 1)
     Sa, Sb = list(Xa), list(Xb)
-    Wa, Wb = [-2] + [0] * K, [0] * (K + 1)
-    for k in range(1, K + 1):
-        Aa, Ab = _conv(fa, fb, Wa, Wb, k)
-        Pa, Pb = _conv(Xa, Xb, Xa, Xb, k)  # X_k is still 0: the j = k term drops
-        Ba, Bb = _conv(fa, fb, Sa, Sb, k)
+    Wa, Wb = [-2] + [0] * T, [0] * (T + 1)
+    for t in range(1, T + 1):
+        k = 3 * t
+        Aa, Ab = _conv(fa, fb, Wa, Wb, t)
+        Pa, Pb = _conv(Xa, Xb, Xa, Xb, t)  # X_k is still 0: the j = t term drops
+        Ba, Bb = _conv(fa, fb, Sa, Sb, t)
         Ba += Pa
         Bb += Pb
         if k == 6:  # resonance: X_6 = [q^6](q^2/z^2) + g3/28, W_6 = 4 X_6 - A
-            za = [Fraction(fa[m], m + 1) for m in range(7)]
-            zb = [Fraction(fb[m], m + 1) for m in range(7)]
+            za = [Fraction(fa[s], 3 * s + 1) for s in range(3)]  # z/q in u
+            zb = [Fraction(fb[s], 3 * s + 1) for s in range(3)]
             ta, tb = _power(za, zb, -2, 1)
-            Xa[6] = _exact_div(28 * ta[6] + g3[0], 28)
-            Xb[6] = _exact_div(28 * tb[6] + g3[1], 28)
-            Wa[6] = 4 * Xa[6] - Aa
-            Wb[6] = 4 * Xb[6] - Ab
+            Xa[2] = _exact_div(28 * ta[2] + g3[0], 28)
+            Xb[2] = _exact_div(28 * tb[2] + g3[1], 28)
+            Wa[2] = 4 * Xa[2] - Aa
+            Wb[2] = 4 * Xb[2] - Ab
         else:
             det = (k - 6) * (k + 1)
-            Xa[k] = _exact_div((k - 3) * Aa + 6 * Ba, det)
-            Xb[k] = _exact_div((k - 3) * Ab + 6 * Bb, det)
-            Wa[k] = _exact_div(12 * Aa + 6 * (k - 2) * Ba, det)
-            Wb[k] = _exact_div(12 * Ab + 6 * (k - 2) * Bb, det)
-        Sa[k] = 2 * Xa[k] + Pa
-        Sb[k] = 2 * Xb[k] + Pb
+            Xa[t] = _exact_div((k - 3) * Aa + 6 * Ba, det)
+            Xb[t] = _exact_div((k - 3) * Ab + 6 * Bb, det)
+            Wa[t] = _exact_div(12 * Aa + 6 * (k - 2) * Ba, det)
+            Wb[t] = _exact_div(12 * Ab + 6 * (k - 2) * Bb, det)
+        Sa[t] = 2 * Xa[t] + Pa
+        Sb[t] = 2 * Xb[t] + Pb
     return Wa, Wb
+
+
+def _on_q(coeffs, length):
+    """A series in u = q^3 as one in q, known to `length` slots: c_t moves
+    to q^(3t) and the slots between are zero."""
+    out = [_Q0] * length
+    out[::3] = coeffs
+    return out
 
 
 # ---------------------------------------------------------------- y and F
 
 
 def _y_pairs(p, i, M, conjugate=False):
-    """W = 2 q^3 y(q) mod q^(M+4) as a pair list, integrality checked: y has
-    leading term -q^-3, its constant term lies in base^i/2 + Z[w] (base =
-    pibar, or pi for the conjugate) and every other coefficient in Z[w]."""
+    """W = 2 q^3 y(q) mod q^(M+4), a series in u = q^3, as the pair list of
+    its coefficients W_(3t), 3t <= M + 3, integrality checked: y has leading
+    term -q^-3, its constant term lies in base^i/2 + Z[w] (base = pibar, or
+    pi for the conjugate) and every other coefficient in Z[w]."""
     split = split_prime(p)
     base = split.pi if conjugate else split.pibar
     D = base ** (2 * i)
     shift = base**i
-    K = M + 3
-    alpha, beta = qexp_coefficients(p, i, K + 1, conjugate=conjugate)
-    if (alpha[1], beta[1]) != (1, 0):  # z = a_1 q + ..., y = -a_1^-3 q^-3 + ...
-        a1 = QOmega(alpha[1], beta[1])
+    T = (M + 3) // 3
+    # F_(3s) = a_(3s+1), s <= T: the compact slots of n <= 3T + 1
+    alpha, beta = qexp_coefficients(p, i, 3 * T + 1, conjugate=conjugate)
+    if (alpha[0], beta[0]) != (1, 0):  # z = a_1 q + ..., y = -a_1^-3 q^-3 + ...
+        a1 = QOmega(alpha[0], beta[0])
         raise RecognitionFailed(-3, -(a1**-3) if a1 else a1)
-    wa, wb = _wp_ode(alpha[1:], beta[1:], K, (-D.a, -D.b))
-    for k in range(K + 1):
-        a, b = wa[k], wb[k]
-        if k == 3:
+    wa, wb = _wp_ode(alpha, beta, T, (-D.a, -D.b))
+    for t in range(T + 1):
+        a, b = wa[t], wb[t]
+        if t == 1:
             a, b = a - shift.a, b - shift.b
         if a % 2 or b % 2:
-            raise RecognitionFailed(k - 3, QOmega(wa[k], wb[k]) * Fraction(1, 2))
+            raise RecognitionFailed(3 * t - 3, QOmega(wa[t], wb[t]) * Fraction(1, 2))
     return wa, wb
 
 
@@ -234,7 +254,7 @@ def y_series(p, i, M, conjugate=False):
     sits in shift + Z[w] with shift = pibar^i/2 (or its conjugate) and every
     other coefficient lands in Z[w]."""
     wa, wb = _y_pairs(p, i, M, conjugate)
-    return LaurentSeries(-3, [QOmega.from_ints(a, b, 2) for a, b in zip(wa, wb)])
+    return LaurentSeries(-3, _on_q([QOmega.from_ints(a, b, 2) for a, b in zip(wa, wb)], M + 4))
 
 
 def cube_root_series(S):
@@ -256,15 +276,18 @@ def f_plus_minus_series(p, i, sign, M):
     """F(q) with F^3 = (y + s*pibar^i/2) / (y^c + s*pi^i/2), s = +-1.
 
     The denominator is the conjugate of the numerator, so their difference
-    b (1 + 2w) = b sqrt(-3) is divisible by sqrt(-3) with no check."""
+    b (1 + 2w) = b sqrt(-3) is divisible by sqrt(-3) with no check.  The
+    ratio is a series in u = q^3; cube_root_series takes its root in u, and
+    the root is spread back to q at the end."""
     if sign not in (1, -1, "+", "-"):
         raise ValueError("sign must be +1 or -1")
     s = 1 if sign in (1, "+") else -1
     wa, wb = _y_pairs(p, i, M)
-    # q^3 num and q^3 den = conj(q^3 num): y^c and pi^i are the conjugates
+    # q^3 num and q^3 den = conj(q^3 num), series in u = q^3: y^c and pi^i
+    # are the conjugates
     shift = split_prime(p).pibar ** i
-    wa[3] += s * shift.a
-    wb[3] += s * shift.b
+    wa[1] += s * shift.a
+    wb[1] += s * shift.b
     na, nb = [a // 2 for a in wa], [b // 2 for b in wb]
     del wa, wb
     da, db = [a - b for a, b in zip(na, nb)], [-b for b in nb]
@@ -276,4 +299,5 @@ def f_plus_minus_series(p, i, sign, M):
         ra.append(sa - na[k])
         rb.append(sb - nb[k])
     del na, nb, da, db
-    return cube_root_series(LaurentSeries(0, [QOmega(a, b) for a, b in zip(ra, rb)]))
+    root = cube_root_series(LaurentSeries(0, [QOmega(a, b) for a, b in zip(ra, rb)]))
+    return LaurentSeries(0, _on_q(root.coeffs, M + 4))

@@ -281,7 +281,7 @@ def test_criterion_8_property_suites():
         assert abs(wpd1 - wpd2) < mp.mpf(2) ** -96 * max(1, abs(wpd2))
 
     # Hecke multiplicativity and recursion
-    a = as_eisenstein(qexp_coefficients(7, 1, 400))
+    a = as_eisenstein(qexp_coefficients(7, 1, 400), 400)
     for m in range(2, 400):
         for n in range(2, 400 // m + 1):
             if math.gcd(m, n) == 1:

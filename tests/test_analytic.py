@@ -280,7 +280,7 @@ def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, evaluate, divide_by_n):
         f = build_form(p, i, M)
         got_f, got_fc = evaluate(f, tau, prec)
         q = mp.e ** (2j * mp.pi * tau)
-        a = as_eisenstein((f.alpha, f.beta))
+        a = as_eisenstein((f.alpha, f.beta), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)
         want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
         assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
@@ -301,7 +301,7 @@ def test_kernel_block_edges(monkeypatch, M, evaluate, divide_by_n):
         tau = mp.mpc(mp.mpf(2) / 9, mp.mpf(1) / 40)
         got_f, got_fc = evaluate(f, tau, prec)
         q = mp.e ** (2j * mp.pi * tau)
-        a = as_eisenstein((f.alpha, f.beta))
+        a = as_eisenstein((f.alpha, f.beta), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)
         want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
         assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
@@ -321,7 +321,7 @@ def test_kernel_keeps_its_guard_bits(prec, im_tau, evaluate, divide_by_n):
         got_f, got_fc = evaluate(f, tau, prec)
     with mp.workprec(prec + 64):
         q = mp.e ** (2j * mp.pi * tau)
-        a = as_eisenstein((f.alpha, f.beta))
+        a = as_eisenstein((f.alpha, f.beta), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)
         want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
         tol = mp.mpf(2) ** -(prec + GUARD_BITS - 3)
@@ -353,7 +353,7 @@ def test_eval_z_tail_bound_soundness():
         tau = mp.mpc(0.1, 0.04)
         q = mp.e ** (2j * mp.pi * tau)
         a, ac = eval_z(f1, tau, prec)
-        a2 = as_eisenstein((f2.alpha, f2.beta))
+        a2 = as_eisenstein((f2.alpha, f2.beta), f2.terms)
         b = _sum_form_oracle(a2, q, 2 * M, divide_by_n=True)
         bc = _sum_form_oracle([c.conj() for c in a2], q, 2 * M, divide_by_n=True)
         assert abs(a - b) < mp.mpf(2) ** (-prec)

@@ -19,7 +19,8 @@ from cubesum.cli import (
     read_cache,
     write_cache,
 )
-from cubesum.heckeform import qexp_coefficients
+from cubesum.eisenstein import is_prime_int
+from cubesum.heckeform import build_form, qexp_coefficients
 
 
 def run_cli(args, capsys):
@@ -167,14 +168,14 @@ def test_sylvester_message_distinct(tmp_path, capsys):
 
 def test_cache_roundtrip(tmp_path):
     for M in (1, 2, 3, 4, 5, 200):  # every residue of M mod 3
-        coeffs = qexp_coefficients(7, 1, M)
-        write_cache(str(tmp_path), 7, 1, coeffs)
-        assert read_cache(str(tmp_path), 7, 1) == coeffs  # the whole stored prefix
+        form = build_form(7, 1, M)
+        write_cache(str(tmp_path), 7, 1, form)
+        assert read_cache(str(tmp_path), 7, 1) == form  # the whole stored prefix
     assert read_cache(str(tmp_path), 13, 1) is None
 
 
 def _body(path):
-    """(header line, alpha[1::3], beta[1::3]) of a cache file."""
+    """(header line, alpha, beta) of a cache file: the store's slots n = 3k + 1."""
     with open(path, "rb") as fh:
         line = fh.readline()
         halves = array("q", fh.read())
@@ -187,7 +188,7 @@ _CRC_7_20 = {"little": "66822c67", "big": "a410c97a"}
 
 
 def test_cache_format_stable(tmp_path):
-    coeffs = qexp_coefficients(7, 1, 20)
+    coeffs = build_form(7, 1, 20)
     write_cache(str(tmp_path), 7, 1, coeffs)
     path = cli.cache_path(str(tmp_path), 7, 1)
     assert path.endswith("qexp_p7_i1.bin")
@@ -200,13 +201,19 @@ def test_cache_format_stable(tmp_path):
     assert os.path.getsize(path) == len(line) + 16 * 7
 
 
-def test_write_cache_refuses_a_coefficient_off_the_support(tmp_path):
-    for n, half in ((3, 0), (5, 1), (30, 1)):
-        coeffs = [list(c) for c in qexp_coefficients(7, 1, 30)]
-        coeffs[half][n] = 1
-        with pytest.raises(ValueError, match=f"a_{n} = .* off n = 1 mod 3"):
-            write_cache(str(tmp_path), 7, 1, coeffs)
-    assert os.listdir(tmp_path) == []
+def test_cache_file_is_the_store_layout(tmp_path):
+    # the store holds only the slots n = 3k + 1, so the file body is its two
+    # lists as they are, and a read gives back the same store, terms included
+    for M in (19, 20, 21, 22, 5000):  # every residue of M mod 3
+        form = build_form(13, 2, M)
+        write_cache(str(tmp_path), 13, 2, form)
+        line, alpha, beta = _body(cli.cache_path(str(tmp_path), 13, 2))
+        assert line.startswith(b"SYLV2 p=13 i=2 N=351 M=%d " % M)
+        assert (alpha, beta) == (form.alpha, form.beta) and len(alpha) == (M + 2) // 3
+        back = read_cache(str(tmp_path), 13, 2)
+        assert back == form and back.terms == M
+        assert (back.alpha, back.beta) == qexp_coefficients(13, 2, M)
+    assert os.listdir(tmp_path) == ["qexp_p13_i2.bin"]
 
 
 def test_cold_and_warm_cache_reports_identical(tmp_path, capsys):
@@ -226,12 +233,13 @@ def spy_cache_writes_and_walks(monkeypatch):
     writes, spans = [], []
     real_write, real_walk = cli.write_cache, heckeform._walk
 
-    def write(cache_dir, p, i, coeffs):
-        writes.append(len(coeffs[0]) - 1)
-        return real_write(cache_dir, p, i, coeffs)
+    def write(cache_dir, p, i, form):
+        writes.append(form.terms)
+        return real_write(cache_dir, p, i, form)
 
     def walk(p, alpha, beta, M, tables):
-        spans.append((len(alpha), M))  # the annulus len(alpha) - 1 < n <= M
+        # the annulus past the held slots n = 1, 4, ..., 3 len(alpha) - 2
+        spans.append((3 * len(alpha) - 1, M))
         return real_walk(p, alpha, beta, M, tables)
 
     monkeypatch.setattr(cli, "write_cache", write)
@@ -244,7 +252,7 @@ def test_warm_solve_sieves_nothing_and_writes_nothing(tmp_path, capsys, monkeypa
     code, out_cold, _ = run_cli(args, capsys)
     assert code == EXIT_OK
     stored = read_cache(str(tmp_path), 7, 1)
-    assert len(stored[0]) - 1 == json.loads(out_cold)["terms"]
+    assert stored.terms == json.loads(out_cold)["terms"]
     writes, spans = spy_cache_writes_and_walks(monkeypatch)
     code, _, _ = run_cli(args, capsys)
     assert code == EXIT_OK
@@ -257,7 +265,9 @@ def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
 ):
     # 103^2 fails at 192 bits and wins at 384 bits (46322 terms): the
     # second attempt walks only the annulus the first did not hold, so
-    # each norm n falls in exactly one walk (a_1 = 1 is never walked)
+    # each norm n = 1 mod 3 falls in exactly one walk (a_1 = 1 is never
+    # walked; every lattice point has such a norm, and a walk starts just
+    # past the last held slot n)
     writes, spans = spy_cache_writes_and_walks(monkeypatch)
     code, out, _ = run_cli(
         ["solve", "103", "--power", "2", "--json", "--cache-dir", str(tmp_path)], capsys
@@ -266,10 +276,10 @@ def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
     rep = json.loads(out)
     assert (rep["bits"], rep["terms"]) == (384, 46322)
     assert [a["bits"] for a in rep["attempts"]] == [192]
-    built = [n for first, last in spans for n in range(first, last + 1)]
-    assert sorted(built) == list(range(2, 46323))
+    built = [n for first, last in spans for n in range(first, last + 1) if n % 3 == 1]
+    assert sorted(built) == list(range(4, 46323, 3))
     assert writes == [46322]
-    assert read_cache(str(tmp_path), 103, 2) == qexp_coefficients(103, 2, 46322)
+    assert read_cache(str(tmp_path), 103, 2) == build_form(103, 2, 46322)
 
 
 def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):
@@ -284,13 +294,13 @@ def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(["solve", "7", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_PRECISION
     stored = read_cache(str(tmp_path), 7, 1)
-    assert writes == [len(stored[0]) - 1] and len(stored[0]) > 1
-    assert stored == qexp_coefficients(7, 1, len(stored[0]) - 1)
+    assert writes == [stored.terms] and stored.terms > 1
+    assert (stored.alpha, stored.beta) == qexp_coefficients(7, 1, stored.terms)
 
 
 def test_corrupt_cache_reads_as_miss(tmp_path, capsys):
     d = str(tmp_path)
-    coeffs = qexp_coefficients(7, 1, 30)
+    coeffs = build_form(7, 1, 30)
     path = cli.cache_path(d, 7, 1)
     foreign = {"little": b"order=big", "big": b"order=little"}[sys.byteorder]
 
@@ -327,7 +337,7 @@ def test_corrupt_cache_reads_as_miss(tmp_path, capsys):
     code, _, _ = run_cli(["solve", "7", "--cache-dir", d], capsys)
     assert code == EXIT_OK  # rebuilt and rewritten
     stored = read_cache(d, 7, 1)
-    assert stored == qexp_coefficients(7, 1, len(stored[0]) - 1)
+    assert (stored.alpha, stored.beta) == qexp_coefficients(7, 1, stored.terms)
 
 
 def test_corruption_past_the_spot_check_reads_as_miss(tmp_path, capsys):
@@ -339,7 +349,7 @@ def test_corruption_past_the_spot_check_reads_as_miss(tmp_path, capsys):
     with open(path, "rb") as fh:
         good = fh.read()
     line, alpha, beta = _body(path)
-    M = len(read_cache(d, 7, 1)[0]) - 1
+    M = read_cache(d, 7, 1).terms
     K = (M + 2) // 3
     # the first nonzero a_n past spot_check's n <= 100 (n = 1 + 3k, k >= 34),
     # in each half
@@ -408,9 +418,10 @@ def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
     fresh = read_cache(d, 7, 1)
 
     def negated(n):  # the stored prefix with a_n replaced by -a_n
-        alpha, beta = list(fresh[0]), list(fresh[1])
-        alpha[n], beta[n] = -alpha[n], -beta[n]
-        return alpha, beta
+        alpha, beta = list(fresh.alpha), list(fresh.beta)
+        k = (n - 1) // 3
+        alpha[k], beta[k] = -alpha[k], -beta[k]
+        return build_form(7, 1, fresh.terms, (alpha, beta))
 
     for n in (1, 7, 13, 97):  # a_1, a_p and two split primes
         write_cache(d, 7, 1, negated(n))
@@ -425,7 +436,7 @@ def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
 
 
 _COEFFS_7 = qexp_coefficients(7, 1, 30)
-_BODY_7 = b"".join(array("q", c[1::3]).tobytes() for c in _COEFFS_7)
+_BODY_7 = b"".join(array("q", c).tobytes() for c in _COEFFS_7)
 _FIELD = st.tuples(
     st.sampled_from(["p", "i", "N", "M", "order", "crc", "x"]),
     st.sampled_from(["7", "1", "189", "30", "28", "0", "-1", "", "a", "little", "big",
@@ -458,7 +469,7 @@ def test_read_cache_fuzz_never_raises(tmp_path, header, body, true_crc, tail):
     with open(cli.cache_path(str(tmp_path), 7, 1), "wb") as fh:
         fh.write(header.encode("utf-8", "surrogatepass") + b"\n" + body + tail)
     got = read_cache(str(tmp_path), 7, 1)
-    assert got is None or got == qexp_coefficients(7, 1, len(got[0]) - 1)
+    assert got is None or (got.alpha, got.beta) == qexp_coefficients(7, 1, got.terms)
 
 
 def test_cache_env_var_override(tmp_path, monkeypatch):
@@ -542,8 +553,8 @@ def test_verify_detects_tampering(capsys, monkeypatch):
 
     def tampered(p, i, M, conjugate=False):
         alpha, beta = (list(c) for c in real(p, i, M, conjugate=conjugate))
-        if len(alpha) > 4:
-            alpha[4], beta[4] = -alpha[4], -beta[4]
+        if len(alpha) > 1:  # a_4, in slot 1
+            alpha[1], beta[1] = -alpha[1], -beta[1]
         return alpha, beta
 
     monkeypatch.setattr(qs, "qexp_coefficients", tampered)
@@ -616,3 +627,85 @@ def test_solve_under_python_O(tmp_path):
     )
     assert out.returncode == EXIT_OK, out.stderr
     assert json.loads(out.stdout)["checks"]["cube_identity"]["ok"] is True
+
+
+# ------------------------------------------------------------- argv fuzz
+
+_ELIGIBLE = [7, 13, 31, 43, 61, 67, 79, 97, 103]
+_JUNK = ["", "x", "1.5", "0x10", "--json"]
+
+
+@st.composite
+def _count(draw, scale):
+    """(token, ok) for a count option: mostly a positive multiple of scale."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_JUNK)), False
+    n = draw(st.integers(-1, 40))
+    return str(n * scale), n >= 1
+
+
+@st.composite
+def _argv(draw):
+    """(argv, bad): a command line over small p and small counts, and whether
+    it is bad input (a parse error, a non-positive count, or p not a prime
+    = 4, 7 mod 9)."""
+    cmd = draw(st.sampled_from(["solve", "qexp", "yseries", "fseries"]))
+    if draw(st.integers(0, 3)):
+        p = draw(st.sampled_from(_ELIGIBLE))
+    else:
+        p = draw(st.integers(-3, 110))
+    argv, bad = [cmd, str(p)], not (p > 0 and p % 9 in (4, 7) and is_prime_int(p))
+    power = draw(st.sampled_from([None, None, "1", "1", "2", "both", "3"]))
+    if power is not None:
+        argv += ["--power", power]
+        bad |= power == "3" or (power == "both" and cmd != "solve")
+    if draw(st.booleans()):  # solve: 12 to 480 bits; qexp: up to 1000 terms
+        token, ok = draw(_count({"solve": 12, "qexp": 25}.get(cmd, 1)))
+        argv += ["--bits" if cmd == "solve" else "--terms", token]
+        bad |= not ok
+    if cmd == "solve":  # at most 8000 terms keeps every solve small
+        token, ok = draw(_count(200))
+        argv += ["--max-terms", token]
+        bad |= not ok
+        if draw(st.booleans()):
+            argv.append("--json")
+    if cmd in ("qexp", "yseries") and draw(st.booleans()):
+        argv.append("--conjugate")
+    if cmd == "fseries" and draw(st.booleans()):
+        sign = draw(st.sampled_from(["+", "-", "0"]))
+        argv += ["--sign", sign]
+        bad |= sign == "0"
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "-x"])))
+        bad = True
+    return argv, bad
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=_argv())
+def test_cli_argv_fuzz(tmp_path, capsys, case):
+    # bad input exits 2, nothing ends in a traceback or exit 4, and a solve
+    # exits 0 only with every report's cube identity checked
+    argv, bad = case
+    if argv[0] == "solve":
+        argv = argv + ["--cache-dir", str(tmp_path)]
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:  # argparse's own usage errors
+        code = e.code
+    out, err = capsys.readouterr()
+    if bad:
+        assert code == EXIT_BAD_INPUT, (argv, err)
+        assert err.strip() and "Traceback" not in err
+        return
+    assert code in (EXIT_OK, EXIT_PRECISION) if argv[0] == "solve" else code == EXIT_OK, (argv, err)
+    if argv[0] == "solve" and code == EXIT_OK:
+        if "--json" in argv:
+            reports = json.loads(out)
+            for rep in reports if isinstance(reports, list) else [reports]:
+                assert rep["checks"]["cube_identity"]["ok"] is True
+        else:
+            powers = 2 if "both" in argv else 1
+            assert out.count("check cube_identity: ok") == powers, out

@@ -128,13 +128,13 @@ def test_ap_is_pibar_and_symbol_truly_trivial():
         s = split_prime(p)
         for i in (1, 2):
             assert cubic_residue_symbol(s.pi**i, s.pibar) == ONE
-            a = as_eisenstein(qexp_coefficients(p, i, p))
+            a = as_eisenstein(qexp_coefficients(p, i, p), p)
             assert a[p] == s.pibar
 
 
 def test_first_coefficients_p7():
     # hand-derived: a_4 = psi((-2)) = -2w, a_7 = pibar, a_10 = 0, a_13 = 2
-    a = as_eisenstein(qexp_coefficients(7, 1, 13))
+    a = as_eisenstein(qexp_coefficients(7, 1, 13), 13)
     assert a[1] == ONE
     assert a[4] == EisensteinInt(0, -2)
     assert a[7] == EisensteinInt(-2, -3)
@@ -143,7 +143,7 @@ def test_first_coefficients_p7():
 
 
 def test_vanishing_off_1_mod_3():
-    a = as_eisenstein(qexp_coefficients(7, 1, 200))
+    a = as_eisenstein(qexp_coefficients(7, 1, 200), 200)
     for n in range(1, 201):
         if n % 3 != 1:
             assert a[n] == ZERO
@@ -154,7 +154,7 @@ def test_lattice_walk_matches_factoring_oracle():
     # (343); M = 2401 = 7^4 reaches v_p(n) = 4, four steps of a_(pm) = pibar a_m
     cases = [(p, i, 700) for p, i in ((7, 1), (13, 1), (7, 2), (31, 1), (13, 2), (31, 2))]
     for p, i, M in cases + [(7, 1, 2401), (7, 2, 2401)]:
-        assert as_eisenstein(qexp_coefficients(p, i, M)) == qexp_coefficients_direct(p, i, M)
+        assert as_eisenstein(qexp_coefficients(p, i, M), M) == qexp_coefficients_direct(p, i, M)
 
 
 # sha256 of the `cubesum qexp p --power i --terms M` dump, as the
@@ -177,8 +177,8 @@ def test_qexp_dump_reproduces_the_sieve_digest(p, i, M, capsys):
 
 
 def test_conjugate_form_is_coefficientwise_conjugate():
-    a = as_eisenstein(qexp_coefficients(13, 1, 100))
-    ac = as_eisenstein(qexp_coefficients(13, 1, 100, conjugate=True))
+    a = as_eisenstein(qexp_coefficients(13, 1, 100), 100)
+    ac = as_eisenstein(qexp_coefficients(13, 1, 100, conjugate=True), 100)
     assert ac == [c.conj() for c in a]
     acd = qexp_coefficients_direct(13, 1, 100, conjugate=True)
     assert ac == acd
@@ -186,7 +186,7 @@ def test_conjugate_form_is_coefficientwise_conjugate():
 
 def test_multiplicativity_exhaustive():
     M = 400
-    a = as_eisenstein(qexp_coefficients(7, 1, M))
+    a = as_eisenstein(qexp_coefficients(7, 1, M), M)
     for m in range(2, M):
         for n in range(2, M // m + 1):
             if math.gcd(m, n) == 1:
@@ -195,7 +195,7 @@ def test_multiplicativity_exhaustive():
 
 def test_hecke_recursion_at_good_primes():
     for p, i in ((7, 1), (13, 1), (31, 1), (7, 2)):
-        a = as_eisenstein(qexp_coefficients(p, i, 2500))
+        a = as_eisenstein(qexp_coefficients(p, i, 2500), 2500)
         for ell in range(2, 50):
             if not is_prime_int(ell) or ell in (3, p):
                 continue
@@ -215,7 +215,7 @@ def test_hecke_recursion_against_direct_enumeration():
 
 
 def test_hecke_bound_at_split_primes():
-    a = as_eisenstein(qexp_coefficients(7, 1, 200))
+    a = as_eisenstein(qexp_coefficients(7, 1, 200), 200)
     for ell in range(5, 200):
         if is_prime_int(ell) and ell % 3 == 1 and ell != 7:
             assert norm(a[ell]) <= 4 * ell
@@ -242,7 +242,7 @@ def test_nebentypus_multiplicative():
 def test_nebentypus_against_psi_route():
     # xi(ell) * ell = psi(lam) * psi(lambar) at good split primes
     for p, i in ((7, 1), (13, 1), (31, 2)):
-        a = as_eisenstein(qexp_coefficients(p, i, 2500))
+        a = as_eisenstein(qexp_coefficients(p, i, 2500), 2500)
         for ell in (7, 13, 19, 31, 37, 43):
             if ell == p:
                 continue
@@ -263,16 +263,16 @@ def test_twisted_form_vanishes_at_p():
     from cubesum.heckeform import _twist_coefficients
 
     s = split_prime(7)
-    b = as_eisenstein(_twist_coefficients(7, 1, 49))
+    b = as_eisenstein(_twist_coefficients(7, 1, 49), 49)
     assert b[7] == ZERO and b[49] == ZERO
     # while the CM form itself has a_p = pibar^e
-    a = as_eisenstein(qexp_coefficients(7, 1, 49))
+    a = as_eisenstein(qexp_coefficients(7, 1, 49), 49)
     assert a[7] == s.pibar and a[49] == s.pibar * s.pibar
 
 
 def test_twist_check_zero_cases():
     # n = 2 mod 3: both sides vanish; n = p: the twisted side has b_p = 0
-    a = as_eisenstein(qexp_coefficients(7, 1, 100))
+    a = as_eisenstein(qexp_coefficients(7, 1, 100), 100)
     assert a[7] != ZERO  # a_p = pibar on the form side...
     rep = twist_check(7, 1, 100)  # ...but the comparison skips multiples of p
     assert rep.checked == sum(1 for n in range(1, 101) if n % 7 != 0)
@@ -285,11 +285,16 @@ def test_build_form():
 
 @pytest.mark.parametrize(
     "p, i, M0",
-    [(p, i, M0) for p, i in [(7, 1), (13, 2), (31, 2)] for M0 in (p - 1, p * p - 1, 7**3 - 1)],
+    [
+        (p, i, M0)
+        for p, i in [(7, 1), (13, 2), (31, 2)]
+        for M0 in (p - 1, p, p + 1, p * p - 1, 7**3 - 1)
+    ],
 )
 def test_extension_matches_a_fresh_sieve(p, i, M0):
     # resume just below a_p, a_(p^2) and a_(7^3): the annulus M0 < N <= 1100
-    # then starts with the pibar^v shifts of the walk
+    # then starts with the pibar^v shifts of the walk; M0 = p - 1, p, p + 1
+    # cover every residue mod 3, so the held slots end at M0, M0 - 1, M0 - 2
     f = build_form(p, i, M0)
     held = (f.alpha, f.beta)
     f.extend(M0 - 5)  # never shrinks
@@ -298,3 +303,32 @@ def test_extension_matches_a_fresh_sieve(p, i, M0):
     assert f.terms == 1100
     assert (f.alpha, f.beta) == qexp_coefficients(p, i, 1100)
     assert held == qexp_coefficients(p, i, M0)  # the prefix is not changed
+
+
+def test_long_rows_wrap_the_exponent_table():
+    # at p = 7, M = 20000 a row holds up to 55 points, so its run of the
+    # stride-3 table wraps past p several times
+    M = 20000
+    assert as_eisenstein(qexp_coefficients(7, 1, M), M) == qexp_coefficients_direct(7, 1, M)
+
+
+@pytest.mark.parametrize("p, i", [(7, 1), (7, 2), (13, 1), (13, 2), (31, 1), (31, 2)])
+def test_twisted_form_vanishes_at_every_multiple_of_p(p, i):
+    # the twist walk writes the points p divides into the slots p | n and
+    # then zeroes those slots; every other b_n matches the nebentypus twist
+    from cubesum.heckeform import _twist_coefficients
+
+    M = 5000
+    b = as_eisenstein(_twist_coefficients(p, i, M), M)
+    assert all(b[n] == ZERO for n in range(p, M + 1, p))
+    assert any(b[n] != ZERO for n in range(1, M + 1) if n % p)
+    twist_check(p, i, 600)
+
+
+def test_as_eisenstein_spreads_the_support():
+    coeffs = qexp_coefficients(7, 1, 20)
+    assert coeffs == ([1, 0, -2, 0, 2, -4, 7], [0, -2, -3, 0, 0, -4, 7])
+    for M in (19, 20, 21, 22):  # the last slot n = 19 and the zeros past it
+        a = as_eisenstein(coeffs, M)
+        assert len(a) == M + 1 and a[19] == EisensteinInt(7, 7)
+        assert all(a[n] == ZERO for n in range(M + 1) if n % 3 != 1)

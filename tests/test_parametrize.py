@@ -399,6 +399,29 @@ def test_recognize_rejects_an_exact_y_off_the_numbers():
         recognize((x, off), split, 1, 1 << 84, prec, form="f")
 
 
+# 103^2's failed 192-bit attempt, as recognize reported it when it tested
+# all six (cube root, w^k) candidates with _exact_y
+_FAIL_103_2_AT_192 = (
+    "x = (-5.11315786327407410210632952015959532207066841748618256448733578734"
+    " - 3.94116918797096167761474337684559860255768809901210590544153440384j)"
+    " not recognized under either cube root with denominators <= 2^84;"
+    " 6 candidate x had no exact y matching the numbers"
+)
+
+
+def test_rejected_twists_are_not_tested_again(monkeypatch):
+    # x w and x w^2 have x's S and e: after the k = 0 candidate of a cube
+    # root is rejected, its k = 1, 2 candidates count as rejected untested
+    calls = []
+    real = parametrize._exact_y
+    monkeypatch.setattr(parametrize, "_exact_y", lambda x, c: calls.append(x) or real(x, c))
+    cand = parametrize.Candidate(eval_site(103, 2))
+    with pytest.raises(RecognitionFailed) as info:
+        parametrize._attempt_site(cand, split_prime(103), 103, 2, 192, None, build_form(103, 2, 0))
+    assert str(info.value) == _FAIL_103_2_AT_192
+    assert len(calls) == 2  # one per cube root; all six were tested before
+
+
 # ------------------------------------------------------------------ sweep
 
 

@@ -6,6 +6,7 @@ import pytest
 import cubesum.qseries as qs
 from cubesum.analytic import wp_laurent_coefficients
 from cubesum.eisenstein import SQRT_M3, QOmega, split_prime
+from cubesum.heckeform import as_eisenstein
 from cubesum.qseries import (
     CubeRootNotInField,
     LaurentSeries,
@@ -90,9 +91,8 @@ def z_series(p, i, M, conjugate=False):
     """z(q) = sum_{n<=M} a_n/n q^n as an exact series (known mod q^(M+1)),
     from the coefficients y_series reads (a tampered qs.qexp_coefficients
     reaches both routes)."""
-    alpha, beta = qs.qexp_coefficients(p, i, M, conjugate=conjugate)
-    coeffs = [QOmega(Fraction(alpha[n], n), Fraction(beta[n], n)) for n in range(1, M + 1)]
-    return Series(1, coeffs)
+    a = as_eisenstein(qs.qexp_coefficients(p, i, M, conjugate=conjugate), M)
+    return Series(1, [a[n].to_q() / n for n in range(1, M + 1)])
 
 
 # --------------------------------------------------------- series algebra
@@ -266,9 +266,9 @@ def test_f_series_cube_recovers_ratio():
 
 
 def test_z_series_matches_coefficients():
-    from cubesum.heckeform import as_eisenstein, qexp_coefficients
+    from cubesum.heckeform import qexp_coefficients
 
-    a = as_eisenstein(qexp_coefficients(7, 1, 20))
+    a = as_eisenstein(qexp_coefficients(7, 1, 20), 20)
     z = z_series(7, 1, 20)
     for n in range(1, 21):
         assert z.coefficient(n) == a[n].to_q() / n
@@ -347,6 +347,28 @@ def test_ode_route_matches_the_composition_oracle(p, i):
             assert series(F) ** 3 == ratio, (p, i, M, sign)
 
 
+@pytest.mark.parametrize("p", [7, 13, 31, 43])
+@pytest.mark.parametrize("i", [1, 2])
+def test_series_on_q3_match_the_composition_oracle_to_150_terms(p, i):
+    # y, y^c and F run on u = q^3 and are spread back to q at the end; the
+    # oracle composes wp's Laurent series with z(q) on every power of q
+    M = 150
+    want_y = _y_series_oracle(p, i, M)
+    want_yc = _y_series_oracle(p, i, M, conjugate=True)
+    got = [y_series(p, i, M), y_series(p, i, M, conjugate=True)]
+    assert _same(got[0], want_y) and _same(got[1], want_yc)
+    want = [want_y, want_yc]
+    for sign in "+-":
+        F = f_plus_minus_series(p, i, sign, M)
+        ratio = _ratio_oracle(p, i, sign, M, want_y, want_yc)
+        assert F.coefficient(0) == q(1) and (F.lead, F.trunc) == (ratio.lead, ratio.trunc)
+        assert series(F) ** 3 == ratio, (p, i, sign)
+        got.append(F)
+        want.append(ratio)
+    for s in got + want:  # both routes vanish off q^(3t)
+        assert s.trunc >= M and not any(s.coefficient(n) for n in range(s.lead, s.trunc) if n % 3)
+
+
 def _raised(fn):
     try:
         fn()
@@ -364,12 +386,13 @@ def test_tampered_coefficient_fails_like_the_oracle(monkeypatch, n, delta):
 
     def tampered(p, i, M, conjugate=False):
         alpha, beta = (list(c) for c in real(p, i, M, conjugate=conjugate))
-        if len(alpha) > n:
+        k = (n - 1) // 3  # the compact slot of a_n
+        if len(alpha) > k:
             if delta is None:
-                alpha[n], beta[n] = -alpha[n], -beta[n]
+                alpha[k], beta[k] = -alpha[k], -beta[k]
             else:
-                alpha[n] += delta[0]
-                beta[n] += delta[1]
+                alpha[k] += delta[0]
+                beta[k] += delta[1]
         return alpha, beta
 
     monkeypatch.setattr(qs, "qexp_coefficients", tampered)
