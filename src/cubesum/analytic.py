@@ -17,10 +17,13 @@ of 0 (wp_eval, which raises PoleAtLatticePoint there).
 Both series are summed by one fixed-point idiom: Python integers scaled by
 2^W, products shifted back by W, so every operation truncates by less than
 one unit of 2^-W and the error bounds are counts of units.  The q-sums of
-the newform (_q_sums) give f and its conjugate f^c from one pass, by
-rectangular splitting in q^3 (Paterson-Stockmeyer); wp_0 is a Horner sum
-in xi^6 over the base lattice's coefficients, stored as integers.  mpmath
-is left with the set-up (q, xi^6), the duplication step and the rescaling.
+the newform (_q_sums) give f and its conjugate f^c from one pass over the
+compact slots split into columns by k mod L: at a CM site L = p and
+q^(3p) is a real constant, so each column is a real series in its
+powers; the column sums are combined by rectangular splitting in q^3
+(Paterson-Stockmeyer).  wp_0 is a Horner sum in xi^6 over the base
+lattice's coefficients, stored as integers.  mpmath is left with the
+set-up (q, q^(3L), xi^6), the duplication step and the rescaling.
 """
 
 from __future__ import annotations
@@ -328,32 +331,46 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
     a_n vanishes off n = 1 mod 3, so S = q P(x) with x = q^3 and P(x) =
     sum_k c_(3k+1) x^k over the K = ceil(M/3) steps k < K, the form's
     compact slots.  With a_(3k+1) = alpha[k] + beta[k] w, P splits as U + V w
-    and the conjugate form's as U + V conj(w), so one pass sums U and V, over
-    contiguous slices of alpha and beta.
+    and the conjugate form's as U + V conj(w), so one pass sums U and V.
 
-    Rectangular splitting (Paterson-Stockmeyer): with B = isqrt(K), the baby
-    steps x^j (j < B) are computed once, each block of B consecutive steps is
-    a sum of small-integer multiples of them (a zero a_n costs a truth test),
-    and Horner in the giant step x^B runs over the blocks from the top.  So
-    the W-bit products number about 4B + 8K/B instead of 4K; under
-    divide_by_n each nonzero term divides the baby step by n once per
-    component and multiplies the quotient by alpha_n and beta_n.
+    Columns: the slots split by k mod L into L columns, U = sum_(j < L)
+    x^j U_j with U_j = sum_g c_n X^g over n = 3(j + Lg) + 1 and X = x^L,
+    and V likewise.  A site that carries its exact real part
+    `re` (cmpoint.EvalSite) takes for L the denominator of 6 Re(tau), so
+    that X = e^(6 pi i L tau) = (-1)^(6 L Re tau) e^(-6 pi L Im tau) is
+    real: at the solve's site W(tau_r), L = p and X = -e^(-pi sqrt(3))
+    (N = 9p) or -e^(-pi sqrt(3)/3) (N = 27p).  The column sums are then
+    real, and a nonzero term costs one floor division (X^g // n) and two
+    small-integer products (by alpha and beta).  Any other site takes
+    L = isqrt(K), and the same column loop runs twice, over Re X^g and
+    over Im X^g, giving U = U' + i U'' (once when Im X = 0).  Each pass
+    combines its real column sums by rectangular splitting in x: with B =
+    isqrt(number of columns), the baby steps x^i (i < B) are formed once,
+    a block of B consecutive columns is a sum of integer products u_j x^i,
+    and Horner in the giant step x^B runs over the blocks from the top,
+    shifting once per step.
 
     Error, in units of 2^-W (values scaled by 2^W; every product is shifted
     and every quotient floored, each by under one unit per component):
-    - the baby steps and x^B are off by at most 3j units (|x| < 1, and x
-      itself is off by one unit per component);
-    - a term is off by at most (|alpha_n| + |beta_n|)(1 + 3j/n) <=
-      2 (|alpha_n| + |beta_n|) units under divide_by_n (n > 3j), and by
-      (|alpha_n| + |beta_n|)(1 + 3j) <= (|alpha_n| + |beta_n|) n without it;
+    - x and X are off by one unit per component, and each power formed
+      from them by at most 3 more units per factor (|x|, |X| < 1): x^i by
+      3i, (x^B)^m by 3Bm, X^g by 3g;
+    - X^g // n is off by under 1 + 3g/n < 1 + 1/L units (n > 3Lg), so a
+      term is off by (|alpha_n| + |beta_n|)(1 + 1/L) units under
+      divide_by_n, and by (|alpha_n| + |beta_n|) 3g < (|alpha_n| +
+      |beta_n|) n/L without it;
+    - column j reaches the result through x^i (x^B)^m with i + Bm = j,
+      off by 3j units; as 3j < n, weighting each term of the column by it
+      adds under (|alpha_n| + |beta_n|) units under divide_by_n and
+      (|alpha_n| + |beta_n|) n without it, plus under 2 units per Horner
+      step;
     - |alpha_n| + |beta_n| <= 2 |a_n| <= 2 sigma_0(n) sqrt(n) <= 2 sqrt(3) n
-      (sigma_0(n) <= sqrt(3n)), so over n <= M, n = 1 mod 3, the terms add
-      under 1.2 M^2 units, or 0.4 M^3 without divide_by_n;
-    - each Horner step adds 2 units plus |P| <= sqrt(3) K (sqrt(3) K M
-      without divide_by_n) times the 3B units of x^B; over the K/B steps
-      that is under 0.6 M^2 units (0.6 M^3).
-    So U and V are off by under 2 M^e units, e = 2 under divide_by_n and 3
-    without, and W = prec + GUARD_BITS + KERNEL_GUARD_BITS + e *
+      (sigma_0(n) <= sqrt(3n)), and over n <= M, n = 1 mod 3, sum n is
+      about M^2/6 and sum n^2 about M^3/9.
+    So one pass is off by under (2 + 1/L) 0.58 M^2 <= 1.8 M^2 units under
+    divide_by_n and (1 + 1/L) 0.39 M^3 <= 0.8 M^3 without it, and U and V
+    together by under 3.6 M^e after two passes, e = 2 under divide_by_n
+    and 3 without: W = prec + GUARD_BITS + KERNEL_GUARD_BITS + e *
     M.bit_length() keeps S and S^c within 2^-(prec + GUARD_BITS), the
     precision they are returned at.  The last product by q runs in mpmath.
     """
@@ -365,32 +382,56 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
         if M > form.terms:
             raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
     W = prec + GUARD_BITS + KERNEL_GUARD_BITS + (2 if divide_by_n else 3) * M.bit_length()
-    with mp.workprec(W):
-        q = mp.exp(2j * mp.pi * _site_to_tau(site))
-        x = q**3
-        xr, xi = to_fixed(x.real._mpf_, W), to_fixed(x.imag._mpf_, W)
     K = (M + 2) // 3
-    B = math.isqrt(K)
+    re = getattr(site, "re", None)
+    L = math.isqrt(K) if re is None else (6 * re).denominator
+    with mp.workprec(W):
+        tau = _site_to_tau(site)
+        q = mp.exp(2j * mp.pi * tau)
+        x = q**3
+        if re is None:
+            X = mp.exp(6j * mp.pi * L * tau)
+        else:
+            X = (-1) ** (6 * L * re).numerator * mp.exp(-6 * mp.pi * L * tau.imag)
+        xr, xi = to_fixed(x.real._mpf_, W), to_fixed(x.imag._mpf_, W)
+        Xr, Xi = to_fixed(mp.re(X)._mpf_, W), to_fixed(mp.im(X)._mpf_, W)
+    cols = min(L, K)
+    B = math.isqrt(cols)
     baby = [(1 << W, 0)]
     for _ in range(B):
         pr, pi = baby[-1]
         baby.append(((pr * xr - pi * xi) >> W, (pr * xi + pi * xr) >> W))
     gr, gi = baby.pop()  # the giant step x^B
+    Xg_re, Xg_im = [1 << W], [0]  # X^g for the rows g < ceil(K/L)
+    for _ in range((K - 1) // L):
+        pr, pi = Xg_re[-1], Xg_im[-1]
+        Xg_re.append((pr * Xr - pi * Xi) >> W)
+        Xg_im.append((pr * Xi + pi * Xr) >> W)
     alpha, beta = form.alpha, form.beta  # slot k holds a_(3k+1)
-    ur = ui = vr = vi = 0
-    for k0 in reversed(range(0, K, B)):
-        k1 = min(k0 + B, K)
-        sur = sui = svr = svi = 0
-        for n, a, b, (pr, pi) in zip(range(3 * k0 + 1, M + 1, 3), alpha[k0:k1], beta[k0:k1], baby):
-            if a or b:
-                if divide_by_n:
-                    pr, pi = pr // n, pi // n
-                sur += a * pr
-                sui += a * pi
-                svr += b * pr
-                svi += b * pi
-        ur, ui = ((ur * gr - ui * gi) >> W) + sur, ((ur * gi + ui * gr) >> W) + sui
-        vr, vi = ((vr * gr - vi * gi) >> W) + svr, ((vr * gi + vi * gr) >> W) + svi
+    sums = []
+    for Xg in (Xg_re, Xg_im) if Xi else (Xg_re,):
+        ur = ui = vr = vi = 0
+        for j0 in reversed(range(0, cols, B)):
+            sur = sui = svr = svi = 0
+            for j, (pr, pi) in zip(range(j0, cols), baby):
+                u = v = 0  # column j
+                for n, a, b, t in zip(range(3 * j + 1, 3 * K, 3 * L), alpha[j:K:L], beta[j:K:L], Xg):
+                    if a or b:
+                        if divide_by_n:
+                            t //= n
+                        u += a * t
+                        v += b * t
+                sur += u * pr
+                sui += u * pi
+                svr += v * pr
+                svi += v * pi
+            ur, ui = (ur * gr - ui * gi + sur) >> W, (ur * gi + ui * gr + sui) >> W
+            vr, vi = (vr * gr - vi * gi + svr) >> W, (vr * gi + vi * gr + svi) >> W
+        sums.append((ur, ui, vr, vi))
+    ur, ui, vr, vi = sums[0]
+    if len(sums) > 1:  # U = U' + i U''
+        ur2, ui2, vr2, vi2 = sums[1]
+        ur, ui, vr, vi = ur - ui2, ui + ur2, vr - vi2, vi + vr2
     with mp.workprec(prec + GUARD_BITS):
         U = mp.mpc(mp.ldexp(ur, -W), mp.ldexp(ui, -W)) * q
         V = mp.mpc(mp.ldexp(vr, -W), mp.ldexp(vi, -W)) * q

@@ -84,6 +84,16 @@ class EvalSite:
     N: int
 
     @property
+    def re(self):
+        """Re(site) = (3r - 3/2)/N, exact.
+
+        6p Re(site) is 2r - 1 when N = 9p and (2r - 1)/3 when N = 27p, an odd
+        integer either way (r = 2 mod 3), so q^(3p) = e^(6 pi i p site) is
+        the real number -e^(-6 pi p Im(site)) here, for every p and i.
+        """
+        return Fraction(6 * self.point.r - 3, 2 * self.N)
+
+    @property
     def im_coeff(self):
         """Im(site) / sqrt(3), exact."""
         return Fraction(3, 2 * self.N)

@@ -9,6 +9,7 @@ relies on.  Residue symbols follow the Euler-criterion convention
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -531,8 +532,12 @@ def _cube_root_of_unity_mod(p):
     raise ArithmeticError(f"no cube root of unity mod {p}")
 
 
+@functools.lru_cache(maxsize=256)
 def split_prime(p):
-    """Split p = 1 mod 3 as pi*pibar, pi = 1 mod 3 normalized with b > 0."""
+    """Split p = 1 mod 3 as pi*pibar, pi = 1 mod 3 normalized with b > 0.
+
+    Memoized: a solve needs the split of p in several layers, and the
+    result is immutable.  A bad p raises NotSplit on every call."""
     if not is_prime_int(p) or p % 3 != 1:
         raise NotSplit(f"{p} is not a prime congruent to 1 mod 3")
     w = _cube_root_of_unity_mod(p)

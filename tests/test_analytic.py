@@ -21,6 +21,7 @@ from cubesum.analytic import (
     wp_eval,
     wp_laurent_coefficients,
 )
+from cubesum.cmpoint import eval_site
 from cubesum.eisenstein import EisensteinInt, QOmega, split_prime
 from cubesum.heckeform import (
     as_eisenstein,
@@ -268,38 +269,71 @@ def _sum_form_oracle(coeffs, q, M, divide_by_n):
     return total
 
 
-@pytest.mark.parametrize("prec", [192, 384, 768, 3072])
+# the CM sites W(tau_r) of 13^1 (N = 9p) and 7^1 (N = 27p), where the
+# kernel sums p real columns in the powers of q^(3p)
+CM_SITES = [(13, 1), (7, 1)]
+
+
+def _site_and_tau(cm, re, im):
+    """(site, its mpc value): the CM site of cm = (p, i), or else the mpc
+    re + i im as both."""
+    if cm is None:
+        tau = mp.mpc(re, im)
+        return tau, tau
+    site = eval_site(*cm)
+    return site, site.to_mpc(mp)
+
+
+@pytest.mark.parametrize(
+    "prec, cm",
+    [(prec, None) for prec in (192, 384, 768, 3072)]
+    + [(prec, cm) for cm in CM_SITES for prec in (192, 768)],
+    ids=["192", "384", "768", "3072", "13^1-192", "13^1-768", "7^1-192", "7^1-768"],
+)
 @pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
-def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, evaluate, divide_by_n):
-    # the height of 31's wtau sites, with a real part off the axis
-    p, i = 31, 1
+def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, cm, evaluate, divide_by_n):
+    # the height of 31's wtau sites, with a real part off the axis, or a
+    # CM site with its own form
+    p, i = cm or (31, 1)
     _, N = conductor_and_level(p, i)
     with mp.workprec(prec + GUARD_BITS):
-        tau = mp.mpc(mp.mpf(3) / 7, mp.mpf(3) / (2 * N) * mp.sqrt(3))
+        site, tau = _site_and_tau(cm, mp.mpf(3) / 7, mp.mpf(3) / (2 * N) * mp.sqrt(3))
         M = terms_needed(tau.imag, prec)
         f = build_form(p, i, M)
-        got_f, got_fc = evaluate(f, tau, prec)
+        got_f, got_fc = evaluate(f, site, prec)
         q = mp.e ** (2j * mp.pi * tau)
         a = as_eisenstein((f.alpha, f.beta), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)
         want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
         assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
         assert abs(got_fc - want_fc) < mp.mpf(2) ** (-prec)
-        assert abs(got_f - got_fc) > 1e-3  # f and f^c are distinct sums
+        if cm is None:
+            assert abs(got_f - got_fc) > 1e-3  # f and f^c are distinct sums
 
 
-# M for step counts K = ceil(M/3) of 1, 2, 48 = 7^2 - 1, 49 = 7^2, 50 and
-# the prime 97: one block, a block of one, a short last block, full blocks
-# only, a last block of one term, and no square structure at all
-@pytest.mark.parametrize("M", [1, 6, 142, 147, 148, 289])
+# Step counts K = ceil(M/3).  At an arbitrary site the kernel takes
+# L = isqrt(K) columns: K = 1, 2, 48 = 6 * 8, 49 = 7^2, 50 and the prime 97
+# give one column of one term, one column of two, full columns of two
+# shapes, a first column one term longer than the rest, and ragged columns.
+# At a CM site it takes L = p columns: K = p - 1, p, p + 1 and 2p give
+# fewer slots than columns, one full row, a second row of one term, and
+# two full rows.
+@pytest.mark.parametrize(
+    "M, cm",
+    [(M, None) for M in (1, 6, 142, 147, 148, 289)]
+    + [(3 * K - 2, (p, 1)) for p, _ in CM_SITES for K in (p - 1, p, p + 1, 2 * p)],
+    ids=["1", "6", "142", "147", "148", "289"]
+    + [f"{p}^1-K={K}" for p, _ in CM_SITES for K in (p - 1, p, p + 1, 2 * p)],
+)
 @pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
-def test_kernel_block_edges(monkeypatch, M, evaluate, divide_by_n):
+def test_kernel_block_edges(monkeypatch, M, cm, evaluate, divide_by_n):
     prec = 192
     monkeypatch.setattr(analytic, "terms_needed", lambda im_tau, prec: M)
-    f = build_form(31, 1, M)
+    p, i = cm or (31, 1)
+    f = build_form(p, i, M)
     with mp.workprec(prec + GUARD_BITS):
-        tau = mp.mpc(mp.mpf(2) / 9, mp.mpf(1) / 40)
-        got_f, got_fc = evaluate(f, tau, prec)
+        site, tau = _site_and_tau(cm, mp.mpf(2) / 9, mp.mpf(1) / 40)
+        got_f, got_fc = evaluate(f, site, prec)
         q = mp.e ** (2j * mp.pi * tau)
         a = as_eisenstein((f.alpha, f.beta), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)
@@ -308,18 +342,25 @@ def test_kernel_block_edges(monkeypatch, M, evaluate, divide_by_n):
         assert abs(got_fc - want_fc) < mp.mpf(2) ** (-prec)
 
 
-@pytest.mark.parametrize("prec, im_tau", [(192, 0.0004), (768, 0.0016)])
+@pytest.mark.parametrize(
+    "prec, im_tau, cm",
+    [(192, 0.0004, None), (768, 0.0016, None), (192, None, (13, 1)), (768, None, (7, 1))],
+    ids=["192-0.0004", "768-0.0016", "13^1-192", "7^1-768"],
+)
 @pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
-def test_kernel_keeps_its_guard_bits(prec, im_tau, evaluate, divide_by_n):
-    # the sums come back at prec + GUARD_BITS: over about 55000 terms, and
-    # against an oracle 64 bits finer, they hold to that up to a few
-    # roundings of the final mpc sums
+def test_kernel_keeps_its_guard_bits(prec, im_tau, cm, evaluate, divide_by_n):
+    # the sums come back at prec + GUARD_BITS: over about 55000 terms (or
+    # at a CM site, over its own form), and against an oracle 64 bits
+    # finer, they hold to that up to a few roundings of the final mpc sums
+    p, i = cm or (31, 1)
     with mp.workprec(prec + GUARD_BITS):
-        tau = mp.mpc(mp.mpf(3) / 7, im_tau)
+        site, tau = _site_and_tau(cm, mp.mpf(3) / 7, im_tau)
         M = terms_needed(tau.imag, prec)
-        f = build_form(31, 1, M)
-        got_f, got_fc = evaluate(f, tau, prec)
+        f = build_form(p, i, M)
+        got_f, got_fc = evaluate(f, site, prec)
     with mp.workprec(prec + 64):
+        if cm:
+            tau = site.to_mpc(mp)
         q = mp.e ** (2j * mp.pi * tau)
         a = as_eisenstein((f.alpha, f.beta), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)

@@ -579,6 +579,27 @@ def test_solve_runs_no_fricke_pass(tmp_path, capsys, monkeypatch):
     assert "fricke_beta" not in json.loads(out)["checks"]
 
 
+def test_cold_solve_splits_p_once(tmp_path, capsys, monkeypatch):
+    # the solve, the a_(pm) pass of the coefficients and the nontorsion
+    # certificate share one memoized split of p; a bad p still raises
+    import cubesum.eisenstein as eis
+
+    eis.split_prime.cache_clear()
+    gcd, firsts = eis.gcd_eis, []
+
+    def spy(x, y):
+        firsts.append(x)
+        return gcd(x, y)
+
+    monkeypatch.setattr(eis, "gcd_eis", spy)
+    code, _, _ = run_cli(["solve", "409", "--json", "--cache-dir", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    assert firsts.count(eis.EisensteinInt(409, 0)) == 1
+    for _ in range(2):
+        with pytest.raises(eis.NotSplit):
+            eis.split_prime(409 * 3)
+
+
 def _run_python(*args):
     import subprocess
     import sys

@@ -93,3 +93,32 @@ def test_wtau_higher_than_tau_when_t_large():
         site = eval_site(p, i)
         assert site.point.t > 1
         assert site.im_coeff > Fraction(1, 18 * p * site.point.t)
+
+
+def test_q_to_the_3p_is_real_at_every_site():
+    # 6p Re W(tau_r) is an odd integer, so x = q^3 has x^p = -e^(-6 pi p
+    # Im tau): the q-sum kernel sums p real columns in its powers
+    import mpmath
+
+    from cubesum.eisenstein import is_prime_int
+
+    sites = [
+        eval_site(p, i)
+        for p in range(2, 2000)
+        if is_prime_int(p) and p % 9 in (4, 7)
+        for i in (1, 2)
+    ]
+    assert len(sites) == 202
+    for site in sites:
+        p = site.point.p
+        assert site.re == Fraction(6 * site.point.r - 3, 2 * site.N)
+        six_p_re = 6 * p * site.re
+        assert six_p_re.denominator == 1 and six_p_re.numerator % 2 == 1
+        assert (6 * site.re).denominator == p  # so the kernel takes L = p
+    with mpmath.mp.workprec(192):
+        for p, i in ((13, 1), (7, 1), (997, 2)):
+            site = eval_site(p, i)
+            tau = site.to_mpc(mpmath.mp)
+            xp = mpmath.exp(6j * mpmath.pi * p * tau)
+            want = -mpmath.exp(-6 * mpmath.pi * p * tau.imag)
+            assert abs(xp - want) < mpmath.mpf(2) ** -150
