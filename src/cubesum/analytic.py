@@ -16,14 +16,16 @@ of 0 (wp_eval, which raises PoleAtLatticePoint there).
 
 Both series are summed by one fixed-point idiom: Python integers scaled by
 2^W, products shifted back by W, so every operation truncates by less than
-one unit of 2^-W and the error bounds are counts of units.  The q-sums of
-the newform (_q_sums) give f and its conjugate f^c from one pass over the
-compact slots split into columns by k mod L: at a CM site L = p and
-q^(3p) is a real constant, so each column is a real series in its
-powers; the column sums are combined by rectangular splitting in q^3
-(Paterson-Stockmeyer).  wp_0 is a Horner sum in xi^6 over the base
-lattice's coefficients, stored as integers.  mpmath is left with the
-set-up (q, q^(3L), xi^6), the duplication step and the rescaling.
+one unit of 2^-W and the error bounds are counts of units.  The one q-sum
+(eval_z) gives the Abel-Jacobi images z and z^c of the newform and its
+conjugate from one pass over the compact slots split into columns by k
+mod L: at a CM site L = p and q^(3p) is a real constant, so each column
+is a real series in its powers; the column sums are combined by
+rectangular splitting in q^3 (Paterson-Stockmeyer).  The Fricke constant
+and the cusp image z0 = L(f, 1) come from z as well (_fricke).  wp_0 is a
+Horner sum in xi^6 over the base lattice's coefficients, stored as
+integers.  mpmath is left with the set-up (q, q^(3L), xi^6), the
+duplication step and the rescaling.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ GUARD_BITS = 32
 
 
 class PoleAtLatticePoint(ArithmeticError):
-    pass
-
-
-class TermsCapExceeded(RuntimeError):
     pass
 
 
@@ -323,32 +321,33 @@ def _site_to_tau(site):
 KERNEL_GUARD_BITS = 2
 
 
-def _q_sums(form, site, prec, max_terms, divide_by_n):
-    """(S, S^c) with S = sum c_n q^n over n <= M for the form and its
-    conjugate, where c_n = a_n/n (divide_by_n) or a_n, and M =
-    terms_needed(Im tau, prec).
+def eval_z(form, site, prec=192):
+    """(z, z^c): z(tau) = sum a_n/n q^n over n <= M = terms_needed(Im tau,
+    prec), the Abel-Jacobi image of tau, for the form and its conjugate,
+    from one pass over the compact slots.  The form must carry at least M
+    coefficients (a ValueError otherwise).
 
-    a_n vanishes off n = 1 mod 3, so S = q P(x) with x = q^3 and P(x) =
-    sum_k c_(3k+1) x^k over the K = ceil(M/3) steps k < K, the form's
-    compact slots.  With a_(3k+1) = alpha[k] + beta[k] w, P splits as U + V w
-    and the conjugate form's as U + V conj(w), so one pass sums U and V.
+    a_n vanishes off n = 1 mod 3, so z = q P(x) with x = q^3 and P(x) =
+    sum_k a_(3k+1)/(3k+1) x^k over the K = ceil(M/3) steps k < K, the
+    form's compact slots.  With a_(3k+1) = alpha[k] + beta[k] w, P splits as
+    U + V w and the conjugate form's as U + V conj(w), so one pass sums U
+    and V.
 
     Columns: the slots split by k mod L into L columns, U = sum_(j < L)
-    x^j U_j with U_j = sum_g c_n X^g over n = 3(j + Lg) + 1 and X = x^L,
-    and V likewise.  A site that carries its exact real part
-    `re` (cmpoint.EvalSite) takes for L the denominator of 6 Re(tau), so
-    that X = e^(6 pi i L tau) = (-1)^(6 L Re tau) e^(-6 pi L Im tau) is
-    real: at the solve's site W(tau_r), L = p and X = -e^(-pi sqrt(3))
-    (N = 9p) or -e^(-pi sqrt(3)/3) (N = 27p).  The column sums are then
-    real, and a nonzero term costs one floor division (X^g // n) and two
-    small-integer products (by alpha and beta).  Any other site takes
-    L = isqrt(K), and the same column loop runs twice, over Re X^g and
-    over Im X^g, giving U = U' + i U'' (once when Im X = 0).  Each pass
-    combines its real column sums by rectangular splitting in x: with B =
-    isqrt(number of columns), the baby steps x^i (i < B) are formed once,
-    a block of B consecutive columns is a sum of integer products u_j x^i,
-    and Horner in the giant step x^B runs over the blocks from the top,
-    shifting once per step.
+    x^j U_j with U_j = sum_g alpha_n/n X^g over n = 3(j + Lg) + 1 and X =
+    x^L, and V likewise.  A site that carries its exact real part `re`
+    (cmpoint.EvalSite) takes for L the denominator of 6 Re(tau), so that
+    X = e^(6 pi i L tau) = (-1)^(6 L Re tau) e^(-6 pi L Im tau) is real: at
+    the solve's site W(tau_r), L = p and X = -e^(-pi sqrt(3)) (N = 9p) or
+    -e^(-pi sqrt(3)/3) (N = 27p).  The column sums are then real, and a
+    nonzero term costs one floor division (X^g // n) and two small-integer
+    products (by alpha and beta).  Any other site takes L = isqrt(K), and
+    the same column loop runs twice, over Re X^g and over Im X^g, giving U =
+    U' + i U'' (once when Im X = 0).  Each pass combines its real column
+    sums by rectangular splitting in x: with B = isqrt(number of columns),
+    the baby steps x^i (i < B) are formed once, a block of B consecutive
+    columns is a sum of integer products u_j x^i, and Horner in the giant
+    step x^B runs over the blocks from the top, shifting once per step.
 
     Error, in units of 2^-W (values scaled by 2^W; every product is shifted
     and every quotient floored, each by under one unit per component):
@@ -356,32 +355,26 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
       from them by at most 3 more units per factor (|x|, |X| < 1): x^i by
       3i, (x^B)^m by 3Bm, X^g by 3g;
     - X^g // n is off by under 1 + 3g/n < 1 + 1/L units (n > 3Lg), so a
-      term is off by (|alpha_n| + |beta_n|)(1 + 1/L) units under
-      divide_by_n, and by (|alpha_n| + |beta_n|) 3g < (|alpha_n| +
-      |beta_n|) n/L without it;
+      term is off by (|alpha_n| + |beta_n|)(1 + 1/L) units;
     - column j reaches the result through x^i (x^B)^m with i + Bm = j,
       off by 3j units; as 3j < n, weighting each term of the column by it
-      adds under (|alpha_n| + |beta_n|) units under divide_by_n and
-      (|alpha_n| + |beta_n|) n without it, plus under 2 units per Horner
-      step;
+      adds under (|alpha_n| + |beta_n|) units, plus under 2 units per
+      Horner step;
     - |alpha_n| + |beta_n| <= 2 |a_n| <= 2 sigma_0(n) sqrt(n) <= 2 sqrt(3) n
       (sigma_0(n) <= sqrt(3n)), and over n <= M, n = 1 mod 3, sum n is
-      about M^2/6 and sum n^2 about M^3/9.
-    So one pass is off by under (2 + 1/L) 0.58 M^2 <= 1.8 M^2 units under
-    divide_by_n and (1 + 1/L) 0.39 M^3 <= 0.8 M^3 without it, and U and V
-    together by under 3.6 M^e after two passes, e = 2 under divide_by_n
-    and 3 without: W = prec + GUARD_BITS + KERNEL_GUARD_BITS + e *
-    M.bit_length() keeps S and S^c within 2^-(prec + GUARD_BITS), the
-    precision they are returned at.  The last product by q runs in mpmath.
+      about M^2/6.
+    So one pass is off by under (2 + 1/L) 0.58 M^2 <= 1.8 M^2 units, and U
+    and V together by under 3.6 M^2 after two passes: W = prec +
+    GUARD_BITS + KERNEL_GUARD_BITS + 2 M.bit_length() keeps z and z^c
+    within 2^-(prec + GUARD_BITS), the precision they are returned at.  The
+    last product by q runs in mpmath.
     """
     with mp.workprec(prec + GUARD_BITS):
         tau = _site_to_tau(site)
         M = terms_needed(tau.imag, prec)
-        if max_terms is not None and M > max_terms:
-            raise TermsCapExceeded(f"site needs {M} terms, cap is {max_terms}")
         if M > form.terms:
             raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
-    W = prec + GUARD_BITS + KERNEL_GUARD_BITS + (2 if divide_by_n else 3) * M.bit_length()
+    W = prec + GUARD_BITS + KERNEL_GUARD_BITS + 2 * M.bit_length()
     K = (M + 2) // 3
     re = getattr(site, "re", None)
     L = math.isqrt(K) if re is None else (6 * re).denominator
@@ -417,8 +410,7 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
                 u = v = 0  # column j
                 for n, a, b, t in zip(range(3 * j + 1, 3 * K, 3 * L), alpha[j:K:L], beta[j:K:L], Xg):
                     if a or b:
-                        if divide_by_n:
-                            t //= n
+                        t //= n
                         u += a * t
                         v += b * t
                 sur += u * pr
@@ -439,46 +431,40 @@ def _q_sums(form, site, prec, max_terms, divide_by_n):
         return U + V * w, U + V * w.conjugate()
 
 
-def eval_z(form, site, prec=192, max_terms=None):
-    """(z, z^c): z(tau) = sum a_n/n q^n at the site, the Abel-Jacobi image of
-    tau, for the form and for its conjugate, from one pass over the terms.
+def _fricke(p, i, prec, at, form):
+    """(C, z_f(tau0), z_fc(tau0)) at the Fricke involution's fixed point
+    tau0 = i/sqrt(N), from z alone.
 
-    The form must carry at least terms_needed(Im tau, prec) coefficients;
-    max_terms, when given, turns an over-budget requirement into
-    TermsCapExceeded instead of a ValueError.
-    """
-    return _q_sums(form, site, prec, max_terms, divide_by_n=True)
-
-
-def eval_f(form, site, prec=192, max_terms=None):
-    """(f(tau), f^c(tau)) from one pass (used for Fricke constants, not for
-    points)."""
-    return _q_sums(form, site, prec, max_terms, divide_by_n=False)
-
-
-def fricke_constant(p, i, prec=192, at=None, form=None):
-    """C with f(-1/(N tau)) = C N tau^2 f^c(tau), measured numerically.
-
-    Contracts: |C| = 1 and C^6 = pi^(2i)/pibar^(2i) (up to the sixth root of
-    unity that stays unpinned); both are asserted by the acceptance suite
-    rather than here.  Default site is the involution's fixed point i/sqrt(N),
-    where f and f^c come from one pass.  `form` is extended in place to
-    the terms the site needs; one is built when it is missing.
+    f(W tau) = C N tau^2 f^c(tau) with W tau = -1/(N tau) gives d/dtau
+    z_f(W tau) = C dz_fc/dtau, so z_f(W tau) = C z_fc(tau) + z0 with a
+    constant z0 (the image of the cusp 0), and the two sites tau0 = W tau0
+    and `at` give C = (z_f(tau0) - z_f(W at)) / (z_fc(tau0) - z_fc(at)).
+    `at` defaults to 2 tau0, so W at = tau0/2.  `form` is extended in place
+    to the terms the lowest site needs; one is built when it is missing.
     """
     _, N = conductor_and_level(p, i)
     with mp.workprec(prec + GUARD_BITS):
-        tau = mp.mpc(0, 1) / mp.sqrt(N) if at is None else mp.mpc(at)
-        wtau = -1 / (N * tau)
-        M = terms_needed(min(tau.imag, wtau.imag), prec)
+        tau0 = mp.mpc(0, 1) / mp.sqrt(N)
+        a = 2 * tau0 if at is None else mp.mpc(at)
+        wa = -1 / (N * a)
+        M = terms_needed(min(a.imag, wa.imag, tau0.imag), prec)
         if form is None:
             form = build_form(p, i, M)
         form.extend(M)
-        if at is None:
-            num, fc_tau = eval_f(form, tau, prec)
-        else:
-            num = eval_f(form, wtau, prec)[0]
-            fc_tau = eval_f(form, tau, prec)[1]
-        return num / (N * tau**2 * fc_tau)
+        z_f, z_fc = eval_z(form, tau0, prec)
+        C = (z_f - eval_z(form, wa, prec)[0]) / (z_fc - eval_z(form, a, prec)[1])
+        return C, z_f, z_fc
+
+
+def fricke_constant(p, i, prec=192, at=None, form=None):
+    """C with f(-1/(N tau)) = C N tau^2 f^c(tau), measured from z (_fricke).
+
+    Contracts: |C| = 1 and C^6 = pi^(2i)/pibar^(2i) (up to the sixth root of
+    unity that stays unpinned); both are asserted by the acceptance suite
+    rather than here.  `at` is the second site, off the fixed point; `form`
+    is extended in place to the terms the sites need.
+    """
+    return _fricke(p, i, prec, at, form)[0]
 
 
 def l_value_and_cusp_zero(p, i, prec=192, conjugate=False):
@@ -490,13 +476,9 @@ def l_value_and_cusp_zero(p, i, prec=192, conjugate=False):
     x = 0 (so y = +-pibar^i/2); raises TorsionCheckFailed otherwise.
     conjugate=True does the same for f^c from f's pairs, swapped.
     """
-    _, N = conductor_and_level(p, i)
     split = split_prime(p)
+    C, z_f, z_fc = _fricke(p, i, prec, None, None)
     with mp.workprec(prec + GUARD_BITS):
-        tau0 = mp.mpc(0, 1) / mp.sqrt(N)
-        f = build_form(p, i, terms_needed(tau0.imag, prec))
-        C = fricke_constant(p, i, prec, form=f)
-        z_f, z_fc = eval_z(f, tau0, prec)
         if conjugate:  # at tau0 = -1/(N tau0), f^c's constant is 1/C
             C, z_f, z_fc = 1 / C, z_fc, z_f
         z0 = z_f - C * z_fc

@@ -352,6 +352,10 @@ def _parser():
 
 
 def main(argv=None):
+    # exact cube sums can run past the 4300-digit str(int) limit (Python
+    # builds before 3.10.7 have no limit and no setter)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     if args.command == "solve" and args.cache_dir is None:
         args.cache_dir = default_cache_dir()

@@ -13,46 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import EisensteinInt, is_prime_int
+from .eisenstein import EisensteinInt, is_prime_int, residue_map_omega, split_prime
 from .heckeform import conductor_and_level
-
-
-def _sqrt_mod(a, p):
-    """Tonelli-Shanks square root of a mod an odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, k = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            k += 1
-        b = pow(c, 1 << (m - k - 1), p)
-        m, c = k, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def solve_r(p):
     """Both roots of r^2 - r + 1 = 0 mod 3p in [0, 3p), each = 2 mod 3."""
     if not is_prime_int(p) or p % 3 != 1:
         raise ValueError(f"{p} must be a prime congruent to 1 mod 3")
-    s = _sqrt_mod(p - 3, p)  # sqrt(-3) mod p
-    r_mod_p = (1 + s) * pow(2, -1, p) % p
+    # r = -w and r = 1 + w = -w^2 mod p, for w a primitive cube root of 1
+    w = residue_map_omega(split_prime(p).pi)
     roots = []
-    for rp in (r_mod_p, (1 - r_mod_p) % p):
+    for rp in (-w % p, (1 + w) % p):
         # CRT with r = 2 mod 3
         r = rp
         while r % 3 != 2:

@@ -41,10 +41,6 @@ class BadReduction(ValueError):
     pass
 
 
-class UnhandledResidue(ValueError):
-    pass
-
-
 class DescentFailed(RuntimeError):
     pass
 
@@ -139,40 +135,6 @@ def endo_omega(P):
 def mul_sqrt_m3(P):
     """[sqrt(-3)] P = [1 + 2w] P = P + [w]([2] P)."""
     return add(P, endo_omega(mul(2, P)))
-
-
-@dataclass(frozen=True)
-class MinimalModel:
-    case: int
-    a3: EisensteinInt  # y^2 + a3*y = x^3 + a6
-    a6: QOmega
-    y_shift: QOmega  # y_long = y_short - y_shift maps back to y^2 = x^3 + D/4
-
-
-def minimal_model(D):
-    """The integral model of y^2 = x^3 + D/4, split by D mod 2.
-
-    Cases (by the square root class of D in F_4): D = 1: y^2 + y; D = w^2:
-    y^2 + w y; D = w: y^2 + w^2 y; each with a6 = (D - a3^2)/4 integral and
-    the shift y -> y + a3/2.
-    """
-    D = _q(D)
-    if not D.is_integral():
-        raise UnhandledResidue(f"{D} is not integral")
-    Di = D.to_eis()
-    res = (Di.a % 2, Di.b % 2)
-    if res == (1, 0):
-        case, a3 = 1, EisensteinInt(1, 0)
-    elif res == (1, 1):  # D = 1 + w = -w^2 = w^2 * (-1)... i.e. sqrt class w
-        case, a3 = 2, EisensteinInt(0, 1)
-    elif res == (0, 1):  # D = w mod 2
-        case, a3 = 3, EisensteinInt(-1, -1)
-    else:
-        raise UnhandledResidue(f"{D} is even")
-    a6 = (D - (a3 * a3).to_q()) / 4
-    if not a6.is_integral():
-        raise UnhandledResidue(f"(D - a3^2)/4 = {a6} is not integral")
-    return MinimalModel(case=case, a3=a3, a6=a6, y_shift=a3.to_q() / 2)
 
 
 def isogeny_to_432(P, p, i):
@@ -276,10 +238,3 @@ def nontorsion_certificate(P, p, i):
     killed = mul(g, P).is_infinity
     return TorsionCertificate((q1, q2), counts, g, not killed)
 
-
-def is_nontorsion(P, p, i):
-    if P.is_infinity:
-        return False
-    if P.x == QOmega(0):
-        return False  # the known 3-torsion (0, +-p^i/2)
-    return nontorsion_certificate(P, p, i).nontorsion

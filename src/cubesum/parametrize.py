@@ -29,7 +29,6 @@ from . import analytic, curves
 from .analytic import (
     GUARD_BITS,
     PoleAtLatticePoint,
-    TermsCapExceeded,
     eval_z,
     lattice_of_curve,
     recognize_qomega,
@@ -51,6 +50,10 @@ class EvalResidualTooLarge(ArithmeticError):
 
 
 class PrecisionExhausted(RuntimeError):
+    pass
+
+
+class TermsCapExceeded(RuntimeError):
     pass
 
 
@@ -264,7 +267,8 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     timings = {}
     t0 = time.perf_counter()
     site = cand.site
-    M = terms_needed(float(site.im_coeff) * 3**0.5, prec)
+    with mp.workprec(prec + GUARD_BITS):  # eval_z's M, from the same expression
+        M = terms_needed(site.to_mpc(mp).imag, prec)
     if max_terms is not None and M > max_terms:
         raise TermsCapExceeded(f"site {site.label()} needs {M} > {max_terms} terms")
     form.extend(M)  # the coefficients do not depend on prec
@@ -273,7 +277,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     t0 = time.perf_counter()
     # f lives on y^2 = x^3 + pibar^(2i)/4 and f^c on the conjugate curve
     D_f, D_fc = split.pibar ** (2 * i), split.pi ** (2 * i)
-    z_f, z_fc = eval_z(form, site, prec, max_terms=max_terms)
+    z_f, z_fc = eval_z(form, site, prec)
     kind_f, raw_f = evaluate_cm(z_f, D_f, prec)
     kind_fc, raw_fc = evaluate_cm(z_fc, D_fc, prec)
     timings["evaluate_ms"] = 1000 * (time.perf_counter() - t0)

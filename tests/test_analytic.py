@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 from mpmath import mp
 
@@ -9,8 +8,6 @@ import cubesum.analytic as analytic
 from cubesum.analytic import (
     GUARD_BITS,
     PoleAtLatticePoint,
-    TermsCapExceeded,
-    eval_f,
     eval_z,
     fricke_constant,
     l_value_and_cusp_zero,
@@ -290,7 +287,7 @@ def _site_and_tau(cm, re, im):
     + [(prec, cm) for cm in CM_SITES for prec in (192, 768)],
     ids=["192", "384", "768", "3072", "13^1-192", "13^1-768", "7^1-192", "7^1-768"],
 )
-@pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
+@pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True)])
 def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, cm, evaluate, divide_by_n):
     # the height of 31's wtau sites, with a real part off the axis, or a
     # CM site with its own form
@@ -325,7 +322,7 @@ def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, cm, evaluate, divide_by
     ids=["1", "6", "142", "147", "148", "289"]
     + [f"{p}^1-K={K}" for p, _ in CM_SITES for K in (p - 1, p, p + 1, 2 * p)],
 )
-@pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
+@pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True)])
 def test_kernel_block_edges(monkeypatch, M, cm, evaluate, divide_by_n):
     prec = 192
     monkeypatch.setattr(analytic, "terms_needed", lambda im_tau, prec: M)
@@ -347,7 +344,7 @@ def test_kernel_block_edges(monkeypatch, M, cm, evaluate, divide_by_n):
     [(192, 0.0004, None), (768, 0.0016, None), (192, None, (13, 1)), (768, None, (7, 1))],
     ids=["192-0.0004", "768-0.0016", "13^1-192", "7^1-768"],
 )
-@pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True), (eval_f, False)])
+@pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True)])
 def test_kernel_keeps_its_guard_bits(prec, im_tau, cm, evaluate, divide_by_n):
     # the sums come back at prec + GUARD_BITS: over about 55000 terms (or
     # at a CM site, over its own form), and against an oracle 64 bits
@@ -399,12 +396,6 @@ def test_eval_z_tail_bound_soundness():
         bc = _sum_form_oracle([c.conj() for c in a2], q, 2 * M, divide_by_n=True)
         assert abs(a - b) < mp.mpf(2) ** (-prec)
         assert abs(ac - bc) < mp.mpf(2) ** (-prec)
-
-
-def test_eval_z_cap():
-    f = build_form(7, 1, 32)
-    with pytest.raises(TermsCapExceeded):
-        eval_z(f, mpmath.mpc(0, 0.001), 192, max_terms=1000)
 
 
 def _random_gamma_in(N, p, cube_condition, rng, tries=200):
@@ -512,6 +503,25 @@ def test_fricke_constant_site_independent():
         C1 = fricke_constant(13, 1, prec)
         C2 = fricke_constant(13, 1, prec, at=mp.mpc(0.01, 1.17 / mp.sqrt(N)))
         assert abs(C1 - C2) < mp.mpf(2) ** -80
+
+
+@pytest.mark.parametrize("p, i", [(7, 1), (13, 1), (31, 1), (7, 2)])
+def test_fricke_constant_satisfies_the_f_identity(p, i):
+    # C comes from z alone; the identity it stands for, f(-1/(N tau)) =
+    # C N tau^2 f^c(tau), is checked on the plain f-sums of the oracle at a
+    # site off the imaginary axis
+    prec = 160
+    _, N = conductor_and_level(p, i)
+    C = fricke_constant(p, i, prec)
+    with mp.workprec(prec + GUARD_BITS):
+        tau = mp.mpc(0.1, 1.3) / mp.sqrt(N)
+        wtau = -1 / (N * tau)
+        M = terms_needed(min(tau.imag, wtau.imag), prec)
+        f = build_form(p, i, M)
+        a = as_eisenstein((f.alpha, f.beta), f.terms)
+        f_w = _sum_form_oracle(a, mp.e ** (2j * mp.pi * wtau), M, divide_by_n=False)
+        fc = _sum_form_oracle([c.conj() for c in a], mp.e ** (2j * mp.pi * tau), M, divide_by_n=False)
+        assert abs(f_w - C * N * tau**2 * fc) < mp.mpf(2) ** -80
 
 
 def test_l_value_and_cusp_zero():

@@ -159,6 +159,24 @@ def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "internal check failed" in err
 
 
+def test_cube_sum_past_the_str_digit_limit_is_printed(tmp_path, capsys, monkeypatch):
+    # u of 6300 digits, beyond CPython's default 4300-digit str(int) limit:
+    # a certified solve still exits 0 and prints u exactly
+    from dataclasses import replace
+    from fractions import Fraction
+
+    import cubesum.parametrize as par
+    from cubesum.curves import isogeny_to_432, mul, to_cube_sum
+
+    real = par.solve_pipeline(7, 1)
+    big = to_cube_sum(*isogeny_to_432(mul(30, real.point_Q), 7, 1), 7, 1)
+    assert abs(big.u.numerator) > 10**4300
+    monkeypatch.setattr(par, "solve_pipeline", lambda *a, **k: replace(real, cube=big))
+    code, out, err = run_cli(["solve", "7", "--json", "--cache-dir", str(tmp_path)], capsys)
+    assert code == EXIT_OK, err
+    assert Fraction(json.loads(out)["cube_sum"]["u"]) == big.u
+
+
 def test_sylvester_message_distinct(tmp_path, capsys):
     _, _, err5 = run_cli(["solve", "5", "--cache-dir", str(tmp_path)], capsys)
     assert "Sylvester" in err5

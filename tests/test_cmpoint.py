@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from cubesum.cmpoint import eval_site, solve_r
-from cubesum.eisenstein import residue_map_omega, split_prime
+from cubesum.eisenstein import is_prime_int, residue_map_omega, split_prime
 
 
 def residue_classes(r, split):
@@ -26,6 +26,11 @@ def test_solve_r_properties():
             assert (r * r - r + 1) % (3 * p) == 0
             assert r % 3 == 2
         assert (r1 + r2) % p == 1 % p  # the two roots sum to 1 mod p
+    # against a brute-force search of [0, 3p) for every p = 1 mod 3 below 2000
+    for p in range(7, 2000, 6):
+        if is_prime_int(p):
+            want = tuple(r for r in range(3 * p) if (r * r - r + 1) % (3 * p) == 0)
+            assert solve_r(p) == want
 
 
 def test_classify_root_fixtures():

@@ -13,19 +13,16 @@ from cubesum.curves import (
     DegenerateImage,
     KernelPoint,
     MixedCurves,
-    UnhandledResidue,
     add,
     endo_omega,
-    is_nontorsion,
     isogeny_to_432,
-    minimal_model,
     mul,
     mul_sqrt_m3,
     nontorsion_certificate,
     reduction_count,
     to_cube_sum,
 )
-from cubesum.eisenstein import EisensteinInt, QOmega, count_points_bruteforce, split_prime
+from cubesum.eisenstein import EisensteinInt, QOmega, count_points_bruteforce
 
 rng = random.Random(99)
 
@@ -105,32 +102,6 @@ def test_mixed_curves_rejected():
     if P.D != Q.D:
         with pytest.raises(MixedCurves):
             add(P, Q)
-
-
-def test_minimal_model_cases():
-    s7 = split_prime(7)  # pibar = -2 - 3w = w mod 2 -> case 3
-    m = minimal_model(s7.pibar ** 2)
-    # D = pibar^2 = (w)^2 = w^2 mod 2 -> case 2
-    assert m.case == 2 and m.a3 == EisensteinInt(0, 1)
-    s13 = split_prime(13)  # pibar = 1 - 3w = 1 + w = w^2 mod 2 -> D = w mod 2
-    m13 = minimal_model(s13.pibar ** 2)
-    assert m13.case == 3
-    m49 = minimal_model(EisensteinInt(49, 0))  # 49 odd rational -> case 1
-    assert m49.case == 1 and m49.a6 == QOmega(12)
-    assert m49.y_shift == QOmega(Fraction(1, 2))
-    with pytest.raises(UnhandledResidue):
-        minimal_model(EisensteinInt(2, 0))
-
-
-def test_minimal_model_integral_and_consistent():
-    for p, i in ((7, 1), (13, 1), (31, 1), (7, 2), (13, 2)):
-        s = split_prime(p)
-        D = s.pibar ** (2 * i)
-        m = minimal_model(D)
-        assert m.a6.is_integral()
-        # the shifted model hits the original: (y + a3/2)^2 = y^2 + a3 y + a3^2/4
-        # so y^2 + a3 y - x^3 - a6 = 0 iff (y + a3/2)^2 = x^3 + D/4
-        assert m.a6 + (m.a3 * m.a3).to_q() / 4 == D.to_q() / 4
 
 
 def test_isogeny_symbolic_identity():
@@ -223,10 +194,10 @@ def test_cube_sum_from_any_nonkernel_multiple():
 
 def test_nontorsion_fixtures():
     T = CurvePoint.make(QOmega(49), 0, Fraction(7, 2))
-    assert not is_nontorsion(T, 7, 1)
-    assert not is_nontorsion(CurvePoint.infinity(QOmega(49)), 7, 1)
+    assert not nontorsion_certificate(T, 7, 1).nontorsion
+    assert not nontorsion_certificate(CurvePoint.infinity(QOmega(49)), 7, 1).nontorsion
     P = CurvePoint.make(QOmega(49), QOmega(Fraction(-20, 9)), QOmega(Fraction(-61, 54)))
-    assert is_nontorsion(P, 7, 1)
+    assert nontorsion_certificate(P, 7, 1).nontorsion
     cert = nontorsion_certificate(P, 7, 1)
     assert cert.nontorsion and cert.bound % 3 == 0
     # a torsion point is killed by the bound

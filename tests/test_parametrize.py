@@ -7,13 +7,14 @@ from cubesum.curves import CurvePoint, endo_omega, mul
 from cubesum.eisenstein import EisensteinInt, QOmega, is_prime_int, split_prime
 from cubesum.heckeform import build_form
 from cubesum import parametrize
-from cubesum.analytic import TermsCapExceeded, omega_mpc
+from cubesum.analytic import omega_mpc
 from cubesum.cmpoint import eval_site
 from cubesum.curves import DescentFailed
 from cubesum.parametrize import (
     EvalResidualTooLarge,
     PrecisionExhausted,
     RecognitionFailed,
+    TermsCapExceeded,
     descend,
     evaluate_cm,
     recognize,
