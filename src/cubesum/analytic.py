@@ -5,35 +5,40 @@ Omega^-2 wp_0(z/Omega), where wp_0 belongs to the base lattice Z[w].  The
 base lattice is computed once per precision: its g3, from the weight-6
 Eisenstein q-series at the hexagonal point, and its Laurent coefficients.
 The lattice of y^2 = x^3 + D/4 (model y = wp'/2, x = wp) has g3 = -D, so
-Omega^6 = g3(Z[w]) / (-D); any sixth root can be taken because the units of
-Z[w] are exactly the sixth roots of unity.
+Omega^6 = g3(Z[w]) / (-D); the principal sixth root is taken (any would
+do, as the units of Z[w] are exactly the sixth roots of unity), and the
+conjugate curve has the conjugate Omega.
 
-Numerical conventions: every public function takes a target precision in
-bits and works internally with 32 guard bits; "lies in L" always means a
-residual below 2^(-prec/2): of the lattice coordinates from the nearest
-integers (PeriodLattice.contains), or of z/Omega reduced to the Voronoi cell
-of 0 (wp_eval, which raises PoleAtLatticePoint there).
-
-Both series are summed by one fixed-point idiom: Python integers scaled by
-2^W, products shifted back by W, so every operation truncates by less than
-one unit of 2^-W and the error bounds are counts of units.  The one q-sum
-(eval_z) gives the Abel-Jacobi images z and z^c of the newform and its
-conjugate from one pass over the compact slots split into columns by k
-mod L: at a CM site L = p and q^(3p) is a real constant, so each column
-is a real series in its powers; the column sums are combined by
-rectangular splitting in q^3 (Paterson-Stockmeyer).  The Fricke constant
-and the cusp image z0 = L(f, 1) come from z as well (_fricke).  wp_0 is a
-Horner sum in xi^6 over the base lattice's coefficients, stored as
-integers.  mpmath is left with the set-up (q, q^(3L), xi^6), the
-duplication step and the rescaling.
+One number representation runs from the q-sum to recognition: a complex
+number is a Gaussian fixed-point pair (re, im) of Python integers scaled
+by 2^W, products shifted back by W, so every operation truncates by less
+than one unit of 2^-W and the error bounds are counts of units.  Outside
+the q-sum's own wider W, W = prec + GUARD_BITS.  The one q-sum (eval_z)
+gives the Abel-Jacobi images z and z^c of the newform and its conjugate
+from one pass over the compact slots split into columns by k mod L: at a
+CM site L = p and q^(3p) is a real constant, so each column is a real
+series in its powers; the column sums are combined by rectangular
+splitting in q^3 (Paterson-Stockmeyer).  wp_0 is a Horner sum in xi^6
+over the base lattice's coefficients, stored as integers, after an
+integer reduction of xi = z/Omega to the Voronoi cell of 0.  The sixth
+root for Omega and the cube roots of recognition are Newton iterations
+on integers from a float seed (_root).  mpmath is left with the
+per-precision constants of Z[w] (_base_lattice), one real exp and one
+root of unity per CM site, and the callers that work in mpc (tests, the
+Fricke constant and the cusp image z0 = L(f, 1), _fricke), which convert
+at the boundary (mpc_to_fixed, fixed_to_mpc).  "Lies in L" always means
+a residual below 2^(-prec/2): of the lattice coordinates from the nearest
+integers (PeriodLattice.contains), or of z/Omega reduced to the Voronoi
+cell of 0 (wp_eval, which raises PoleAtLatticePoint there).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
@@ -51,44 +56,96 @@ class TorsionCheckFailed(AssertionError):
     pass
 
 
-def omega_mpc():
-    """w = (-1 + i sqrt(3))/2 at the current working precision."""
-    return mp.mpc(mp.mpf(-1) / 2, mp.sqrt(3) / 2)
+# ------------------------------------------------------ fixed-point pairs
 
 
-def mpf_to_fraction(x):
-    """The exact rational value of an mpf (binary fractions are exact)."""
-    from fractions import Fraction
-
-    p, q = mpmath.libmp.to_rational(mp.mpf(x)._mpf_)
-    return Fraction(int(p), int(q))
-
-
-def recognize_qomega(v, den_bound, tol_bits):
-    """Best a + b*w in Q(w) close to complex v, denominators <= den_bound.
-
-    Components are recovered by continued fractions (Fraction.limit_denominator
-    on the exact binary value); returns None when the reconstruction misses v
-    by 2^-tol_bits or the bound is exceeded.
-    """
-    from fractions import Fraction
-
-    s3 = mp.sqrt(3)
+def mpc_to_fixed(v, W):
+    """The fixed-point pair of a complex number (mpc, mpf or Python number)
+    at W: its components times 2^W, floored."""
     v = mp.mpc(v)
-    b_real = 2 * v.imag / s3
-    a_real = v.real + v.imag / s3
-    b = mpf_to_fraction(b_real).limit_denominator(den_bound)
-    a = mpf_to_fraction(a_real).limit_denominator(den_bound)
-    cand = QOmega(a, b)
-    if abs(cand.to_mpc(mp) - v) < mp.mpf(2) ** (-tol_bits):
-        return cand
-    return None
+    return to_fixed(v.real._mpf_, W), to_fixed(v.imag._mpf_, W)
 
 
-def _to_mpc(x):
-    if isinstance(x, (EisensteinInt, QOmega)):
-        return x.to_mpc(mp)
-    return mp.mpc(x)
+def fixed_to_mpc(v, W):
+    """The mpc of a fixed-point pair at W, rounded to the working precision."""
+    return mp.mpc(mp.ldexp(v[0], -W), mp.ldexp(v[1], -W))
+
+
+def fixed_mul(a, b, W):
+    return (a[0] * b[0] - a[1] * b[1]) >> W, (a[0] * b[1] + a[1] * b[0]) >> W
+
+
+def fixed_div(a, b, W):
+    """a / b: the exact quotient of the two pairs, floored."""
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) << W) // n, ((a[1] * b[0] - a[0] * b[1]) << W) // n
+
+
+@functools.lru_cache(maxsize=16)
+def fixed_sqrt3(W):
+    """sqrt(3) 2^W, floored."""
+    return math.isqrt(3 << 2 * W)
+
+
+def fixed_of(x, W):
+    """The pair of x = (A + B w)/d in Q(w) (an EisensteinInt has d = 1):
+    ((2A - B) + B sqrt(-3)) / (2d), each component off by under one unit
+    whatever the size of A and B."""
+    A, B, d = (x.a, x.b, 1) if isinstance(x, EisensteinInt) else (x.A, x.B, x.d)
+    im = math.isqrt(3 * B * B << 2 * W) // (2 * d)
+    return ((2 * A - B) << W) // (2 * d), im if B >= 0 else -im
+
+
+def fixed_root(b, k, W):
+    """The principal k-th root of b (a nonzero pair at W off the negative
+    real axis), as a pair at W.
+
+    With b = 2^(ks) b', 1 <= |b'| < 2^(k+1), Newton's step u <- u + u (1 -
+    b' u^k) / k for u = b'^(-1/k) needs no division.  It starts from the
+    float root, which picks the principal branch (the six or three roots
+    are 2 pi/k apart, the seed is good to 2^-50), and doubles its bits
+    until V = W + max(s, 0) + 16, keeping 8 bits of each doubling spare;
+    the root is 2^s b' u^(k-1).  Each step truncates by a few units of
+    2^-V, so the root of b as given is off by under 2 units of 2^-W.
+    """
+    s = ((b[0] * b[0] + b[1] * b[1]).bit_length() - 1 - 2 * W) // (2 * k)
+    V = W + max(s, 0) + 16
+    shift = V - W - k * s
+    bb = (b[0] << shift, b[1] << shift) if shift >= 0 else (b[0] >> -shift, b[1] >> -shift)
+    seed = complex(b[0] / (1 << V - shift), b[1] / (1 << V - shift)) ** (-1 / k)
+    precs = [V]
+    while precs[-1] > 48:
+        precs.append(precs[-1] // 2 + 8)
+    P = precs.pop()
+    u = (round(seed.real * (1 << P)), round(seed.imag * (1 << P)))
+    for Q in reversed(precs):
+        u = (u[0] << Q - P, u[1] << Q - P)
+        P = Q
+        t = (bb[0] >> V - P, bb[1] >> V - P)
+        for _ in range(k):
+            t = fixed_mul(t, u, P)
+        e = ((1 << P) - t[0], -t[1])
+        d = fixed_mul(u, e, P)
+        u = (u[0] + d[0] // k, u[1] + d[1] // k)
+    r = bb
+    for _ in range(k - 1):
+        r = fixed_mul(r, u, V)
+    return r[0] >> V - W - s, r[1] >> V - W - s
+
+
+def recognize_qomega(v, W, den_bound, tol_bits):
+    """Best a + b*w in Q(w) close to v (a pair at W), denominators <=
+    den_bound, or None when it misses v by 2^-tol_bits.
+
+    The coordinates b = 2 Im(v)/sqrt(3) and a = Re(v) + b/2, floored at
+    W, go to Fraction.limit_denominator as the exact n / 2^W.
+    """
+    x, y = _coords(v, W)
+    one = 1 << W
+    a = Fraction(x, one).limit_denominator(den_bound)
+    cand = QOmega(a, Fraction(y, one).limit_denominator(den_bound))
+    cr, ci = fixed_of(cand, W)
+    return cand if (cr - v[0]) ** 2 + (ci - v[1]) ** 2 < 1 << 2 * (W - tol_bits) else None
 
 
 # ------------------------------------------------------- Laurent expansion
@@ -124,21 +181,22 @@ def wp_laurent_coefficients(g3, count):
 # ----------------------------------------------------------- base lattice
 
 
-SERIES_RADIUS = 0.35  # |z/Omega| up to which wp is summed; else halve first
+SERIES_RADIUS = Fraction(7, 20)  # |z/Omega| up to which wp is summed; else halve first
 
 _base_cache = {}
 
 
 def _base_lattice(prec):
-    """(g3, C) of the reference lattice Z[w], computed once per precision.
+    """(g3, C) of the reference lattice Z[w], computed once per precision,
+    as integers scaled by 2^W, W = prec + GUARD_BITS.
 
     g3 = 140 G_6 and G_6 = 2 zeta(6) E_6, with q = -e^(-pi sqrt(3)).  E_4
     vanishes at this point, which is checked as a self-test of the series.
-    C[k] = (6k+5) G_{6k+6} * 2^(prec + GUARD_BITS), rounded to an integer:
-    the coefficients of wp_0 - xi^-2 in xi^(6k+4), which are real because
-    Z[w] is closed under conjugation.  There are enough of them for the
-    series to reach 2^-(prec + 48) inside SERIES_RADIUS: G_6k tends to 6
-    (the six units), so each term gains -6 log2(SERIES_RADIUS) bits.
+    C[k] = (6k+5) G_{6k+6}: the coefficients of wp_0 - xi^-2 in xi^(6k+4),
+    which are real because Z[w] is closed under conjugation.  There are
+    enough of them for the series to reach 2^-(prec + 48) inside
+    SERIES_RADIUS: G_6k tends to 6 (the six units), so each term gains
+    -6 log2(SERIES_RADIUS) bits.
     """
     if prec in _base_cache:
         return _base_cache[prec]
@@ -167,140 +225,186 @@ def _base_lattice(prec):
         G = wp_laurent_coefficients(g3, kmax)
         W = prec + GUARD_BITS
         C = [int(mp.nint(mp.ldexp((6 * k + 5) * g, W))) for k, g in enumerate(G)]
-        _base_cache[prec] = g3, C
+        _base_cache[prec] = int(mp.nint(mp.ldexp(g3, W))), C
     return _base_cache[prec]
 
 
 @dataclass(frozen=True)
 class PeriodLattice:
-    """L = Omega * Z[w], the period lattice of y^2 = x^3 + D/4."""
+    """L = Omega * Z[w], the period lattice of y^2 = x^3 + D/4, held as
+    inv = Omega^-1, a pair at W = prec + GUARD_BITS."""
 
-    Omega: object
+    inv: tuple
     prec: int
 
-    def coords(self, z):
-        """Real (x, y) with z = (x + y*w) * Omega."""
-        with mp.workprec(self.prec + GUARD_BITS):
-            xi = mp.mpc(z) / self.Omega
-            y = 2 * xi.imag / mp.sqrt(3)
-            x = xi.real + y / 2
-            return x, y
+    @property
+    def W(self):
+        return self.prec + GUARD_BITS
 
-    def from_coords(self, m, n):
-        with mp.workprec(self.prec + GUARD_BITS):
-            return self.Omega * (m + n * omega_mpc())
+    @property
+    def Omega(self):
+        """Omega as an mpc, for the callers that work in mpc."""
+        with mp.workprec(self.W):
+            return 1 / fixed_to_mpc(self.inv, self.W)
 
     def residual(self, z):
-        """Distance of the lattice coordinates of z from the nearest integers."""
-        x, y = self.coords(z)
-        with mp.workprec(self.prec + GUARD_BITS):
-            return max(abs(x - mp.nint(x)), abs(y - mp.nint(y)))
+        """Distance of the lattice coordinates of z (a pair at W) from the
+        nearest integers, in units of 2^-W."""
+        W = self.W
+        half = 1 << (W - 1)
+        return max(abs(c - ((c + half) >> W << W)) for c in _coords(fixed_mul(z, self.inv, W), W))
 
     def contains(self, z, tol_bits=None):
-        tol = mp.mpf(2) ** (-(tol_bits if tol_bits is not None else self.prec // 2))
-        return self.residual(z) < tol
+        tol_bits = tol_bits if tol_bits is not None else self.prec // 2
+        return self.residual(z) < 1 << (self.W - tol_bits)
+
+
+def _coords(xi, W):
+    """(x, y) with xi = x + y w, as fixed-point reals at W: y = 2 Im(xi) /
+    sqrt(3) and x = Re(xi) + y/2."""
+    s3 = fixed_sqrt3(W)
+    return xi[0] + (xi[1] << W) // s3, (xi[1] << (W + 1)) // s3
 
 
 # the six units of Z[w] as (m, n) with unit = m + n w, and 0 itself
 _VORONOI_STEPS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
 
 
-def reduce_xi(xi):
+def reduce_xi(xi, W):
     """(r, (m, n)) with xi = r + m + n w and r in the Voronoi cell of 0 in
-    Z[w], so |r| <= 1/sqrt(3).
+    Z[w], so |r| <= 1/sqrt(3); xi and r are pairs at W.
 
     The coordinates of xi are rounded once; the residual of that rounding
     box (a parallelogram) is O(1), so the nearest of it and its six unit
     translates is picked from floats, by the norm N(a + b w) = a^2 - ab + b^2.
     A float tie sits on a cell edge, where either side is a representative.
+    r is xi less the pair of m + n w, off by under one unit.
     """
-    s3 = mp.sqrt(3)
-    y = 2 * xi.imag / s3
-    x = xi.real + y / 2
-    m, n = int(mp.nint(x)), int(mp.nint(y))
-    fx, fy = float(x - m), float(y - n)
+    x, y = _coords(xi, W)
+    half = 1 << (W - 1)
+    m, n = (x + half) >> W, (y + half) >> W
+    one = 1 << W
+    fx, fy = (x - (m << W)) / one, (y - (n << W)) / one
     dm, dn = min(
         _VORONOI_STEPS,
         key=lambda d: (fx - d[0]) ** 2 - (fx - d[0]) * (fy - d[1]) + (fy - d[1]) ** 2,
     )
     m, n = m + dm, n + dn
-    return mp.mpc(xi.real - m + mp.mpf(n) / 2, xi.imag - n * s3 / 2), (m, n)
+    lr, li = fixed_of(EisensteinInt(m, n), W)
+    return (xi[0] - lr, xi[1] - li), (m, n)
 
 
 def lattice_of_curve(D, prec=192):
-    """Period lattice of y^2 = x^3 + D/4, i.e. the hexagonal lattice with
-    g3 = -D; Omega is any sixth root of g3(Z[w]) / (-D)."""
-    g3_base, _ = _base_lattice(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        Dc = _to_mpc(D)
-        if Dc == 0:
-            raise ValueError("D must be nonzero")
-        Omega = (g3_base / (-Dc)) ** (mp.mpf(1) / 6)
-        return PeriodLattice(Omega=Omega, prec=prec)
+    """Period lattice of y^2 = x^3 + D/4 (D in Z[w] or Q(w)), i.e. the
+    hexagonal lattice with g3 = -D: Omega is the principal sixth root of
+    g3(Z[w]) / (-D).  Cached per (D, prec); a D whose conjugate is cached
+    gets the conjugate lattice, as the principal root commutes with
+    conjugation off the negative real axis."""
+    if not D:
+        raise ValueError("D must be nonzero")
+    return _lattice(D, prec)
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice(D, prec):
+    if D.b < 0:
+        inv = _lattice(D.conj(), prec).inv
+        return PeriodLattice((inv[0], -inv[1]), prec)
+    W = prec + GUARD_BITS
+    g3, _ = _base_lattice(prec)
+    # Omega^-1 is the principal sixth root of -D / g3(Z[w]), formed at 16
+    # more bits, as D is exact and g3 is good to 2^-W relative
+    Dr, Di = fixed_of(D, W + 16)
+    yr, yi = fixed_root((-(Dr << W) // g3, -(Di << W) // g3), 6, W + 16)
+    return PeriodLattice((yr >> 16, yi >> 16), prec)
 
 
 # -------------------------------------------------------------- wp values
 
 
 def wp_eval(L, z, prec=None):
-    """(wp(z), wp'(z)) for the lattice L.
+    """(wp(z), wp'(z)) for the lattice L, pairs at W = prec + GUARD_BITS
+    for z a pair at W.
 
     With xi = z/Omega, wp_L(z) = Omega^-2 wp_0(xi) and wp_L'(z) = Omega^-3
-    wp_0'(xi).  xi is reduced mod Z[w] (reduce_xi); a reduced xi below
-    2^-(prec/2) lies on the lattice and raises PoleAtLatticePoint.  A reduced
-    xi has |xi| <= 1/sqrt(3) < 2 SERIES_RADIUS, so it is halved at most once,
-    and the duplication formula undoes that.
+    wp_0'(xi).  xi is reduced mod Z[w] to r (reduce_xi); |r| below
+    2^-(prec/2) lies on the lattice and raises PoleAtLatticePoint.  A
+    reduced r has |r| <= 1/sqrt(3) < 2 SERIES_RADIUS, so it is halved at
+    most once, and the duplication formula undoes that.
 
-    wp_0 = xi^-2 + sum_k C_k xi^(6k+4) and wp_0' = -2 xi^-3 + sum_k (6k+4)
-    C_k xi^(6k+3), with C = _base_lattice's integers at W = prec + GUARD_BITS.
-    Both sums run by Horner in t = xi^6, held as an integer pair.  Each step
-    truncates by under 2 units of 2^-W, and |t| <= SERIES_RADIUS^6 < 2^-9
-    damps what came before, so the error is about 2 units plus t's own
-    rounding (under 2 units) weighted by the slopes of the sums in t, under
-    70 and 700: under 2^10 units, against sums of size 30 and 120.  The
-    duplication and the rescaling run in mpmath at prec + GUARD_BITS.
+    wp_0 = r^-2 + sum_k C_k r^(6k+4) and wp_0' = -2 r^-3 + sum_k (6k+4)
+    C_k r^(6k+3), with C = _base_lattice's integers.  Both sums run by
+    Horner in t = r^6; r^-1 is the exact quotient of the pair (floored),
+    and r^-2, r^-3 are its powers, so they keep their relative precision
+    near the pole.
+
+    Error, in units u = 2^-W, against exact arithmetic on the z given:
+    - Omega^-1 is off by under 2 units (_root), so xi is off by under
+      3 |z| + 1, and r by under e_r = 3 |z| + 2 (3 |z| / 2 + 2 halved);
+    - each Horner step truncates by under 2 units, and |t| <= 2^-9 damps
+      what came before: the sums are off by under 2^10 units (their
+      slopes in t are under 70 and 700);
+    - r^-2 and r^-3 are off by under 2 e_r |r|^-3 + 4 and 3 e_r |r|^-4 +
+      8 units; the series terms r^4 sum and r^3 sum by under 2^11;
+    - the duplication forms lambda = 3 wp^2 / wp' at r/2 (|r/2| > 0.17)
+      and cancels in wp(r) and wp'(r) by factors under 2^5 and 2^7;
+    - the rescale multiplies by Omega^-2 and Omega^-3 and adds 2 and 3
+      units of Omega^-1 times wp_0 and wp_0'.
+    So with Y = max(1, |Omega|^-1) and r the reduced xi (before halving),
+    wp(z) and wp'(z) are both off by under 2^14 (1 + |z|) Y^3 |r|^-4
+    units.
     """
     prec = prec if prec is not None else L.prec
+    if prec != L.prec:
+        raise ValueError(f"the lattice is held at {L.prec} bits, not {prec}")
     _, C = _base_lattice(prec)
-    W = prec + GUARD_BITS
-    with mp.workprec(W):
-        xi, _ = reduce_xi(mp.mpc(z) / L.Omega)
-        if abs(xi) < mp.mpf(2) ** (-(prec // 2)):
-            raise PoleAtLatticePoint(f"z = {z} lies on the lattice")
-        halve = abs(xi) > SERIES_RADIUS
-        if halve:
-            xi = xi / 2
-        xi2 = xi * xi
-        xi3 = xi2 * xi
-        t = xi3 * xi3
-        tr, ti = to_fixed(t.real._mpf_, W), to_fixed(t.imag._mpf_, W)
-        sr = si = dr = di = 0
-        for k in reversed(range(len(C))):
-            c = C[k]
-            sr, si = ((sr * tr - si * ti) >> W) + c, (sr * ti + si * tr) >> W
-            dr, di = ((dr * tr - di * ti) >> W) + (6 * k + 4) * c, (dr * ti + di * tr) >> W
-        s = mp.mpc(mp.ldexp(sr, -W), mp.ldexp(si, -W))
-        sd = mp.mpc(mp.ldexp(dr, -W), mp.ldexp(di, -W))
-        wp = 1 / xi2 + s * xi2 * xi2
-        wpd = -2 / xi3 + sd * xi3
-        if halve:
-            if wpd == 0:
-                raise PoleAtLatticePoint("duplication hit a 2-torsion point")
-            lam = 3 * wp * wp / wpd
-            wp2 = lam * lam - 2 * wp
-            wp, wpd = wp2, 2 * lam * (wp - wp2) - wpd
-        O2 = L.Omega * L.Omega
-        return wp / O2, wpd / (O2 * L.Omega)
+    W, inv = L.W, L.inv
+    r, _ = reduce_xi(fixed_mul(z, inv, W), W)
+    n2 = r[0] * r[0] + r[1] * r[1]
+    if n2 < 1 << 2 * (W - prec // 2):
+        raise PoleAtLatticePoint(f"z/Omega lies within 2^-{prec // 2} of Z[w]")
+    R = SERIES_RADIUS
+    halve = n2 * R.denominator**2 > R.numerator**2 << 2 * W
+    if halve:
+        r = (r[0] >> 1, r[1] >> 1)
+    r2 = fixed_mul(r, r, W)
+    r3 = fixed_mul(r2, r, W)
+    tr, ti = fixed_mul(r3, r3, W)
+    sr = si = dr = di = 0
+    for k in reversed(range(len(C))):
+        c = C[k]
+        sr, si = ((sr * tr - si * ti) >> W) + c, (sr * ti + si * tr) >> W
+        dr, di = ((dr * tr - di * ti) >> W) + (6 * k + 4) * c, (dr * ti + di * tr) >> W
+    ir = fixed_div((1 << W, 0), r, W)
+    ir2 = fixed_mul(ir, ir, W)
+    ir3 = fixed_mul(ir2, ir, W)
+    s4 = fixed_mul((sr, si), fixed_mul(r2, r2, W), W)
+    d3 = fixed_mul((dr, di), r3, W)
+    wp = (ir2[0] + s4[0], ir2[1] + s4[1])
+    wpd = (d3[0] - 2 * ir3[0], d3[1] - 2 * ir3[1])
+    if halve:
+        if wpd == (0, 0):
+            raise PoleAtLatticePoint("duplication hit a 2-torsion point")
+        sq = fixed_mul(wp, wp, W)
+        lam = fixed_div((3 * sq[0], 3 * sq[1]), wpd, W)
+        l2 = fixed_mul(lam, lam, W)
+        wp2 = (l2[0] - 2 * wp[0], l2[1] - 2 * wp[1])
+        t = fixed_mul(lam, (wp[0] - wp2[0], wp[1] - wp2[1]), W)
+        wp, wpd = wp2, (2 * t[0] - wpd[0], 2 * t[1] - wpd[1])
+    i2 = fixed_mul(inv, inv, W)
+    return fixed_mul(wp, i2, W), fixed_mul(wpd, fixed_mul(i2, inv, W), W)
 
 
 # --------------------------------------------------------- form evaluation
 
 
+@functools.lru_cache(maxsize=64)
 def terms_needed(im_tau, prec):
     """Terms M so that sum_{n>M} sigma_0(n) sqrt(n) |q|^n / n < 2^-prec.
 
     Uses sigma_0(n) <= sqrt(3n) (equality at n = 12), so the tail is below
-    sqrt(3) |q|^(M+1) / (1 - |q|).
+    sqrt(3) |q|^(M+1) / (1 - |q|).  Memoized: an attempt asks for its M in
+    parametrize._attempt_site (the term cap) and again in eval_z.
     """
     with mp.workprec(64):
         im = mp.mpf(im_tau)
@@ -324,8 +428,8 @@ KERNEL_GUARD_BITS = 2
 def eval_z(form, site, prec=192):
     """(z, z^c): z(tau) = sum a_n/n q^n over n <= M = terms_needed(Im tau,
     prec), the Abel-Jacobi image of tau, for the form and its conjugate,
-    from one pass over the compact slots.  The form must carry at least M
-    coefficients (a ValueError otherwise).
+    from one pass over the compact slots, as pairs at prec + GUARD_BITS.
+    The form must carry at least M coefficients (a ValueError otherwise).
 
     a_n vanishes off n = 1 mod 3, so z = q P(x) with x = q^3 and P(x) =
     sum_k a_(3k+1)/(3k+1) x^k over the K = ceil(M/3) steps k < K, the
@@ -366,8 +470,18 @@ def eval_z(form, site, prec=192):
     So one pass is off by under (2 + 1/L) 0.58 M^2 <= 1.8 M^2 units, and U
     and V together by under 3.6 M^2 after two passes: W = prec +
     GUARD_BITS + KERNEL_GUARD_BITS + 2 M.bit_length() keeps z and z^c
-    within 2^-(prec + GUARD_BITS), the precision they are returned at.  The
-    last product by q runs in mpmath.
+    within one unit of 2^-(prec + GUARD_BITS), the precision they are
+    returned at (floored, under one more unit).
+
+    Set-up: q, x = q^3 and X are formed at Wq = W + 8 + (3L).bit_length()
+    bits and x and X rounded to W, so each is off by about one unit of
+    2^-W.  At a CM site they come from the exact coordinates: q = E zeta
+    with E = e^(-2 pi Im tau) (one real exp) and zeta = e^(2 pi i Re tau)
+    (one root of unity), x = q^3 and X = (-1)^(6 L Re tau) E^(3L) by
+    integer products (the (3L).bit_length() bits absorb E's error, raised
+    to the 3L-th power).  Any other site takes q and X from two complex
+    exps.  The last product, q (U + V w) and q (U + V conj(w)), is in
+    integers too.
     """
     with mp.workprec(prec + GUARD_BITS):
         tau = _site_to_tau(site)
@@ -378,16 +492,28 @@ def eval_z(form, site, prec=192):
     K = (M + 2) // 3
     re = getattr(site, "re", None)
     L = math.isqrt(K) if re is None else (6 * re).denominator
-    with mp.workprec(W):
-        tau = _site_to_tau(site)
-        q = mp.exp(2j * mp.pi * tau)
-        x = q**3
+    Wq = W + 8 + (3 * L).bit_length()
+    with mp.workprec(Wq):
         if re is None:
-            X = mp.exp(6j * mp.pi * L * tau)
+            tau = _site_to_tau(site)
+            q = mpc_to_fixed(mp.exp(2j * mp.pi * tau), Wq)
+            Xr, Xi = mpc_to_fixed(mp.exp(6j * mp.pi * L * tau), Wq)
         else:
-            X = (-1) ** (6 * L * re).numerator * mp.exp(-6 * mp.pi * L * tau.imag)
-        xr, xi = to_fixed(x.real._mpf_, W), to_fixed(x.imag._mpf_, W)
-        Xr, Xi = to_fixed(mp.re(X)._mpf_, W), to_fixed(mp.im(X)._mpf_, W)
+            im = site.im_coeff
+            E = to_fixed(mp.exp(-2 * mp.pi * mp.sqrt(3) * im.numerator / im.denominator)._mpf_, Wq)
+            zr, zi = mpc_to_fixed(mp.expjpi(mp.mpf(2 * re.numerator) / re.denominator), Wq)
+            q = (E * zr >> Wq, E * zi >> Wq)
+            Xr, Xi, n = 1 << Wq, 0, 3 * L
+            while n:  # E^(3L) by squaring
+                if n & 1:
+                    Xr = Xr * E >> Wq
+                E = E * E >> Wq
+                n >>= 1
+            if (6 * L * re).numerator % 2:
+                Xr = -Xr
+    xr, xi = fixed_mul(fixed_mul(q, q, Wq), q, Wq)
+    xr, xi, Xr, Xi = xr >> Wq - W, xi >> Wq - W, Xr >> Wq - W, Xi >> Wq - W
+    q = (q[0] >> Wq - W, q[1] >> Wq - W)
     cols = min(L, K)
     B = math.isqrt(cols)
     baby = [(1 << W, 0)]
@@ -424,11 +550,15 @@ def eval_z(form, site, prec=192):
     if len(sums) > 1:  # U = U' + i U''
         ur2, ui2, vr2, vi2 = sums[1]
         ur, ui, vr, vi = ur - ui2, ui + ur2, vr - vi2, vi + vr2
-    with mp.workprec(prec + GUARD_BITS):
-        U = mp.mpc(mp.ldexp(ur, -W), mp.ldexp(ui, -W)) * q
-        V = mp.mpc(mp.ldexp(vr, -W), mp.ldexp(vi, -W)) * q
-        w = omega_mpc()
-        return U + V * w, U + V * w.conjugate()
+    # V w = -V/2 + sqrt(-3) V/2, and V conj(w) = -V/2 - sqrt(-3) V/2
+    s3 = fixed_sqrt3(W)
+    cr, ci = -vi * s3 >> W + 1, vr * s3 >> W + 1
+    hr, hi = ur - (vr >> 1), ui - (vi >> 1)
+    shift = W - (prec + GUARD_BITS)
+    return (
+        fixed_mul(q, (hr + cr, hi + ci), W + shift),
+        fixed_mul(q, (hr - cr, hi - ci), W + shift),
+    )
 
 
 def _fricke(p, i, prec, at, form):
@@ -451,8 +581,11 @@ def _fricke(p, i, prec, at, form):
         if form is None:
             form = build_form(p, i, M)
         form.extend(M)
-        z_f, z_fc = eval_z(form, tau0, prec)
-        C = (z_f - eval_z(form, wa, prec)[0]) / (z_fc - eval_z(form, a, prec)[1])
+        W = prec + GUARD_BITS
+        z_f, z_fc = (fixed_to_mpc(z, W) for z in eval_z(form, tau0, prec))
+        z_wa = fixed_to_mpc(eval_z(form, wa, prec)[0], W)
+        z_a = fixed_to_mpc(eval_z(form, a, prec)[1], W)
+        C = (z_f - z_wa) / (z_fc - z_a)
         return C, z_f, z_fc
 
 
@@ -485,12 +618,15 @@ def l_value_and_cusp_zero(p, i, prec=192, conjugate=False):
 
         D = (split.pi if conjugate else split.pibar) ** (2 * i)
         L = lattice_of_curve(D, prec)
-        s3 = mp.mpc(0, 1) * mp.sqrt(3)
-        if not L.contains(z0 * s3, tol_bits=prec // 2):
-            raise TorsionCheckFailed(f"sqrt(-3)*z0 not in L (residual {L.residual(z0 * s3)})")
-        if L.residual(z0) < mp.mpf(1) / 4:
+        W = L.W
+        z0s3 = mpc_to_fixed(z0 * mp.mpc(0, 1) * mp.sqrt(3), W)
+        if not L.contains(z0s3, tol_bits=prec // 2):
+            res = L.residual(z0s3) / 2**W
+            raise TorsionCheckFailed(f"sqrt(-3)*z0 not in L (residual {res:.3g})")
+        z0f = mpc_to_fixed(z0, W)
+        if L.residual(z0f) < 1 << (W - 2):
             raise TorsionCheckFailed("z0 lies in L itself; cusp image is not primitive")
-        x, ypr = wp_eval(L, z0, prec)
+        x, ypr = (fixed_to_mpc(v, W) for v in wp_eval(L, z0f, prec))
         y = ypr / 2
         tol = mp.mpf(2) ** (-(prec - 40))
         scale = max(1, abs(y))

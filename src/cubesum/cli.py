@@ -366,6 +366,10 @@ def main(argv=None):
             value = getattr(args, flag, 1)
             if value < 1:
                 raise BadInput(f"--{flag.replace('_', '-')} must be positive, not {value}")
+        # at 1 bit the pole threshold 2^-(bits//2) is 1, above every reduced
+        # z/Omega, so both forms would read as the point at infinity
+        if getattr(args, "bits", 2) < 2:
+            raise BadInput("--bits must be at least 2, not 1")
         if hasattr(args, "p"):  # every command but verify
             check_solvable_prime(args.p)
         return args.func(args)

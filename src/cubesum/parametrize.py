@@ -20,16 +20,23 @@ failed attempt is kept in PipelineResult.attempts.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
 
 from mpmath import mp
 
-from . import analytic, curves
+from . import curves
 from .analytic import (
     GUARD_BITS,
     PoleAtLatticePoint,
     eval_z,
+    fixed_mul,
+    fixed_of,
+    fixed_root,
+    fixed_sqrt3,
+    fixed_to_mpc,
     lattice_of_curve,
     recognize_qomega,
     terms_needed,
@@ -71,23 +78,27 @@ class RecognizedPoint:
 def evaluate_cm(z, D, prec=192):
     """("infinity", None) or ("point", (x, y)) for a summed Abel-Jacobi image.
 
-    z comes from eval_z at a CM site; x = wp(z), y = wp'(z)/2 on the lattice
-    of the curve y^2 = x^3 + D/4 that the form belongs to; the curve residual
-    must clear 2^-(prec-40) or the evaluation is rejected.  A z on the
-    lattice (wp_eval's PoleAtLatticePoint) is the point at infinity.
+    z comes from eval_z at a CM site, a pair at W = prec + GUARD_BITS; x =
+    wp(z) and y = wp'(z)/2 come back as pairs at W, on the lattice of the
+    curve y^2 = x^3 + D/4 that the form belongs to.  The curve residual
+    |y^2 - x^3 - D/4| must clear 2^-(prec-40) max(1, |x|^3), compared in
+    integers (squared), or the evaluation is rejected.  A z on the lattice
+    (wp_eval's PoleAtLatticePoint) is the point at infinity.
     """
     lattice = lattice_of_curve(D, prec)
-    with mp.workprec(prec + GUARD_BITS):
-        try:
-            wp, wpd = wp_eval(lattice, z, prec)
-        except PoleAtLatticePoint:
-            return "infinity", None
-        x, y = wp, wpd / 2
-        res = abs(y * y - x**3 - D.to_mpc(mp) / 4)
-        scale = max(1, abs(x) ** 3)
-        if res > mp.mpf(2) ** (-(prec - 40)) * scale:
-            raise EvalResidualTooLarge(f"curve residual 2^{mp.log(res, 2)}")
-        return "point", (x, y)
+    try:
+        x, wpd = wp_eval(lattice, z, prec)
+    except PoleAtLatticePoint:
+        return "infinity", None
+    W = prec + GUARD_BITS
+    y = (wpd[0] >> 1, wpd[1] >> 1)
+    y2, x3, (dr, di) = fixed_mul(y, y, W), fixed_mul(fixed_mul(x, x, W), x, W), fixed_of(D, W)
+    rr, ri = y2[0] - x3[0] - (dr >> 2), y2[1] - x3[1] - (di >> 2)
+    res2, x2 = rr * rr + ri * ri, x[0] * x[0] + x[1] * x[1]
+    # |res|^2 > 2^-2(prec-40) max(1, |x|^6), all scaled by 2^(6W)
+    if res2 << (4 * W + 2 * (prec - 40)) > max(1 << 6 * W, x2**3):
+        raise EvalResidualTooLarge(f"curve residual 2^{(math.log2(res2) - 2 * W) / 2:.2f}")
+    return "point", (x, y)
 
 
 def _exact_y(x, c):
@@ -102,8 +113,20 @@ def _exact_y(x, c):
     return None if T is None else (T, e)
 
 
+@functools.lru_cache(maxsize=16)
+def _cube_root(x, prec):
+    """The principal cube root of x in Z[w] (not real), as a pair at prec +
+    GUARD_BITS; a conjugate already cached gives the conjugate."""
+    if x.b < 0:
+        r = _cube_root(x.conj(), prec)
+        return r[0], -r[1]
+    W = prec + GUARD_BITS
+    return fixed_root(fixed_of(x, W), 3, W)
+
+
 def recognize(raw, split, i, den_bound, prec=192, form="f"):
-    """Exact coordinates for a raw complex point of the form's curve.
+    """Exact coordinates for a raw point (x, y) of the form's curve, pairs
+    at W = prec + GUARD_BITS.
 
     Tries, for each of the two cube-root scalings and each unit twist w^k,
     to recognize x_scaled = x * mult^(2i/3) * w^k in K with denominators at
@@ -116,57 +139,67 @@ def recognize(raw, split, i, den_bound, prec=192, form="f"):
     x w^k has x's S and e.  x therefore needs only its own denominator bits, about 2/3 of y's (x = a/d^2 and
     y = b/d^3 on y^2 = x^3 + c).  No candidate left raises RecognitionFailed,
     which triggers a precision retry.
+
+    The principal cube roots of pi^(2i) and pibar^(2i) are conjugate, so
+    one Newton root per precision serves both tags and both forms
+    (_cube_root).  Every comparison is of squared norms in units of
+    2^-2W; the scaled x carries the cube root's 2 units and x's own error
+    times |mult|^(2i/3), far below the 2^-(prec/2) tolerances.
     """
     x, y = raw
+    W = prec + GUARD_BITS
     c = split.p ** (2 * i)
-    with mp.workprec(prec + GUARD_BITS):
-        tol = mp.mpf(2) ** (-(prec // 2))
-        w = analytic.omega_mpc()
-        mults = (("pi", split.pi), ("pibar", split.pibar))
-        rejected = 0  # recognized x with no root, or a root off the numeric y
-        for tag, mult in mults if form == "f" else mults[::-1]:
-            m = mult**i
-            m_c = m.to_mpc(mp)
-            y_twisted = m_c * y
-            # the principal cube root of mult^(2i)
-            scaled = mp.mpc(x) * (m_c * m_c) ** (mp.mpf(1) / 3)
-            # x w^k is in K exactly when x is, with x's e, S and y_twisted:
-            # once the candidate for x is rejected under this tag, the later
-            # k only approximate its twists and count as rejected untested
-            refused = False
-            for k in range(3):
-                cand = recognize_qomega(scaled * w**k, den_bound, prec // 2)
-                if cand is None:
-                    continue
-                if refused:
-                    rejected += 1
-                    continue
-                root = _exact_y(cand, c)
-                if root is not None:
-                    T, e = root
-                    yv = T.to_mpc(mp) / (2 * e * e)
-                    if abs(yv + y_twisted) < abs(yv - y_twisted):
-                        T, yv = -T, -yv
-                if root is None or abs(yv - y_twisted) >= tol:
-                    rejected += 1
-                    refused = True
-                    continue
-                # y = T / (2 e^2 m) = T conj(m) / (2 e^2 p^i)
-                U, den = T * m.conj(), 2 * e * e * split.p**i
-                return RecognizedPoint(
-                    form=form,
-                    at_infinity=False,
-                    x_scaled=cand,
-                    y=QOmega.from_ints(U.a, U.b, den),
-                    mult_tag=tag,
-                    twist_k=k,
-                    den_bits=e.bit_length() - 1,
-                )
-        raise RecognitionFailed(
-            f"x = {x} not recognized under either cube root with denominators"
-            f" <= 2^{den_bound.bit_length() - 1}"
-            + (f"; {rejected} candidate x had no exact y matching the numbers" if rejected else "")
-        )
+    tol2 = 1 << 2 * (W - prec // 2)
+    w = (-1 << W - 1, fixed_sqrt3(W) >> 1)
+    mults = (("pi", split.pi), ("pibar", split.pibar))
+    rejected = 0  # recognized x with no root, or a root off the numeric y
+    for tag, mult in mults if form == "f" else mults[::-1]:
+        m = mult**i
+        y_twisted = fixed_mul(fixed_of(m, W), y, W)
+        scaled = fixed_mul(x, _cube_root(m * m, prec), W)
+        # x w^k is in K exactly when x is, with x's e, S and y_twisted:
+        # once the candidate for x is rejected under this tag, the later
+        # k only approximate its twists and count as rejected untested
+        refused = False
+        for k in range(3):
+            if k:
+                scaled = fixed_mul(scaled, w, W)
+            cand = recognize_qomega(scaled, W, den_bound, prec // 2)
+            if cand is None:
+                continue
+            if refused:
+                rejected += 1
+                continue
+            root = _exact_y(cand, c)
+            if root is not None:
+                T, e = root
+                yv = fixed_of(QOmega.from_ints(T.a, T.b, 2 * e * e), W)
+                near = (yv[0] - y_twisted[0]) ** 2 + (yv[1] - y_twisted[1]) ** 2
+                far = (yv[0] + y_twisted[0]) ** 2 + (yv[1] + y_twisted[1]) ** 2
+                if far < near:
+                    T, near = -T, far
+            if root is None or near >= tol2:
+                rejected += 1
+                refused = True
+                continue
+            # y = T / (2 e^2 m) = T conj(m) / (2 e^2 p^i)
+            U, den = T * m.conj(), 2 * e * e * split.p**i
+            return RecognizedPoint(
+                form=form,
+                at_infinity=False,
+                x_scaled=cand,
+                y=QOmega.from_ints(U.a, U.b, den),
+                mult_tag=tag,
+                twist_k=k,
+                den_bits=e.bit_length() - 1,
+            )
+    with mp.workprec(W):
+        shown = str(fixed_to_mpc(x, W))
+    raise RecognitionFailed(
+        f"x = {shown} not recognized under either cube root with denominators"
+        f" <= 2^{den_bound.bit_length() - 1}"
+        + (f"; {rejected} candidate x had no exact y matching the numbers" if rejected else "")
+    )
 
 
 def recognized_infinity(form="f"):

@@ -15,7 +15,7 @@ from cubesum.analytic import (
     l_value_and_cusp_zero,
     fricke_constant,
     lattice_of_curve,
-    wp_eval,
+    mpc_to_fixed,
 )
 from cubesum.curves import CurvePoint, add, endo_omega, mul
 from cubesum.eisenstein import (
@@ -237,6 +237,8 @@ def test_criterion_6_gauss_and_fricke():
 
 # --------------------------------------------------------------------------
 def test_criterion_7_cusp_landmarks():
+    from test_analytic import wp_mpc
+
     for p in (7, 13, 31):
         PREC = 192
         s = split_prime(p)
@@ -245,9 +247,10 @@ def test_criterion_7_cusp_landmarks():
         L = lattice_of_curve(s.pibar**2, PREC)
         with mp.workprec(PREC + 32):
             s3 = mp.mpc(0, 1) * mp.sqrt(3)
-            assert L.residual(z0 * s3) < mp.mpf(2) ** -96
-            assert L.residual(z0) > mp.mpf(1) / 4
-            x, _ = wp_eval(L, z0, PREC)
+            # residuals come back in units of 2^-(PREC + 32)
+            assert L.residual(mpc_to_fixed(z0 * s3, L.W)) < 2 ** (L.W - 96)
+            assert L.residual(mpc_to_fixed(z0, L.W)) > 2 ** (L.W - 2)
+            x, _ = wp_mpc(L, z0, PREC)
             assert abs(x) < mp.mpf(2) ** -96
     _pass(
         "criterion 7: z0 = L(f,1) is a primitive sqrt(-3)-division point of L "
@@ -257,6 +260,8 @@ def test_criterion_7_cusp_landmarks():
 
 # --------------------------------------------------------------------------
 def test_criterion_8_property_suites():
+    from test_analytic import wp_mpc
+
     # wp curve-equation residual for 100 random z at 192 bits
     PREC = 192
     D = split_prime(7).pibar ** 2
@@ -267,7 +272,7 @@ def test_criterion_8_property_suites():
             t = rng.uniform(0.25, 0.55)
             ang = rng.uniform(0, 2 * math.pi)
             z = L.Omega * t * mp.e ** (1j * mp.mpf(ang))
-            wp, wpd = wp_eval(L, z, PREC)
+            wp, wpd = wp_mpc(L, z, PREC)
             assert abs((wpd / 2) ** 2 - wp**3 - Dc / 4) < mp.mpf(2) ** -(PREC - 32)
 
     # Laurent wp against the row-summed lattice sum at |z| = 0.1 |Omega|
@@ -275,7 +280,7 @@ def test_criterion_8_property_suites():
 
     with mp.workprec(PREC + 32):
         z = L.Omega * mp.mpf("0.1") * mp.e ** (1j * mp.mpf("0.9"))
-        wp1, wpd1 = wp_eval(L, z, PREC)
+        wp1, wpd1 = wp_mpc(L, z, PREC)
         wp2, wpd2 = wp_lattice_sum(L, z, PREC)
         assert abs(wp1 - wp2) < mp.mpf(2) ** -96 * max(1, abs(wp2))
         assert abs(wpd1 - wpd2) < mp.mpf(2) ** -96 * max(1, abs(wpd2))

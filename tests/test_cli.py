@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import sys
 import tracemalloc
 import zlib
@@ -107,6 +108,24 @@ def test_non_positive_counts_exit_2_with_one_line(args, tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: --") and "must be positive" in err
+
+
+def test_one_bit_exits_2_with_one_line(tmp_path, capsys):
+    # at 1 bit every point would read as the point at infinity and the solve
+    # would end at once on a twisted difference that is the identity; from
+    # 2 bits on a shortfall escalates: 2 bits through all five rungs, 7 bits
+    # to a win at 56
+    code, out, err = run_cli(["solve", "7", "--bits", "1", "--cache-dir", str(tmp_path)], capsys)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err == "error: --bits must be at least 2, not 1\n"
+    code, out, err = run_cli(["solve", "7", "--bits", "2", "--cache-dir", str(tmp_path)], capsys)
+    assert code == EXIT_PRECISION
+    assert re.findall(r"@(\d+)b: RecognitionFailed", err) == ["2", "4", "8", "16", "32"]
+    argv = ["solve", "7", "--bits", "7", "--json", "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert rep["bits"] == 56 and [a["bits"] for a in rep["attempts"]] == [7, 14, 28]
 
 
 def test_solve_json_reports_failed_attempts(tmp_path, capsys):
