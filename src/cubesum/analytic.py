@@ -20,11 +20,11 @@ CM site L = p and q^(3p) is a real constant, so each column is a real
 series in its powers; the column sums are combined by rectangular
 splitting in q^3 (Paterson-Stockmeyer).  wp_0 is a Horner sum in xi^6
 over the base lattice's coefficients, stored as integers, after an
-integer reduction of xi = z/Omega to the Voronoi cell of 0.  The sixth
-root for Omega and the cube roots of recognition are Newton iterations
-on integers from a float seed (_root).  mpmath is left with the
-per-precision constants of Z[w] (_base_lattice), one real exp and one
-root of unity per CM site, and the callers that work in mpc (tests, the
+integer reduction of xi = z/Omega to the Voronoi cell of 0.  mpmath is
+left with the per-precision constants of Z[w] (_base_lattice), one real
+exp and one root of unity per CM site, the sixth root for Omega^-1 and
+the cube root of recognition (one of each per attempt, converted once),
+and the callers that work in mpc (tests, the
 Fricke constant and the cusp image z0 = L(f, 1), _fricke), which convert
 at the boundary (mpc_to_fixed, fixed_to_mpc).  "Lies in L" always means
 a residual below 2^(-prec/2): of the lattice coordinates from the nearest
@@ -94,43 +94,6 @@ def fixed_of(x, W):
     A, B, d = (x.a, x.b, 1) if isinstance(x, EisensteinInt) else (x.A, x.B, x.d)
     im = math.isqrt(3 * B * B << 2 * W) // (2 * d)
     return ((2 * A - B) << W) // (2 * d), im if B >= 0 else -im
-
-
-def fixed_root(b, k, W):
-    """The principal k-th root of b (a nonzero pair at W off the negative
-    real axis), as a pair at W.
-
-    With b = 2^(ks) b', 1 <= |b'| < 2^(k+1), Newton's step u <- u + u (1 -
-    b' u^k) / k for u = b'^(-1/k) needs no division.  It starts from the
-    float root, which picks the principal branch (the six or three roots
-    are 2 pi/k apart, the seed is good to 2^-50), and doubles its bits
-    until V = W + max(s, 0) + 16, keeping 8 bits of each doubling spare;
-    the root is 2^s b' u^(k-1).  Each step truncates by a few units of
-    2^-V, so the root of b as given is off by under 2 units of 2^-W.
-    """
-    s = ((b[0] * b[0] + b[1] * b[1]).bit_length() - 1 - 2 * W) // (2 * k)
-    V = W + max(s, 0) + 16
-    shift = V - W - k * s
-    bb = (b[0] << shift, b[1] << shift) if shift >= 0 else (b[0] >> -shift, b[1] >> -shift)
-    seed = complex(b[0] / (1 << V - shift), b[1] / (1 << V - shift)) ** (-1 / k)
-    precs = [V]
-    while precs[-1] > 48:
-        precs.append(precs[-1] // 2 + 8)
-    P = precs.pop()
-    u = (round(seed.real * (1 << P)), round(seed.imag * (1 << P)))
-    for Q in reversed(precs):
-        u = (u[0] << Q - P, u[1] << Q - P)
-        P = Q
-        t = (bb[0] >> V - P, bb[1] >> V - P)
-        for _ in range(k):
-            t = fixed_mul(t, u, P)
-        e = ((1 << P) - t[0], -t[1])
-        d = fixed_mul(u, e, P)
-        u = (u[0] + d[0] // k, u[1] + d[1] // k)
-    r = bb
-    for _ in range(k - 1):
-        r = fixed_mul(r, u, V)
-    return r[0] >> V - W - s, r[1] >> V - W - s
 
 
 def recognize_qomega(v, W, den_bound, tol_bits):
@@ -241,11 +204,9 @@ class PeriodLattice:
     def W(self):
         return self.prec + GUARD_BITS
 
-    @property
-    def Omega(self):
-        """Omega as an mpc, for the callers that work in mpc."""
-        with mp.workprec(self.W):
-            return 1 / fixed_to_mpc(self.inv, self.W)
+    def conj(self):
+        """The lattice of the conjugate curve: conj(Omega) Z[w]."""
+        return PeriodLattice((self.inv[0], -self.inv[1]), self.prec)
 
     def residual(self, z):
         """Distance of the lattice coordinates of z (a pair at W) from the
@@ -296,27 +257,20 @@ def reduce_xi(xi, W):
 
 def lattice_of_curve(D, prec=192):
     """Period lattice of y^2 = x^3 + D/4 (D in Z[w] or Q(w)), i.e. the
-    hexagonal lattice with g3 = -D: Omega is the principal sixth root of
-    g3(Z[w]) / (-D).  Cached per (D, prec); a D whose conjugate is cached
-    gets the conjugate lattice, as the principal root commutes with
-    conjugation off the negative real axis."""
+    hexagonal lattice with g3 = -D: Omega^-1 is the principal sixth root of
+    -D / g3(Z[w]), taken by mpmath at W + 16 bits and floored at W, so it
+    is off by under 2 units of 2^-W from the root over the g3 held (whose
+    own error is a few units of 2^-W relative) while |Omega^-1| < 2^14.  The
+    conjugate curve has the conjugate lattice (PeriodLattice.conj), as
+    the principal root commutes with conjugation off the negative real
+    axis."""
     if not D:
         raise ValueError("D must be nonzero")
-    return _lattice(D, prec)
-
-
-@functools.lru_cache(maxsize=16)
-def _lattice(D, prec):
-    if D.b < 0:
-        inv = _lattice(D.conj(), prec).inv
-        return PeriodLattice((inv[0], -inv[1]), prec)
-    W = prec + GUARD_BITS
     g3, _ = _base_lattice(prec)
-    # Omega^-1 is the principal sixth root of -D / g3(Z[w]), formed at 16
-    # more bits, as D is exact and g3 is good to 2^-W relative
-    Dr, Di = fixed_of(D, W + 16)
-    yr, yi = fixed_root((-(Dr << W) // g3, -(Di << W) // g3), 6, W + 16)
-    return PeriodLattice((yr >> 16, yi >> 16), prec)
+    W = prec + GUARD_BITS
+    with mp.workprec(W + 16):
+        inv = mpc_to_fixed(mp.root(-D.to_mpc(mp) / mp.ldexp(g3, -W), 6), W)
+    return PeriodLattice(inv, prec)
 
 
 # -------------------------------------------------------------- wp values
@@ -339,8 +293,9 @@ def wp_eval(L, z, prec=None):
     near the pole.
 
     Error, in units u = 2^-W, against exact arithmetic on the z given:
-    - Omega^-1 is off by under 2 units (_root), so xi is off by under
-      3 |z| + 1, and r by under e_r = 3 |z| + 2 (3 |z| / 2 + 2 halved);
+    - Omega^-1 is off by under 2 units (lattice_of_curve), so xi is off
+      by under 3 |z| + 1, and r by under e_r = 3 |z| + 2 (3 |z| / 2 + 2
+      halved);
     - each Horner step truncates by under 2 units, and |t| <= 2^-9 damps
       what came before: the sums are off by under 2^10 units (their
       slopes in t are under 70 and 700);

@@ -20,7 +20,6 @@ failed attempt is kept in PipelineResult.attempts.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,10 +33,10 @@ from .analytic import (
     eval_z,
     fixed_mul,
     fixed_of,
-    fixed_root,
     fixed_sqrt3,
     fixed_to_mpc,
     lattice_of_curve,
+    mpc_to_fixed,
     recognize_qomega,
     terms_needed,
     wp_eval,
@@ -75,17 +74,19 @@ class RecognizedPoint:
     den_bits: int  # floor(log2) of the lcm of x_scaled's denominators
 
 
-def evaluate_cm(z, D, prec=192):
+def evaluate_cm(z, D, prec=192, lattice=None):
     """("infinity", None) or ("point", (x, y)) for a summed Abel-Jacobi image.
 
     z comes from eval_z at a CM site, a pair at W = prec + GUARD_BITS; x =
     wp(z) and y = wp'(z)/2 come back as pairs at W, on the lattice of the
-    curve y^2 = x^3 + D/4 that the form belongs to.  The curve residual
+    curve y^2 = x^3 + D/4 that the form belongs to: `lattice`, or
+    lattice_of_curve(D, prec) when it is None.  The curve residual
     |y^2 - x^3 - D/4| must clear 2^-(prec-40) max(1, |x|^3), compared in
     integers (squared), or the evaluation is rejected.  A z on the lattice
     (wp_eval's PoleAtLatticePoint) is the point at infinity.
     """
-    lattice = lattice_of_curve(D, prec)
+    if lattice is None:
+        lattice = lattice_of_curve(D, prec)
     try:
         x, wpd = wp_eval(lattice, z, prec)
     except PoleAtLatticePoint:
@@ -113,18 +114,17 @@ def _exact_y(x, c):
     return None if T is None else (T, e)
 
 
-@functools.lru_cache(maxsize=16)
-def _cube_root(x, prec):
-    """The principal cube root of x in Z[w] (not real), as a pair at prec +
-    GUARD_BITS; a conjugate already cached gives the conjugate."""
-    if x.b < 0:
-        r = _cube_root(x.conj(), prec)
-        return r[0], -r[1]
+def scaling_root(split, i, prec=192):
+    """The principal cube root of pi^(2i), a pair at W = prec + GUARD_BITS,
+    taken by mpmath at W + 16 bits and floored, so it is off by under 2
+    units while p^(i/3) < 2^14.  pibar^(2i)'s root is its conjugate, as
+    pi^(2i) is off the real axis."""
     W = prec + GUARD_BITS
-    return fixed_root(fixed_of(x, W), 3, W)
+    with mp.workprec(W + 16):
+        return mpc_to_fixed(mp.cbrt((split.pi ** (2 * i)).to_mpc(mp)), W)
 
 
-def recognize(raw, split, i, den_bound, prec=192, form="f"):
+def recognize(raw, split, i, den_bound, prec=192, form="f", root=None):
     """Exact coordinates for a raw point (x, y) of the form's curve, pairs
     at W = prec + GUARD_BITS.
 
@@ -141,22 +141,26 @@ def recognize(raw, split, i, den_bound, prec=192, form="f"):
     which triggers a precision retry.
 
     The principal cube roots of pi^(2i) and pibar^(2i) are conjugate, so
-    one Newton root per precision serves both tags and both forms
-    (_cube_root).  Every comparison is of squared norms in units of
-    2^-2W; the scaled x carries the cube root's 2 units and x's own error
-    times |mult|^(2i/3), far below the 2^-(prec/2) tolerances.
+    one root, `root` = scaling_root(split, i, prec) (taken here when it is
+    None), serves both tags; an attempt takes it once for f and f^c.
+    Every comparison is of squared norms in units of 2^-2W; the scaled x
+    carries the cube root's 2 units and x's own error times
+    |mult|^(2i/3), far below the 2^-(prec/2) tolerances.  A failure
+    prints x to prec/2 bits, the accuracy recognition asks of it.
     """
     x, y = raw
     W = prec + GUARD_BITS
     c = split.p ** (2 * i)
     tol2 = 1 << 2 * (W - prec // 2)
     w = (-1 << W - 1, fixed_sqrt3(W) >> 1)
+    root = root if root is not None else scaling_root(split, i, prec)
+    roots = {"pi": root, "pibar": (root[0], -root[1])}
     mults = (("pi", split.pi), ("pibar", split.pibar))
     rejected = 0  # recognized x with no root, or a root off the numeric y
     for tag, mult in mults if form == "f" else mults[::-1]:
         m = mult**i
         y_twisted = fixed_mul(fixed_of(m, W), y, W)
-        scaled = fixed_mul(x, _cube_root(m * m, prec), W)
+        scaled = fixed_mul(x, roots[tag], W)
         # x w^k is in K exactly when x is, with x's e, S and y_twisted:
         # once the candidate for x is rejected under this tag, the later
         # k only approximate its twists and count as rejected untested
@@ -193,7 +197,7 @@ def recognize(raw, split, i, den_bound, prec=192, form="f"):
                 twist_k=k,
                 den_bits=e.bit_length() - 1,
             )
-    with mp.workprec(W):
+    with mp.workprec(prec // 2):
         shown = str(fixed_to_mpc(x, W))
     raise RecognitionFailed(
         f"x = {shown} not recognized under either cube root with denominators"
@@ -311,23 +315,25 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     # f lives on y^2 = x^3 + pibar^(2i)/4 and f^c on the conjugate curve
     D_f, D_fc = split.pibar ** (2 * i), split.pi ** (2 * i)
     z_f, z_fc = eval_z(form, site, prec)
-    kind_f, raw_f = evaluate_cm(z_f, D_f, prec)
-    kind_fc, raw_fc = evaluate_cm(z_fc, D_fc, prec)
+    L_f = lattice_of_curve(D_f, prec)
+    kind_f, raw_f = evaluate_cm(z_f, D_f, prec, L_f)
+    kind_fc, raw_fc = evaluate_cm(z_fc, D_fc, prec, L_f.conj())
     timings["evaluate_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     # continued fractions recover denominators up to about 2^(prec/2)
     den_bound_bits = max(prec // 2 - 12, 40)
     den_bound = 1 << den_bound_bits
+    root = scaling_root(split, i, prec)
     rec_f = (
         recognized_infinity("f")
         if kind_f == "infinity"
-        else recognize(raw_f, split, i, den_bound, prec, form="f")
+        else recognize(raw_f, split, i, den_bound, prec, form="f", root=root)
     )
     rec_fc = (
         recognized_infinity("fc")
         if kind_fc == "infinity"
-        else recognize(raw_fc, split, i, den_bound, prec, form="fc")
+        else recognize(raw_fc, split, i, den_bound, prec, form="fc", root=root)
     )
     timings["recognize_ms"] = 1000 * (time.perf_counter() - t0)
 

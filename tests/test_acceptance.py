@@ -260,7 +260,7 @@ def test_criterion_7_cusp_landmarks():
 
 # --------------------------------------------------------------------------
 def test_criterion_8_property_suites():
-    from test_analytic import wp_mpc
+    from test_analytic import lattice_omega, wp_mpc
 
     # wp curve-equation residual for 100 random z at 192 bits
     PREC = 192
@@ -271,7 +271,7 @@ def test_criterion_8_property_suites():
         for _ in range(100):
             t = rng.uniform(0.25, 0.55)
             ang = rng.uniform(0, 2 * math.pi)
-            z = L.Omega * t * mp.e ** (1j * mp.mpf(ang))
+            z = lattice_omega(L) * t * mp.e ** (1j * mp.mpf(ang))
             wp, wpd = wp_mpc(L, z, PREC)
             assert abs((wpd / 2) ** 2 - wp**3 - Dc / 4) < mp.mpf(2) ** -(PREC - 32)
 
@@ -279,7 +279,7 @@ def test_criterion_8_property_suites():
     from test_analytic import wp_lattice_sum
 
     with mp.workprec(PREC + 32):
-        z = L.Omega * mp.mpf("0.1") * mp.e ** (1j * mp.mpf("0.9"))
+        z = lattice_omega(L) * mp.mpf("0.1") * mp.e ** (1j * mp.mpf("0.9"))
         wp1, wpd1 = wp_mpc(L, z, PREC)
         wp2, wpd2 = wp_lattice_sum(L, z, PREC)
         assert abs(wp1 - wp2) < mp.mpf(2) ** -96 * max(1, abs(wp2))

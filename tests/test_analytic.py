@@ -40,6 +40,12 @@ def omega_mpc():
     return mp.mpc(mp.mpf(-1) / 2, mp.sqrt(3) / 2)
 
 
+def lattice_omega(L):
+    """Omega of the lattice L, as an mpc at L's W."""
+    with mp.workprec(L.W):
+        return 1 / fixed_to_mpc(L.inv, L.W)
+
+
 def wp_lattice_sum(L, z, prec):
     """Independent oracle: the defining lattice sum with each row through the
     lattice summed in closed form (geometric/cotangent identities), i.e. the
@@ -53,7 +59,7 @@ def wp_lattice_sum(L, z, prec):
     log and exp, which dominates the time at thousands of bits.
     """
     with mp.workprec(prec + 64):
-        zz = mp.mpc(z) / L.Omega
+        zz = mp.mpc(z) / lattice_omega(L)
         tau = omega_mpc()
         q = mp.e ** (2j * mp.pi * tau)
         u = mp.e ** (2j * mp.pi * zz)
@@ -70,8 +76,8 @@ def wp_lattice_sum(L, z, prec):
             s += a * ra * ra + b * rb * rb - 2 * qn * rq * rq
             sd += a * (1 + a) * ra * ra * ra - b * (1 + b) * rb * rb * rb
         twopii = 2j * mp.pi
-        wp = twopii**2 * s / L.Omega**2
-        wpd = twopii**3 * sd / L.Omega**3
+        wp = twopii**2 * s / lattice_omega(L)**2
+        wpd = twopii**3 * sd / lattice_omega(L)**3
         return wp, wpd
 
 
@@ -96,7 +102,7 @@ def contains(L, z, tol_bits):
 def from_coords(L, m, n):
     """The lattice point Omega (m + n w), as an mpc."""
     with mp.workprec(L.W):
-        return L.Omega * (m + n * omega_mpc())
+        return lattice_omega(L) * (m + n * omega_mpc())
 
 
 def reduce_xi_mp(xi):
@@ -158,7 +164,7 @@ def random_z(L, lo=0.05, hi=1.4):
     t = rng.uniform(lo, hi)
     ang = rng.uniform(0, 6.28)
     with mp.workprec(L.prec + GUARD_BITS):
-        return L.Omega * t * mp.e ** (1j * mp.mpf(ang))
+        return lattice_omega(L) * t * mp.e ** (1j * mp.mpf(ang))
 
 
 # -------------------------------------------------------- Laurent / lattice
@@ -205,11 +211,20 @@ def test_lattice_scaling_and_unit_invariance():
     with mp.workprec(prec + GUARD_BITS):
         L2 = lattice_of_curve(D.to_q() / QOmega(64), prec)  # u = 2: u^-6 D
         # Omega scales by u (up to a sixth root of unity = same lattice)
-        ratio = L2.Omega / L1.Omega / 2
+        ratio = lattice_omega(L2) / lattice_omega(L1) / 2
         assert abs(ratio**6 - 1) < mp.mpf(2) ** -100
         # unit * D gives the identical lattice data
         L3 = lattice_of_curve(EisensteinInt(0, 1) ** 6 * D, prec)
-        assert abs(L3.Omega - L1.Omega) < mp.mpf(2) ** -100
+        assert abs(lattice_omega(L3) - lattice_omega(L1)) < mp.mpf(2) ** -100
+
+
+@pytest.mark.parametrize("p, i, prec", [(7, 1, 64), (103, 2, 192), (409, 2, 768)])
+def test_conjugate_curve_has_the_conjugate_lattice(p, i, prec):
+    # an attempt takes f^c's lattice as the conjugate of f's
+    split = split_prime(p)
+    L = lattice_of_curve(split.pibar ** (2 * i), prec)
+    Lc = lattice_of_curve(split.pi ** (2 * i), prec)
+    assert all(abs(a - b) <= 2 for a, b in zip(L.conj().inv, Lc.inv))
 
 
 def test_wp_satisfies_curve_equation():
@@ -234,7 +249,7 @@ def test_wp_matches_lattice_sum_oracle(prec):
     with mp.workprec(prec + 64):
         tol = mp.mpf(2) ** -(prec - 64)
         for frac in (0.1, 0.22, 0.34, 0.4, 0.55):  # series to its radius, halving
-            z = L.Omega * frac * mp.e ** (1j * mp.mpf(0.77))
+            z = lattice_omega(L) * frac * mp.e ** (1j * mp.mpf(0.77))
             wp, wpd = wp_mpc(L, z, prec)
             owp, owpd = wp_lattice_sum(L, z, prec)
             assert abs(wp - owp) < tol * max(1, abs(owp))
@@ -261,7 +276,7 @@ def test_reduction_near_voronoi_edges():
                     xi = edge + m + n * w
                     r, _ = reduce_xi(mpc_to_fixed(xi, L.W), L.W)
                     assert abs(fixed_to_mpc(r, L.W)) <= bound
-                    z = L.Omega * xi
+                    z = lattice_omega(L) * xi
                     wp, wpd = wp_mpc(L, z, prec)
                     owp, owpd = wp_lattice_sum(L, z, prec)
                     assert abs(wp - owp) < tol * max(1, abs(owp))
@@ -340,7 +355,7 @@ def test_laurent_coefficients_once_per_precision(monkeypatch):
         for D in (EisensteinInt(5, 1), split_prime(7).pibar ** 2):
             L = lattice_of_curve(D, prec)
             with mp.workprec(prec + GUARD_BITS):
-                wp_mpc(L, L.Omega * mp.mpc(0.3, 0.2), prec)
+                wp_mpc(L, lattice_omega(L) * mp.mpc(0.3, 0.2), prec)
         assert len(calls) == total
 
 
@@ -380,7 +395,7 @@ def test_reduce_gives_minimal_norm():
     with mp.workprec(prec + GUARD_BITS):
         w = omega_mpc()
         for _ in range(50):
-            xi = random_z(L, 0.0, 3.0) / L.Omega
+            xi = random_z(L, 0.0, 3.0) / lattice_omega(L)
             r, (m, n) = reduce_xi(mpc_to_fixed(xi, L.W), L.W)
             r = fixed_to_mpc(r, L.W)
             assert abs(xi - (r + m + n * w)) < mp.mpf(2) ** -80

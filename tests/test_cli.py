@@ -322,7 +322,7 @@ def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
 def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):
     import cubesum.parametrize as par
 
-    def fail(z, D, prec):
+    def fail(z, D, prec, lattice=None):
         raise par.EvalResidualTooLarge("stub")
 
     # exit 3 still writes, once, what the failed attempts sieved
@@ -432,7 +432,7 @@ def test_unwritable_cache_dir_keeps_the_solve_outcome(tmp_path, capsys, monkeypa
     assert json.loads(out)["checks"]["cube_identity"]["ok"] is True
     assert err.count("\n") == 1 and err.startswith("warning: coefficient cache not written")
 
-    def fail(z, D, prec):
+    def fail(z, D, prec, lattice=None):
         raise par.EvalResidualTooLarge("stub")
 
     monkeypatch.setattr(par, "evaluate_cm", fail)
