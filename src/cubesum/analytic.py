@@ -15,14 +15,15 @@ by 2^W, products shifted back by W, so every operation truncates by less
 than one unit of 2^-W and the error bounds are counts of units.  Outside
 the q-sum's own wider W, W = prec + GUARD_BITS.  The one q-sum (eval_z)
 gives the Abel-Jacobi images z and z^c of the newform and its conjugate
-from one pass over the compact slots split into columns by k mod L: at a
-CM site L = p and q^(3p) is a real constant, so each column is a real
+from one pass over the compact slots split into columns by k mod L, with
+L the denominator of 6 Re(tau) read exactly (p at a CM site, 1 on the
+imaginary axis), so q^(3L) is a real constant and each column is a real
 series in its powers; the column sums are combined by rectangular
 splitting in q^3 (Paterson-Stockmeyer).  wp_0 is a Horner sum in xi^6
 over the base lattice's coefficients, stored as integers, after an
 integer reduction of xi = z/Omega to the Voronoi cell of 0.  mpmath is
 left with the per-precision constants of Z[w] (_base_lattice), one real
-exp and one root of unity per CM site, the sixth root for Omega^-1 and
+exp and one root of unity per site, the sixth root for Omega^-1 and
 the cube root of recognition (one of each per attempt, converted once),
 and the callers that work in mpc (tests, the
 Fricke constant and the cusp image z0 = L(f, 1), _fricke), which convert
@@ -151,7 +152,8 @@ _base_cache = {}
 
 def _base_lattice(prec):
     """(g3, C) of the reference lattice Z[w], computed once per precision,
-    as integers scaled by 2^W, W = prec + GUARD_BITS.
+    as integers scaled by 2^W, W = prec + GUARD_BITS.  The sums run at W +
+    16 bits and are rounded at W, so g3 is held within one unit of 2^-W.
 
     g3 = 140 G_6 and G_6 = 2 zeta(6) E_6, with q = -e^(-pi sqrt(3)).  E_4
     vanishes at this point, which is checked as a self-test of the series.
@@ -163,7 +165,8 @@ def _base_lattice(prec):
     """
     if prec in _base_cache:
         return _base_cache[prec]
-    with mp.workprec(prec + GUARD_BITS):
+    W = prec + GUARD_BITS
+    with mp.workprec(W + 16):
         qabs = mp.e ** (-mp.pi * mp.sqrt(3))
         nmax = int((prec + 48) * math.log(2) / (mp.pi * math.sqrt(3))) + 8
         sigma3 = [0] * (nmax + 1)
@@ -186,7 +189,6 @@ def _base_lattice(prec):
         g3 = 140 * 2 * zeta6 * e6
         kmax = int((prec + 48) / (-6 * math.log2(SERIES_RADIUS))) + 6
         G = wp_laurent_coefficients(g3, kmax)
-        W = prec + GUARD_BITS
         C = [int(mp.nint(mp.ldexp((6 * k + 5) * g, W))) for k, g in enumerate(G)]
         _base_cache[prec] = int(mp.nint(mp.ldexp(g3, W))), C
     return _base_cache[prec]
@@ -258,10 +260,12 @@ def reduce_xi(xi, W):
 def lattice_of_curve(D, prec=192):
     """Period lattice of y^2 = x^3 + D/4 (D in Z[w] or Q(w)), i.e. the
     hexagonal lattice with g3 = -D: Omega^-1 is the principal sixth root of
-    -D / g3(Z[w]), taken by mpmath at W + 16 bits and floored at W, so it
-    is off by under 2 units of 2^-W from the root over the g3 held (whose
-    own error is a few units of 2^-W relative) while |Omega^-1| < 2^14.  The
-    conjugate curve has the conjugate lattice (PeriodLattice.conj), as
+    -D / g3(Z[w]), taken by mpmath at W + 16 bits and floored at W.
+    _base_lattice holds g3 = 820.8... within one unit of 2^-W, a relative
+    error under 2^-(W + 9), which moves the root by under |Omega^-1| 2^-(W +
+    12); so while |Omega^-1| < 2^10 (|D| < 2^69), Omega^-1 is off by under
+    2 units of 2^-W: 1 from the floor, under 1/4 from g3 and under 1/16
+    from mpmath's roundings.  The conjugate curve has the conjugate lattice (PeriodLattice.conj), as
     the principal root commutes with conjugation off the negative real
     axis."""
     if not D:
@@ -371,10 +375,11 @@ def terms_needed(im_tau, prec):
         return max(M, 16)
 
 
-def _site_to_tau(site):
-    if hasattr(site, "to_mpc"):
-        return site.to_mpc(mp)
-    return mp.mpc(site)
+def _dyadic(x):
+    """The mpf x as the rational it is: its _mpf_ holds the sign, the
+    unsigned mantissa and the exponent."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 KERNEL_GUARD_BITS = 2
@@ -394,19 +399,19 @@ def eval_z(form, site, prec=192):
 
     Columns: the slots split by k mod L into L columns, U = sum_(j < L)
     x^j U_j with U_j = sum_g alpha_n/n X^g over n = 3(j + Lg) + 1 and X =
-    x^L, and V likewise.  A site that carries its exact real part `re`
-    (cmpoint.EvalSite) takes for L the denominator of 6 Re(tau), so that
-    X = e^(6 pi i L tau) = (-1)^(6 L Re tau) e^(-6 pi L Im tau) is real: at
-    the solve's site W(tau_r), L = p and X = -e^(-pi sqrt(3)) (N = 9p) or
-    -e^(-pi sqrt(3)/3) (N = 27p).  The column sums are then real, and a
-    nonzero term costs one floor division (X^g // n) and two small-integer
-    products (by alpha and beta).  Any other site takes L = isqrt(K), and
-    the same column loop runs twice, over Re X^g and over Im X^g, giving U =
-    U' + i U'' (once when Im X = 0).  Each pass combines its real column
-    sums by rectangular splitting in x: with B = isqrt(number of columns),
-    the baby steps x^i (i < B) are formed once, a block of B consecutive
-    columns is a sum of integer products u_j x^i, and Horner in the giant
-    step x^B runs over the blocks from the top, shifting once per step.
+    x^L, and V likewise.  L is the denominator of 6 Re(tau), read exactly
+    (cmpoint.EvalSite.re, or the dyadic rational an mpf is), capped at K,
+    so X = e^(6 pi i L tau) = (-1)^(6 L Re tau) e^(-6 pi L Im tau) is real
+    wherever a second row exists: at the solve's site W(tau_r) L = p and X
+    = -e^(-pi sqrt(3)) (N = 9p) or -e^(-pi sqrt(3)/3) (N = 27p), on the
+    imaginary axis (the Fricke sites) L = 1, and a real part with a long
+    mantissa gets L = K, one row.  The column sums are real, and a nonzero
+    term costs one floor division (X^g // n) and two small-integer products
+    (by alpha and beta).  They are combined by rectangular splitting in x:
+    with B = isqrt(L), the baby steps x^i (i < B) are formed once, a block
+    of B consecutive columns is a sum of integer products u_j x^i, and
+    Horner in the giant step x^B runs over the blocks from the top,
+    shifting once per step.
 
     Error, in units of 2^-W (values scaled by 2^W; every product is shifted
     and every quotient floored, each by under one unit per component):
@@ -422,89 +427,76 @@ def eval_z(form, site, prec=192):
     - |alpha_n| + |beta_n| <= 2 |a_n| <= 2 sigma_0(n) sqrt(n) <= 2 sqrt(3) n
       (sigma_0(n) <= sqrt(3n)), and over n <= M, n = 1 mod 3, sum n is
       about M^2/6.
-    So one pass is off by under (2 + 1/L) 0.58 M^2 <= 1.8 M^2 units, and U
-    and V together by under 3.6 M^2 after two passes: W = prec +
+    So U + V w and U + V conj(w) (|w| = 1) are off by under (2 + 1/L)
+    0.58 M^2 <= 1.8 M^2 units, the few Horner steps aside: W = prec +
     GUARD_BITS + KERNEL_GUARD_BITS + 2 M.bit_length() keeps z and z^c
     within one unit of 2^-(prec + GUARD_BITS), the precision they are
     returned at (floored, under one more unit).
 
-    Set-up: q, x = q^3 and X are formed at Wq = W + 8 + (3L).bit_length()
-    bits and x and X rounded to W, so each is off by about one unit of
-    2^-W.  At a CM site they come from the exact coordinates: q = E zeta
-    with E = e^(-2 pi Im tau) (one real exp) and zeta = e^(2 pi i Re tau)
-    (one root of unity), x = q^3 and X = (-1)^(6 L Re tau) E^(3L) by
-    integer products (the (3L).bit_length() bits absorb E's error, raised
-    to the 3L-th power).  Any other site takes q and X from two complex
-    exps.  The last product, q (U + V w) and q (U + V conj(w)), is in
-    integers too.
+    Set-up: q = E zeta with E = e^(-2 pi Im tau) (one real exp) and zeta =
+    e^(2 pi i Re tau) (one root of unity) at Wq = W + 8 + (3L).bit_length()
+    bits; x = q^3 and X = (-1)^(6 L Re tau) E^(3L) come from integer
+    products (the (3L).bit_length() bits absorb E's error, raised to the
+    3L-th power) and are rounded to W, each off by about one unit of 2^-W.
+    The last product, q (U + V w) and q (U + V conj(w)), is in integers too.
     """
+    exact = hasattr(site, "re")  # a cmpoint.EvalSite
     with mp.workprec(prec + GUARD_BITS):
-        tau = _site_to_tau(site)
+        tau = site.to_mpc(mp) if exact else mp.mpc(site)
         M = terms_needed(tau.imag, prec)
         if M > form.terms:
             raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
     W = prec + GUARD_BITS + KERNEL_GUARD_BITS + 2 * M.bit_length()
     K = (M + 2) // 3
-    re = getattr(site, "re", None)
-    L = math.isqrt(K) if re is None else (6 * re).denominator
+    re = site.re if exact else _dyadic(tau.real)
+    L = min((6 * re).denominator, K)
     Wq = W + 8 + (3 * L).bit_length()
     with mp.workprec(Wq):
-        if re is None:
-            tau = _site_to_tau(site)
-            q = mpc_to_fixed(mp.exp(2j * mp.pi * tau), Wq)
-            Xr, Xi = mpc_to_fixed(mp.exp(6j * mp.pi * L * tau), Wq)
-        else:
+        if exact:
             im = site.im_coeff
-            E = to_fixed(mp.exp(-2 * mp.pi * mp.sqrt(3) * im.numerator / im.denominator)._mpf_, Wq)
-            zr, zi = mpc_to_fixed(mp.expjpi(mp.mpf(2 * re.numerator) / re.denominator), Wq)
-            q = (E * zr >> Wq, E * zi >> Wq)
-            Xr, Xi, n = 1 << Wq, 0, 3 * L
-            while n:  # E^(3L) by squaring
-                if n & 1:
-                    Xr = Xr * E >> Wq
-                E = E * E >> Wq
-                n >>= 1
-            if (6 * L * re).numerator % 2:
-                Xr = -Xr
+            E = mp.exp(-2 * mp.pi * mp.sqrt(3) * im.numerator / im.denominator)
+        else:
+            E = mp.exp(-2 * mp.pi * tau.imag)
+        E = to_fixed(E._mpf_, Wq)
+        zr, zi = mpc_to_fixed(mp.expjpi(mp.mpf(2 * re.numerator) / re.denominator), Wq)
+    q = (E * zr >> Wq, E * zi >> Wq)
+    X, n = 1 << Wq, 3 * L
+    while n:  # E^(3L) by squaring
+        if n & 1:
+            X = X * E >> Wq
+        E = E * E >> Wq
+        n >>= 1
+    if (6 * L * re).numerator % 2:  # 6 L Re(tau) is an integer wherever X is used
+        X = -X
     xr, xi = fixed_mul(fixed_mul(q, q, Wq), q, Wq)
-    xr, xi, Xr, Xi = xr >> Wq - W, xi >> Wq - W, Xr >> Wq - W, Xi >> Wq - W
+    xr, xi, X = xr >> Wq - W, xi >> Wq - W, X >> Wq - W
     q = (q[0] >> Wq - W, q[1] >> Wq - W)
-    cols = min(L, K)
-    B = math.isqrt(cols)
+    B = math.isqrt(L)
     baby = [(1 << W, 0)]
     for _ in range(B):
         pr, pi = baby[-1]
         baby.append(((pr * xr - pi * xi) >> W, (pr * xi + pi * xr) >> W))
     gr, gi = baby.pop()  # the giant step x^B
-    Xg_re, Xg_im = [1 << W], [0]  # X^g for the rows g < ceil(K/L)
+    Xg = [1 << W]  # X^g for the rows g < ceil(K/L)
     for _ in range((K - 1) // L):
-        pr, pi = Xg_re[-1], Xg_im[-1]
-        Xg_re.append((pr * Xr - pi * Xi) >> W)
-        Xg_im.append((pr * Xi + pi * Xr) >> W)
+        Xg.append(Xg[-1] * X >> W)
     alpha, beta = form.alpha, form.beta  # slot k holds a_(3k+1)
-    sums = []
-    for Xg in (Xg_re, Xg_im) if Xi else (Xg_re,):
-        ur = ui = vr = vi = 0
-        for j0 in reversed(range(0, cols, B)):
-            sur = sui = svr = svi = 0
-            for j, (pr, pi) in zip(range(j0, cols), baby):
-                u = v = 0  # column j
-                for n, a, b, t in zip(range(3 * j + 1, 3 * K, 3 * L), alpha[j:K:L], beta[j:K:L], Xg):
-                    if a or b:
-                        t //= n
-                        u += a * t
-                        v += b * t
-                sur += u * pr
-                sui += u * pi
-                svr += v * pr
-                svi += v * pi
-            ur, ui = (ur * gr - ui * gi + sur) >> W, (ur * gi + ui * gr + sui) >> W
-            vr, vi = (vr * gr - vi * gi + svr) >> W, (vr * gi + vi * gr + svi) >> W
-        sums.append((ur, ui, vr, vi))
-    ur, ui, vr, vi = sums[0]
-    if len(sums) > 1:  # U = U' + i U''
-        ur2, ui2, vr2, vi2 = sums[1]
-        ur, ui, vr, vi = ur - ui2, ui + ur2, vr - vi2, vi + vr2
+    ur = ui = vr = vi = 0
+    for j0 in reversed(range(0, L, B)):
+        sur = sui = svr = svi = 0
+        for j, (pr, pi) in zip(range(j0, L), baby):
+            u = v = 0  # column j
+            for n, a, b, t in zip(range(3 * j + 1, 3 * K, 3 * L), alpha[j:K:L], beta[j:K:L], Xg):
+                if a or b:
+                    t //= n
+                    u += a * t
+                    v += b * t
+            sur += u * pr
+            sui += u * pi
+            svr += v * pr
+            svi += v * pi
+        ur, ui = (ur * gr - ui * gi + sur) >> W, (ur * gi + ui * gr + sui) >> W
+        vr, vi = (vr * gr - vi * gi + svr) >> W, (vr * gi + vi * gr + svi) >> W
     # V w = -V/2 + sqrt(-3) V/2, and V conj(w) = -V/2 - sqrt(-3) V/2
     s3 = fixed_sqrt3(W)
     cr, ci = -vi * s3 >> W + 1, vr * s3 >> W + 1

@@ -162,10 +162,7 @@ def build_report(result):
     )
 
 
-def print_report(rep, as_json):
-    if as_json:
-        print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-        return
+def print_report(rep):
     print(f"p = {rep.p}, power = {rep.i}  (pi = {rep.pi}, site {rep.site}, r = {rep.r}, t = {rep.t})")
     print(f"  precision {rep.bits} bits, {rep.terms} q-expansion terms")
     print(f"  K-point on E(p^{rep.i}):  {rep.point_K}")
@@ -226,7 +223,7 @@ def cmd_solve(args):
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True))
     else:
         for rep in reports:
-            print_report(rep, as_json=False)
+            print_report(rep)
     return EXIT_OK
 
 

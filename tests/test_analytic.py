@@ -340,6 +340,14 @@ def test_fixed_point_wp_matches_the_mpmath_oracle(prec, D, kind, data):
         assert abs(fixed_to_mpc(got[1], W) - owpd) < bound
 
 
+@pytest.mark.parametrize("prec", [64, 192, 768])
+def test_base_lattice_holds_g3_within_one_unit(monkeypatch, prec):
+    # g3 at W = prec + GUARD_BITS against the same sums 256 bits finer
+    monkeypatch.setattr(analytic, "_base_cache", {})
+    g3 = analytic._base_lattice(prec)[0]
+    assert abs(g3 - (analytic._base_lattice(prec + 256)[0] >> 256)) <= 1
+
+
 def test_laurent_coefficients_once_per_precision(monkeypatch):
     # every lattice rescales the one base lattice Z[w]: its coefficients are
     # computed once per precision, whatever the curve
@@ -432,30 +440,42 @@ def _sum_form_oracle(coeffs, q, M, divide_by_n):
 CM_SITES = [(13, 1), (7, 1)]
 
 
+# Off the CM sites the kernel reads Re(tau) exactly, as the dyadic rational
+# its mpf is, and takes L = the denominator of 6 Re(tau), capped at K: 3/7,
+# 2/9 and -200/189 have long mantissas (L = K, one row of K columns), 3/8
+# gives L = 4 with X = q^12 < 0 (6 L Re(tau) = 9 is odd), and 0, the shape
+# of the Fricke sites, gives L = 1 (one column).
 def _site_and_tau(cm, re, im):
     """(site, its mpc value): the CM site of cm = (p, i), or else the mpc
-    re + i im as both."""
+    with real part re (a fraction string, rounded to the working precision)
+    and imaginary part im, as both."""
     if cm is None:
-        tau = mp.mpc(re, im)
+        r = Fraction(re)
+        tau = mp.mpc(mp.mpf(r.numerator) / r.denominator, im)
         return tau, tau
     site = eval_site(*cm)
     return site, site.to_mpc(mp)
 
 
+# the unlabelled precisions are at Re(tau) = 3/7, but 3072 bits at 3/8
 @pytest.mark.parametrize(
-    "prec, cm",
-    [(prec, None) for prec in (192, 384, 768, 3072)]
-    + [(prec, cm) for cm in CM_SITES for prec in (192, 768)],
-    ids=["192", "384", "768", "3072", "13^1-192", "13^1-768", "7^1-192", "7^1-768"],
+    "prec, cm, re",
+    [(prec, None, "3/7") for prec in (192, 384, 768)]
+    + [(3072, None, "3/8")]
+    + [(192, None, re) for re in ("-200/189", "3/8", "0")]
+    + [(768, None, "0")]
+    + [(prec, cm, None) for cm in CM_SITES for prec in (192, 768)],
+    ids=["192", "384", "768", "3072", "-200/189-192", "3/8-192", "0-192", "0-768"]
+    + ["13^1-192", "13^1-768", "7^1-192", "7^1-768"],
 )
 @pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True)])
-def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, cm, evaluate, divide_by_n):
-    # the height of 31's wtau sites, with a real part off the axis, or a
-    # CM site with its own form
+def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, cm, re, evaluate, divide_by_n):
+    # the height of 31's wtau sites, with a real part of its own, or a CM
+    # site with its own form
     p, i = cm or (31, 1)
     _, N = conductor_and_level(p, i)
     with mp.workprec(prec + GUARD_BITS):
-        site, tau = _site_and_tau(cm, mp.mpf(3) / 7, mp.mpf(3) / (2 * N) * mp.sqrt(3))
+        site, tau = _site_and_tau(cm, re, mp.mpf(3) / (2 * N) * mp.sqrt(3))
         M = terms_needed(tau.imag, prec)
         f = build_form(p, i, M)
         got_f, got_fc = (fixed_to_mpc(v, prec + GUARD_BITS) for v in evaluate(f, site, prec))
@@ -469,28 +489,35 @@ def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, cm, evaluate, divide_by
             assert abs(got_f - got_fc) > 1e-3  # f and f^c are distinct sums
 
 
-# Step counts K = ceil(M/3).  At an arbitrary site the kernel takes
-# L = isqrt(K) columns: K = 1, 2, 48 = 6 * 8, 49 = 7^2, 50 and the prime 97
-# give one column of one term, one column of two, full columns of two
-# shapes, a first column one term longer than the rest, and ragged columns.
-# At a CM site it takes L = p columns: K = p - 1, p, p + 1 and 2p give
-# fewer slots than columns, one full row, a second row of one term, and
-# two full rows.
+# Step counts K = ceil(M/3) = 1, 2, 48 = 6 * 8, 49 = 7^2, 50 and the prime
+# 97; the kernel sums L columns in blocks of B = isqrt(L).  At Re(tau) =
+# 2/9 (the unlabelled cases) L = K, one row: one column, two, full blocks
+# of 6 and of 7 columns, and ragged last blocks (50 = 7 * 7 + 1, 97 = 9 *
+# 10 + 7).  At 3/8, L = 4 (two blocks of two) from K = 4 on: full rows,
+# a first column one term longer than the rest, and ragged rows; K = 1
+# and 2 cap L at K.  At 0, L = 1: one column of K terms.  At a CM site L = p: K = p -
+# 1, p, p + 1 and 2p give one short row (L capped at K), one full row, a
+# second row of one term, and two full rows.
+BLOCK_EDGE_MS = (1, 6, 142, 147, 148, 289)
+
+
 @pytest.mark.parametrize(
-    "M, cm",
-    [(M, None) for M in (1, 6, 142, 147, 148, 289)]
-    + [(3 * K - 2, (p, 1)) for p, _ in CM_SITES for K in (p - 1, p, p + 1, 2 * p)],
-    ids=["1", "6", "142", "147", "148", "289"]
+    "M, cm, re",
+    [(M, None, "2/9") for M in BLOCK_EDGE_MS]
+    + [(M, None, re) for re in ("3/8", "0") for M in BLOCK_EDGE_MS]
+    + [(3 * K - 2, (p, 1), None) for p, _ in CM_SITES for K in (p - 1, p, p + 1, 2 * p)],
+    ids=[str(M) for M in BLOCK_EDGE_MS]
+    + [f"{re}-{M}" for re in ("3/8", "0") for M in BLOCK_EDGE_MS]
     + [f"{p}^1-K={K}" for p, _ in CM_SITES for K in (p - 1, p, p + 1, 2 * p)],
 )
 @pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True)])
-def test_kernel_block_edges(monkeypatch, M, cm, evaluate, divide_by_n):
+def test_kernel_block_edges(monkeypatch, M, cm, re, evaluate, divide_by_n):
     prec = 192
     monkeypatch.setattr(analytic, "terms_needed", lambda im_tau, prec: M)
     p, i = cm or (31, 1)
     f = build_form(p, i, M)
     with mp.workprec(prec + GUARD_BITS):
-        site, tau = _site_and_tau(cm, mp.mpf(2) / 9, mp.mpf(1) / 40)
+        site, tau = _site_and_tau(cm, re, mp.mpf(1) / 40)
         got_f, got_fc = (fixed_to_mpc(v, prec + GUARD_BITS) for v in evaluate(f, site, prec))
         q = mp.e ** (2j * mp.pi * tau)
         a = as_eisenstein((f.alpha, f.beta), f.terms)
@@ -512,7 +539,7 @@ def test_kernel_keeps_its_guard_bits(prec, im_tau, cm, evaluate, divide_by_n):
     # finer, they hold to that up to a few roundings of the final mpc sums
     p, i = cm or (31, 1)
     with mp.workprec(prec + GUARD_BITS):
-        site, tau = _site_and_tau(cm, mp.mpf(3) / 7, im_tau)
+        site, tau = _site_and_tau(cm, "3/7", im_tau)
         M = terms_needed(tau.imag, prec)
         f = build_form(p, i, M)
         got_f, got_fc = (fixed_to_mpc(v, prec + GUARD_BITS) for v in evaluate(f, site, prec))
