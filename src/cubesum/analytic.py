@@ -16,16 +16,17 @@ than one unit of 2^-W and the error bounds are counts of units.  Outside
 the q-sum's own wider W, W = prec + GUARD_BITS.  The one q-sum (eval_z)
 gives the Abel-Jacobi images z and z^c of the newform and its conjugate
 from one pass over the compact slots split into columns by k mod L, with
-L the denominator of 6 Re(tau) read exactly (p at a CM site, 1 on the
-imaginary axis), so q^(3L) is a real constant and each column is a real
-series in its powers; the column sums are combined by rectangular
-splitting in q^3 (Paterson-Stockmeyer).  wp_0 is a Horner sum in xi^6
-over the base lattice's coefficients, stored as integers, after an
-integer reduction of xi = z/Omega to the Voronoi cell of 0.  mpmath is
-left with the per-precision constants of Z[w] (_base_lattice), one real
-exp and one root of unity per site, the sixth root for Omega^-1 and
-the cube root of recognition (one of each per attempt, converted once),
-and the callers that work in mpc (tests, the
+L a multiple of the denominator of 6 Re(tau) read exactly (p at a CM
+site, isqrt(K) on the imaginary axis), so q^(3L) is a real constant and
+each column is a real series in its powers; the column sums are combined
+by rectangular splitting in q^3 (Paterson-Stockmeyer).  wp_0 is a Horner
+sum in xi^6 over the base lattice's coefficients, stored as integers,
+after an integer reduction of xi = z/Omega to the Voronoi cell of 0.
+Recognition is a continued fraction over Z[w] on the same integers
+(recognize_eisenstein).  mpmath is left with the per-precision constants
+of Z[w] (_base_lattice), one real exp and one root of unity per site, the
+sixth root for Omega^-1 and the cube root of recognition (one of each per
+attempt, converted once), and the callers that work in mpc (tests, the
 Fricke constant and the cusp image z0 = L(f, 1), _fricke), which convert
 at the boundary (mpc_to_fixed, fixed_to_mpc).  "Lies in L" always means
 a residual below 2^(-prec/2): of the lattice coordinates from the nearest
@@ -97,19 +98,62 @@ def fixed_of(x, W):
     return ((2 * A - B) << W) // (2 * d), im if B >= 0 else -im
 
 
-def recognize_qomega(v, W, den_bound, tol_bits):
-    """Best a + b*w in Q(w) close to v (a pair at W), denominators <=
-    den_bound, or None when it misses v by 2^-tol_bits.
+def recognize_eisenstein(v, W, norm_bits):
+    """(x, N(gamma)) for x = alpha/gamma in K near v (a pair at W): the last
+    convergent of v's nearest-integer continued fraction over Z[w] (Hurwitz,
+    Acta Math. 11, 1887) before the first whose denominator has N(gamma) >
+    B = 2^norm_bits, kept when it lies within 8/B of v; None otherwise.
 
-    The coordinates b = 2 Im(v)/sqrt(3) and a = Re(v) + b/2, floored at
-    W, go to Fraction.limit_denominator as the exact n / 2^W.
+    Euclid runs on (V, 2^W), V = X + Y w from the floored coordinates of v
+    (_coords, under 4 units from v).  Each quotient rounds the coordinates
+    of num/den, as EisensteinInt.__divmod__ does, but from the leading
+    100 bits of the pair, so they are off by under 2^-90 and each remainder
+    is at most c = sqrt(3) (1/2 + 2^-90) < 0.867 times its divisor; only
+    the remainder and the convergents take full-width (linear) products.
+    The convergents p_k/q_k of z = V/2^W have p_k q_(k-1) - p_(k-1) q_k a
+    unit, and e_k = |q_k z - p_k| (the k-th remainder over 2^W) falls by c
+    per step.  For the k kept, e_k |q_(k+1)| <= 1 + e_(k+1) |q_k| <= 1 + c
+    e_k |q_(k+1)| gives e_k < 1 / ((1 - c) sqrt(B)) (e_k = 0 where the
+    expansion ends).
+
+    Recovery: let x = alpha/gamma in lowest terms lie within delta of v,
+    with B delta <= 8 and N(gamma) <= B/256.  Were (gamma, alpha) not a unit
+    times (q_k, p_k), gamma p_k - alpha q_k would be a nonzero element of
+    Z[w], of absolute value at least 1; but it is gamma (p_k - q_k z) + q_k
+    (gamma z - alpha), under |gamma| e_k + sqrt(B) |gamma| (delta + 2^(2-W))
+    < 1/(16 (1 - c)) + 0.52 < 0.99 while B < 2^(W - 4).  So x comes back,
+    and passes the 8/B test.  Above N(gamma) = B/256 it may come back or
+    not; a wrong convergent that passes the test is for the caller's exact
+    checks to reject.
     """
-    x, y = _coords(v, W)
-    one = 1 << W
-    a = Fraction(x, one).limit_denominator(den_bound)
-    cand = QOmega(a, Fraction(y, one).limit_denominator(den_bound))
-    cr, ci = fixed_of(cand, W)
-    return cand if (cr - v[0]) ** 2 + (ci - v[1]) ** 2 < 1 << 2 * (W - tol_bits) else None
+    if norm_bits < 0:  # no denominator has a norm below 1
+        return None
+    bound = 1 << norm_bits
+    na, nb = _coords(v, W)  # num = na + nb w, den = da + db w
+    da, db = 1 << W, 0
+    pa, pb, p1a, p1b = 1, 0, 0, 0  # p_(k-1), p_(k-2)
+    qa, qb, q1a, q1b = 0, 0, 1, 0  # q_(k-1), q_(k-2)
+    while da or db:
+        s = max(abs(da), abs(db)).bit_length() - 100
+        ta, tb, ua, ub = (na >> s, nb >> s, da >> s, db >> s) if s > 0 else (na, nb, da, db)
+        # num conj(den) / N(den), conj(a + b w) = (a - b) - b w
+        n2 = 2 * (ua * ua - ua * ub + ub * ub)
+        ka = (2 * (ta * (ua - ub) + tb * ub) + n2 // 2) // n2
+        kb = (2 * (tb * ua - ta * ub) + n2 // 2) // n2
+        # (ka + kb w) times the pairs: (a1 a2 - b1 b2) + (a1 b2 + b1 a2 - b1 b2) w
+        ra, rb = ka * pa - kb * pb + p1a, ka * pb + kb * pa - kb * pb + p1b
+        sa, sb = ka * qa - kb * qb + q1a, ka * qb + kb * qa - kb * qb + q1b
+        m = max(abs(sa), abs(sb)).bit_length()  # 2^(2m - 3) <= N(q) < 2^(2m + 2)
+        if 2 * m + 2 > norm_bits and (2 * m - 3 > norm_bits or sa * sa - sa * sb + sb * sb > bound):
+            break
+        pa, pb, p1a, p1b, qa, qb, q1a, q1b = ra, rb, pa, pb, sa, sb, qa, qb
+        na, nb, da, db = da, db, na - (ka * da - kb * db), nb - (ka * db + kb * da - kb * db)
+    # q_0 = 1 is within every bound; x = p/q = p conj(q) / N(q)
+    n = qa * qa - qa * qb + qb * qb
+    x = QOmega.from_ints(pa * (qa - qb) + pb * qb, pb * qa - pa * qb, n)
+    xr, xi = fixed_of(x, W)
+    miss2 = (xr - v[0]) ** 2 + (xi - v[1]) ** 2
+    return (x, n) if miss2 << 2 * norm_bits < 64 << 2 * W else None
 
 
 # ------------------------------------------------------- Laurent expansion
@@ -363,7 +407,8 @@ def terms_needed(im_tau, prec):
 
     Uses sigma_0(n) <= sqrt(3n) (equality at n = 12), so the tail is below
     sqrt(3) |q|^(M+1) / (1 - |q|).  Memoized: an attempt asks for its M in
-    parametrize._attempt_site (the term cap) and again in eval_z.
+    parametrize._attempt_site (the term cap) and again in eval_z, both
+    through site_terms.
     """
     with mp.workprec(64):
         im = mp.mpf(im_tau)
@@ -373,6 +418,12 @@ def terms_needed(im_tau, prec):
         qabs = mp.e**logq
         M = int((prec * mp.log(2) + mp.log(mp.sqrt(3) / (1 - qabs))) / (-logq)) + 8
         return max(M, 16)
+
+
+def site_terms(site, prec):
+    """terms_needed at a cmpoint.EvalSite, keyed by Im(tau) as a float from
+    the site's exact im_coeff, so that no mpc is built for it."""
+    return terms_needed(math.sqrt(3) * site.im_coeff, prec)
 
 
 def _dyadic(x):
@@ -399,13 +450,15 @@ def eval_z(form, site, prec=192):
 
     Columns: the slots split by k mod L into L columns, U = sum_(j < L)
     x^j U_j with U_j = sum_g alpha_n/n X^g over n = 3(j + Lg) + 1 and X =
-    x^L, and V likewise.  L is the denominator of 6 Re(tau), read exactly
-    (cmpoint.EvalSite.re, or the dyadic rational an mpf is), capped at K,
-    so X = e^(6 pi i L tau) = (-1)^(6 L Re tau) e^(-6 pi L Im tau) is real
-    wherever a second row exists: at the solve's site W(tau_r) L = p and X
-    = -e^(-pi sqrt(3)) (N = 9p) or -e^(-pi sqrt(3)/3) (N = 27p), on the
-    imaginary axis (the Fricke sites) L = 1, and a real part with a long
-    mantissa gets L = K, one row.  The column sums are real, and a nonzero
+    x^L, and V likewise.  L is the multiple of the denominator of 6 Re(tau)
+    (read exactly: cmpoint.EvalSite.re, or the dyadic rational an mpf is)
+    nearest isqrt(K), at least the denominator itself and capped at K, so X
+    = e^(6 pi i L tau) = (-1)^(6 L Re tau) e^(-6 pi L Im tau) is real
+    wherever a second row exists: at the solve's site W(tau_r) L = p while
+    isqrt(K) < 3p/2, and X = -e^(-pi sqrt(3)) (N = 9p) or -e^(-pi sqrt(3)/3)
+    (N = 27p); on the imaginary axis (the Fricke sites) L = isqrt(K), about
+    sqrt(K) columns of sqrt(K) rows; a real part with a long mantissa gets
+    L = K, one row.  The column sums are real, and a nonzero
     term costs one floor division (X^g // n) and two small-integer products
     (by alpha and beta).  They are combined by rectangular splitting in x:
     with B = isqrt(L), the baby steps x^i (i < B) are formed once, a block
@@ -441,15 +494,19 @@ def eval_z(form, site, prec=192):
     The last product, q (U + V w) and q (U + V conj(w)), is in integers too.
     """
     exact = hasattr(site, "re")  # a cmpoint.EvalSite
-    with mp.workprec(prec + GUARD_BITS):
-        tau = site.to_mpc(mp) if exact else mp.mpc(site)
-        M = terms_needed(tau.imag, prec)
-        if M > form.terms:
-            raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
+    if exact:
+        M = site_terms(site, prec)
+    else:
+        with mp.workprec(prec + GUARD_BITS):
+            tau = mp.mpc(site)
+            M = terms_needed(tau.imag, prec)
+    if M > form.terms:
+        raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
     W = prec + GUARD_BITS + KERNEL_GUARD_BITS + 2 * M.bit_length()
     K = (M + 2) // 3
     re = site.re if exact else _dyadic(tau.real)
-    L = min((6 * re).denominator, K)
+    den = (6 * re).denominator
+    L = min(den * max(1, round(math.isqrt(K) / den)), K)
     Wq = W + 8 + (3 * L).bit_length()
     with mp.workprec(Wq):
         if exact:

@@ -230,10 +230,14 @@ def cmd_solve(args):
 # ------------------------------------------------------------ series dumps
 
 
-def series_lines(s, lo, hi):
+def series_lines(s, hi):
+    """The lines 'n a b' of the nonzero coefficients a + b*w of q^n, n < hi,
+    of a series in u = q^3 spread onto q (qseries.y_series and
+    f_plus_minus_series): only the slots n = 0 mod 3, the u-series' own
+    coefficients, can be nonzero, so only they are read."""
+    first = -(-s.lead // 3) * 3
     out = []
-    for n in range(lo, hi):
-        c = s.coefficient(n)
+    for n, c in zip(range(first, hi, 3), s.coeffs[first - s.lead :: 3]):
         if c:
             out.append(f"{n} {c.a} {c.b}")
     return out
@@ -250,7 +254,7 @@ def cmd_yseries(args):
     from .qseries import y_series
 
     y = y_series(args.p, args.power_int, args.terms, conjugate=args.conjugate)
-    for line in series_lines(y, y.lead, args.terms):
+    for line in series_lines(y, args.terms):
         print(line)
     return EXIT_OK
 
@@ -259,7 +263,7 @@ def cmd_fseries(args):
     from .qseries import f_plus_minus_series
 
     F = f_plus_minus_series(args.p, args.power_int, args.sign, args.terms)
-    for line in series_lines(F, F.lead, args.terms):
+    for line in series_lines(F, args.terms):
         print(line)
     return EXIT_OK
 
@@ -312,7 +316,13 @@ def make_parser():
     sp = sub.add_parser("solve", help="compute and exactly verify u^3 + v^3 = p^i")
     sp.add_argument("p", type=int)
     sp.add_argument("--power", default="1", choices=["1", "2", "both"])
-    sp.add_argument("--bits", type=int, default=192, help="working precision (bits)")
+    sp.add_argument(
+        "--bits",
+        type=int,
+        default=96,
+        help="first working precision in bits; a precision failure doubles it, for up to 6 "
+        "precisions (default 96: 96 to 3072 bits)",
+    )
     sp.add_argument("--max-terms", type=int, default=2_000_000, dest="max_terms")
     sp.add_argument(
         "--cache-dir", dest="cache_dir", help=f"default: ${CACHE_ENV}, else ~/.cache/cubesum"

@@ -6,16 +6,19 @@ curve's lattice, recognize x in K (the non-torsion side lives over
 K(pi^(1/3)), so x is recognized after scaling by a cube root; the torsion
 side has x = 0) and solve for y by an exact square root in Z[w], twist both
 to points of E(p^i) over K, take the difference, and descend to Q by the
-trace or the sqrt(-3) endomorphism.  Recognizing x alone needs about 2/3 of the bits y would.
-A recognized point must match the numeric y to 2^-(prec/2), and the
+trace or the sqrt(-3) endomorphism.  x is recognized as alpha/gamma by the
+nearest-integer continued fraction over Z[w], under a bound on N(gamma)
+that follows from a stated error bound on the numbers (norm_bound).  A
+recognized point must match the numeric y to 2^-(prec/2), and the
 descended point is certified by exact arithmetic (nontorsion certificate,
 isogeny and cube identities) before it is reported.
 
-solve_pipeline escalates precision on that one site: a numerical failure
-(RecognitionFailed, EvalResidualTooLarge) retries at twice the bits, and a
-failure more bits cannot fix (DescentFailed, including a twisted difference
-that is the identity, or TermsCapExceeded) ends the solve at once.  Every
-failed attempt is kept in PipelineResult.attempts.
+solve_pipeline escalates precision on that one site, from 96 bits by
+default: a numerical failure (RecognitionFailed, EvalResidualTooLarge)
+retries at twice the bits, and a failure more bits cannot fix
+(DescentFailed, including a twisted difference that is the identity, or
+TermsCapExceeded) ends the solve at once.  Every failed attempt is kept in
+PipelineResult.attempts.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .analytic import (
     fixed_to_mpc,
     lattice_of_curve,
     mpc_to_fixed,
-    recognize_qomega,
-    terms_needed,
+    recognize_eisenstein,
+    site_terms,
     wp_eval,
 )
 from .cmpoint import eval_site
@@ -48,7 +51,9 @@ from .heckeform import build_form
 
 
 class RecognitionFailed(ArithmeticError):
-    pass
+    """No x in K within the attempt's norm bound matched the numbers, or a
+    recognized point failed an exact check; more bits may mend it, so
+    solve_pipeline retries at the next rung."""
 
 
 class EvalResidualTooLarge(ArithmeticError):
@@ -71,7 +76,7 @@ class RecognizedPoint:
     y: QOmega | None
     mult_tag: str | None  # "pi" or "pibar": which cube root made x algebraic
     twist_k: int
-    den_bits: int  # floor(log2) of the lcm of x_scaled's denominators
+    norm_bits: int  # floor(log2 N(gamma)), x_scaled = alpha/gamma in lowest terms
 
 
 def evaluate_cm(z, D, prec=192, lattice=None):
@@ -124,32 +129,61 @@ def scaling_root(split, i, prec=192):
         return mpc_to_fixed(mp.cbrt((split.pi ** (2 * i)).to_mpc(mp)), W)
 
 
-def recognize(raw, split, i, den_bound, prec=192, form="f", root=None):
+def norm_bound(raw, root, prec):
+    """The norm bound B = 8/delta on x_scaled's denominator, a power of two
+    (0 when it would be under 1), for
+    delta = 2^-prec (2|y| + 1) |root| the stated error bound on the numeric
+    x_scaled of a raw point (x, y) and the cube root `root` (pairs at W =
+    prec + GUARD_BITS); with it analytic.recognize_eisenstein recovers every
+    x_scaled = alpha/gamma with N(gamma) <= B/256.
+
+    The bound: eval_z's z is within 2^-prec + 2^-W of the exact sum
+    (terms_needed's tail and the kernel's rounding), which moves x = wp(z) by
+    |wp'(z)| = 2|y| times that to first order; the 1 covers the excess 2^-32
+    of that product, the second-order term and wp_eval's own error while
+    they stay under 2^-(prec+1), and the scaling's few units of 2^-W while
+    |x| < 2^29.  Scaling by the root multiplies it by |root| = p^(i/3), and
+    a twist w^k by 1.  Each factor is rounded up to a power of two:
+    2|y| + 1 < 2^yb and |root| < 2^rb, so delta < 2^(yb + rb - prec).
+    At a few bits B falls under 1 and nothing is recognized.
+    """
+    W = prec + GUARD_BITS
+    y, r = raw[1], root
+    yb = ((math.isqrt(4 * (y[0] * y[0] + y[1] * y[1])) >> W) + 1).bit_length()
+    rb = ((math.isqrt(r[0] * r[0] + r[1] * r[1]) >> W) + 1).bit_length()
+    bits = prec - yb - rb + 3
+    return 1 << bits if bits >= 0 else 0
+
+
+def recognize(raw, split, i, bound, prec=192, form="f", root=None):
     """Exact coordinates for a raw point (x, y) of the form's curve, pairs
     at W = prec + GUARD_BITS.
 
     Tries, for each of the two cube-root scalings and each unit twist w^k,
-    to recognize x_scaled = x * mult^(2i/3) * w^k in K with denominators at
-    most den_bound; y is not recognized but solved for: the twisted point
-    (x_scaled, mult^i y) lies on E(p^i), so mult^i y = T/(2e^2) with T an
-    exact square root in Z[w] (see _exact_y).  A candidate whose S has no
-    root is passed over; of the two roots the one nearer the numeric
-    mult^i y is kept, and it must agree with it to 2^-(prec/2).  After a
-    rejection the scaling's remaining twists count as rejected untested, as
-    x w^k has x's S and e.  x therefore needs only its own denominator bits, about 2/3 of y's (x = a/d^2 and
-    y = b/d^3 on y^2 = x^3 + c).  No candidate left raises RecognitionFailed,
-    which triggers a precision retry.
+    to recognize x_scaled = x * mult^(2i/3) * w^k in K as alpha/gamma with
+    N(gamma) <= 2^n, n = floor(log2 bound), within 2^(3 - n) of the numbers
+    (analytic.recognize_eisenstein; norm_bound gives the bound that matches
+    their error).  x's rational denominator d divides N(gamma), and N(gamma)
+    divides d^2 (they were equal at every solve checked), so x needs about
+    log2 d bits, half of what its two rational coordinates recognized apart
+    need.  y is not recognized but solved for: the twisted point (x_scaled,
+    mult^i y) lies on E(p^i), so mult^i y = T/(2e^2) with T an exact square
+    root in Z[w] (see _exact_y).  A candidate whose S has no root is passed
+    over; of the two roots the one nearer the numeric mult^i y is kept, and
+    it must agree with it to 2^-(prec/2).  After a rejection the scaling's
+    remaining twists count as rejected untested, as x w^k has x's S and e.
+    No candidate left raises RecognitionFailed, which triggers a precision
+    retry.
 
     The principal cube roots of pi^(2i) and pibar^(2i) are conjugate, so
     one root, `root` = scaling_root(split, i, prec) (taken here when it is
     None), serves both tags; an attempt takes it once for f and f^c.
-    Every comparison is of squared norms in units of 2^-2W; the scaled x
-    carries the cube root's 2 units and x's own error times
-    |mult|^(2i/3), far below the 2^-(prec/2) tolerances.  A failure
-    prints x to prec/2 bits, the accuracy recognition asks of it.
+    Every comparison is of squared norms in units of 2^-2W.  A failure
+    prints x to prec/2 bits.
     """
     x, y = raw
     W = prec + GUARD_BITS
+    norm_bits = bound.bit_length() - 1
     c = split.p ** (2 * i)
     tol2 = 1 << 2 * (W - prec // 2)
     w = (-1 << W - 1, fixed_sqrt3(W) >> 1)
@@ -168,12 +202,13 @@ def recognize(raw, split, i, den_bound, prec=192, form="f", root=None):
         for k in range(3):
             if k:
                 scaled = fixed_mul(scaled, w, W)
-            cand = recognize_qomega(scaled, W, den_bound, prec // 2)
-            if cand is None:
+            found = recognize_eisenstein(scaled, W, norm_bits)
+            if found is None:
                 continue
             if refused:
                 rejected += 1
                 continue
+            cand, norm = found
             root = _exact_y(cand, c)
             if root is not None:
                 T, e = root
@@ -195,20 +230,20 @@ def recognize(raw, split, i, den_bound, prec=192, form="f", root=None):
                 y=QOmega.from_ints(U.a, U.b, den),
                 mult_tag=tag,
                 twist_k=k,
-                den_bits=e.bit_length() - 1,
+                norm_bits=norm.bit_length() - 1,
             )
     with mp.workprec(prec // 2):
         shown = str(fixed_to_mpc(x, W))
     raise RecognitionFailed(
-        f"x = {shown} not recognized under either cube root with denominators"
-        f" <= 2^{den_bound.bit_length() - 1}"
+        f"x = {shown} not recognized under either cube root with N(gamma)"
+        f" <= 2^{norm_bits}"
         + (f"; {rejected} candidate x had no exact y matching the numbers" if rejected else "")
     )
 
 
 def recognized_infinity(form="f"):
     return RecognizedPoint(
-        form=form, at_infinity=True, x_scaled=None, y=None, mult_tag=None, twist_k=0, den_bits=0
+        form=form, at_infinity=True, x_scaled=None, y=None, mult_tag=None, twist_k=0, norm_bits=0
     )
 
 
@@ -304,8 +339,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     timings = {}
     t0 = time.perf_counter()
     site = cand.site
-    with mp.workprec(prec + GUARD_BITS):  # eval_z's M, from the same expression
-        M = terms_needed(site.to_mpc(mp).imag, prec)
+    M = site_terms(site, prec)  # eval_z's M, from the same expression
     if max_terms is not None and M > max_terms:
         raise TermsCapExceeded(f"site {site.label()} needs {M} > {max_terms} terms")
     form.extend(M)  # the coefficients do not depend on prec
@@ -321,20 +355,17 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     timings["evaluate_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    # continued fractions recover denominators up to about 2^(prec/2)
-    den_bound_bits = max(prec // 2 - 12, 40)
-    den_bound = 1 << den_bound_bits
+    # each side's bound follows from the error of its own numbers
     root = scaling_root(split, i, prec)
-    rec_f = (
-        recognized_infinity("f")
-        if kind_f == "infinity"
-        else recognize(raw_f, split, i, den_bound, prec, form="f", root=root)
-    )
-    rec_fc = (
-        recognized_infinity("fc")
-        if kind_fc == "infinity"
-        else recognize(raw_fc, split, i, den_bound, prec, form="fc", root=root)
-    )
+    bound = {}
+    recs = []
+    for form_tag, kind, raw in (("f", kind_f, raw_f), ("fc", kind_fc, raw_fc)):
+        if kind == "infinity":
+            recs.append(recognized_infinity(form_tag))
+            continue
+        bound[form_tag] = norm_bound(raw, root, prec)
+        recs.append(recognize(raw, split, i, bound[form_tag], prec, form=form_tag, root=root))
+    rec_f, rec_fc = recs
     timings["recognize_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -358,9 +389,9 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
             "bound": cert.bound,
         },
         "cube_identity": {"ok": cube.verify()},
-        # bits of den_bound left over by x_scaled's denominator
+        # bits of the norm bound left over by N(gamma), x_scaled = alpha/gamma
         "precision_margin_bits": {
-            rec.form: None if rec.at_infinity else den_bound_bits - rec.den_bits
+            rec.form: None if rec.at_infinity else bound[rec.form].bit_length() - 1 - rec.norm_bits
             for rec in (rec_f, rec_fc)
         },
     }
@@ -385,7 +416,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     )
 
 
-RUNGS = 5  # precisions tried: bits, 2 bits, ..., 16 bits
+RUNGS = 6  # precisions tried: bits, 2 bits, ..., 32 bits
 
 # Failures more precision cannot fix: the site, and with it the solve, is
 # given up at once.
@@ -393,7 +424,7 @@ SITE_FAILURES = (DescentFailed, TermsCapExceeded)
 PRECISION_FAILURES = (RecognitionFailed, EvalResidualTooLarge)
 
 
-def solve_pipeline(p, i, bits=192, max_terms=2_000_000, form=None):
+def solve_pipeline(p, i, bits=96, max_terms=2_000_000, form=None):
     """End-to-end: u^3 + v^3 = p^i with exact verification.
 
     The precision starts at `bits` and doubles after every precision

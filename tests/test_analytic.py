@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,9 @@ from cubesum.analytic import (
     fricke_constant,
     l_value_and_cusp_zero,
     lattice_of_curve,
+    fixed_of,
     mpc_to_fixed,
+    recognize_eisenstein,
     reduce_xi,
     terms_needed,
     wp_eval,
@@ -733,3 +736,49 @@ def test_fricke_constant_extends_a_too_short_form():
     assert got == want
     assert short.terms > 20
     assert (short.alpha, short.beta) == qexp_coefficients(7, 1, short.terms)
+
+
+# ------------------------------------------------ recognition over Z[w]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prec=st.sampled_from([16, 64, 96, 192, 384]),
+    data=st.data(),
+)
+def test_continued_fraction_recovers_every_x_within_the_bound(prec, data):
+    # noise of 2^-prec is 8/B for B = 2^(prec + 3), so every alpha/gamma
+    # with N(gamma) <= B/256 comes back exactly, whatever the size of alpha
+    W = prec + GUARD_BITS
+    norm_bits = prec + 3
+    half = math.isqrt((1 << (norm_bits - 8)) // 3)  # |a|, |b| <= half: N(a + b w) <= 3 half^2
+    gamma = EisensteinInt(data.draw(st.integers(-half, half)), data.draw(st.integers(-half, half)))
+    gamma = gamma or EisensteinInt(1)
+    big = 1 << (norm_bits - 8) // 2 + 12
+    alpha = EisensteinInt(data.draw(st.integers(-big, big)), data.draw(st.integers(-big, big)))
+    t = alpha * gamma.conj()
+    x = QOmega.from_ints(t.a, t.b, gamma.norm())
+    # |noise| < 2^-prec: each component under 2^-prec / sqrt(2)
+    cap = (1 << (W - prec)) * 7 // 10
+    nr, ni = data.draw(st.integers(-cap, cap)), data.draw(st.integers(-cap, cap))
+    xr, xi = fixed_of(x, W)
+    got = recognize_eisenstein((xr + nr, xi + ni), W, norm_bits)
+    assert got is not None and got[0] == x
+    assert got[1] % x.d == 0  # x's rational denominator divides N(gamma)
+
+
+def test_continued_fraction_bounds_at_the_edges():
+    W = 96 + GUARD_BITS
+    x = QOmega(Fraction(1, 3), Fraction(2, 7))
+    v = fixed_of(x, W)
+    # a negative bound: no denominator qualifies, and no shift goes negative
+    assert recognize_eisenstein(v, W, -5) is None
+    # a bound of 1 admits integers only, within 8: the nearest one passes
+    # (the caller's exact checks judge it), and an integer comes back exactly
+    assert recognize_eisenstein(v, W, 0) == (QOmega(0), 1)
+    assert recognize_eisenstein(fixed_of(QOmega(5, -2), W), W, 0) == (QOmega(5, -2), 1)
+    # x = (7 + 6w)/21 in lowest terms (N(7 + 6w) = 43), N(21) = 441: under
+    # 2^9, over 2^8
+    assert recognize_eisenstein(v, W, 9) == (x, 441)
+    got = recognize_eisenstein(v, W, 8)
+    assert got is None or (got[0] != x and got[1] <= 256)

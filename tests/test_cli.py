@@ -112,20 +112,38 @@ def test_non_positive_counts_exit_2_with_one_line(args, tmp_path, capsys):
 
 def test_one_bit_exits_2_with_one_line(tmp_path, capsys):
     # at 1 bit every point would read as the point at infinity and the solve
-    # would end at once on a twisted difference that is the identity; from
-    # 2 bits on a shortfall escalates: 2 bits through all five rungs, 7 bits
-    # to a win at 56
+    # would end at once on a twisted difference that is the identity.  At 2
+    # bits both sides of 7^1 recognize the torsion x = 0, whose difference
+    # descends to no nontorsion point, a site failure; 7^1's x_scaled is
+    # integral (N(gamma) = 1), so 7 bits win at once.  A shortfall
+    # escalates: 31^1 from 2 bits to a win at 16
     code, out, err = run_cli(["solve", "7", "--bits", "1", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_BAD_INPUT
     assert out == "" and err == "error: --bits must be at least 2, not 1\n"
     code, out, err = run_cli(["solve", "7", "--bits", "2", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_PRECISION
-    assert re.findall(r"@(\d+)b: RecognitionFailed", err) == ["2", "4", "8", "16", "32"]
+    assert re.findall(r"@(\d+)b: (\w+)", err) == [("2", "DescentFailed")]
     argv = ["solve", "7", "--bits", "7", "--json", "--cache-dir", str(tmp_path)]
     code, out, _ = run_cli(argv, capsys)
     assert code == EXIT_OK
     rep = json.loads(out)
-    assert rep["bits"] == 56 and [a["bits"] for a in rep["attempts"]] == [7, 14, 28]
+    assert rep["bits"] == 7 and rep["attempts"] == []
+    argv = ["solve", "31", "--bits", "2", "--json", "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert rep["bits"] == 16 and [a["bits"] for a in rep["attempts"]] == [2, 4, 8]
+    assert {a["error"] for a in rep["attempts"]} == {"RecognitionFailed"}
+
+
+@pytest.mark.parametrize("bits", range(2, 25))
+def test_tiny_norm_bounds_exit_0_or_3(bits, tmp_path, capsys):
+    # 61^2's norm bounds are 2^(bits - 8) and 2^(bits - 9) (2|y| + 1 < 2^6
+    # or 2^7, |root| = 61^(2/3) < 2^5): up to 8 bits one is under 1 and
+    # recognizes nothing, and no bits value may reach a negative shift (exit 4)
+    argv = ["solve", "61", "--power", "2", "--bits", str(bits), "--cache-dir", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code in (EXIT_OK, EXIT_PRECISION), err
 
 
 def test_solve_json_reports_failed_attempts(tmp_path, capsys):
@@ -134,12 +152,12 @@ def test_solve_json_reports_failed_attempts(tmp_path, capsys):
     )
     assert code == EXIT_OK
     rep = json.loads(out)
-    assert (rep["site"], rep["bits"]) == ("wtau(r=47)", 384)
+    assert (rep["site"], rep["bits"]) == ("wtau(r=47)", 192)
     assert len(rep["attempts"]) == 1
     att = rep["attempts"][0]
-    assert (att["site"], att["bits"], att["error"]) == ("wtau(r=47)", 192, "RecognitionFailed")
-    assert "not recognized" in att["message"] and "<= 2^84" in att["message"]
-    assert rep["checks"]["precision_margin_bits"] == {"f": 25, "fc": 180}
+    assert (att["site"], att["bits"], att["error"]) == ("wtau(r=47)", 96, "RecognitionFailed")
+    assert "not recognized" in att["message"] and "N(gamma) <= 2^87" in att["message"]
+    assert rep["checks"]["precision_margin_bits"] == {"f": 28, "fc": 183}
 
 
 def test_precision_exhausted_lists_every_attempt(tmp_path, capsys, monkeypatch):
@@ -152,17 +170,17 @@ def test_precision_exhausted_lists_every_attempt(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PRECISION
     entries = err.split("; ")
     assert len(entries) == 1
-    assert "wtau(r=5)@192b: TermsCapExceeded: " in entries[0]
+    assert "wtau(r=5)@96b: TermsCapExceeded: " in entries[0]
 
-    # precision failures at every rung: all 5 attempts are named
+    # precision failures at every rung: all 6 attempts are named
     def fail(cand, split, p, i, prec, *rest):
         raise par.RecognitionFailed(f"stub at {prec}")
 
     monkeypatch.setattr(par, "_attempt_site", fail)
     code, _, err = run_cli(["solve", "7", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_PRECISION
-    assert err.count("b: RecognitionFailed: stub at ") == 5
-    for bits in (192, 384, 768, 1536, 3072):
+    assert err.count("b: RecognitionFailed: stub at ") == 6
+    for bits in (96, 192, 384, 768, 1536, 3072):
         assert err.count(f"wtau(r=5)@{bits}b: RecognitionFailed: stub at {bits}") == 1
 
 
@@ -300,7 +318,7 @@ def test_warm_solve_sieves_nothing_and_writes_nothing(tmp_path, capsys, monkeypa
 def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
     tmp_path, capsys, monkeypatch
 ):
-    # 103^2 fails at 192 bits and wins at 384 bits (46322 terms): the
+    # 103^2 fails at 96 bits and wins at 192 bits (23649 terms): the
     # second attempt walks only the annulus the first did not hold, so
     # each norm n = 1 mod 3 falls in exactly one walk (a_1 = 1 is never
     # walked; every lattice point has such a norm, and a walk starts just
@@ -311,12 +329,12 @@ def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
     )
     assert code == EXIT_OK
     rep = json.loads(out)
-    assert (rep["bits"], rep["terms"]) == (384, 46322)
-    assert [a["bits"] for a in rep["attempts"]] == [192]
+    assert (rep["bits"], rep["terms"]) == (192, 23649)
+    assert [a["bits"] for a in rep["attempts"]] == [96]
     built = [n for first, last in spans for n in range(first, last + 1) if n % 3 == 1]
-    assert sorted(built) == list(range(4, 46323, 3))
-    assert writes == [46322]
-    assert read_cache(str(tmp_path), 103, 2) == build_form(103, 2, 46322)
+    assert sorted(built) == list(range(4, 23650, 3))
+    assert writes == [23649]
+    assert read_cache(str(tmp_path), 103, 2) == build_form(103, 2, 23649)
 
 
 def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):

@@ -252,7 +252,7 @@ def test_exactly_one_torsion_side():
 # ------------------------------------------------------- escalation schedule
 
 SITE = eval_site(7, 1).label()  # wtau(r=5)
-RUNG_BITS = [192, 384, 768, 1536, 3072]
+RUNG_BITS = [96, 192, 384, 768, 1536, 3072]
 
 
 def stub_attempts(monkeypatch, outcome):
@@ -277,14 +277,14 @@ def stub_attempts(monkeypatch, outcome):
 
 def test_schedule_precision_failure_escalates_first_site(monkeypatch):
     def outcome(label, bits):
-        return None if bits >= 384 else RecognitionFailed("x not recognized")
+        return None if bits >= 192 else RecognitionFailed("x not recognized")
 
     calls = stub_attempts(monkeypatch, outcome)
     r = solve_pipeline(7, 1)
-    assert calls == [(SITE, 192), (SITE, 384)]
-    assert (r.label, r.bits) == (SITE, 384)
+    assert calls == [(SITE, 96), (SITE, 192)]
+    assert (r.label, r.bits) == (SITE, 192)
     assert r.attempts == [
-        {"site": SITE, "bits": 192, "error": "RecognitionFailed", "message": "x not recognized"}
+        {"site": SITE, "bits": 96, "error": "RecognitionFailed", "message": "x not recognized"}
     ]
 
 
@@ -292,15 +292,15 @@ def test_schedule_precision_failure_escalates_first_site(monkeypatch):
 def test_schedule_site_failure_ends_the_solve(monkeypatch, site_failure):
     # more bits cannot mend it: no further rung is tried after it
     def outcome(label, bits):
-        return EvalResidualTooLarge("residual too large") if bits == 192 else site_failure("no")
+        return EvalResidualTooLarge("residual too large") if bits == 96 else site_failure("no")
 
     calls = stub_attempts(monkeypatch, outcome)
     with pytest.raises(PrecisionExhausted) as info:
         solve_pipeline(7, 1)
-    assert calls == [(SITE, 192), (SITE, 384)]
+    assert calls == [(SITE, 96), (SITE, 192)]
     assert str(info.value).split("; ") == [
-        f"{SITE}@192b: EvalResidualTooLarge: residual too large",
-        f"{SITE}@384b: {site_failure.__name__}: no",
+        f"{SITE}@96b: EvalResidualTooLarge: residual too large",
+        f"{SITE}@192b: {site_failure.__name__}: no",
     ]
 
 
@@ -331,44 +331,47 @@ def test_identity_difference_is_a_site_failure(monkeypatch):
     monkeypatch.setattr(parametrize, "_attempt_site", spy)
     with pytest.raises(PrecisionExhausted) as info:
         solve_pipeline(7, 1)
-    assert calls == [(SITE, 192)]
+    assert calls == [(SITE, 96)]
     assert str(info.value).count("DescentFailed: twisted difference is the identity") == 1
 
 
 def test_pipeline_103_squared_wins_after_one_retry():
-    # x_scaled of the nontorsion side has a 155-bit denominator: over the
-    # 2^84 bound at 192 bits, inside the 2^180 bound at 384
+    # x_scaled of the nontorsion side has N(gamma) = 2^155: over the 2^87
+    # bound at 96 bits, inside the 2^183 bound at 192
     r = solve_pipeline(103, 2)
-    assert (r.site.label(), r.bits, r.terms) == ("wtau(r=47)", 384, 46322)
+    assert (r.site.label(), r.bits, r.terms) == ("wtau(r=47)", 192, 23649)
     assert [(a["site"], a["bits"], a["error"]) for a in r.attempts] == [
-        ("wtau(r=47)", 192, "RecognitionFailed")
+        ("wtau(r=47)", 96, "RecognitionFailed")
     ]
     assert "not recognized" in r.attempts[0]["message"]
-    assert "2^84" in r.attempts[0]["message"]
-    assert r.checks["precision_margin_bits"] == {"f": 25, "fc": 180}
+    assert "2^87" in r.attempts[0]["message"]
+    assert r.checks["precision_margin_bits"] == {"f": 28, "fc": 183}
     assert r.cube.verify()
 
 
-def test_pipeline_79_squared_wins_at_192_bits():
-    # y would need about 1.5 times x's denominator bits; x alone fits 192
+def test_pipeline_79_squared_wins_at_96_bits():
+    # x_scaled has N(gamma) = 2^70, inside the 2^86 bound at 96 bits; its
+    # two rational coordinates recognized apart would need about 140 bits
     r = solve_pipeline(79, 2)
-    assert (r.site.label(), r.bits) == ("wtau(r=56)", 192)
+    assert (r.site.label(), r.bits) == ("wtau(r=56)", 96)
     assert r.attempts == []
+    assert r.checks["precision_margin_bits"] == {"f": 87, "fc": 16}
     assert r.cube.verify()
 
 
-# The schedule of five solves as the mpmath finish ran them: (p, i) ->
-# (bits, terms, failed attempts (bits, error), precision_margin_bits,
-# (mult_tag, twist_k) of f and of f^c, descent branch).  223^1 has N = 27p;
-# 103^2 wins after one retry.  The fixed-point finish must keep all of it,
-# so a speed-up comes from cheaper attempts, not from a different schedule.
+# The schedule of five solves from 96 bits with the continued fraction over
+# Z[w]: (p, i) -> (bits, terms, failed attempts (bits, error),
+# precision_margin_bits, (mult_tag, twist_k) of f and of f^c, descent
+# branch).  223^1 has N = 27p; 103^2 wins after one retry.  A speed-up
+# must keep all of it: it comes from cheaper attempts, not from a
+# different schedule.
 SCHEDULE = {
-    (103, 1): (192, 7826, [], {"f": 77, "fc": 84}, [("pi", 0), ("pibar", 0)], "sqrt-3(w^0+)"),
-    (223, 1): (192, 51477, [], {"f": 43, "fc": 84}, [("pi", 0), ("pibar", 0)], "trace(w^0+)"),
-    (67, 2): (192, 15339, [], {"f": 84, "fc": 44}, [("pi", 0), ("pibar", 0)], "trace(w^0+)"),
-    (79, 2): (192, 5993, [], {"f": 84, "fc": 14}, [("pi", 0), ("pibar", 0)], "sqrt-3(w^0+)"),
+    (103, 1): (96, 4047, [], {"f": 85, "fc": 92}, [("pi", 0), ("pibar", 0)], "sqrt-3(w^0+)"),
+    (223, 1): (96, 26934, [], {"f": 50, "fc": 92}, [("pi", 0), ("pibar", 0)], "trace(w^0+)"),
+    (67, 2): (96, 7965, [], {"f": 87, "fc": 47}, [("pi", 0), ("pibar", 0)], "trace(w^0+)"),
+    (79, 2): (96, 3095, [], {"f": 87, "fc": 16}, [("pi", 0), ("pibar", 0)], "sqrt-3(w^0+)"),
     (103, 2): (
-        384, 46322, [(192, "RecognitionFailed")], {"f": 25, "fc": 180},
+        192, 23649, [(96, "RecognitionFailed")], {"f": 28, "fc": 183},
         [("pi", 0), ("pibar", 0)], "sqrt-3(w^0+)",
     ),
 }
@@ -431,12 +434,12 @@ def test_recognize_rejects_an_exact_y_off_the_numbers():
         recognize((x, off), split, 1, 1 << 84, prec, form="f")
 
 
-# 103^2's failed 192-bit attempt, as recognize reported it when it tested
-# all six (cube root, w^k) candidates with _exact_y; x is printed to the
-# prec/2 = 96 bits recognition asks of it (the mpmath wp's x, rounded so)
-_FAIL_103_2_AT_192 = (
-    "x = (-5.11315786327407410210632952 - 3.941169187970961677614743377j)"
-    " not recognized under either cube root with denominators <= 2^84;"
+# 103^2's failed 96-bit attempt, as recognize reported it when it tested
+# all six (cube root, w^k) candidates with _exact_y; x is printed to
+# prec/2 = 48 bits
+_FAIL_103_2_AT_96 = (
+    "x = (-5.113157863274 - 3.941169187971j)"
+    " not recognized under either cube root with N(gamma) <= 2^87;"
     " 6 candidate x had no exact y matching the numbers"
 )
 
@@ -448,8 +451,8 @@ def test_rejected_twists_are_not_tested_again(monkeypatch):
     monkeypatch.setattr(parametrize, "_exact_y", lambda x, c: calls.append(x) or real(x, c))
     cand = parametrize.Candidate(eval_site(103, 2))
     with pytest.raises(RecognitionFailed) as info:
-        parametrize._attempt_site(cand, split_prime(103), 103, 2, 192, None, build_form(103, 2, 0))
-    assert str(info.value) == _FAIL_103_2_AT_192
+        parametrize._attempt_site(cand, split_prime(103), 103, 2, 96, None, build_form(103, 2, 0))
+    assert str(info.value) == _FAIL_103_2_AT_96
     assert len(calls) == 2  # one per cube root; all six were tested before
 
 
@@ -465,3 +468,37 @@ def test_sweep_small_primes():
                 r = solve_pipeline(p, i)
                 u, v = Fraction(r.cube.u), Fraction(r.cube.v)
                 assert u**3 + v**3 == p**i, (p, i)
+
+
+# ------------------------------------------------ norm bound on recognition
+
+
+def test_a_point_above_the_norm_bound_fails_and_never_gives_a_wrong_x():
+    # [n]P for the twisted nontorsion point P of 7^1, made into the raw
+    # numbers of its form's curve (x / root, y / mult), each to 2^-(prec +
+    # 32): a multiple within the norm bound comes back exactly, one past it
+    # raises RecognitionFailed
+    prec = 64
+    W = prec + GUARD_BITS
+    r = solve_pipeline(7, 1)
+    split = r.split
+    rec = r.rec_f if r.rec_f.x_scaled else r.rec_fc
+    P = twist_point(rec, split, 1)
+    root = parametrize.scaling_root(split, 1, prec)
+    mult, rt = (split.pi, root) if rec.mult_tag == "pi" else (split.pibar, (root[0], -root[1]))
+    outcomes = []
+    for n in range(1, 9):
+        Q = mul(n, P)
+        with mp.workprec(W + 64):
+            x = Q.x.to_mpc(mp) / fixed_to_mpc(rt, W) / omega_mpc() ** rec.twist_k
+            y = Q.y.to_mpc(mp) / mult.to_mpc(mp)
+            raw = (mpc_to_fixed(x, W), mpc_to_fixed(y, W))
+        bound = parametrize.norm_bound(raw, root, prec)
+        try:
+            got = recognize(raw, split, 1, bound, prec, form=rec.form, root=root)
+        except RecognitionFailed:
+            outcomes.append("failed")
+            continue
+        assert got.x_scaled == Q.x and got.norm_bits <= bound.bit_length() - 1
+        outcomes.append("exact")
+    assert outcomes[0] == "exact" and outcomes[-1] == "failed"
