@@ -446,7 +446,8 @@ def eval_z(form, site, prec=192):
     sum_k a_(3k+1)/(3k+1) x^k over the K = ceil(M/3) steps k < K, the
     form's compact slots.  With a_(3k+1) = alpha[k] + beta[k] w, P splits as
     U + V w and the conjugate form's as U + V conj(w), so one pass sums U
-    and V.
+    and V.  The form stores b_n, with a_n = w^e(n) b_n for p not dividing n
+    and a_(pm) = pibar a_m (heckeform).
 
     Columns: the slots split by k mod L into L columns, U = sum_(j < L)
     x^j U_j with U_j = sum_g alpha_n/n X^g over n = 3(j + Lg) + 1 and X =
@@ -458,9 +459,15 @@ def eval_z(form, site, prec=192):
     isqrt(K) < 3p/2, and X = -e^(-pi sqrt(3)) (N = 9p) or -e^(-pi sqrt(3)/3)
     (N = 27p); on the imaginary axis (the Fricke sites) L = isqrt(K), about
     sqrt(K) columns of sqrt(K) rows; a real part with a long mantissa gets
-    L = K, one row.  The column sums are real, and a nonzero
-    term costs one floor division (X^g // n) and two small-integer products
-    (by alpha and beta).  They are combined by rectangular splitting in x:
+    L = K, one row.  The column sums are real.  Where p | L (every solve
+    site) a column holds one residue of n mod p: off p | n it is a unit
+    column, U_j + V_j w = w^e S_j with S_j = sum_g b_n (X^g // n), and a
+    nonzero term costs one floor division and one small-integer product; a
+    column of n = pm (1/p of the slots) is pibar times the sum of its a_m
+    (alpha_m, beta_m), whose slots k // p are the first K/p + 1 of the
+    store.  Elsewhere (test and Fricke sites) the columns take (alpha_n,
+    beta_n) from the whole store spread out, two products per term.  The
+    columns are combined by rectangular splitting in x:
     with B = isqrt(L), the baby steps x^i (i < B) are formed once, a block
     of B consecutive columns is a sum of integer products u_j x^i, and
     Horner in the giant step x^B runs over the blocks from the top,
@@ -471,8 +478,13 @@ def eval_z(form, site, prec=192):
     - x and X are off by one unit per component, and each power formed
       from them by at most 3 more units per factor (|x|, |X| < 1): x^i by
       3i, (x^B)^m by 3Bm, X^g by 3g;
-    - X^g // n is off by under 1 + 3g/n < 1 + 1/L units (n > 3Lg), so a
-      term is off by (|alpha_n| + |beta_n|)(1 + 1/L) units;
+    - X^g // n is off by under 1 + 3g/n < 1 + 1/L units (n > 3Lg), and
+      the rest of a column is exact integer arithmetic: a term of a unit
+      column is off by |b_n| (1 + 1/L) units in S_j, and so in each of U_j
+      and V_j (0 or +-S_j), any other term by (|alpha_n| + |beta_n|)(1 +
+      1/L) units (pibar times the a_m sum is the a_n sum, integer for
+      integer); as |b_n| = |a_n| <= |alpha_n| + |beta_n|, the latter bounds
+      both;
     - column j reaches the result through x^i (x^B)^m with i + Bm = j,
       off by 3j units; as 3j < n, weighting each term of the column by it
       adds under (|alpha_n| + |beta_n|) units, plus under 2 units per
@@ -537,17 +549,41 @@ def eval_z(form, site, prec=192):
     Xg = [1 << W]  # X^g for the rows g < ceil(K/L)
     for _ in range((K - 1) // L):
         Xg.append(Xg[-1] * X >> W)
-    alpha, beta = form.alpha, form.beta  # slot k holds a_(3k+1)
+    b, p, (ea, eb) = form.b, form.p, form.units()  # slot k holds b_(3k+1)
+    if L % p:  # a column holds several residues of n mod p
+        alpha, beta = form.pairs()
+    else:  # n = pm has a_n = pibar a_m, and m's slot is k // p < K/p + 1
+        alpha, beta = form.pairs((K - 1) // p + 1)
+        pibar = split_prime(p).pibar
+
+    def column(j):
+        """(U_j, V_j), the column of the slots k = j + L g."""
+        ns = range(3 * j + 1, 3 * K, 3 * L)
+        if L % p:
+            pairs = zip(alpha[j:K:L], beta[j:K:L])
+        elif ns[0] % p:  # a_n = w^e b_n throughout, w^e = ea + eb w
+            s = 0
+            for n, c, t in zip(ns, b[j:K:L], Xg):
+                if c:
+                    s += c * (t // n)
+            return ea[j % p] * s, eb[j % p] * s
+        else:  # the slots k // p = j // p + (L/p) g of the a_m
+            pairs = zip(alpha[j // p :: L // p], beta[j // p :: L // p])
+        u = v = 0
+        for n, (x, y), t in zip(ns, pairs, Xg):
+            if x or y:
+                t //= n
+                u += x * t
+                v += y * t
+        if L % p:
+            return u, v
+        return pibar.a * u - pibar.b * v, pibar.a * v + pibar.b * u - pibar.b * v
+
     ur = ui = vr = vi = 0
     for j0 in reversed(range(0, L, B)):
         sur = sui = svr = svi = 0
         for j, (pr, pi) in zip(range(j0, L), baby):
-            u = v = 0  # column j
-            for n, a, b, t in zip(range(3 * j + 1, 3 * K, 3 * L), alpha[j:K:L], beta[j:K:L], Xg):
-                if a or b:
-                    t //= n
-                    u += a * t
-                    v += b * t
+            u, v = column(j)
             sur += u * pr
             sui += u * pi
             svr += v * pr

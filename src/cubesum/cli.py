@@ -20,7 +20,7 @@ from array import array
 from dataclasses import asdict, dataclass
 
 from .eisenstein import QOmega, is_prime_int
-from .heckeform import build_form, conductor_and_level, qexp_coefficients, spot_check
+from .heckeform import build_form, conductor_and_level, newform_pairs, spot_check
 
 EXIT_OK = 0
 EXIT_FIXTURE_FAIL = 1
@@ -29,7 +29,7 @@ EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
 
 CACHE_ENV = "CUBESUM_CACHE"
-CACHE_MAGIC = "SYLV2"
+CACHE_MAGIC = "SYLV3"
 
 
 # ------------------------------------------------------------------- cache
@@ -58,20 +58,19 @@ def _cache_header(p, i, M, crc):
 
 
 def write_cache(cache_dir, p, i, form):
-    """Binary format: the ASCII header line 'SYLV2 p=<p> i=<i> N=<N> M=<M>
+    """Binary format: the ASCII header line 'SYLV3 p=<p> i=<i> N=<N> M=<M>
     order=<byte order> crc=<crc32 of the body, hex>', then the HeckeForm's
-    alpha and beta, the K = (M + 2) // 3 slots n = 3k + 1 <= M of the
-    support, as native int64; atomic via rename.  The file is the store's
-    own layout, so the lists are written as they are."""
-    halves = array("q", form.alpha), array("q", form.beta)
-    header = _cache_header(p, i, form.terms, zlib.crc32(halves[1], zlib.crc32(halves[0])))
+    store b, the K = (M + 2) // 3 slots n = 3k + 1 <= M of the support, as
+    native int64; atomic via rename.  The file is the store's own layout,
+    so the list is written as it is."""
+    body = array("q", form.b)
+    header = _cache_header(p, i, form.terms, zlib.crc32(body))
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".qexp_tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header.encode("ascii"))
-            for half in halves:
-                half.tofile(fh)
+            body.tofile(fh)
         os.replace(tmp, cache_path(cache_dir, p, i))
     finally:
         if os.path.exists(tmp):
@@ -79,11 +78,11 @@ def write_cache(cache_dir, p, i, form):
 
 
 def read_cache(cache_dir, p, i):
-    """The stored HeckeForm of a_1..a_M, or None when the file is absent, of
-    another p, i or byte order, not exactly header + 16 K bytes long, failing
-    its crc, or failing spot_check (a corrupt or stale cache reads as a miss
-    and gets rewritten).  The length is checked before anything is
-    allocated."""
+    """The stored HeckeForm of n <= M, or None when the file is absent, of
+    another format (an older magic), p, i or byte order, not exactly header
+    + 8 K bytes long, failing its crc, or failing spot_check (a corrupt or
+    stale cache reads as a miss and gets rewritten).  The length is checked
+    before anything is allocated."""
     path = cache_path(cache_dir, p, i)
     try:
         with open(path, "rb") as fh:
@@ -93,19 +92,16 @@ def read_cache(cache_dir, p, i):
             K = (M + 2) // 3
             if line != _cache_header(p, i, M, want).encode("ascii"):
                 return None
-            if os.fstat(fh.fileno()).st_size != len(line) + 16 * K:
+            if os.fstat(fh.fileno()).st_size != len(line) + 8 * K:
                 return None
-            crc, coeffs = 0, []
-            for _ in range(2):
-                half = array("q")
-                half.fromfile(fh, K)
-                crc = zlib.crc32(half, crc)
-                coeffs.append(half.tolist())
+            body = array("q")
+            body.fromfile(fh, K)
     except (ValueError, KeyError, OSError, EOFError):
         return None
-    if crc != want or not spot_check(p, i, coeffs):
+    b = body.tolist()
+    if zlib.crc32(body) != want or not spot_check(p, i, b):
         return None
-    return build_form(p, i, M, coeffs)
+    return build_form(p, i, M, b)
 
 
 # ------------------------------------------------------------------ report
@@ -244,7 +240,7 @@ def series_lines(s, hi):
 
 
 def cmd_qexp(args):
-    coeffs = qexp_coefficients(args.p, args.power_int, args.terms, conjugate=args.conjugate)
+    coeffs = newform_pairs(args.p, args.power_int, args.terms, conjugate=args.conjugate)
     for line in coefficient_lines(coeffs):
         print(line)
     return EXIT_OK

@@ -24,7 +24,7 @@ from .eisenstein import (
     residue_map_omega,
     split_prime,
 )
-from .heckeform import as_eisenstein, conductor_and_level, qexp_coefficients, twist_check
+from .heckeform import as_eisenstein, conductor_and_level, newform_pairs, twist_check
 
 
 def q(a, b=0):
@@ -111,7 +111,7 @@ def check_cm_roots():
 def check_ap_values():
     for p in (7, 13, 31):
         s = split_prime(p)
-        a = as_eisenstein(qexp_coefficients(p, 1, p), p)
+        a = as_eisenstein(newform_pairs(p, 1, p), p)
         _eq(a[p], s.pibar, f"a_{p}")
         for n in range(1, p + 1):
             if n % 3 != 1:

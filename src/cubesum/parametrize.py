@@ -131,7 +131,7 @@ def scaling_root(split, i, prec=192):
 
 def norm_bound(raw, root, prec):
     """The norm bound B = 8/delta on x_scaled's denominator, a power of two
-    (0 when it would be under 1), for
+    (0 when it would be under 2^8), for
     delta = 2^-prec (2|y| + 1) |root| the stated error bound on the numeric
     x_scaled of a raw point (x, y) and the cube root `root` (pairs at W =
     prec + GUARD_BITS); with it analytic.recognize_eisenstein recovers every
@@ -145,14 +145,16 @@ def norm_bound(raw, root, prec):
     |x| < 2^29.  Scaling by the root multiplies it by |root| = p^(i/3), and
     a twist w^k by 1.  Each factor is rounded up to a power of two:
     2|y| + 1 < 2^yb and |root| < 2^rb, so delta < 2^(yb + rb - prec).
-    At a few bits B falls under 1 and nothing is recognized.
+    The recovery guarantee needs N(gamma) <= B/256, so under B = 2^8 it
+    covers no denominator at all: such a bound is refused (0, which
+    recognizes nothing), and the attempt fails for more precision.
     """
     W = prec + GUARD_BITS
     y, r = raw[1], root
     yb = ((math.isqrt(4 * (y[0] * y[0] + y[1] * y[1])) >> W) + 1).bit_length()
     rb = ((math.isqrt(r[0] * r[0] + r[1] * r[1]) >> W) + 1).bit_length()
     bits = prec - yb - rb + 3
-    return 1 << bits if bits >= 0 else 0
+    return 1 << bits if bits >= 8 else 0
 
 
 def recognize(raw, split, i, bound, prec=192, form="f", root=None):

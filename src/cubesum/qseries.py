@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .eisenstein import QOmega, split_prime
-from .heckeform import qexp_coefficients
+from .heckeform import newform_pairs
 
 
 class RecognitionFailed(ArithmeticError):
@@ -234,7 +234,7 @@ def _y_pairs(p, i, M, conjugate=False):
     shift = base**i
     T = (M + 3) // 3
     # F_(3s) = a_(3s+1), s <= T: the compact slots of n <= 3T + 1
-    alpha, beta = qexp_coefficients(p, i, 3 * T + 1, conjugate=conjugate)
+    alpha, beta = newform_pairs(p, i, 3 * T + 1, conjugate=conjugate)
     if (alpha[0], beta[0]) != (1, 0):  # z = a_1 q + ..., y = -a_1^-3 q^-3 + ...
         a1 = QOmega(alpha[0], beta[0])
         raise RecognitionFailed(-3, -(a1**-3) if a1 else a1)

@@ -34,7 +34,7 @@ from cubesum.eisenstein import (
     residue_map_omega,
     split_prime,
 )
-from cubesum.heckeform import as_eisenstein, nebentypus, qexp_coefficients
+from cubesum.heckeform import as_eisenstein, nebentypus, newform_pairs
 from cubesum.parametrize import solve_pipeline
 from cubesum.qseries import cube_root_series, f_plus_minus_series, y_series
 
@@ -286,7 +286,7 @@ def test_criterion_8_property_suites():
         assert abs(wpd1 - wpd2) < mp.mpf(2) ** -96 * max(1, abs(wpd2))
 
     # Hecke multiplicativity and recursion
-    a = as_eisenstein(qexp_coefficients(7, 1, 400), 400)
+    a = as_eisenstein(newform_pairs(7, 1, 400), 400)
     for m in range(2, 400):
         for n in range(2, 400 // m + 1):
             if math.gcd(m, n) == 1:

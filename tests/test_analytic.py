@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from cubesum.analytic import (
     mpc_to_fixed,
     recognize_eisenstein,
     reduce_xi,
+    site_terms,
     terms_needed,
     wp_eval,
     wp_laurent_coefficients,
@@ -483,7 +485,7 @@ def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, cm, re, evaluate, divid
         f = build_form(p, i, M)
         got_f, got_fc = (fixed_to_mpc(v, prec + GUARD_BITS) for v in evaluate(f, site, prec))
         q = mp.e ** (2j * mp.pi * tau)
-        a = as_eisenstein((f.alpha, f.beta), f.terms)
+        a = as_eisenstein(f.pairs(), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)
         want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
         assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
@@ -523,7 +525,7 @@ def test_kernel_block_edges(monkeypatch, M, cm, re, evaluate, divide_by_n):
         site, tau = _site_and_tau(cm, re, mp.mpf(1) / 40)
         got_f, got_fc = (fixed_to_mpc(v, prec + GUARD_BITS) for v in evaluate(f, site, prec))
         q = mp.e ** (2j * mp.pi * tau)
-        a = as_eisenstein((f.alpha, f.beta), f.terms)
+        a = as_eisenstein(f.pairs(), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)
         want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
         assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
@@ -550,12 +552,37 @@ def test_kernel_keeps_its_guard_bits(prec, im_tau, cm, evaluate, divide_by_n):
         if cm:
             tau = site.to_mpc(mp)
         q = mp.e ** (2j * mp.pi * tau)
-        a = as_eisenstein((f.alpha, f.beta), f.terms)
+        a = as_eisenstein(f.pairs(), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)
         want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
         tol = mp.mpf(2) ** -(prec + GUARD_BITS - 3)
         assert abs(got_f - want_f) < tol * max(1, abs(want_f))
         assert abs(got_fc - want_fc) < tol * max(1, abs(want_fc))
+
+
+# sha256 of repr(eval_z(form, site, prec)) at the solve site of (p, i), as
+# the kernel that summed both coordinates of every a_n gave it: N = 9p and
+# 27p, 96 to 3072 bits
+EVAL_Z_DIGESTS = {
+    (103, 1, 96): "5e47cc38fa4042b74a4a488e73e872b1fe59ad136e404c552a6a2c7b899611a3",
+    (409, 1, 192): "e1398a699aefccfb89a87b02fcd062ed89196ffb69bc21d84c5319db7ac471f4",
+    (61, 2, 192): "78c95f6059c85e7b3275c9bec149ad52c554f1cfb881b166395748c8727be96e",
+    (67, 2, 96): "c15920ff802216bd89e1f09455aae51d3a1c3beb0fcd0fe9e1b8180dedd29513",
+    (97, 2, 384): "903df16debb7acb4ddbda04acaf7bcfb9d1a1d3295a462bce7068538c0dfe8e1",
+    (31, 2, 768): "e4f13e3a2a1f3d5c2379dfbe69d47d5668f496e7479e6cc657dcc431ede198af",
+    (7, 1, 1536): "93fc5f547eae36290db04501f937f164d4a7d815115ec4eb5609a9f151c11205",
+    (13, 2, 3072): "1ddec16f07e2d0e806175cb20f8ae4a7a5bac08f7eacec37d0c8cc9802c9d1a6",
+}
+
+
+@pytest.mark.parametrize("p, i, prec", sorted(EVAL_Z_DIGESTS))
+def test_eval_z_at_solve_sites_reproduces_the_pair_kernel(p, i, prec):
+    # one product per term in the unit columns, pibar a_m in the columns
+    # p | n: the same integers, bit for bit
+    site = eval_site(p, i)
+    f = build_form(p, i, site_terms(site, prec))
+    z = eval_z(f, site, prec)
+    assert hashlib.sha256(repr(z).encode()).hexdigest() == EVAL_Z_DIGESTS[p, i, prec]
 
 
 def test_eval_z_period_and_third_shift():
@@ -582,7 +609,7 @@ def test_eval_z_tail_bound_soundness():
         tau = mp.mpc(0.1, 0.04)
         q = mp.e ** (2j * mp.pi * tau)
         a, ac = z_mpc(f1, tau, prec)
-        a2 = as_eisenstein((f2.alpha, f2.beta), f2.terms)
+        a2 = as_eisenstein(f2.pairs(), f2.terms)
         b = _sum_form_oracle(a2, q, 2 * M, divide_by_n=True)
         bc = _sum_form_oracle([c.conj() for c in a2], q, 2 * M, divide_by_n=True)
         assert abs(a - b) < mp.mpf(2) ** (-prec)
@@ -709,7 +736,7 @@ def test_fricke_constant_satisfies_the_f_identity(p, i):
         wtau = -1 / (N * tau)
         M = terms_needed(min(tau.imag, wtau.imag), prec)
         f = build_form(p, i, M)
-        a = as_eisenstein((f.alpha, f.beta), f.terms)
+        a = as_eisenstein(f.pairs(), f.terms)
         f_w = _sum_form_oracle(a, mp.e ** (2j * mp.pi * wtau), M, divide_by_n=False)
         fc = _sum_form_oracle([c.conj() for c in a], mp.e ** (2j * mp.pi * tau), M, divide_by_n=False)
         assert abs(f_w - C * N * tau**2 * fc) < mp.mpf(2) ** -80
@@ -735,7 +762,7 @@ def test_fricke_constant_extends_a_too_short_form():
     got = fricke_constant(7, 1, 160, form=short)
     assert got == want
     assert short.terms > 20
-    assert (short.alpha, short.beta) == qexp_coefficients(7, 1, short.terms)
+    assert short.b == qexp_coefficients(7, 1, short.terms)
 
 
 # ------------------------------------------------ recognition over Z[w]

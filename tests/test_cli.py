@@ -21,7 +21,7 @@ from cubesum.cli import (
     write_cache,
 )
 from cubesum.eisenstein import is_prime_int
-from cubesum.heckeform import build_form, qexp_coefficients
+from cubesum.heckeform import build_form, newform_pairs, qexp_coefficients
 
 
 def run_cli(args, capsys):
@@ -112,34 +112,29 @@ def test_non_positive_counts_exit_2_with_one_line(args, tmp_path, capsys):
 
 def test_one_bit_exits_2_with_one_line(tmp_path, capsys):
     # at 1 bit every point would read as the point at infinity and the solve
-    # would end at once on a twisted difference that is the identity.  At 2
-    # bits both sides of 7^1 recognize the torsion x = 0, whose difference
-    # descends to no nontorsion point, a site failure; 7^1's x_scaled is
-    # integral (N(gamma) = 1), so 7 bits win at once.  A shortfall
-    # escalates: 31^1 from 2 bits to a win at 16
+    # would end at once on a twisted difference that is the identity.  Under
+    # a norm bound of 2^8 recognition guarantees nothing and is refused, so
+    # the few-bit rungs fail for more precision: 7^1 from 2 bits (which
+    # once recognized the torsion x = 0 and ended on a DescentFailed) and
+    # from 3 bits to wins at 16 and 12, from 7 bits to one at 14, and 31^1
+    # from 2 bits to one at 16
     code, out, err = run_cli(["solve", "7", "--bits", "1", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_BAD_INPUT
     assert out == "" and err == "error: --bits must be at least 2, not 1\n"
-    code, out, err = run_cli(["solve", "7", "--bits", "2", "--cache-dir", str(tmp_path)], capsys)
-    assert code == EXIT_PRECISION
-    assert re.findall(r"@(\d+)b: (\w+)", err) == [("2", "DescentFailed")]
-    argv = ["solve", "7", "--bits", "7", "--json", "--cache-dir", str(tmp_path)]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == EXIT_OK
-    rep = json.loads(out)
-    assert rep["bits"] == 7 and rep["attempts"] == []
-    argv = ["solve", "31", "--bits", "2", "--json", "--cache-dir", str(tmp_path)]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == EXIT_OK
-    rep = json.loads(out)
-    assert rep["bits"] == 16 and [a["bits"] for a in rep["attempts"]] == [2, 4, 8]
-    assert {a["error"] for a in rep["attempts"]} == {"RecognitionFailed"}
+    for p, bits, win, failed in (("7", 2, 16, [2, 4, 8]), ("7", 3, 12, [3, 6]),
+                                 ("7", 7, 14, [7]), ("31", 2, 16, [2, 4, 8])):
+        argv = ["solve", p, "--bits", str(bits), "--json", "--cache-dir", str(tmp_path)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["bits"] == win and [a["bits"] for a in rep["attempts"]] == failed
+        assert {a["error"] for a in rep["attempts"]} == {"RecognitionFailed"}
 
 
 @pytest.mark.parametrize("bits", range(2, 25))
 def test_tiny_norm_bounds_exit_0_or_3(bits, tmp_path, capsys):
     # 61^2's norm bounds are 2^(bits - 8) and 2^(bits - 9) (2|y| + 1 < 2^6
-    # or 2^7, |root| = 61^(2/3) < 2^5): up to 8 bits one is under 1 and
+    # or 2^7, |root| = 61^(2/3) < 2^5): up to 16 bits one is under 2^8 and
     # recognizes nothing, and no bits value may reach a negative shift (exit 4)
     argv = ["solve", "61", "--power", "2", "--bits", str(bits), "--cache-dir", str(tmp_path)]
     code, _, err = run_cli(argv, capsys)
@@ -230,16 +225,14 @@ def test_cache_roundtrip(tmp_path):
 
 
 def _body(path):
-    """(header line, alpha, beta) of a cache file: the store's slots n = 3k + 1."""
+    """(header line, b) of a cache file: the store's slots n = 3k + 1."""
     with open(path, "rb") as fh:
         line = fh.readline()
-        halves = array("q", fh.read())
-    K = len(halves) // 2
-    return line, list(halves[:K]), list(halves[K:])
+        return line, array("q", fh.read()).tolist()
 
 
 # crc32 of the p = 7, M = 20 body, in each byte order
-_CRC_7_20 = {"little": "66822c67", "big": "a410c97a"}
+_CRC_7_20 = {"little": "0d4306b1", "big": "e1feabf9"}
 
 
 def test_cache_format_stable(tmp_path):
@@ -247,27 +240,31 @@ def test_cache_format_stable(tmp_path):
     write_cache(str(tmp_path), 7, 1, coeffs)
     path = cli.cache_path(str(tmp_path), 7, 1)
     assert path.endswith("qexp_p7_i1.bin")
-    line, alpha, beta = _body(path)
+    line, b = _body(path)
     crc = _CRC_7_20[sys.byteorder]
-    assert line == f"SYLV2 p=7 i=1 N=189 M=20 order={sys.byteorder} crc={crc}\n".encode()
-    # a_1, a_4, ..., a_19: K = 7 native int64 entries per half, nothing else
-    assert alpha == [1, 0, -2, 0, 2, -4, 7]
-    assert beta == [0, -2, -3, 0, 0, -4, 7]
-    assert os.path.getsize(path) == len(line) + 16 * 7
+    assert line == f"SYLV3 p=7 i=1 N=189 M=20 order={sys.byteorder} crc={crc}\n".encode()
+    # b_1, b_4, ..., b_19: K = 7 native int64 entries, nothing else; b_7 = 0
+    # (p | n), and a_n = w^e(n) b_n gives back a_1, a_4, ..., a_19 =
+    # 1, -2w, -2 - 3w, 0, 2, -4 - 4w, 7 + 7w
+    assert b == [1, -2, 0, 0, 2, 4, -7]
+    assert newform_pairs(7, 1, 20) == ([1, 0, -2, 0, 2, -4, 7], [0, -2, -3, 0, 0, -4, 7])
+    assert os.path.getsize(path) == len(line) + 8 * 7
 
 
 def test_cache_file_is_the_store_layout(tmp_path):
-    # the store holds only the slots n = 3k + 1, so the file body is its two
-    # lists as they are, and a read gives back the same store, terms included
+    # the store holds only the slots n = 3k + 1, so the file body is its one
+    # list as it is, and a read gives back the same store, terms included
     for M in (19, 20, 21, 22, 5000):  # every residue of M mod 3
         form = build_form(13, 2, M)
         write_cache(str(tmp_path), 13, 2, form)
-        line, alpha, beta = _body(cli.cache_path(str(tmp_path), 13, 2))
-        assert line.startswith(b"SYLV2 p=13 i=2 N=351 M=%d " % M)
-        assert (alpha, beta) == (form.alpha, form.beta) and len(alpha) == (M + 2) // 3
+        path = cli.cache_path(str(tmp_path), 13, 2)
+        line, b = _body(path)
+        assert line.startswith(b"SYLV3 p=13 i=2 N=351 M=%d " % M)
+        assert b == form.b and len(b) == (M + 2) // 3
+        assert os.path.getsize(path) == len(line) + 8 * len(b)
         back = read_cache(str(tmp_path), 13, 2)
         assert back == form and back.terms == M
-        assert (back.alpha, back.beta) == qexp_coefficients(13, 2, M)
+        assert back.b == qexp_coefficients(13, 2, M)
     assert os.listdir(tmp_path) == ["qexp_p13_i2.bin"]
 
 
@@ -286,19 +283,19 @@ def spy_cache_writes_and_walks(monkeypatch):
     """Record the terms of every cache write and the range (first, last) of
     norms n that every walk of the newform's lattice points adds to."""
     writes, spans = [], []
-    real_write, real_walk = cli.write_cache, heckeform._walk
+    real_write, real_walk = cli.write_cache, heckeform._pair_walk
 
     def write(cache_dir, p, i, form):
         writes.append(form.terms)
         return real_write(cache_dir, p, i, form)
 
-    def walk(p, alpha, beta, M, tables):
-        # the annulus past the held slots n = 1, 4, ..., 3 len(alpha) - 2
-        spans.append((3 * len(alpha) - 1, M))
-        return real_walk(p, alpha, beta, M, tables)
+    def walk(p, i, b, M):
+        # the annulus past the held slots n = 1, 4, ..., 3 len(b) - 2
+        spans.append((3 * len(b) - 1, M))
+        return real_walk(p, i, b, M)
 
     monkeypatch.setattr(cli, "write_cache", write)
-    monkeypatch.setattr(heckeform, "_walk", walk)
+    monkeypatch.setattr(heckeform, "_pair_walk", walk)
     return writes, spans
 
 
@@ -350,7 +347,7 @@ def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PRECISION
     stored = read_cache(str(tmp_path), 7, 1)
     assert writes == [stored.terms] and stored.terms > 1
-    assert (stored.alpha, stored.beta) == qexp_coefficients(7, 1, stored.terms)
+    assert stored.b == qexp_coefficients(7, 1, stored.terms)
 
 
 def test_corrupt_cache_reads_as_miss(tmp_path, capsys):
@@ -371,8 +368,9 @@ def test_corrupt_cache_reads_as_miss(tmp_path, capsys):
     assert corrupted(lambda r: r[:-1]) is None  # truncated body
     assert corrupted(lambda r: r[:-8]) is None  # one entry short
     assert corrupted(lambda r: r + b"\0") is None  # one extra byte
-    assert corrupted(lambda r: r.replace(b"SYLV2", b"SYLV1")) is None
-    assert corrupted(lambda r: r.replace(b"SYLV2", b"SYLV3")) is None
+    assert corrupted(lambda r: r.replace(b"SYLV3", b"SYLV1")) is None
+    assert corrupted(lambda r: r.replace(b"SYLV3", b"SYLV2")) is None
+    assert corrupted(lambda r: r.replace(b"SYLV3", b"SYLV4")) is None
     assert corrupted(lambda r: r.replace(f"order={sys.byteorder}".encode(), foreign)) is None
     assert corrupted(lambda r: r.replace(b"p=7 i=1", b"x=7 y=1")) is None
     assert corrupted(lambda r: r.replace(b"p=7", b"p=13")) is None
@@ -392,7 +390,7 @@ def test_corrupt_cache_reads_as_miss(tmp_path, capsys):
     code, _, _ = run_cli(["solve", "7", "--cache-dir", d], capsys)
     assert code == EXIT_OK  # rebuilt and rewritten
     stored = read_cache(d, 7, 1)
-    assert (stored.alpha, stored.beta) == qexp_coefficients(7, 1, stored.terms)
+    assert stored.b == qexp_coefficients(7, 1, stored.terms)
 
 
 def test_corruption_past_the_spot_check_reads_as_miss(tmp_path, capsys):
@@ -403,14 +401,13 @@ def test_corruption_past_the_spot_check_reads_as_miss(tmp_path, capsys):
     path = cli.cache_path(d, 7, 1)
     with open(path, "rb") as fh:
         good = fh.read()
-    line, alpha, beta = _body(path)
-    M = read_cache(d, 7, 1).terms
-    K = (M + 2) // 3
-    # the first nonzero a_n past spot_check's n <= 100 (n = 1 + 3k, k >= 34),
-    # in each half
-    for k, half in ((next(k for k in range(34, K) if alpha[k]), 0),
-                    (next(k for k in range(34, K) if beta[k]), 1)):
-        pos = len(line) + 8 * (half * K + k)
+    line, b = _body(path)
+    K = len(b)
+    assert K == (read_cache(d, 7, 1).terms + 2) // 3
+    # the first nonzero and the first zero b_n past spot_check's n <= 100
+    # (n = 1 + 3k, k >= 34)
+    for k in (next(k for k in range(34, K) if b[k]), next(k for k in range(34, K) if not b[k])):
+        pos = len(line) + 8 * k
         with open(path, "wb") as fh:
             fh.write(good[:pos] + bytes([good[pos] ^ 1]) + good[pos + 1:])
         assert read_cache(d, 7, 1) is None, k
@@ -421,12 +418,35 @@ def test_corruption_past_the_spot_check_reads_as_miss(tmp_path, capsys):
         assert fh.read() == good  # rewritten whole
 
 
+def test_sylv2_cache_reads_as_miss_and_is_rewritten_once(tmp_path, capsys, monkeypatch):
+    # the former binary layout: magic SYLV2, then alpha and beta of a_n =
+    # alpha + beta w, 16 bytes per slot, with a crc over both halves
+    d = str(tmp_path)
+    M = 200
+    halves = [array("q", c) for c in newform_pairs(7, 1, M)]
+    crc = zlib.crc32(halves[1], zlib.crc32(halves[0]))
+    path = cli.cache_path(d, 7, 1)
+    with open(path, "wb") as fh:
+        fh.write(f"SYLV2 p=7 i=1 N=189 M={M} order={sys.byteorder} crc={crc:08x}\n".encode())
+        for half in halves:
+            half.tofile(fh)
+    assert read_cache(d, 7, 1) is None
+    writes, spans = spy_cache_writes_and_walks(monkeypatch)
+    code, out, _ = run_cli(["solve", "7", "--json", "--cache-dir", d], capsys)
+    assert code == EXIT_OK
+    terms = json.loads(out)["terms"]
+    assert writes == [terms] and spans[0][0] == 2  # walked from a_4 on, written once
+    line, b = _body(path)
+    assert line.startswith(b"SYLV3 ") and b == qexp_coefficients(7, 1, terms)
+    assert read_cache(d, 7, 1) == build_form(7, 1, terms)
+
+
 def test_stale_text_cache_is_ignored(tmp_path, capsys):
     # the former text format lived at qexp_p<p>_i<i>.txt; it is never parsed
     d = str(tmp_path)
     old = os.path.join(d, "qexp_p7_i1.txt")
     text = "SYLV1 p=7 i=1 N=189 M=30\n" + "\n".join(
-        cli.coefficient_lines(qexp_coefficients(7, 1, 30))
+        cli.coefficient_lines(newform_pairs(7, 1, 30))
     ) + "\n"
     with open(old, "w") as fh:
         fh.write(text)
@@ -472,13 +492,13 @@ def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
         good = fh.read()
     fresh = read_cache(d, 7, 1)
 
-    def negated(n):  # the stored prefix with a_n replaced by -a_n
-        alpha, beta = list(fresh.alpha), list(fresh.beta)
+    def negated(n):  # the stored prefix with b_n replaced by -b_n, or 1 for 0
+        b = list(fresh.b)
         k = (n - 1) // 3
-        alpha[k], beta[k] = -alpha[k], -beta[k]
-        return build_form(7, 1, fresh.terms, (alpha, beta))
+        b[k] = -b[k] or 1
+        return build_form(7, 1, fresh.terms, b)
 
-    for n in (1, 7, 13, 97):  # a_1, a_p and two split primes
+    for n in (1, 7, 13, 97):  # b_1, b_p (0, as p | n) and two split primes
         write_cache(d, 7, 1, negated(n))
         assert read_cache(d, 7, 1) is None, n
     write_cache(d, 7, 1, negated(13))
@@ -490,23 +510,22 @@ def test_stale_prefix_reads_as_miss_and_is_rewritten(tmp_path, capsys):
         assert fh.read() == good
 
 
-_COEFFS_7 = qexp_coefficients(7, 1, 30)
-_BODY_7 = b"".join(array("q", c).tobytes() for c in _COEFFS_7)
+_BODY_7 = array("q", qexp_coefficients(7, 1, 30)).tobytes()
 _FIELD = st.tuples(
     st.sampled_from(["p", "i", "N", "M", "order", "crc", "x"]),
     st.sampled_from(["7", "1", "189", "30", "28", "0", "-1", "", "a", "little", "big",
                      "ffffffff", str(10**30), str(2**62)]),
 ).map("=".join)
 _HEADER = st.one_of(
-    st.just(f"SYLV2 p=7 i=1 N=189 M=30 order={sys.byteorder}"),
-    st.lists(_FIELD, min_size=4, max_size=7).map(lambda kvs: " ".join(["SYLV2"] + kvs)),
+    st.just(f"SYLV3 p=7 i=1 N=189 M=30 order={sys.byteorder}"),
+    st.lists(_FIELD, min_size=4, max_size=7).map(lambda kvs: " ".join(["SYLV3"] + kvs)),
     st.text(max_size=40),
 )
 _BODY = st.one_of(
     st.just(_BODY_7),
-    st.binary(min_size=160, max_size=160),  # random entries, right length
+    st.binary(min_size=80, max_size=80),  # random entries, right length
     st.binary(max_size=200),
-    st.tuples(st.integers(0, 159), st.integers(1, 255)).map(  # one byte flipped
+    st.tuples(st.integers(0, 79), st.integers(1, 255)).map(  # one byte flipped
         lambda t: _BODY_7[: t[0]] + bytes([_BODY_7[t[0]] ^ t[1]]) + _BODY_7[t[0] + 1 :]
     ),
 )
@@ -524,7 +543,7 @@ def test_read_cache_fuzz_never_raises(tmp_path, header, body, true_crc, tail):
     with open(cli.cache_path(str(tmp_path), 7, 1), "wb") as fh:
         fh.write(header.encode("utf-8", "surrogatepass") + b"\n" + body + tail)
     got = read_cache(str(tmp_path), 7, 1)
-    assert got is None or (got.alpha, got.beta) == qexp_coefficients(7, 1, got.terms)
+    assert got is None or got.b == qexp_coefficients(7, 1, got.terms)
 
 
 def test_cache_env_var_override(tmp_path, monkeypatch):
@@ -604,7 +623,7 @@ def test_verify_quick(capsys):
 def test_verify_detects_tampering(capsys, monkeypatch):
     import cubesum.qseries as qs
 
-    real = qs.qexp_coefficients
+    real = qs.newform_pairs
 
     def tampered(p, i, M, conjugate=False):
         alpha, beta = (list(c) for c in real(p, i, M, conjugate=conjugate))
@@ -612,7 +631,7 @@ def test_verify_detects_tampering(capsys, monkeypatch):
             alpha[1], beta[1] = -alpha[1], -beta[1]
         return alpha, beta
 
-    monkeypatch.setattr(qs, "qexp_coefficients", tampered)
+    monkeypatch.setattr(qs, "newform_pairs", tampered)
     code, out, _ = run_cli(["verify", "--quick"], capsys)
     assert code == EXIT_FIXTURE_FAIL
     assert "FAIL" in out

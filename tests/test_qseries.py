@@ -89,9 +89,9 @@ def series(s):
 
 def z_series(p, i, M, conjugate=False):
     """z(q) = sum_{n<=M} a_n/n q^n as an exact series (known mod q^(M+1)),
-    from the coefficients y_series reads (a tampered qs.qexp_coefficients
+    from the coefficients y_series reads (a tampered qs.newform_pairs
     reaches both routes)."""
-    a = as_eisenstein(qs.qexp_coefficients(p, i, M, conjugate=conjugate), M)
+    a = as_eisenstein(qs.newform_pairs(p, i, M, conjugate=conjugate), M)
     return Series(1, [a[n].to_q() / n for n in range(1, M + 1)])
 
 
@@ -266,9 +266,9 @@ def test_f_series_cube_recovers_ratio():
 
 
 def test_z_series_matches_coefficients():
-    from cubesum.heckeform import qexp_coefficients
+    from cubesum.heckeform import newform_pairs
 
-    a = as_eisenstein(qexp_coefficients(7, 1, 20), 20)
+    a = as_eisenstein(newform_pairs(7, 1, 20), 20)
     z = z_series(7, 1, 20)
     for n in range(1, 21):
         assert z.coefficient(n) == a[n].to_q() / n
@@ -382,7 +382,7 @@ def _raised(fn):
 )
 def test_tampered_coefficient_fails_like_the_oracle(monkeypatch, n, delta):
     # a_n changed (negated when delta is None) before either route sees it
-    real = qs.qexp_coefficients
+    real = qs.newform_pairs
 
     def tampered(p, i, M, conjugate=False):
         alpha, beta = (list(c) for c in real(p, i, M, conjugate=conjugate))
@@ -395,7 +395,7 @@ def test_tampered_coefficient_fails_like_the_oracle(monkeypatch, n, delta):
                 beta[k] += delta[1]
         return alpha, beta
 
-    monkeypatch.setattr(qs, "qexp_coefficients", tampered)
+    monkeypatch.setattr(qs, "newform_pairs", tampered)
     seen = set()
     for p, i in ((7, 1), (31, 2)):
         for M in (4, 12, 25):
