@@ -556,27 +556,28 @@ def eval_z(form, site, prec=192):
         alpha, beta = form.pairs((K - 1) // p + 1)
         pibar = split_prime(p).pibar
 
+    def pair_column(ns, xs, ys):  # sum (x_n + y_n w) (X^g // n)
+        u = v = 0
+        for n, x, y, t in zip(ns, xs, ys, Xg):
+            if x or y:
+                t //= n
+                u += x * t
+                v += y * t
+        return u, v
+
     def column(j):
         """(U_j, V_j), the column of the slots k = j + L g."""
         ns = range(3 * j + 1, 3 * K, 3 * L)
         if L % p:
-            pairs = zip(alpha[j:K:L], beta[j:K:L])
-        elif ns[0] % p:  # a_n = w^e b_n throughout, w^e = ea + eb w
+            return pair_column(ns, alpha[j:K:L], beta[j:K:L])
+        if ns[0] % p:  # a_n = w^e b_n throughout, w^e = ea + eb w
             s = 0
             for n, c, t in zip(ns, b[j:K:L], Xg):
                 if c:
                     s += c * (t // n)
             return ea[j % p] * s, eb[j % p] * s
-        else:  # the slots k // p = j // p + (L/p) g of the a_m
-            pairs = zip(alpha[j // p :: L // p], beta[j // p :: L // p])
-        u = v = 0
-        for n, (x, y), t in zip(ns, pairs, Xg):
-            if x or y:
-                t //= n
-                u += x * t
-                v += y * t
-        if L % p:
-            return u, v
+        # n = pm: pibar times the a_m, at the slots k // p = j // p + (L/p) g
+        u, v = pair_column(ns, alpha[j // p :: L // p], beta[j // p :: L // p])
         return pibar.a * u - pibar.b * v, pibar.a * v + pibar.b * u - pibar.b * v
 
     ur = ui = vr = vi = 0
