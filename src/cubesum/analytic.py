@@ -37,7 +37,9 @@ cell of 0 (wp_eval, which raises PoleAtLatticePoint there).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -461,13 +463,18 @@ def eval_z(form, site, prec=192):
     sqrt(K) columns of sqrt(K) rows; a real part with a long mantissa gets
     L = K, one row.  The column sums are real.  Where p | L (every solve
     site) a column holds one residue of n mod p: off p | n it is a unit
-    column, U_j + V_j w = w^e S_j with S_j = sum_g b_n (X^g // n), and a
-    nonzero term costs one floor division and one small-integer product; a
-    column of n = pm (1/p of the slots) is pibar times the sum of its a_m
-    (alpha_m, beta_m), whose slots k // p are the first K/p + 1 of the
-    store.  Elsewhere (test and Fricke sites) the columns take (alpha_n,
-    beta_n) from the whole store spread out, two products per term.  The
-    columns are combined by rectangular splitting in x:
+    column, U_j + V_j w = w^e S_j with S_j = sum_g b_n (X^g // n).  The S_j
+    are summed row by row: row g is the L slots from Lg, and only its
+    nonzero b_n are visited (itertools.compress; at the solve sites over
+    half the slots hold b_n = 0), each adding one floor division and one
+    small-integer product into its column's S_j; then U_j and V_j are S_j
+    times the unit's coordinates.  A column of n = pm (1/p of the slots,
+    b_n = 0 there) is pibar times the sum of its a_m (alpha_m, beta_m),
+    whose slots k // p are the first K/p + 1 of the store.  Elsewhere (test
+    and Fricke sites) the columns take (alpha_n, beta_n) from the whole
+    store spread out, two products per term.  Each sum is the same
+    integer in any order, so the order of the terms leaves z unchanged to
+    the bit.  The columns are combined by rectangular splitting in x:
     with B = isqrt(L), the baby steps x^i (i < B) are formed once, a block
     of B consecutive columns is a sum of integer products u_j x^i, and
     Horner in the giant step x^B runs over the blocks from the top,
@@ -549,12 +556,7 @@ def eval_z(form, site, prec=192):
     Xg = [1 << W]  # X^g for the rows g < ceil(K/L)
     for _ in range((K - 1) // L):
         Xg.append(Xg[-1] * X >> W)
-    b, p, (ea, eb) = form.b, form.p, form.units()  # slot k holds b_(3k+1)
-    if L % p:  # a column holds several residues of n mod p
-        alpha, beta = form.pairs()
-    else:  # n = pm has a_n = pibar a_m, and m's slot is k // p < K/p + 1
-        alpha, beta = form.pairs((K - 1) // p + 1)
-        pibar = split_prime(p).pibar
+    b, p = form.b, form.p  # slot k holds b_(3k+1)
 
     def pair_column(ns, xs, ys):  # sum (x_n + y_n w) (X^g // n)
         u = v = 0
@@ -565,30 +567,33 @@ def eval_z(form, site, prec=192):
                 v += y * t
         return u, v
 
-    def column(j):
-        """(U_j, V_j), the column of the slots k = j + L g."""
-        ns = range(3 * j + 1, 3 * K, 3 * L)
-        if L % p:
-            return pair_column(ns, alpha[j:K:L], beta[j:K:L])
-        if ns[0] % p:  # a_n = w^e b_n throughout, w^e = ea + eb w
-            s = 0
-            for n, c, t in zip(ns, b[j:K:L], Xg):
-                if c:
-                    s += c * (t // n)
-            return ea[j % p] * s, eb[j % p] * s
-        # n = pm: pibar times the a_m, at the slots k // p = j // p + (L/p) g
-        u, v = pair_column(ns, alpha[j // p :: L // p], beta[j // p :: L // p])
-        return pibar.a * u - pibar.b * v, pibar.a * v + pibar.b * u - pibar.b * v
+    if L % p:  # a column holds several residues of n mod p
+        alpha, beta = form.pairs()
+        sums = (pair_column(range(3 * j + 1, 3 * K, 3 * L), alpha[j:K:L], beta[j:K:L]) for j in range(L))
+        U, V = map(list, zip(*sums))
+    else:  # S_j = sum_g b_n (X^g // n), row by row over the b_n != 0
+        S, cols = [0] * L, range(L)
+        for t, k0 in zip(Xg, range(0, K, L)):
+            row, n0 = b[k0 : min(k0 + L, K)], 3 * k0 + 1
+            for j in itertools.compress(cols, row):
+                S[j] += row[j] * (t // (n0 + 3 * j))
+        ea, eb = form.units()  # a_n = w^e b_n, w^e = ea + eb w at j mod p
+        U = list(map(operator.mul, ea * (L // p), S))
+        V = list(map(operator.mul, eb * (L // p), S))
+        # the columns of n = pm (3j + 1 = 0 mod p, where S_j = 0): pibar
+        # times the a_m, at the slots k // p = j // p + (L/p) g, m < K/p + 1
+        alpha, beta = form.pairs((K - 1) // p + 1)
+        pibar = split_prime(p).pibar
+        for j in range((p - 1) // 3, L, p):
+            u, v = pair_column(range(3 * j + 1, 3 * K, 3 * L), alpha[j // p :: L // p], beta[j // p :: L // p])
+            U[j], V[j] = pibar.a * u - pibar.b * v, pibar.a * v + pibar.b * u - pibar.b * v
 
+    bre, bim = [x for x, _ in baby], [y for _, y in baby]
     ur = ui = vr = vi = 0
     for j0 in reversed(range(0, L, B)):
-        sur = sui = svr = svi = 0
-        for j, (pr, pi) in zip(range(j0, L), baby):
-            u, v = column(j)
-            sur += u * pr
-            sui += u * pi
-            svr += v * pr
-            svi += v * pi
+        u, v = U[j0 : j0 + B], V[j0 : j0 + B]
+        sur, sui = sum(map(operator.mul, u, bre)), sum(map(operator.mul, u, bim))
+        svr, svi = sum(map(operator.mul, v, bre)), sum(map(operator.mul, v, bim))
         ur, ui = (ur * gr - ui * gi + sur) >> W, (ur * gi + ui * gr + sui) >> W
         vr, vi = (vr * gr - vi * gi + svr) >> W, (vr * gi + vi * gr + svi) >> W
     # V w = -V/2 + sqrt(-3) V/2, and V conj(w) = -V/2 - sqrt(-3) V/2

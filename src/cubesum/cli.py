@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import struct
 import sys
 import tempfile
 import time
@@ -30,6 +31,7 @@ EXIT_INTERNAL = 4
 
 CACHE_ENV = "CUBESUM_CACHE"
 CACHE_MAGIC = "SYLV3"
+CACHE_CHUNK = 4096  # slots per struct.pack call in write_cache
 
 
 # ------------------------------------------------------------------- cache
@@ -62,15 +64,21 @@ def write_cache(cache_dir, p, i, form):
     order=<byte order> crc=<crc32 of the body, hex>', then the HeckeForm's
     store b, the K = (M + 2) // 3 slots n = 3k + 1 <= M of the support, as
     native int64; atomic via rename.  The file is the store's own layout,
-    so the list is written as it is."""
-    body = array("q", form.b)
-    header = _cache_header(p, i, form.terms, zlib.crc32(body))
+    so the list is packed as it is, CACHE_CHUNK slots per call (a long
+    store builds no argument tuple of its own length)."""
+    b = form.b
+    chunks = (b[k : k + CACHE_CHUNK] for k in range(0, len(b), CACHE_CHUNK))
+    body = [struct.pack(f"={len(c)}q", *c) for c in chunks]
+    crc = 0
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
+    header = _cache_header(p, i, form.terms, crc)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".qexp_tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header.encode("ascii"))
-            body.tofile(fh)
+            fh.writelines(body)
         os.replace(tmp, cache_path(cache_dir, p, i))
     finally:
         if os.path.exists(tmp):

@@ -18,10 +18,8 @@ from .eisenstein import (
     EisensteinInt,
     QOmega,
     _coerce_q,
-    count_points_formula,
+    count_points_bruteforce,
     is_prime_int,
-    normalize_primary,
-    split_prime,
 )
 
 
@@ -183,16 +181,9 @@ def to_cube_sum(X, Y, p, i):
 
 
 def reduction_count(D_int, q):
-    """#E~(F_q) for y^2 = x^3 + D/4 with rational integer D, good odd q.
-
-    q = 2 mod 3 is the supersingular case with exactly q + 1 points; q = 1
-    mod 3 goes through the split-prime count formula.
-    """
-    if q % 3 == 2:
-        return q + 1
-    s = split_prime(q)
-    piq = normalize_primary(s.pi, 2)
-    return count_points_formula(EisensteinInt(D_int, 0), piq)
+    """#E~(F_q) for y^2 = x^3 + D/4 with rational integer D, good odd q,
+    counted point by point over F_q (the q of a certificate are small)."""
+    return count_points_bruteforce(EisensteinInt(D_int % q, 0), q)
 
 
 def good_reduction_primes(p, count=2, start=5):

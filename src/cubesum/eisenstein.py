@@ -192,22 +192,8 @@ class EisensteinInt:
     def divides(self, other):
         return not (other % self)
 
-    def exact_div(self, other):
-        """self / other, raising if the division is not exact."""
-        other = _coerce(other)
-        q, r = divmod(self, other)
-        if r:
-            raise ValueError(f"{other} does not divide {self}")
-        return q
-
-    def is_unit(self):
-        return self.norm() == 1
-
     def residue_mod3(self):
         return (self.a % 3, self.b % 3)
-
-    def associates(self):
-        return tuple(u * self for u in UNITS)
 
     def to_q(self):
         return _raw(self.a, self.b, 1)
@@ -372,16 +358,8 @@ class QOmega:
         A, B = self.A, self.B
         return Fraction(A * A - A * B + B * B, self.d * self.d)
 
-    def is_integral(self):
-        return self.d == 1
-
     def is_rational(self):
         return self.B == 0
-
-    def to_eis(self):
-        if self.d != 1:
-            raise ValueError(f"{self} is not in Z[w]")
-        return EisensteinInt(self.A, self.B)
 
     def to_mpc(self, ctx):
         # (A + B w)/d = ((2A - B) + B sqrt(-3)) / (2d)
@@ -567,23 +545,6 @@ def _match_unit(value, pi, units):
         if not (value - u) % pi:
             return u
     return None
-
-
-def cubic_residue_symbol(a, pi):
-    """(a/pi)_3: the cube root of unity congruent to a^((N(pi)-1)/3) mod pi."""
-    a = _coerce(a)
-    if not is_prime_element(pi):
-        raise NotPrime(f"{pi} is not prime in Z[w]")
-    n = pi.norm()
-    if n % 3 == 0:
-        raise BadModulus("cubic symbol undefined at the prime above 3")
-    if not a % pi:
-        return ZERO
-    s = eis_pow_mod(a, (n - 1) // 3, pi)
-    u = _match_unit(s, pi, CUBE_ROOTS)
-    if u is None:
-        raise ArithmeticError(f"Euler criterion failed for {a} mod {pi}")
-    return u
 
 
 def sextic_residue_symbol(a, pi):

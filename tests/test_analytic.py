@@ -562,7 +562,9 @@ def test_kernel_keeps_its_guard_bits(prec, im_tau, cm, evaluate, divide_by_n):
 
 # sha256 of repr(eval_z(form, site, prec)) at the solve site of (p, i), as
 # the kernel that summed both coordinates of every a_n gave it: N = 9p and
-# 27p, 96 to 3072 bits
+# 27p, 96 to 3072 bits.  The last three, as the column-by-column unit sums
+# gave them, are the timed 96-bit solves' shape: L = p columns of 14 rows
+# (409^1, N = 9p) and of about 40 rows (223^1 and 439^1, N = 27p)
 EVAL_Z_DIGESTS = {
     (103, 1, 96): "5e47cc38fa4042b74a4a488e73e872b1fe59ad136e404c552a6a2c7b899611a3",
     (409, 1, 192): "e1398a699aefccfb89a87b02fcd062ed89196ffb69bc21d84c5319db7ac471f4",
@@ -572,6 +574,9 @@ EVAL_Z_DIGESTS = {
     (31, 2, 768): "e4f13e3a2a1f3d5c2379dfbe69d47d5668f496e7479e6cc657dcc431ede198af",
     (7, 1, 1536): "93fc5f547eae36290db04501f937f164d4a7d815115ec4eb5609a9f151c11205",
     (13, 2, 3072): "1ddec16f07e2d0e806175cb20f8ae4a7a5bac08f7eacec37d0c8cc9802c9d1a6",
+    (409, 1, 96): "b2b9971a3e06ca6e08ee3c6fd9f543348a686f9fb565020b51287789008ac24b",
+    (223, 1, 96): "1a1f318f16920ea655dd51fe2d2e4244e6953b57e8040911699ccb48b1a46ca0",
+    (439, 1, 96): "f59dad4c2a2ea151df6558dc7e94f4417bcad8a3c07bec8e94a21f35af3c9e97",
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import sys
 import tracemalloc
@@ -266,6 +267,20 @@ def test_cache_file_is_the_store_layout(tmp_path):
         assert back == form and back.terms == M
         assert back.b == qexp_coefficients(13, 2, M)
     assert os.listdir(tmp_path) == ["qexp_p13_i2.bin"]
+
+
+def test_cache_body_is_one_int64_array_across_pack_chunks(tmp_path):
+    # write_cache packs the store CACHE_CHUNK slots at a time; the body and
+    # its crc must be those of the whole store as one native int64 array
+    rng = random.Random(5)
+    for K in (cli.CACHE_CHUNK - 1, cli.CACHE_CHUNK, 2 * cli.CACHE_CHUNK + 5):
+        b = [rng.randrange(-(2**63), 2**63) for _ in range(K)]
+        b[0], b[-1] = -(2**63), 2**63 - 1
+        write_cache(str(tmp_path), 7, 1, build_form(7, 1, 3 * K - 2, b))
+        body = array("q", b)
+        with open(cli.cache_path(str(tmp_path), 7, 1), "rb") as fh:
+            want = cli._cache_header(7, 1, 3 * K - 2, zlib.crc32(body)).encode() + body.tobytes()
+            assert fh.read() == want
 
 
 def test_cold_and_warm_cache_reports_identical(tmp_path, capsys):

@@ -13,7 +13,6 @@ from cubesum.eisenstein import (
     BadNormalization,
     EisensteinInt,
     NotPrime,
-    cubic_residue_symbol,
     is_prime_element,
     is_prime_int,
     norm,
@@ -30,6 +29,8 @@ from cubesum.heckeform import (
     qexp_coefficients,
     twist_check,
 )
+
+from eisenstein_helpers import cubic_residue_symbol, exact_div
 
 rng = random.Random(7131)
 
@@ -75,7 +76,7 @@ def generator_sum(M, psi_at_prime):
                     gens, step = [s_ell.pi, s_ell.pibar], ell
                 for g in gens:
                     while psi is not None and not rest % g:
-                        rest = rest.exact_div(g)
+                        rest = exact_div(rest, g)
                         if g not in cache:
                             cache[g] = psi_at_prime(g)
                         psi = None if cache[g] is None else psi * cache[g]
