@@ -1,22 +1,23 @@
 """The orchestrated pipeline from CM sites to certified cube sums.
 
 Stages: sum the Abel-Jacobi images of f and f^c at the one site W(tau_r)
-(cmpoint.eval_site; one pass gives both), map each through wp on its
-curve's lattice, recognize x in K (the non-torsion side lives over
-K(pi^(1/3)), so x is recognized after scaling by a cube root; the torsion
-side has x = 0) and solve for y by an exact square root in Z[w], twist both
-to points of E(p^i) over K, take the difference, and descend to Q by the
-trace or the sqrt(-3) endomorphism.  x is recognized as alpha/gamma by the
-nearest-integer continued fraction over Z[w], under a bound on N(gamma)
-that follows from a stated error bound on the numbers (norm_bound).  A
-recognized point must match the numeric y to 2^-(prec/2), and the
+(cmpoint.eval_site; one pass gives both) and map each through wp on its
+curve's lattice.  One image is the 3-torsion point whose twist to E(p^i)
+is T = (0, +-p^i/2), the cusp image; it is read off the numbers
+(torsion_sign) and T is built exactly.  The other, tall, side lives over
+K(pi^(1/3)): its x is recognized in K under the one cube-root scaling that
+twists its curve onto E(p^i), within a norm bound that follows from a
+stated error bound on the numbers (norm_bound), and y is solved for
+exactly (recognize).  P_f - P_fc on E(p^i) is descended to Q by the trace
+or the sqrt(-3) endomorphism.  [3]T = O is checked exactly, and the
 descended point is certified by exact arithmetic (nontorsion certificate,
 isogeny and cube identities) before it is reported.
 
 solve_pipeline escalates precision on that one site, from 96 bits by
-default: a numerical failure (RecognitionFailed, EvalResidualTooLarge)
-retries at twice the bits, and a failure more bits cannot fix
-(DescentFailed, including a twisted difference that is the identity, or
+default: a numerical failure (RecognitionFailed, which includes no side at
+T, EvalResidualTooLarge) retries at twice the bits, and a failure more bits
+cannot fix (DescentFailed, which includes both sides at T, a tall side at
+infinity and a twisted difference that is the identity, or
 TermsCapExceeded) ends the solve at once.  Every failed attempt is kept in
 PipelineResult.attempts.
 """
@@ -36,7 +37,6 @@ from .analytic import (
     eval_z,
     fixed_mul,
     fixed_of,
-    fixed_sqrt3,
     fixed_to_mpc,
     lattice_of_curve,
     mpc_to_fixed,
@@ -45,15 +45,15 @@ from .analytic import (
     wp_eval,
 )
 from .cmpoint import eval_site
-from .curves import CurvePoint, DescentFailed, add, endo_omega, mul_sqrt_m3
+from .curves import CurvePoint, DescentFailed, add, endo_omega, mul, mul_sqrt_m3
 from .eisenstein import EisensteinInt, QOmega, split_prime, sqrt_eis
 from .heckeform import build_form
 
 
 class RecognitionFailed(ArithmeticError):
-    """No x in K within the attempt's norm bound matched the numbers, or a
-    recognized point failed an exact check; more bits may mend it, so
-    solve_pipeline retries at the next rung."""
+    """No side read as the 3-torsion point, no x in K within the norm bound
+    matched the numbers, or a recognized point failed an exact check; more
+    bits may mend it, so solve_pipeline retries at the next rung."""
 
 
 class EvalResidualTooLarge(ArithmeticError):
@@ -70,12 +70,9 @@ class TermsCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class RecognizedPoint:
-    form: str  # "f" or "fc"
-    at_infinity: bool
-    x_scaled: QOmega | None  # x * mult^(2i/3) * w^twist_k, exact in K
-    y: QOmega | None
-    mult_tag: str | None  # "pi" or "pibar": which cube root made x algebraic
-    twist_k: int
+    form: str  # "f" or "fc": the tall side
+    x_scaled: QOmega  # x * u^2 with u^6 = pi^(2i) for f (pibar^(2i) for f^c), exact in K
+    y: QOmega
     norm_bits: int  # floor(log2 N(gamma)), x_scaled = alpha/gamma in lowest terms
 
 
@@ -129,156 +126,143 @@ def scaling_root(split, i, prec=192):
         return mpc_to_fixed(mp.cbrt((split.pi ** (2 * i)).to_mpc(mp)), W)
 
 
-def norm_bound(raw, root, prec):
-    """The norm bound B = 8/delta on x_scaled's denominator, a power of two
-    (0 when it would be under 2^8), for
-    delta = 2^-prec (2|y| + 1) |root| the stated error bound on the numeric
-    x_scaled of a raw point (x, y) and the cube root `root` (pairs at W =
-    prec + GUARD_BITS); with it analytic.recognize_eisenstein recovers every
-    x_scaled = alpha/gamma with N(gamma) <= B/256.
+def _twist(split, i, root, form):
+    """(u^3, u^2) of the twist (x, y) -> (u^2 x, u^3 y) of the form's curve
+    onto E(p^i): (pi^i, root) for f, the conjugates for f^c; u^2 a pair."""
+    if form == "f":
+        return split.pi**i, root
+    return split.pibar**i, (root[0], -root[1])
+
+
+def _sign_near(exact, approx, tol2):
+    """The sign s (1 on a tie) that puts s * exact nearer to approx, when it
+    is within sqrt(tol2) units of it; None otherwise."""
+    near = (exact[0] - approx[0]) ** 2 + (exact[1] - approx[1]) ** 2
+    far = (exact[0] + approx[0]) ** 2 + (exact[1] + approx[1]) ** 2
+    s, d = (1, near) if near <= far else (-1, far)
+    return s if d < tol2 else None
+
+
+def _error_bits(raw, root, prec):
+    """e with delta < 2^e, for delta = 2^-prec (2|y| + 1) |root| the stated
+    error bound on the numeric x_scaled of a raw point (x, y) and the cube
+    root `root` (pairs at W = prec + GUARD_BITS).
 
     The bound: eval_z's z is within 2^-prec + 2^-W of the exact sum
     (terms_needed's tail and the kernel's rounding), which moves x = wp(z) by
     |wp'(z)| = 2|y| times that to first order; the 1 covers the excess 2^-32
     of that product, the second-order term and wp_eval's own error while
     they stay under 2^-(prec+1), and the scaling's few units of 2^-W while
-    |x| < 2^29.  Scaling by the root multiplies it by |root| = p^(i/3), and
-    a twist w^k by 1.  Each factor is rounded up to a power of two:
-    2|y| + 1 < 2^yb and |root| < 2^rb, so delta < 2^(yb + rb - prec).
-    The recovery guarantee needs N(gamma) <= B/256, so under B = 2^8 it
-    covers no denominator at all: such a bound is refused (0, which
-    recognizes nothing), and the attempt fails for more precision.
+    |x| < 2^29.  Scaling by the root multiplies it by |root| = p^(i/3).
+    Each factor is rounded up to a power of two: 2|y| + 1 < 2^yb and |root|
+    < 2^rb, so e = yb + rb - prec.
     """
     W = prec + GUARD_BITS
     y, r = raw[1], root
     yb = ((math.isqrt(4 * (y[0] * y[0] + y[1] * y[1])) >> W) + 1).bit_length()
     rb = ((math.isqrt(r[0] * r[0] + r[1] * r[1]) >> W) + 1).bit_length()
-    bits = prec - yb - rb + 3
+    return yb + rb - prec
+
+
+def norm_bound(raw, root, prec):
+    """The norm bound B = 8/2^e on x_scaled's denominator (_error_bits);
+    analytic.recognize_eisenstein recovers every x_scaled = alpha/gamma with
+    N(gamma) <= B/256, so under B = 2^8 it covers none: such a bound is
+    refused (0, which recognizes nothing), and the attempt fails for more
+    precision."""
+    bits = 3 - _error_bits(raw, root, prec)
     return 1 << bits if bits >= 8 else 0
 
 
+def torsion_sign(raw, split, i, root, prec, form):
+    """s when a raw point (x, y) of the form's curve is, to its numbers, the
+    point whose twist is T = (0, s p^i/2) on E(p^i): the scaled x within
+    the stated error 2^e of 0 (_error_bits) and the twisted y within
+    2^-(prec/2), recognize's tolerance, of +-p^i/2; None otherwise, and
+    also where norm_bound refuses the error (e > -5), as recognize would."""
+    x, y = raw
+    W = prec + GUARD_BITS
+    u3, u2 = _twist(split, i, root, form)
+    e = _error_bits(raw, root, prec)
+    sx = fixed_mul(x, u2, W)
+    if e > -5 or sx[0] * sx[0] + sx[1] * sx[1] >= 1 << 2 * (W + e):
+        return None
+    half = (split.p**i << W) >> 1
+    return _sign_near((half, 0), fixed_mul(fixed_of(u3, W), y, W), 1 << 2 * (W - prec // 2))
+
+
 def recognize(raw, split, i, bound, prec=192, form="f", root=None):
-    """Exact coordinates for a raw point (x, y) of the form's curve, pairs
-    at W = prec + GUARD_BITS.
+    """Exact coordinates for a raw point (x, y) of the form's curve (pairs
+    at W = prec + GUARD_BITS; `root` = scaling_root(split, i, prec), taken
+    here when None) by one continued fraction: x_scaled = x u^2, under the
+    twist (x, y) -> (u^2 x, u^3 y) of _twist, is recognized in K as
+    alpha/gamma with N(gamma) <= 2^n, n = floor(log2 bound), within 2^(3 -
+    n) of the numbers (analytic.recognize_eisenstein).  N(gamma) is about
+    x's rational denominator, half the bits of its two rational coordinates
+    recognized apart.  y is solved for: u^3 y = T/(2e^2) on E(p^i) with T
+    an exact square root in Z[w] (_exact_y), of the sign nearer the numeric
+    u^3 y, which it must match to 2^-(prec/2).  Anything else raises
+    RecognitionFailed, which triggers a precision retry.
 
-    Tries, for each of the two cube-root scalings and each unit twist w^k,
-    to recognize x_scaled = x * mult^(2i/3) * w^k in K as alpha/gamma with
-    N(gamma) <= 2^n, n = floor(log2 bound), within 2^(3 - n) of the numbers
-    (analytic.recognize_eisenstein; norm_bound gives the bound that matches
-    their error).  x's rational denominator d divides N(gamma), and N(gamma)
-    divides d^2 (they were equal at every solve checked), so x needs about
-    log2 d bits, half of what its two rational coordinates recognized apart
-    need.  y is not recognized but solved for: the twisted point (x_scaled,
-    mult^i y) lies on E(p^i), so mult^i y = T/(2e^2) with T an exact square
-    root in Z[w] (see _exact_y).  A candidate whose S has no root is passed
-    over; of the two roots the one nearer the numeric mult^i y is kept, and
-    it must agree with it to 2^-(prec/2).  After a rejection the scaling's
-    remaining twists count as rejected untested, as x w^k has x's S and e.
-    No candidate left raises RecognitionFailed, which triggers a precision
-    retry.
+    One scaling.  f's curve y^2 = x^3 + pibar^(2i)/4 twists onto y^2 = x^3
+    + u^6 pibar^(2i)/4, which is E(p^i) when u^6 = pi^(2i): f takes the cube
+    root of pi^(2i) and f^c its conjugate.  Under the other root (X, Y)
+    would lie on Y^2 = X^3 + pibar^(4i)/4, and no exact y on E(p^i) matches Y.
 
-    The principal cube roots of pi^(2i) and pibar^(2i) are conjugate, so
-    one root, `root` = scaling_root(split, i, prec) (taken here when it is
-    None), serves both tags; an attempt takes it once for f and f^c.
-    Every comparison is of squared norms in units of 2^-2W.  A failure
-    prints x to prec/2 bits.
+    One branch.  The other cube roots are root * w^k, and x w^k lies in K
+    exactly when x does, with x's gamma, at x's distance from the numbers
+    (|w| = 1), and [w^k](x, y) = (x w^k, y) keeps y.  So the recovery proof
+    of recognize_eisenstein for the principal root (k = 0) covers them all.
     """
     x, y = raw
     W = prec + GUARD_BITS
     norm_bits = bound.bit_length() - 1
-    c = split.p ** (2 * i)
-    tol2 = 1 << 2 * (W - prec // 2)
-    w = (-1 << W - 1, fixed_sqrt3(W) >> 1)
-    root = root if root is not None else scaling_root(split, i, prec)
-    roots = {"pi": root, "pibar": (root[0], -root[1])}
-    mults = (("pi", split.pi), ("pibar", split.pibar))
-    rejected = 0  # recognized x with no root, or a root off the numeric y
-    for tag, mult in mults if form == "f" else mults[::-1]:
-        m = mult**i
-        y_twisted = fixed_mul(fixed_of(m, W), y, W)
-        scaled = fixed_mul(x, roots[tag], W)
-        # x w^k is in K exactly when x is, with x's e, S and y_twisted:
-        # once the candidate for x is rejected under this tag, the later
-        # k only approximate its twists and count as rejected untested
-        refused = False
-        for k in range(3):
-            if k:
-                scaled = fixed_mul(scaled, w, W)
-            found = recognize_eisenstein(scaled, W, norm_bits)
-            if found is None:
-                continue
-            if refused:
-                rejected += 1
-                continue
-            cand, norm = found
-            root = _exact_y(cand, c)
-            if root is not None:
-                T, e = root
-                yv = fixed_of(QOmega.from_ints(T.a, T.b, 2 * e * e), W)
-                near = (yv[0] - y_twisted[0]) ** 2 + (yv[1] - y_twisted[1]) ** 2
-                far = (yv[0] + y_twisted[0]) ** 2 + (yv[1] + y_twisted[1]) ** 2
-                if far < near:
-                    T, near = -T, far
-            if root is None or near >= tol2:
-                rejected += 1
-                refused = True
-                continue
-            # y = T / (2 e^2 m) = T conj(m) / (2 e^2 p^i)
-            U, den = T * m.conj(), 2 * e * e * split.p**i
-            return RecognizedPoint(
-                form=form,
-                at_infinity=False,
-                x_scaled=cand,
-                y=QOmega.from_ints(U.a, U.b, den),
-                mult_tag=tag,
-                twist_k=k,
-                norm_bits=norm.bit_length() - 1,
-            )
+    u3, u2 = _twist(split, i, root if root is not None else scaling_root(split, i, prec), form)
+    found = recognize_eisenstein(fixed_mul(x, u2, W), W, norm_bits)
+    if found is not None:
+        cand, norm = found
+        exact = _exact_y(cand, split.p ** (2 * i))
+        if exact is not None:
+            T, e = exact
+            yv = fixed_of(QOmega.from_ints(T.a, T.b, 2 * e * e), W)
+            s = _sign_near(yv, fixed_mul(fixed_of(u3, W), y, W), 1 << 2 * (W - prec // 2))
+            if s is not None:
+                U = T * u3.conj() * s  # y = s T / (2 e^2 u^3) = s T conj(u^3) / (2 e^2 p^i)
+                return RecognizedPoint(
+                    form=form,
+                    x_scaled=cand,
+                    y=QOmega.from_ints(U.a, U.b, 2 * e * e * split.p**i),
+                    norm_bits=norm.bit_length() - 1,
+                )
     with mp.workprec(prec // 2):
         shown = str(fixed_to_mpc(x, W))
     raise RecognitionFailed(
-        f"x = {shown} not recognized under either cube root with N(gamma)"
-        f" <= 2^{norm_bits}"
-        + (f"; {rejected} candidate x had no exact y matching the numbers" if rejected else "")
-    )
-
-
-def recognized_infinity(form="f"):
-    return RecognizedPoint(
-        form=form, at_infinity=True, x_scaled=None, y=None, mult_tag=None, twist_k=0, norm_bits=0
+        f"x of {form} = {shown} not recognized with N(gamma) <= 2^{norm_bits}"
+        + ("; its candidate x had no exact y matching the numbers" if found else "")
     )
 
 
 def twist_point(rp, split, i):
     """The exact point of E(p^i)(K) behind a recognized point.
 
-    For mult_tag "pi" the twist is (x, y) -> (pi^(2i/3) x, pi^i y), which
-    lands the recognized x_scaled directly in the x-slot; "pibar" is the
-    conjugate map.  recognize solves for y on E(p^i), so the exact curve
-    check passes by construction and stays as a guard on the data, not as a
-    test of recognition: a wrong x is caught in recognize when S has no
-    square root in Z[w], and otherwise by the numeric y agreement there,
-    then the descent, the nontorsion certificate and the cube identity.
+    The twist is (x, y) -> (u^2 x, u^3 y) with u^3 = pi^i for f and pibar^i
+    for f^c (see recognize for why no other is tried), which lands the
+    recognized x_scaled directly in the x-slot.  recognize solves for y on
+    E(p^i), so the exact curve check passes by construction and stays as a
+    guard on the data, not as a test of recognition: a wrong x is caught in
+    recognize when S has no square root in Z[w], and otherwise by the
+    numeric y agreement there, then the descent, the nontorsion certificate
+    and the cube identity.
     """
-    D = QOmega(split.p ** (2 * i))
-    if rp.at_infinity:
-        return CurvePoint.infinity(D)
-    mult = split.pi if rp.mult_tag == "pi" else split.pibar
+    u3 = (split.pi if rp.form == "f" else split.pibar).to_q() ** i
     x = rp.x_scaled
-    y = mult.to_q() ** i * rp.y
-    P = CurvePoint(D, x, y)
+    y = u3 * rp.y
+    P = CurvePoint(QOmega(split.p ** (2 * i)), x, y)
     if not P.on_curve():
         raise RecognitionFailed(
             f"twisted point ({x}, {y}) fails the exact curve equation"
         )
     return P
-
-
-def twist_and_combine(rp_f, rp_fc, split, i):
-    """phi(phi-image) - phi^c(phi^c-image) on E(p^i), exact over K."""
-    Pf = twist_point(rp_f, split, i)
-    Pfc = twist_point(rp_fc, split, i)
-    return add(Pf, -Pfc)
 
 
 def descend(PK, p, i):
@@ -317,8 +301,9 @@ class PipelineResult:
     site: object
     bits: int
     terms: int
-    rec_f: RecognizedPoint
-    rec_fc: RecognizedPoint
+    rec: RecognizedPoint  # the tall side
+    torsion_form: str  # the other side, "f" or "fc"
+    torsion_point: CurvePoint  # its exact point T = (0, +-p^i/2) on E(p^i)
     point_K: CurvePoint
     descent_branch: str
     point_Q: CurvePoint
@@ -352,26 +337,35 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     D_f, D_fc = split.pibar ** (2 * i), split.pi ** (2 * i)
     z_f, z_fc = eval_z(form, site, prec)
     L_f = lattice_of_curve(D_f, prec)
-    kind_f, raw_f = evaluate_cm(z_f, D_f, prec, L_f)
-    kind_fc, raw_fc = evaluate_cm(z_fc, D_fc, prec, L_f.conj())
+    sides = {"f": evaluate_cm(z_f, D_f, prec, L_f), "fc": evaluate_cm(z_fc, D_fc, prec, L_f.conj())}
     timings["evaluate_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    # each side's bound follows from the error of its own numbers
+    # one side is the 3-torsion point T, taken exactly; the other, tall,
+    # side is recognized under its one scaling
     root = scaling_root(split, i, prec)
-    bound = {}
-    recs = []
-    for form_tag, kind, raw in (("f", kind_f, raw_f), ("fc", kind_fc, raw_fc)):
-        if kind == "infinity":
-            recs.append(recognized_infinity(form_tag))
-            continue
-        bound[form_tag] = norm_bound(raw, root, prec)
-        recs.append(recognize(raw, split, i, bound[form_tag], prec, form=form_tag, root=root))
-    rec_f, rec_fc = recs
+    signs = {t: torsion_sign(raw, split, i, root, prec, t) for t, (kind, raw) in sides.items()
+             if kind == "point"}
+    torsion = [t for t, s in signs.items() if s]
+    if not torsion:
+        raise RecognitionFailed("neither f nor f^c is at the 3-torsion point (0, +-p^i/2)")
+    if len(torsion) == 2:
+        raise DescentFailed("f and f^c are both at the 3-torsion point; site unusable")
+    tall = "fc" if torsion == ["f"] else "f"
+    kind, raw = sides[tall]
+    if kind == "infinity":
+        raise DescentFailed(f"{tall} is at infinity; site unusable")
+    bound = norm_bound(raw, root, prec)
+    rec = recognize(raw, split, i, bound, prec, form=tall, root=root)
     timings["recognize_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    PK = twist_and_combine(rec_f, rec_fc, split, i)
+    T = CurvePoint(QOmega(p ** (2 * i)), QOmega(0), QOmega.from_ints(signs[torsion[0]] * p**i, 0, 2))
+    torsion_ok = T.on_curve() and mul(3, T).is_infinity
+    if not torsion_ok:
+        raise DescentFailed(f"torsion side {T} is not 3-torsion")
+    P = twist_point(rec, split, i)
+    PK = add(P, -T) if tall == "f" else add(T, -P)  # P_f - P_fc
     if PK.is_infinity:
         raise DescentFailed("twisted difference is the identity; site unusable")
     PQ, branch, cert = descend(PK, p, i)
@@ -391,11 +385,10 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
             "bound": cert.bound,
         },
         "cube_identity": {"ok": cube.verify()},
-        # bits of the norm bound left over by N(gamma), x_scaled = alpha/gamma
-        "precision_margin_bits": {
-            rec.form: None if rec.at_infinity else bound[rec.form].bit_length() - 1 - rec.norm_bits
-            for rec in (rec_f, rec_fc)
-        },
+        "torsion_point": {"ok": torsion_ok, "form": torsion[0]},  # [3]T = O
+        # bits of the tall side's norm bound left over by N(gamma),
+        # x_scaled = alpha/gamma
+        "precision_margin_bits": {tall: bound.bit_length() - 1 - rec.norm_bits},
     }
     return PipelineResult(
         p=p,
@@ -404,8 +397,9 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
         site=site,
         bits=prec,
         terms=M,
-        rec_f=rec_f,
-        rec_fc=rec_fc,
+        rec=rec,
+        torsion_form=torsion[0],
+        torsion_point=T,
         point_K=PK,
         descent_branch=branch,
         point_Q=PQ,

@@ -36,7 +36,9 @@ from .eisenstein import QOmega, split_prime
 from .heckeform import newform_pairs
 
 
-class RecognitionFailed(ArithmeticError):
+class NotIntegral(ArithmeticError):
+    """An exact coefficient of y(q) that is not in (1/2)Z[w]."""
+
     def __init__(self, n, value):
         self.n = n
         self.value = value
@@ -237,14 +239,14 @@ def _y_pairs(p, i, M, conjugate=False):
     alpha, beta = newform_pairs(p, i, 3 * T + 1, conjugate=conjugate)
     if (alpha[0], beta[0]) != (1, 0):  # z = a_1 q + ..., y = -a_1^-3 q^-3 + ...
         a1 = QOmega(alpha[0], beta[0])
-        raise RecognitionFailed(-3, -(a1**-3) if a1 else a1)
+        raise NotIntegral(-3, -(a1**-3) if a1 else a1)
     wa, wb = _wp_ode(alpha, beta, T, (-D.a, -D.b))
     for t in range(T + 1):
         a, b = wa[t], wb[t]
         if t == 1:
             a, b = a - shift.a, b - shift.b
         if a % 2 or b % 2:
-            raise RecognitionFailed(3 * t - 3, QOmega(wa[t], wb[t]) * Fraction(1, 2))
+            raise NotIntegral(3 * t - 3, QOmega(wa[t], wb[t]) * Fraction(1, 2))
     return wa, wb
 
 

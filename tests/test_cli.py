@@ -153,7 +153,7 @@ def test_solve_json_reports_failed_attempts(tmp_path, capsys):
     att = rep["attempts"][0]
     assert (att["site"], att["bits"], att["error"]) == ("wtau(r=47)", 96, "RecognitionFailed")
     assert "not recognized" in att["message"] and "N(gamma) <= 2^87" in att["message"]
-    assert rep["checks"]["precision_margin_bits"] == {"f": 28, "fc": 183}
+    assert rep["checks"]["precision_margin_bits"] == {"f": 28}
 
 
 def test_precision_exhausted_lists_every_attempt(tmp_path, capsys, monkeypatch):

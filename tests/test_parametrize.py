@@ -7,7 +7,7 @@ from cubesum.curves import CurvePoint, endo_omega, mul
 from cubesum.eisenstein import EisensteinInt, QOmega, is_prime_int, split_prime
 from cubesum.heckeform import build_form
 from cubesum import parametrize
-from cubesum.analytic import GUARD_BITS, fixed_to_mpc, mpc_to_fixed
+from cubesum.analytic import GUARD_BITS, fixed_of, fixed_to_mpc, mpc_to_fixed
 from cubesum.cmpoint import eval_site
 from cubesum.curves import DescentFailed
 from cubesum.parametrize import (
@@ -128,9 +128,11 @@ def test_recognized_point_reembedding():
     rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
     with mp.workprec(prec + 32):
         x, y = (fixed_to_mpc(v, prec + GUARD_BITS) for v in raw)
-        # x_scaled re-embeds onto x * mult^(2/3) * w^k to within 2^-(prec/2)
-        m = (split.pi if rec.mult_tag == "pi" else split.pibar).to_mpc(mp)
-        scaled = x * (m * m) ** (mp.mpf(1) / 3) * omega_mpc() ** rec.twist_k
+        # x_scaled re-embeds onto x * pi^(2/3) (f's one scaling, principal
+        # root) to within 2^-(prec/2)
+        assert rec.form == "f"
+        m = split.pi.to_mpc(mp)
+        scaled = x * (m * m) ** (mp.mpf(1) / 3)
         assert abs(rec.x_scaled.to_mpc(mp) - scaled) <= mp.mpf(2) ** (-(prec // 2))
         yv = rec.y.to_mpc(mp)
         assert abs(yv - y) < mp.mpf(2) ** (-(prec // 2))
@@ -188,12 +190,52 @@ def test_descend_output_invariants():
         assert r.certificate.nontorsion
 
 
-def test_twist_point_at_infinity():
-    from cubesum.parametrize import recognized_infinity
+def attempt_with_sides(monkeypatch, f_side, fc_side):
+    """7^1's 96-bit attempt with evaluate_cm's outcome for f and for f^c
+    replaced: "real" keeps it, "T" gives the numbers of the 3-torsion point
+    (0, base^i/2) of that form's curve and "infinity" the point at infinity.
+    At this site f is the torsion side and f^c the tall one."""
+    p, i, prec = 7, 1, 96
+    split = split_prime(p)
 
-    split = split_prime(7)
-    P = twist_point(recognized_infinity("f"), split, 1)
-    assert P.is_infinity
+    def fake(z, D, prec, lattice=None):
+        tag = "f" if D == split.pibar ** (2 * i) else "fc"
+        side = f_side if tag == "f" else fc_side
+        if side == "real":
+            return evaluate_cm(z, D, prec, lattice)
+        if side == "infinity":
+            return "infinity", None
+        base = split.pibar if tag == "f" else split.pi
+        return "point", ((0, 0), tuple(c >> 1 for c in fixed_of(base**i, prec + GUARD_BITS)))
+
+    monkeypatch.setattr(parametrize, "evaluate_cm", fake)
+    cand = parametrize.Candidate(eval_site(p, i))
+    return parametrize._attempt_site(cand, split, p, i, prec, None, build_form(p, i, 0))
+
+
+@pytest.mark.parametrize(
+    "f_side, fc_side, error, message",
+    [
+        ("infinity", "infinity", RecognitionFailed, "neither f nor f"),
+        ("infinity", "real", RecognitionFailed, "neither f nor f"),
+        ("real", "T", DescentFailed, "both at the 3-torsion point"),
+        ("T", "T", DescentFailed, "both at the 3-torsion point"),
+    ],
+    ids=["both-at-infinity", "f-at-infinity", "real-f-and-T", "T-and-T"],
+)
+def test_attempt_needs_exactly_one_torsion_side(monkeypatch, f_side, fc_side, error, message):
+    # no side at T (a side at infinity is not T) is a precision failure; two
+    # sides at T is a site failure, as their difference is torsion
+    with pytest.raises(error, match=message):
+        attempt_with_sides(monkeypatch, f_side, fc_side)
+
+
+def test_tall_side_at_infinity_is_a_site_failure(monkeypatch):
+    with pytest.raises(DescentFailed, match="fc is at infinity"):
+        attempt_with_sides(monkeypatch, "real", "infinity")
+    # the stand-in numbers of T are those of the real torsion side
+    r = attempt_with_sides(monkeypatch, "T", "real")
+    assert r.torsion_form == "f" and r.cube == solve_pipeline(7, 1).cube
 
 
 def test_pipeline_alternate_precision():
@@ -225,8 +267,7 @@ def test_torsion_site_value_is_negative_cusp_image():
     for p in (7, 13, 31):
         split = split_prime(p)
         r = solve_pipeline(p, 1)
-        tor = r.rec_fc if (r.rec_fc.x_scaled is not None and not r.rec_fc.x_scaled) else r.rec_f
-        conj = tor.form == "fc"
+        conj = r.torsion_form == "fc"
         z0, _ = l_value_and_cusp_zero(p, 1, 192, conjugate=conj)
         base = split.pi if conj else split.pibar
         L = lattice_of_curve(base**2, 192)
@@ -234,19 +275,23 @@ def test_torsion_site_value_is_negative_cusp_image():
             ypr = fixed_to_mpc(wp_eval(L, mpc_to_fixed(z0, 224), 192)[1], 224)
             half = base.to_mpc(mp) / 2
             cusp_sign = 1 if abs(ypr / 2 - half) < abs(ypr / 2 + half) else -1
-        site_sign = 1 if tor.y == base.to_q() / 2 else -1
+        # T = (0, s p/2) is the twist of (0, s base/2): the signs agree
+        site_sign = 1 if r.torsion_point.y == q(p) / 2 else -1
         assert site_sign == -cusp_sign
 
 
 def test_exactly_one_torsion_side():
-    # at W(tau_r) one of f, f^c gives a torsion point and the other the
-    # nontorsion one
+    # at W(tau_r) one of f, f^c gives the 3-torsion point T = (0, +-p^i/2)
+    # of E(p^i) and the other the nontorsion one
     for p, i in ((7, 1), (13, 1), (31, 1), (7, 2)):
         r = solve_pipeline(p, i)
         assert r.site == eval_site(p, i)
-        tor_f = r.rec_f.at_infinity or not r.rec_f.x_scaled
-        tor_fc = r.rec_fc.at_infinity or not r.rec_fc.x_scaled
-        assert tor_f != tor_fc
+        T = r.torsion_point
+        assert T.x == q(0) and T.y in (q(p**i) / 2, -q(p**i) / 2)
+        assert mul(3, T).is_infinity and not T.is_infinity
+        assert r.checks["torsion_point"] == {"ok": True, "form": r.torsion_form}
+        assert {r.torsion_form, r.rec.form} == {"f", "fc"}
+        assert r.rec.x_scaled != q(0)
 
 
 # ------------------------------------------------------- escalation schedule
@@ -317,8 +362,8 @@ def test_schedule_total_exhaustion(monkeypatch):
 def test_identity_difference_is_a_site_failure(monkeypatch):
     # a twisted difference that is the identity ends the solve at its first
     # rung; it is not retried at higher precision
-    def identity(rp_f, rp_fc, split, i):
-        return CurvePoint.infinity(q(Fraction(split.p) ** (2 * i)))
+    def identity(P, Q):
+        return CurvePoint.infinity(P.D)
 
     calls = []
     real = parametrize._attempt_site
@@ -327,7 +372,7 @@ def test_identity_difference_is_a_site_failure(monkeypatch):
         calls.append((cand.site.label(), prec))
         return real(cand, split, p, i, prec, *rest)
 
-    monkeypatch.setattr(parametrize, "twist_and_combine", identity)
+    monkeypatch.setattr(parametrize, "add", identity)
     monkeypatch.setattr(parametrize, "_attempt_site", spy)
     with pytest.raises(PrecisionExhausted) as info:
         solve_pipeline(7, 1)
@@ -345,7 +390,7 @@ def test_pipeline_103_squared_wins_after_one_retry():
     ]
     assert "not recognized" in r.attempts[0]["message"]
     assert "2^87" in r.attempts[0]["message"]
-    assert r.checks["precision_margin_bits"] == {"f": 28, "fc": 183}
+    assert r.checks["precision_margin_bits"] == {"f": 28}
     assert r.cube.verify()
 
 
@@ -355,25 +400,21 @@ def test_pipeline_79_squared_wins_at_96_bits():
     r = solve_pipeline(79, 2)
     assert (r.site.label(), r.bits) == ("wtau(r=56)", 96)
     assert r.attempts == []
-    assert r.checks["precision_margin_bits"] == {"f": 87, "fc": 16}
+    assert r.checks["precision_margin_bits"] == {"fc": 16}
     assert r.cube.verify()
 
 
 # The schedule of five solves from 96 bits with the continued fraction over
 # Z[w]: (p, i) -> (bits, terms, failed attempts (bits, error),
-# precision_margin_bits, (mult_tag, twist_k) of f and of f^c, descent
-# branch).  223^1 has N = 27p; 103^2 wins after one retry.  A speed-up
-# must keep all of it: it comes from cheaper attempts, not from a
-# different schedule.
+# precision_margin_bits of the tall side, torsion side, descent branch).
+# 223^1 has N = 27p; 103^2 wins after one retry.  A speed-up must keep all
+# of it: it comes from cheaper attempts, not from a different schedule.
 SCHEDULE = {
-    (103, 1): (96, 4047, [], {"f": 85, "fc": 92}, [("pi", 0), ("pibar", 0)], "sqrt-3(w^0+)"),
-    (223, 1): (96, 26934, [], {"f": 50, "fc": 92}, [("pi", 0), ("pibar", 0)], "trace(w^0+)"),
-    (67, 2): (96, 7965, [], {"f": 87, "fc": 47}, [("pi", 0), ("pibar", 0)], "trace(w^0+)"),
-    (79, 2): (96, 3095, [], {"f": 87, "fc": 16}, [("pi", 0), ("pibar", 0)], "sqrt-3(w^0+)"),
-    (103, 2): (
-        192, 23649, [(96, "RecognitionFailed")], {"f": 28, "fc": 183},
-        [("pi", 0), ("pibar", 0)], "sqrt-3(w^0+)",
-    ),
+    (103, 1): (96, 4047, [], {"f": 85}, "fc", "sqrt-3(w^0+)"),
+    (223, 1): (96, 26934, [], {"f": 50}, "fc", "trace(w^0+)"),
+    (67, 2): (96, 7965, [], {"fc": 47}, "f", "trace(w^0+)"),
+    (79, 2): (96, 3095, [], {"fc": 16}, "f", "sqrt-3(w^0+)"),
+    (103, 2): (192, 23649, [(96, "RecognitionFailed")], {"f": 28}, "fc", "sqrt-3(w^0+)"),
 }
 
 
@@ -385,7 +426,7 @@ def test_schedule_is_pinned(p, i):
         r.terms,
         [(a["bits"], a["error"]) for a in r.attempts],
         r.checks["precision_margin_bits"],
-        [(rec.mult_tag, rec.twist_k) for rec in (r.rec_f, r.rec_fc)],
+        r.torsion_form,
         r.descent_branch,
     )
     assert got == SCHEDULE[p, i]
@@ -409,7 +450,7 @@ def test_recognize_takes_the_sign_of_y_from_the_numbers():
     flipped = recognize((x, (-y[0], -y[1])), split, 1, 1 << 84, prec, form="f")
     assert rec.y == q(-2, Fraction(-9, 2))
     assert flipped.y == -rec.y
-    assert flipped.x_scaled == rec.x_scaled and flipped.twist_k == rec.twist_k
+    assert flipped.x_scaled == rec.x_scaled
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 1000), Fraction(-3, 7), Fraction(1, 2**40)])
@@ -434,26 +475,39 @@ def test_recognize_rejects_an_exact_y_off_the_numbers():
         recognize((x, off), split, 1, 1 << 84, prec, form="f")
 
 
-# 103^2's failed 96-bit attempt, as recognize reported it when it tested
-# all six (cube root, w^k) candidates with _exact_y; x is printed to
-# prec/2 = 48 bits
+# 103^2's failed 96-bit attempt, as recognize reports it after its one
+# continued fraction; x is printed to prec/2 = 48 bits
 _FAIL_103_2_AT_96 = (
-    "x = (-5.113157863274 - 3.941169187971j)"
-    " not recognized under either cube root with N(gamma) <= 2^87;"
-    " 6 candidate x had no exact y matching the numbers"
+    "x of f = (-5.113157863274 - 3.941169187971j) not recognized with N(gamma) <= 2^87;"
+    " its candidate x had no exact y matching the numbers"
 )
 
-def test_rejected_twists_are_not_tested_again(monkeypatch):
-    # x w and x w^2 have x's S and e: after the k = 0 candidate of a cube
-    # root is rejected, its k = 1, 2 candidates count as rejected untested
+
+def spy_continued_fractions(monkeypatch):
     calls = []
-    real = parametrize._exact_y
-    monkeypatch.setattr(parametrize, "_exact_y", lambda x, c: calls.append(x) or real(x, c))
+    real = parametrize.recognize_eisenstein
+    monkeypatch.setattr(
+        parametrize, "recognize_eisenstein", lambda *a: calls.append(a) or real(*a)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("p, i", [(103, 1), (79, 2)], ids=["103^1", "79^2"])
+def test_a_winning_attempt_runs_one_continued_fraction(monkeypatch, p, i):
+    # the torsion side takes none and the tall side one, under its one
+    # cube root and no twist w^k
+    calls = spy_continued_fractions(monkeypatch)
+    r = solve_pipeline(p, i)
+    assert r.attempts == [] and len(calls) == 1
+
+
+def test_a_failing_attempt_runs_one_continued_fraction(monkeypatch):
+    calls = spy_continued_fractions(monkeypatch)
     cand = parametrize.Candidate(eval_site(103, 2))
     with pytest.raises(RecognitionFailed) as info:
         parametrize._attempt_site(cand, split_prime(103), 103, 2, 96, None, build_form(103, 2, 0))
     assert str(info.value) == _FAIL_103_2_AT_96
-    assert len(calls) == 2  # one per cube root; all six were tested before
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------ sweep
@@ -482,15 +536,15 @@ def test_a_point_above_the_norm_bound_fails_and_never_gives_a_wrong_x():
     W = prec + GUARD_BITS
     r = solve_pipeline(7, 1)
     split = r.split
-    rec = r.rec_f if r.rec_f.x_scaled else r.rec_fc
+    rec = r.rec
     P = twist_point(rec, split, 1)
     root = parametrize.scaling_root(split, 1, prec)
-    mult, rt = (split.pi, root) if rec.mult_tag == "pi" else (split.pibar, (root[0], -root[1]))
+    mult, rt = (split.pi, root) if rec.form == "f" else (split.pibar, (root[0], -root[1]))
     outcomes = []
     for n in range(1, 9):
         Q = mul(n, P)
         with mp.workprec(W + 64):
-            x = Q.x.to_mpc(mp) / fixed_to_mpc(rt, W) / omega_mpc() ** rec.twist_k
+            x = Q.x.to_mpc(mp) / fixed_to_mpc(rt, W)
             y = Q.y.to_mpc(mp) / mult.to_mpc(mp)
             raw = (mpc_to_fixed(x, W), mpc_to_fixed(y, W))
         bound = parametrize.norm_bound(raw, root, prec)
