@@ -18,7 +18,7 @@ import tempfile
 import time
 import zlib
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .eisenstein import QOmega, is_prime_int
 from .heckeform import build_form, conductor_and_level, newform_pairs, spot_check
@@ -144,7 +144,9 @@ class RunReport:
     attempts: list  # failed attempts before the win: site, bits, error, message
 
     def to_dict(self):
-        return asdict(self)
+        # shallow: the fields already hold JSON-ready values, and the
+        # report is dumped once, so asdict's deep copy would buy nothing
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_report(result):

@@ -4,9 +4,18 @@ Points live over Q(w) (or Q, the b-components zero); all group law and
 descent arithmetic is exact rational, integer-normalised: each coordinate is
 a QOmega (A + B w)/d with d > 0 and gcd(A, B, d) = 1 — no floating point
 crosses into this module.  The CM action is [w](x, y) = (w x, y), and
-sqrt(-3) = 1 + 2w so [sqrt(-3)]P = P + [w][2]P.  Nontorsion is certified by reduction at two good
-primes: the torsion order divides gcd(#E(F_q1), #E(F_q2)), so [g]P != O is a
-proof.
+sqrt(-3) = 1 + 2w so [sqrt(-3)]P = P + [w][2]P.
+
+Nontorsion is certified by reduction at two good primes q1, q2: the torsion
+order divides g = gcd(#E(F_q1), #E(F_q2)), so [g]P != O is a proof.  That
+statement is decided at the witness prime l = 2^61 - 1.  l = 1 mod 9, so l
+is never an eligible p, and l is prime to 6p, so y^2 = x^3 + p^(2i)/4 has
+good reduction at l and reduction E(Q) -> E~(F_l) is a group homomorphism
+(Silverman, The Arithmetic of Elliptic Curves, VII.2.1).  Hence
+[g]P~ = reduction of [g]P, and [g]P~ != O~ in E~(F_l) proves [g]P != O.
+Only when the witness reads O~ (P~ = O~ because l divides a denominator of
+P, or [g]P~ = O~) is [g]P formed over Q, so the verdict is exactly
+[g]P != O for every point.
 """
 
 from __future__ import annotations
@@ -196,12 +205,49 @@ def good_reduction_primes(p, count=2, start=5):
     return out
 
 
+WITNESS_PRIME = 2**61 - 1
+
+
+def _witness_add(R, S, ell):
+    """R + S on y^2 = x^3 + c over F_ell, points as residue pairs (x, y)
+    and O~ as None: the chord-and-tangent law of add."""
+    if R is None:
+        return S
+    if S is None:
+        return R
+    (x1, y1), (x2, y2) = R, S
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        lam = 3 * x1 * x1 * pow(2 * y1, -1, ell) % ell
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (lam * lam - x1 - x2) % ell
+    return x3, (lam * (x1 - x3) - y1) % ell
+
+
+def _witness_mul(n, P, ell):
+    """[n]P~ in E~(F_ell), n >= 0, by the double-and-add of mul; P is
+    rational and ell divides neither of its denominators."""
+    inv = pow(P.x.d * P.y.d, -1, ell)  # one inversion for both denominators
+    B = (P.x.A * P.y.d * inv % ell, P.y.A * P.x.d * inv % ell)
+    R = None
+    while n:
+        if n & 1:
+            R = _witness_add(R, B, ell)
+        n >>= 1
+        if n:
+            B = _witness_add(B, B, ell)
+    return R
+
+
 @dataclass(frozen=True)
 class TorsionCertificate:
     primes: tuple
     counts: tuple
     bound: int
     nontorsion: bool
+    witness: int | None = None  # WITNESS_PRIME when it decided, None when [g]P was formed over Q
 
 
 def nontorsion_certificate(P, p, i):
@@ -210,14 +256,25 @@ def nontorsion_certificate(P, p, i):
     Any torsion order divides g = gcd of the two good-reduction counts, so
     [g]P != O proves P nontorsion; [g]P = O pins P as torsion (the known
     3-group {O, (0, +-p^i/2)}).
+
+    [g]P != O is decided first at l = WITNESS_PRIME.  l is prime, l = 1
+    mod 9 (so l != p for every eligible p) and l is prime to 6p, so the
+    model y^2 = x^3 + p^(2i)/4 is l-integral with discriminant -27 p^(4i)
+    prime to l: minimal at l, with good reduction.  Reduction
+    E(Q) -> E~(F_l) is then a group homomorphism (Silverman, VII.2.1), so
+    [g]P~ is the reduction of [g]P and [g]P~ != O~ proves [g]P != O.  When
+    l divides a denominator of P (P~ = O~) or [g]P~ = O~, the witness
+    proves nothing and [g]P is formed over Q; the torsion points always
+    take that path.  The verdict is [g]P != O either way, and `witness`
+    says which path gave it.
     """
     if P.is_infinity:
         return TorsionCertificate((), (), 0, False)
     if not P.is_rational():
         raise ValueError("certificate applies to rational points")
-    if not P.on_curve():
-        raise ValueError("point is not on the curve")
     D_int = p ** (2 * i)
+    if P.D != QOmega(D_int) or not P.on_curve():
+        raise ValueError(f"point is not on y^2 = x^3 + {p}^{2 * i}/4")
     q1, q2 = good_reduction_primes(p)
     from math import gcd
 
@@ -226,6 +283,8 @@ def nontorsion_certificate(P, p, i):
             raise BadReduction(f"{q} is not a good prime here")
     counts = (reduction_count(D_int, q1), reduction_count(D_int, q2))
     g = gcd(counts[0], counts[1])
+    ell = WITNESS_PRIME
+    if p != ell and P.x.d % ell and P.y.d % ell and _witness_mul(g, P, ell) is not None:
+        return TorsionCertificate((q1, q2), counts, g, True, ell)
     killed = mul(g, P).is_infinity
     return TorsionCertificate((q1, q2), counts, g, not killed)
-

@@ -267,7 +267,8 @@ def twist_point(rp, split, i):
 
 def descend(PK, p, i):
     """(point, branch, certificate): a rational point of E(p^i) from an exact
-    K-point, with the two-prime certificate that it is nontorsion.
+    K-point, with the two-prime certificate that it is nontorsion (decided
+    at curves.WITNESS_PRIME, or over Q when the witness reads O).
 
     Branch 1 is the trace P + conj(P); branch 2 is [sqrt(-3)]P when that is
     rational.  Both branches are tried across the six unit twists
@@ -383,6 +384,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
             "primes": list(cert.primes),
             "counts": list(cert.counts),
             "bound": cert.bound,
+            "witness": cert.witness,
         },
         "cube_identity": {"ok": cube.verify()},
         "torsion_point": {"ok": torsion_ok, "form": torsion[0]},  # [3]T = O

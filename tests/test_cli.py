@@ -63,6 +63,20 @@ def test_report_roundtrip(tmp_path, capsys):
     assert json.loads(out) == rep.to_dict()
 
 
+def test_report_dict_dumps_as_asdict():
+    # to_dict is shallow; its JSON must be the deep asdict copy's, here on a
+    # solved report with a failed attempt and the witness in its checks
+    from dataclasses import asdict
+
+    from cubesum.curves import WITNESS_PRIME
+    from cubesum.parametrize import solve_pipeline
+
+    rep = cli.build_report(solve_pipeline(103, 2))
+    assert rep.attempts and rep.checks["nontorsion_certificate"]["witness"] == WITNESS_PRIME
+    dump = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
+    assert dump == json.dumps(asdict(rep), indent=2, sort_keys=True)
+
+
 def test_solve_power_both(tmp_path, capsys):
     code, out, _ = run_cli(
         ["solve", "7", "--power", "both", "--json", "--cache-dir", str(tmp_path)], capsys

@@ -204,6 +204,78 @@ def test_nontorsion_fixtures():
     assert not certT.nontorsion
 
 
+def _points_of_e7():
+    # the 7^1 fixture P, its multiples kP, T and O
+    P = CurvePoint.make(QOmega(49), QOmega(Fraction(-20, 9)), QOmega(Fraction(-61, 54)))
+    return [mul(k, P) for k in (-1, 1, 2, 3, 4, 5, 6)] + [
+        CurvePoint.make(QOmega(49), 0, Fraction(7, 2)), CurvePoint.infinity(QOmega(49))]
+
+
+def test_witness_certificate_keeps_the_exact_verdict():
+    from cubesum.parametrize import solve_pipeline
+
+    ell = curves.WITNESS_PRIME
+    assert ell == 2**61 - 1 and ell % 9 == 1
+    inputs = [(Q, 7, 1) for Q in _points_of_e7()]
+    # descended points of three solves (67^2 has g = 6)
+    inputs += [(solve_pipeline(p, i).point_Q, p, i) for p, i in ((103, 1), (67, 2), (79, 2))]
+    verdicts = []
+    for Q, p, i in inputs:
+        cert = nontorsion_certificate(Q, p, i)
+        assert cert.nontorsion == (not mul(cert.bound, Q).is_infinity)
+        assert cert.witness == (ell if cert.nontorsion else None)
+        verdicts.append(cert.nontorsion)
+    assert verdicts == [True] * 7 + [False, False] + [True] * 3  # only T and O are torsion
+
+
+@pytest.mark.parametrize("ell", [5, 29])
+def test_witness_reading_O_falls_back_to_g_p_over_q(monkeypatch, ell):
+    # at l = 5 = q1 of 7^1, g = 6 = #E~(F_5) kills every reduction; 29
+    # divides the denominator of 5P, which reduces to O~ there, and the
+    # witness decides the other multiples
+    inputs = _points_of_e7()
+    exact = [nontorsion_certificate(Q, 7, 1) for Q in inputs]
+    real_mul = curves.mul
+    calls = []
+
+    def spy(n, P):
+        calls.append(n)
+        return real_mul(n, P)
+
+    monkeypatch.setattr(curves, "WITNESS_PRIME", ell)
+    monkeypatch.setattr(curves, "mul", spy)
+    fell_back = 0
+    for Q, want in zip(inputs, exact):
+        calls.clear()
+        cert = nontorsion_certificate(Q, 7, 1)
+        assert (cert.nontorsion, cert.bound) == (want.nontorsion, want.bound)
+        if Q.is_infinity:
+            assert calls == [] and cert.witness is None
+        elif ell == 5 or Q.x.d % ell == 0 or not want.nontorsion:
+            assert calls == [6] and cert.witness is None
+            fell_back += 1
+        else:
+            assert calls == [] and cert.witness == ell
+    assert fell_back == (8 if ell == 5 else 2)  # 29: 5P and T
+
+
+def test_witness_certificate_forms_no_g_p_over_q(monkeypatch):
+    from cubesum.parametrize import solve_pipeline
+
+    real_mul, real_cert = curves.mul, curves.nontorsion_certificate
+    calls, certs = [], []
+    monkeypatch.setattr(curves, "mul", lambda n, P: calls.append(n) or real_mul(n, P))
+    monkeypatch.setattr(curves, "nontorsion_certificate", lambda *a: certs.append(a) or real_cert(*a))
+    r = solve_pipeline(67, 2)
+    assert certs and r.certificate.bound == 6 and r.certificate.witness == curves.WITNESS_PRIME
+    assert 6 not in calls
+
+
+def test_certificate_needs_a_point_of_e_p_i():
+    with pytest.raises(ValueError):
+        nontorsion_certificate(_points_of_e7()[1], 13, 1)
+
+
 def test_exact_checks_survive_python_O():
     # under -O every assert is stripped; the isogeny and cube identities
     # must still reject an off-curve point
