@@ -23,15 +23,16 @@ by rectangular splitting in q^3 (Paterson-Stockmeyer).  wp_0 is a Horner
 sum in xi^6 over the base lattice's coefficients, stored as integers,
 after an integer reduction of xi = z/Omega to the Voronoi cell of 0.
 Recognition is a continued fraction over Z[w] on the same integers
-(recognize_eisenstein).  mpmath is left with the per-precision constants
-of Z[w] (_base_lattice), one real exp and one root of unity per site, the
-sixth root for Omega^-1 and the cube root of recognition (one of each per
-attempt, converted once), and the callers that work in mpc (tests, the
-Fricke constant and the cusp image z0 = L(f, 1), _fricke), which convert
-at the boundary (mpc_to_fixed, fixed_to_mpc).  "Lies in L" always means
-a residual below 2^(-prec/2): of the lattice coordinates from the nearest
-integers (PeriodLattice.contains), or of z/Omega reduced to the Voronoi
-cell of 0 (wp_eval, which raises PoleAtLatticePoint there).
+(recognize_eisenstein), and the sixth root for Omega^-1 and the cube root
+of recognition are Gaussian Newton steps on them too (principal_root).
+mpmath is left with the per-precision constants of Z[w] (_base_lattice),
+one real exp and one root of unity per site (eval_z's set-up), and the
+callers that work in mpc (tests, the Fricke constant and the cusp image z0
+= L(f, 1), _fricke), which convert at the boundary (mpc_to_fixed,
+fixed_to_mpc).  "Lies in L" always means a residual below 2^(-prec/2): of
+the lattice coordinates from the nearest integers (PeriodLattice.contains),
+or of z/Omega reduced to the Voronoi cell of 0 (wp_eval, which raises
+PoleAtLatticePoint there).
 """
 
 from __future__ import annotations
@@ -98,6 +99,69 @@ def fixed_of(x, W):
     A, B, d = (x.a, x.b, 1) if isinstance(x, EisensteinInt) else (x.A, x.B, x.d)
     im = math.isqrt(3 * B * B << 2 * W) // (2 * d)
     return ((2 * A - B) << W) // (2 * d), im if B >= 0 else -im
+
+
+def principal_root(x, n, W, scale=None):
+    """The principal n-th root (2 <= n <= 6) of a = x 2^W / scale, as a
+    pair at W, floored: x != 0 in Q(w) (an EisensteinInt has d = 1) and
+    scale > 0 an integer, 2^W when None (a = x).  It is mpmath's branch, arg
+    in (-pi/n, pi/n], and it is off by under 1 + 1/32 + |a|^(1/n) 2^-16
+    units of 2^-W.
+
+    Radicand.  x = (c + B sqrt(-3))/(2d) with c = 2A - B, so v = a 2^e =
+    (c + B sqrt(-3)) 2^(W + e) / (2 d scale), each component floored, with
+    e such that |v| > 2^(W + 17): relative precision, so a small a keeps
+    all its bits.  v is off by under 2 units, a relative error
+    under 2^-(W + 16), which moves the root by under |a|^(1/n) 2^-(W + 16).
+    A floor keeps the sign of the imaginary part (a negative one floors to
+    at most -1), so v lies on a's side of the negative real axis, where an
+    imaginary part of 0 means arg pi, as in mpmath.
+
+    Newton.  With b = the bit length of v's larger component and k = (b -
+    e) // n, m = a 2^(-nk) has 2^-1 <= |m| < 2^(n - 1/2), so its root r has
+    2^(-1/n) <= |r| < 2, and a^(1/n) = r 2^k.  The seed is the float root of
+    the leading 53 bits of v (shifted before the conversion, so that no
+    float overflows): the principal one, from atan2, within a relative 2^-44
+    of r, then truncated to the first step's q bits.  A step at q bits maps
+    the pair Y of r to ((n - 1) Y + m / Y^(n-1)) // n, with m floored at q,
+    n - 2 truncated products (Y^(n-1) off by a relative 9 units) and a
+    floored quotient: off by under 2^4 units of 2^-q, a relative 2^(5 - q),
+    on top of the exact step's relative error n delta^2 from a relative
+    error delta <= 2^-20.  So delta < 2^(6 - q) holds after every step
+    while each q is at most twice the one before less 10, and the seed is
+    held at the first q, at most 88; q doubles up to P = W + k + 12, where
+    r is within 2^(7 - P), so a^(1/n) within 2^-(W + 5), 1/32 unit (for
+    |a| >= 2^(-20n), where P >= 26).  The roots of m are at least |r| apart,
+    so Newton stays at the seed's root; the floor adds the last unit.
+    """
+    A, B, d = (x.a, x.b, 1) if isinstance(x, EisensteinInt) else (x.A, x.B, x.d)
+    den = 2 * d * (1 << W if scale is None else scale)
+    c = 2 * A - B
+    e = max(-W, 18 + den.bit_length() - max(abs(c), abs(B)).bit_length())  # v = a 2^e
+    im = math.isqrt(3 * B * B << 2 * (W + e))
+    vr, vi = (c << W + e) // den, (im if B >= 0 else -im) // den
+    b = max(abs(vr), abs(vi)).bit_length()
+    k = (b - e) // n
+    P = W + k + 12
+    t = P - e - n * k  # m = a 2^(-nk) at P bits is v 2^t
+    m = (vr << t, vi << t) if t >= 0 else (vr >> -t, vi >> -t)
+    qs = [P]  # the steps' precisions, from the last
+    while qs[-1] > 88:
+        qs.append((qs[-1] + 12) // 2)
+    lead = max(b - 53, 0)
+    fr, fi = float(vr >> lead), float(vi >> lead)
+    mag = 2.0 ** ((math.log2(math.hypot(fr, fi)) + lead - e - n * k) / n)
+    arg = math.atan2(fi, fr) / n
+    prev = qs[-1]
+    Y = int(math.ldexp(mag * math.cos(arg), prev)), int(math.ldexp(mag * math.sin(arg), prev))
+    for q in reversed(qs):
+        Y, mq = (Y[0] << q - prev, Y[1] << q - prev), (m[0] >> P - q, m[1] >> P - q)
+        pw = Y
+        for _ in range(n - 2):
+            pw = fixed_mul(pw, Y, q)
+        tr, ti = fixed_div(mq, pw, q)
+        Y, prev = (((n - 1) * Y[0] + tr) // n, ((n - 1) * Y[1] + ti) // n), q
+    return Y[0] >> 12, Y[1] >> 12
 
 
 def recognize_eisenstein(v, W, norm_bits):
@@ -306,21 +370,19 @@ def reduce_xi(xi, W):
 def lattice_of_curve(D, prec=192):
     """Period lattice of y^2 = x^3 + D/4 (D in Z[w] or Q(w)), i.e. the
     hexagonal lattice with g3 = -D: Omega^-1 is the principal sixth root of
-    -D / g3(Z[w]), taken by mpmath at W + 16 bits and floored at W.
-    _base_lattice holds g3 = 820.8... within one unit of 2^-W, a relative
-    error under 2^-(W + 9), which moves the root by under |Omega^-1| 2^-(W +
-    12); so while |Omega^-1| < 2^10 (|D| < 2^69), Omega^-1 is off by under
-    2 units of 2^-W: 1 from the floor, under 1/4 from g3 and under 1/16
-    from mpmath's roundings.  The conjugate curve has the conjugate lattice (PeriodLattice.conj), as
-    the principal root commutes with conjugation off the negative real
-    axis."""
+    -D / g3(Z[w]), taken by Newton steps on the integers from -D and the
+    integer g3 of _base_lattice (principal_root, which gives the proof).  That g3 = 820.8... is held within one unit of 2^-W, a
+    relative error under 2^-(W + 9), which moves the root by under
+    |Omega^-1| 2^-(W + 12); principal_root adds under 1 + 1/32 + |Omega^-1|
+    2^-16 units.  So while |Omega^-1| < 2^10 (|D| < 2^69), Omega^-1 is off
+    by under 2 units of 2^-W: 1 from the floor, under 1/4 from g3 and under
+    1/16 from the Newton steps and the radicand.  The conjugate curve has
+    the conjugate lattice (PeriodLattice.conj), as the principal root
+    commutes with conjugation off the negative real axis."""
     if not D:
         raise ValueError("D must be nonzero")
     g3, _ = _base_lattice(prec)
-    W = prec + GUARD_BITS
-    with mp.workprec(W + 16):
-        inv = mpc_to_fixed(mp.root(-D.to_mpc(mp) / mp.ldexp(g3, -W), 6), W)
-    return PeriodLattice(inv, prec)
+    return PeriodLattice(principal_root(-D, 6, prec + GUARD_BITS, g3), prec)
 
 
 # -------------------------------------------------------------- wp values

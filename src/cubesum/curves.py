@@ -6,6 +6,12 @@ a QOmega (A + B w)/d with d > 0 and gcd(A, B, d) = 1 — no floating point
 crosses into this module.  The CM action is [w](x, y) = (w x, y), and
 sqrt(-3) = 1 + 2w so [sqrt(-3)]P = P + [w][2]P.
 
+The exact identities are tested on numerators and denominators,
+cross-multiplied, with no gcd: the curve equation (CurvePoint.on_curve, in
+Z[w]), the isogeny identity Y^2 = X^3 - 432 p^(2i) and the cube identity
+u^3 + v^3 = p^i.  isogeny_to_432 and to_cube_sum take rational points
+only, build X, Y and u, v on the integers and normalize each once.
+
 Nontorsion is certified by reduction at two good primes q1, q2: the torsion
 order divides g = gcd(#E(F_q1), #E(F_q2)), so [g]P != O is a proof.  That
 statement is decided at the witness prime l = 2^61 - 1.  l = 1 mod 9, so l
@@ -57,6 +63,13 @@ def _q(x):
     return QOmega(x) if q is None else q
 
 
+def _zmul(a, b):
+    """(a0 + a1 w)(b0 + b1 w) in Z[w], as a pair (no EisensteinInt objects:
+    on_curve runs several times an attempt)."""
+    bb = a[1] * b[1]
+    return a[0] * b[0] - bb, a[0] * b[1] + a[1] * b[0] - bb
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     """A point on y^2 = x^3 + D/4, or the point at infinity (x = y = None)."""
@@ -81,9 +94,16 @@ class CurvePoint:
         return self.x is None
 
     def on_curve(self):
+        """y^2 = x^3 + D/4, multiplied through by 4 d_D d_x^3 d_y^2 (the
+        denominators) and compared in Z[w]."""
         if self.is_infinity:
             return True
-        return self.y * self.y == self.x**3 + self.D / 4
+        x, y, D = self.x, self.y, self.D
+        X = (x.A, x.B)
+        y2, x3 = _zmul((y.A, y.B), (y.A, y.B)), _zmul(_zmul(X, X), X)
+        dx3, dy2 = x.d**3, y.d**2
+        cy, cx, cD = 4 * D.d * dx3, 4 * D.d * dy2, dx3 * dy2
+        return cy * y2[0] == cx * x3[0] + cD * D.A and cy * y2[1] == cx * x3[1] + cD * D.B
 
     def is_rational(self):
         return self.is_infinity or (self.x.is_rational() and self.y.is_rational())
@@ -145,20 +165,27 @@ def mul_sqrt_m3(P):
 
 
 def isogeny_to_432(P, p, i):
-    """Image of P in E(p^i) : y^2 = x^3 + p^(2i)/4 on Y^2 = X^3 - 432 p^(2i).
+    """Image of the rational point P in E(p^i) : y^2 = x^3 + p^(2i)/4 on
+    Y^2 = X^3 - 432 p^(2i).
 
     X = 4(x^3 + p^(2i))/x^2, Y = 8y(x^3 - 2 p^(2i))/x^3; the 3-isogeny with
     kernel {O, (0, +-p^i/2)} composed with the scaling (4, 8) (verified
-    symbolically in the test suite).
+    symbolically in the test suite).  With x = a/d and y = b/e, X = 4(a^3 +
+    p^(2i) d^3)/(a^2 d) and Y = 8b(a^3 - 2 p^(2i) d^3)/(e a^3) are formed on
+    the integers and normalized once; the identity is checked on their
+    numerators and denominators, cross-multiplied.
     """
     n2 = p ** (2 * i)
     if P.is_infinity or P.x == QOmega(0):
         raise KernelPoint("point lies in the isogeny kernel")
-    x, y = P.x, P.y
-    x3 = x**3
-    X = 4 * (x3 + n2) / (x * x)
-    Y = 8 * y * (x3 - 2 * n2) / x3
-    if Y * Y != X**3 - 432 * n2:
+    if not P.is_rational():
+        raise ValueError("the isogeny applies to rational points")
+    a, d, b, e = P.x.A, P.x.d, P.y.A, P.y.d
+    a3, nd3 = a**3, n2 * d**3
+    X = QOmega.from_ints(4 * (a3 + nd3), 0, a * a * d)
+    Y = QOmega.from_ints(8 * b * (a3 - 2 * nd3), 0, e * a3)
+    xd3 = X.d**3
+    if Y.A * Y.A * xd3 != (X.A**3 - 432 * n2 * xd3) * Y.d * Y.d:
         raise AssertionError(f"isogeny image ({X}, {Y}) is off Y^2 = X^3 - 432 p^(2i)")
     return X, Y
 
@@ -170,20 +197,29 @@ class CubeSum:
     target: int
 
     def verify(self):
-        return self.u**3 + self.v**3 == self.target
+        """u^3 + v^3 = target, multiplied through by the denominators."""
+        u, v = self.u, self.v
+        ud3, vd3 = u.denominator**3, v.denominator**3
+        return u.numerator**3 * vd3 + v.numerator**3 * ud3 == self.target * ud3 * vd3
 
 
 def to_cube_sum(X, Y, p, i):
-    """(u, v) with u^3 + v^3 = p^i from a point on Y^2 = X^3 - 432 p^(2i)."""
+    """(u, v) with u^3 + v^3 = p^i from a rational point on Y^2 = X^3 - 432
+    p^(2i): u, v = (36 p^i +- Y)/(6X), formed on the integers from X = NX/DX
+    and Y = NY/DY as (36 p^i DY +- NY) DX / (6 NX DY), each normalized once;
+    the identity is checked cross-multiplied (CubeSum.verify)."""
     X, Y = _q(X), _q(Y)
     n = p**i
     if not X:
         raise DegenerateImage("X = 0 has no cube-sum image")
-    u = (36 * n + Y) / (6 * X)
-    v = (36 * n - Y) / (6 * X)
-    if not (u.is_rational() and v.is_rational()):
-        raise DegenerateImage(f"image ({u}, {v}) is not rational")
-    out = CubeSum(u=u.a, v=v.a, target=p**i)
+    if not (X.is_rational() and Y.is_rational()):  # u, v are rational exactly when X, Y are
+        raise DegenerateImage(f"image of ({X}, {Y}) is not rational")
+    den = 6 * X.A * Y.d
+    out = CubeSum(
+        u=Fraction((36 * n * Y.d + Y.A) * X.d, den),
+        v=Fraction((36 * n * Y.d - Y.A) * X.d, den),
+        target=n,
+    )
     if not out.verify():
         raise AssertionError(f"cube identity failed: ({out.u})^3 + ({out.v})^3 != {p}^{i}")
     return out

@@ -39,7 +39,7 @@ from .analytic import (
     fixed_of,
     fixed_to_mpc,
     lattice_of_curve,
-    mpc_to_fixed,
+    principal_root,
     recognize_eisenstein,
     site_terms,
     wp_eval,
@@ -118,12 +118,11 @@ def _exact_y(x, c):
 
 def scaling_root(split, i, prec=192):
     """The principal cube root of pi^(2i), a pair at W = prec + GUARD_BITS,
-    taken by mpmath at W + 16 bits and floored, so it is off by under 2
-    units while p^(i/3) < 2^14.  pibar^(2i)'s root is its conjugate, as
-    pi^(2i) is off the real axis."""
-    W = prec + GUARD_BITS
-    with mp.workprec(W + 16):
-        return mpc_to_fixed(mp.cbrt((split.pi ** (2 * i)).to_mpc(mp)), W)
+    by Newton steps on the integers (analytic.principal_root, which gives
+    the proof): off by under 1 + 1/32 + p^(i/3) 2^-16 units, so under 2
+    while p^(i/3) < 2^14.  pibar^(2i)'s root is its
+    conjugate, as pi^(2i) is off the real axis."""
+    return principal_root(split.pi ** (2 * i), 3, prec + GUARD_BITS)
 
 
 def _twist(split, i, root, form):

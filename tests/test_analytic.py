@@ -20,6 +20,7 @@ from cubesum.analytic import (
     lattice_of_curve,
     fixed_of,
     mpc_to_fixed,
+    principal_root,
     recognize_eisenstein,
     reduce_xi,
     site_terms,
@@ -230,6 +231,43 @@ def test_conjugate_curve_has_the_conjugate_lattice(p, i, prec):
     L = lattice_of_curve(split.pibar ** (2 * i), prec)
     Lc = lattice_of_curve(split.pi ** (2 * i), prec)
     assert all(abs(a - b) <= 2 for a, b in zip(L.conj().inv, Lc.inv))
+
+
+def _mpmath_root(x, n, W, scale=None):
+    """mpmath's principal n-th root of x 2^W / scale (of x when scale is
+    None), taken 64 bits finer and floored at W: the oracle of
+    principal_root, and the formula lattice_of_curve and scaling_root used."""
+    with mp.workprec(W + 64):
+        a = x.to_mpc(mp) if scale is None else x.to_mpc(mp) * mp.ldexp(1, W) / scale
+        return mpc_to_fixed(mp.root(a, n), W)
+
+
+def _root_cases(prec):
+    """(x, n, scale) radicands of lattice_of_curve (-D, 6, g3) and
+    scaling_root (pi^(2i), 3, None), and synthetic ones."""
+    g3 = analytic._base_lattice(prec)[0]
+    cases = [(-(split_prime(7).pibar ** 2), 6, g3)]  # 7^1's lattice: |-D/g3| near 2^-7
+    for p, i in ((103, 2), (1993, 2)):
+        s = split_prime(p)
+        cases += [(-(s.pibar ** (2 * i)), 6, g3), (s.pi ** (2 * i), 3, None), (s.pibar ** (2 * i), 3, None)]
+    cases.append((-EisensteinInt(-(2**68), 2**68), 6, g3))  # |D| = 2^68 sqrt(3), near 2^69
+    # x = -2 + B 2^-100 w: within 2^-100 of the negative real axis, above
+    # it, below it and on it
+    cases += [(QOmega.from_ints(-(2 << 100), B, 1 << 100), n, None) for B in (1, -1, 0) for n in (3, 6)]
+    return cases
+
+
+@pytest.mark.parametrize("prec", [2, 64, 96, 192, 768, 3072])
+def test_principal_root_matches_mpmath(prec):
+    W = prec + GUARD_BITS
+    for x, n, scale in _root_cases(prec):
+        got, want = principal_root(x, n, W, scale), _mpmath_root(x, n, W, scale)
+        assert abs(got[0] - want[0]) <= 1 and abs(got[1] - want[1]) <= 1, (prec, x, n)
+        if x == QOmega.from_ints(-(2 << 100), -1, 1 << 100):
+            assert got[1] < 0  # the branch below the axis
+    D = split_prime(7).pibar ** 2
+    want = _mpmath_root(-D, 6, W, analytic._base_lattice(prec)[0])
+    assert all(abs(a - b) <= 1 for a, b in zip(lattice_of_curve(D, prec).inv, want))
 
 
 def test_wp_satisfies_curve_equation():

@@ -276,6 +276,67 @@ def test_certificate_needs_a_point_of_e_p_i():
         nontorsion_certificate(_points_of_e7()[1], 13, 1)
 
 
+def _on_curve_oracle(P):
+    # the QOmega formula CurvePoint.on_curve replaced
+    return P.is_infinity or P.y * P.y == P.x**3 + P.D / 4
+
+
+def _isogeny_oracle(P, p, i):
+    # the QOmega formulas isogeny_to_432 replaced
+    n2 = p ** (2 * i)
+    x3 = P.x**3
+    return 4 * (x3 + n2) / (P.x * P.x), 8 * P.y * (x3 - 2 * n2) / x3
+
+
+def _cube_sum_oracle(X, Y, p, i):
+    # the QOmega formulas to_cube_sum replaced
+    n = p**i
+    return (36 * n + Y) / (6 * X), (36 * n - Y) / (6 * X)
+
+
+def test_integer_on_curve_agrees_with_the_qomega_formula():
+    # points over Q(w) (rand_point, D with denominators too) and over Q (the
+    # 7^1 fixture's multiples, T and O), on the curve and moved off it
+    points = [rand_point(None) for _ in range(20)] + _points_of_e7()
+    moves = ((Fraction(1, 7), 0), (0, QOmega(0, Fraction(1, 5))), (QOmega(0, 1), 1))
+    for P in points:
+        assert P.on_curve() and _on_curve_oracle(P)
+        if P.is_infinity:
+            continue
+        for dx, dy in moves:
+            Q = CurvePoint(P.D, P.x + dx, P.y + dy)
+            assert not Q.on_curve() and not _on_curve_oracle(Q)
+        Q = CurvePoint(P.D, P.x, -P.y)
+        assert Q.on_curve() and _on_curve_oracle(Q)
+
+
+def test_isogeny_and_cube_sum_agree_with_the_qomega_formulas():
+    # the descended points of the benchmark's twelve timed solves, and 30P
+    # of 7^1 (u of 6300 digits)
+    from cubesum.parametrize import solve_pipeline
+
+    timed = [(p, 1) for p in (103, 157, 211, 223, 283, 337, 409, 439)] + [(p, 2) for p in (61, 67, 79, 97)]
+    inputs = [(solve_pipeline(p, i).point_Q, p, i) for p, i in timed]
+    inputs.append((mul(30, solve_pipeline(7, 1).point_Q), 7, 1))
+    for P, p, i in inputs:
+        X, Y = isogeny_to_432(P, p, i)
+        assert (X, Y) == _isogeny_oracle(P, p, i)
+        cs = to_cube_sum(X, Y, p, i)
+        assert (QOmega(cs.u), QOmega(cs.v)) == _cube_sum_oracle(X, Y, p, i)
+        assert cs.verify() and cs.target == p**i
+
+
+def test_isogeny_and_cube_sum_take_rational_points_only():
+    P = endo_omega(_points_of_e7()[1])  # (w x, y): on E(7), not rational
+    assert P.on_curve() and not P.is_rational()
+    with pytest.raises(ValueError):
+        isogeny_to_432(P, 7, 1)
+    with pytest.raises(DegenerateImage):
+        to_cube_sum(QOmega(28, 1), -28, 7, 1)
+    with pytest.raises(DegenerateImage):
+        to_cube_sum(28, QOmega(0, 28), 7, 1)
+
+
 def test_exact_checks_survive_python_O():
     # under -O every assert is stripped; the isogeny and cube identities
     # must still reject an off-curve point

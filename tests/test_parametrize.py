@@ -513,6 +513,25 @@ def test_a_failing_attempt_runs_one_continued_fraction(monkeypatch):
 # ------------------------------------------------------------------ sweep
 
 
+def test_an_attempt_takes_no_mpmath_root(monkeypatch):
+    # the lattice's sixth root and the scaling cube root come from
+    # analytic.principal_root, at the lowest rung and at the highest
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("an attempt called an mpmath root")
+
+    monkeypatch.setattr(mp, "root", refuse)
+    monkeypatch.setattr(mp, "cbrt", refuse)
+    r = solve_pipeline(67, 2)
+    assert r.bits == 96 and r.attempts == [] and r.cube.verify()
+    cand = parametrize.Candidate(eval_site(7, 1))
+    r = parametrize._attempt_site(cand, split_prime(7), 7, 1, 3072, None, build_form(7, 1, 0))
+    assert r.bits == 3072 and r.cube.verify()
+    assert calls == []
+
+
 def test_sweep_small_primes():
     # every eligible p < 600 at power 1 and p < 150 at power 2 solves, and
     # the cube identity holds when recomputed here in rationals
