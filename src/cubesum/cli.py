@@ -20,7 +20,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, fields
 
-from .eisenstein import QOmega, is_prime_int
+from .eisenstein import PrimalityOutOfRange, QOmega, is_prime_int
 from .heckeform import build_form, conductor_and_level, newform_pairs, spot_check
 
 EXIT_OK = 0
@@ -194,6 +194,53 @@ def build_report(result):
     )
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def json_text(o, pad="\n"):
+    """json.dumps(o, indent=2, sort_keys=True), byte for byte, for trees of
+    dicts with str keys, lists, tuples, str, int, float, bool and None.
+    json.dumps with an indent runs its pure-Python encoder; here the layout
+    is joined in Python and every leaf is json's own C-level text: its
+    string encoder, int.__repr__, and float.__repr__ or NaN / Infinity /
+    -Infinity.  Any other type, subclasses of these included, and a key
+    that is not a str raise TypeError."""
+    t = type(o)
+    if t is str:
+        return _json_str(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        parts = []
+        for k in sorted(o):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            parts.append(f"{_json_str(k)}: {json_text(o[k], inner)}")
+        return f"{{{inner}{(',' + inner).join(parts)}{pad}}}"
+    if t is int:
+        return int.__repr__(o)
+    if t is float:
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        return "-Infinity" if o == -_INF else float.__repr__(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return f"[{inner}{(',' + inner).join([json_text(v, inner) for v in o])}{pad}]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def print_report(rep):
     print(f"p = {rep.p}, power = {rep.i}  (pi = {rep.pi}, site {rep.site}, r = {rep.r}, t = {rep.t})")
     print(f"  precision {rep.bits} bits, {rep.terms} q-expansion terms")
@@ -214,7 +261,11 @@ class BadInput(ValueError):
 
 
 def check_solvable_prime(p):
-    if not is_prime_int(p):
+    try:
+        prime = is_prime_int(p)
+    except PrimalityOutOfRange as e:
+        raise BadInput(str(e)) from None
+    if not prime:
         raise BadInput(f"{p} is not prime")
     cls = p % 9
     if cls in (2, 5):
@@ -252,7 +303,7 @@ def cmd_solve(args):
         reports.append(build_report(result))
     if args.json:
         payload = [r.to_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True))
+        print(json_text(payload[0] if len(payload) == 1 else payload))
     else:
         for rep in reports:
             print_report(rep)

@@ -52,7 +52,12 @@ good reduction at l and reduction E(Q) -> E~(F_l) is a group homomorphism
 [g]P~ = reduction of [g]P, and [g]P~ != O~ in E~(F_l) proves [g]P != O.
 Only when the witness reads O~ (P~ = O~ because l divides a denominator of
 P, or [g]P~ = O~) is [g]P formed over Q, so the verdict is exactly
-[g]P != O for every point.
+[g]P != O for every point.  [g]P~ is formed in Jacobian coordinates, with
+one inversion at the end.
+
+[3]T = O for the torsion side T = (0, t) needs no group law: on its curve,
+with t != 0, the tangent at T is horizontal, so [2]T = (0, -t) = -T
+(is_torsion_at_zero).
 """
 
 from __future__ import annotations
@@ -183,6 +188,14 @@ def mul(n, P):
         if n:  # no doubling past the top bit
             B = add(B, B)
     return R
+
+
+def is_torsion_at_zero(T):
+    """True when T = (0, t) with t != 0 is on its curve, which proves
+    [3]T = O: the tangent at x = 0 has slope 3x^2/(2y) = 0, so [2]T =
+    (0, -t) = -T.  Any other point, O and points off the curve included,
+    is refused (False)."""
+    return not T.is_infinity and not T.x and bool(T.y) and T.on_curve()
 
 
 def endo_omega(P):
@@ -370,37 +383,62 @@ def good_reduction_primes(p, count=2, start=5):
 WITNESS_PRIME = 2**61 - 1
 
 
+def _witness_dbl(R, ell):
+    """[2]R on y^2 = x^3 + c over F_ell in Jacobian coordinates (X, Y, Z),
+    x = X/Z^2 and y = Y/Z^3, Z = 0 for O~: S = 4XY^2, M = 3X^2, X' = M^2 -
+    2S, Y' = M(S - X') - 8Y^4, Z' = 2YZ (a 2-torsion R, Y = 0, gives Z' =
+    0)."""
+    X, Y, Z = R
+    Y2 = Y * Y % ell
+    S = 4 * X * Y2 % ell
+    M = 3 * X * X % ell
+    X3 = (M * M - 2 * S) % ell
+    return X3, (M * (S - X3) - 8 * Y2 * Y2) % ell, 2 * Y * Z % ell
+
+
 def _witness_add(R, S, ell):
-    """R + S on y^2 = x^3 + c over F_ell, points as residue pairs (x, y)
-    and O~ as None: the chord-and-tangent law of add."""
-    if R is None:
+    """R + S on y^2 = x^3 + c over F_ell in Jacobian coordinates, the
+    chord-and-tangent law of add: H = U2 - U1 and r = S2 - S1 for U = X
+    (Z')^2 and S = Y (Z')^3; H = 0 is the tangent (r = 0) or the vertical
+    (O~)."""
+    X1, Y1, Z1 = R
+    X2, Y2, Z2 = S
+    if not Z1:
         return S
-    if S is None:
+    if not Z2:
         return R
-    (x1, y1), (x2, y2) = R, S
-    if x1 == x2:
-        if (y1 + y2) % ell == 0:
-            return None
-        lam = 3 * x1 * x1 * pow(2 * y1, -1, ell) % ell
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
-    x3 = (lam * lam - x1 - x2) % ell
-    return x3, (lam * (x1 - x3) - y1) % ell
+    Z1s, Z2s = Z1 * Z1 % ell, Z2 * Z2 % ell
+    U1, U2 = X1 * Z2s % ell, X2 * Z1s % ell
+    S1, S2 = Y1 * Z2s * Z2 % ell, Y2 * Z1s * Z1 % ell
+    H, r = (U2 - U1) % ell, (S2 - S1) % ell
+    if not H:
+        return _witness_dbl(R, ell) if not r else (1, 1, 0)
+    H2 = H * H % ell
+    H3, V = H2 * H % ell, U1 * H2 % ell
+    X3 = (r * r - H3 - 2 * V) % ell
+    return X3, (r * (V - X3) - S1 * H3) % ell, H * Z1 * Z2 % ell
 
 
 def _witness_mul(n, P, ell):
-    """[n]P~ in E~(F_ell), n >= 0, by the double-and-add of mul; P is
-    rational and ell divides neither of its denominators."""
-    inv = pow(P.x.d * P.y.d, -1, ell)  # one inversion for both denominators
-    B = (P.x.A * P.y.d * inv % ell, P.y.A * P.x.d * inv % ell)
-    R = None
-    while n:
-        if n & 1:
+    """[n]P~ in E~(F_ell) as residues (x, y), or None for O~; n >= 0, P is
+    rational and ell divides neither of its denominators.  Left-to-right
+    double-and-add in Jacobian coordinates from P = (a/d, b/e) = (a d e^2,
+    b d^3 e^2, d e), so the one inversion is the last Z's."""
+    if not n:
+        return None
+    a, d, b, e = P.x.A % ell, P.x.d % ell, P.y.A % ell, P.y.d % ell
+    de = d * e % ell
+    R = B = (a * de * e % ell, b * d * de * d * e % ell, de)
+    for bit in bin(n)[3:]:  # the bits after the leading one
+        R = _witness_dbl(R, ell)
+        if bit == "1":
             R = _witness_add(R, B, ell)
-        n >>= 1
-        if n:
-            B = _witness_add(B, B, ell)
-    return R
+    X, Y, Z = R
+    if not Z:
+        return None
+    zi = pow(Z, -1, ell)
+    zi2 = zi * zi % ell
+    return X * zi2 % ell, Y * zi2 * zi % ell
 
 
 @dataclass(frozen=True)

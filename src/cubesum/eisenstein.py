@@ -47,26 +47,55 @@ class TrivialCharacter(ValueError):
     pass
 
 
+class PrimalityOutOfRange(ValueError):
+    pass
+
+
 # Brute-force point counting refuses fields larger than this (keeps oracle
 # sweeps fast; the closed formula has no such limit).
 BRUTE_FORCE_FIELD_CAP = 200_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (bound, bases): the strong test to these bases decides every n < bound,
+# the least strong pseudoprime to all of them, psi_1 ... psi_12 (Jaeschke,
+# Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_RANGES = (
+    (2047, _MR_BASES[:1]),
+    (1373653, _MR_BASES[:2]),
+    (25326001, _MR_BASES[:3]),
+    (3215031751, _MR_BASES[:4]),
+    (2152302898747, _MR_BASES[:5]),
+    (3474749660383, _MR_BASES[:6]),
+    (341550071728321, _MR_BASES[:7]),
+    (3825123056546413051, _MR_BASES[:9]),
+    (318665857834031151167461, _MR_BASES),
+)
+MR_PROVEN_BOUND = _MR_RANGES[-1][0]
+
 
 def is_prime_int(n):
-    """Deterministic Miller-Rabin, valid far beyond any input used here."""
+    """Deterministic primality for n < MR_PROVEN_BOUND = psi_12 ~ 3.2e23:
+    trial division by the primes to 37 decides n < 41^2, and above that the
+    strong test to the bases of _MR_RANGES for n's size.  Larger n raise
+    PrimalityOutOfRange: the twelve bases do not decide them (psi_12 itself
+    is a composite that passes all twelve)."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 1681:
+        return True
+    for bound, bases in _MR_RANGES:
+        if n < bound:
+            break
+    else:
+        raise PrimalityOutOfRange(f"{n} is not below {MR_PROVEN_BOUND}, the range the primality test is proven for")
     d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -260,13 +289,14 @@ class QOmega:
         return f"QOmega({self.a!r}, {self.b!r})"
 
     def __str__(self):
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        wpart = "w" if b == 1 else ("-w" if b == -1 else f"{b}*w")
-        if a == 0:
+        """'a+b*w' with a = A/d and b = B/d printed as Fractions print."""
+        A, B, d = self.A, self.B, self.d
+        if not B:
+            return _ratio_str(A, d)
+        wpart = "w" if B == d else ("-w" if B == -d else f"{_ratio_str(B, d)}*w")
+        if not A:
             return wpart
-        return f"{a}+{wpart}" if not wpart.startswith("-") else f"{a}{wpart}"
+        return f"{_ratio_str(A, d)}+{wpart}" if B > 0 else f"{_ratio_str(A, d)}{wpart}"
 
     def __eq__(self, other):
         other = _coerce_q(other)
@@ -383,6 +413,12 @@ def _raw(A, B, d):
 
 
 _Q_ONE = _raw(1, 0, 1)
+
+
+def _ratio_str(n, d):
+    """str(Fraction(n, d)) for d > 0: one gcd, no Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _coerce_q(x):

@@ -77,6 +77,66 @@ def test_report_dict_dumps_as_asdict():
     assert dump == json.dumps(asdict(rep), indent=2, sort_keys=True)
 
 
+_json_keys = st.text(st.characters(codec="utf-8"), max_size=6)
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**60), 10**60),
+    st.integers(-(10**4000), 10**4000),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, float("nan"), float("inf"), float("-inf")]),
+    st.text(st.characters(codec="utf-8"), max_size=12),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "\u00e9\u2603\U0001f600", "\ud800"]),
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_json_keys, kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_report_writer_is_json_dumps_byte_for_byte(tree):
+    assert cli.json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@given(st.one_of(st.integers(), st.floats(allow_nan=False), st.none(), st.booleans(),
+                 st.tuples(st.integers())))
+def test_report_writer_refuses_a_key_that_is_not_a_str(key):
+    # json.dumps would write these keys as strings; the writer raises
+    for tree in ({key: 1}, [{"a": {key: []}}]):
+        with pytest.raises(TypeError):
+            cli.json_text(tree)
+
+
+def test_report_writer_refuses_what_json_cannot_write():
+    for leaf in (object(), {1, 2}, b"bytes", 1j):
+        with pytest.raises(TypeError):
+            cli.json_text({"a": [leaf]})
+
+
+def test_solve_report_is_json_dumps_of_the_report(tmp_path, capsys):
+    code, out, _ = run_cli(["solve", "7", "--power", "both", "--json", "--cache-dir", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_solve_refuses_a_p_beyond_the_proven_primality_range(tmp_path, capsys):
+    from cubesum.eisenstein import MR_PROVEN_BOUND
+
+    # psi_12 is composite and passes all twelve bases: exit 2, not a
+    # composite read as prime
+    code, out, err = run_cli(["solve", str(MR_PROVEN_BOUND), "--cache-dir", str(tmp_path)], capsys)
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert f"error: {MR_PROVEN_BOUND} is not below {MR_PROVEN_BOUND}" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_power_both(tmp_path, capsys):
     code, out, _ = run_cli(
         ["solve", "7", "--power", "both", "--json", "--cache-dir", str(tmp_path)], capsys

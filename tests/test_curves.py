@@ -15,6 +15,7 @@ from cubesum.curves import (
     MixedCurves,
     add,
     endo_omega,
+    is_torsion_at_zero,
     isogeny_to_432,
     mul,
     mul_sqrt_m3,
@@ -489,3 +490,87 @@ def test_reduction_counts_are_memoized_by_the_residue():
     reduction_count(1 + 5 * 10**40, 5)
     after = curves._count_mod.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+
+def test_torsion_at_zero_agrees_with_the_group_law():
+    from cubesum.parametrize import solve_pipeline
+
+    points = [solve_pipeline(p, i).torsion_point for p, i in ((7, 1), (61, 2), (67, 2))]
+    for _ in range(40):
+        t = QOmega(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        if t:
+            points.append(CurvePoint.make(4 * t * t, 0, t))  # (0, t) on y^2 = x^3 + t^2
+    for T in points:
+        assert is_torsion_at_zero(T) and is_torsion_at_zero(-T)
+        assert add(T, add(T, T)).is_infinity and add(T, T) == -T
+
+
+def test_torsion_at_zero_refuses_every_other_point():
+    D = QOmega(49)
+    # y = 0 (the singular y^2 = x^3), O, and (0, t) off its curve
+    assert not is_torsion_at_zero(CurvePoint.make(0, 0, 0))
+    assert not is_torsion_at_zero(CurvePoint.infinity(D))
+    assert not is_torsion_at_zero(CurvePoint(D, QOmega(0), QOmega(Fraction(5, 2))))
+    assert not is_torsion_at_zero(CurvePoint(D, QOmega(0), QOmega(0)))
+    # x != 0: not of the form (0, t), even at a 3-torsion point x^3 = -D
+    S = CurvePoint.make(-27, 3, Fraction(9, 2))
+    assert add(S, add(S, S)).is_infinity and not is_torsion_at_zero(S)
+    for P in _points_of_e7()[:7]:
+        assert P.x and not is_torsion_at_zero(P)
+
+
+def _witness_mul_affine(n, P, ell):
+    # the affine double-and-add _witness_mul replaced: one inversion a step
+    def add2(R, S):
+        if R is None:
+            return S
+        if S is None:
+            return R
+        (x1, y1), (x2, y2) = R, S
+        if x1 == x2:
+            if (y1 + y2) % ell == 0:
+                return None
+            lam = 3 * x1 * x1 * pow(2 * y1, -1, ell) % ell
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+        x3 = (lam * lam - x1 - x2) % ell
+        return x3, (lam * (x1 - x3) - y1) % ell
+
+    B = (P.x.A * pow(P.x.d, -1, ell) % ell, P.y.A * pow(P.y.d, -1, ell) % ell)
+    R = None
+    while n:
+        if n & 1:
+            R = add2(R, B)
+        n >>= 1
+        B = add2(B, B)
+    return R
+
+
+@pytest.mark.parametrize("ell", [curves.WITNESS_PRIME, 5, 11, 29, 101])
+def test_witness_mul_agrees_with_the_affine_law_and_with_mul(ell):
+    # [n]Q for n <= 12 against mul over Q reduced mod ell, and random n
+    # up to 2^40 against the affine law; the small ell reach O~, the
+    # tangent and the vertical inside the ladder
+    from cubesum.parametrize import solve_pipeline
+
+    pick = random.Random(ell)
+    bases = _points_of_e7()[:4]
+    bases += [solve_pipeline(p, i).point_Q for p, i in ((61, 2), (67, 2))]
+    checked = 0
+    for Q in bases:
+        if Q.x.d % ell == 0 or Q.y.d % ell == 0:
+            continue
+        R = CurvePoint.infinity(Q.D)
+        for n in range(13):
+            got = curves._witness_mul(n, Q, ell)
+            assert got == _witness_mul_affine(n, Q, ell)
+            if R.is_infinity or R.x.d % ell == 0:
+                assert got is None  # [n]Q reduces to O~
+            else:
+                assert got == (R.x.A * pow(R.x.d, -1, ell) % ell, R.y.A * pow(R.y.d, -1, ell) % ell)
+            R = add(R, Q)
+            checked += 1
+        for n in (pick.randrange(2**40) for _ in range(20)):
+            assert curves._witness_mul(n, Q, ell) == _witness_mul_affine(n, Q, ell)
+    assert checked >= 13 * 4

@@ -13,9 +13,11 @@ from cubesum.eisenstein import (
     FieldTooLarge,
     Fq2,
     NoPrimaryAssociate,
+    MR_PROVEN_BOUND,
     NotPrime,
     NotSplit,
     ONE,
+    PrimalityOutOfRange,
     QOmega,
     SQRT_M3,
     UNITS,
@@ -25,6 +27,7 @@ from cubesum.eisenstein import (
     count_points_formula,
     gauss_sum,
     is_prime_element,
+    is_prime_int,
     jacobi_sum_cubic,
     jacobi_sum_split,
     norm,
@@ -34,6 +37,7 @@ from cubesum.eisenstein import (
     split_prime,
     sqrt_eis,
 )
+from cubesum.eisenstein import _MR_RANGES
 
 from eisenstein_helpers import cubic_residue_symbol, exact_div, is_integral
 
@@ -268,6 +272,62 @@ def test_sextic_symbol_trivial_and_errors():
         sextic_residue_symbol(ONE, EisensteinInt(2, 0))  # N = 4 not 1 mod 6
     with pytest.raises(BadModulus):
         cubic_residue_symbol(ONE, EisensteinInt(1, -1))  # prime above 3
+
+
+# psi_1 ... psi_12: the least strong pseudoprimes to the first k prime bases
+PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 3825123056546413051, 318665857834031151167461)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_int_agrees_with_sympy_below_10_5():
+    from sympy import isprime
+
+    assert [n for n in range(-3, 10**5) if is_prime_int(n)] == [n for n in range(-3, 10**5) if isprime(n)]
+
+
+def test_is_prime_int_at_each_base_set_boundary():
+    from sympy import isprime
+
+    # each bound of the table is the least composite that passes its bases,
+    # so the table is tight there; the test still calls it composite
+    assert tuple(bound for bound, _ in _MR_RANGES) == PSEUDOPRIMES
+    assert MR_PROVEN_BOUND == PSEUDOPRIMES[-1]
+    for bound, bases in _MR_RANGES:
+        assert not isprime(bound) and all(_strong_probable_prime(bound, a) for a in bases)
+    for psi in PSEUDOPRIMES[:-1]:
+        assert not is_prime_int(psi)
+        for n in range(max(psi - 300, 1681), psi + 300):
+            assert is_prime_int(n) == isprime(n), n
+
+
+def test_is_prime_int_refuses_above_its_proven_range():
+    from sympy import nextprime, prevprime
+
+    top = prevprime(MR_PROVEN_BOUND)
+    assert is_prime_int(top) and not is_prime_int(top + 2)
+    refused = 0
+    for n in (*range(MR_PROVEN_BOUND, MR_PROVEN_BOUND + 200), nextprime(10**30)):
+        if any(n % q == 0 for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            assert not is_prime_int(n)  # trial division is still a proof
+        else:
+            with pytest.raises(PrimalityOutOfRange):
+                is_prime_int(n)
+            refused += 1
+    assert refused > 30
 
 
 def test_is_prime_element():

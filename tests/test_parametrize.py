@@ -381,6 +381,22 @@ def test_identity_difference_is_a_site_failure(monkeypatch):
     assert str(info.value).count("DescentFailed: twisted difference is the identity") == 1
 
 
+def test_a_torsion_side_that_fails_the_closed_form_check_is_a_site_failure(monkeypatch):
+    # [3]T = O is checked by curves.is_torsion_at_zero; when it fails the
+    # attempt raises DescentFailed, which ends the solve at its first rung
+    seen = []
+    monkeypatch.setattr(curves, "is_torsion_at_zero", lambda T: seen.append(T) and False)
+    with pytest.raises(DescentFailed, match="is not 3-torsion"):
+        parametrize._attempt_site(parametrize.Candidate(eval_site(7, 1)), split_prime(7), 7, 1, 96,
+                                  None, build_form(7, 1, 0))
+    with pytest.raises(PrecisionExhausted) as info:
+        solve_pipeline(7, 1)
+    assert str(info.value).count("DescentFailed: torsion side") == 1
+    # each attempt asked about its T = (0, +-7/2), once
+    half = QOmega(Fraction(7, 2))
+    assert len(seen) == 2 and all(T.x == QOmega(0) and T.y in (half, -half) for T in seen)
+
+
 def test_twisted_point_at_t_is_the_identity_difference(monkeypatch):
     # P = T (x_P = 0) makes P - T = O exactly: the same site failure
     T = solve_pipeline(7, 1).torsion_point
