@@ -53,7 +53,7 @@ good reduction at l and reduction E(Q) -> E~(F_l) is a group homomorphism
 Only when the witness reads O~ (P~ = O~ because l divides a denominator of
 P, or [g]P~ = O~) is [g]P formed over Q, so the verdict is exactly
 [g]P != O for every point.  [g]P~ is formed in Jacobian coordinates, with
-one inversion at the end.
+no inversion: [g]P~ = O~ exactly when its Z is 0.
 
 [3]T = O for the torsion side T = (0, t) needs no group law: on its curve,
 with t != 0, the tangent at T is horizontal, so [2]T = (0, -t) = -T
@@ -420,12 +420,12 @@ def _witness_add(R, S, ell):
 
 
 def _witness_mul(n, P, ell):
-    """[n]P~ in E~(F_ell) as residues (x, y), or None for O~; n >= 0, P is
-    rational and ell divides neither of its denominators.  Left-to-right
-    double-and-add in Jacobian coordinates from P = (a/d, b/e) = (a d e^2,
-    b d^3 e^2, d e), so the one inversion is the last Z's."""
+    """[n]P~ in E~(F_ell) as a Jacobian triple (X, Y, Z), Z = 0 for O~; n >=
+    0, P is rational and ell divides neither of its denominators.  Left-to-
+    right double-and-add from P = (a/d, b/e) = (a d e^2, b d^3 e^2, d e),
+    with no inversion: the certificate only asks whether Z = 0."""
     if not n:
-        return None
+        return 1, 1, 0
     a, d, b, e = P.x.A % ell, P.x.d % ell, P.y.A % ell, P.y.d % ell
     de = d * e % ell
     R = B = (a * de * e % ell, b * d * de * d * e % ell, de)
@@ -433,12 +433,7 @@ def _witness_mul(n, P, ell):
         R = _witness_dbl(R, ell)
         if bit == "1":
             R = _witness_add(R, B, ell)
-    X, Y, Z = R
-    if not Z:
-        return None
-    zi = pow(Z, -1, ell)
-    zi2 = zi * zi % ell
-    return X * zi2 % ell, Y * zi2 * zi % ell
+    return R
 
 
 @dataclass(frozen=True)
@@ -482,7 +477,7 @@ def nontorsion_certificate(P, p, i):
     counts = (reduction_count(D_int, q1), reduction_count(D_int, q2))
     g = gcd(counts[0], counts[1])
     ell = WITNESS_PRIME
-    if p != ell and P.x.d % ell and P.y.d % ell and _witness_mul(g, P, ell) is not None:
+    if p != ell and P.x.d % ell and P.y.d % ell and _witness_mul(g, P, ell)[2]:
         return TorsionCertificate((q1, q2), counts, g, True, ell)
     killed = mul(g, P).is_infinity
     return TorsionCertificate((q1, q2), counts, g, not killed)

@@ -57,29 +57,18 @@ BRUTE_FORCE_FIELD_CAP = 200_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# (bound, bases): the strong test to these bases decides every n < bound,
-# the least strong pseudoprime to all of them, psi_1 ... psi_12 (Jaeschke,
-# Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86 (2017)).
-_MR_RANGES = (
-    (2047, _MR_BASES[:1]),
-    (1373653, _MR_BASES[:2]),
-    (25326001, _MR_BASES[:3]),
-    (3215031751, _MR_BASES[:4]),
-    (2152302898747, _MR_BASES[:5]),
-    (3474749660383, _MR_BASES[:6]),
-    (341550071728321, _MR_BASES[:7]),
-    (3825123056546413051, _MR_BASES[:9]),
-    (318665857834031151167461, _MR_BASES),
-)
-MR_PROVEN_BOUND = _MR_RANGES[-1][0]
+# psi_12, the least strong pseudoprime to all of _MR_BASES: the strong test
+# to these bases decides every n below it (Sorenson and Webster, Math.
+# Comp. 86 (2017)).
+MR_PROVEN_BOUND = 318665857834031151167461
 
 
 def is_prime_int(n):
     """Deterministic primality for n < MR_PROVEN_BOUND = psi_12 ~ 3.2e23:
     trial division by the primes to 37 decides n < 41^2, and above that the
-    strong test to the bases of _MR_RANGES for n's size.  Larger n raise
-    PrimalityOutOfRange: the twelve bases do not decide them (psi_12 itself
-    is a composite that passes all twelve)."""
+    strong test to those twelve bases.  Larger n raise PrimalityOutOfRange:
+    the twelve bases do not decide them (psi_12 itself is a composite that
+    passes all twelve)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -87,15 +76,14 @@ def is_prime_int(n):
             return n == p
     if n < 1681:
         return True
-    for bound, bases in _MR_RANGES:
-        if n < bound:
-            break
-    else:
+    if n >= MR_PROVEN_BOUND:
         raise PrimalityOutOfRange(f"{n} is not below {MR_PROVEN_BOUND}, the range the primality test is proven for")
     d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in bases:
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -547,6 +547,15 @@ def _witness_mul_affine(n, P, ell):
     return R
 
 
+def _witness_mul_residues(n, Q, ell):
+    # _witness_mul's Jacobian (X, Y, Z) as residues (X/Z^2, Y/Z^3), None for O~
+    X, Y, Z = curves._witness_mul(n, Q, ell)
+    if not Z:
+        return None
+    zi = pow(Z, -1, ell)
+    return X * zi * zi % ell, Y * zi * zi * zi % ell
+
+
 @pytest.mark.parametrize("ell", [curves.WITNESS_PRIME, 5, 11, 29, 101])
 def test_witness_mul_agrees_with_the_affine_law_and_with_mul(ell):
     # [n]Q for n <= 12 against mul over Q reduced mod ell, and random n
@@ -563,7 +572,7 @@ def test_witness_mul_agrees_with_the_affine_law_and_with_mul(ell):
             continue
         R = CurvePoint.infinity(Q.D)
         for n in range(13):
-            got = curves._witness_mul(n, Q, ell)
+            got = _witness_mul_residues(n, Q, ell)
             assert got == _witness_mul_affine(n, Q, ell)
             if R.is_infinity or R.x.d % ell == 0:
                 assert got is None  # [n]Q reduces to O~
@@ -572,5 +581,5 @@ def test_witness_mul_agrees_with_the_affine_law_and_with_mul(ell):
             R = add(R, Q)
             checked += 1
         for n in (pick.randrange(2**40) for _ in range(20)):
-            assert curves._witness_mul(n, Q, ell) == _witness_mul_affine(n, Q, ell)
+            assert _witness_mul_residues(n, Q, ell) == _witness_mul_affine(n, Q, ell)
     assert checked >= 13 * 4

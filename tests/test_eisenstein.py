@@ -37,7 +37,7 @@ from cubesum.eisenstein import (
     split_prime,
     sqrt_eis,
 )
-from cubesum.eisenstein import _MR_RANGES
+from cubesum.eisenstein import _MR_BASES
 
 from eisenstein_helpers import cubic_residue_symbol, exact_div, is_integral
 
@@ -302,12 +302,12 @@ def test_is_prime_int_agrees_with_sympy_below_10_5():
 def test_is_prime_int_at_each_base_set_boundary():
     from sympy import isprime
 
-    # each bound of the table is the least composite that passes its bases,
-    # so the table is tight there; the test still calls it composite
-    assert tuple(bound for bound, _ in _MR_RANGES) == PSEUDOPRIMES
+    # psi_12 is composite and passes all twelve bases, so the proven range
+    # ends there; each smaller psi_k reads composite, and so does every
+    # composite near it
     assert MR_PROVEN_BOUND == PSEUDOPRIMES[-1]
-    for bound, bases in _MR_RANGES:
-        assert not isprime(bound) and all(_strong_probable_prime(bound, a) for a in bases)
+    assert not isprime(MR_PROVEN_BOUND)
+    assert all(_strong_probable_prime(MR_PROVEN_BOUND, a) for a in _MR_BASES)
     for psi in PSEUDOPRIMES[:-1]:
         assert not is_prime_int(psi)
         for n in range(max(psi - 300, 1681), psi + 300):
