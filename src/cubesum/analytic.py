@@ -394,9 +394,9 @@ def lattice_of_curve(D, prec=192):
 # -------------------------------------------------------------- wp values
 
 
-def wp_eval(L, z, prec=None):
-    """(wp(z), wp'(z)) for the lattice L, pairs at W = prec + GUARD_BITS
-    for z a pair at W.
+def wp_eval(L, z):
+    """(wp(z), wp'(z)) for the lattice L, pairs at L's W = prec + GUARD_BITS
+    for z a pair at W (prec = L.prec).
 
     With xi = z/Omega, wp_L(z) = Omega^-2 wp_0(xi) and wp_L'(z) = Omega^-3
     wp_0'(xi).  xi is reduced mod Z[w] to r (reduce_xi); |r| below
@@ -427,11 +427,8 @@ def wp_eval(L, z, prec=None):
     wp(z) and wp'(z) are both off by under 2^14 (1 + |z|) Y^3 |r|^-4
     units.
     """
-    prec = prec if prec is not None else L.prec
-    if prec != L.prec:
-        raise ValueError(f"the lattice is held at {L.prec} bits, not {prec}")
+    prec, W, inv = L.prec, L.W, L.inv
     _, C = _base_lattice(prec)
-    W, inv = L.W, L.inv
     r, _ = reduce_xi(fixed_mul(z, inv, W), W)
     n2 = r[0] * r[0] + r[1] * r[1]
     if n2 < 1 << 2 * (W - prec // 2):
@@ -740,7 +737,7 @@ def l_value_and_cusp_zero(p, i, prec=192, conjugate=False):
         z0f = mpc_to_fixed(z0, W)
         if L.residual(z0f) < 1 << (W - 2):
             raise TorsionCheckFailed("z0 lies in L itself; cusp image is not primitive")
-        x, ypr = (fixed_to_mpc(v, W) for v in wp_eval(L, z0f, prec))
+        x, ypr = (fixed_to_mpc(v, W) for v in wp_eval(L, z0f))
         y = ypr / 2
         tol = mp.mpf(2) ** (-(prec - 40))
         scale = max(1, abs(y))

@@ -240,6 +240,7 @@ def check_solve_49():
 
 
 def suite():
+    """Named checks pinned to the three worked reference primes."""
     return [
         ("split_reference_primes", check_splits),
         ("levels_189_117_279", check_levels),

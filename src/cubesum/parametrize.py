@@ -4,14 +4,16 @@ Stages: sum the Abel-Jacobi images of f and f^c at the one site W(tau_r)
 (cmpoint.eval_site; one pass gives both) and map each through wp on its
 curve's lattice.  One image is the 3-torsion point whose twist to E(p^i)
 is T = (0, +-p^i/2), the cusp image; it is read off the numbers
-(torsion_sign) and T is built exactly.  The other, tall, side lives over
-K(pi^(1/3)): its x is recognized in K under the one cube-root scaling that
-twists its curve onto E(p^i), within a norm bound that follows from a
-stated error bound on the numbers (norm_bound), and y is solved for
-exactly (recognize).  P_f - P_fc on E(p^i) is descended to Q by the trace
-or the sqrt(-3) endomorphism.  [3]T = O is checked exactly, and the
-descended point is certified by exact arithmetic (nontorsion certificate,
-isogeny and cube identities) before it is reported.
+(torsion_sign) and T is built exactly.  Each side has one twist (u^3,
+u^2) of its curve onto E(p^i), formed once per attempt from u^3 = pi^i.
+The other, tall, side lives over K(pi^(1/3)): its x, scaled by u^2, is
+recognized in K within a norm bound that follows from a stated error
+bound on the numbers (norm_bound), and y is solved for on E(p^i), so
+recognize returns the exact point P of E(p^i), checked on the curve
+there.  P_f - P_fc on E(p^i) is descended to Q by the trace or the
+sqrt(-3) endomorphism.  [3]T = O is checked exactly, and the descended
+point is certified by exact arithmetic (nontorsion certificate, isogeny
+and cube identities) before it is reported.
 
 solve_pipeline escalates precision on that one site, from 96 bits by
 default: a numerical failure (RecognitionFailed, which includes no side at
@@ -68,14 +70,6 @@ class TermsCapExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class RecognizedPoint:
-    form: str  # "f" or "fc": the tall side
-    x_scaled: QOmega  # x * u^2 with u^6 = pi^(2i) for f (pibar^(2i) for f^c), exact in K
-    y: QOmega
-    norm_bits: int  # floor(log2 N(gamma)), x_scaled = alpha/gamma in lowest terms
-
-
 def evaluate_cm(z, D, prec=192, lattice=None):
     """("infinity", None) or ("point", (x, y)) for a summed Abel-Jacobi image.
 
@@ -90,7 +84,7 @@ def evaluate_cm(z, D, prec=192, lattice=None):
     if lattice is None:
         lattice = lattice_of_curve(D, prec)
     try:
-        x, wpd = wp_eval(lattice, z, prec)
+        x, wpd = wp_eval(lattice, z)
     except PoleAtLatticePoint:
         return "infinity", None
     W = prec + GUARD_BITS
@@ -114,23 +108,6 @@ def _exact_y(x, c):
     num = EisensteinInt(x.A, x.B) ** 3
     T = sqrt_eis(EisensteinInt(4 * e * num.a + c * e**4, 4 * e * num.b))
     return None if T is None else (T, e)
-
-
-def scaling_root(split, i, prec=192):
-    """The principal cube root of pi^(2i), a pair at W = prec + GUARD_BITS,
-    by Newton steps on the integers (analytic.principal_root, which gives
-    the proof): off by under 1 + 1/32 + p^(i/3) 2^-16 units, so under 2
-    while p^(i/3) < 2^14.  pibar^(2i)'s root is its
-    conjugate, as pi^(2i) is off the real axis."""
-    return principal_root(split.pi ** (2 * i), 3, prec + GUARD_BITS)
-
-
-def _twist(split, i, root, form):
-    """(u^3, u^2) of the twist (x, y) -> (u^2 x, u^3 y) of the form's curve
-    onto E(p^i): (pi^i, root) for f, the conjugates for f^c; u^2 a pair."""
-    if form == "f":
-        return split.pi**i, root
-    return split.pibar**i, (root[0], -root[1])
 
 
 def _sign_near(exact, approx, tol2):
@@ -163,105 +140,92 @@ def _error_bits(raw, root, prec):
     return yb + rb - prec
 
 
-def norm_bound(raw, root, prec):
-    """The norm bound B = 8/2^e on x_scaled's denominator (_error_bits);
-    analytic.recognize_eisenstein recovers every x_scaled = alpha/gamma with
-    N(gamma) <= B/256, so under B = 2^8 it covers none: such a bound is
-    refused (0, which recognizes nothing), and the attempt fails for more
-    precision."""
-    bits = 3 - _error_bits(raw, root, prec)
+def norm_bound(e):
+    """The norm bound B = 8/2^e on x_scaled's denominator, for e =
+    _error_bits of the tall side; analytic.recognize_eisenstein recovers
+    every x_scaled = alpha/gamma with N(gamma) <= B/256, so under B = 2^8 it
+    covers none: such a bound is refused (0, which recognizes nothing), and
+    the attempt fails for more precision."""
+    bits = 3 - e
     return 1 << bits if bits >= 8 else 0
 
 
-def torsion_sign(raw, split, i, root, prec, form):
-    """s when a raw point (x, y) of the form's curve is, to its numbers, the
+def torsion_sign(raw, twist, e, prec):
+    """s when a raw point (x, y) of a form's curve is, to its numbers, the
     point whose twist is T = (0, s p^i/2) on E(p^i): the scaled x within
-    the stated error 2^e of 0 (_error_bits) and the twisted y within
+    the stated error 2^e of 0 (e = _error_bits) and the twisted y within
     2^-(prec/2), recognize's tolerance, of +-p^i/2; None otherwise, and
-    also where norm_bound refuses the error (e > -5), as recognize would."""
+    also where norm_bound refuses the error (e > -5), as recognize would.
+    `twist` is the form's (u^3, u^2) (see recognize)."""
     x, y = raw
+    u3, u2 = twist
     W = prec + GUARD_BITS
-    u3, u2 = _twist(split, i, root, form)
-    e = _error_bits(raw, root, prec)
     sx = fixed_mul(x, u2, W)
     if e > -5 or sx[0] * sx[0] + sx[1] * sx[1] >= 1 << 2 * (W + e):
         return None
-    half = (split.p**i << W) >> 1
+    half = (u3.norm() << W) >> 1  # N(u^3) = p^i
     return _sign_near((half, 0), fixed_mul(fixed_of(u3, W), y, W), 1 << 2 * (W - prec // 2))
 
 
-def recognize(raw, split, i, bound, prec=192, form="f", root=None):
-    """Exact coordinates for a raw point (x, y) of the form's curve (pairs
-    at W = prec + GUARD_BITS; `root` = scaling_root(split, i, prec), taken
-    here when None) by one continued fraction: x_scaled = x u^2, under the
-    twist (x, y) -> (u^2 x, u^3 y) of _twist, is recognized in K as
-    alpha/gamma with N(gamma) <= 2^n, n = floor(log2 bound), within 2^(3 -
-    n) of the numbers (analytic.recognize_eisenstein).  N(gamma) is about
-    x's rational denominator, half the bits of its two rational coordinates
-    recognized apart.  y is solved for: u^3 y = T/(2e^2) on E(p^i) with T
-    an exact square root in Z[w] (_exact_y), of the sign nearer the numeric
-    u^3 y, which it must match to 2^-(prec/2).  Anything else raises
-    RecognitionFailed, which triggers a precision retry.
+def recognize(raw, twist, bound, prec, form):
+    """(P, floor(log2 N(gamma))): the exact point P of E(p^i) behind a raw
+    point (x, y) of the form's curve (pairs at W = prec + GUARD_BITS), by
+    one continued fraction.  `twist` is (u^3, u^2), an EisensteinInt and a
+    pair at W, of the twist (x, y) -> (u^2 x, u^3 y) of that curve onto
+    E(p^i).  x_scaled = x u^2 is recognized in K as alpha/gamma with
+    N(gamma) <= 2^n, n = floor(log2 bound), within 2^(3 - n) of the numbers
+    (analytic.recognize_eisenstein).  N(gamma) is about x's rational
+    denominator, half the bits of its two rational coordinates recognized
+    apart.  y is solved for on E(p^i): T/(2e^2) with T an exact square root
+    in Z[w] (_exact_y), of the sign nearer the numeric u^3 y, which it must
+    match to 2^-(prec/2).  P = (x_scaled, +-T/(2e^2)) is then checked on
+    E(p^i) exactly.  Anything else raises RecognitionFailed, which triggers
+    a precision retry.
 
     One scaling.  f's curve y^2 = x^3 + pibar^(2i)/4 twists onto y^2 = x^3
-    + u^6 pibar^(2i)/4, which is E(p^i) when u^6 = pi^(2i): f takes the cube
-    root of pi^(2i) and f^c its conjugate.  Under the other root (X, Y)
-    would lie on Y^2 = X^3 + pibar^(4i)/4, and no exact y on E(p^i) matches Y.
+    + u^6 pibar^(2i)/4, which is E(p^i) when u^6 = pi^(2i): f takes u^3 =
+    pi^i and u^2 the principal cube root of pi^(2i), and f^c the conjugates.
+    Under the other root (X, Y) would lie on Y^2 = X^3 + pibar^(4i)/4, and
+    no exact y on E(p^i) matches Y.
 
-    One branch.  The other cube roots are root * w^k, and x w^k lies in K
+    One branch.  The other cube roots are u^2 w^k, and x w^k lies in K
     exactly when x does, with x's gamma, at x's distance from the numbers
     (|w| = 1), and [w^k](x, y) = (x w^k, y) keeps y.  So the recovery proof
     of recognize_eisenstein for the principal root (k = 0) covers them all.
+
+    The curve check passes by construction, as y is solved for, and stays
+    as a guard on the data, not as a test of recognition: a wrong x is
+    caught when S has no square root in Z[w], and otherwise by the numeric
+    y agreement, then the descent, the nontorsion certificate and the cube
+    identity.
     """
     x, y = raw
+    u3, u2 = twist
     W = prec + GUARD_BITS
     norm_bits = bound.bit_length() - 1
-    u3, u2 = _twist(split, i, root if root is not None else scaling_root(split, i, prec), form)
     found = recognize_eisenstein(fixed_mul(x, u2, W), W, norm_bits)
     if found is not None:
         cand, norm = found
-        exact = _exact_y(cand, split.p ** (2 * i))
+        c = u3.norm() ** 2  # p^(2i)
+        exact = _exact_y(cand, c)
         if exact is not None:
             T, e = exact
-            yv = fixed_of(QOmega.from_ints(T.a, T.b, 2 * e * e), W)
-            s = _sign_near(yv, fixed_mul(fixed_of(u3, W), y, W), 1 << 2 * (W - prec // 2))
+            Y = QOmega.from_ints(T.a, T.b, 2 * e * e)
+            u3y = fixed_mul(fixed_of(u3, W), y, W)
+            s = _sign_near(fixed_of(Y, W), u3y, 1 << 2 * (W - prec // 2))
             if s is not None:
-                U = T * u3.conj() * s  # y = s T / (2 e^2 u^3) = s T conj(u^3) / (2 e^2 p^i)
-                return RecognizedPoint(
-                    form=form,
-                    x_scaled=cand,
-                    y=QOmega.from_ints(U.a, U.b, 2 * e * e * split.p**i),
-                    norm_bits=norm.bit_length() - 1,
-                )
+                P = CurvePoint(QOmega(c), cand, Y if s > 0 else -Y)
+                if not P.on_curve():
+                    raise RecognitionFailed(
+                        f"twisted point of {form} ({P.x}, {P.y}) fails the exact curve equation"
+                    )
+                return P, norm.bit_length() - 1
     with mp.workprec(prec // 2):
         shown = str(fixed_to_mpc(x, W))
     raise RecognitionFailed(
         f"x of {form} = {shown} not recognized with N(gamma) <= 2^{norm_bits}"
         + ("; its candidate x had no exact y matching the numbers" if found else "")
     )
-
-
-def twist_point(rp, split, i):
-    """The exact point of E(p^i)(K) behind a recognized point.
-
-    The twist is (x, y) -> (u^2 x, u^3 y) with u^3 = pi^i for f and pibar^i
-    for f^c (see recognize for why no other is tried), which lands the
-    recognized x_scaled directly in the x-slot.  recognize solves for y on
-    E(p^i), so the exact curve check passes by construction and stays as a
-    guard on the data, not as a test of recognition: a wrong x is caught in
-    recognize when S has no square root in Z[w], and otherwise by the
-    numeric y agreement there, then the descent, the nontorsion certificate
-    and the cube identity.
-    """
-    u3 = (split.pi if rp.form == "f" else split.pibar).to_q() ** i
-    x = rp.x_scaled
-    y = u3 * rp.y
-    P = CurvePoint(QOmega(split.p ** (2 * i)), x, y)
-    if not P.on_curve():
-        raise RecognitionFailed(
-            f"twisted point ({x}, {y}) fails the exact curve equation"
-        )
-    return P
 
 
 def _unit_twists(PK):
@@ -305,7 +269,7 @@ class PipelineResult:
     site: object
     bits: int
     terms: int
-    rec: RecognizedPoint  # the tall side
+    tall_point: CurvePoint  # the tall side's exact point P on E(p^i)
     torsion_form: str  # the other side, "f" or "fc"
     torsion_point: CurvePoint  # its exact point T = (0, +-p^i/2) on E(p^i)
     point_K: CurvePoint
@@ -338,7 +302,10 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
 
     t0 = time.perf_counter()
     # f lives on y^2 = x^3 + pibar^(2i)/4 and f^c on the conjugate curve
-    D_f, D_fc = split.pibar ** (2 * i), split.pi ** (2 * i)
+    # (pibar = conj(pi), as split_prime normalizes both to 1 mod 3)
+    u3 = split.pi**i
+    D_fc = u3 * u3
+    D_f = D_fc.conj()
     z_f, z_fc = eval_z(form, site, prec)
     L_f = lattice_of_curve(D_f, prec)
     sides = {"f": evaluate_cm(z_f, D_f, prec, L_f), "fc": evaluate_cm(z_fc, D_fc, prec, L_f.conj())}
@@ -346,21 +313,23 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
 
     t0 = time.perf_counter()
     # one side is the 3-torsion point T, taken exactly; the other, tall,
-    # side is recognized under its one scaling
-    root = scaling_root(split, i, prec)
-    signs = {t: torsion_sign(raw, split, i, root, prec, t) for t, (kind, raw) in sides.items()
-             if kind == "point"}
+    # side is recognized under its one twist (u^3, u^2) onto E(p^i): f's
+    # is (pi^i, the principal cube root of pi^(2i)), f^c's the conjugates
+    root = principal_root(D_fc, 3, prec + GUARD_BITS)
+    twists = {"f": (u3, root), "fc": (u3.conj(), (root[0], -root[1]))}
+    points = {t: raw for t, (kind, raw) in sides.items() if kind == "point"}
+    errors = {t: _error_bits(raw, root, prec) for t, raw in points.items()}
+    signs = {t: torsion_sign(raw, twists[t], errors[t], prec) for t, raw in points.items()}
     torsion = [t for t, s in signs.items() if s]
     if not torsion:
         raise RecognitionFailed("neither f nor f^c is at the 3-torsion point (0, +-p^i/2)")
     if len(torsion) == 2:
         raise DescentFailed("f and f^c are both at the 3-torsion point; site unusable")
     tall = "fc" if torsion == ["f"] else "f"
-    kind, raw = sides[tall]
-    if kind == "infinity":
+    if tall not in points:
         raise DescentFailed(f"{tall} is at infinity; site unusable")
-    bound = norm_bound(raw, root, prec)
-    rec = recognize(raw, split, i, bound, prec, form=tall, root=root)
+    bound = norm_bound(errors[tall])
+    P, norm_bits = recognize(points[tall], twists[tall], bound, prec, tall)
     timings["recognize_ms"] = 1000 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -368,7 +337,6 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     torsion_ok = curves.is_torsion_at_zero(T)  # [2]T = -T: [3]T = O
     if not torsion_ok:
         raise DescentFailed(f"torsion side {T} is not 3-torsion")
-    P = twist_point(rec, split, i)
     PK = sub_torsion(P, T)  # P_f - P_fc: P - T, or T - P when f^c is tall
     if tall == "fc":
         PK = -PK
@@ -395,7 +363,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
         "torsion_point": {"ok": torsion_ok, "form": torsion[0]},  # [3]T = O
         # bits of the tall side's norm bound left over by N(gamma),
         # x_scaled = alpha/gamma
-        "precision_margin_bits": {tall: bound.bit_length() - 1 - rec.norm_bits},
+        "precision_margin_bits": {tall: bound.bit_length() - 1 - norm_bits},
     }
     return PipelineResult(
         p=p,
@@ -404,7 +372,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
         site=site,
         bits=prec,
         terms=M,
-        rec=rec,
+        tall_point=P,
         torsion_form=torsion[0],
         torsion_point=T,
         point_K=PK,

@@ -91,7 +91,7 @@ def wp_mpc(L, z, prec):
     """wp_eval with an mpc z and mpc results, converted at the boundary."""
     W = prec + GUARD_BITS
     with mp.workprec(W):
-        return tuple(fixed_to_mpc(v, W) for v in wp_eval(L, mpc_to_fixed(z, W), prec))
+        return tuple(fixed_to_mpc(v, W) for v in wp_eval(L, mpc_to_fixed(z, W)))
 
 
 def z_mpc(form, site, prec):
@@ -236,15 +236,16 @@ def test_conjugate_curve_has_the_conjugate_lattice(p, i, prec):
 def _mpmath_root(x, n, W, scale=None):
     """mpmath's principal n-th root of x 2^W / scale (of x when scale is
     None), taken 64 bits finer and floored at W: the oracle of
-    principal_root, and the formula lattice_of_curve and scaling_root used."""
+    principal_root, and the formula lattice_of_curve and the twist's cube
+    root used."""
     with mp.workprec(W + 64):
         a = x.to_mpc(mp) if scale is None else x.to_mpc(mp) * mp.ldexp(1, W) / scale
         return mpc_to_fixed(mp.root(a, n), W)
 
 
 def _root_cases(prec):
-    """(x, n, scale) radicands of lattice_of_curve (-D, 6, g3) and
-    scaling_root (pi^(2i), 3, None), and synthetic ones."""
+    """(x, n, scale) radicands of lattice_of_curve (-D, 6, g3) and of an
+    attempt's twist (pi^(2i), 3, None), and synthetic ones."""
     g3 = analytic._base_lattice(prec)[0]
     cases = [(-(split_prime(7).pibar ** 2), 6, g3)]  # 7^1's lattice: |-D/g3| near 2^-7
     for p, i in ((103, 2), (1993, 2)):
@@ -372,10 +373,10 @@ def test_fixed_point_wp_matches_the_mpmath_oracle(prec, D, kind, data):
             noise = mp.mpf(2) ** -(prec // 2 + data.draw(st.integers(2, 40)))
             xi = m + n * omega_mpc() + noise * mp.expj(2 * mp.pi * data.draw(st.floats(0, 1)))
             with pytest.raises(PoleAtLatticePoint):
-                wp_eval(L, mpc_to_fixed(Omega * xi, W), prec)
+                wp_eval(L, mpc_to_fixed(Omega * xi, W))
             return
         z = mpc_to_fixed(Omega * _xi_case(kind, prec, data.draw), W)
-        got = wp_eval(L, z, prec)
+        got = wp_eval(L, z)
         zc = fixed_to_mpc(z, W)
         owp, owpd, r = wp_oracle(L, zc, prec)
         bound = 2**14 * (1 + abs(zc)) * max(1, 1 / abs(Omega)) ** 3 / abs(r) ** 4 * mp.mpf(2) ** -W

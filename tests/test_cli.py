@@ -291,6 +291,16 @@ def test_sylvester_message_distinct(tmp_path, capsys):
     assert "Sylvester" not in err19 and "outside this construction" in err19
 
 
+@pytest.mark.parametrize("command", ["solve", "qexp"])
+def test_two_is_outside_the_construction_not_obstructed(tmp_path, capsys, command):
+    # 2 = 2 mod 9, yet 2 = 1^3 + 1^3: Sylvester's obstruction is for odd p
+    args = [command, "2"] + (["--cache-dir", str(tmp_path)] if command == "solve" else [])
+    code, _, err = run_cli(args, capsys)
+    assert code == EXIT_BAD_INPUT
+    assert "outside this construction" in err and "not a sum" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cache_roundtrip(tmp_path):
     for M in (1, 2, 3, 4, 5, 200):  # every residue of M mod 3
         form = build_form(7, 1, M)

@@ -170,6 +170,7 @@ def test_split_prime_invariants():
         assert s.pi.residue_mod3() == (1, 0)
         assert s.pibar.residue_mod3() == (1, 0)
         assert s.pi.b > 0
+        assert s.pibar == s.pi.conj()  # parametrize forms f^c's twist by conjugation
         assert norm(s.pi) == p
 
 

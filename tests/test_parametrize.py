@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from cubesum.curves import CurvePoint, add, endo_omega, mul
 from cubesum.eisenstein import EisensteinInt, QOmega, is_prime_int, split_prime
 from cubesum.heckeform import build_form
 from cubesum import parametrize
-from cubesum.analytic import GUARD_BITS, fixed_of, fixed_to_mpc, mpc_to_fixed
+from cubesum.analytic import GUARD_BITS, fixed_of, fixed_to_mpc, mpc_to_fixed, principal_root
+from cubesum.cli import point_str
 from cubesum.cmpoint import eval_site
 from cubesum.curves import DescentFailed
 from cubesum.parametrize import (
@@ -20,7 +22,6 @@ from cubesum.parametrize import (
     evaluate_cm,
     recognize,
     solve_pipeline,
-    twist_point,
 )
 from cubesum.analytic import eval_z, lattice_of_curve, terms_needed
 from test_analytic import lattice_omega, omega_mpc
@@ -46,6 +47,13 @@ def unit_orbit(P):
     return out
 
 
+def twist(split, i, prec, form="f"):
+    """The form's twist (u^3, u^2) onto E(p^i): pi^i and the principal cube
+    root of pi^(2i) for f, pibar^i and the conjugate root for f^c."""
+    root = principal_root(split.pi ** (2 * i), 3, prec + GUARD_BITS)
+    return (split.pi**i, root) if form == "f" else (split.pibar**i, (root[0], -root[1]))
+
+
 def prepare(p, i, r, prec=192):
     """(split, z_f, z_fc) at tau_r, the CM point the reference fixtures use."""
     split = split_prime(p)
@@ -61,17 +69,19 @@ def test_evaluate_cm_p7_tau_fixture():
     split, z_f, z_fc = prepare(7, 1, 5, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
-    rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
-    assert rec.y == q(-2, Fraction(-9, 2))
+    P, _ = recognize(raw, twist(split, 1, prec), 1 << 64, prec, "f")
+    # y = (-9w-4)/2 on f's curve is u^3 y = pi y on E(7)
+    assert P.y == split.pi.to_q() * q(-2, Fraction(-9, 2))
     # x * pi^(2/3) recognized up to a unit twist of the cube-root branch
     orbit = {q(-1, 4) * q(0, 1) ** k for k in range(3)}
-    assert rec.x_scaled in orbit
+    assert P.x in orbit and P.D == q(49) and P.on_curve()
 
     kind_c, raw_c = evaluate_cm(z_fc, split.pi ** 2, prec)
     assert kind_c == "point"
-    rec_c = recognize(raw_c, split, 1, 1 << 64, prec, form="fc")
-    assert rec_c.x_scaled == q(0)
-    assert rec_c.y in (split.pi.to_q() / 2, -split.pi.to_q() / 2)
+    P_c, _ = recognize(raw_c, twist(split, 1, prec, "fc"), 1 << 64, prec, "fc")
+    assert P_c.x == q(0)
+    # (0, +-pi/2) on f^c's curve is (0, +-pibar pi/2) on E(7)
+    assert P_c.y in (split.pibar.to_q() * split.pi.to_q() / 2, -split.pibar.to_q() * split.pi.to_q() / 2)
 
 
 def test_evaluate_cm_p13_tau23_torsion_fixture():
@@ -80,9 +90,9 @@ def test_evaluate_cm_p13_tau23_torsion_fixture():
     split, z_f, z_fc = prepare(13, 1, 23, prec)
     kind_c, raw_c = evaluate_cm(z_fc, split.pi ** 2, prec)
     assert kind_c == "point"
-    rec_c = recognize(raw_c, split, 1, 1 << 64, prec, form="fc")
-    assert rec_c.x_scaled == q(0)
-    assert rec_c.y in (split.pi.to_q() / 2, -split.pi.to_q() / 2)
+    P_c, _ = recognize(raw_c, twist(split, 1, prec, "fc"), 1 << 64, prec, "fc")
+    assert P_c.x == q(0)
+    assert P_c.y in (split.pibar.to_q() * split.pi.to_q() / 2, -split.pibar.to_q() * split.pi.to_q() / 2)
 
 
 def test_evaluate_cm_lattice_point_with_noise_is_infinity():
@@ -103,10 +113,11 @@ def test_recognize_p13_nontorsion_fixture():
     split, z_f, z_fc = prepare(13, 1, 23, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
-    rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
-    assert rec.y in (q(Fraction(7, 2), Fraction(9, 2)), -q(Fraction(7, 2), Fraction(9, 2)))
+    P, _ = recognize(raw, twist(split, 1, prec), 1 << 64, prec, "f")
+    want_y = split.pi.to_q() * q(Fraction(7, 2), Fraction(9, 2))
+    assert P.y in (want_y, -want_y)
     orbit = {q(-7, -2) * q(0, 1) ** k for k in range(3)}
-    assert rec.x_scaled in orbit
+    assert P.x in orbit and P.on_curve()
 
 
 def test_recognize_p31_fixture():
@@ -114,29 +125,28 @@ def test_recognize_p31_fixture():
     split, z_f, z_fc = prepare(31, 1, 26, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
     assert kind == "point"
-    rec = recognize(raw, split, 1, 1 << 80, prec, form="f")
-    want_y = q(Fraction(-2531, 686), Fraction(-549, 343))
-    assert rec.y in (want_y, -want_y)
+    P, _ = recognize(raw, twist(split, 1, prec), 1 << 80, prec, "f")
+    want_y = split.pi.to_q() * q(Fraction(-2531, 686), Fraction(-549, 343))
+    assert P.y in (want_y, -want_y)
     want_x = q(Fraction(-404, 49), Fraction(-130, 49))
     orbit = {want_x * q(0, 1) ** k for k in range(3)}
-    assert rec.x_scaled in orbit
+    assert P.x in orbit and P.on_curve()
 
 
 def test_recognized_point_reembedding():
     prec = 192
     split, z_f, z_fc = prepare(7, 1, 5, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
-    rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
+    P, _ = recognize(raw, twist(split, 1, prec), 1 << 64, prec, "f")
     with mp.workprec(prec + 32):
         x, y = (fixed_to_mpc(v, prec + GUARD_BITS) for v in raw)
-        # x_scaled re-embeds onto x * pi^(2/3) (f's one scaling, principal
+        # P's x re-embeds onto x * pi^(2/3) (f's one scaling, principal
         # root) to within 2^-(prec/2)
-        assert rec.form == "f"
         m = split.pi.to_mpc(mp)
         scaled = x * (m * m) ** (mp.mpf(1) / 3)
-        assert abs(rec.x_scaled.to_mpc(mp) - scaled) <= mp.mpf(2) ** (-(prec // 2))
-        yv = rec.y.to_mpc(mp)
-        assert abs(yv - y) < mp.mpf(2) ** (-(prec // 2))
+        assert abs(P.x.to_mpc(mp) - scaled) <= mp.mpf(2) ** (-(prec // 2))
+        # and P's y, brought back to f's curve by u^3 = pi, onto y
+        assert abs(P.y.to_mpc(mp) / m - y) < mp.mpf(2) ** (-(prec // 2))
 
 
 def test_twist_and_combine_reference_points():
@@ -156,18 +166,26 @@ def test_twist_and_combine_reference_points():
         assert r.point_K in unit_orbit(want), f"p={p}: {r.point_K} not in orbit"
 
 
-def test_twist_point_exactness_certifies():
-    # corrupting a recognized coordinate must be caught by the exact check
+def test_recognize_exactness_certifies(monkeypatch):
+    # a y off E(p^i) that still matches the numbers must be caught by the
+    # exact curve check: _exact_y's y moved by 2^-200, far inside the
+    # 2^-(prec/2) tolerance of the numeric y
     split = split_prime(7)
     prec = 192
     _, z_f, z_fc = prepare(7, 1, 5, prec)
     kind, raw = evaluate_cm(z_f, split.pibar ** 2, prec)
-    rec = recognize(raw, split, 1, 1 << 64, prec, form="f")
-    import dataclasses
+    P, _ = recognize(raw, twist(split, 1, prec), 1 << 64, prec, "f")
+    real = parametrize._exact_y
 
-    bad = dataclasses.replace(rec, y=rec.y + q(1))
-    with pytest.raises(RecognitionFailed):
-        twist_point(bad, split, 1)
+    def nudged(x, c):
+        T, e = real(x, c)  # y = T / (2 e^2), so y + 2^-200 = T' / (2 (e 2^100)^2)
+        return T * 2**200 + EisensteinInt(2 * e * e), e * 2**100
+
+    monkeypatch.setattr(parametrize, "_exact_y", nudged)
+    with pytest.raises(RecognitionFailed, match="twisted point of f .* fails the exact curve equation"):
+        recognize(raw, twist(split, 1, prec), 1 << 64, prec, "f")
+    monkeypatch.setattr(parametrize, "_exact_y", real)
+    assert recognize(raw, twist(split, 1, prec), 1 << 64, prec, "f")[0] == P
 
 
 def test_descend_trace_branch_directly():
@@ -273,7 +291,7 @@ def test_torsion_site_value_is_negative_cusp_image():
         base = split.pi if conj else split.pibar
         L = lattice_of_curve(base**2, 192)
         with mp.workprec(224):
-            ypr = fixed_to_mpc(wp_eval(L, mpc_to_fixed(z0, 224), 192)[1], 224)
+            ypr = fixed_to_mpc(wp_eval(L, mpc_to_fixed(z0, 224))[1], 224)
             half = base.to_mpc(mp) / 2
             cusp_sign = 1 if abs(ypr / 2 - half) < abs(ypr / 2 + half) else -1
         # T = (0, s p/2) is the twist of (0, s base/2): the signs agree
@@ -291,8 +309,8 @@ def test_exactly_one_torsion_side():
         assert T.x == q(0) and T.y in (q(p**i) / 2, -q(p**i) / 2)
         assert mul(3, T).is_infinity and not T.is_infinity
         assert r.checks["torsion_point"] == {"ok": True, "form": r.torsion_form}
-        assert {r.torsion_form, r.rec.form} == {"f", "fc"}
-        assert r.rec.x_scaled != q(0)
+        assert set(r.checks["precision_margin_bits"]) == {"f", "fc"} - {r.torsion_form}
+        assert r.tall_point.x != q(0) and r.tall_point.on_curve()
 
 
 # ------------------------------------------------------- escalation schedule
@@ -400,7 +418,7 @@ def test_a_torsion_side_that_fails_the_closed_form_check_is_a_site_failure(monke
 def test_twisted_point_at_t_is_the_identity_difference(monkeypatch):
     # P = T (x_P = 0) makes P - T = O exactly: the same site failure
     T = solve_pipeline(7, 1).torsion_point
-    monkeypatch.setattr(parametrize, "twist_point", lambda rec, split, i: T)
+    monkeypatch.setattr(parametrize, "recognize", lambda raw, twist, bound, prec, form: (T, 0))
     with pytest.raises(PrecisionExhausted) as info:
         solve_pipeline(7, 1)
     assert str(info.value).count("DescentFailed: twisted difference is the identity") == 1
@@ -509,6 +527,23 @@ def test_schedule_is_pinned(p, i):
     assert r.cube.verify()
 
 
+def solve_tail_line(r):
+    fails = [(a["bits"], a["error"], a["message"]) for a in r.attempts]
+    return (f"{r.p} {r.i} {point_str(r.point_K)} {point_str(r.point_Q)} {r.descent_branch} "
+            f"{r.checks['torsion_point']['form']} {r.checks['precision_margin_bits']} {fails}\n")
+
+
+def test_solve_tail_is_pinned():
+    # the exact tail of every eligible p < 300 at both powers, 38 solves: the
+    # K-point, the rational point, the descent branch, the torsion side, the
+    # tall side's margin and every failed attempt's bits, class and message
+    lines = [solve_tail_line(solve_pipeline(p, i)) for i in (1, 2) for p in range(7, 300)
+             if p % 9 in (4, 7) and is_prime_int(p)]
+    assert len(lines) == 38 and sum("RecognitionFailed" in line for line in lines) == 8
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "a05a972e33c3553af765a568736a2b6400c57a725037d1f8525ff169f26c0646"
+
+
 # ------------------------------------------------------- exact y from x
 
 
@@ -522,11 +557,11 @@ def nontorsion_fixture_raw(prec=192):
 def test_recognize_takes_the_sign_of_y_from_the_numbers():
     prec = 192
     split, (x, y) = nontorsion_fixture_raw(prec)
-    rec = recognize((x, y), split, 1, 1 << 84, prec, form="f")
-    flipped = recognize((x, (-y[0], -y[1])), split, 1, 1 << 84, prec, form="f")
-    assert rec.y == q(-2, Fraction(-9, 2))
-    assert flipped.y == -rec.y
-    assert flipped.x_scaled == rec.x_scaled
+    P, _ = recognize((x, y), twist(split, 1, prec), 1 << 84, prec, "f")
+    flipped, _ = recognize((x, (-y[0], -y[1])), twist(split, 1, prec), 1 << 84, prec, "f")
+    assert P.y == split.pi.to_q() * q(-2, Fraction(-9, 2))
+    assert flipped.y == -P.y
+    assert flipped.x == P.x
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 1000), Fraction(-3, 7), Fraction(1, 2**40)])
@@ -538,7 +573,7 @@ def test_recognize_rejects_a_perturbed_x(delta):
     W = prec + GUARD_BITS
     bad_x = (x[0] + (delta.numerator << W) // delta.denominator, x[1])
     with pytest.raises(RecognitionFailed, match="not recognized"):
-        recognize((bad_x, y), split, 1, 1 << 84, prec, form="f")
+        recognize((bad_x, y), twist(split, 1, prec), 1 << 84, prec, "f")
 
 
 def test_recognize_rejects_an_exact_y_off_the_numbers():
@@ -548,7 +583,7 @@ def test_recognize_rejects_an_exact_y_off_the_numbers():
     split, (x, y) = nontorsion_fixture_raw(prec)
     off = (y[0] + (1 << (prec + GUARD_BITS - 40)), y[1])
     with pytest.raises(RecognitionFailed, match="no exact y"):
-        recognize((x, off), split, 1, 1 << 84, prec, form="f")
+        recognize((x, off), twist(split, 1, prec), 1 << 84, prec, "f")
 
 
 # 103^2's failed 96-bit attempt, as recognize reports it after its one
@@ -623,31 +658,29 @@ def test_sweep_small_primes():
 
 
 def test_a_point_above_the_norm_bound_fails_and_never_gives_a_wrong_x():
-    # [n]P for the twisted nontorsion point P of 7^1, made into the raw
-    # numbers of its form's curve (x / root, y / mult), each to 2^-(prec +
+    # [n]P for the nontorsion point P of 7^1 on E(7), made into the raw
+    # numbers of its form's curve (x / u^2, y / u^3), each to 2^-(prec +
     # 32): a multiple within the norm bound comes back exactly, one past it
     # raises RecognitionFailed
     prec = 64
     W = prec + GUARD_BITS
     r = solve_pipeline(7, 1)
-    split = r.split
-    rec = r.rec
-    P = twist_point(rec, split, 1)
-    root = parametrize.scaling_root(split, 1, prec)
-    mult, rt = (split.pi, root) if rec.form == "f" else (split.pibar, (root[0], -root[1]))
+    tall = "fc" if r.torsion_form == "f" else "f"
+    P = r.tall_point
+    u3, u2 = tw = twist(r.split, 1, prec, tall)
     outcomes = []
     for n in range(1, 9):
         Q = mul(n, P)
         with mp.workprec(W + 64):
-            x = Q.x.to_mpc(mp) / fixed_to_mpc(rt, W)
-            y = Q.y.to_mpc(mp) / mult.to_mpc(mp)
+            x = Q.x.to_mpc(mp) / fixed_to_mpc(u2, W)
+            y = Q.y.to_mpc(mp) / u3.to_mpc(mp)
             raw = (mpc_to_fixed(x, W), mpc_to_fixed(y, W))
-        bound = parametrize.norm_bound(raw, root, prec)
+        bound = parametrize.norm_bound(parametrize._error_bits(raw, u2, prec))
         try:
-            got = recognize(raw, split, 1, bound, prec, form=rec.form, root=root)
+            got, norm_bits = recognize(raw, tw, bound, prec, tall)
         except RecognitionFailed:
             outcomes.append("failed")
             continue
-        assert got.x_scaled == Q.x and got.norm_bits <= bound.bit_length() - 1
+        assert got == Q and norm_bits <= bound.bit_length() - 1
         outcomes.append("exact")
     assert outcomes[0] == "exact" and outcomes[-1] == "failed"
