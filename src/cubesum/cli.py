@@ -166,7 +166,7 @@ class RunReport:
     cube_sum: dict
     checks: dict
     timings_ms: dict
-    attempts: list  # failed attempts before the win: site, bits, error, message
+    attempts: list  # failed attempts before the win: attempt_ms, site, bits, error, message
 
     def to_dict(self):
         # shallow: the fields already hold JSON-ready values, and the
@@ -397,9 +397,9 @@ def make_parser():
     sp.add_argument(
         "--bits",
         type=int,
-        default=96,
-        help="first working precision in bits; a precision failure doubles it, for up to 6 "
-        "precisions (default 96: 96 to 3072 bits)",
+        help="first working precision in bits; a precision failure doubles it until a rung "
+        "of at least 3072 bits has been tried (default 48 at power 1 and 96 at power 2, "
+        "each to 3072 bits)",
     )
     sp.add_argument("--max-terms", type=int, default=2_000_000, dest="max_terms")
     sp.add_argument(
@@ -448,12 +448,12 @@ def main(argv=None):
         args.power_int = int(args.power)
     try:
         for flag in ("terms", "max_terms", "bits"):
-            value = getattr(args, flag, 1)
-            if value < 1:
+            value = getattr(args, flag, None)  # --bits unset: the power's default
+            if value is not None and value < 1:
                 raise BadInput(f"--{flag.replace('_', '-')} must be positive, not {value}")
         # at 1 bit the pole threshold 2^-(bits//2) is 1, above every reduced
         # z/Omega, so both forms would read as the point at infinity
-        if getattr(args, "bits", 2) < 2:
+        if getattr(args, "bits", None) == 1:
             raise BadInput("--bits must be at least 2, not 1")
         if hasattr(args, "p"):  # every command but verify
             check_solvable_prime(args.p)

@@ -15,13 +15,14 @@ sqrt(-3) endomorphism.  [3]T = O is checked exactly, and the descended
 point is certified by exact arithmetic (nontorsion certificate, isogeny
 and cube identities) before it is reported.
 
-solve_pipeline escalates precision on that one site, from 96 bits by
-default: a numerical failure (RecognitionFailed, which includes no side at
-T, EvalResidualTooLarge) retries at twice the bits, and a failure more bits
-cannot fix (DescentFailed, which includes both sides at T, a tall side at
-infinity and a twisted difference that is the identity, or
-TermsCapExceeded) ends the solve at once.  Every failed attempt is kept in
-PipelineResult.attempts.
+solve_pipeline escalates precision on that one site, from 48 i bits by
+default (48 at power 1, 96 at power 2): a numerical failure
+(RecognitionFailed, which includes no side at T, EvalResidualTooLarge)
+retries at twice the bits until a rung of at least TOP_BITS has been
+tried, and a failure more bits cannot fix (DescentFailed, which includes
+both sides at T, a tall side at infinity and a twisted difference that is
+the identity, or TermsCapExceeded) ends the solve at once.  Every failed
+attempt is kept in PipelineResult.attempts.
 """
 
 from __future__ import annotations
@@ -387,7 +388,10 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     )
 
 
-RUNGS = 6  # precisions tried: bits, 2 bits, ..., 32 bits
+# The ladder starts at FIRST_BITS * i bits unless told otherwise, and
+# doubles until it has tried its first rung of at least TOP_BITS bits.
+FIRST_BITS = 48
+TOP_BITS = 3072
 
 # Failures more precision cannot fix: the site, and with it the solve, is
 # given up at once.
@@ -395,35 +399,40 @@ SITE_FAILURES = (DescentFailed, TermsCapExceeded)
 PRECISION_FAILURES = (RecognitionFailed, EvalResidualTooLarge)
 
 
-def solve_pipeline(p, i, bits=96, max_terms=2_000_000, form=None):
+def solve_pipeline(p, i, bits=None, max_terms=2_000_000, form=None):
     """End-to-end: u^3 + v^3 = p^i with exact verification.
 
-    The precision starts at `bits` and doubles after every precision
-    failure, for at most RUNGS attempts at the one site; a descent failure
+    The precision starts at `bits`, FIRST_BITS * i when None (48 at power 1,
+    96 at power 2), and doubles after every precision failure until the
+    first rung of at least TOP_BITS bits has been tried at the one site
+    (48 to 3072 bits at power 1, 96 to 3072 at power 2); a descent failure
     (no rational nontorsion point, or an identity difference) or the terms
     cap ends the solve at once.  The failed attempts come back in the
-    result's `attempts` (site, bits, error, message) and, when the solve
-    fails, in the PrecisionExhausted message.  Each attempt extends `form`,
-    the caller's HeckeForm store (a new one when None), to the terms the
-    site needs.
+    result's `attempts` (attempt_ms, site, bits, error, message) and, when
+    the solve fails, in the PrecisionExhausted message.  Each attempt
+    extends `form`, the caller's HeckeForm store (a new one when None), to
+    the terms the site needs, so a failed rung leaves its coefficients to
+    the next.
     """
     split = split_prime(p)
     cand = Candidate(eval_site(p, i))
     if form is None:
         form = build_form(p, i, 0)
     attempts = []
-    prec = bits
-    for _ in range(RUNGS):
+    prec = FIRST_BITS * i if bits is None else bits
+    while True:
+        t0 = time.perf_counter()
         try:
             result = _attempt_site(cand, split, p, i, prec, max_terms, form)
         except SITE_FAILURES + PRECISION_FAILURES as e:
             attempts.append({
+                "attempt_ms": 1000 * (time.perf_counter() - t0),
                 "site": cand.site.label(),
                 "bits": prec,
                 "error": type(e).__name__,
                 "message": str(e),
             })
-            if isinstance(e, SITE_FAILURES):
+            if isinstance(e, SITE_FAILURES) or prec >= TOP_BITS:
                 break
             prec *= 2
         else:

@@ -228,6 +228,25 @@ def test_solve_json_reports_failed_attempts(tmp_path, capsys):
     assert (att["site"], att["bits"], att["error"]) == ("wtau(r=47)", 96, "RecognitionFailed")
     assert "not recognized" in att["message"] and "N(gamma) <= 2^87" in att["message"]
     assert rep["checks"]["precision_margin_bits"] == {"f": 28}
+    # each failed attempt carries its wall time, as the first key of its
+    # entry in the report, so the timing-free lines keep their order
+    assert type(att["attempt_ms"]) is float and 0 < att["attempt_ms"] < rep["timings_ms"]["total_ms"]
+    lines = out.splitlines()
+    assert lines.index('      "attempt_ms": ' + repr(att["attempt_ms"]) + ",") + 1 == lines.index(
+        '      "bits": 96,')
+
+
+def test_default_first_rung_follows_the_power(tmp_path, capsys):
+    # unset, --bits starts each power at 48 i bits: 7^1 wins at 48 and 7^2
+    # at 96, also when --power both runs them in one command
+    argv = ["solve", "7", "--power", "both", "--json", "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert [(r["i"], r["bits"], r["attempts"]) for r in json.loads(out)] == [(1, 48, []), (2, 96, [])]
+    # an explicit --bits is the first rung at every power
+    code, out, _ = run_cli(argv + ["--bits", "64"], capsys)
+    assert code == EXIT_OK
+    assert [(r["i"], r["bits"]) for r in json.loads(out)] == [(1, 64), (2, 64)]
 
 
 def test_precision_exhausted_lists_every_attempt(tmp_path, capsys, monkeypatch):
@@ -240,17 +259,18 @@ def test_precision_exhausted_lists_every_attempt(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PRECISION
     entries = err.split("; ")
     assert len(entries) == 1
-    assert "wtau(r=5)@96b: TermsCapExceeded: " in entries[0]
+    assert "wtau(r=5)@48b: TermsCapExceeded: " in entries[0]
 
-    # precision failures at every rung: all 6 attempts are named
+    # precision failures at every rung: all 7 attempts, 48 to 3072 bits,
+    # are named
     def fail(cand, split, p, i, prec, *rest):
         raise par.RecognitionFailed(f"stub at {prec}")
 
     monkeypatch.setattr(par, "_attempt_site", fail)
     code, _, err = run_cli(["solve", "7", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_PRECISION
-    assert err.count("b: RecognitionFailed: stub at ") == 6
-    for bits in (96, 192, 384, 768, 1536, 3072):
+    assert err.count("b: RecognitionFailed: stub at ") == 7
+    for bits in (48, 96, 192, 384, 768, 1536, 3072):
         assert err.count(f"wtau(r=5)@{bits}b: RecognitionFailed: stub at {bits}") == 1
 
 

@@ -316,7 +316,10 @@ def test_exactly_one_torsion_side():
 # ------------------------------------------------------- escalation schedule
 
 SITE = eval_site(7, 1).label()  # wtau(r=5)
-RUNG_BITS = [96, 192, 384, 768, 1536, 3072]
+SITE_2 = eval_site(7, 2).label()
+# the default ladder per power: 48 i bits, doubled up to the top rung 3072
+RUNG_BITS = [48, 96, 192, 384, 768, 1536, 3072]
+RUNG_BITS_2 = [96, 192, 384, 768, 1536, 3072]
 
 
 def stub_attempts(monkeypatch, outcome):
@@ -339,43 +342,93 @@ def stub_attempts(monkeypatch, outcome):
     return calls
 
 
+def timed(attempts):
+    """The attempts without their attempt_ms, after checking that each has
+    one, a wall time in ms."""
+    assert all(type(a["attempt_ms"]) is float and a["attempt_ms"] >= 0 for a in attempts)
+    return [{k: v for k, v in a.items() if k != "attempt_ms"} for a in attempts]
+
+
+def escalate_once(monkeypatch, p, i, first):
+    # a precision failure at the first rung, then a win at twice the bits
+    calls = stub_attempts(
+        monkeypatch, lambda label, bits: None if bits > first else RecognitionFailed("x not recognized")
+    )
+    r = solve_pipeline(p, i)
+    site = eval_site(p, i).label()
+    assert calls == [(site, first), (site, 2 * first)]
+    assert (r.label, r.bits) == (site, 2 * first)
+    assert timed(r.attempts) == [
+        {"site": site, "bits": first, "error": "RecognitionFailed", "message": "x not recognized"}
+    ]
+
+
 def test_schedule_precision_failure_escalates_first_site(monkeypatch):
+    escalate_once(monkeypatch, 7, 1, 48)
+
+
+def test_schedule_power_2_precision_failure_escalates_from_96_bits(monkeypatch):
+    escalate_once(monkeypatch, 7, 2, 96)
+
+
+def end_on_site_failure(monkeypatch, p, i, first, site_failure):
     def outcome(label, bits):
-        return None if bits >= 192 else RecognitionFailed("x not recognized")
+        return EvalResidualTooLarge("residual too large") if bits == first else site_failure("no")
 
     calls = stub_attempts(monkeypatch, outcome)
-    r = solve_pipeline(7, 1)
-    assert calls == [(SITE, 96), (SITE, 192)]
-    assert (r.label, r.bits) == (SITE, 192)
-    assert r.attempts == [
-        {"site": SITE, "bits": 96, "error": "RecognitionFailed", "message": "x not recognized"}
+    with pytest.raises(PrecisionExhausted) as info:
+        solve_pipeline(p, i)
+    site = eval_site(p, i).label()
+    assert calls == [(site, first), (site, 2 * first)]
+    assert str(info.value).split("; ") == [
+        f"{site}@{first}b: EvalResidualTooLarge: residual too large",
+        f"{site}@{2 * first}b: {site_failure.__name__}: no",
     ]
 
 
 @pytest.mark.parametrize("site_failure", [DescentFailed, TermsCapExceeded])
 def test_schedule_site_failure_ends_the_solve(monkeypatch, site_failure):
     # more bits cannot mend it: no further rung is tried after it
-    def outcome(label, bits):
-        return EvalResidualTooLarge("residual too large") if bits == 96 else site_failure("no")
+    end_on_site_failure(monkeypatch, 7, 1, 48, site_failure)
 
-    calls = stub_attempts(monkeypatch, outcome)
+
+@pytest.mark.parametrize("site_failure", [DescentFailed, TermsCapExceeded])
+def test_schedule_power_2_site_failure_ends_the_solve(monkeypatch, site_failure):
+    end_on_site_failure(monkeypatch, 7, 2, 96, site_failure)
+
+
+def exhaust(monkeypatch, p, i, **kwargs):
+    """The (site, bits) calls of a solve whose every attempt fails for more
+    precision, after checking that the PrecisionExhausted message names each."""
+    calls = stub_attempts(monkeypatch, lambda label, bits: RecognitionFailed("no"))
     with pytest.raises(PrecisionExhausted) as info:
-        solve_pipeline(7, 1)
-    assert calls == [(SITE, 96), (SITE, 192)]
-    assert str(info.value).split("; ") == [
-        f"{SITE}@96b: EvalResidualTooLarge: residual too large",
-        f"{SITE}@192b: {site_failure.__name__}: no",
-    ]
+        solve_pipeline(p, i, **kwargs)
+    entries = str(info.value).split("; ")
+    assert entries == [f"{s}@{b}b: RecognitionFailed: no" for s, b in calls]
+    return calls
 
 
 def test_schedule_total_exhaustion(monkeypatch):
-    calls = stub_attempts(monkeypatch, lambda label, bits: RecognitionFailed("no"))
-    with pytest.raises(PrecisionExhausted) as info:
-        solve_pipeline(7, 1)
-    # the one site at every rung, each attempt named in the message
-    assert calls == [(SITE, b) for b in RUNG_BITS]
-    entries = str(info.value).split("; ")
-    assert entries == [f"{s}@{b}b: RecognitionFailed: no" for s, b in calls]
+    # the one site at every rung, 48 to 3072 bits, each attempt named in the
+    # message
+    assert exhaust(monkeypatch, 7, 1) == [(SITE, b) for b in RUNG_BITS]
+
+
+def test_schedule_power_2_total_exhaustion(monkeypatch):
+    # power 2 keeps its ladder: 96 to 3072 bits
+    assert exhaust(monkeypatch, 7, 2) == [(SITE_2, b) for b in RUNG_BITS_2]
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize(
+    "bits, ladder",
+    [(100, [100, 200, 400, 800, 1600, 3200]), (2, [2**k for k in range(1, 13)])],
+    ids=["100", "2"],
+)
+def test_schedule_ends_at_the_first_rung_of_at_least_3072_bits(monkeypatch, i, bits, ladder):
+    # an explicit first rung doubles to the top rung and no further, at
+    # either power: 100 to 3200 bits, and 2 to 4096
+    assert [b for _, b in exhaust(monkeypatch, 7, i, bits=bits)] == ladder
 
 
 def test_identity_difference_is_a_site_failure(monkeypatch):
@@ -395,7 +448,12 @@ def test_identity_difference_is_a_site_failure(monkeypatch):
     monkeypatch.setattr(parametrize, "_attempt_site", spy)
     with pytest.raises(PrecisionExhausted) as info:
         solve_pipeline(7, 1)
-    assert calls == [(SITE, 96)]
+    assert calls == [(SITE, 48)]
+    assert str(info.value).count("DescentFailed: twisted difference is the identity") == 1
+    calls.clear()
+    with pytest.raises(PrecisionExhausted) as info:
+        solve_pipeline(7, 2)
+    assert calls == [(SITE_2, 96)]
     assert str(info.value).count("DescentFailed: twisted difference is the identity") == 1
 
 
@@ -498,14 +556,15 @@ def test_pipeline_79_squared_wins_at_96_bits():
     assert r.cube.verify()
 
 
-# The schedule of five solves from 96 bits with the continued fraction over
-# Z[w]: (p, i) -> (bits, terms, failed attempts (bits, error),
-# precision_margin_bits of the tall side, torsion side, descent branch).
-# 223^1 has N = 27p; 103^2 wins after one retry.  A speed-up must keep all
-# of it: it comes from cheaper attempts, not from a different schedule.
+# The schedule of five solves from the default first rung (48 bits at power
+# 1, 96 at power 2) with the continued fraction over Z[w]: (p, i) -> (bits,
+# terms, failed attempts (bits, error), precision_margin_bits of the tall
+# side, torsion side, descent branch).  223^1 has N = 27p; 103^2 wins after
+# one retry.  A speed-up must keep all of it: it comes from cheaper
+# attempts, not from a different schedule.
 SCHEDULE = {
-    (103, 1): (96, 4047, [], {"f": 85}, "fc", "sqrt-3(w^0+)"),
-    (223, 1): (96, 26934, [], {"f": 50}, "fc", "trace(w^0+)"),
+    (103, 1): (48, 2158, [], {"f": 37}, "fc", "sqrt-3(w^0+)"),
+    (223, 1): (48, 14662, [], {"f": 2}, "fc", "trace(w^0+)"),
     (67, 2): (96, 7965, [], {"fc": 47}, "f", "trace(w^0+)"),
     (79, 2): (96, 3095, [], {"fc": 16}, "f", "sqrt-3(w^0+)"),
     (103, 2): (192, 23649, [(96, "RecognitionFailed")], {"f": 28}, "fc", "sqrt-3(w^0+)"),
@@ -536,12 +595,14 @@ def solve_tail_line(r):
 def test_solve_tail_is_pinned():
     # the exact tail of every eligible p < 300 at both powers, 38 solves: the
     # K-point, the rational point, the descent branch, the torsion side, the
-    # tall side's margin and every failed attempt's bits, class and message
+    # tall side's margin and every failed attempt's bits, class and message.
+    # From the 48-bit first rung only the power-1 margins differ from the
+    # 96-bit one's, each by 48 bits: no power-1 p < 300 fails at 48 bits
     lines = [solve_tail_line(solve_pipeline(p, i)) for i in (1, 2) for p in range(7, 300)
              if p % 9 in (4, 7) and is_prime_int(p)]
     assert len(lines) == 38 and sum("RecognitionFailed" in line for line in lines) == 8
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-    assert digest == "a05a972e33c3553af765a568736a2b6400c57a725037d1f8525ff169f26c0646"
+    assert digest == "cb075eb88a4f2c06bf516da9b7babe0ae1fe6d69939963b7e44d877552118f80"
 
 
 # ------------------------------------------------------- exact y from x
