@@ -398,8 +398,8 @@ def make_parser():
         "--bits",
         type=int,
         help="first working precision in bits; a precision failure doubles it until a rung "
-        "of at least 3072 bits has been tried (default 48 at power 1 and 96 at power 2, "
-        "each to 3072 bits)",
+        "of at least 3072 bits, and of at least 32 times the first, has been tried "
+        "(default 48 for a power-1 prime below 512, else 96; each to 3072 bits)",
     )
     sp.add_argument("--max-terms", type=int, default=2_000_000, dest="max_terms")
     sp.add_argument(
@@ -448,7 +448,7 @@ def main(argv=None):
         args.power_int = int(args.power)
     try:
         for flag in ("terms", "max_terms", "bits"):
-            value = getattr(args, flag, None)  # --bits unset: the power's default
+            value = getattr(args, flag, None)  # --bits unset: the default first rung
             if value is not None and value < 1:
                 raise BadInput(f"--{flag.replace('_', '-')} must be positive, not {value}")
         # at 1 bit the pole threshold 2^-(bits//2) is 1, above every reduced

@@ -15,14 +15,15 @@ sqrt(-3) endomorphism.  [3]T = O is checked exactly, and the descended
 point is certified by exact arithmetic (nontorsion certificate, isogeny
 and cube identities) before it is reported.
 
-solve_pipeline escalates precision on that one site, from 48 i bits by
-default (48 at power 1, 96 at power 2): a numerical failure
-(RecognitionFailed, which includes no side at T, EvalResidualTooLarge)
-retries at twice the bits until a rung of at least TOP_BITS has been
-tried, and a failure more bits cannot fix (DescentFailed, which includes
-both sides at T, a tall side at infinity and a twisted difference that is
-the identity, or TermsCapExceeded) ends the solve at once.  Every failed
-attempt is kept in PipelineResult.attempts.
+solve_pipeline escalates precision on that one site, from first_bits(p, i)
+by default (48 bits for a power-1 prime below SMALL_P, else 96): a
+numerical failure (RecognitionFailed, which includes no side at T,
+EvalResidualTooLarge) retries at twice the bits until a rung of at least
+TOP_BITS, and of at least 32 times the first, has been tried, and a
+failure more bits cannot fix (DescentFailed, which includes both sides at
+T, a tall side at infinity and a twisted difference that is the identity,
+or TermsCapExceeded) ends the solve at once.  Every failed attempt is kept
+in PipelineResult.attempts.
 """
 
 from __future__ import annotations
@@ -388,10 +389,20 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
     )
 
 
-# The ladder starts at FIRST_BITS * i bits unless told otherwise, and
-# doubles until it has tried its first rung of at least TOP_BITS bits.
-FIRST_BITS = 48
+# The default ladder starts at 96 bits, or at 48 for a power-1 prime below
+# SMALL_P.  The bits a point needs grow with p: of the eligible primes below
+# 512, 29 of 31 win at 48 bits at power 1, but of those from 512 to 1999
+# only 24 of 70 do, and there a failed 48-bit rung costs more in total than
+# the wins save.  The ladder doubles until it has tried a rung of at least
+# TOP_BITS, and of at least 32 times its first (five doublings).
+SMALL_P = 512
 TOP_BITS = 3072
+
+
+def first_bits(p, i):
+    """The default first rung of the precision ladder for p^i."""
+    return 48 if i == 1 and p < SMALL_P else 96
+
 
 # Failures more precision cannot fix: the site, and with it the solve, is
 # given up at once.
@@ -402,10 +413,11 @@ PRECISION_FAILURES = (RecognitionFailed, EvalResidualTooLarge)
 def solve_pipeline(p, i, bits=None, max_terms=2_000_000, form=None):
     """End-to-end: u^3 + v^3 = p^i with exact verification.
 
-    The precision starts at `bits`, FIRST_BITS * i when None (48 at power 1,
-    96 at power 2), and doubles after every precision failure until the
-    first rung of at least TOP_BITS bits has been tried at the one site
-    (48 to 3072 bits at power 1, 96 to 3072 at power 2); a descent failure
+    The precision starts at `bits`, first_bits(p, i) when None (48 for a
+    power-1 prime below SMALL_P, else 96), and doubles after every
+    precision failure until a rung of at least max(TOP_BITS, 32 * start)
+    bits has been tried at the one site (48 or 96 to 3072 bits by default,
+    100 to 3200 from 100, 4096 to 131072 from 4096); a descent failure
     (no rational nontorsion point, or an identity difference) or the terms
     cap ends the solve at once.  The failed attempts come back in the
     result's `attempts` (attempt_ms, site, bits, error, message) and, when
@@ -419,7 +431,8 @@ def solve_pipeline(p, i, bits=None, max_terms=2_000_000, form=None):
     if form is None:
         form = build_form(p, i, 0)
     attempts = []
-    prec = FIRST_BITS * i if bits is None else bits
+    prec = first_bits(p, i) if bits is None else bits
+    last = max(TOP_BITS, 32 * prec)
     while True:
         t0 = time.perf_counter()
         try:
@@ -432,7 +445,7 @@ def solve_pipeline(p, i, bits=None, max_terms=2_000_000, form=None):
                 "error": type(e).__name__,
                 "message": str(e),
             })
-            if isinstance(e, SITE_FAILURES) or prec >= TOP_BITS:
+            if isinstance(e, SITE_FAILURES) or prec >= last:
                 break
             prec *= 2
         else:

@@ -237,8 +237,9 @@ def test_solve_json_reports_failed_attempts(tmp_path, capsys):
 
 
 def test_default_first_rung_follows_the_power(tmp_path, capsys):
-    # unset, --bits starts each power at 48 i bits: 7^1 wins at 48 and 7^2
-    # at 96, also when --power both runs them in one command
+    # unset, --bits starts each power at its own first rung, 48 bits for a
+    # power-1 prime below 512 and 96 at power 2: 7^1 wins at 48 and 7^2 at
+    # 96, also when --power both runs them in one command
     argv = ["solve", "7", "--power", "both", "--json", "--cache-dir", str(tmp_path)]
     code, out, _ = run_cli(argv, capsys)
     assert code == EXIT_OK

@@ -317,7 +317,8 @@ def test_exactly_one_torsion_side():
 
 SITE = eval_site(7, 1).label()  # wtau(r=5)
 SITE_2 = eval_site(7, 2).label()
-# the default ladder per power: 48 i bits, doubled up to the top rung 3072
+# the default ladders, doubled up to the top rung 3072: from 48 bits for a
+# power-1 prime below 512, else from 96
 RUNG_BITS = [48, 96, 192, 384, 768, 1536, 3072]
 RUNG_BITS_2 = [96, 192, 384, 768, 1536, 3072]
 
@@ -419,15 +420,33 @@ def test_schedule_power_2_total_exhaustion(monkeypatch):
     assert exhaust(monkeypatch, 7, 2) == [(SITE_2, b) for b in RUNG_BITS_2]
 
 
+@pytest.mark.parametrize(
+    "p, i, ladder",
+    [(499, 1, RUNG_BITS), (547, 1, RUNG_BITS_2), (997, 1, RUNG_BITS_2), (499, 2, RUNG_BITS_2)],
+    ids=["499^1", "547^1", "997^1", "499^2"],
+)
+def test_schedule_default_first_rung_follows_p(monkeypatch, p, i, ladder):
+    # 48 bits only for a power-1 prime below 512; from 547 on, and at power
+    # 2, the ladder starts at 96 bits as it did before the 48-bit rung
+    assert parametrize.first_bits(p, i) == ladder[0]
+    assert [b for _, b in exhaust(monkeypatch, p, i)] == ladder
+
+
 @pytest.mark.parametrize("i", [1, 2])
 @pytest.mark.parametrize(
     "bits, ladder",
-    [(100, [100, 200, 400, 800, 1600, 3200]), (2, [2**k for k in range(1, 13)])],
-    ids=["100", "2"],
+    [
+        (100, [100, 200, 400, 800, 1600, 3200]),
+        (2, [2**k for k in range(1, 13)]),
+        (2048, [2048 << k for k in range(6)]),
+        (4096, [4096 << k for k in range(6)]),
+    ],
+    ids=["100", "2", "2048", "4096"],
 )
 def test_schedule_ends_at_the_first_rung_of_at_least_3072_bits(monkeypatch, i, bits, ladder):
-    # an explicit first rung doubles to the top rung and no further, at
-    # either power: 100 to 3200 bits, and 2 to 4096
+    # an explicit first rung doubles at least five times and on to the top
+    # rung, at either power: 100 to 3200 bits, 2 to 4096, and a start above
+    # the top rung keeps its six rungs, 4096 to 131072
     assert [b for _, b in exhaust(monkeypatch, 7, i, bits=bits)] == ladder
 
 
