@@ -20,7 +20,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, fields
 
-from .eisenstein import PrimalityOutOfRange, QOmega, is_prime_int
+from .eisenstein import PrimalityOutOfRange, QOmega, _ratio_str, is_prime_int
 from .heckeform import build_form, conductor_and_level, newform_pairs, spot_check
 
 EXIT_OK = 0
@@ -317,13 +317,19 @@ def series_lines(s, hi):
     """The lines 'n a b' of the nonzero coefficients a + b*w of q^n, n < hi,
     of a series in u = q^3 spread onto q (qseries.y_series and
     f_plus_minus_series): only the slots n = 0 mod 3, the u-series' own
-    coefficients, can be nonzero, so only they are read."""
+    coefficients, can be nonzero, so only they are read.  a and b print
+    as Fractions print, from the integers of (A + B*w)/d."""
     first = -(-s.lead // 3) * 3
-    out = []
-    for n, c in zip(range(first, hi, 3), s.coeffs[first - s.lead :: 3]):
-        if c:
-            out.append(f"{n} {c.a} {c.b}")
-    return out
+    return [
+        f"{n} {_ratio_str(c.A, c.d)} {_ratio_str(c.B, c.d)}"
+        for n, c in zip(range(first, hi, 3), s.coeffs[first - s.lead :: 3])
+        if c
+    ]
+
+
+def _print_lines(lines):
+    """The lines in one write, each ended by a newline; none when empty."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def cmd_qexp(args):
@@ -337,8 +343,7 @@ def cmd_yseries(args):
     from .qseries import y_series
 
     y = y_series(args.p, args.power_int, args.terms, conjugate=args.conjugate)
-    for line in series_lines(y, args.terms):
-        print(line)
+    _print_lines(series_lines(y, args.terms))
     return EXIT_OK
 
 
@@ -346,8 +351,7 @@ def cmd_fseries(args):
     from .qseries import f_plus_minus_series
 
     F = f_plus_minus_series(args.p, args.power_int, args.sign, args.terms)
-    for line in series_lines(F, args.terms):
-        print(line)
+    _print_lines(series_lines(F, args.terms))
     return EXIT_OK
 
 

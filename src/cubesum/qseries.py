@@ -13,6 +13,13 @@ X_6 = [q^6](q^2/z^2) + g3/28.
 F(q) with F^3 = num/den is one quotient recurrence and one cube-root
 recurrence (J.C.P. Miller's power recurrence, Knuth, TAOCP 2, 4.7).
 
+The kernels are quadratic in the length, so each avoids repeated work: per
+coefficient the ODE makes one pass over the nonzero slots of f (a list built
+once) for both of its sums against f, and the squares, X^2 in the ODE and
+the root's square in the cube-back check, take each unordered pair of slots
+once.  A product (a + b w)(c + d w) is summed as the four sums ac, bd, ad
+and bc, combined once at the end.
+
 All of it lives on q^3.  a_n vanishes off n = 1 mod 3, so z(wq) = w z(q).
 On the hexagonal lattice wp(wz) = w^-2 wp(z) and wp'(wz) = w^-3 wp'(z) =
 wp'(z), so q^2 x and q^3 y are unchanged by q -> wq: they are series in
@@ -122,9 +129,11 @@ class LaurentSeries:
         return (-self) + other
 
     def is_one(self):
-        return all(
+        """True when the known coefficients are those of 1: q^0 is known and
+        is 1, and every other known coefficient is 0."""
+        return self.trunc > 0 and all(
             self.coefficient(n) == (_Q1 if n == 0 else _Q0)
-            for n in range(self.lead, self.trunc)
+            for n in range(min(self.lead, 0), self.trunc)
         )
 
 
@@ -141,15 +150,38 @@ def _exact_div(x, d):
 
 
 def _conv(xa, xb, ya, yb, k, lo=1):
-    """sum_{m=lo..k} x_m y_(k-m); zero x_m are skipped."""
-    sa = sb = 0
+    """sum_{m=lo..k} x_m y_(k-m); zero x_m are skipped.  With w^2 = -1 - w
+    the sum is (ac - bd) + (ad + bc - bd) w over the four sums of products."""
+    ac = bd = ad = bc = 0
     for m in range(lo, k + 1):
         a, b = xa[m], xb[m]
         if a or b:
             c, d = ya[k - m], yb[k - m]
-            bd = b * d
-            sa += a * c - bd
-            sb += a * d + b * c - bd
+            ac += a * c
+            bd += b * d
+            ad += a * d
+            bc += b * c
+    return ac - bd, ad + bc - bd
+
+
+def _square_at(xa, xb, k, lo=0):
+    """sum_{m=lo..k-lo} x_m x_(k-m), by symmetry: each unordered pair of
+    slots once, doubled, plus the middle term x_(k/2)^2 when k is even."""
+    h = (k + 1) // 2  # the pairs m < k - m
+    ac = bd = cross = 0
+    for m in range(lo, h):
+        a, b = xa[m], xb[m]
+        if a or b:
+            c, d = xa[k - m], xb[k - m]
+            ac += a * c
+            bd += b * d
+            cross += a * d + b * c
+    sa, sb = 2 * (ac - bd), 2 * (cross - bd)
+    if not k % 2 and h >= lo:
+        a, b = xa[h], xb[h]
+        bb = b * b
+        sa += a * a - bb
+        sb += 2 * a * b - bb
     return sa, sb
 
 
@@ -159,22 +191,33 @@ def _mul(xa, xb, ya, yb):
     return [a for a, _ in prod], [b for _, b in prod]
 
 
+def _square(xa, xb):
+    """x * x, as _mul(xa, xb, xa, xb), with about half the products."""
+    sq = [_square_at(xa, xb, k) for k in range(len(xa))]
+    return [a for a, _ in sq], [b for _, b in sq]
+
+
 def _power(ra, rb, num, den):
     """r^(num/den) for r_0 = 1, by J.C.P. Miller's recurrence
-    den k t_k = sum_{j=1..k} ((num + den) j - den k) r_j t_(k-j)."""
+    den k t_k = sum_{j=1..k} c_j r_j t_(k-j), c_j = (num + den) j - den k,
+    where the weight c_j rises by num + den from one j to the next."""
+    step = num + den
     ta, tb = [1], [0]
     for k in range(1, len(ra)):
-        sa = sb = 0
+        ac = bd = ad = bc = 0
+        c = step - den * k
         for j in range(1, k + 1):
             a, b = ra[j], rb[j]
             if a or b:
-                c = (num + den) * j - den * k
+                a, b = c * a, c * b
                 ua, ub = ta[k - j], tb[k - j]
-                bu = b * ub
-                sa += c * (a * ua - bu)
-                sb += c * (a * ub + b * ua - bu)
-        ta.append(_exact_div(sa, den * k))
-        tb.append(_exact_div(sb, den * k))
+                ac += a * ua
+                bd += b * ub
+                ad += a * ub
+                bc += b * ua
+            c += step
+        ta.append(_exact_div(ac - bd, den * k))
+        tb.append(_exact_div(ad + bc - bd, den * k))
     return ta, tb
 
 
@@ -184,23 +227,37 @@ def _wp_ode(fa, fb, T, g3):
     (s <= T, F_0 = 1) and g3 = (a, b).  Per t, with k = 3t: A = sum F_3s
     W_(k-3s) and B = P + sum F_3s S_(k-3s) over s >= 1, with S = X^2 and
     P = sum X_3j X_(k-3j) over 0 < j < t, and then X_k and W_k solve
-    (k-2) X_k - W_k = A, -12 X_k + (k-3) W_k = 6B."""
+    (k-2) X_k - W_k = A, -12 X_k + (k-3) W_k = 6B.  One pass over the
+    nonzero F_3s forms A and the F S half of B; P is summed by symmetry."""
     Xa, Xb = [1] + [0] * T, [0] * (T + 1)
     Sa, Sb = list(Xa), list(Xb)
     Wa, Wb = [-2] + [0] * T, [0] * (T + 1)
+    nonzero = [(s, fa[s], fb[s]) for s in range(1, T + 1) if fa[s] or fb[s]]
     for t in range(1, T + 1):
         k = 3 * t
-        Aa, Ab = _conv(fa, fb, Wa, Wb, t)
-        Pa, Pb = _conv(Xa, Xb, Xa, Xb, t)  # X_k is still 0: the j = t term drops
-        Ba, Bb = _conv(fa, fb, Sa, Sb, t)
-        Ba += Pa
-        Bb += Pb
+        ac = bd = ad = bc = ae = bg = ag = be = 0  # F W in c, d; F S in e, g
+        for s, a, b in nonzero:
+            if s > t:
+                break
+            c, d, e, g = Wa[t - s], Wb[t - s], Sa[t - s], Sb[t - s]
+            ac += a * c
+            bd += b * d
+            ad += a * d
+            bc += b * c
+            ae += a * e
+            bg += b * g
+            ag += a * g
+            be += b * e
+        Pa, Pb = _square_at(Xa, Xb, t, 1)
+        Aa, Ab = ac - bd, ad + bc - bd
+        Ba, Bb = ae - bg + Pa, ag + be - bg + Pb
         if k == 6:  # resonance: X_6 = [q^6](q^2/z^2) + g3/28, W_6 = 4 X_6 - A
-            za = [Fraction(fa[s], 3 * s + 1) for s in range(3)]  # z/q in u
-            zb = [Fraction(fb[s], 3 * s + 1) for s in range(3)]
-            ta, tb = _power(za, zb, -2, 1)
-            Xa[2] = _exact_div(28 * ta[2] + g3[0], 28)
-            Xb[2] = _exact_div(28 * tb[2] + g3[1], 28)
+            # z/q = 1 + F_3 u/4 + F_6 u^2/7 + ..., so [q^6](q^2/z^2) is
+            # 3 F_3^2/16 - 2 F_6/7 and 112 X_6 = 21 F_3^2 - 32 F_6 + 4 g3
+            a, b = fa[1], fb[1]
+            bb = b * b
+            Xa[2] = _exact_div(21 * (a * a - bb) - 32 * fa[2] + 4 * g3[0], 112)
+            Xb[2] = _exact_div(21 * (2 * a * b - bb) - 32 * fb[2] + 4 * g3[1], 112)
             Wa[2] = 4 * Xa[2] - Aa
             Wb[2] = 4 * Xb[2] - Ab
         else:
@@ -269,7 +326,7 @@ def cube_root_series(S):
         raise CubeRootNotInField(f"leading coefficient {S.coeffs[0]} is not 1")
     ra, rb = [_exact_div(c.A, c.d) for c in S.coeffs], [_exact_div(c.B, c.d) for c in S.coeffs]
     ta, tb = _power(ra, rb, 1, 3)
-    if _mul(*_mul(ta, tb, ta, tb), ta, tb) != (ra, rb):
+    if _mul(*_square(ta, tb), ta, tb) != (ra, rb):
         raise AssertionError("cube root does not cube back to the series")
     return LaurentSeries(S.lead // 3, [QOmega(a, b) for a, b in zip(ta, tb)])
 

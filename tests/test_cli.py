@@ -816,6 +816,33 @@ def test_yseries_dump(capsys):
     assert lines[1] == "0 3/2 3/2"  # y(0) = 2 - pibar/2
 
 
+# The shortest dumps byte for byte: below --terms 4 only q^-3 and q^0 are
+# printed, one line each, every line ended by a newline and no blank line.
+_SHORT_DUMPS = [
+    (["yseries", "31"], "-3 -1 0\n0 -3/2 0\n"),
+    (["yseries", "31", "--conjugate"], "-3 -1 0\n0 -3/2 0\n"),
+    (["yseries", "97", "--power", "2"], "-3 -1 0\n0 0 -3/2\n"),
+    (["yseries", "97", "--power", "2", "--conjugate"], "-3 -1 0\n0 3/2 3/2\n"),
+] + [
+    (["fseries", p, "--power", i, "--sign", s], "0 1 0\n")
+    for p, i in (("31", "1"), ("97", "2"))
+    for s in "+-"
+]
+
+
+@pytest.mark.parametrize("terms", ["1", "2", "3"])
+@pytest.mark.parametrize("args,want", _SHORT_DUMPS)
+def test_short_series_dumps_are_byte_exact(args, want, terms, capsys):
+    code, out, err = run_cli(args + ["--terms", terms], capsys)
+    assert (code, out, err) == (EXIT_OK, want, "")
+
+
+@pytest.mark.parametrize("lines", [[], ["0 1 0"], ["-3 -1 0", "0 1/2 -3/2"]])
+def test_series_lines_print_in_one_write(lines, capsys):
+    cli._print_lines(lines)
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+
+
 # sha256 of the series dumps the benchmark times, at 100 terms, as the
 # composition route (wp' composed with z(q), Newton cube roots) printed them
 _SERIES_DIGESTS = {

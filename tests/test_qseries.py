@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cubesum.qseries as qs
 from cubesum.analytic import wp_laurent_coefficients
@@ -158,6 +159,128 @@ def test_cube_root_needs_a_unit_leading_coefficient():
             cube_root_series(LaurentSeries(0, [s0, q(1)] + [q(0)] * 5))
     with pytest.raises(CubeRootNotInField):
         cube_root_series(LaurentSeries(1, [q(1), q(1)]))
+
+
+def test_is_one_needs_the_constant_term_and_nothing_else():
+    assert not LaurentSeries(0, [q(0), q(0), q(0)]).is_one()  # the zero series
+    assert not LaurentSeries(1, [q(1)]).is_one()  # q + O(q^2)
+    assert not LaurentSeries(-3, [q(1), q(0)]).is_one()  # q^0 beyond trunc = -1
+    assert not LaurentSeries(-2, [q(1), q(0)]).is_one()  # trunc = 0
+    assert not LaurentSeries(-1, [q(1), q(1), q(0)]).is_one()  # q^-1 + 1
+    assert not LaurentSeries(0, [q(1), q(0), q(5)]).is_one()
+    assert LaurentSeries(0, [q(1), q(0), q(0)]).is_one()  # 1 + O(q^3)
+    assert LaurentSeries(-2, [q(0), q(0), q(1)]).is_one()  # 1 + O(q)
+
+
+# ------------------------------------------------------ pair-list kernels
+
+_slot = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+_frac_slot = st.one_of(_slot, st.fractions(-9, 9, max_denominator=7))
+
+
+def _pairs(slot, max_size):
+    return st.integers(0, max_size).flatmap(
+        lambda n: st.tuples(st.lists(slot, min_size=n, max_size=n), st.lists(slot, min_size=n, max_size=n))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_pairs(_slot, 40), _pairs(_frac_slot, 40)))
+def test_square_is_the_product_with_itself(x):
+    xa, xb = x
+    assert qs._square(xa, xb) == qs._mul(xa, xb, xa, xb)
+
+
+def _power_oracle(ra, rb, num, den):
+    """r^(num/den) for r_0 = 1 over Q(w): the t with t_0 = 1 and
+    t^den = r^num, coefficient by coefficient, from schoolbook products."""
+    n = len(ra)
+    zero, one = q(0), q(1)
+    r = [QOmega(a, b) for a, b in zip(ra, rb)]
+
+    def mul(x, y):
+        return [sum((x[m] * y[k - m] for m in range(k + 1)), zero) for k in range(n)]
+
+    def power(x, e):
+        out = [one] + [zero] * (n - 1)
+        for _ in range(e):
+            out = mul(out, x)
+        return out
+
+    if num < 0:
+        inv = [one]
+        for k in range(1, n):
+            inv.append(-sum((r[j] * inv[k - j] for j in range(1, k + 1)), zero))
+        target = power(inv, -num)
+    else:
+        target = power(r, num)
+    t = [one] + [zero] * (n - 1)
+    for k in range(1, n):
+        # t_k is still 0, so [q^k] t^den lacks exactly den t_k
+        t[k] = (target[k] - power(t, den)[k]) / den
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pairs(_frac_slot, 12), st.sampled_from([(1, 3), (-2, 1)]))
+def test_power_matches_the_schoolbook_oracle(r, exponent):
+    ra, rb = [1] + r[0], [0] + r[1]
+    ta, tb = qs._power(ra, rb, *exponent)
+    assert [QOmega(a, b) for a, b in zip(ta, tb)] == _power_oracle(ra, rb, *exponent)
+
+
+def _conv_three_pass(xa, xb, ya, yb, k, lo=1):
+    sa = sb = 0
+    for m in range(lo, k + 1):
+        a, b = xa[m], xb[m]
+        if a or b:
+            c, d = ya[k - m], yb[k - m]
+            bd = b * d
+            sa += a * c - bd
+            sb += a * d + b * c - bd
+    return sa, sb
+
+
+def _wp_ode_three_pass(fa, fb, T, g3):
+    """The ODE as three convolutions per step (A, P and the F S half of B)
+    and the resonance through Miller's recurrence on z/q."""
+    Xa, Xb = [1] + [0] * T, [0] * (T + 1)
+    Sa, Sb = list(Xa), list(Xb)
+    Wa, Wb = [-2] + [0] * T, [0] * (T + 1)
+    for t in range(1, T + 1):
+        k = 3 * t
+        Aa, Ab = _conv_three_pass(fa, fb, Wa, Wb, t)
+        Pa, Pb = _conv_three_pass(Xa, Xb, Xa, Xb, t)
+        Ba, Bb = _conv_three_pass(fa, fb, Sa, Sb, t)
+        Ba += Pa
+        Bb += Pb
+        if k == 6:
+            za = [Fraction(fa[s], 3 * s + 1) for s in range(3)]
+            zb = [Fraction(fb[s], 3 * s + 1) for s in range(3)]
+            t2 = _power_oracle(za, zb, -2, 1)[2]  # [q^6](q^2/z^2)
+            Xa[2] = qs._exact_div(28 * t2.a + g3[0], 28)
+            Xb[2] = qs._exact_div(28 * t2.b + g3[1], 28)
+            Wa[2] = 4 * Xa[2] - Aa
+            Wb[2] = 4 * Xb[2] - Ab
+        else:
+            det = (k - 6) * (k + 1)
+            Xa[t] = qs._exact_div((k - 3) * Aa + 6 * Ba, det)
+            Xb[t] = qs._exact_div((k - 3) * Ab + 6 * Bb, det)
+            Wa[t] = qs._exact_div(12 * Aa + 6 * (k - 2) * Ba, det)
+            Wb[t] = qs._exact_div(12 * Ab + 6 * (k - 2) * Bb, det)
+        Sa[t] = 2 * Xa[t] + Pa
+        Sb[t] = 2 * Xb[t] + Pb
+    return Wa, Wb
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs(st.integers(-3, 3), 25), st.tuples(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40)))
+def test_one_pass_ode_matches_the_three_pass_loop(f, g3):
+    # small slots leave many F_3s zero; the W lists hold Fractions where
+    # f is not a newform's and a division is not exact
+    fa, fb = [1] + f[0], [0] + f[1]
+    T = len(fa) - 1
+    assert qs._wp_ode(fa, fb, T, g3) == _wp_ode_three_pass(fa, fb, T, g3)
 
 
 # ------------------------------------------------------- parametrization y
