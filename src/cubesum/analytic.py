@@ -16,9 +16,9 @@ than one unit of 2^-W and the error bounds are counts of units.  Outside
 the q-sum's own wider W, W = prec + GUARD_BITS.  The one q-sum (eval_z)
 gives the Abel-Jacobi images z and z^c of the newform and its conjugate
 from one pass over the compact slots split into columns by k mod L, with
-L a multiple of the denominator of 6 Re(tau) read exactly (p at a CM
-site, isqrt(K) on the imaginary axis), so q^(3L) is a real constant and
-each column is a real series in its powers; the column sums are combined
+L a multiple of p and of the denominator of 6 Re(tau) read exactly (or
+one row), so q^(3L) is a real constant, each column is a real series in
+its powers and holds one residue of n mod p; the column sums are combined
 by rectangular splitting in q^3 (Paterson-Stockmeyer).  wp_0 is a Horner
 sum in xi^6 over the base lattice's coefficients, stored as integers,
 after an integer reduction of xi = z/Omega to the Voronoi cell of 0.
@@ -377,14 +377,15 @@ def lattice_of_curve(D, prec=192):
     """Period lattice of y^2 = x^3 + D/4 (D in Z[w] or Q(w)), i.e. the
     hexagonal lattice with g3 = -D: Omega^-1 is the principal sixth root of
     -D / g3(Z[w]), taken by Newton steps on the integers from -D and the
-    integer g3 of _base_lattice (principal_root, which gives the proof).  That g3 = 820.8... is held within one unit of 2^-W, a
-    relative error under 2^-(W + 9), which moves the root by under
-    |Omega^-1| 2^-(W + 12); principal_root adds under 1 + 1/32 + |Omega^-1|
-    2^-16 units.  So while |Omega^-1| < 2^10 (|D| < 2^69), Omega^-1 is off
-    by under 2 units of 2^-W: 1 from the floor, under 1/4 from g3 and under
-    1/16 from the Newton steps and the radicand.  The conjugate curve has
-    the conjugate lattice (PeriodLattice.conj), as the principal root
-    commutes with conjugation off the negative real axis."""
+    integer g3 of _base_lattice (principal_root, which gives the proof).
+    That g3 = 820.8... is held within one unit of 2^-W, a relative error
+    under 2^-(W + 9), which moves the root by under |Omega^-1| 2^-(W + 12);
+    principal_root adds under 1 + 1/32 + |Omega^-1| 2^-16 units.  So while
+    |Omega^-1| < 2^10 (|D| < 2^69), Omega^-1 is off by under 2 units of
+    2^-W: 1 from the floor, under 1/4 from g3 and under 1/16 from the Newton
+    steps and the radicand.  The conjugate curve has the conjugate lattice
+    (PeriodLattice.conj), as the principal root commutes with conjugation
+    off the negative real axis."""
     if not D:
         raise ValueError("D must be nonzero")
     g3, _ = _base_lattice(prec)
@@ -518,28 +519,22 @@ def eval_z(form, site, prec=192):
 
     Columns: the slots split by k mod L into L columns, U = sum_(j < L)
     x^j U_j with U_j = sum_g alpha_n/n X^g over n = 3(j + Lg) + 1 and X =
-    x^L, and V likewise.  L is the multiple of the denominator of 6 Re(tau)
-    (read exactly: cmpoint.EvalSite.re, or the dyadic rational an mpf is)
-    nearest isqrt(K), at least the denominator itself and capped at K, so X
-    = e^(6 pi i L tau) = (-1)^(6 L Re tau) e^(-6 pi L Im tau) is real
-    wherever a second row exists: at the solve's site W(tau_r) L = p while
-    isqrt(K) < 3p/2, and X = -e^(-pi sqrt(3)) (N = 9p) or -e^(-pi sqrt(3)/3)
-    (N = 27p); on the imaginary axis (the Fricke sites) L = isqrt(K), about
-    sqrt(K) columns of sqrt(K) rows; a real part with a long mantissa gets
-    L = K, one row.  The column sums are real.  Where p | L (every solve
-    site) a column holds one residue of n mod p: off p | n it is a unit
-    column, U_j + V_j w = w^e S_j with S_j = sum_g b_n (X^g // n).  The S_j
-    are summed row by row: row g is the L slots from Lg, and only its
-    nonzero b_n are visited (itertools.compress; at the solve sites over
-    half the slots hold b_n = 0), each adding one floor division and one
-    small-integer product into its column's S_j; then U_j and V_j are S_j
-    times the unit's coordinates.  A column of n = pm (1/p of the slots,
-    b_n = 0 there) is pibar times the sum of its a_m (alpha_m, beta_m),
-    whose slots k // p are the first K/p + 1 of the store.  Elsewhere (test
-    and Fricke sites) the columns take (alpha_n, beta_n) from the whole
-    store spread out, two products per term.  Each sum is the same
-    integer in any order, so the order of the terms leaves z unchanged to
-    the bit.  The columns are combined by rectangular splitting in x:
+    x^L, and V likewise.  With l = lcm(den, p), den the denominator of 6
+    Re(tau) (read exactly: cmpoint.EvalSite.re, or the dyadic rational an
+    mpf is), L is the multiple of l nearest isqrt(K), at least l, or K (one
+    row) where that reaches K.  So X = e^(6 pi i L tau) = (-1)^(6 L Re tau)
+    e^(-6 pi L Im tau) is real wherever a second row exists, and a column
+    holds one residue of n mod p.  Off p | n it is a unit column, U_j + V_j
+    w = w^e S_j with S_j = sum_g b_n (X^g // n).  The S_j are summed row by
+    row: row g is the L slots from Lg, and only its nonzero b_n are visited
+    (itertools.compress; at the solve sites over half the slots hold b_n =
+    0), each adding one floor division and one small-integer product into
+    its column's S_j; then U_j and V_j are S_j times the unit's
+    coordinates.  A column of n = pm (1/p of the slots, b_n = 0 there) is
+    pibar times the sum of its a_m (alpha_m, beta_m), whose slots k // p
+    are the first K/p + 1 of the store.  Each sum is the same integer in
+    any order, so the order of the terms leaves z unchanged to the bit.
+    The columns are combined by rectangular splitting in x:
     with B = isqrt(L), the baby steps x^i (i < B) are formed once, a block
     of B consecutive columns is a sum of integer products u_j x^i, and
     Horner in the giant step x^B runs over the blocks from the top,
@@ -553,10 +548,10 @@ def eval_z(form, site, prec=192):
     - X^g // n is off by under 1 + 3g/n < 1 + 1/L units (n > 3Lg), and
       the rest of a column is exact integer arithmetic: a term of a unit
       column is off by |b_n| (1 + 1/L) units in S_j, and so in each of U_j
-      and V_j (0 or +-S_j), any other term by (|alpha_n| + |beta_n|)(1 +
-      1/L) units (pibar times the a_m sum is the a_n sum, integer for
-      integer); as |b_n| = |a_n| <= |alpha_n| + |beta_n|, the latter bounds
-      both;
+      and V_j (0 or +-S_j), a term of a column p | n by (|alpha_n| +
+      |beta_n|)(1 + 1/L) units (pibar times the a_m sum is the a_n sum,
+      integer for integer); as |b_n| = |a_n| <= |alpha_n| + |beta_n|, the
+      latter bounds both;
     - column j reaches the result through x^i (x^B)^m with i + Bm = j,
       off by 3j units; as 3j < n, weighting each term of the column by it
       adds under (|alpha_n| + |beta_n|) units, plus under 2 units per
@@ -589,8 +584,9 @@ def eval_z(form, site, prec=192):
     W = prec + GUARD_BITS + KERNEL_GUARD_BITS + 2 * M.bit_length()
     K = (M + 2) // 3
     re = site.re if exact else _dyadic(tau.real)
-    den = (6 * re).denominator
-    L = min(den * max(1, round(math.isqrt(K) / den)), K)
+    b, p = form.b, form.p  # slot k holds b_(3k+1)
+    ell = math.lcm((6 * re).denominator, p)
+    L = min(ell * max(1, round(math.isqrt(K) / ell)), K)
     Wq = W + 8 + (3 * L).bit_length()
     with mp.workprec(Wq):
         if exact:
@@ -621,7 +617,6 @@ def eval_z(form, site, prec=192):
     Xg = [1 << W]  # X^g for the rows g < ceil(K/L)
     for _ in range((K - 1) // L):
         Xg.append(Xg[-1] * X >> W)
-    b, p = form.b, form.p  # slot k holds b_(3k+1)
 
     def pair_column(ns, xs, ys):  # sum (x_n + y_n w) (X^g // n)
         u = v = 0
@@ -632,26 +627,22 @@ def eval_z(form, site, prec=192):
                 v += y * t
         return u, v
 
-    if L % p:  # a column holds several residues of n mod p
-        alpha, beta = form.pairs()
-        sums = (pair_column(range(3 * j + 1, 3 * K, 3 * L), alpha[j:K:L], beta[j:K:L]) for j in range(L))
-        U, V = map(list, zip(*sums))
-    else:  # S_j = sum_g b_n (X^g // n), row by row over the b_n != 0
-        S, cols = [0] * L, range(L)
-        for t, k0 in zip(Xg, range(0, K, L)):
-            row, n0 = b[k0 : min(k0 + L, K)], 3 * k0 + 1
-            for j in itertools.compress(cols, row):
-                S[j] += row[j] * (t // (n0 + 3 * j))
-        ea, eb = form.units()  # a_n = w^e b_n, w^e = ea + eb w at j mod p
-        U = list(map(operator.mul, ea * (L // p), S))
-        V = list(map(operator.mul, eb * (L // p), S))
-        # the columns of n = pm (3j + 1 = 0 mod p, where S_j = 0): pibar
-        # times the a_m, at the slots k // p = j // p + (L/p) g, m < K/p + 1
-        alpha, beta = form.pairs((K - 1) // p + 1)
-        pibar = split_prime(p).pibar
-        for j in range((p - 1) // 3, L, p):
-            u, v = pair_column(range(3 * j + 1, 3 * K, 3 * L), alpha[j // p :: L // p], beta[j // p :: L // p])
-            U[j], V[j] = pibar.a * u - pibar.b * v, pibar.a * v + pibar.b * u - pibar.b * v
+    # S_j = sum_g b_n (X^g // n), row by row over the b_n != 0
+    S, cols = [0] * L, range(L)
+    for t, k0 in zip(Xg, range(0, K, L)):
+        row, n0 = b[k0 : min(k0 + L, K)], 3 * k0 + 1
+        for j in itertools.compress(cols, row):
+            S[j] += row[j] * (t // (n0 + 3 * j))
+    ea, eb = form.units()  # a_n = w^e b_n, w^e = ea + eb w at j mod p
+    U = list(map(operator.mul, itertools.cycle(ea), S))
+    V = list(map(operator.mul, itertools.cycle(eb), S))
+    # the columns of n = pm (3j + 1 = 0 mod p, where S_j = 0): pibar
+    # times the a_m, at the slots k // p = j // p + (L/p) g, m < K/p + 1
+    alpha, beta = form.pairs((K - 1) // p + 1)
+    pibar, step = split_prime(p).pibar, max(L // p, 1)
+    for j in range((p - 1) // 3, L, p):
+        u, v = pair_column(range(3 * j + 1, 3 * K, 3 * L), alpha[j // p :: step], beta[j // p :: step])
+        U[j], V[j] = pibar.a * u - pibar.b * v, pibar.a * v + pibar.b * u - pibar.b * v
 
     bre, bim = [x for x, _ in baby], [y for _, y in baby]
     ur = ui = vr = vi = 0

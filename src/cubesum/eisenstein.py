@@ -206,9 +206,6 @@ class EisensteinInt:
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def divides(self, other):
-        return not (other % self)
-
     def residue_mod3(self):
         return (self.a % 3, self.b % 3)
 

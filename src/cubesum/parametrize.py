@@ -278,8 +278,6 @@ class PipelineResult:
     descent_branch: str
     point_Q: CurvePoint
     certificate: object
-    X: QOmega
-    Y: QOmega
     cube: object
     checks: dict
     timings_ms: dict
@@ -381,8 +379,6 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
         descent_branch=branch,
         point_Q=PQ,
         certificate=cert,
-        X=X,
-        Y=Y,
         cube=cube,
         checks=checks,
         timings_ms=timings,

@@ -485,10 +485,13 @@ CM_SITES = [(13, 1), (7, 1)]
 
 
 # Off the CM sites the kernel reads Re(tau) exactly, as the dyadic rational
-# its mpf is, and takes L = the denominator of 6 Re(tau), capped at K: 3/7,
-# 2/9 and -200/189 have long mantissas (L = K, one row of K columns), 3/8
-# gives L = 4 with X = q^12 < 0 (6 L Re(tau) = 9 is odd), and 0, the shape
-# of the Fricke sites, gives L = 1 (one column).
+# its mpf is, and at p = 31 takes L = the multiple of l = lcm(den(6 Re(tau)),
+# 31) nearest isqrt(K), at least l, or K (one row) where that reaches K: 3/7,
+# 2/9 and -200/189 have long mantissas (L = K, one row of K columns); 3/8
+# has den = 4 and l = 124, so one row up to K = 124, and L = 124 at 192 and
+# 3072 bits (K = 780 and 12153), with X = q^372 < 0 (6 L Re(tau) = 279 is
+# odd); 0, the shape of the Fricke sites, has den = 1 and l = 31, so one
+# row up to K = 31, and L = 31 at 192 bits and 62 at 768 (K = 3055).
 def _site_and_tau(cm, re, im):
     """(site, its mpc value): the CM site of cm = (p, i), or else the mpc
     with real part re (a fraction string, rounded to the working precision)
@@ -535,13 +538,14 @@ def test_kernel_matches_mpmath_oracle_for_f_and_fc(prec, cm, re, evaluate, divid
 
 # Step counts K = ceil(M/3) = 1, 2, 48 = 6 * 8, 49 = 7^2, 50 and the prime
 # 97; the kernel sums L columns in blocks of B = isqrt(L).  At Re(tau) =
-# 2/9 (the unlabelled cases) L = K, one row: one column, two, full blocks
-# of 6 and of 7 columns, and ragged last blocks (50 = 7 * 7 + 1, 97 = 9 *
-# 10 + 7).  At 3/8, L = 4 (two blocks of two) from K = 4 on: full rows,
-# a first column one term longer than the rest, and ragged rows; K = 1
-# and 2 cap L at K.  At 0, L = 1: one column of K terms.  At a CM site L = p: K = p -
-# 1, p, p + 1 and 2p give one short row (L capped at K), one full row, a
-# second row of one term, and two full rows.
+# 2/9 (the unlabelled cases) and at 3/8, L = K, one row: one column, two,
+# full blocks of 6 and of 7 columns, and ragged last blocks (50 = 7 * 7 +
+# 1, 97 = 9 * 10 + 7).  3/8 at M = 748 (K = 250) has L = 124 (11 blocks of
+# 11 and one of 3) and rows of 124, 124 and 2.  At 0, K = 1 and 2 give L =
+# K, and K = 48, 49, 50 and 97 give L = 31 (6 blocks of 5 and one of 1):
+# rows of 31 and 17, 18 or 19, and of 31, 31, 31 and 4.  At a CM site L =
+# p: K = p - 1, p, p + 1 and 2p give one short row (L capped at K), one
+# full row, a second row of one term, and two full rows.
 BLOCK_EDGE_MS = (1, 6, 142, 147, 148, 289)
 
 
@@ -549,9 +553,11 @@ BLOCK_EDGE_MS = (1, 6, 142, 147, 148, 289)
     "M, cm, re",
     [(M, None, "2/9") for M in BLOCK_EDGE_MS]
     + [(M, None, re) for re in ("3/8", "0") for M in BLOCK_EDGE_MS]
+    + [(748, None, "3/8")]
     + [(3 * K - 2, (p, 1), None) for p, _ in CM_SITES for K in (p - 1, p, p + 1, 2 * p)],
     ids=[str(M) for M in BLOCK_EDGE_MS]
     + [f"{re}-{M}" for re in ("3/8", "0") for M in BLOCK_EDGE_MS]
+    + ["3/8-748"]
     + [f"{p}^1-K={K}" for p, _ in CM_SITES for K in (p - 1, p, p + 1, 2 * p)],
 )
 @pytest.mark.parametrize("evaluate, divide_by_n", [(eval_z, True)])
@@ -560,11 +566,16 @@ def test_kernel_block_edges(monkeypatch, M, cm, re, evaluate, divide_by_n):
     monkeypatch.setattr(analytic, "terms_needed", lambda im_tau, prec: M)
     p, i = cm or (31, 1)
     f = build_form(p, i, M)
+    # every column holds one residue of n mod p, at every site: the store is
+    # spread only at the slots of m < K/p + 1, for the columns p | n
+    pairs, stops = f.pairs, []
+    monkeypatch.setattr(f, "pairs", lambda stop=None: stops.append(stop) or pairs(stop))
     with mp.workprec(prec + GUARD_BITS):
         site, tau = _site_and_tau(cm, re, mp.mpf(1) / 40)
         got_f, got_fc = (fixed_to_mpc(v, prec + GUARD_BITS) for v in evaluate(f, site, prec))
+        assert stops and None not in stops
         q = mp.e ** (2j * mp.pi * tau)
-        a = as_eisenstein(f.pairs(), f.terms)
+        a = as_eisenstein(pairs(), f.terms)
         want_f = _sum_form_oracle(a, q, M, divide_by_n)
         want_fc = _sum_form_oracle([c.conj() for c in a], q, M, divide_by_n)
         assert abs(got_f - want_f) < mp.mpf(2) ** (-prec)
