@@ -29,10 +29,11 @@ mpmath is left with the per-precision constants of Z[w] (_base_lattice),
 one real exp and one root of unity per site (eval_z's set-up), and the
 callers that work in mpc (tests, the Fricke constant and the cusp image z0
 = L(f, 1), _fricke), which convert at the boundary (mpc_to_fixed,
-fixed_to_mpc).  "Lies in L" always means a residual below 2^(-prec/2): of
-the lattice coordinates from the nearest integers (PeriodLattice.contains),
-or of z/Omega reduced to the Voronoi cell of 0 (wp_eval, which raises
-PoleAtLatticePoint there).
+fixed_to_mpc); the q-sum's length M comes from a proven tail bound in
+floats (terms_needed).  "Lies in L" always means a residual below
+2^(-prec/2): of the lattice coordinates from the nearest integers
+(PeriodLattice.contains), or of z/Omega reduced to the Voronoi cell of 0
+(wp_eval, which raises PoleAtLatticePoint there).
 """
 
 from __future__ import annotations
@@ -469,23 +470,50 @@ def wp_eval(L, z):
 # --------------------------------------------------------- form evaluation
 
 
+# r(n) <= IDEAL_COUNT_BOUND n^(1/4) for the number r(n) of ideals of Z[w] of
+# norm n: (2/7^(1/4)) (2/13^(1/4)) = 4/91^(1/4) = 1.295089..., rounded up
+IDEAL_COUNT_BOUND = 1.2951
+
+
 @functools.lru_cache(maxsize=64)
 def terms_needed(im_tau, prec):
-    """Terms M so that sum_{n>M} sigma_0(n) sqrt(n) |q|^n / n < 2^-prec.
+    """Terms M so that sum_{n>M} |a_n|/n |q|^n < 2^-prec for every form here,
+    from C (M+1)^(-1/4) |q|^(M+1) / (1 - |q|^3), C = IDEAL_COUNT_BOUND.
 
-    Uses sigma_0(n) <= sqrt(3n) (equality at n = 12), so the tail is below
-    sqrt(3) |q|^(M+1) / (1 - |q|).  Memoized: an attempt asks for its M in
-    parametrize._attempt_site (the term cap) and again in eval_z, both
-    through site_terms.
+    Proof.  a_n sums psi over the ideals of norm n prime to the conductor
+    (heckeform), with |psi(a)| = sqrt(N(a)), so |a_n| <= r(n) sqrt(n) for
+    r(n) the number of ideals of Z[w] of norm n, and a_n = 0 off n = 1 mod
+    3.  r is multiplicative: r(l^e) is e + 1 for a split prime l (l = 1 mod
+    3), 1 or 0 for an inert one and 1 for 3.  So r(n) n^(-1/4) is the
+    product over l^e || n of r(l^e) l^(-e/4), each at most 1 except at the
+    split l < 16, 7 and 13: (e + 1) l^(-e/4) <= 1 once l >= 2^4 (e + 1 <=
+    2^e), and it falls in e from e = 1 at l = 7 and 13, where it is
+    2/7^(1/4) and 2/13^(1/4).  The product of those is the sharp C (r(91)
+    = 4), so |a_n|/n <= C n^(-1/4) <= C (M+1)^(-1/4) for n > M, and the n =
+    1 mod 3 past M are at least M + 1 and 3 apart: the tail is under C
+    (M+1)^(-1/4) |q|^(M+1) / (1 - |q|^3).
+
+    M.  With a = -log|q| = 2 pi Im(tau) and x = prec log 2 + log(C / (1 -
+    |q|^3)), the tail is under 2^-prec once t = M + 1 has a t + log(t)/4 >=
+    x.  Let t_hi = x/a, t_lo = max(1, t_hi - log(t_hi)/(4a)) (1 where t_hi
+    <= 1) and t0 = (x - log(t_lo)/4)/a.  Every t >= max(t0, t_lo) has log t
+    >= log t_lo and so meets that condition, and t = M + 1 is one: it is
+    over t0 and at least 1, and where t_lo > 1, t_lo <= t_hi gives t0 >=
+    (x - log(t_hi)/4)/a = t_lo.  The floats are off by a relative 2^-50 or
+    so; M = floor(t0) + 8 covers them.
+
+    Memoized: an attempt asks for its M in parametrize._attempt_site (the
+    term cap) and again in eval_z, both through site_terms.
     """
-    with mp.workprec(64):
-        im = mp.mpf(im_tau)
-        if im <= 0:
-            raise ValueError("site must be in the upper half plane")
-        logq = -2 * mp.pi * im  # natural log of |q|
-        qabs = mp.e**logq
-        M = int((prec * mp.log(2) + mp.log(mp.sqrt(3) / (1 - qabs))) / (-logq)) + 8
-        return max(M, 16)
+    im = float(im_tau)
+    if im <= 0:
+        raise ValueError("site must be in the upper half plane")
+    a = 2 * math.pi * im
+    x = prec * math.log(2) + math.log(IDEAL_COUNT_BOUND / -math.expm1(-3 * a))
+    t_hi = x / a
+    t_lo = max(1, t_hi - math.log(t_hi) / (4 * a)) if t_hi > 1 else 1
+    M = int((x - math.log(t_lo) / 4) / a) + 8
+    return max(M, 16)
 
 
 def site_terms(site, prec):

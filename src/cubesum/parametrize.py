@@ -127,7 +127,9 @@ def _error_bits(raw, root, prec):
     root `root` (pairs at W = prec + GUARD_BITS).
 
     The bound: eval_z's z is within 2^-prec + 2^-W of the exact sum
-    (terms_needed's tail and the kernel's rounding), which moves x = wp(z) by
+    (terms_needed's tail, C (M+1)^(-1/4) |q|^(M+1) / (1 - |q|^3) < 2^-prec
+    from |a_n| <= r(n) sqrt(n) and the ideal count r(n) <= C n^(1/4), and
+    the kernel's rounding), which moves x = wp(z) by
     |wp'(z)| = 2|y| times that to first order; the 1 covers the excess 2^-32
     of that product, the second-order term and wp_eval's own error while
     they stay under 2^-(prec+1), and the scaling's few units of 2^-W while

@@ -316,18 +316,26 @@ def y_series(p, i, M, conjugate=False):
     return LaurentSeries(-3, _on_q([QOmega.from_ints(a, b, 2) for a, b in zip(wa, wb)], M + 4))
 
 
-def cube_root_series(S):
-    """T with T^3 = S to the truncation order, for S = q^(3m) (1 + O(q)):
-    T = q^m (1 + O(q)) by Miller's recurrence, cubed back and compared with
-    S exactly.  Any other S raises CubeRootNotInField."""
-    if S.lead % 3:
-        raise CubeRootNotInField(f"leading exponent {S.lead} is not divisible by 3")
-    if S.coeffs[0] != _Q1:
-        raise CubeRootNotInField(f"leading coefficient {S.coeffs[0]} is not 1")
-    ra, rb = [_exact_div(c.A, c.d) for c in S.coeffs], [_exact_div(c.B, c.d) for c in S.coeffs]
+def _cube_root_pairs(ra, rb):
+    """t with t^3 = r to r's length, as pair lists, for r_0 = 1: Miller's
+    recurrence, then cubed back and compared with r exactly.  r_0 != 1
+    raises CubeRootNotInField."""
+    if (ra[0], rb[0]) != (1, 0):
+        raise CubeRootNotInField(f"leading coefficient {QOmega(ra[0], rb[0])} is not 1")
     ta, tb = _power(ra, rb, 1, 3)
     if _mul(*_square(ta, tb), ta, tb) != (ra, rb):
         raise AssertionError("cube root does not cube back to the series")
+    return ta, tb
+
+
+def cube_root_series(S):
+    """T with T^3 = S to the truncation order, for S = q^(3m) (1 + O(q)):
+    T = q^m (1 + O(q)) by _cube_root_pairs.  Any other S raises
+    CubeRootNotInField."""
+    if S.lead % 3:
+        raise CubeRootNotInField(f"leading exponent {S.lead} is not divisible by 3")
+    ra, rb = [_exact_div(c.A, c.d) for c in S.coeffs], [_exact_div(c.B, c.d) for c in S.coeffs]
+    ta, tb = _cube_root_pairs(ra, rb)
     return LaurentSeries(S.lead // 3, [QOmega(a, b) for a, b in zip(ta, tb)])
 
 
@@ -336,8 +344,8 @@ def f_plus_minus_series(p, i, sign, M):
 
     The denominator is the conjugate of the numerator, so their difference
     b (1 + 2w) = b sqrt(-3) is divisible by sqrt(-3) with no check.  The
-    ratio is a series in u = q^3; cube_root_series takes its root in u, and
-    the root is spread back to q at the end."""
+    ratio is a series in u = q^3, held as pair lists; _cube_root_pairs
+    takes its root in u, and the root is spread back to q at the end."""
     if sign not in (1, -1, "+", "-"):
         raise ValueError("sign must be +1 or -1")
     s = 1 if sign in (1, "+") else -1
@@ -351,12 +359,12 @@ def f_plus_minus_series(p, i, sign, M):
     del wa, wb
     da, db = [a - b for a, b in zip(na, nb)], [-b for b in nb]
     # ratio = num/den: den_0 = -1, so r_k = sum_{j>=1} den_j r_(k-j) - num_k
-    # and r_0 = -num_0 = 1, as cube_root_series requires
+    # and r_0 = -num_0 = 1, as _cube_root_pairs requires
     ra, rb = [], []
     for k in range(len(na)):
         sa, sb = _conv(da, db, ra, rb, k)
         ra.append(sa - na[k])
         rb.append(sb - nb[k])
     del na, nb, da, db
-    root = cube_root_series(LaurentSeries(0, [QOmega(a, b) for a, b in zip(ra, rb)]))
-    return LaurentSeries(0, _on_q(root.coeffs, M + 4))
+    ta, tb = _cube_root_pairs(ra, rb)
+    return LaurentSeries(0, _on_q([QOmega(a, b) for a, b in zip(ta, tb)], M + 4))

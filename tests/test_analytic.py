@@ -11,6 +11,7 @@ from mpmath.libmp import to_fixed
 import cubesum.analytic as analytic
 from cubesum.analytic import (
     GUARD_BITS,
+    IDEAL_COUNT_BOUND,
     SERIES_RADIUS,
     PoleAtLatticePoint,
     eval_z,
@@ -35,6 +36,7 @@ from cubesum.heckeform import (
     build_form,
     conductor_and_level,
     nebentypus,
+    newform_pairs,
     qexp_coefficients,
 )
 
@@ -630,14 +632,55 @@ EVAL_Z_DIGESTS = {
 }
 
 
+# the M each digest was taken at: terms_needed's M under its first tail
+# bound, sqrt(3) |q|^(M+1) / (1 - |q|) from sigma_0(n) <= sqrt(3n)
+EVAL_Z_DIGEST_TERMS = {
+    (103, 1, 96): 4047,
+    (409, 1, 192): 31363,
+    (61, 2, 192): 4620,
+    (67, 2, 96): 7965,
+    (97, 2, 384): 14485,
+    (31, 2, 768): 27533,
+    (7, 1, 1536): 12369,
+    (13, 2, 3072): 45871,
+    (409, 1, 96): 16358,
+    (223, 1, 96): 26934,
+    (439, 1, 96): 53506,
+}
+
+# terms_needed's M at the same sites under the ideal-count tail bound
+SITE_TERMS = {
+    (103, 1, 96): 3852,
+    (409, 1, 192): 30469,
+    (61, 2, 192): 4504,
+    (67, 2, 96): 7564,
+    (97, 2, 384): 14283,
+    (31, 2, 768): 27332,
+    (7, 1, 1536): 12327,
+    (13, 2, 3072): 45784,
+    (409, 1, 96): 15502,
+    (223, 1, 96): 25487,
+    (439, 1, 96): 50533,
+}
+
+
 @pytest.mark.parametrize("p, i, prec", sorted(EVAL_Z_DIGESTS))
-def test_eval_z_at_solve_sites_reproduces_the_pair_kernel(p, i, prec):
+def test_eval_z_at_solve_sites_reproduces_the_pair_kernel(monkeypatch, p, i, prec):
     # one product per term in the unit columns, pibar a_m in the columns
-    # p | n: the same integers, bit for bit
+    # p | n: the same integers, bit for bit, over the digest's M terms
+    M = EVAL_Z_DIGEST_TERMS[p, i, prec]
+    monkeypatch.setattr(analytic, "site_terms", lambda site, prec: M)
     site = eval_site(p, i)
-    f = build_form(p, i, site_terms(site, prec))
+    f = build_form(p, i, M)
     z = eval_z(f, site, prec)
     assert hashlib.sha256(repr(z).encode()).hexdigest() == EVAL_Z_DIGESTS[p, i, prec]
+
+
+@pytest.mark.parametrize("p, i, prec", sorted(SITE_TERMS))
+def test_site_terms_are_pinned_and_at_most_the_digest_terms(p, i, prec):
+    M = site_terms(eval_site(p, i), prec)
+    assert M == SITE_TERMS[p, i, prec]
+    assert M <= EVAL_Z_DIGEST_TERMS[p, i, prec]
 
 
 def test_eval_z_period_and_third_shift():
@@ -808,6 +851,86 @@ def test_l_value_and_cusp_zero():
 
 def test_terms_needed_monotone():
     assert terms_needed(0.01, 192) > terms_needed(0.02, 192) > terms_needed(0.02, 96)
+
+
+# ------------------------------------------------------- the q-sum's tail
+
+
+def _ideal_counts(top):
+    """r(n) for n < top, the number of ideals of Z[w] of norm n: its
+    elements a + b w of norm a^2 - ab + b^2 = n, over the six units."""
+    r = [0] * top
+    bmax = math.isqrt(4 * top // 3) + 1
+    for b in range(-bmax, bmax + 1):
+        # (2a - b)^2 + 3 b^2 = 4 n < 4 top
+        h = math.isqrt(max(4 * top - 3 * b * b, 0))
+        for a in range((b - h) // 2, (b + h) // 2 + 2):
+            n = a * a - a * b + b * b
+            if n < top:
+                r[n] += 1
+    return [c // 6 for c in r]
+
+
+def test_ideal_count_bound_holds_below_200000_and_is_sharp_at_91():
+    top = 200_000
+    r = _ideal_counts(top)
+    assert r[:14] == [0, 1, 0, 1, 1, 0, 0, 2, 0, 1, 0, 0, 1, 2]
+    assert all(r[n] <= IDEAL_COUNT_BOUND * n**0.25 for n in range(1, top))
+    assert max(range(1, top), key=lambda n: r[n] / n**0.25) == 91 and r[91] == 4
+    assert IDEAL_COUNT_BOUND <= 1.2953
+
+
+# solve sites with N = 9p (409^1, 61^2, 103^1) and N = 27p (223^1, 67^2,
+# 7^1), at the rungs 48, 96 and 384 bits
+TAIL_SITES = [(409, 1, 48), (223, 1, 48), (61, 2, 96), (67, 2, 96), (103, 1, 384), (7, 1, 384)]
+
+
+@pytest.mark.parametrize("p, i, prec", TAIL_SITES)
+def test_terms_needed_tail_is_below_2_to_the_minus_prec_at_solve_sites(p, i, prec):
+    # sum_{M < n <= 4M} |a_n|/n |q|^n, plus the sigma_0 bound past 4M,
+    # scaled by 2^prec; every |a_n| on the way is under C n^(3/4)
+    site = eval_site(p, i)
+    M = site_terms(site, prec)
+    a = 2 * math.pi * math.sqrt(3) * float(site.im_coeff)  # -log|q|
+    alpha, beta = newform_pairs(p, i, 4 * M)
+    scale = prec * math.log(2)
+    tail = 0.0
+    for k, (x, y) in enumerate(zip(alpha, beta)):
+        n, norm = 3 * k + 1, x * x - x * y + y * y
+        assert norm <= IDEAL_COUNT_BOUND**2 * n**1.5
+        if n > M and norm:
+            tail += math.exp(math.log(norm) / 2 - math.log(n) - a * n + scale)
+    past = math.sqrt(3) * math.exp(scale - a * (4 * M + 1)) / -math.expm1(-a)
+    assert tail + past < 1
+
+
+def _terms_needed_sigma0(im_tau, prec):
+    """terms_needed under its first tail bound, sqrt(3) |q|^(M+1) / (1 -
+    |q|) from sigma_0(n) <= sqrt(3n)."""
+    with mp.workprec(64):
+        logq = -2 * mp.pi * mp.mpf(im_tau)
+        qabs = mp.e**logq
+        M = int((prec * mp.log(2) + mp.log(mp.sqrt(3) / (1 - qabs))) / (-logq)) + 8
+        return max(M, 16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    im=st.floats(min_value=1e-6, max_value=4.0) | st.sampled_from([3e-4, 2.4e-4, 1.4e-5, 0.05, 1.0]),
+    prec=st.integers(min_value=1, max_value=8192),
+)
+def test_terms_needed_meets_its_bound_and_never_exceeds_the_sigma0_bound(im, prec):
+    M = terms_needed(im, prec)
+    assert M <= _terms_needed_sigma0(im, prec)
+    with mp.workprec(128):
+        q = mp.e ** (-2 * mp.pi * im)
+        tail = IDEAL_COUNT_BOUND * mp.mpf(M + 1) ** -0.25 * q ** (M + 1) / (1 - q**3)
+        assert tail < mp.mpf(2) ** -prec
+
+
+def test_terms_needed_refuses_the_lower_half_plane():
+    with pytest.raises(ValueError):
+        terms_needed(0.0, 96)
 
 
 def test_fricke_constant_extends_a_too_short_form():

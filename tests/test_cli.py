@@ -542,7 +542,7 @@ def test_warm_solve_sieves_nothing_and_writes_nothing(tmp_path, capsys, monkeypa
 def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
     tmp_path, capsys, monkeypatch
 ):
-    # 103^2 fails at 96 bits and wins at 192 bits (23649 terms): the
+    # 103^2 fails at 96 bits and wins at 192 bits (22986 terms): the
     # second attempt walks only the annulus the first did not hold, so
     # each norm n = 1 mod 3 falls in exactly one walk (a_1 = 1 is never
     # walked; every lattice point has such a norm, and a walk starts just
@@ -553,12 +553,12 @@ def test_retrying_solve_sieves_each_term_once_and_writes_the_cache_once(
     )
     assert code == EXIT_OK
     rep = json.loads(out)
-    assert (rep["bits"], rep["terms"]) == (192, 23649)
+    assert (rep["bits"], rep["terms"]) == (192, 22986)
     assert [a["bits"] for a in rep["attempts"]] == [96]
     built = [n for first, last in spans for n in range(first, last + 1) if n % 3 == 1]
-    assert sorted(built) == list(range(4, 23650, 3))
-    assert writes == [23649]
-    assert read_cache(str(tmp_path), 103, 2) == build_form(103, 2, 23649)
+    assert sorted(built) == list(range(4, 22987, 3))
+    assert writes == [22986]
+    assert read_cache(str(tmp_path), 103, 2) == build_form(103, 2, 22986)
 
 
 def test_exhausted_solve_keeps_its_coefficients(tmp_path, capsys, monkeypatch):
