@@ -42,7 +42,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -311,13 +310,26 @@ def _base_lattice(prec):
     return _base_cache[prec]
 
 
-@dataclass(frozen=True)
 class PeriodLattice:
     """L = Omega * Z[w], the period lattice of y^2 = x^3 + D/4, held as
     inv = Omega^-1, a pair at W = prec + GUARD_BITS."""
 
-    inv: tuple
-    prec: int
+    __slots__ = ("inv", "prec")
+
+    def __init__(self, inv, prec):
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "prec", prec)
+
+    def __setattr__(self, *_):
+        raise AttributeError("PeriodLattice is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not PeriodLattice:
+            return NotImplemented
+        return (self.inv, self.prec) == (other.inv, other.prec)
+
+    def __hash__(self):
+        return hash((self.inv, self.prec))
 
     @property
     def W(self):

@@ -18,7 +18,6 @@ import sys
 import time
 import zlib
 from array import array
-from dataclasses import dataclass, fields
 
 from .eisenstein import PrimalityOutOfRange, QOmega, _ratio_str, is_prime_int
 from .heckeform import build_form, conductor_and_level, newform_pairs, spot_check
@@ -150,28 +149,33 @@ def point_str(P):
     return f"({q_str(P.x)}, {q_str(P.y)})"
 
 
-@dataclass
 class RunReport:
-    p: int
-    i: int
-    pi: str
-    r: int
-    t: int
-    site: str
-    bits: int
-    terms: int
-    point_K: str
-    point_Q: str
-    descent_branch: str  # parametrize.descend's branch, e.g. "trace(w^0+)"
-    cube_sum: dict
-    checks: dict
-    timings_ms: dict
-    attempts: list  # failed attempts before the win: attempt_ms, site, bits, error, message
+    __slots__ = ("p", "i", "pi", "r", "t", "site", "bits", "terms", "point_K", "point_Q",
+                 "descent_branch", "cube_sum", "checks", "timings_ms", "attempts")
+
+    def __init__(self, p, i, pi, r, t, site, bits, terms, point_K, point_Q, descent_branch,
+                 cube_sum, checks, timings_ms, attempts):
+        self.p = p
+        self.i = i
+        self.pi = pi
+        self.r = r
+        self.t = t
+        self.site = site
+        self.bits = bits
+        self.terms = terms
+        self.point_K = point_K
+        self.point_Q = point_Q
+        self.descent_branch = descent_branch  # parametrize.descend's branch, e.g. "trace(w^0+)"
+        self.cube_sum = cube_sum
+        self.checks = checks
+        self.timings_ms = timings_ms
+        # failed attempts before the win: attempt_ms, site, bits, error, message
+        self.attempts = attempts
 
     def to_dict(self):
         # shallow: the fields already hold JSON-ready values, and the
-        # report is dumped once, so asdict's deep copy would buy nothing
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # report is dumped once, so a deep copy would buy nothing
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def build_report(result):

@@ -10,7 +10,6 @@ so its site gives the complex conjugates of the same sums and nothing new.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import EisensteinInt, is_prime_int, residue_map_omega, split_prime
@@ -36,11 +35,24 @@ def solve_r(p):
     return tuple(sorted(roots))
 
 
-@dataclass(frozen=True)
 class CMPoint:
-    p: int
-    r: int
-    t: int
+    __slots__ = ("p", "r", "t")
+
+    def __init__(self, p, r, t):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "t", t)
+
+    def __setattr__(self, *_):
+        raise AttributeError("CMPoint is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not CMPoint:
+            return NotImplemented
+        return (self.p, self.r, self.t) == (other.p, other.r, other.t)
+
+    def __hash__(self):
+        return hash((self.p, self.r, self.t))
 
     @property
     def denom(self):
@@ -48,12 +60,25 @@ class CMPoint:
         return EisensteinInt(3 * self.r, 3)
 
 
-@dataclass(frozen=True)
 class EvalSite:
     """W(tau_r) = (3w + 3r)/N, the Fricke image of the CM point tau_r."""
 
-    point: CMPoint
-    N: int
+    __slots__ = ("point", "N")
+
+    def __init__(self, point, N):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "N", N)
+
+    def __setattr__(self, *_):
+        raise AttributeError("EvalSite is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not EvalSite:
+            return NotImplemented
+        return (self.point, self.N) == (other.point, other.N)
+
+    def __hash__(self):
+        return hash((self.point, self.N))
 
     @property
     def re(self):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -513,13 +512,26 @@ def normalize_primary(z, target=1):
     raise NoPrimaryAssociate(f"no associate of {z} is {target} mod 3")  # unreachable
 
 
-@dataclass(frozen=True)
 class PrimeSplit:
     """p = pi * pibar with pi = 1 mod 3; pi is the representative with b > 0."""
 
-    p: int
-    pi: EisensteinInt
-    pibar: EisensteinInt
+    __slots__ = ("p", "pi", "pibar")
+
+    def __init__(self, p, pi, pibar):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pibar", pibar)
+
+    def __setattr__(self, *_):
+        raise AttributeError("PrimeSplit is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not PrimeSplit:
+            return NotImplemented
+        return (self.p, self.pi, self.pibar) == (other.p, other.pi, other.pibar)
+
+    def __hash__(self):
+        return hash((self.p, self.pi, self.pibar))
 
 
 def _cube_root_of_unity_mod(p):

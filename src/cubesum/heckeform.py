@@ -43,7 +43,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .eisenstein import (
     ZERO,
@@ -267,7 +266,6 @@ def as_eisenstein(coeffs, M):
     return a
 
 
-@dataclass
 class HeckeForm:
     """The newform's one coefficient store: b[k] = b_(3k+1) for the
     (terms + 2) // 3 slots 3k + 1 <= terms, zero where p | n, and a_n =
@@ -275,11 +273,20 @@ class HeckeForm:
     precision, so a store is never rebuilt: extend() walks only the lattice
     points of norm above the terms it holds."""
 
-    p: int
-    i: int
-    N: int
-    terms: int
-    b: list
+    __slots__ = ("p", "i", "N", "terms", "b")
+
+    def __init__(self, p, i, N, terms, b):
+        self.p = p
+        self.i = i
+        self.N = N
+        self.terms = terms
+        self.b = b
+
+    def __eq__(self, other):
+        if type(other) is not HeckeForm:
+            return NotImplemented
+        return (self.p, self.i, self.N, self.terms, self.b) == (
+            other.p, other.i, other.N, other.terms, other.b)
 
     def extend(self, M):
         """Hold at least n <= M; only the missing terms are computed."""
@@ -324,13 +331,18 @@ def nebentypus(p, i, d):
     return unit_power(_psi_exponents(p, -i % 3, False)[1][d * pow(3, -1, p) % p])
 
 
-@dataclass(frozen=True)
 class TwistReport:
-    p: int
-    i: int
-    M: int
-    checked: int
-    ok: bool = True
+    __slots__ = ("p", "i", "M", "checked", "ok")
+
+    def __init__(self, p, i, M, checked, ok=True):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "ok", ok)
+
+    def __setattr__(self, *_):
+        raise AttributeError("TwistReport is immutable")
 
 
 def twist_check(p, i, M):

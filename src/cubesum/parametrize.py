@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 from mpmath import mp
 
@@ -265,31 +264,43 @@ def descend(PK, p, i):
     raise DescentFailed(f"no rational nontorsion point from {PK}")
 
 
-@dataclass
 class PipelineResult:
-    p: int
-    i: int
-    split: object
-    site: object
-    bits: int
-    terms: int
-    tall_point: CurvePoint  # the tall side's exact point P on E(p^i)
-    torsion_form: str  # the other side, "f" or "fc"
-    torsion_point: CurvePoint  # its exact point T = (0, +-p^i/2) on E(p^i)
-    point_K: CurvePoint
-    descent_branch: str
-    point_Q: CurvePoint
-    certificate: object
-    cube: object
-    checks: dict
-    timings_ms: dict
-    attempts: list = field(default_factory=list)  # the failed attempts before this one
+    __slots__ = ("p", "i", "split", "site", "bits", "terms", "tall_point", "torsion_form",
+                 "torsion_point", "point_K", "descent_branch", "point_Q", "certificate", "cube",
+                 "checks", "timings_ms", "attempts")
+
+    def __init__(self, p, i, split, site, bits, terms, tall_point, torsion_form, torsion_point,
+                 point_K, descent_branch, point_Q, certificate, cube, checks, timings_ms,
+                 attempts=None):
+        self.p = p
+        self.i = i
+        self.split = split
+        self.site = site
+        self.bits = bits
+        self.terms = terms
+        self.tall_point = tall_point  # the tall side's exact point P on E(p^i)
+        self.torsion_form = torsion_form  # the other side, "f" or "fc"
+        self.torsion_point = torsion_point  # its exact point T = (0, +-p^i/2) on E(p^i)
+        self.point_K = point_K
+        self.descent_branch = descent_branch
+        self.point_Q = point_Q
+        self.certificate = certificate
+        self.cube = cube
+        self.checks = checks
+        self.timings_ms = timings_ms
+        # the failed attempts before this one
+        self.attempts = [] if attempts is None else attempts
 
 
 # perfbench/tracer.py binds _attempt_site's `cand` argument and reads cand.site.
-@dataclass(frozen=True)
 class Candidate:
-    site: object  # cmpoint.EvalSite
+    __slots__ = ("site",)
+
+    def __init__(self, site):
+        object.__setattr__(self, "site", site)  # cmpoint.EvalSite
+
+    def __setattr__(self, *_):
+        raise AttributeError("Candidate is immutable")
 
 
 def _attempt_site(cand, split, p, i, prec, max_terms, form):

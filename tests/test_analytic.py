@@ -32,6 +32,7 @@ from cubesum.analytic import (
 from cubesum.cmpoint import eval_site
 from cubesum.eisenstein import EisensteinInt, QOmega, split_prime
 from cubesum.heckeform import (
+    HeckeForm,
     as_eisenstein,
     build_form,
     conductor_and_level,
@@ -570,8 +571,9 @@ def test_kernel_block_edges(monkeypatch, M, cm, re, evaluate, divide_by_n):
     f = build_form(p, i, M)
     # every column holds one residue of n mod p, at every site: the store is
     # spread only at the slots of m < K/p + 1, for the columns p | n
-    pairs, stops = f.pairs, []
-    monkeypatch.setattr(f, "pairs", lambda stop=None: stops.append(stop) or pairs(stop))
+    # (spied on the class: a HeckeForm has slots, no instance dict)
+    pairs, unspied, stops = f.pairs, HeckeForm.pairs, []
+    monkeypatch.setattr(HeckeForm, "pairs", lambda self, stop=None: stops.append(stop) or unspied(self, stop))
     with mp.workprec(prec + GUARD_BITS):
         site, tau = _site_and_tau(cm, re, mp.mpf(1) / 40)
         got_f, got_fc = (fixed_to_mpc(v, prec + GUARD_BITS) for v in evaluate(f, site, prec))

@@ -64,9 +64,10 @@ def test_report_roundtrip(tmp_path, capsys):
 
 
 def test_report_dict_dumps_as_asdict():
-    # to_dict is shallow; its JSON must be the deep asdict copy's, here on a
-    # solved report with a failed attempt and the witness in its checks
-    from dataclasses import asdict
+    # to_dict is shallow; its JSON must be that of a deep copy of the
+    # report's fields (what dataclasses.asdict gave), here on a solved
+    # report with a failed attempt and the witness in its checks
+    import copy
 
     from cubesum.curves import WITNESS_PRIME
     from cubesum.parametrize import solve_pipeline
@@ -74,7 +75,8 @@ def test_report_dict_dumps_as_asdict():
     rep = cli.build_report(solve_pipeline(103, 2))
     assert rep.attempts and rep.checks["nontorsion_certificate"]["witness"] == WITNESS_PRIME
     dump = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
-    assert dump == json.dumps(asdict(rep), indent=2, sort_keys=True)
+    deep = copy.deepcopy({name: getattr(rep, name) for name in RunReport.__slots__})
+    assert dump == json.dumps(deep, indent=2, sort_keys=True)
 
 
 _json_keys = st.text(st.characters(codec="utf-8"), max_size=6)
@@ -290,7 +292,7 @@ def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_cube_sum_past_the_str_digit_limit_is_printed(tmp_path, capsys, monkeypatch):
     # u of 6300 digits, beyond CPython's default 4300-digit str(int) limit:
     # a certified solve still exits 0 and prints u exactly
-    from dataclasses import replace
+    import copy
     from fractions import Fraction
 
     import cubesum.parametrize as par
@@ -299,7 +301,9 @@ def test_cube_sum_past_the_str_digit_limit_is_printed(tmp_path, capsys, monkeypa
     real = par.solve_pipeline(7, 1)
     big = to_cube_sum(*isogeny_to_432(mul(30, real.point_Q), 7, 1), 7, 1)
     assert abs(big.u.numerator) > 10**4300
-    monkeypatch.setattr(par, "solve_pipeline", lambda *a, **k: replace(real, cube=big))
+    patched = copy.copy(real)
+    patched.cube = big
+    monkeypatch.setattr(par, "solve_pipeline", lambda *a, **k: patched)
     code, out, err = run_cli(["solve", "7", "--json", "--cache-dir", str(tmp_path)], capsys)
     assert code == EXIT_OK, err
     assert Fraction(json.loads(out)["cube_sum"]["u"]) == big.u
@@ -955,6 +959,29 @@ def test_solve_and_series_never_import_numpy(tmp_path):
     ))
     assert out.returncode == EXIT_OK, out.stderr
     assert out.stderr.strip() == "no numpy"
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_cli_commands_never_import_dataclasses_or_inspect(tmp_path, flags):
+    # dataclasses pulls in inspect, ast, dis and tokenize, and builds its
+    # classes by exec: start-up a solve does not need.  Run in a fresh
+    # process, since pytest itself imports inspect.
+    out = _run_python(*flags, "-c", (
+        "import sys\n"
+        "from cubesum import cli\n"
+        f"d = {str(tmp_path)!r}\n"
+        "code = cli.main(['solve', '7', '--cache-dir', d])\n"
+        "code += cli.main(['solve', '7', '--cache-dir', d])\n"
+        "code += cli.main(['qexp', '7', '--terms', '30'])\n"
+        "code += cli.main(['yseries', '31', '--terms', '30'])\n"
+        "code += cli.main(['fseries', '31', '--sign', '+', '--terms', '30'])\n"
+        "code += cli.main(['verify'])\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    ))
+    assert out.returncode == EXIT_OK, out.stderr
+    assert os.listdir(tmp_path)  # the first solve wrote the cache the second read
+    assert out.stderr.strip() == "[]"
 
 
 def test_verify_under_python_O_detects_a_tampered_reference():
