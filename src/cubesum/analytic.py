@@ -25,11 +25,17 @@ after an integer reduction of xi = z/Omega to the Voronoi cell of 0.
 Recognition is a continued fraction over Z[w] on the same integers
 (recognize_eisenstein), and the sixth root for Omega^-1 and the cube root
 of recognition are Gaussian Newton steps on them too (principal_root).
-mpmath is left with the per-precision constants of Z[w] (_base_lattice),
-one real exp and one root of unity per site (eval_z's set-up), and the
-callers that work in mpc (tests, the Fricke constant and the cusp image z0
-= L(f, 1), _fricke), which convert at the boundary (mpc_to_fixed,
-fixed_to_mpc); the q-sum's length M comes from a proven tail bound in
+The constants are integer code too, each with a proved bound: pi by
+Machin's formula (fixed_pi), e^z by halving, Taylor terms and squaring
+back (fixed_exp), from which come |q| (fixed_qabs) and the root of unity
+e^(2 pi i Re tau) (fixed_expjpi) of eval_z's set-up, and the g3 and
+Laurent coefficients of Z[w] (_base_lattice, wp_laurent_fixed); a failed
+recognition prints x from its pair (fixed_str).  So a solve never imports
+mpmath.  It is imported, on first use, only by the callers that work in
+mpc: the tests' oracles, eval_z at an mpc site (to read tau; its q is
+set up by the same integer code), the Fricke constant and the cusp image
+z0 = L(f, 1) (_fricke), which convert at the boundary (mpc_to_fixed,
+fixed_to_mpc).  The q-sum's length M comes from a proven tail bound in
 floats (terms_needed).  "Lies in L" always means a residual below
 2^(-prec/2): of the lattice coordinates from the nearest integers
 (PeriodLattice.contains), or of z/Omega reduced to the Voronoi cell of 0
@@ -44,13 +50,21 @@ import math
 import operator
 from fractions import Fraction
 
-from mpmath import mp
-from mpmath.libmp import to_fixed
-
+from .cmpoint import EvalSite
 from .eisenstein import EisensteinInt, QOmega
 from .heckeform import build_form, conductor_and_level, split_prime
 
 GUARD_BITS = 32
+
+
+def __getattr__(name):
+    """analytic.mp, mpmath's context, imported on first use: the callers that
+    work in mpc read it here, and a solve never does."""
+    if name == "mp":
+        from mpmath import mp
+
+        return mp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PoleAtLatticePoint(ArithmeticError):
@@ -67,13 +81,64 @@ class TorsionCheckFailed(AssertionError):
 def mpc_to_fixed(v, W):
     """The fixed-point pair of a complex number (mpc, mpf or Python number)
     at W: its components times 2^W, floored."""
+    from mpmath import mp
+    from mpmath.libmp import to_fixed
+
     v = mp.mpc(v)
     return to_fixed(v.real._mpf_, W), to_fixed(v.imag._mpf_, W)
 
 
 def fixed_to_mpc(v, W):
     """The mpc of a fixed-point pair at W, rounded to the working precision."""
+    from mpmath import mp
+
     return mp.mpc(mp.ldexp(v[0], -W), mp.ldexp(v[1], -W))
+
+
+def fixed_str(v, W, bits):
+    """The pair v at W as str prints an mpc at `bits` bits of precision:
+    "(a + bj)" or "(a - bj)", each component as _decimal gives it with
+    mpmath's dps = max(1, round(bits / log2(10)) - 1) digits."""
+    dps = max(1, round(bits / 3.3219280948873626) - 1)
+    re, im = (_decimal(c, W, bits, dps) for c in v)
+    return f"({re} - {im[1:]}j)" if im[0] == "-" else f"({re} + {im}j)"
+
+
+def _decimal(c, W, bits, dps):
+    """c 2^-W as mpmath's to_str writes it at `bits` bits: rounded to `bits`
+    significant bits (half to even, as an mpf holds it), then half up to dps
+    significant digits, laid out with a decimal point where the decimal
+    exponent e has min(-(dps // 3), -5) < e < dps, and else as one digit, a
+    point and e+n or e-n; trailing zeros are stripped, but not the one after
+    the point."""
+    if not c:
+        return "0.0"
+    sign, c = ("-", -c) if c < 0 else ("", c)
+    n = c.bit_length() - bits
+    if n > 0:
+        h, r = divmod(c, 1 << n)
+        c = (h + (2 * r > 1 << n or (2 * r == 1 << n and h & 1))) << n
+    e = (c.bit_length() - W - 1) * 30103 // 100000  # floor(log10), or one less
+    while True:
+        k = dps - 1 - e
+        num, den = (c * 10**k, 1 << W) if k >= 0 else (c, 10**-k << W)
+        d = (2 * num + den) // (2 * den)
+        if d >= 10**dps:
+            e += 1
+        elif d < 10 ** (dps - 1):
+            e -= 1
+        else:
+            break
+    digits = str(d)
+    tail = ""
+    if not min(-(dps // 3), -5) < e < dps:
+        s, tail = f"{digits[0]}.{digits[1:]}", f"e{e:+d}"
+    elif e < 0:
+        s = "0." + "0" * (-e - 1) + digits
+    else:
+        s = f"{digits[: e + 1]}.{digits[e + 1 :]}"
+    s = s.rstrip("0")
+    return sign + (s + "0" if s[-1] == "." else s) + tail
 
 
 def fixed_mul(a, b, W):
@@ -90,6 +155,117 @@ def fixed_div(a, b, W):
 def fixed_sqrt3(W):
     """sqrt(3) 2^W, floored."""
     return math.isqrt(3 << 2 * W)
+
+
+@functools.lru_cache(maxsize=64)
+def fixed_pi(W):
+    """pi 2^W, floored, off by under 1 + 2^-8 units of 2^-W: Machin's pi =
+    16 atan(1/5) - 4 atan(1/239), memoized per width.
+
+    Each atan(1/k) = sum_j (-1)^j / ((2j + 1) k^(2j + 1)) is summed at P = W
+    + G bits, G = W.bit_length() + 16.  The powers t_j = floor(2^P /
+    k^(2j + 1)) are exact (t_j // k^2 floors the same quotient), so each
+    term t_j // (2j + 1) is off by under 2 units of 2^-P; the sum stops at
+    the first t_j = 0, where the alternating tail is under one unit.
+    atan(1/5) takes under P/4.6 + 1 terms and atan(1/239) under P/15.8 + 1,
+    so pi is off by under 16 (2 (P/4.6 + 1) + 1) + 4 (2 (P/15.8 + 1) + 1) <
+    8P + 60 < 2^(G - 8) units of 2^-P (for every W >= 1): under 2^-8 units
+    of 2^-W before the floor.
+    """
+    P = W + W.bit_length() + 16
+
+    def atan_inv(k):
+        s, t, j, k2 = 0, (1 << P) // k, 0, k * k
+        while t:
+            s += t // (2 * j + 1) if j % 2 == 0 else -(t // (2 * j + 1))
+            t //= k2
+            j += 1
+        return s
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> P - W
+
+
+def fixed_exp(z, W):
+    """e^z for a pair z at W with Re z <= 0, as a pair at W: each component
+    floored, off by under 1 + 2^-8 units of 2^-W.
+
+    Argument reduction (Brent-Zimmermann, Modern Computer Arithmetic,
+    4.3.1): with s the larger of |Re z| and |Im z| and r = isqrt(W)//2 + 2, k
+    = max(0, s.bit_length() - W) + r halvings give u = z/2^k with |u| <
+    sqrt(2) 2^-r < 2^-1.5, held exactly at P = W + G bits, G = k + 2
+    (W + k).bit_length() + 12.
+
+    Taylor.  T_j = T_(j-1) u / j is formed with one floor per product and
+    one per quotient, so a component error e of T_(j-1) becomes at most
+    (e |u| sqrt(2) + 1)/j + 1 <= 2 in T_j, as e |u| sqrt(2) <= e/2.  The
+    sum stops at the first term whose components are at most 1 in size (a
+    floor can hold a tiny negative term at -1 for ever): the exact term
+    there is under 3 sqrt(2) < 4.3 in size, and with the rest of the series
+    (each term at most |u| times the one before) under 4.3 / (1 - 2^-1.5)
+    < 7.  So e^u is off by under 2n + 7 units per component over the n
+    terms summed, and n <= P/1.5 + 3 <= P: the exact terms fall by 2^-1.5
+    a step, and once they are under one unit the next two steps bring the
+    computed ones to size 1.
+
+    Squaring k times gives e^z.  The exact values have size at most 1 (Re z
+    <= 0), so an error of complex size D becomes under 2 (1 + eta) D + 2
+    (the two floors), with eta = D 2^-P <= 2^-(W + 8) while D <= 2^(G - 8),
+    and (1 + eta)^k <= 2.  From D_0 = sqrt(2) (2n + 7), D_k < 2^(k + 1)
+    (D_0 + 2) < 2^(k + 1) (3P + 12) <= 2^(G - 8), as 2^(2 (W +
+    k).bit_length() + 3) >= 8 (W + k)^2 >= 3P + 12.  Shifted to W that is
+    under 2^-8 units, before each component's floor.
+    """
+    x, y = z
+    r = math.isqrt(W) // 2 + 2
+    k = max(0, max(abs(x), abs(y)).bit_length() - W) + r
+    G = k + 2 * (W + k).bit_length() + 12
+    P = W + G
+    ur, ui = x << G - k, y << G - k
+    sr, si = tr, ti = 1 << P, 0
+    for j in itertools.count(1):
+        tr, ti = ((tr * ur - ti * ui) >> P) // j, ((tr * ui + ti * ur) >> P) // j
+        if -1 <= tr <= 1 and -1 <= ti <= 1:
+            break
+        sr += tr
+        si += ti
+    for _ in range(k):
+        sr, si = (sr + si) * (sr - si) >> P, sr * si >> P - 1
+    return sr >> G, si >> G
+
+
+def fixed_expjpi(a, b, W):
+    """e^(pi i a/b) for integers a and b > 0, as a pair at W: each component
+    floored, off by under 1 + 2^-10 units of 2^-W.
+
+    With m the integer nearest 2a/b, a/b = m/2 + f with |f| <= 1/4, and
+    e^(pi i a/b) = i^m e^(pi i f).  At P = W + 12, theta = pi f is formed
+    from fixed_pi(P) and the exact f, off by under 1/4 (1 + 2^-8) + 1 <
+    1.26 units, which moves e^(i theta) by as much; fixed_exp adds under 1
+    + 2^-8 per component.  The rotation by i^m is exact, and the shift to
+    W divides the under 2.27 units by 2^12 before each component's floor.
+    """
+    m = (4 * a + b) // (2 * b)
+    P = W + 12
+    c, s = fixed_exp((0, fixed_pi(P) * (2 * a - m * b) // (2 * b)), P)
+    for _ in range(m % 4):
+        c, s = -s, c
+    return c >> 12, s >> 12
+
+
+def fixed_qabs(num, den, W):
+    """|q| = e^(-2 pi Im tau) at Im tau = sqrt(3) num/den, for integers 0 <=
+    2 num <= den, floored at W, off by under 1 + 2^-9 units of 2^-W.
+
+    At P = W + 12, x = 2 pi sqrt(3) num/den is formed from fixed_pi(P)
+    (off by under 1 + 2^-8 units) and the floor of sqrt(3) 2^P (under one):
+    their product is off by under sqrt(3) (1 + 2^-8) + pi < 4.9 units, so
+    x, with 2 num/den <= 1 and its own floor, by under 5.9.  e^-x moves by
+    at most that much (x >= 0), and fixed_exp adds under 1 + 2^-8: under 7
+    units of 2^-P, 2^-9 units of 2^-W, before the floor.
+    """
+    P = W + 12
+    x = fixed_pi(P) * fixed_sqrt3(P) * 2 * num // (den << P)
+    return fixed_exp((-x, 0), P)[0] >> 12
 
 
 def fixed_of(x, W):
@@ -266,47 +442,88 @@ SERIES_RADIUS = Fraction(7, 20)  # |z/Omega| up to which wp is summed; else halv
 _base_cache = {}
 
 
+def wp_laurent_fixed(g3, count, B):
+    """[c_3, c_6, ..., c_(3 count)] of wp = z^-2 + sum c_m z^(2m-2) for a
+    lattice with g2 = 0, as integers scaled by 2^B from g3 at B: the
+    recurrence of wp_laurent_coefficients with m = 3j, c_(3j) = sum_(a=1)^(j-1)
+    c_(3a) c_(3j-3a) / ((j - 1)(6j + 1)) and c_3 = g3/28.  Each sum of
+    products is exact at 2^(2B), with one floor per coefficient."""
+    c = [0, g3 // 28]
+    for j in range(2, count + 1):
+        s = 2 * sum(map(operator.mul, c[1 : (j + 1) // 2], c[j - 1 : j // 2 : -1]))
+        if j % 2 == 0:
+            s += c[j // 2] * c[j // 2]
+        c.append(s // ((j - 1) * (6 * j + 1) << B))
+    return c[1:]
+
+
 def _base_lattice(prec):
     """(g3, C) of the reference lattice Z[w], computed once per precision,
-    as integers scaled by 2^W, W = prec + GUARD_BITS.  The sums run at W +
-    16 bits and are rounded at W, so g3 is held within one unit of 2^-W.
+    as integers scaled by 2^W, W = prec + GUARD_BITS, each the nearest to
+    its value unless that lies within 2^-30 units of 2^-W of a half-unit.
 
-    g3 = 140 G_6 and G_6 = 2 zeta(6) E_6, with q = -e^(-pi sqrt(3)).  E_4
-    vanishes at this point, which is checked as a self-test of the series.
-    C[k] = (6k+5) G_{6k+6}: the coefficients of wp_0 - xi^-2 in xi^(6k+4),
-    which are real because Z[w] is closed under conjugation.  There are
-    enough of them for the series to reach 2^-(prec + 48) inside
-    SERIES_RADIUS: G_6k tends to 6 (the six units), so each term gains
-    -6 log2(SERIES_RADIUS) bits.
+    g3 = 140 G_6 and G_6 = 2 zeta(6) E_6 = 2 pi^6 E_6 / 945, so g3 = (8/27)
+    pi^6 E_6, with q = -e^(-pi sqrt(3)).  E_4 vanishes at this point, which
+    is checked as a self-test of the series.  C[k] = (6k+5) G_(6k+6) =
+    c_(3k+3): the coefficients of wp_0 - xi^-2 in xi^(6k+4), which are real
+    because Z[w] is closed under conjugation.  There are kmax of them,
+    enough for the series to reach 2^-(prec + 48) inside SERIES_RADIUS:
+    G_6k tends to 6 (the six units), so each term gains -6
+    log2(SERIES_RADIUS) bits.
+
+    Everything is summed in integers at B = W + 2 kmax.bit_length() + 48
+    bits and rounded to W at the end.  In units of 2^-B:
+    - |q| (fixed_qabs) is off by under 1.002; pi (fixed_pi) by under 1.004,
+      pi^2, pi^4 and pi^6 (truncated products) by under 7.4, 146 and 2170;
+    - the sums h = sum_(n <= nmax) sigma(n) q^n run by Horner in q, h <- q
+      (sigma(n) + h), so the error from q is damped by |q| < 1/230 at each
+      step: under 2.4 units for sigma_5 (and sigma_3), from (1.002 (1 +
+      0.15) + 1) for n = 1 and a geometric rest; the tail past nmax = B//7
+      + 8 is under one unit (|q| < 2^-7.8, sigma_5(n) < 1.04 n^5).  So E_6
+      = 1 - 504 h_5 is off by under 504 * 3.4 < 1714, and E_4 = 1 + 240 h_3
+      by under 2^10, far below the self-test's 2^(B - prec - 16);
+    - g3 = 8 pi^6 E_6 / 27, with E_6 < 3, is off by under (8/27)(961.4 *
+      1714 + 3 * 2170) + 1 < 2^19 units, a relative eps < 2^(10 - B) of g3
+      = 820.8...
+    Every G_6k is real, within 6.38 - 6 of 6 (sum over the nonzero omega of
+    N(omega)^-3 = 6 zeta(3) L(3, chi_-3) < 6.38, of which the units give
+    6), so every c_(3j) = (6j - 1) G_6j lies in [28, 6.38 (6j - 1)].  The
+    c are positive and c_(3j) is homogeneous of degree j in g3, so in
+    wp_laurent_fixed a relative error eta_a in c_(3a) sends a relative
+    error at most eta_a + eta_(j-a) + eta_a eta_(j-a) into each product,
+    and the floor adds tau = 2^-B / 28: by induction c_(3j) is off by a
+    relative (2j - 1)(eps + tau), the square terms staying under eps
+    while 4 j^2 eps < 1.  So C[k] is off by under 6.38 (6k + 5)(2k + 1)
+    2^(10.1 - B) < 2^(16.4) kmax^2 2^-B < 2^-31.6 units of 2^-W, and g3
+    by under 2^(19 - 48) units of 2^-W, before each is rounded.
     """
     if prec in _base_cache:
         return _base_cache[prec]
     W = prec + GUARD_BITS
-    with mp.workprec(W + 16):
-        qabs = mp.e ** (-mp.pi * mp.sqrt(3))
-        nmax = int((prec + 48) * math.log(2) / (mp.pi * math.sqrt(3))) + 8
-        sigma3 = [0] * (nmax + 1)
-        sigma5 = [0] * (nmax + 1)
-        for d in range(1, nmax + 1):
-            d3, d5 = d**3, d**5
-            for m in range(d, nmax + 1, d):
-                sigma3[m] += d3
-                sigma5[m] += d5
-        e4 = mp.mpf(1)
-        e6 = mp.mpf(1)
-        qn = mp.mpf(1)
-        for n in range(1, nmax + 1):
-            qn = qn * (-qabs)
-            e4 += 240 * sigma3[n] * qn
-            e6 -= 504 * sigma5[n] * qn
-        if abs(e4) >= mp.mpf(2) ** (-(prec + 16)):
-            raise AssertionError("E4 must vanish on Z[w]")
-        zeta6 = mp.pi**6 / 945
-        g3 = 140 * 2 * zeta6 * e6
-        kmax = int((prec + 48) / (-6 * math.log2(SERIES_RADIUS))) + 6
-        G = wp_laurent_coefficients(g3, kmax)
-        C = [int(mp.nint(mp.ldexp((6 * k + 5) * g, W))) for k, g in enumerate(G)]
-        _base_cache[prec] = int(mp.nint(mp.ldexp(g3, W))), C
+    kmax = int((prec + 48) / (-6 * math.log2(SERIES_RADIUS))) + 6
+    B = W + 2 * kmax.bit_length() + 48
+    Q = fixed_qabs(1, 2, B)  # |q| = e^(-pi sqrt(3)), Im w = sqrt(3)/2
+    nmax = B // 7 + 8
+    sigma3 = [0] * (nmax + 1)
+    sigma5 = [0] * (nmax + 1)
+    for d in range(1, nmax + 1):
+        d3, d5 = d**3, d**5
+        for m in range(d, nmax + 1, d):
+            sigma3[m] += d3
+            sigma5[m] += d5
+    h3 = h5 = 0  # sum sigma(n) q^n, q = -Q
+    for n in range(nmax, 0, -1):
+        h3 = -((sigma3[n] << B) + h3) * Q >> B
+        h5 = -((sigma5[n] << B) + h5) * Q >> B
+    e4, e6 = (1 << B) + 240 * h3, (1 << B) - 504 * h5
+    if abs(e4) >= 1 << (B - prec - 16):
+        raise AssertionError("E4 must vanish on Z[w]")
+    pi2 = fixed_pi(B) ** 2 >> B
+    pi6 = (pi2 * pi2 >> B) * pi2 >> B
+    g3 = 8 * pi6 * e6 // (27 << B)
+    half = 1 << (B - W - 1)
+    C = [(c + half) >> (B - W) for c in wp_laurent_fixed(g3, kmax, B)]
+    _base_cache[prec] = (g3 + half) >> (B - W), C
     return _base_cache[prec]
 
 
@@ -529,9 +746,10 @@ def terms_needed(im_tau, prec):
 
 
 def site_terms(site, prec):
-    """terms_needed at a cmpoint.EvalSite, keyed by Im(tau) as a float from
-    the site's exact im_coeff, so that no mpc is built for it."""
-    return terms_needed(math.sqrt(3) * site.im_coeff, prec)
+    """terms_needed at a cmpoint.EvalSite, keyed by Im(tau) = sqrt(3) a/d
+    (EvalSite.im_sqrt3) as a float, so that no mpc is built for it."""
+    a, d = site.im_sqrt3
+    return terms_needed(math.sqrt(3) * (a / d), prec)
 
 
 def _dyadic(x):
@@ -560,8 +778,8 @@ def eval_z(form, site, prec=192):
     Columns: the slots split by k mod L into L columns, U = sum_(j < L)
     x^j U_j with U_j = sum_g alpha_n/n X^g over n = 3(j + Lg) + 1 and X =
     x^L, and V likewise.  With l = lcm(den, p), den the denominator of 6
-    Re(tau) (read exactly: cmpoint.EvalSite.re, or the dyadic rational an
-    mpf is), L is the multiple of l nearest isqrt(K), at least l, or K (one
+    Re(tau) (read exactly: EvalSite.re6 at a cmpoint.EvalSite, or the
+    dyadic rational an mpf is), L is the multiple of l nearest isqrt(K), at least l, or K (one
     row) where that reaches K.  So X = e^(6 pi i L tau) = (-1)^(6 L Re tau)
     e^(-6 pi L Im tau) is real wherever a second row exists, and a column
     holds one residue of n mod p.  Off p | n it is a unit column, U_j + V_j
@@ -607,35 +825,45 @@ def eval_z(form, site, prec=192):
 
     Set-up: q = E zeta with E = e^(-2 pi Im tau) (one real exp) and zeta =
     e^(2 pi i Re tau) (one root of unity) at Wq = W + 8 + (3L).bit_length()
-    bits; x = q^3 and X = (-1)^(6 L Re tau) E^(3L) come from integer
-    products (the (3L).bit_length() bits absorb E's error, raised to the
-    3L-th power) and are rounded to W, each off by about one unit of 2^-W.
+    bits, each floored within 1 + 2^-8 units.  zeta is fixed_expjpi of 2
+    Re(tau) = a6/(3 d6) at every site.  E is fixed_qabs of the ints
+    EvalSite.im_sqrt3 at an EvalSite; at an mpc, mpmath reads only y = 2 pi
+    Im(tau), at Wq + 16 bits (two roundings, a relative error under 2^-(Wq
+    + 14)) floored at P = Wq + 12, so off by under y/4 + 1 units of 2^-P.
+    e^-y moves by under (y/4 + 1) e^-y < 1.1 units, fixed_exp adds under 1
+    + 2^-8, and the shift to Wq leaves under 2^-10 units before the floor.
+    x = q^3 and X = (-1)^(6 L Re tau) E^(3L) come from integer products
+    (the (3L).bit_length() bits absorb E's error, raised to the 3L-th
+    power) and are rounded to W, each off by about one unit of 2^-W.
     The last product, q (U + V w) and q (U + V conj(w)), is in integers too.
     """
-    exact = hasattr(site, "re")  # a cmpoint.EvalSite
+    exact = isinstance(site, EvalSite)
     if exact:
         M = site_terms(site, prec)
+        a6, d6 = site.re6  # 6 Re(tau) = a6/d6
     else:
+        from mpmath import mp
+
         with mp.workprec(prec + GUARD_BITS):
             tau = mp.mpc(site)
             M = terms_needed(tau.imag, prec)
+        re = _dyadic(tau.real)
+        a6, d6 = 6 * re.numerator, re.denominator
     if M > form.terms:
         raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
     W = prec + GUARD_BITS + KERNEL_GUARD_BITS + 2 * M.bit_length()
     K = (M + 2) // 3
-    re = site.re if exact else _dyadic(tau.real)
     b, p = form.b, form.p  # slot k holds b_(3k+1)
-    ell = math.lcm((6 * re).denominator, p)
+    ell = math.lcm(d6 // math.gcd(a6, d6), p)
     L = min(ell * max(1, round(math.isqrt(K) / ell)), K)
     Wq = W + 8 + (3 * L).bit_length()
-    with mp.workprec(Wq):
-        if exact:
-            im = site.im_coeff
-            E = mp.exp(-2 * mp.pi * mp.sqrt(3) * im.numerator / im.denominator)
-        else:
-            E = mp.exp(-2 * mp.pi * tau.imag)
-        E = to_fixed(E._mpf_, Wq)
-        zr, zi = mpc_to_fixed(mp.expjpi(mp.mpf(2 * re.numerator) / re.denominator), Wq)
+    if exact:
+        E = fixed_qabs(*site.im_sqrt3, Wq)
+    else:
+        with mp.workprec(Wq + 16):
+            y = int(mp.floor(mp.ldexp(2 * mp.pi * tau.imag, Wq + 12)))
+        E = fixed_exp((-y, 0), Wq + 12)[0] >> 12
+    zr, zi = fixed_expjpi(a6, 3 * d6, Wq)  # 2 Re(tau) = a6/(3 d6)
     q = (E * zr >> Wq, E * zi >> Wq)
     X, n = 1 << Wq, 3 * L
     while n:  # E^(3L) by squaring
@@ -643,7 +871,8 @@ def eval_z(form, site, prec=192):
             X = X * E >> Wq
         E = E * E >> Wq
         n >>= 1
-    if (6 * L * re).numerator % 2:  # 6 L Re(tau) is an integer wherever X is used
+    t = L * a6  # 6 L Re(tau) = t/d6, an integer wherever X is used
+    if t // math.gcd(t, d6) % 2:
         X = -X
     xr, xi = fixed_mul(fixed_mul(q, q, Wq), q, Wq)
     xr, xi, X = xr >> Wq - W, xi >> Wq - W, X >> Wq - W
@@ -714,6 +943,8 @@ def _fricke(p, i, prec, at, form):
     `at` defaults to 2 tau0, so W at = tau0/2.  `form` is extended in place
     to the terms the lowest site needs; one is built when it is missing.
     """
+    from mpmath import mp
+
     _, N = conductor_and_level(p, i)
     with mp.workprec(prec + GUARD_BITS):
         tau0 = mp.mpc(0, 1) / mp.sqrt(N)
@@ -751,6 +982,8 @@ def l_value_and_cusp_zero(p, i, prec=192, conjugate=False):
     x = 0 (so y = +-pibar^i/2); raises TorsionCheckFailed otherwise.
     conjugate=True does the same for f^c from f's pairs, swapped.
     """
+    from mpmath import mp
+
     split = split_prime(p)
     C, z_f, z_fc = _fricke(p, i, prec, None, None)
     with mp.workprec(prec + GUARD_BITS):

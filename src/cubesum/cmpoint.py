@@ -10,8 +10,6 @@ so its site gives the complex conjugates of the same sums and nothing new.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .eisenstein import EisensteinInt, is_prime_int, residue_map_omega, split_prime
 from .heckeform import conductor_and_level
 
@@ -81,19 +79,20 @@ class EvalSite:
         return hash((self.point, self.N))
 
     @property
-    def re(self):
-        """Re(site) = (3r - 3/2)/N, exact.
+    def re6(self):
+        """(a, d) with 6 Re(site) = a/d, as ints: Re(site) = (3r - 3/2)/N,
+        so a = 9 (2r - 1) and d = N.
 
         6p Re(site) is 2r - 1 when N = 9p and (2r - 1)/3 when N = 27p, an odd
         integer either way (r = 2 mod 3), so q^(3p) = e^(6 pi i p site) is
         the real number -e^(-6 pi p Im(site)) here, for every p and i.
         """
-        return Fraction(6 * self.point.r - 3, 2 * self.N)
+        return 9 * (2 * self.point.r - 1), self.N
 
     @property
-    def im_coeff(self):
-        """Im(site) / sqrt(3), exact."""
-        return Fraction(3, 2 * self.N)
+    def im_sqrt3(self):
+        """(a, d) with Im(site) = sqrt(3) a/d, as ints: (3, 2N)."""
+        return 3, 2 * self.N
 
     def to_mpc(self, ctx):
         return self.point.denom.to_mpc(ctx) / self.N

@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 import time
 
-from mpmath import mp
-
 from . import curves
 from .analytic import (
     GUARD_BITS,
@@ -40,7 +38,7 @@ from .analytic import (
     eval_z,
     fixed_mul,
     fixed_of,
-    fixed_to_mpc,
+    fixed_str,
     lattice_of_curve,
     principal_root,
     recognize_eisenstein,
@@ -223,10 +221,8 @@ def recognize(raw, twist, bound, prec, form):
                         f"twisted point of {form} ({P.x}, {P.y}) fails the exact curve equation"
                     )
                 return P, norm.bit_length() - 1
-    with mp.workprec(prec // 2):
-        shown = str(fixed_to_mpc(x, W))
     raise RecognitionFailed(
-        f"x of {form} = {shown} not recognized with N(gamma) <= 2^{norm_bits}"
+        f"x of {form} = {fixed_str(x, W, prec // 2)} not recognized with N(gamma) <= 2^{norm_bits}"
         + ("; its candidate x had no exact y matching the numbers" if found else "")
     )
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
@@ -15,6 +15,11 @@ from cubesum.analytic import (
     SERIES_RADIUS,
     PoleAtLatticePoint,
     eval_z,
+    fixed_exp,
+    fixed_expjpi,
+    fixed_pi,
+    fixed_qabs,
+    fixed_str,
     fixed_to_mpc,
     fricke_constant,
     l_value_and_cusp_zero,
@@ -398,20 +403,143 @@ def test_base_lattice_holds_g3_within_one_unit(monkeypatch, prec):
 def test_laurent_coefficients_once_per_precision(monkeypatch):
     # every lattice rescales the one base lattice Z[w]: its coefficients are
     # computed once per precision, whatever the curve
-    calls = []
+    calls, real = [], analytic.wp_laurent_fixed
 
-    def counting(g3, count):
+    def counting(g3, count, B):
         calls.append(count)
-        return wp_laurent_coefficients(g3, count)
+        return real(g3, count, B)
 
     monkeypatch.setattr(analytic, "_base_cache", {})
-    monkeypatch.setattr(analytic, "wp_laurent_coefficients", counting)
+    monkeypatch.setattr(analytic, "wp_laurent_fixed", counting)
     for prec, total in ((192, 1), (256, 2)):
         for D in (EisensteinInt(5, 1), split_prime(7).pibar ** 2):
             L = lattice_of_curve(D, prec)
             with mp.workprec(prec + GUARD_BITS):
                 wp_mpc(L, lattice_omega(L) * mp.mpc(0.3, 0.2), prec)
         assert len(calls) == total
+
+
+def _mpmath_base_lattice(prec, extra=96):
+    """(g3, C) of _base_lattice from mpmath at W + extra bits, each rounded
+    to the nearest integer at W: the mpmath _base_lattice of earlier
+    versions, which summed at W + 16 bits and so left C[k] off by 1 or 2
+    units, here with the sums run long enough for the wider precision."""
+    W = prec + GUARD_BITS
+    with mp.workprec(W + extra):
+        qabs = mp.e ** (-mp.pi * mp.sqrt(3))
+        nmax = int((prec + 48 + extra) * math.log(2) / (mp.pi * math.sqrt(3))) + 8
+        sigma5 = [0] * (nmax + 1)
+        for d in range(1, nmax + 1):
+            for m in range(d, nmax + 1, d):
+                sigma5[m] += d**5
+        e6, qn = mp.mpf(1), mp.mpf(1)
+        for n in range(1, nmax + 1):
+            qn = qn * (-qabs)
+            e6 -= 504 * sigma5[n] * qn
+        g3 = 140 * 2 * (mp.pi**6 / 945) * e6
+        kmax = int((prec + 48) / (-6 * math.log2(SERIES_RADIUS))) + 6
+        G = wp_laurent_coefficients(g3, kmax)
+        C = [int(mp.nint(mp.ldexp((6 * k + 5) * g, W))) for k, g in enumerate(G)]
+        return int(mp.nint(mp.ldexp(g3, W))), C
+
+
+@pytest.mark.parametrize("prec", [48, 96, 192, 384, 768, 1536, 3072, 2, 7, 100, 3200])
+def test_base_lattice_is_the_mpmath_oracle_integer_for_integer(monkeypatch, prec):
+    # every rung of the default ladders, the narrowest and an odd few: g3 and
+    # every C[k] equal the oracle's, with no unit to spare
+    monkeypatch.setattr(analytic, "_base_cache", {})
+    assert analytic._base_lattice(prec) == _mpmath_base_lattice(prec)
+
+
+def _units_off(got, exact, W):
+    """|got - exact 2^W| in units of 2^-W, exact an mpf (or mpc component)."""
+    return abs(got - mp.ldexp(exact, W))
+
+
+@settings(max_examples=60, deadline=None)
+@given(W=st.integers(64, 3200))
+def test_fixed_pi_is_within_its_bound(W):
+    with mp.workprec(W + 64):
+        assert _units_off(fixed_pi(W), mp.pi, W) < 1 + mp.mpf(2) ** -8
+
+
+# arguments at W: from 0 and a few units, through the sizes of |log q| at
+# the solve sites, to well past the base lattice's pi sqrt(3)
+_ARG_SCALE = st.sampled_from([-3200, -200, -40, -8, -3, -1, 0, 1, 2, 3])
+
+
+@settings(max_examples=80, deadline=None)
+@given(W=st.integers(64, 3200), scale=_ARG_SCALE, frac=st.floats(0, 1))
+def test_fixed_exp_of_a_negative_real_is_within_its_bound(W, scale, frac):
+    x = int(frac * 2**53) << max(W + scale - 53, 0) >> max(53 - W - scale, 0)
+    got = fixed_exp((-x, 0), W)
+    with mp.workprec(W + 64):
+        assert got[1] == 0
+        assert _units_off(got[0], mp.exp(-mp.ldexp(x, -W)), W) < 1 + mp.mpf(2) ** -8
+
+
+@settings(max_examples=80, deadline=None)
+@given(W=st.integers(64, 3200), scale=_ARG_SCALE, frac=st.floats(-1, 1))
+def test_fixed_exp_of_an_imaginary_is_within_its_bound(W, scale, frac):
+    t = int(abs(frac) * 2**53) << max(W + scale - 53, 0) >> max(53 - W - scale, 0)
+    t = -t if frac < 0 else t
+    got = fixed_exp((0, t), W)
+    with mp.workprec(W + 64):
+        want = mp.expj(mp.ldexp(t, -W))
+        for g, w in zip(got, (want.real, want.imag)):
+            assert _units_off(g, w, W) < 1 + mp.mpf(2) ** -8
+
+
+@settings(max_examples=80, deadline=None)
+@given(W=st.integers(64, 3200), b=st.integers(1, 10**6), frac=st.floats(-4, 4))
+@example(W=64, b=6, frac=1 / 6)  # sin(pi/6) = 1/2 exactly
+@example(W=64, b=3, frac=-1 / 3)  # cos(pi/3) = 1/2, reduced to -pi/6
+@example(W=100, b=4, frac=3 / 4)  # f = -1/4, the edge of the reduction
+@example(W=3200, b=2, frac=-3 / 2)  # a multiple of pi/2
+def test_fixed_expjpi_is_within_its_bound(W, b, frac):
+    # e^(pi i a/b) on every quadrant, the multiples of pi/2 and pi/6 included
+    a = round(frac * b)
+    got = fixed_expjpi(a, b, W)
+    with mp.workprec(W + 64):
+        want = mp.expjpi(mp.mpf(a) / b)
+        for g, w in zip(got, (want.real, want.imag)):
+            assert _units_off(g, w, W) < 1 + mp.mpf(2) ** -10
+
+
+@settings(max_examples=60, deadline=None)
+@given(W=st.integers(64, 3200), den=st.integers(2, 10**7), frac=st.floats(0, 1))
+def test_fixed_qabs_is_within_its_bound(W, den, frac):
+    num = int(frac * (den // 2))  # 0 <= 2 num <= den
+    with mp.workprec(W + 64):
+        want = mp.exp(-2 * mp.pi * mp.sqrt(3) * mp.mpf(num) / den)
+        assert _units_off(fixed_qabs(num, den, W), want, W) < 1 + mp.mpf(2) ** -9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.integers(1, 1600),
+    man=st.tuples(st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80)),
+    exp=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+)
+def test_fixed_str_prints_what_mpmath_prints(bits, man, exp):
+    # recognize's failure message shows x from the pair, as str(fixed_to_mpc)
+    # at prec // 2 bits showed it: component sizes from 2^-300 to 2^380,
+    # exact ties of the bit rounding among them
+    W = 400
+    pair = tuple(m << W + e if W + e >= 0 else m >> -(W + e) for m, e in zip(man, exp))
+    with mp.workprec(bits):
+        assert fixed_str(pair, W, bits) == str(fixed_to_mpc(pair, W))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 5, 13, 48])
+def test_fixed_str_rounds_a_tie_of_bits_to_even(bits):
+    # components of bits + 1 significant bits ending in 1, halfway between
+    # two bits-bit values: both parities of the lower one, either sign
+    W = 64
+    for h in (1 << bits - 1, (1 << bits - 1) + 1, (1 << bits) - 1, (1 << bits) - 2):
+        c = (2 * h + 1) << 40
+        with mp.workprec(bits):
+            assert fixed_str((c, -c), W, bits) == str(fixed_to_mpc((c, -c), W))
 
 
 def test_wp_parity_and_cm_rotation():
@@ -893,7 +1021,8 @@ def test_terms_needed_tail_is_below_2_to_the_minus_prec_at_solve_sites(p, i, pre
     # scaled by 2^prec; every |a_n| on the way is under C n^(3/4)
     site = eval_site(p, i)
     M = site_terms(site, prec)
-    a = 2 * math.pi * math.sqrt(3) * float(site.im_coeff)  # -log|q|
+    num, den = site.im_sqrt3
+    a = 2 * math.pi * math.sqrt(3) * (num / den)  # -log|q|
     alpha, beta = newform_pairs(p, i, 4 * M)
     scale = prec * math.log(2)
     tail = 0.0

@@ -984,6 +984,28 @@ def test_cli_commands_never_import_dataclasses_or_inspect(tmp_path, flags):
     assert out.stderr.strip() == "[]"
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_solves_never_import_mpmath(tmp_path, flags):
+    # a solve's constants (pi, |q|, e^(2 pi i Re tau), the base lattice) and
+    # its failure message are integer code, so a solve pays neither mpmath's
+    # import nor, where no bytecode is written, its compile.  61^2 cold and
+    # warm, 103^1; 103^2 fails its 96-bit rung (RecognitionFailed), so the
+    # message with x in it is built; the capped 61^2 exits 3.
+    out = _run_python(*flags, "-c", (
+        "import sys\n"
+        "from cubesum import cli\n"
+        f"d = {str(tmp_path)!r}\n"
+        "codes = [cli.main(['solve', '61', '--power', '2', '--cache-dir', d]) for _ in range(2)]\n"
+        "codes.append(cli.main(['solve', '103', '--cache-dir', d]))\n"
+        "codes.append(cli.main(['solve', '103', '--power', '2', '--json', '--cache-dir', d]))\n"
+        "codes.append(cli.main(['solve', '61', '--power', '2', '--max-terms', '100', '--cache-dir', d]))\n"
+        "print(codes, 'mpmath' in sys.modules, file=sys.stderr)\n"
+    ))
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stderr.splitlines()[-1] == f"[0, 0, 0, 0, {EXIT_PRECISION}] False"
+    assert "x of f = (-5.113157863274 - 3.941169187971j) not recognized" in out.stdout
+
+
 def test_verify_under_python_O_detects_a_tampered_reference():
     out = _run_python("-O", "-c", (
         "import sys\n"

@@ -61,13 +61,15 @@ def test_eval_site_p7():
     assert (site.point.r, site.point.t) == (5, 1)
     assert site.label() == "wtau(r=5)"
     # N = 27p: W(tau_5) has the height of tau_5 itself, 1/(18pt)
-    assert site.im_coeff == Fraction(3, 2 * 189) == Fraction(1, 18 * 7)
+    assert site.im_sqrt3 == (3, 2 * 189)
+    assert Fraction(*site.im_sqrt3) == Fraction(1, 18 * 7)
 
 
 def test_eval_site_p31_is_the_reference_site():
     site = eval_site(31, 1)
     assert (site.point.r, site.point.t) == (26, 7)
-    assert site.im_coeff == Fraction(3, 2 * site.N)
+    assert site.im_sqrt3 == (3, 2 * site.N)
+    assert site.re6 == (9 * (2 * 26 - 1), site.N)
 
 
 def test_candidate_invariants():
@@ -87,9 +89,11 @@ def test_sites_embed_to_upper_half_plane():
             site = eval_site(p, i)
             tau = site.to_mpc(mpmath.mp)
             assert tau.imag > 0
-            coeff = site.im_coeff
-            want = mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.sqrt(3)
+            a, d = site.im_sqrt3
+            want = mpmath.mpf(a) / d * mpmath.sqrt(3)
             assert abs(tau.imag - want) < mpmath.mpf(2) ** -60
+            a, d = site.re6
+            assert abs(6 * tau.real - mpmath.mpf(a) / d) < mpmath.mpf(2) ** -60
 
 
 def test_wtau_higher_than_tau_when_t_large():
@@ -97,7 +101,7 @@ def test_wtau_higher_than_tau_when_t_large():
     for p, i in ((13, 1), (31, 1), (31, 2)):
         site = eval_site(p, i)
         assert site.point.t > 1
-        assert site.im_coeff > Fraction(1, 18 * p * site.point.t)
+        assert Fraction(*site.im_sqrt3) > Fraction(1, 18 * p * site.point.t)
 
 
 def test_q_to_the_3p_is_real_at_every_site():
@@ -116,10 +120,10 @@ def test_q_to_the_3p_is_real_at_every_site():
     assert len(sites) == 202
     for site in sites:
         p = site.point.p
-        assert site.re == Fraction(6 * site.point.r - 3, 2 * site.N)
-        six_p_re = 6 * p * site.re
+        assert Fraction(*site.re6) == 6 * Fraction(6 * site.point.r - 3, 2 * site.N)
+        six_p_re = p * Fraction(*site.re6)
         assert six_p_re.denominator == 1 and six_p_re.numerator % 2 == 1
-        assert (6 * site.re).denominator == p  # so the kernel takes L = p
+        assert Fraction(*site.re6).denominator == p  # so the kernel takes L = p
     with mpmath.mp.workprec(192):
         for p, i in ((13, 1), (7, 1), (997, 2)):
             site = eval_site(p, i)
