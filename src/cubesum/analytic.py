@@ -51,7 +51,7 @@ import operator
 from fractions import Fraction
 
 from .cmpoint import EvalSite
-from .eisenstein import EisensteinInt, QOmega
+from .eisenstein import EisensteinInt, Frozen, QOmega
 from .heckeform import build_form, conductor_and_level, split_prime
 
 GUARD_BITS = 32
@@ -527,26 +527,11 @@ def _base_lattice(prec):
     return _base_cache[prec]
 
 
-class PeriodLattice:
+class PeriodLattice(Frozen):
     """L = Omega * Z[w], the period lattice of y^2 = x^3 + D/4, held as
     inv = Omega^-1, a pair at W = prec + GUARD_BITS."""
 
     __slots__ = ("inv", "prec")
-
-    def __init__(self, inv, prec):
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PeriodLattice is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not PeriodLattice:
-            return NotImplemented
-        return (self.inv, self.prec) == (other.inv, other.prec)
-
-    def __hash__(self):
-        return hash((self.inv, self.prec))
 
     @property
     def W(self):

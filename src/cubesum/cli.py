@@ -19,7 +19,7 @@ import time
 import zlib
 from array import array
 
-from .eisenstein import PrimalityOutOfRange, QOmega, _ratio_str, is_prime_int
+from .eisenstein import PrimalityOutOfRange, QOmega, Record, _ratio_str, is_prime_int
 from .heckeform import build_form, conductor_and_level, newform_pairs, spot_check
 
 EXIT_OK = 0
@@ -149,28 +149,11 @@ def point_str(P):
     return f"({q_str(P.x)}, {q_str(P.y)})"
 
 
-class RunReport:
+class RunReport(Record):
+    # descent_branch is parametrize.descend's branch, e.g. "trace(w^0+)", and
+    # attempts the failed attempts before the win, as in PipelineResult
     __slots__ = ("p", "i", "pi", "r", "t", "site", "bits", "terms", "point_K", "point_Q",
                  "descent_branch", "cube_sum", "checks", "timings_ms", "attempts")
-
-    def __init__(self, p, i, pi, r, t, site, bits, terms, point_K, point_Q, descent_branch,
-                 cube_sum, checks, timings_ms, attempts):
-        self.p = p
-        self.i = i
-        self.pi = pi
-        self.r = r
-        self.t = t
-        self.site = site
-        self.bits = bits
-        self.terms = terms
-        self.point_K = point_K
-        self.point_Q = point_Q
-        self.descent_branch = descent_branch  # parametrize.descend's branch, e.g. "trace(w^0+)"
-        self.cube_sum = cube_sum
-        self.checks = checks
-        self.timings_ms = timings_ms
-        # failed attempts before the win: attempt_ms, site, bits, error, message
-        self.attempts = attempts
 
     def to_dict(self):
         # shallow: the fields already hold JSON-ready values, and the

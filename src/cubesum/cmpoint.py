@@ -10,7 +10,7 @@ so its site gives the complex conjugates of the same sums and nothing new.
 
 from __future__ import annotations
 
-from .eisenstein import EisensteinInt, is_prime_int, residue_map_omega, split_prime
+from .eisenstein import EisensteinInt, Frozen, is_prime_int, residue_map_omega, split_prime
 from .heckeform import conductor_and_level
 
 
@@ -33,24 +33,8 @@ def solve_r(p):
     return tuple(sorted(roots))
 
 
-class CMPoint:
+class CMPoint(Frozen):
     __slots__ = ("p", "r", "t")
-
-    def __init__(self, p, r, t):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t", t)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CMPoint is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not CMPoint:
-            return NotImplemented
-        return (self.p, self.r, self.t) == (other.p, other.r, other.t)
-
-    def __hash__(self):
-        return hash((self.p, self.r, self.t))
 
     @property
     def denom(self):
@@ -58,25 +42,10 @@ class CMPoint:
         return EisensteinInt(3 * self.r, 3)
 
 
-class EvalSite:
+class EvalSite(Frozen):
     """W(tau_r) = (3w + 3r)/N, the Fricke image of the CM point tau_r."""
 
     __slots__ = ("point", "N")
-
-    def __init__(self, point, N):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "N", N)
-
-    def __setattr__(self, *_):
-        raise AttributeError("EvalSite is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not EvalSite:
-            return NotImplemented
-        return (self.point, self.N) == (other.point, other.N)
-
-    def __hash__(self):
-        return hash((self.point, self.N))
 
     @property
     def re6(self):

@@ -68,6 +68,7 @@ from math import gcd
 
 from .eisenstein import (
     EisensteinInt,
+    Frozen,
     QOmega,
     _coerce_q,
     count_points_bruteforce,
@@ -107,30 +108,11 @@ def _zmul(a, b):
     return a[0] * b[0] - bb, a[0] * b[1] + a[1] * b[0] - bb
 
 
-class CurvePoint:
+class CurvePoint(Frozen):
     """A point on y^2 = x^3 + D/4, or the point at infinity (x = y = None)."""
 
+    # DescentFailed and sub_torsion's ValueError embed points in the repr
     __slots__ = ("D", "x", "y")
-
-    def __init__(self, D, x, y):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CurvePoint is immutable")
-
-    def __repr__(self):
-        # DescentFailed and sub_torsion's ValueError embed points in this form
-        return f"CurvePoint(D={self.D!r}, x={self.x!r}, y={self.y!r})"
-
-    def __eq__(self, other):
-        if type(other) is not CurvePoint:
-            return NotImplemented
-        return (self.D, self.x, self.y) == (other.D, other.x, other.y)
-
-    def __hash__(self):
-        return hash((self.D, self.x, self.y))
 
     @staticmethod
     def infinity(D):
@@ -339,21 +321,8 @@ def isogeny_to_432(P, p, i):
     return X, Y
 
 
-class CubeSum:
+class CubeSum(Frozen):
     __slots__ = ("u", "v", "target")
-
-    def __init__(self, u, v, target):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "target", target)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CubeSum is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not CubeSum:
-            return NotImplemented
-        return (self.u, self.v, self.target) == (other.u, other.v, other.target)
 
     def verify(self):
         """u^3 + v^3 = target, multiplied through by the denominators."""
@@ -462,25 +431,10 @@ def _witness_mul(n, P, ell):
     return R
 
 
-class TorsionCertificate:
+class TorsionCertificate(Frozen):
     __slots__ = ("primes", "counts", "bound", "nontorsion", "witness")
-
-    def __init__(self, primes, counts, bound, nontorsion, witness=None):
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "nontorsion", nontorsion)
-        # WITNESS_PRIME when it decided, None when [g]P was formed over Q
-        object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TorsionCertificate is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not TorsionCertificate:
-            return NotImplemented
-        return (self.primes, self.counts, self.bound, self.nontorsion, self.witness) == (
-            other.primes, other.counts, other.bound, other.nontorsion, other.witness)
+    # witness: WITNESS_PRIME when it decided, None when [g]P was formed over Q
+    _defaults = {"witness": None}
 
 
 def nontorsion_certificate(P, p, i):

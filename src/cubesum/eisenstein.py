@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -48,6 +49,68 @@ class TrivialCharacter(ValueError):
 
 class PrimalityOutOfRange(ValueError):
     pass
+
+
+class Record:
+    """Base of the result and record classes: a subclass lists its fields
+    once, in __slots__, and gets construction by position or keyword (with
+    the class's _defaults for fields left out), equality by type and field
+    values, and a Name(field=value, ...) repr.  _fields(obj) is the value
+    of obj's one field, or the tuple of its values when it has several.
+    A Record is mutable and unhashable; see Frozen."""
+
+    __slots__ = ()
+    _defaults = {}
+    _put = staticmethod(setattr)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names, put, n = self.__slots__, self._put, len(args)
+        if n > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, not {n}")
+        if n and kwargs and not kwargs.keys().isdisjoint(names[:n]):
+            raise TypeError(f"{type(self).__name__} got a field both by position and by keyword")
+        for name, value in zip(names, args):
+            put(self, name, value)
+        try:
+            for name, value in kwargs.items():
+                put(self, name, value)
+        except AttributeError:
+            # no instance __dict__: a name outside __slots__ cannot be set
+            raise TypeError(f"{type(self).__name__} has no field {name!r}") from None
+        if n + len(kwargs) < len(names):
+            for name in names[n:]:
+                if name not in kwargs:
+                    if name not in self._defaults:
+                        raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+                    put(self, name, self._defaults[name])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """A Record that refuses assignment after construction and hashes by
+    its field values."""
+
+    __slots__ = ()
+    _put = staticmethod(object.__setattr__)  # past the __setattr__ below
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._fields(self))
 
 
 # Brute-force point counting refuses fields larger than this (keeps oracle
@@ -512,26 +575,10 @@ def normalize_primary(z, target=1):
     raise NoPrimaryAssociate(f"no associate of {z} is {target} mod 3")  # unreachable
 
 
-class PrimeSplit:
+class PrimeSplit(Frozen):
     """p = pi * pibar with pi = 1 mod 3; pi is the representative with b > 0."""
 
     __slots__ = ("p", "pi", "pibar")
-
-    def __init__(self, p, pi, pibar):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "pibar", pibar)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PrimeSplit is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not PrimeSplit:
-            return NotImplemented
-        return (self.p, self.pi, self.pibar) == (other.p, other.pi, other.pibar)
-
-    def __hash__(self):
-        return hash((self.p, self.pi, self.pibar))
 
 
 def _cube_root_of_unity_mod(p):

@@ -47,6 +47,8 @@ import operator
 from .eisenstein import (
     ZERO,
     EisensteinInt,
+    Frozen,
+    Record,
     cubic_char_table,
     is_prime_int,
     residue_map_omega,
@@ -266,7 +268,7 @@ def as_eisenstein(coeffs, M):
     return a
 
 
-class HeckeForm:
+class HeckeForm(Record):
     """The newform's one coefficient store: b[k] = b_(3k+1) for the
     (terms + 2) // 3 slots 3k + 1 <= terms, zero where p | n, and a_n =
     w^e(n) b_n off p | n (units, pairs).  The coefficients do not depend on
@@ -274,19 +276,6 @@ class HeckeForm:
     points of norm above the terms it holds."""
 
     __slots__ = ("p", "i", "N", "terms", "b")
-
-    def __init__(self, p, i, N, terms, b):
-        self.p = p
-        self.i = i
-        self.N = N
-        self.terms = terms
-        self.b = b
-
-    def __eq__(self, other):
-        if type(other) is not HeckeForm:
-            return NotImplemented
-        return (self.p, self.i, self.N, self.terms, self.b) == (
-            other.p, other.i, other.N, other.terms, other.b)
 
     def extend(self, M):
         """Hold at least n <= M; only the missing terms are computed."""
@@ -331,18 +320,8 @@ def nebentypus(p, i, d):
     return unit_power(_psi_exponents(p, -i % 3, False)[1][d * pow(3, -1, p) % p])
 
 
-class TwistReport:
-    __slots__ = ("p", "i", "M", "checked", "ok")
-
-    def __init__(self, p, i, M, checked, ok=True):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "ok", ok)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TwistReport is immutable")
+class TwistReport(Frozen):
+    __slots__ = ("p", "i", "M", "checked")
 
 
 def twist_check(p, i, M):

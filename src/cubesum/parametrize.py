@@ -47,7 +47,7 @@ from .analytic import (
 )
 from .cmpoint import eval_site
 from .curves import CurvePoint, DescentFailed, endo_omega, mul_sqrt_m3, sub_torsion, trace
-from .eisenstein import EisensteinInt, QOmega, split_prime, sqrt_eis
+from .eisenstein import EisensteinInt, Frozen, QOmega, Record, split_prime, sqrt_eis
 from .heckeform import build_form
 
 
@@ -260,43 +260,25 @@ def descend(PK, p, i):
     raise DescentFailed(f"no rational nontorsion point from {PK}")
 
 
-class PipelineResult:
+class PipelineResult(Record):
+    """tall_point is the tall side's exact point P on E(p^i), torsion_form
+    the other side ("f" or "fc") and torsion_point its exact point T = (0,
+    +-p^i/2) on E(p^i); attempts lists the failed attempts before this one."""
+
     __slots__ = ("p", "i", "split", "site", "bits", "terms", "tall_point", "torsion_form",
                  "torsion_point", "point_K", "descent_branch", "point_Q", "certificate", "cube",
                  "checks", "timings_ms", "attempts")
+    _defaults = {"attempts": None}
 
-    def __init__(self, p, i, split, site, bits, terms, tall_point, torsion_form, torsion_point,
-                 point_K, descent_branch, point_Q, certificate, cube, checks, timings_ms,
-                 attempts=None):
-        self.p = p
-        self.i = i
-        self.split = split
-        self.site = site
-        self.bits = bits
-        self.terms = terms
-        self.tall_point = tall_point  # the tall side's exact point P on E(p^i)
-        self.torsion_form = torsion_form  # the other side, "f" or "fc"
-        self.torsion_point = torsion_point  # its exact point T = (0, +-p^i/2) on E(p^i)
-        self.point_K = point_K
-        self.descent_branch = descent_branch
-        self.point_Q = point_Q
-        self.certificate = certificate
-        self.cube = cube
-        self.checks = checks
-        self.timings_ms = timings_ms
-        # the failed attempts before this one
-        self.attempts = [] if attempts is None else attempts
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.attempts is None:
+            self.attempts = []  # a fresh list per result
 
 
 # perfbench/tracer.py binds _attempt_site's `cand` argument and reads cand.site.
-class Candidate:
-    __slots__ = ("site",)
-
-    def __init__(self, site):
-        object.__setattr__(self, "site", site)  # cmpoint.EvalSite
-
-    def __setattr__(self, *_):
-        raise AttributeError("Candidate is immutable")
+class Candidate(Frozen):
+    __slots__ = ("site",)  # cmpoint.EvalSite
 
 
 def _attempt_site(cand, split, p, i, prec, max_terms, form):
