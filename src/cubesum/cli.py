@@ -19,7 +19,7 @@ import time
 import zlib
 from array import array
 
-from .eisenstein import PrimalityOutOfRange, QOmega, Record, _ratio_str, is_prime_int
+from .eisenstein import PrimalityOutOfRange, QOmega, _ratio_str, is_prime_int
 from .heckeform import build_form, conductor_and_level, newform_pairs, spot_check
 
 EXIT_OK = 0
@@ -149,36 +149,28 @@ def point_str(P):
     return f"({q_str(P.x)}, {q_str(P.y)})"
 
 
-class RunReport(Record):
-    # descent_branch is parametrize.descend's branch, e.g. "trace(w^0+)", and
-    # attempts the failed attempts before the win, as in PipelineResult
-    __slots__ = ("p", "i", "pi", "r", "t", "site", "bits", "terms", "point_K", "point_Q",
-                 "descent_branch", "cube_sum", "checks", "timings_ms", "attempts")
-
-    def to_dict(self):
-        # shallow: the fields already hold JSON-ready values, and the
-        # report is dumped once, so a deep copy would buy nothing
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
 def build_report(result):
-    return RunReport(
-        p=result.p,
-        i=result.i,
-        pi=q_str(result.split.pi),
-        r=result.site.point.r,
-        t=result.site.point.t,
-        site=result.site.label(),
-        bits=result.bits,
-        terms=result.terms,
-        point_K=point_str(result.point_K),
-        point_Q=point_str(result.point_Q),
-        descent_branch=result.descent_branch,
-        cube_sum={"u": str(result.cube.u), "v": str(result.cube.v)},
-        checks=result.checks,
-        timings_ms=result.timings_ms,
-        attempts=result.attempts,
-    )
+    """The run report of a PipelineResult: a dict of JSON-ready values.
+    descent_branch is parametrize.descend's branch, e.g. "trace(w^0+)", and
+    attempts the failed attempts before the win."""
+    site = result.site
+    return {
+        "p": result.p,
+        "i": result.i,
+        "pi": q_str(result.split.pi),
+        "r": site.r,
+        "t": site.t,
+        "site": site.label(),
+        "bits": result.bits,
+        "terms": result.terms,
+        "point_K": point_str(result.point_K),
+        "point_Q": point_str(result.point_Q),
+        "descent_branch": result.descent_branch,
+        "cube_sum": {"u": str(result.cube.u), "v": str(result.cube.v)},
+        "checks": result.checks,
+        "timings_ms": result.timings_ms,
+        "attempts": result.attempts,
+    }
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -228,14 +220,18 @@ def json_text(o, pad="\n"):
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+_REPORT_TEXT = """\
+p = {p}, power = {i}  (pi = {pi}, site {site}, r = {r}, t = {t})
+  precision {bits} bits, {terms} q-expansion terms
+  K-point on E(p^{i}):  {point_K}
+  rational point:        {point_Q}
+  cube sum:  ({cube_sum[u]})^3 + ({cube_sum[v]})^3 = {p}^{i}"""
+
+
 def print_report(rep):
-    print(f"p = {rep.p}, power = {rep.i}  (pi = {rep.pi}, site {rep.site}, r = {rep.r}, t = {rep.t})")
-    print(f"  precision {rep.bits} bits, {rep.terms} q-expansion terms")
-    print(f"  K-point on E(p^{rep.i}):  {rep.point_K}")
-    print(f"  rational point:        {rep.point_Q}")
-    u, v = rep.cube_sum["u"], rep.cube_sum["v"]
-    print(f"  cube sum:  ({u})^3 + ({v})^3 = {rep.p}^{rep.i}")
-    for name, val in rep.checks.items():
+    """The text report of a build_report dict."""
+    print(_REPORT_TEXT.format_map(rep))
+    for name, val in rep["checks"].items():
         if isinstance(val, dict) and "ok" in val:
             print(f"  check {name}: {'ok' if val['ok'] else 'FAIL'}")
 
@@ -289,8 +285,7 @@ def cmd_solve(args):
                     print(f"warning: coefficient cache not written: {e}", file=sys.stderr)
         reports.append(build_report(result))
     if args.json:
-        payload = [r.to_dict() for r in reports]
-        print(json_text(payload[0] if len(payload) == 1 else payload))
+        print(json_text(reports[0] if len(reports) == 1 else reports))
     else:
         for rep in reports:
             print_report(rep)
@@ -369,6 +364,10 @@ def cmd_verify(args):
 # ------------------------------------------------------------------- main
 
 
+COMMANDS = {"solve": cmd_solve, "qexp": cmd_qexp, "yseries": cmd_yseries, "fseries": cmd_fseries,
+            "verify": cmd_verify}
+
+
 def _add_common(sp):
     sp.add_argument("p", type=int, help="prime congruent to 4 or 7 mod 9")
     sp.add_argument("--power", default="1", choices=["1", "2"], dest="power")
@@ -397,26 +396,21 @@ def make_parser():
         "--cache-dir", dest="cache_dir", help=f"default: ${CACHE_ENV}, else ~/.cache/cubesum"
     )
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("qexp", help="dump exact newform coefficients (n a b lines)")
     _add_common(sp)
     sp.add_argument("--conjugate", action="store_true")
-    sp.set_defaults(func=cmd_qexp)
 
     sp = sub.add_parser("yseries", help="dump the exact y(q) series")
     _add_common(sp)
     sp.add_argument("--conjugate", action="store_true")
-    sp.set_defaults(func=cmd_yseries)
 
     sp = sub.add_parser("fseries", help="dump the exact cube-root ratio series F(q)")
     _add_common(sp)
     sp.add_argument("--sign", default="+", choices=["+", "-"])
-    sp.set_defaults(func=cmd_fseries)
 
     sp = sub.add_parser("verify", help="run the built-in worked-example fixture suite")
     sp.add_argument("--quick", action="store_true", help="accepted and ignored: the full suite is fast")
-    sp.set_defaults(func=cmd_verify)
     return ap
 
 
@@ -448,7 +442,7 @@ def main(argv=None):
             raise BadInput("--bits must be at least 2, not 1")
         if hasattr(args, "p"):  # every command but verify
             check_solvable_prime(args.p)
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except BadInput as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT

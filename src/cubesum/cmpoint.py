@@ -33,19 +33,11 @@ def solve_r(p):
     return tuple(sorted(roots))
 
 
-class CMPoint(Frozen):
-    __slots__ = ("p", "r", "t")
-
-    @property
-    def denom(self):
-        """3w + 3r, the exact denominator of tau_r."""
-        return EisensteinInt(3 * self.r, 3)
-
-
 class EvalSite(Frozen):
-    """W(tau_r) = (3w + 3r)/N, the Fricke image of the CM point tau_r."""
+    """W(tau_r) = (3w + 3r)/N, the Fricke image of the CM point tau_r of p,
+    with t = (r^2 - r + 1)/(3p)."""
 
-    __slots__ = ("point", "N")
+    __slots__ = ("p", "r", "t", "N")
 
     @property
     def re6(self):
@@ -56,7 +48,7 @@ class EvalSite(Frozen):
         integer either way (r = 2 mod 3), so q^(3p) = e^(6 pi i p site) is
         the real number -e^(-6 pi p Im(site)) here, for every p and i.
         """
-        return 9 * (2 * self.point.r - 1), self.N
+        return 9 * (2 * self.r - 1), self.N
 
     @property
     def im_sqrt3(self):
@@ -64,10 +56,10 @@ class EvalSite(Frozen):
         return 3, 2 * self.N
 
     def to_mpc(self, ctx):
-        return self.point.denom.to_mpc(ctx) / self.N
+        return EisensteinInt(3 * self.r, 3).to_mpc(ctx) / self.N
 
     def label(self):
-        return f"wtau(r={self.point.r})"
+        return f"wtau(r={self.r})"
 
 
 def eval_site(p, i):
@@ -79,4 +71,4 @@ def eval_site(p, i):
     if t % 3 != 1:
         raise AssertionError(f"t = {t} is not 1 mod 3 for r = {r}")
     _, N = conductor_and_level(p, i)
-    return EvalSite(CMPoint(p=p, r=r, t=t), N)
+    return EvalSite(p, r, t, N)

@@ -434,7 +434,6 @@ def _witness_mul(n, P, ell):
 class TorsionCertificate(Frozen):
     __slots__ = ("primes", "counts", "bound", "nontorsion", "witness")
     # witness: WITNESS_PRIME when it decided, None when [g]P was formed over Q
-    _defaults = {"witness": None}
 
 
 def nontorsion_certificate(P, p, i):
@@ -456,7 +455,7 @@ def nontorsion_certificate(P, p, i):
     says which path gave it.
     """
     if P.is_infinity:
-        return TorsionCertificate((), (), 0, False)
+        return TorsionCertificate((), (), 0, False, None)
     if not P.is_rational():
         raise ValueError("certificate applies to rational points")
     D_int = p ** (2 * i)
@@ -472,4 +471,4 @@ def nontorsion_certificate(P, p, i):
     if p != ell and P.x.d % ell and P.y.d % ell and _witness_mul(g, P, ell)[2]:
         return TorsionCertificate((q1, q2), counts, g, True, ell)
     killed = mul(g, P).is_infinity
-    return TorsionCertificate((q1, q2), counts, g, not killed)
+    return TorsionCertificate((q1, q2), counts, g, not killed, None)

@@ -53,14 +53,13 @@ class PrimalityOutOfRange(ValueError):
 
 class Record:
     """Base of the result and record classes: a subclass lists its fields
-    once, in __slots__, and gets construction by position or keyword (with
-    the class's _defaults for fields left out), equality by type and field
-    values, and a Name(field=value, ...) repr.  _fields(obj) is the value
-    of obj's one field, or the tuple of its values when it has several.
-    A Record is mutable and unhashable; see Frozen."""
+    once, in __slots__, and gets construction by position or keyword (every
+    field given), equality by type and field values, and a Name(field=value,
+    ...) repr.  _fields(obj) is the value of obj's one field, or the tuple
+    of its values when it has several.  A Record is mutable and unhashable;
+    see Frozen."""
 
     __slots__ = ()
-    _defaults = {}
     _put = staticmethod(setattr)
 
     def __init_subclass__(cls, **kwargs):
@@ -83,11 +82,8 @@ class Record:
             # no instance __dict__: a name outside __slots__ cannot be set
             raise TypeError(f"{type(self).__name__} has no field {name!r}") from None
         if n + len(kwargs) < len(names):
-            for name in names[n:]:
-                if name not in kwargs:
-                    if name not in self._defaults:
-                        raise TypeError(f"{type(self).__name__} is missing field {name!r}")
-                    put(self, name, self._defaults[name])
+            missing = next(name for name in names[n:] if name not in kwargs)
+            raise TypeError(f"{type(self).__name__} is missing field {missing!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -47,7 +47,6 @@ import operator
 from .eisenstein import (
     ZERO,
     EisensteinInt,
-    Frozen,
     Record,
     cubic_char_table,
     is_prime_int,
@@ -320,16 +319,13 @@ def nebentypus(p, i, d):
     return unit_power(_psi_exponents(p, -i % 3, False)[1][d * pow(3, -1, p) % p])
 
 
-class TwistReport(Frozen):
-    __slots__ = ("p", "i", "M", "checked")
-
-
 def twist_check(p, i, M):
     """Verify b_n = conj(chi)(n) * a_n for n <= M coprime to p, and b_n = 0
     for p | n, between two independent walks: the store's pair walk of the
     rational curve's character psi' and the full-lattice walk of the
     newform's psi, with conj(chi)(n) = conj((pi^i/n)_3) = nebentypus(p, i,
-    n) by cubic reciprocity (both sides vanish off n = 1 mod 3)."""
+    n) by cubic reciprocity (both sides vanish off n = 1 mod 3).  Returns
+    the count of n compared, M - M // p."""
     alpha, beta = [1], [0]
     _walk(p, i, alpha, beta, M)
     a = as_eisenstein((alpha, beta), M)
@@ -338,4 +334,4 @@ def twist_check(p, i, M):
         want = nebentypus(p, i, n) * a[n] if n % p else ZERO
         if b[n] != want:
             raise MismatchAt(n, b[n], want)
-    return TwistReport(p=p, i=i, M=M, checked=M - M // p)
+    return M - M // p

@@ -268,12 +268,6 @@ class PipelineResult(Record):
     __slots__ = ("p", "i", "split", "site", "bits", "terms", "tall_point", "torsion_form",
                  "torsion_point", "point_K", "descent_branch", "point_Q", "certificate", "cube",
                  "checks", "timings_ms", "attempts")
-    _defaults = {"attempts": None}
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self.attempts is None:
-            self.attempts = []  # a fresh list per result
 
 
 # perfbench/tracer.py binds _attempt_site's `cand` argument and reads cand.site.
@@ -373,6 +367,7 @@ def _attempt_site(cand, split, p, i, prec, max_terms, form):
         cube=cube,
         checks=checks,
         timings_ms=timings,
+        attempts=[],  # solve_pipeline puts the failed attempts here
     )
 
 

@@ -17,7 +17,6 @@ from cubesum.cli import (
     EXIT_FIXTURE_FAIL,
     EXIT_OK,
     EXIT_PRECISION,
-    RunReport,
     read_cache,
     write_cache,
 )
@@ -57,26 +56,88 @@ def test_solve_json_schema(tmp_path, capsys):
     assert u**3 + v**3 == 13
 
 
-def test_report_roundtrip(tmp_path, capsys):
-    code, out, _ = run_cli(["solve", "7", "--json", "--cache-dir", str(tmp_path)], capsys)
-    rep = RunReport(**json.loads(out))
-    assert json.loads(out) == rep.to_dict()
+def test_report_roundtrip():
+    # the report is a dict of JSON-ready values: its JSON reads back as itself
+    from cubesum.parametrize import solve_pipeline
+
+    rep = cli.build_report(solve_pipeline(7, 1))
+    assert json.loads(cli.json_text(rep)) == rep
 
 
 def test_report_dict_dumps_as_asdict():
-    # to_dict is shallow; its JSON must be that of a deep copy of the
-    # report's fields (what dataclasses.asdict gave), here on a solved
-    # report with a failed attempt and the witness in its checks
-    import copy
-
+    # the report dict is written byte for byte as json.dumps writes it,
+    # here on a solved report with a failed attempt and the witness in its
+    # checks
     from cubesum.curves import WITNESS_PRIME
     from cubesum.parametrize import solve_pipeline
 
     rep = cli.build_report(solve_pipeline(103, 2))
-    assert rep.attempts and rep.checks["nontorsion_certificate"]["witness"] == WITNESS_PRIME
-    dump = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
-    deep = copy.deepcopy({name: getattr(rep, name) for name in RunReport.__slots__})
-    assert dump == json.dumps(deep, indent=2, sort_keys=True)
+    assert rep["attempts"] and rep["checks"]["nontorsion_certificate"]["witness"] == WITNESS_PRIME
+    assert cli.json_text(rep) == json.dumps(rep, indent=2, sort_keys=True)
+
+
+# sha256 of a solve's --json report without its timing lines (the lines
+# holding '_ms": '), as the CI step "Full JSON report bytes" checks it, and
+# of its text report, which carries no timings
+_REPORT_DIGESTS = {
+    ("61", "2"): ("80a345b101c4acdbd1c9ddd91919ac23c448aaae1a7ff6e0d5f5c7e73ba6015a",
+                  "1f36f21f34f9db7c2ce32b25aefee67d2100879dcdb7635d7ecd6b23ee791f4a"),
+    ("7", "both"): ("ce873f5896660ac435b15d9ecdfdba633d26798e15af3d0a4e0955d2e503b802",
+                    "0b2b2d6dbc8394b7efb519bdfdc279ece8861e8d2e723040569d4c35134035bf"),
+    ("103", "2"): ("736e8b5b80519109b0aaa961ace505a68ec5dcd35b970d5ece8fb1b45947301e",
+                   "226455112f233fec0fdf586df76880794c47ac98cf9fe92eccc196446563595d"),
+}
+
+
+@pytest.mark.parametrize("p, power", list(_REPORT_DIGESTS), ids="^".join)
+def test_json_report_bytes_are_pinned(p, power, tmp_path, capsys):
+    code, out, err = run_cli(["solve", p, "--power", power, "--json", "--cache-dir", str(tmp_path)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    kept = "".join(line for line in out.splitlines(keepends=True) if '_ms": ' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == _REPORT_DIGESTS[p, power][0]
+
+
+@pytest.mark.parametrize("p, power", list(_REPORT_DIGESTS), ids="^".join)
+def test_text_report_bytes_are_pinned(p, power, tmp_path, capsys):
+    code, out, err = run_cli(["solve", p, "--power", power, "--cache-dir", str(tmp_path)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_DIGESTS[p, power][1]
+
+
+def test_bits_help_states_the_ladder(monkeypatch):
+    # the --bits help spells the default ladder out in literals, since
+    # building the parser must not import parametrize; here each number is
+    # read back and checked against parametrize and the ladder it runs
+    import argparse
+
+    from cubesum import parametrize as par
+
+    solve = next(a for a in cli.make_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["solve"]
+    text = " ".join(next(a for a in solve._actions if a.dest == "bits").help.split())
+    ladder = r"rung of at least (\d+) bits, and of at least (\d+) times the first"
+    top, ratio = map(int, re.search(ladder, text).groups())
+    default = r"default (\d+) for a power-1 prime below (\d+), else (\d+); each to (\d+) bits"
+    small_first, small_p, first, each_top = map(int, re.search(default, text).groups())
+    assert (small_p, top) == (par.SMALL_P, par.TOP_BITS)
+    assert par.first_bits(small_p - 1, 1) == small_first
+    assert par.first_bits(small_p + 1, 1) == par.first_bits(7, 2) == first
+
+    rungs = []
+
+    def fail(cand, split, p, i, prec, max_terms, form):
+        rungs.append(prec)
+        raise par.RecognitionFailed("stub")
+
+    monkeypatch.setattr(par, "_attempt_site", fail)
+    for p, i, bits, last in ((7, 1, None, each_top), (7, 2, None, each_top), (7, 1, top, ratio * top)):
+        rungs.clear()
+        with pytest.raises(par.PrecisionExhausted):
+            par.solve_pipeline(p, i, bits=bits)
+        assert rungs[0] == (bits or par.first_bits(p, i)) and rungs[-1] == last
+    out = _run_python("-c", "import sys\nfrom cubesum import cli\ncli.make_parser()\n"
+                            "print('cubesum.parametrize' in sys.modules)")
+    assert (out.returncode, out.stdout) == (0, "False\n")
 
 
 _json_keys = st.text(st.characters(codec="utf-8"), max_size=6)

@@ -58,7 +58,7 @@ def test_classify_root_conjugate_swap_and_complement():
 def test_eval_site_p7():
     site = eval_site(7, 1)
     # solve_r(7)[0] = 5 is its own minimal-t representative (t = 1)
-    assert (site.point.r, site.point.t) == (5, 1)
+    assert (site.p, site.r, site.t) == (7, 5, 1)
     assert site.label() == "wtau(r=5)"
     # N = 27p: W(tau_5) has the height of tau_5 itself, 1/(18pt)
     assert site.im_sqrt3 == (3, 2 * 189)
@@ -67,14 +67,14 @@ def test_eval_site_p7():
 
 def test_eval_site_p31_is_the_reference_site():
     site = eval_site(31, 1)
-    assert (site.point.r, site.point.t) == (26, 7)
+    assert (site.p, site.r, site.t) == (31, 26, 7)
     assert site.im_sqrt3 == (3, 2 * site.N)
     assert site.re6 == (9 * (2 * 26 - 1), site.N)
 
 
 def test_candidate_invariants():
     for p, i in ((7, 1), (13, 1), (31, 1), (7, 2), (859, 2)):
-        pt = eval_site(p, i).point
+        pt = eval_site(p, i)
         assert (pt.r**2 - pt.r + 1) == 3 * p * pt.t
         assert pt.t % 3 == 1
         assert pt.r % 3 == 2
@@ -100,8 +100,8 @@ def test_wtau_higher_than_tau_when_t_large():
     # Im tau_r = sqrt(3) / (18pt): when t > 1 the Fricke image is higher
     for p, i in ((13, 1), (31, 1), (31, 2)):
         site = eval_site(p, i)
-        assert site.point.t > 1
-        assert Fraction(*site.im_sqrt3) > Fraction(1, 18 * p * site.point.t)
+        assert site.t > 1
+        assert Fraction(*site.im_sqrt3) > Fraction(1, 18 * p * site.t)
 
 
 def test_q_to_the_3p_is_real_at_every_site():
@@ -119,8 +119,8 @@ def test_q_to_the_3p_is_real_at_every_site():
     ]
     assert len(sites) == 202
     for site in sites:
-        p = site.point.p
-        assert Fraction(*site.re6) == 6 * Fraction(6 * site.point.r - 3, 2 * site.N)
+        p = site.p
+        assert Fraction(*site.re6) == 6 * Fraction(6 * site.r - 3, 2 * site.N)
         six_p_re = p * Fraction(*site.re6)
         assert six_p_re.denominator == 1 and six_p_re.numerator % 2 == 1
         assert Fraction(*site.re6).denominator == p  # so the kernel takes L = p
