@@ -30,16 +30,17 @@ Machin's formula (fixed_pi), e^z by halving, Taylor terms and squaring
 back (fixed_exp), from which come |q| (fixed_qabs) and the root of unity
 e^(2 pi i Re tau) (fixed_expjpi) of eval_z's set-up, and the g3 and
 Laurent coefficients of Z[w] (_base_lattice, wp_laurent_fixed); a failed
-recognition prints x from its pair (fixed_str).  So a solve never imports
-mpmath.  It is imported, on first use, only by the callers that work in
-mpc: the tests' oracles, eval_z at an mpc site (to read tau; its q is
-set up by the same integer code), the Fricke constant and the cusp image
-z0 = L(f, 1) (_fricke), which convert at the boundary (mpc_to_fixed,
-fixed_to_mpc).  The q-sum's length M comes from a proven tail bound in
-floats (terms_needed).  "Lies in L" always means a residual below
-2^(-prec/2): of the lattice coordinates from the nearest integers
-(PeriodLattice.contains), or of z/Omega reduced to the Voronoi cell of 0
-(wp_eval, which raises PoleAtLatticePoint there).
+recognition prints x from its pair (fixed_str).  Every site of eval_z
+is exact, 6 Re(tau) a rational and Im(tau) = a sqrt(s)/d (a Site or a
+cmpoint.EvalSite), and the verify fixtures work on the same pairs: the
+Fricke constant and the cusp image z0 = L(f, 1) at three sites on the
+imaginary axis (_fricke), and the Gauss sum from roots of unity
+(gauss_sum).  So no command imports mpmath: only the tests' oracles and
+the benchmark's tracer do (analytic.mp).  The q-sum's length M comes from
+a proven tail bound in floats (terms_needed).  "Lies in L" always means a
+residual below 2^(-prec/2): of the lattice coordinates from the nearest
+integers (PeriodLattice.contains), or of z/Omega reduced to the Voronoi
+cell of 0 (wp_eval, which raises PoleAtLatticePoint there).
 """
 
 from __future__ import annotations
@@ -50,16 +51,16 @@ import math
 import operator
 from fractions import Fraction
 
-from .cmpoint import EvalSite
-from .eisenstein import EisensteinInt, Frozen, QOmega
+from .eisenstein import EisensteinInt, Frozen, QOmega, cubic_char_table
 from .heckeform import build_form, conductor_and_level, split_prime
 
 GUARD_BITS = 32
 
 
 def __getattr__(name):
-    """analytic.mp, mpmath's context, imported on first use: the callers that
-    work in mpc read it here, and a solve never does."""
+    """analytic.mp, mpmath's context, imported on first use.  Its one reader
+    is the benchmark's tracer (perfbench/tracer.py), which reads Im(tau)
+    through EvalSite.to_mpc; no command does."""
     if name == "mp":
         from mpmath import mp
 
@@ -76,23 +77,6 @@ class TorsionCheckFailed(AssertionError):
 
 
 # ------------------------------------------------------ fixed-point pairs
-
-
-def mpc_to_fixed(v, W):
-    """The fixed-point pair of a complex number (mpc, mpf or Python number)
-    at W: its components times 2^W, floored."""
-    from mpmath import mp
-    from mpmath.libmp import to_fixed
-
-    v = mp.mpc(v)
-    return to_fixed(v.real._mpf_, W), to_fixed(v.imag._mpf_, W)
-
-
-def fixed_to_mpc(v, W):
-    """The mpc of a fixed-point pair at W, rounded to the working precision."""
-    from mpmath import mp
-
-    return mp.mpc(mp.ldexp(v[0], -W), mp.ldexp(v[1], -W))
 
 
 def fixed_str(v, W, bits):
@@ -252,19 +236,22 @@ def fixed_expjpi(a, b, W):
     return c >> 12, s >> 12
 
 
-def fixed_qabs(num, den, W):
-    """|q| = e^(-2 pi Im tau) at Im tau = sqrt(3) num/den, for integers 0 <=
-    2 num <= den, floored at W, off by under 1 + 2^-9 units of 2^-W.
+def fixed_qabs(s, a, d, W):
+    """|q| = e^(-2 pi Im tau) at Im tau = a sqrt(s)/d, for integers s >= 1,
+    a >= 0 and d > 0 with a sqrt(s)/d <= sqrt(3)/2, floored at W, off by
+    under 1 + 2^-9 units of 2^-W.
 
-    At P = W + 12, x = 2 pi sqrt(3) num/den is formed from fixed_pi(P)
-    (off by under 1 + 2^-8 units) and the floor of sqrt(3) 2^P (under one):
-    their product is off by under sqrt(3) (1 + 2^-8) + pi < 4.9 units, so
-    x, with 2 num/den <= 1 and its own floor, by under 5.9.  e^-x moves by
-    at most that much (x >= 0), and fixed_exp adds under 1 + 2^-8: under 7
-    units of 2^-P, 2^-9 units of 2^-W, before the floor.
+    At P = W + 12, x = 2 pi a sqrt(s)/d is formed from fixed_pi(P) (off by
+    under 1 + 2^-8 units) and isqrt(s 2^2P), the floor of sqrt(s) 2^P: exact
+    where s is a square, else under one unit off.  As 2a/d <= sqrt(3/s),
+    their product is off by under sqrt(3) (1 + 2^-8) + pi sqrt(3/2) < 5.6
+    units (the second term is 0 at s = 1 and at most pi sqrt(3/s) from s =
+    2 on), so x, with its own floor, by under 6.6; and x <= pi sqrt(3).  e^-x
+    moves by at most that much (x >= 0), and fixed_exp adds under 1 + 2^-8:
+    under 7.7 units of 2^-P, 2^-9 units of 2^-W, before the floor.
     """
     P = W + 12
-    x = fixed_pi(P) * fixed_sqrt3(P) * 2 * num // (den << P)
+    x = fixed_pi(P) * math.isqrt(s << 2 * P) * 2 * a // (d << P)
     return fixed_exp((-x, 0), P)[0] >> 12
 
 
@@ -404,36 +391,6 @@ def recognize_eisenstein(v, W, norm_bits):
     return (x, n) if miss2 << 2 * norm_bits < 64 << 2 * W else None
 
 
-# ------------------------------------------------------- Laurent expansion
-
-
-def wp_laurent_coefficients(g3, count):
-    """[G_6, G_12, ..., G_{6*count}] for a lattice with g2 = 0.
-
-    Works over any coefficient ring with +, * and exact division by Python
-    ints (exact K-elements or mpmath numbers).  Writing wp = z^-2 +
-    sum c_m z^(2m-2), differentiating wp'^2 = 4 wp^3 - g3 gives the classical
-    recurrence c_m = 3 sum_{h=2}^{m-2} c_h c_{m-h} / ((m-3)(2m+1)) with
-    c_2 = 0, c_3 = g3/28; then G_{2m} = c_m / (2m-1).  With g2 = 0 only
-    m = 0 mod 3 survives, i.e. the weights 6, 12, 18, ...  The sum is
-    symmetric in h <-> m - h, so each product is formed once.
-    """
-    zero = g3 - g3
-    mmax = 3 * count
-    c = [zero] * (mmax + 1)
-    if mmax >= 3:
-        c[3] = g3 / 28
-    for m in range(6, mmax + 1, 3):
-        s = zero
-        for h in range(3, (m + 1) // 2, 3):  # h < m - h
-            s = s + c[h] * c[m - h]
-        s = s * 2
-        if m % 6 == 0:
-            s = s + c[m // 2] * c[m // 2]
-        c[m] = (s * 3) / ((m - 3) * (2 * m + 1))
-    return [c[3 * k + 3] / (6 * k + 5) for k in range(count)]
-
-
 # ----------------------------------------------------------- base lattice
 
 
@@ -444,10 +401,14 @@ _base_cache = {}
 
 def wp_laurent_fixed(g3, count, B):
     """[c_3, c_6, ..., c_(3 count)] of wp = z^-2 + sum c_m z^(2m-2) for a
-    lattice with g2 = 0, as integers scaled by 2^B from g3 at B: the
-    recurrence of wp_laurent_coefficients with m = 3j, c_(3j) = sum_(a=1)^(j-1)
-    c_(3a) c_(3j-3a) / ((j - 1)(6j + 1)) and c_3 = g3/28.  Each sum of
-    products is exact at 2^(2B), with one floor per coefficient."""
+    lattice with g2 = 0, as integers scaled by 2^B from g3 at B.
+
+    Differentiating wp'^2 = 4 wp^3 - g3 gives the classical recurrence c_m =
+    3 sum_(h=2)^(m-2) c_h c_(m-h) / ((m - 3)(2m + 1)) with c_2 = 0 and c_3 =
+    g3/28; with g2 = 0 only m = 0 mod 3 survives, and at m = 3j it reads
+    c_(3j) = sum_(a=1)^(j-1) c_(3a) c_(3j-3a) / ((j - 1)(6j + 1)).  The sum
+    is symmetric in a <-> j - a, so each product is formed once.  Each sum
+    of products is exact at 2^(2B), with one floor per coefficient."""
     c = [0, g3 // 28]
     for j in range(2, count + 1):
         s = 2 * sum(map(operator.mul, c[1 : (j + 1) // 2], c[j - 1 : j // 2 : -1]))
@@ -502,7 +463,7 @@ def _base_lattice(prec):
     W = prec + GUARD_BITS
     kmax = int((prec + 48) / (-6 * math.log2(SERIES_RADIUS))) + 6
     B = W + 2 * kmax.bit_length() + 48
-    Q = fixed_qabs(1, 2, B)  # |q| = e^(-pi sqrt(3)), Im w = sqrt(3)/2
+    Q = fixed_qabs(3, 1, 2, B)  # |q| = e^(-pi sqrt(3)), Im w = sqrt(3)/2
     nmax = B // 7 + 8
     sigma3 = [0] * (nmax + 1)
     sigma5 = [0] * (nmax + 1)
@@ -730,18 +691,20 @@ def terms_needed(im_tau, prec):
     return max(M, 16)
 
 
+class Site(Frozen):
+    """A site tau of eval_z, given exactly: re6 = (a6, d6) with 6 Re(tau) =
+    a6/d6, and im = (s, a, d) with Im(tau) = a sqrt(s)/d <= sqrt(3)/2 (as
+    fixed_qabs asks), all ints.  cmpoint.EvalSite has the same two fields;
+    the Fricke sites of _fricke lie on the imaginary axis, re6 = (0, 1)."""
+
+    __slots__ = ("re6", "im")
+
+
 def site_terms(site, prec):
-    """terms_needed at a cmpoint.EvalSite, keyed by Im(tau) = sqrt(3) a/d
-    (EvalSite.im_sqrt3) as a float, so that no mpc is built for it."""
-    a, d = site.im_sqrt3
-    return terms_needed(math.sqrt(3) * (a / d), prec)
-
-
-def _dyadic(x):
-    """The mpf x as the rational it is: its _mpf_ holds the sign, the
-    unsigned mantissa and the exponent."""
-    sign, man, exp, _ = x._mpf_
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
+    """terms_needed at a site, keyed by Im(tau) = a sqrt(s)/d (site.im) as
+    a float."""
+    s, a, d = site.im
+    return terms_needed(math.sqrt(s) * (a / d), prec)
 
 
 KERNEL_GUARD_BITS = 2
@@ -751,6 +714,7 @@ def eval_z(form, site, prec=192):
     """(z, z^c): z(tau) = sum a_n/n q^n over n <= M = terms_needed(Im tau,
     prec), the Abel-Jacobi image of tau, for the form and its conjugate,
     from one pass over the compact slots, as pairs at prec + GUARD_BITS.
+    The site is exact: a Site or a cmpoint.EvalSite (re6 and im).
     The form must carry at least M coefficients (a ValueError otherwise).
 
     a_n vanishes off n = 1 mod 3, so z = q P(x) with x = q^3 and P(x) =
@@ -763,19 +727,18 @@ def eval_z(form, site, prec=192):
     Columns: the slots split by k mod L into L columns, U = sum_(j < L)
     x^j U_j with U_j = sum_g alpha_n/n X^g over n = 3(j + Lg) + 1 and X =
     x^L, and V likewise.  With l = lcm(den, p), den the denominator of 6
-    Re(tau) (read exactly: EvalSite.re6 at a cmpoint.EvalSite, or the
-    dyadic rational an mpf is), L is the multiple of l nearest isqrt(K), at least l, or K (one
-    row) where that reaches K.  So X = e^(6 pi i L tau) = (-1)^(6 L Re tau)
-    e^(-6 pi L Im tau) is real wherever a second row exists, and a column
-    holds one residue of n mod p.  Off p | n it is a unit column, U_j + V_j
-    w = w^e S_j with S_j = sum_g b_n (X^g // n).  The S_j are summed row by
-    row: row g is the L slots from Lg, and only its nonzero b_n are visited
-    (itertools.compress; at the solve sites over half the slots hold b_n =
-    0), each adding one floor division and one small-integer product into
-    its column's S_j; then U_j and V_j are S_j times the unit's
-    coordinates.  A column of n = pm (1/p of the slots, b_n = 0 there) is
-    pibar times the sum of its a_m (alpha_m, beta_m), whose slots k // p
-    are the first K/p + 1 of the store.  Each sum is the same integer in
+    Re(tau) = a6/d6 (site.re6), L is the multiple of l nearest isqrt(K), at
+    least l, or K (one row) where that reaches K.  So X = e^(6 pi i L tau) =
+    (-1)^(6 L Re tau) e^(-6 pi L Im tau) is real wherever a second row
+    exists, and a column holds one residue of n mod p.  Off p | n it is a
+    unit column, U_j + V_j w = w^e S_j with S_j = sum_g b_n (X^g // n).
+    The S_j are summed row by row: row g is the L slots from Lg, and only
+    its nonzero b_n are visited (itertools.compress; at the solve sites over
+    half the slots hold b_n = 0), each adding one floor division and one
+    small-integer product into its column's S_j; then U_j and V_j are S_j
+    times the unit's coordinates.  A column of n = pm (1/p of the slots,
+    b_n = 0 there) is pibar times the sum of its a_m (alpha_m, beta_m),
+    whose slots k // p are the first K/p + 1 of the store.  Each sum is the same integer in
     any order, so the order of the terms leaves z unchanged to the bit.
     The columns are combined by rectangular splitting in x:
     with B = isqrt(L), the baby steps x^i (i < B) are formed once, a block
@@ -810,30 +773,15 @@ def eval_z(form, site, prec=192):
 
     Set-up: q = E zeta with E = e^(-2 pi Im tau) (one real exp) and zeta =
     e^(2 pi i Re tau) (one root of unity) at Wq = W + 8 + (3L).bit_length()
-    bits, each floored within 1 + 2^-8 units.  zeta is fixed_expjpi of 2
-    Re(tau) = a6/(3 d6) at every site.  E is fixed_qabs of the ints
-    EvalSite.im_sqrt3 at an EvalSite; at an mpc, mpmath reads only y = 2 pi
-    Im(tau), at Wq + 16 bits (two roundings, a relative error under 2^-(Wq
-    + 14)) floored at P = Wq + 12, so off by under y/4 + 1 units of 2^-P.
-    e^-y moves by under (y/4 + 1) e^-y < 1.1 units, fixed_exp adds under 1
-    + 2^-8, and the shift to Wq leaves under 2^-10 units before the floor.
+    bits, each floored within 1 + 2^-8 units: zeta is fixed_expjpi of 2
+    Re(tau) = a6/(3 d6) and E is fixed_qabs of site.im = (s, a, d).
     x = q^3 and X = (-1)^(6 L Re tau) E^(3L) come from integer products
     (the (3L).bit_length() bits absorb E's error, raised to the 3L-th
     power) and are rounded to W, each off by about one unit of 2^-W.
     The last product, q (U + V w) and q (U + V conj(w)), is in integers too.
     """
-    exact = isinstance(site, EvalSite)
-    if exact:
-        M = site_terms(site, prec)
-        a6, d6 = site.re6  # 6 Re(tau) = a6/d6
-    else:
-        from mpmath import mp
-
-        with mp.workprec(prec + GUARD_BITS):
-            tau = mp.mpc(site)
-            M = terms_needed(tau.imag, prec)
-        re = _dyadic(tau.real)
-        a6, d6 = 6 * re.numerator, re.denominator
+    M = site_terms(site, prec)
+    a6, d6 = site.re6  # 6 Re(tau) = a6/d6
     if M > form.terms:
         raise ValueError(f"form has {form.terms} coefficients, site needs {M}")
     W = prec + GUARD_BITS + KERNEL_GUARD_BITS + 2 * M.bit_length()
@@ -842,12 +790,7 @@ def eval_z(form, site, prec=192):
     ell = math.lcm(d6 // math.gcd(a6, d6), p)
     L = min(ell * max(1, round(math.isqrt(K) / ell)), K)
     Wq = W + 8 + (3 * L).bit_length()
-    if exact:
-        E = fixed_qabs(*site.im_sqrt3, Wq)
-    else:
-        with mp.workprec(Wq + 16):
-            y = int(mp.floor(mp.ldexp(2 * mp.pi * tau.imag, Wq + 12)))
-        E = fixed_exp((-y, 0), Wq + 12)[0] >> 12
+    E = fixed_qabs(*site.im, Wq)
     zr, zi = fixed_expjpi(a6, 3 * d6, Wq)  # 2 Re(tau) = a6/(3 d6)
     q = (E * zr >> Wq, E * zi >> Wq)
     X, n = 1 << Wq, 3 * L
@@ -917,82 +860,97 @@ def eval_z(form, site, prec=192):
     )
 
 
-def _fricke(p, i, prec, at, form):
+def _fricke(p, i, prec):
     """(C, z_f(tau0), z_fc(tau0)) at the Fricke involution's fixed point
-    tau0 = i/sqrt(N), from z alone.
+    tau0 = i/sqrt(N), from z alone, as pairs at W = prec + GUARD_BITS.
 
     f(W tau) = C N tau^2 f^c(tau) with W tau = -1/(N tau) gives d/dtau
     z_f(W tau) = C dz_fc/dtau, so z_f(W tau) = C z_fc(tau) + z0 with a
-    constant z0 (the image of the cusp 0), and the two sites tau0 = W tau0
-    and `at` give C = (z_f(tau0) - z_f(W at)) / (z_fc(tau0) - z_fc(at)).
-    `at` defaults to 2 tau0, so W at = tau0/2.  `form` is extended in place
-    to the terms the lowest site needs; one is built when it is missing.
+    constant z0 (the image of the cusp 0), and the sites tau0 = W tau0 and
+    2 tau0, with W(2 tau0) = tau0/2, give C = (z_f(tau0) - z_f(tau0/2)) /
+    (z_fc(tau0) - z_fc(2 tau0)).  The three sites lie on the imaginary axis,
+    at Im tau = sqrt(N)/N, 2 sqrt(N)/N and sqrt(N)/(2N).
     """
-    from mpmath import mp
-
     _, N = conductor_and_level(p, i)
-    with mp.workprec(prec + GUARD_BITS):
-        tau0 = mp.mpc(0, 1) / mp.sqrt(N)
-        a = 2 * tau0 if at is None else mp.mpc(at)
-        wa = -1 / (N * a)
-        M = terms_needed(min(a.imag, wa.imag, tau0.imag), prec)
-        if form is None:
-            form = build_form(p, i, M)
-        form.extend(M)
-        W = prec + GUARD_BITS
-        z_f, z_fc = (fixed_to_mpc(z, W) for z in eval_z(form, tau0, prec))
-        z_wa = fixed_to_mpc(eval_z(form, wa, prec)[0], W)
-        z_a = fixed_to_mpc(eval_z(form, a, prec)[1], W)
-        C = (z_f - z_wa) / (z_fc - z_a)
-        return C, z_f, z_fc
+    tau0, double, half = (Site((0, 1), (N, a, d)) for a, d in ((1, N), (2, N), (1, 2 * N)))
+    form = build_form(p, i, site_terms(half, prec))
+    z_f, z_fc = eval_z(form, tau0, prec)
+    zh, zd = eval_z(form, half, prec)[0], eval_z(form, double, prec)[1]
+    num, den = (z_f[0] - zh[0], z_f[1] - zh[1]), (z_fc[0] - zd[0], z_fc[1] - zd[1])
+    return fixed_div(num, den, prec + GUARD_BITS), z_f, z_fc
 
 
-def fricke_constant(p, i, prec=192, at=None, form=None):
-    """C with f(-1/(N tau)) = C N tau^2 f^c(tau), measured from z (_fricke).
+def fricke_constant(p, i, prec=192):
+    """C with f(-1/(N tau)) = C N tau^2 f^c(tau), measured from z (_fricke),
+    as a pair at W = prec + GUARD_BITS.
 
     Contracts: |C| = 1 and C^6 = pi^(2i)/pibar^(2i) (up to the sixth root of
-    unity that stays unpinned); both are asserted by the acceptance suite
-    rather than here.  `at` is the second site, off the fixed point; `form`
-    is extended in place to the terms the sites need.
+    unity that stays unpinned); verify's fixtures check both, not this.
     """
-    return _fricke(p, i, prec, at, form)[0]
+    return _fricke(p, i, prec)[0]
 
 
 def l_value_and_cusp_zero(p, i, prec=192, conjugate=False):
-    """(z0, True) where z0 = L(f, 1) is the Abel-Jacobi image of the cusp 0.
+    """z0 = L(f, 1), the Abel-Jacobi image of the cusp 0, as a pair at W =
+    prec + GUARD_BITS.
 
     Splits the integral at the fixed point of the Fricke involution:
     z0 = z_f(i/sqrt(N)) - C z_fc(i/sqrt(N)).  Checks that z0 is a primitive
     sqrt(-3)-division point of the period lattice and that its wp-image has
-    x = 0 (so y = +-pibar^i/2); raises TorsionCheckFailed otherwise.
+    x = 0 (so y = +-pibar^i/2), each up to 2^-(prec-40) max(1, |y|),
+    compared in integers (squared); raises TorsionCheckFailed otherwise.
     conjugate=True does the same for f^c from f's pairs, swapped.
     """
-    from mpmath import mp
-
     split = split_prime(p)
-    C, z_f, z_fc = _fricke(p, i, prec, None, None)
-    with mp.workprec(prec + GUARD_BITS):
-        if conjugate:  # at tau0 = -1/(N tau0), f^c's constant is 1/C
-            C, z_f, z_fc = 1 / C, z_fc, z_f
-        z0 = z_f - C * z_fc
+    base = split.pi if conjugate else split.pibar
+    W = prec + GUARD_BITS
+    C, z_f, z_fc = _fricke(p, i, prec)
+    if conjugate:  # at tau0 = -1/(N tau0), f^c's constant is 1/C
+        C, z_f, z_fc = fixed_div((1 << W, 0), C, W), z_fc, z_f
+    cz = fixed_mul(C, z_fc, W)
+    z0 = (z_f[0] - cz[0], z_f[1] - cz[1])
 
-        D = (split.pi if conjugate else split.pibar) ** (2 * i)
-        L = lattice_of_curve(D, prec)
-        W = L.W
-        z0s3 = mpc_to_fixed(z0 * mp.mpc(0, 1) * mp.sqrt(3), W)
-        if not L.contains(z0s3, tol_bits=prec // 2):
-            res = L.residual(z0s3) / 2**W
-            raise TorsionCheckFailed(f"sqrt(-3)*z0 not in L (residual {res:.3g})")
-        z0f = mpc_to_fixed(z0, W)
-        if L.residual(z0f) < 1 << (W - 2):
-            raise TorsionCheckFailed("z0 lies in L itself; cusp image is not primitive")
-        x, ypr = (fixed_to_mpc(v, W) for v in wp_eval(L, z0f))
-        y = ypr / 2
-        tol = mp.mpf(2) ** (-(prec - 40))
-        scale = max(1, abs(y))
-        if abs(x) > tol * scale:
-            raise TorsionCheckFailed(f"wp(z0) = {x} is not 0")
-        half = (split.pi if conjugate else split.pibar).to_mpc(mp) ** i / 2
-        if min(abs(y - half), abs(y + half)) > tol * scale:
-            raise TorsionCheckFailed(f"wp'(z0)/2 = {y} is not +-pibar^i/2")
-        return z0, True
+    L = lattice_of_curve(base ** (2 * i), prec)
+    s3 = fixed_sqrt3(W)
+    z0s3 = (-z0[1] * s3 >> W, z0[0] * s3 >> W)  # z0 sqrt(-3)
+    if not L.contains(z0s3, tol_bits=prec // 2):
+        res = L.residual(z0s3) / 2**W
+        raise TorsionCheckFailed(f"sqrt(-3)*z0 not in L (residual {res:.3g})")
+    if L.residual(z0) < 1 << (W - 2):
+        raise TorsionCheckFailed("z0 lies in L itself; cusp image is not primitive")
+    x, wpd = wp_eval(L, z0)
+    y = (wpd[0] >> 1, wpd[1] >> 1)
+    hr, hi = fixed_of(base.to_q() ** i / 2, W)
+    x2, y2 = x[0] * x[0] + x[1] * x[1], y[0] * y[0] + y[1] * y[1]
+    d2 = min((y[0] - hr) ** 2 + (y[1] - hi) ** 2, (y[0] + hr) ** 2 + (y[1] + hi) ** 2)
+    # |.|^2 > 2^-2(prec-40) max(1, |y|^2), all scaled by 2^(2W)
+    tol = max(1 << 2 * W, y2)
+    if x2 << 2 * (prec - 40) > tol:
+        raise TorsionCheckFailed(f"|wp(z0)| = 2^{(math.log2(x2) - 2 * W) / 2:.2f} is not 0")
+    if d2 << 2 * (prec - 40) > tol:
+        raise TorsionCheckFailed(f"wp'(z0)/2 is 2^{(math.log2(d2) - 2 * W) / 2:.2f} from +-pibar^i/2")
+    return z0
+
+
+def gauss_sum(p, pi, prec=160):
+    """tau(chi) = sum_u chi(u) e^(2 pi i u/p) for chi = (./pi)_3, as a pair
+    at W = prec + GUARD_BITS, off by under 3p units of 2^-W per component.
+
+    With S_k the sum of e^(pi i 2u/p) (fixed_expjpi, each off by under 1 +
+    2^-10 units per component) over the u with chi(u) = w^k, tau = S_0 + w
+    S_1 + w^2 S_2 = (S_0 - S_2) + w (S_1 - S_2), as w^2 = -1 - w.  Each u
+    is in one S_k, so each difference is off by under (p - 1)(1 + 2^-10)
+    units per component, and w X = ((-X_re - sqrt(3) X_im) + (sqrt(3) X_re
+    - X_im) i)/2 scales X's error by under (1 + sqrt(3))/2 < 1.37 and adds
+    under 2 units of floors: under 2.37 (p - 1)(1 + 2^-10) + 2 < 3p.
+    """
+    W = prec + GUARD_BITS
+    S = [[0, 0], [0, 0], [0, 0]]
+    for u, k in enumerate(cubic_char_table(p, pi)[1:], 1):
+        c, s = fixed_expjpi(2 * u, p, W)
+        S[k][0] += c
+        S[k][1] += s
+    xr, xi = S[1][0] - S[2][0], S[1][1] - S[2][1]
+    s3 = fixed_sqrt3(W)
+    wr, wi = (-xr - (xi * s3 >> W)) >> 1, ((xr * s3 >> W) - xi) >> 1
+    return S[0][0] - S[2][0] + wr, S[0][1] - S[2][1] + wi

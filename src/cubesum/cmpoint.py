@@ -51,9 +51,9 @@ class EvalSite(Frozen):
         return 9 * (2 * self.r - 1), self.N
 
     @property
-    def im_sqrt3(self):
-        """(a, d) with Im(site) = sqrt(3) a/d, as ints: (3, 2N)."""
-        return 3, 2 * self.N
+    def im(self):
+        """(s, a, d) with Im(site) = a sqrt(s)/d, as ints: (3, 3, 2N)."""
+        return 3, 3, 2 * self.N
 
     def to_mpc(self, ctx):
         return EisensteinInt(3 * self.r, 3).to_mpc(ctx) / self.N

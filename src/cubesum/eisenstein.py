@@ -739,20 +739,6 @@ def jacobi_sum_split(p, pi):
     return counts[0] * ONE + counts[1] * W + counts[2] * W2
 
 
-def gauss_sum(p, pi, prec=160):
-    """tau(chi) = sum_u chi(u) e^(2 pi i u / p) for chi = (./pi)_3, as mpc."""
-    import mpmath
-
-    table = cubic_char_table(p, pi)
-    with mpmath.mp.workprec(prec + 32):
-        omega_c = mpmath.mpc(mpmath.mpf(-1) / 2, mpmath.sqrt(3) / 2)
-        roots = (mpmath.mpc(1), omega_c, omega_c * omega_c)
-        total = mpmath.mpc(0)
-        for u in range(1, p):
-            total += roots[table[u]] * mpmath.e ** (2j * mpmath.pi * u / p)
-        return total
-
-
 def count_points_formula(D, piq):
     """#E~(F_q) for y^2 = x^3 + D/4 at the prime (piq), piq normalized 2 mod 3.
 

@@ -8,16 +8,22 @@ cube sums.  Every check raises AssertionError with a diagnostic on mismatch.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from mpmath import mp
-
+from .analytic import (
+    GUARD_BITS,
+    fixed_mul,
+    fixed_of,
+    fricke_constant,
+    gauss_sum,
+    l_value_and_cusp_zero,
+)
 from .eisenstein import (
     EisensteinInt,
     QOmega,
     count_points_bruteforce,
     count_points_formula,
-    gauss_sum,
     jacobi_sum_cubic,
     jacobi_sum_split,
     normalize_primary,
@@ -63,14 +69,20 @@ def check_jacobi_cubic():
         _eq(jacobi_sum_cubic(qq), EisensteinInt(qq, 0), f"J(chi_{qq}, chi_{qq})")
 
 
+def _near(got, want, W, bits):
+    """Whether the pairs got and want at W lie within 2^-bits of each other,
+    compared in integers (squared)."""
+    return (got[0] - want[0]) ** 2 + (got[1] - want[1]) ** 2 < 1 << 2 * (W - bits)
+
+
 def check_gauss_sums():
+    W = 160 + GUARD_BITS
     for p in (7, 13, 31):
         s = split_prime(p)
-        tau = gauss_sum(p, s.pi, prec=160)
-        with mp.workprec(200):
-            _check(abs(abs(tau) ** 2 - p) < mp.mpf(2) ** -100, f"|tau|^2 != {p}")
-            j = jacobi_sum_split(p, s.pi).to_mpc(mp)
-            _check(abs(tau**3 - p * j) < mp.mpf(2) ** -100, f"tau^3 != p J for {p}")
+        tau = gauss_sum(p, s.pi, 160)
+        _check(abs(tau[0] ** 2 + tau[1] ** 2 - (p << 2 * W)) < 1 << 2 * W - 100, f"|tau|^2 != {p}")
+        tau3, pj = fixed_mul(fixed_mul(tau, tau, W), tau, W), fixed_of(p * jacobi_sum_split(p, s.pi), W)
+        _check(_near(tau3, pj, W, 100), f"tau^3 != p J for {p}")
 
 
 def check_point_counts_quick():
@@ -172,23 +184,19 @@ def check_fseries_31():
 
 
 def check_cusp_landmarks():
-    from .analytic import l_value_and_cusp_zero
-
     for p in (7, 13, 31):
-        z0, ok = l_value_and_cusp_zero(p, 1, 192)
-        _check(ok, f"cusp landmark failed for {p}")
+        l_value_and_cusp_zero(p, 1, 192)  # raises TorsionCheckFailed off the landmark
 
 
 def check_fricke():
-    from .analytic import fricke_constant
-
+    W = 160 + GUARD_BITS
     for p in (7, 13, 31):
         C = fricke_constant(p, 1, 160)
         s = split_prime(p)
-        with mp.workprec(200):
-            _check(abs(abs(C) - 1) < mp.mpf(2) ** -80, f"|C| != 1 for {p}")
-            target = (s.pi.to_mpc(mp) / s.pibar.to_mpc(mp)) ** 2
-            _check(abs(C**6 - target) < mp.mpf(2) ** -80, f"C^6 off for {p}")
+        _check(abs(math.isqrt(C[0] ** 2 + C[1] ** 2) - (1 << W)) < 1 << W - 80, f"|C| != 1 for {p}")
+        c3 = fixed_mul(fixed_mul(C, C, W), C, W)
+        target = fixed_of((s.pi.to_q() / s.pibar.to_q()) ** 2, W)
+        _check(_near(fixed_mul(c3, c3, W), target, W, 80), f"C^6 off for {p}")
 
 
 def _unit_orbit(P):

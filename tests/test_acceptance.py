@@ -12,10 +12,12 @@ from fractions import Fraction
 from mpmath import mp
 
 from cubesum.analytic import (
+    GUARD_BITS,
     l_value_and_cusp_zero,
+    fixed_sqrt3,
     fricke_constant,
+    gauss_sum,
     lattice_of_curve,
-    mpc_to_fixed,
 )
 from cubesum.curves import CurvePoint, add, endo_omega, mul
 from cubesum.eisenstein import (
@@ -26,7 +28,6 @@ from cubesum.eisenstein import (
     SQRT_M3,
     count_points_bruteforce,
     count_points_formula,
-    gauss_sum,
     is_prime_int,
     jacobi_sum_cubic,
     jacobi_sum_split,
@@ -39,6 +40,7 @@ from cubesum.parametrize import solve_pipeline
 from cubesum.qseries import cube_root_series, f_plus_minus_series, y_series
 
 from eisenstein_helpers import exact_div, is_integral
+from mp_helpers import fixed_to_mpc
 
 rng = random.Random(20240902)
 
@@ -219,15 +221,15 @@ def test_criterion_5_jacobi_sums():
 def test_criterion_6_gauss_and_fricke():
     for p in (7, 13, 31):
         s = split_prime(p)
-        tau = gauss_sum(p, s.pi, prec=160)
         with mp.workprec(224):
+            tau = fixed_to_mpc(gauss_sum(p, s.pi, prec=160), 160 + GUARD_BITS)
             assert abs(abs(tau) ** 2 - p) < mp.mpf(2) ** -100
             j = jacobi_sum_split(p, s.pi).to_mpc(mp)
             assert abs(tau**3 - p * j) < mp.mpf(2) ** -100
     for p, i in ((7, 1), (13, 1), (31, 1), (7, 2)):
         s = split_prime(p)
-        C = fricke_constant(p, i, 160)
         with mp.workprec(224):
+            C = fixed_to_mpc(fricke_constant(p, i, 160), 160 + GUARD_BITS)
             assert abs(abs(C) - 1) < mp.mpf(2) ** -80
             target = (s.pi.to_mpc(mp) / s.pibar.to_mpc(mp)) ** (2 * i)
             assert abs(C**6 - target) < mp.mpf(2) ** -80
@@ -244,15 +246,14 @@ def test_criterion_7_cusp_landmarks():
     for p in (7, 13, 31):
         PREC = 192
         s = split_prime(p)
-        z0, ok = l_value_and_cusp_zero(p, 1, PREC)
-        assert ok
+        z0 = l_value_and_cusp_zero(p, 1, PREC)
         L = lattice_of_curve(s.pibar**2, PREC)
+        W, s3 = L.W, fixed_sqrt3(L.W)
         with mp.workprec(PREC + 32):
-            s3 = mp.mpc(0, 1) * mp.sqrt(3)
-            # residuals come back in units of 2^-(PREC + 32)
-            assert L.residual(mpc_to_fixed(z0 * s3, L.W)) < 2 ** (L.W - 96)
-            assert L.residual(mpc_to_fixed(z0, L.W)) > 2 ** (L.W - 2)
-            x, _ = wp_mpc(L, z0, PREC)
+            # residuals come back in units of 2^-(PREC + 32); z0 sqrt(-3) first
+            assert L.residual((-z0[1] * s3 >> W, z0[0] * s3 >> W)) < 2 ** (W - 96)
+            assert L.residual(z0) > 2 ** (W - 2)
+            x, _ = wp_mpc(L, fixed_to_mpc(z0, W), PREC)
             assert abs(x) < mp.mpf(2) ** -96
     _pass(
         "criterion 7: z0 = L(f,1) is a primitive sqrt(-3)-division point of L "

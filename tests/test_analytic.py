@@ -20,22 +20,20 @@ from cubesum.analytic import (
     fixed_pi,
     fixed_qabs,
     fixed_str,
-    fixed_to_mpc,
     fricke_constant,
+    gauss_sum,
     l_value_and_cusp_zero,
     lattice_of_curve,
     fixed_of,
-    mpc_to_fixed,
     principal_root,
     recognize_eisenstein,
     reduce_xi,
     site_terms,
     terms_needed,
     wp_eval,
-    wp_laurent_coefficients,
 )
 from cubesum.cmpoint import eval_site
-from cubesum.eisenstein import EisensteinInt, QOmega, split_prime
+from cubesum.eisenstein import EisensteinInt, QOmega, cubic_char_table, split_prime
 from cubesum.heckeform import (
     HeckeForm,
     as_eisenstein,
@@ -43,8 +41,9 @@ from cubesum.heckeform import (
     conductor_and_level,
     nebentypus,
     newform_pairs,
-    qexp_coefficients,
 )
+
+from mp_helpers import exact_site, fixed_to_mpc, mpc_to_fixed, wp_laurent_coefficients
 
 rng = random.Random(424242)
 
@@ -102,11 +101,11 @@ def wp_mpc(L, z, prec):
         return tuple(fixed_to_mpc(v, W) for v in wp_eval(L, mpc_to_fixed(z, W)))
 
 
-def z_mpc(form, site, prec):
-    """eval_z's (z, z^c) as mpc."""
+def z_mpc(form, tau, prec):
+    """eval_z's (z, z^c) at the mpc tau, read exactly, as mpc."""
     W = prec + GUARD_BITS
     with mp.workprec(W):
-        return tuple(fixed_to_mpc(v, W) for v in eval_z(form, site, prec))
+        return tuple(fixed_to_mpc(v, W) for v in eval_z(form, exact_site(tau), prec))
 
 
 def contains(L, z, tol_bits):
@@ -507,12 +506,28 @@ def test_fixed_expjpi_is_within_its_bound(W, b, frac):
 
 
 @settings(max_examples=60, deadline=None)
-@given(W=st.integers(64, 3200), den=st.integers(2, 10**7), frac=st.floats(0, 1))
-def test_fixed_qabs_is_within_its_bound(W, den, frac):
-    num = int(frac * (den // 2))  # 0 <= 2 num <= den
+@given(
+    W=st.integers(64, 3200),
+    s=st.sampled_from([1, 2, 3, 5, 117, 189, 279]),
+    den=st.integers(2, 10**7),
+    frac=st.floats(0, 1),
+)
+def test_fixed_qabs_is_within_its_bound(W, s, den, frac):
+    num = int(frac * den * math.sqrt(3 / (4 * s)))  # num sqrt(s)/den <= sqrt(3)/2
     with mp.workprec(W + 64):
-        want = mp.exp(-2 * mp.pi * mp.sqrt(3) * mp.mpf(num) / den)
-        assert _units_off(fixed_qabs(num, den, W), want, W) < 1 + mp.mpf(2) ** -9
+        want = mp.exp(-2 * mp.pi * mp.sqrt(s) * mp.mpf(num) / den)
+        assert _units_off(fixed_qabs(s, num, den, W), want, W) < 1 + mp.mpf(2) ** -9
+
+
+@pytest.mark.parametrize("W", [64, 192, 1000, 3104])
+@pytest.mark.parametrize("p, i", [(7, 1), (13, 1), (31, 1), (7, 2), (13, 2)])
+def test_fixed_qabs_at_the_fricke_sites(p, i, W):
+    # |q| at tau0 = i/sqrt(N), 2 tau0 and tau0/2: Im tau = a sqrt(N)/d
+    _, N = conductor_and_level(p, i)
+    for a, d in ((1, N), (2, N), (1, 2 * N)):
+        with mp.workprec(W + 64):
+            want = mp.exp(-2 * mp.pi * a * mp.sqrt(N) / d)
+            assert _units_off(fixed_qabs(N, a, d, W), want, W) < 1 + mp.mpf(2) ** -9
 
 
 @settings(max_examples=300, deadline=None)
@@ -615,10 +630,11 @@ def _sum_form_oracle(coeffs, q, M, divide_by_n):
 CM_SITES = [(13, 1), (7, 1)]
 
 
-# Off the CM sites the kernel reads Re(tau) exactly, as the dyadic rational
-# its mpf is, and at p = 31 takes L = the multiple of l = lcm(den(6 Re(tau)),
-# 31) nearest isqrt(K), at least l, or K (one row) where that reaches K: 3/7,
-# 2/9 and -200/189 have long mantissas (L = K, one row of K columns); 3/8
+# Off the CM sites the test reads tau exactly, as the dyadic rationals its
+# mpfs are (exact_site), and at p = 31 the kernel takes L = the multiple of
+# l = lcm(den(6 Re(tau)), 31) nearest isqrt(K), at least l, or K (one row)
+# where that reaches K: 3/7, 2/9 and -200/189 have long mantissas (L = K,
+# one row of K columns); 3/8
 # has den = 4 and l = 124, so one row up to K = 124, and L = 124 at 192 and
 # 3072 bits (K = 780 and 12153), with X = q^372 < 0 (6 L Re(tau) = 279 is
 # odd); 0, the shape of the Fricke sites, has den = 1 and l = 31, so one
@@ -626,11 +642,11 @@ CM_SITES = [(13, 1), (7, 1)]
 def _site_and_tau(cm, re, im):
     """(site, its mpc value): the CM site of cm = (p, i), or else the mpc
     with real part re (a fraction string, rounded to the working precision)
-    and imaginary part im, as both."""
+    and imaginary part im, and its exact site."""
     if cm is None:
         r = Fraction(re)
         tau = mp.mpc(mp.mpf(r.numerator) / r.denominator, im)
-        return tau, tau
+        return exact_site(tau), tau
     site = eval_site(*cm)
     return site, site.to_mpc(mp)
 
@@ -934,21 +950,38 @@ def test_eval_z_nebentypus_action():
 def test_fricke_constant_unit_modulus_and_sixth_power():
     for p, i in ((7, 1), (13, 1), (31, 1)):
         prec = 160
-        C = fricke_constant(p, i, prec)
         s = split_prime(p)
         with mp.workprec(prec + GUARD_BITS):
+            C = fixed_to_mpc(fricke_constant(p, i, prec), prec + GUARD_BITS)
             assert abs(abs(C) - 1) < mp.mpf(2) ** -80
             target = (s.pi.to_mpc(mp) / s.pibar.to_mpc(mp)) ** (2 * i)
             assert min(abs(C**6 - target), abs(C**6 - target.conjugate())) < mp.mpf(2) ** -80
 
 
+def _re6(x):
+    """re6 of a site with Re(tau) = x, a Fraction."""
+    return (6 * x).numerator, (6 * x).denominator
+
+
 def test_fricke_constant_site_independent():
+    # C from the sites tau0 and at = x + i y/sqrt(N) off the fixed point:
+    # W at = -1/(N at) = (-x + i y/sqrt(N))/n with n = N x^2 + y^2, so both
+    # are exact sites, Im = a sqrt(N)/d
     prec = 128
+    W = prec + GUARD_BITS
     _, N = conductor_and_level(13, 1)
-    with mp.workprec(prec + GUARD_BITS):
-        C1 = fricke_constant(13, 1, prec)
-        C2 = fricke_constant(13, 1, prec, at=mp.mpc(0.01, 1.17 / mp.sqrt(N)))
-        assert abs(C1 - C2) < mp.mpf(2) ** -80
+    x, y = Fraction(1, 100), Fraction(117, 100)
+    n = N * x * x + y * y
+    tau0 = analytic.Site((0, 1), (N, 1, N))
+    at = analytic.Site(_re6(x), (N, y.numerator, N * y.denominator))
+    im = y / (N * n)
+    w_at = analytic.Site(_re6(-x / n), (N, im.numerator, im.denominator))
+    f = build_form(13, 1, max(site_terms(t, prec) for t in (tau0, at, w_at)))
+    z_f, z_fc = eval_z(f, tau0, prec)
+    z_wa, z_a = eval_z(f, w_at, prec)[0], eval_z(f, at, prec)[1]
+    C2 = analytic.fixed_div((z_f[0] - z_wa[0], z_f[1] - z_wa[1]), (z_fc[0] - z_a[0], z_fc[1] - z_a[1]), W)
+    C1 = fricke_constant(13, 1, prec)
+    assert (C1[0] - C2[0]) ** 2 + (C1[1] - C2[1]) ** 2 < 1 << 2 * (W - 80)
 
 
 @pytest.mark.parametrize("p, i", [(7, 1), (13, 1), (31, 1), (7, 2)])
@@ -960,6 +993,7 @@ def test_fricke_constant_satisfies_the_f_identity(p, i):
     _, N = conductor_and_level(p, i)
     C = fricke_constant(p, i, prec)
     with mp.workprec(prec + GUARD_BITS):
+        C = fixed_to_mpc(C, prec + GUARD_BITS)
         tau = mp.mpc(0.1, 1.3) / mp.sqrt(N)
         wtau = -1 / (N * tau)
         M = terms_needed(min(tau.imag, wtau.imag), prec)
@@ -972,11 +1006,46 @@ def test_fricke_constant_satisfies_the_f_identity(p, i):
 
 def test_l_value_and_cusp_zero():
     for p in (7, 13, 31):
-        z0, flag = l_value_and_cusp_zero(p, 1, 192)
-        assert flag
-        assert abs(z0) > 0
-        z0c, flagc = l_value_and_cusp_zero(p, 1, 192, conjugate=True)
-        assert flagc
+        z0 = l_value_and_cusp_zero(p, 1, 192)
+        assert z0 != (0, 0)
+        l_value_and_cusp_zero(p, 1, 192, conjugate=True)
+
+
+@pytest.mark.parametrize("prec", [16, 160, 1000])
+@pytest.mark.parametrize("p", [7, 13, 31, 97])
+def test_gauss_sum_matches_mpmath_within_its_bound(p, prec):
+    # tau(chi) = sum_u chi(u) e^(2 pi i u/p) summed in mpmath 64 bits finer
+    s = split_prime(p)
+    table = cubic_char_table(p, s.pi)
+    W = prec + GUARD_BITS
+    with mp.workprec(W + 64):
+        w = omega_mpc()
+        want = sum(w ** table[u] * mp.expjpi(mp.mpf(2 * u) / p) for u in range(1, p))
+        got = gauss_sum(p, s.pi, prec)
+        assert _units_off(got[0], want.real, W) < 3 * p
+        assert _units_off(got[1], want.imag, W) < 3 * p
+
+
+def _shifted(v, W, radial):
+    """The pair v moved by 2^-60 relative: scaled by 1 + 2^-60 (radial) or
+    turned by 2^-60 radians, to first order."""
+    dr, di = (v[0] >> 60, v[1] >> 60) if radial else (-v[1] >> 60, v[0] >> 60)
+    return v[0] + dr, v[1] + di
+
+
+@pytest.mark.parametrize("radial", [True, False], ids=["radial", "turned"])
+def test_fixture_checks_reject_a_value_off_by_2_to_the_minus_60(monkeypatch, radial):
+    # the integer tolerances of the Gauss-sum and Fricke fixtures reject a
+    # value 2^-60 off: a radial move fails the modulus check, a turn the power
+    from cubesum import fixtures
+
+    W = 160 + GUARD_BITS
+    monkeypatch.setattr(fixtures, "gauss_sum", lambda *a: _shifted(gauss_sum(*a), W, radial))
+    with pytest.raises(AssertionError, match=r"\|tau\|\^2" if radial else r"tau\^3"):
+        fixtures.check_gauss_sums()
+    monkeypatch.setattr(fixtures, "fricke_constant", lambda *a: _shifted(fricke_constant(*a), W, radial))
+    with pytest.raises(AssertionError, match=r"\|C\|" if radial else r"C\^6"):
+        fixtures.check_fricke()
 
 
 def test_terms_needed_monotone():
@@ -1021,8 +1090,8 @@ def test_terms_needed_tail_is_below_2_to_the_minus_prec_at_solve_sites(p, i, pre
     # scaled by 2^prec; every |a_n| on the way is under C n^(3/4)
     site = eval_site(p, i)
     M = site_terms(site, prec)
-    num, den = site.im_sqrt3
-    a = 2 * math.pi * math.sqrt(3) * (num / den)  # -log|q|
+    sq, num, den = site.im
+    a = 2 * math.pi * math.sqrt(sq) * (num / den)  # -log|q|
     alpha, beta = newform_pairs(p, i, 4 * M)
     scale = prec * math.log(2)
     tail = 0.0
@@ -1062,16 +1131,6 @@ def test_terms_needed_meets_its_bound_and_never_exceeds_the_sigma0_bound(im, pre
 def test_terms_needed_refuses_the_lower_half_plane():
     with pytest.raises(ValueError):
         terms_needed(0.0, 96)
-
-
-def test_fricke_constant_extends_a_too_short_form():
-    # a form shorter than the Fricke site needs is extended in place, not summed short
-    want = fricke_constant(7, 1, 160)
-    short = build_form(7, 1, 20)
-    got = fricke_constant(7, 1, 160, form=short)
-    assert got == want
-    assert short.terms > 20
-    assert short.b == qexp_coefficients(7, 1, short.terms)
 
 
 # ------------------------------------------------ recognition over Z[w]

@@ -1051,7 +1051,9 @@ def test_solves_never_import_mpmath(tmp_path, flags):
     # its failure message are integer code, so a solve pays neither mpmath's
     # import nor, where no bytecode is written, its compile.  61^2 cold and
     # warm, 103^1; 103^2 fails its 96-bit rung (RecognitionFailed), so the
-    # message with x in it is built; the capped 61^2 exits 3.
+    # message with x in it is built; the capped 61^2 exits 3.  verify's
+    # fixtures (Gauss sums, the Fricke constant, the cusp image) are
+    # integer code too.
     out = _run_python(*flags, "-c", (
         "import sys\n"
         "from cubesum import cli\n"
@@ -1060,10 +1062,12 @@ def test_solves_never_import_mpmath(tmp_path, flags):
         "codes.append(cli.main(['solve', '103', '--cache-dir', d]))\n"
         "codes.append(cli.main(['solve', '103', '--power', '2', '--json', '--cache-dir', d]))\n"
         "codes.append(cli.main(['solve', '61', '--power', '2', '--max-terms', '100', '--cache-dir', d]))\n"
+        "codes.append(cli.main(['verify']))\n"
         "print(codes, 'mpmath' in sys.modules, file=sys.stderr)\n"
     ))
     assert out.returncode == EXIT_OK, out.stderr
-    assert out.stderr.splitlines()[-1] == f"[0, 0, 0, 0, {EXIT_PRECISION}] False"
+    assert out.stderr.splitlines()[-1] == f"[0, 0, 0, 0, {EXIT_PRECISION}, 0] False"
+    assert out.stdout.count("    ok  ") == 19 and "all fixtures ok" in out.stdout
     assert "x of f = (-5.113157863274 - 3.941169187971j) not recognized" in out.stdout
 
 

@@ -61,14 +61,14 @@ def test_eval_site_p7():
     assert (site.p, site.r, site.t) == (7, 5, 1)
     assert site.label() == "wtau(r=5)"
     # N = 27p: W(tau_5) has the height of tau_5 itself, 1/(18pt)
-    assert site.im_sqrt3 == (3, 2 * 189)
-    assert Fraction(*site.im_sqrt3) == Fraction(1, 18 * 7)
+    assert site.im == (3, 3, 2 * 189)
+    assert Fraction(*site.im[1:]) == Fraction(1, 18 * 7)
 
 
 def test_eval_site_p31_is_the_reference_site():
     site = eval_site(31, 1)
     assert (site.p, site.r, site.t) == (31, 26, 7)
-    assert site.im_sqrt3 == (3, 2 * site.N)
+    assert site.im == (3, 3, 2 * site.N)
     assert site.re6 == (9 * (2 * 26 - 1), site.N)
 
 
@@ -89,8 +89,8 @@ def test_sites_embed_to_upper_half_plane():
             site = eval_site(p, i)
             tau = site.to_mpc(mpmath.mp)
             assert tau.imag > 0
-            a, d = site.im_sqrt3
-            want = mpmath.mpf(a) / d * mpmath.sqrt(3)
+            s, a, d = site.im
+            want = mpmath.mpf(a) / d * mpmath.sqrt(s)
             assert abs(tau.imag - want) < mpmath.mpf(2) ** -60
             a, d = site.re6
             assert abs(6 * tau.real - mpmath.mpf(a) / d) < mpmath.mpf(2) ** -60
@@ -101,7 +101,7 @@ def test_wtau_higher_than_tau_when_t_large():
     for p, i in ((13, 1), (31, 1), (31, 2)):
         site = eval_site(p, i)
         assert site.t > 1
-        assert Fraction(*site.im_sqrt3) > Fraction(1, 18 * p * site.t)
+        assert Fraction(*site.im[1:]) > Fraction(1, 18 * p * site.t)
 
 
 def test_q_to_the_3p_is_real_at_every_site():

@@ -9,7 +9,7 @@ from cubesum.curves import CurvePoint, add, endo_omega, mul
 from cubesum.eisenstein import EisensteinInt, QOmega, is_prime_int, split_prime
 from cubesum.heckeform import build_form
 from cubesum import parametrize
-from cubesum.analytic import GUARD_BITS, fixed_of, fixed_to_mpc, mpc_to_fixed, principal_root
+from cubesum.analytic import GUARD_BITS, Site, fixed_of, principal_root
 from cubesum.cli import point_str
 from cubesum.cmpoint import eval_site
 from cubesum.curves import DescentFailed
@@ -23,7 +23,8 @@ from cubesum.parametrize import (
     recognize,
     solve_pipeline,
 )
-from cubesum.analytic import eval_z, lattice_of_curve, terms_needed
+from cubesum.analytic import eval_z, lattice_of_curve, site_terms
+from mp_helpers import fixed_to_mpc, mpc_to_fixed
 from test_analytic import lattice_omega, omega_mpc
 
 
@@ -31,10 +32,11 @@ def q(a, b=0):
     return QOmega(Fraction(a), Fraction(b))
 
 
-def tau_r(r, prec):
-    """The CM point tau_r = -1/(3w + 3r), as a plain complex number."""
-    with mp.workprec(prec + 64):
-        return -1 / EisensteinInt(3 * r, 3).to_mpc(mp)
+def tau_r(r):
+    """The CM point tau_r = -1/(3w + 3r) = (-(3r - 3/2) + i 3 sqrt(3)/2)/n,
+    n = N(3w + 3r) = 9 (r^2 - r + 1), as an exact site."""
+    n = 9 * (r * r - r + 1)
+    return Site((-9 * (2 * r - 1), n), (3, 3, 2 * n))
 
 
 def unit_orbit(P):
@@ -57,8 +59,8 @@ def twist(split, i, prec, form="f"):
 def prepare(p, i, r, prec=192):
     """(split, z_f, z_fc) at tau_r, the CM point the reference fixtures use."""
     split = split_prime(p)
-    tau = tau_r(r, prec)
-    z_f, z_fc = eval_z(build_form(p, i, terms_needed(tau.imag, prec)), tau, prec)
+    tau = tau_r(r)
+    z_f, z_fc = eval_z(build_form(p, i, site_terms(tau, prec)), tau, prec)
     return split, z_f, z_fc
 
 
@@ -287,11 +289,11 @@ def test_torsion_site_value_is_negative_cusp_image():
         split = split_prime(p)
         r = solve_pipeline(p, 1)
         conj = r.torsion_form == "fc"
-        z0, _ = l_value_and_cusp_zero(p, 1, 192, conjugate=conj)
+        z0 = l_value_and_cusp_zero(p, 1, 192, conjugate=conj)
         base = split.pi if conj else split.pibar
         L = lattice_of_curve(base**2, 192)
         with mp.workprec(224):
-            ypr = fixed_to_mpc(wp_eval(L, mpc_to_fixed(z0, 224))[1], 224)
+            ypr = fixed_to_mpc(wp_eval(L, z0)[1], 224)
             half = base.to_mpc(mp) / 2
             cusp_sign = 1 if abs(ypr / 2 - half) < abs(ypr / 2 + half) else -1
         # T = (0, s p/2) is the twist of (0, s base/2): the signs agree

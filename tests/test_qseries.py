@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubesum.qseries as qs
-from cubesum.analytic import wp_laurent_coefficients
 from cubesum.eisenstein import SQRT_M3, QOmega, split_prime
 from cubesum.heckeform import as_eisenstein
 from cubesum.qseries import (
@@ -18,6 +17,7 @@ from cubesum.qseries import (
 )
 
 from eisenstein_helpers import is_integral
+from mp_helpers import wp_laurent_coefficients
 
 rng = random.Random(3131)
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import cubesum
-from cubesum.analytic import PeriodLattice, lattice_of_curve
+from cubesum.analytic import PeriodLattice, Site, lattice_of_curve
 from cubesum.cmpoint import EvalSite, eval_site
 from cubesum.curves import CubeSum, CurvePoint, TorsionCertificate, nontorsion_certificate
 from cubesum.eisenstein import Frozen, PrimeSplit, QOmega, Record, split_prime
@@ -58,6 +58,7 @@ def _equal_pairs():
         "TorsionCertificate": (cert, nontorsion_certificate(P, 7, 1),
                                TorsionCertificate((), (), 0, False, None)),
         "EvalSite": (eval_site(7, 1), eval_site(7, 1), eval_site(7, 2)),
+        "Site": (Site((0, 1), (189, 1, 189)), Site(re6=(0, 1), im=(189, 1, 189)), Site((0, 1), (189, 2, 189))),
         "PrimeSplit": (s, PrimeSplit(p=7, pi=s.pi, pibar=s.pibar), split_prime(13)),
         "PeriodLattice": (L, L.conj().conj(), L.conj()),
         "Candidate": (Candidate(site), Candidate(site=eval_site(7, 1)), Candidate(eval_site(7, 2))),
@@ -119,6 +120,7 @@ def _frozen():
         TorsionCertificate(primes=(), counts=(), bound=0, nontorsion=False, witness=None),
         lattice_of_curve(s.pibar**2, 64),
         eval_site(7, 1),
+        Site((0, 1), (189, 1, 189)),
         Candidate(site=eval_site(7, 1)),
     ]
 
