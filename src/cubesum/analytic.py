@@ -29,12 +29,11 @@ The constants are integer code too, each with a proved bound: pi by
 Machin's formula (fixed_pi), e^z by halving, Taylor terms and squaring
 back (fixed_exp), from which come |q| (fixed_qabs) and the root of unity
 e^(2 pi i Re tau) (fixed_expjpi) of eval_z's set-up, and the g3 and
-Laurent coefficients of Z[w] (_base_lattice, wp_laurent_fixed); a failed
-recognition prints x from its pair (fixed_str).  Every site of eval_z
-is exact, 6 Re(tau) a rational and Im(tau) = a sqrt(s)/d (a Site or a
-cmpoint.EvalSite), and the verify fixtures work on the same pairs: the
-Fricke constant and the cusp image z0 = L(f, 1) at three sites on the
-imaginary axis (_fricke), and the Gauss sum from roots of unity
+Laurent coefficients of Z[w] (_base_lattice, wp_laurent_fixed).  Every
+site of eval_z is exact, 6 Re(tau) a rational and Im(tau) = a sqrt(s)/d
+(a Site or a cmpoint.EvalSite), and the verify fixtures work on the same
+pairs: the Fricke constant and the cusp image z0 = L(f, 1) at three sites
+on the imaginary axis (_fricke), and the Gauss sum from roots of unity
 (gauss_sum).  So no command imports mpmath: only the tests' oracles and
 the benchmark's tracer do (analytic.mp).  The q-sum's length M comes from
 a proven tail bound in floats (terms_needed).  "Lies in L" always means a
@@ -77,52 +76,6 @@ class TorsionCheckFailed(AssertionError):
 
 
 # ------------------------------------------------------ fixed-point pairs
-
-
-def fixed_str(v, W, bits):
-    """The pair v at W as str prints an mpc at `bits` bits of precision:
-    "(a + bj)" or "(a - bj)", each component as _decimal gives it with
-    mpmath's dps = max(1, round(bits / log2(10)) - 1) digits."""
-    dps = max(1, round(bits / 3.3219280948873626) - 1)
-    re, im = (_decimal(c, W, bits, dps) for c in v)
-    return f"({re} - {im[1:]}j)" if im[0] == "-" else f"({re} + {im}j)"
-
-
-def _decimal(c, W, bits, dps):
-    """c 2^-W as mpmath's to_str writes it at `bits` bits: rounded to `bits`
-    significant bits (half to even, as an mpf holds it), then half up to dps
-    significant digits, laid out with a decimal point where the decimal
-    exponent e has min(-(dps // 3), -5) < e < dps, and else as one digit, a
-    point and e+n or e-n; trailing zeros are stripped, but not the one after
-    the point."""
-    if not c:
-        return "0.0"
-    sign, c = ("-", -c) if c < 0 else ("", c)
-    n = c.bit_length() - bits
-    if n > 0:
-        h, r = divmod(c, 1 << n)
-        c = (h + (2 * r > 1 << n or (2 * r == 1 << n and h & 1))) << n
-    e = (c.bit_length() - W - 1) * 30103 // 100000  # floor(log10), or one less
-    while True:
-        k = dps - 1 - e
-        num, den = (c * 10**k, 1 << W) if k >= 0 else (c, 10**-k << W)
-        d = (2 * num + den) // (2 * den)
-        if d >= 10**dps:
-            e += 1
-        elif d < 10 ** (dps - 1):
-            e -= 1
-        else:
-            break
-    digits = str(d)
-    tail = ""
-    if not min(-(dps // 3), -5) < e < dps:
-        s, tail = f"{digits[0]}.{digits[1:]}", f"e{e:+d}"
-    elif e < 0:
-        s = "0." + "0" * (-e - 1) + digits
-    else:
-        s = f"{digits[: e + 1]}.{digits[e + 1 :]}"
-    s = s.rstrip("0")
-    return sign + (s + "0" if s[-1] == "." else s) + tail
 
 
 def fixed_mul(a, b, W):
@@ -334,10 +287,15 @@ def principal_root(x, n, W, scale=None):
 
 
 def recognize_eisenstein(v, W, norm_bits):
-    """(x, N(gamma)) for x = alpha/gamma in K near v (a pair at W): the last
-    convergent of v's nearest-integer continued fraction over Z[w] (Hurwitz,
-    Acta Math. 11, 1887) before the first whose denominator has N(gamma) >
-    B = 2^norm_bits, kept when it lies within 8/B of v; None otherwise.
+    """(found, stop): found is (x, N(gamma)) for x = alpha/gamma in K near v
+    (a pair at W), the last convergent of v's nearest-integer continued
+    fraction over Z[w] (Hurwitz, Acta Math. 11, 1887) before the first whose
+    denominator has N(gamma) > B = 2^norm_bits, kept when it lies within 8/B
+    of v, and None otherwise.  stop is floor(log2 N(k)) for the partial
+    quotient k of that first convergent, where the expansion stops, or None
+    where the expansion ends inside the bound (or norm_bits < 0).  The last
+    kept convergent lies about 1/(N(gamma) |k|) from v, so a large stop
+    quotient marks one unusually near v.
 
     Euclid runs on (V, 2^W), V = X + Y w from the floored coordinates of v
     (_coords, under 4 units from v).  Each quotient rounds the coordinates
@@ -362,12 +320,13 @@ def recognize_eisenstein(v, W, norm_bits):
     checks to reject.
     """
     if norm_bits < 0:  # no denominator has a norm below 1
-        return None
+        return None, None
     bound = 1 << norm_bits
     na, nb = _coords(v, W)  # num = na + nb w, den = da + db w
     da, db = 1 << W, 0
     pa, pb, p1a, p1b = 1, 0, 0, 0  # p_(k-1), p_(k-2)
     qa, qb, q1a, q1b = 0, 0, 1, 0  # q_(k-1), q_(k-2)
+    stop = None
     while da or db:
         s = max(abs(da), abs(db)).bit_length() - 100
         ta, tb, ua, ub = (na >> s, nb >> s, da >> s, db >> s) if s > 0 else (na, nb, da, db)
@@ -380,6 +339,7 @@ def recognize_eisenstein(v, W, norm_bits):
         sa, sb = ka * qa - kb * qb + q1a, ka * qb + kb * qa - kb * qb + q1b
         m = max(abs(sa), abs(sb)).bit_length()  # 2^(2m - 3) <= N(q) < 2^(2m + 2)
         if 2 * m + 2 > norm_bits and (2 * m - 3 > norm_bits or sa * sa - sa * sb + sb * sb > bound):
+            stop = (ka * ka - ka * kb + kb * kb).bit_length() - 1
             break
         pa, pb, p1a, p1b, qa, qb, q1a, q1b = ra, rb, pa, pb, sa, sb, qa, qb
         na, nb, da, db = da, db, na - (ka * da - kb * db), nb - (ka * db + kb * da - kb * db)
@@ -388,7 +348,7 @@ def recognize_eisenstein(v, W, norm_bits):
     x = QOmega.from_ints(pa * (qa - qb) + pb * qb, pb * qa - pa * qb, n)
     xr, xi = fixed_of(x, W)
     miss2 = (xr - v[0]) ** 2 + (xi - v[1]) ** 2
-    return (x, n) if miss2 << 2 * norm_bits < 64 << 2 * W else None
+    return ((x, n) if miss2 << 2 * norm_bits < 64 << 2 * W else None), stop
 
 
 # ----------------------------------------------------------- base lattice

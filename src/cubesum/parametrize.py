@@ -38,7 +38,6 @@ from .analytic import (
     eval_z,
     fixed_mul,
     fixed_of,
-    fixed_str,
     lattice_of_curve,
     principal_root,
     recognize_eisenstein,
@@ -54,7 +53,14 @@ from .heckeform import build_form
 class RecognitionFailed(ArithmeticError):
     """No side read as the 3-torsion point, no x in K within the norm bound
     matched the numbers, or a recognized point failed an exact check; more
-    bits may mend it, so solve_pipeline retries at the next rung."""
+    bits may mend it, so solve_pipeline retries at the next rung.
+
+    recognize's failures carry how near they came (see recognize):
+    norm_bits, stop_bits and check, each None where no recognition ran."""
+
+    def __init__(self, message, norm_bits=None, stop_bits=None, check=None):
+        super().__init__(message)
+        self.norm_bits, self.stop_bits, self.check = norm_bits, stop_bits, check
 
 
 class EvalResidualTooLarge(ArithmeticError):
@@ -180,8 +186,20 @@ def recognize(raw, twist, bound, prec, form):
     apart.  y is solved for on E(p^i): T/(2e^2) with T an exact square root
     in Z[w] (_exact_y), of the sign nearer the numeric u^3 y, which it must
     match to 2^-(prec/2).  P = (x_scaled, +-T/(2e^2)) is then checked on
-    E(p^i) exactly.  Anything else raises RecognitionFailed, which triggers
-    a precision retry.
+    E(p^i) exactly.
+
+    Four checks may refuse, in this order, and raise RecognitionFailed,
+    which triggers a precision retry:
+      1. no convergent within 8/B of x_scaled (B = 2^n);
+      2. no exact y: S has no square root in Z[w];
+      3. the y sign: neither +-T/(2e^2) is within 2^-(prec/2) of u^3 y;
+      4. the curve: P fails the exact equation of E(p^i).
+    The exception carries norm_bits = n, stop_bits, the continued
+    fraction's stop quotient (recognize_eisenstein's stop), and check, the
+    number of the check that refused; its message states these and no
+    digits of x.  Over the eligible p < 700 at both powers the stop
+    quotient was at most 8 bits at every failed rung and at least 12 at
+    every win, but it does not tell how many more bits a failed rung needs.
 
     One scaling.  f's curve y^2 = x^3 + pibar^(2i)/4 twists onto y^2 = x^3
     + u^6 pibar^(2i)/4, which is E(p^i) when u^6 = pi^(2i): f takes u^3 =
@@ -204,26 +222,29 @@ def recognize(raw, twist, bound, prec, form):
     u3, u2 = twist
     W = prec + GUARD_BITS
     norm_bits = bound.bit_length() - 1
-    found = recognize_eisenstein(fixed_mul(x, u2, W), W, norm_bits)
+    found, stop = recognize_eisenstein(fixed_mul(x, u2, W), W, norm_bits)
+    check = 1  # the number of the check under way, reported if it refuses
     if found is not None:
         cand, norm = found
         c = u3.norm() ** 2  # p^(2i)
         exact = _exact_y(cand, c)
+        check = 2
         if exact is not None:
             T, e = exact
             Y = QOmega.from_ints(T.a, T.b, 2 * e * e)
             u3y = fixed_mul(fixed_of(u3, W), y, W)
             s = _sign_near(fixed_of(Y, W), u3y, 1 << 2 * (W - prec // 2))
+            check = 3
             if s is not None:
                 P = CurvePoint(QOmega(c), cand, Y if s > 0 else -Y)
-                if not P.on_curve():
-                    raise RecognitionFailed(
-                        f"twisted point of {form} ({P.x}, {P.y}) fails the exact curve equation"
-                    )
-                return P, norm.bit_length() - 1
+                check = 4
+                if P.on_curve():
+                    return P, norm.bit_length() - 1
+    why = ("no convergent within 8/B", "no exact y", "the y sign", "the curve")[check - 1]
     raise RecognitionFailed(
-        f"x of {form} = {fixed_str(x, W, prec // 2)} not recognized with N(gamma) <= 2^{norm_bits}"
-        + ("; its candidate x had no exact y matching the numbers" if found else "")
+        f"x of {form} not recognized: norm_bits {norm_bits}, stop_bits {stop},"
+        f" refused by check {check} ({why})",
+        norm_bits, stop, check,
     )
 
 
@@ -402,11 +423,12 @@ def solve_pipeline(p, i, bits=None, max_terms=2_000_000, form=None):
     100 to 3200 from 100, 4096 to 131072 from 4096); a descent failure
     (no rational nontorsion point, or an identity difference) or the terms
     cap ends the solve at once.  The failed attempts come back in the
-    result's `attempts` (attempt_ms, site, bits, error, message) and, when
-    the solve fails, in the PrecisionExhausted message.  Each attempt
-    extends `form`, the caller's HeckeForm store (a new one when None), to
-    the terms the site needs, so a failed rung leaves its coefficients to
-    the next.
+    result's `attempts` (attempt_ms, site, bits, error, message, and
+    RecognitionFailed's norm_bits, stop_bits and check, None for any other
+    failure) and, when the solve fails, in the PrecisionExhausted message.
+    Each attempt extends `form`, the caller's HeckeForm store (a new one
+    when None), to the terms the site needs, so a failed rung leaves its
+    coefficients to the next.
     """
     split = split_prime(p)
     cand = Candidate(eval_site(p, i))
@@ -426,6 +448,10 @@ def solve_pipeline(p, i, bits=None, max_terms=2_000_000, form=None):
                 "bits": prec,
                 "error": type(e).__name__,
                 "message": str(e),
+                # how near recognition came (RecognitionFailed), else None
+                "norm_bits": getattr(e, "norm_bits", None),
+                "stop_bits": getattr(e, "stop_bits", None),
+                "check": getattr(e, "check", None),
             })
             if isinstance(e, SITE_FAILURES) or prec >= last:
                 break

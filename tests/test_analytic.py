@@ -14,12 +14,14 @@ from cubesum.analytic import (
     IDEAL_COUNT_BOUND,
     SERIES_RADIUS,
     PoleAtLatticePoint,
+    TorsionCheckFailed,
     eval_z,
     fixed_exp,
     fixed_expjpi,
+    fixed_mul,
     fixed_pi,
     fixed_qabs,
-    fixed_str,
+    fixed_sqrt3,
     fricke_constant,
     gauss_sum,
     l_value_and_cusp_zero,
@@ -530,33 +532,6 @@ def test_fixed_qabs_at_the_fricke_sites(p, i, W):
             assert _units_off(fixed_qabs(N, a, d, W), want, W) < 1 + mp.mpf(2) ** -9
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    bits=st.integers(1, 1600),
-    man=st.tuples(st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80)),
-    exp=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
-)
-def test_fixed_str_prints_what_mpmath_prints(bits, man, exp):
-    # recognize's failure message shows x from the pair, as str(fixed_to_mpc)
-    # at prec // 2 bits showed it: component sizes from 2^-300 to 2^380,
-    # exact ties of the bit rounding among them
-    W = 400
-    pair = tuple(m << W + e if W + e >= 0 else m >> -(W + e) for m, e in zip(man, exp))
-    with mp.workprec(bits):
-        assert fixed_str(pair, W, bits) == str(fixed_to_mpc(pair, W))
-
-
-@pytest.mark.parametrize("bits", [1, 2, 5, 13, 48])
-def test_fixed_str_rounds_a_tie_of_bits_to_even(bits):
-    # components of bits + 1 significant bits ending in 1, halfway between
-    # two bits-bit values: both parities of the lower one, either sign
-    W = 64
-    for h in (1 << bits - 1, (1 << bits - 1) + 1, (1 << bits) - 1, (1 << bits) - 2):
-        c = (2 * h + 1) << 40
-        with mp.workprec(bits):
-            assert fixed_str((c, -c), W, bits) == str(fixed_to_mpc((c, -c), W))
-
-
 def test_wp_parity_and_cm_rotation():
     prec = 128
     L = lattice_of_curve(EisensteinInt(1, 0), prec)
@@ -1011,6 +986,47 @@ def test_l_value_and_cusp_zero():
         l_value_and_cusp_zero(p, 1, 192, conjugate=True)
 
 
+def _rotated_by_w(C, z_f, z_fc, W):
+    return fixed_mul(C, (-(1 << W) >> 1, fixed_sqrt3(W) >> 1), W), z_f, z_fc
+
+
+def _z0_at_zero(C, z_f, z_fc, W):
+    return C, fixed_mul(C, z_fc, W), z_fc
+
+
+def _z0_off_by_half_the_bits(C, z_f, z_fc, W):
+    return C, (z_f[0] + (1 << (W - 192 // 2 - 8)), z_f[1]), z_fc
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (_rotated_by_w, r"sqrt\(-3\)\*z0 not in L"),
+    (_z0_at_zero, "z0 lies in L itself"),
+    (_z0_off_by_half_the_bits, r"\|wp\(z0\)\| = 2\^-10[0-9]\.[0-9]+ is not 0"),
+], ids=["C-times-w", "z0-in-L", "wp-not-0"])
+def test_cusp_guards_reject_a_perturbed_fricke_pass(monkeypatch, perturb, message):
+    # at 7^1, 192 bits: C turned by w moves z0 off the sqrt(-3)-division
+    # points; z_f = C z_fc puts z0 at 0, in L; z_f moved by 2^-(prec/2 + 8)
+    # keeps sqrt(-3) z0 within 2^-(prec/2) of L but moves wp(z0) by about
+    # |wp'(z0)| 2^-104 from 0
+    W = 192 + GUARD_BITS
+    real = analytic._fricke
+    monkeypatch.setattr(analytic, "_fricke", lambda *a: perturb(*real(*a), W))
+    with pytest.raises(TorsionCheckFailed, match=message):
+        l_value_and_cusp_zero(7, 1, 192)
+
+
+def test_cusp_guard_rejects_a_y_off_the_curve_of_the_lattice(monkeypatch):
+    # wp'(z0)/2 is +-pibar^i/2 for every z0 that passes the wp(z0) = 0 guard
+    # on the lattice of y^2 = x^3 + pibar^(2i)/4, so no perturbed Fricke pass
+    # reaches this guard; a lattice of another curve does.  That of D = 64
+    # pibar^2 is L/2, which holds L: z0 is still a primitive
+    # sqrt(-3)-division point with wp(z0) = 0, but wp'(z0)/2 = +-8 pibar/2
+    real = analytic.lattice_of_curve
+    monkeypatch.setattr(analytic, "lattice_of_curve", lambda D, prec: real(D * 64, prec))
+    with pytest.raises(TorsionCheckFailed, match=r"wp'\(z0\)/2 is 2\^[0-9.]+ from \+-pibar\^i/2"):
+        l_value_and_cusp_zero(7, 1, 192)
+
+
 @pytest.mark.parametrize("prec", [16, 160, 1000])
 @pytest.mark.parametrize("p", [7, 13, 31, 97])
 def test_gauss_sum_matches_mpmath_within_its_bound(p, prec):
@@ -1157,7 +1173,7 @@ def test_continued_fraction_recovers_every_x_within_the_bound(prec, data):
     cap = (1 << (W - prec)) * 7 // 10
     nr, ni = data.draw(st.integers(-cap, cap)), data.draw(st.integers(-cap, cap))
     xr, xi = fixed_of(x, W)
-    got = recognize_eisenstein((xr + nr, xi + ni), W, norm_bits)
+    got, _ = recognize_eisenstein((xr + nr, xi + ni), W, norm_bits)
     assert got is not None and got[0] == x
     assert got[1] % x.d == 0  # x's rational denominator divides N(gamma)
 
@@ -1166,14 +1182,38 @@ def test_continued_fraction_bounds_at_the_edges():
     W = 96 + GUARD_BITS
     x = QOmega(Fraction(1, 3), Fraction(2, 7))
     v = fixed_of(x, W)
-    # a negative bound: no denominator qualifies, and no shift goes negative
-    assert recognize_eisenstein(v, W, -5) is None
+    # a negative bound: no denominator qualifies, no shift goes negative and
+    # no expansion runs
+    assert recognize_eisenstein(v, W, -5) == (None, None)
     # a bound of 1 admits integers only, within 8: the nearest one passes
-    # (the caller's exact checks judge it), and an integer comes back exactly
-    assert recognize_eisenstein(v, W, 0) == (QOmega(0), 1)
-    assert recognize_eisenstein(fixed_of(QOmega(5, -2), W), W, 0) == (QOmega(5, -2), 1)
+    # (the caller's exact checks judge it), and an integer comes back
+    # exactly, its expansion ending at once
+    found, stop = recognize_eisenstein(v, W, 0)
+    assert found == (QOmega(0), 1) and stop is not None
+    assert recognize_eisenstein(fixed_of(QOmega(5, -2), W), W, 0) == ((QOmega(5, -2), 1), None)
     # x = (7 + 6w)/21 in lowest terms (N(7 + 6w) = 43), N(21) = 441: under
-    # 2^9, over 2^8
-    assert recognize_eisenstein(v, W, 9) == (x, 441)
-    got = recognize_eisenstein(v, W, 8)
+    # 2^9, over 2^8.  v is x floored to 2^-W, so past x the expansion takes
+    # a quotient k of about 2^W/441, N(k) about 2^(2 (W - 9)), and stops
+    found, stop = recognize_eisenstein(v, W, 9)
+    assert found == (x, 441) and abs(stop - 2 * (W - 9)) <= 4
+    got, stop = recognize_eisenstein(v, W, 8)
     assert got is None or (got[0] != x and got[1] <= 256)
+    assert stop is not None
+
+
+@pytest.mark.parametrize("noise_bits", [40, 60, 80])
+def test_continued_fraction_stop_quotient_measures_the_nearness_of_x(noise_bits):
+    # x = alpha/gamma with N(gamma) about 2^20 under noise 2^-noise_bits and
+    # a bound of 2^(noise_bits - 10) far above N(gamma): the quotient where
+    # the expansion leaves the bound is about 1/(N(gamma) noise), so
+    # floor(log2 N(k)) is near 2 (noise_bits - 20) and grows with the bits
+    # the numbers carry beyond x
+    W = 128 + GUARD_BITS
+    gamma, alpha = EisensteinInt(1000, 301), EisensteinInt(12345, -678)
+    t = alpha * gamma.conj()
+    x = QOmega.from_ints(t.a, t.b, gamma.norm())
+    xr, xi = fixed_of(x, W)
+    noise = 1 << (W - noise_bits)
+    (got, n), stop = recognize_eisenstein((xr + noise, xi), W, noise_bits - 10)
+    assert got == x and n == gamma.norm()
+    assert abs(stop - 2 * (noise_bits - 20)) <= 4

@@ -84,7 +84,7 @@ _REPORT_DIGESTS = {
                   "1f36f21f34f9db7c2ce32b25aefee67d2100879dcdb7635d7ecd6b23ee791f4a"),
     ("7", "both"): ("ce873f5896660ac435b15d9ecdfdba633d26798e15af3d0a4e0955d2e503b802",
                     "0b2b2d6dbc8394b7efb519bdfdc279ece8861e8d2e723040569d4c35134035bf"),
-    ("103", "2"): ("736e8b5b80519109b0aaa961ace505a68ec5dcd35b970d5ece8fb1b45947301e",
+    ("103", "2"): ("06f0ffff1dc2ab607adff72070dcb2397d6ec97bde3c5dfdc295a8c586cb4b7d",
                    "226455112f233fec0fdf586df76880794c47ac98cf9fe92eccc196446563595d"),
 }
 
@@ -279,6 +279,11 @@ def test_tiny_norm_bounds_exit_0_or_3(bits, tmp_path, capsys):
     assert code in (EXIT_OK, EXIT_PRECISION), err
 
 
+# 409^2's three failed rungs before its 768-bit win: (bits, norm_bits,
+# stop_bits, check), each refused for want of an exact y
+_FAILS_409_2 = [(96, 82, 4, 2), (192, 178, 4, 2), (384, 370, 5, 2)]
+
+
 def test_solve_json_reports_failed_attempts(tmp_path, capsys):
     code, out, _ = run_cli(
         ["solve", "103", "--power", "2", "--json", "--cache-dir", str(tmp_path)], capsys
@@ -289,7 +294,11 @@ def test_solve_json_reports_failed_attempts(tmp_path, capsys):
     assert len(rep["attempts"]) == 1
     att = rep["attempts"][0]
     assert (att["site"], att["bits"], att["error"]) == ("wtau(r=47)", 96, "RecognitionFailed")
-    assert "not recognized" in att["message"] and "N(gamma) <= 2^87" in att["message"]
+    # how near the rung came: the norm bound 2^87, a stop quotient of 3 bits
+    # (every win below 700 stops at 12 or more), refused by check 2, no exact y
+    assert (att["norm_bits"], att["stop_bits"], att["check"]) == (87, 3, 2)
+    assert att["message"] == (
+        "x of f not recognized: norm_bits 87, stop_bits 3, refused by check 2 (no exact y)")
     assert rep["checks"]["precision_margin_bits"] == {"f": 28}
     # each failed attempt carries its wall time, as the first key of its
     # entry in the report, so the timing-free lines keep their order
@@ -297,6 +306,61 @@ def test_solve_json_reports_failed_attempts(tmp_path, capsys):
     lines = out.splitlines()
     assert lines.index('      "attempt_ms": ' + repr(att["attempt_ms"]) + ",") + 1 == lines.index(
         '      "bits": 96,')
+    # 409^2 reports the three numbers at each of its three failed rungs
+    argv = ["solve", "409", "--power", "2", "--json", "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert (rep["site"], rep["bits"], rep["terms"]) == ("wtau(r=356)", 768, 361800)
+    assert {a["error"] for a in rep["attempts"]} == {"RecognitionFailed"}
+    got = [(a["bits"], a["norm_bits"], a["stop_bits"], a["check"]) for a in rep["attempts"]]
+    assert got == _FAILS_409_2
+
+
+def test_exhausted_solve_reports_each_rung_in_numbers(tmp_path, capsys):
+    # 409^2 capped one term under its 768-bit rung's 361800: three precision
+    # failures, then the cap ends the solve.  Every attempt in the message
+    # is named, each recognition failure with its numbers, and no digits
+    # of x appear (no decimal point; the message once printed x)
+    argv = ["solve", "409", "--power", "2", "--max-terms", "361799", "--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EXIT_PRECISION, "")
+    entries = re.findall(r"(\w+\(r=-?\d+\))@(\d+)b: (\w+): ", err)
+    assert entries == [("wtau(r=356)", str(b), "RecognitionFailed") for b, *_ in _FAILS_409_2] + [
+        ("wtau(r=356)", "768", "TermsCapExceeded")]
+    for bits, norm_bits, stop_bits, check in _FAILS_409_2:
+        assert (f"@{bits}b: RecognitionFailed: x of f not recognized: norm_bits {norm_bits},"
+                f" stop_bits {stop_bits}, refused by check {check} (no exact y)") in err
+    assert "needs 361800 > 361799 terms" in err
+    assert "." not in err and "j)" not in err
+
+
+def test_every_attempt_has_the_same_keys(tmp_path, capsys, monkeypatch):
+    # 409^2 with a residual failure at 96 bits and a RecognitionFailed with
+    # no numbers (as "neither side at T" raises it) at 384, around its real
+    # failure at 192: every attempt has the same keys, recognize's three
+    # numbers ints where it ran and null where it did not
+    import cubesum.parametrize as par
+
+    real = par._attempt_site
+    stubs = {96: par.EvalResidualTooLarge("stub"), 384: par.RecognitionFailed("stub")}
+
+    def attempt(cand, split, p, i, prec, max_terms, form):
+        if prec in stubs:
+            raise stubs[prec]
+        return real(cand, split, p, i, prec, max_terms, form)
+
+    monkeypatch.setattr(par, "_attempt_site", attempt)
+    argv = ["solve", "409", "--power", "2", "--json", "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    atts = json.loads(out)["attempts"]
+    assert [(a["bits"], a["error"]) for a in atts] == [
+        (96, "EvalResidualTooLarge"), (192, "RecognitionFailed"), (384, "RecognitionFailed")]
+    keys = {"attempt_ms", "site", "bits", "error", "message", "norm_bits", "stop_bits", "check"}
+    assert all(set(a) == keys for a in atts)
+    assert [(a["norm_bits"], a["stop_bits"], a["check"]) for a in atts] == [
+        (None, None, None), _FAILS_409_2[1][1:], (None, None, None)]
 
 
 def test_default_first_rung_follows_the_power(tmp_path, capsys):
@@ -1050,8 +1114,8 @@ def test_solves_never_import_mpmath(tmp_path, flags):
     # a solve's constants (pi, |q|, e^(2 pi i Re tau), the base lattice) and
     # its failure message are integer code, so a solve pays neither mpmath's
     # import nor, where no bytecode is written, its compile.  61^2 cold and
-    # warm, 103^1; 103^2 fails its 96-bit rung (RecognitionFailed), so the
-    # message with x in it is built; the capped 61^2 exits 3.  verify's
+    # warm, 103^1; 103^2 fails its 96-bit rung (RecognitionFailed), so its
+    # message is built, in numbers; the capped 61^2 exits 3.  verify's
     # fixtures (Gauss sums, the Fricke constant, the cusp image) are
     # integer code too.
     out = _run_python(*flags, "-c", (
@@ -1068,7 +1132,8 @@ def test_solves_never_import_mpmath(tmp_path, flags):
     assert out.returncode == EXIT_OK, out.stderr
     assert out.stderr.splitlines()[-1] == f"[0, 0, 0, 0, {EXIT_PRECISION}, 0] False"
     assert out.stdout.count("    ok  ") == 19 and "all fixtures ok" in out.stdout
-    assert "x of f = (-5.113157863274 - 3.941169187971j) not recognized" in out.stdout
+    assert ('"message": "x of f not recognized: norm_bits 87, stop_bits 3,'
+            ' refused by check 2 (no exact y)"') in out.stdout
 
 
 def test_verify_under_python_O_detects_a_tampered_reference():

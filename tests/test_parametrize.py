@@ -184,8 +184,9 @@ def test_recognize_exactness_certifies(monkeypatch):
         return T * 2**200 + EisensteinInt(2 * e * e), e * 2**100
 
     monkeypatch.setattr(parametrize, "_exact_y", nudged)
-    with pytest.raises(RecognitionFailed, match="twisted point of f .* fails the exact curve equation"):
+    with pytest.raises(RecognitionFailed, match=r"refused by check 4 \(the curve\)") as info:
         recognize(raw, twist(split, 1, prec), 1 << 64, prec, "f")
+    assert (info.value.norm_bits, info.value.check) == (64, 4)
     monkeypatch.setattr(parametrize, "_exact_y", real)
     assert recognize(raw, twist(split, 1, prec), 1 << 64, prec, "f")[0] == P
 
@@ -361,8 +362,11 @@ def escalate_once(monkeypatch, p, i, first):
     site = eval_site(p, i).label()
     assert calls == [(site, first), (site, 2 * first)]
     assert (r.label, r.bits) == (site, 2 * first)
+    # a RecognitionFailed raised with no numbers, as the stub's, records them
+    # as None
     assert timed(r.attempts) == [
-        {"site": site, "bits": first, "error": "RecognitionFailed", "message": "x not recognized"}
+        {"site": site, "bits": first, "error": "RecognitionFailed", "message": "x not recognized",
+         "norm_bits": None, "stop_bits": None, "check": None}
     ]
 
 
@@ -561,8 +565,9 @@ def test_pipeline_103_squared_wins_after_one_retry():
     assert [(a["site"], a["bits"], a["error"]) for a in r.attempts] == [
         ("wtau(r=47)", 96, "RecognitionFailed")
     ]
-    assert "not recognized" in r.attempts[0]["message"]
-    assert "2^87" in r.attempts[0]["message"]
+    a = r.attempts[0]
+    assert "not recognized" in a["message"]
+    assert (a["norm_bits"], a["stop_bits"], a["check"]) == (87, 3, 2)
     assert r.checks["precision_margin_bits"] == {"f": 28}
     assert r.cube.verify()
 
@@ -616,14 +621,15 @@ def solve_tail_line(r):
 def test_solve_tail_is_pinned():
     # the exact tail of every eligible p < 300 at both powers, 38 solves: the
     # K-point, the rational point, the descent branch, the torsion side, the
-    # tall side's margin and every failed attempt's bits, class and message.
+    # tall side's margin and every failed attempt's bits, class and message
+    # (which holds recognize's three numbers, and no digits of x).
     # From the 48-bit first rung only the power-1 margins differ from the
     # 96-bit one's, each by 48 bits: no power-1 p < 300 fails at 48 bits
     lines = [solve_tail_line(solve_pipeline(p, i)) for i in (1, 2) for p in range(7, 300)
              if p % 9 in (4, 7) and is_prime_int(p)]
     assert len(lines) == 38 and sum("RecognitionFailed" in line for line in lines) == 8
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-    assert digest == "cb075eb88a4f2c06bf516da9b7babe0ae1fe6d69939963b7e44d877552118f80"
+    assert digest == "f11a6db2504a6958a040f03d5eee834e6df576bed204d59e126a99bd136cabbb"
 
 
 # ------------------------------------------------------- exact y from x
@@ -654,8 +660,9 @@ def test_recognize_rejects_a_perturbed_x(delta):
     split, (x, y) = nontorsion_fixture_raw(prec)
     W = prec + GUARD_BITS
     bad_x = (x[0] + (delta.numerator << W) // delta.denominator, x[1])
-    with pytest.raises(RecognitionFailed, match="not recognized"):
+    with pytest.raises(RecognitionFailed, match="not recognized") as info:
         recognize((bad_x, y), twist(split, 1, prec), 1 << 84, prec, "f")
+    assert info.value.norm_bits == 84 and info.value.check in (1, 2)
 
 
 def test_recognize_rejects_an_exact_y_off_the_numbers():
@@ -664,16 +671,15 @@ def test_recognize_rejects_an_exact_y_off_the_numbers():
     prec = 192
     split, (x, y) = nontorsion_fixture_raw(prec)
     off = (y[0] + (1 << (prec + GUARD_BITS - 40)), y[1])
-    with pytest.raises(RecognitionFailed, match="no exact y"):
+    with pytest.raises(RecognitionFailed, match=r"refused by check 3 \(the y sign\)") as info:
         recognize((x, off), twist(split, 1, prec), 1 << 84, prec, "f")
+    assert info.value.check == 3
 
 
 # 103^2's failed 96-bit attempt, as recognize reports it after its one
-# continued fraction; x is printed to prec/2 = 48 bits
-_FAIL_103_2_AT_96 = (
-    "x of f = (-5.113157863274 - 3.941169187971j) not recognized with N(gamma) <= 2^87;"
-    " its candidate x had no exact y matching the numbers"
-)
+# continued fraction: the norm bound 2^87, the stop quotient's 3 bits and
+# the check that refused, and no digits of x
+_FAIL_103_2_AT_96 = "x of f not recognized: norm_bits 87, stop_bits 3, refused by check 2 (no exact y)"
 
 
 def spy_continued_fractions(monkeypatch):
@@ -700,6 +706,7 @@ def test_a_failing_attempt_runs_one_continued_fraction(monkeypatch):
     with pytest.raises(RecognitionFailed) as info:
         parametrize._attempt_site(cand, split_prime(103), 103, 2, 96, None, build_form(103, 2, 0))
     assert str(info.value) == _FAIL_103_2_AT_96
+    assert (info.value.norm_bits, info.value.stop_bits, info.value.check) == (87, 3, 2)
     assert len(calls) == 1
 
 
